@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success; 2 validation error (bad arguments, non-prime p,
-malformed descriptors); 1 internal verification failure (a failed axiom
+malformed descriptors, a descriptor M other than --precision, `verify`
+on (a, j) outside Phi); 1 internal verification failure (a failed axiom
 check or acceptance criterion — a bug signal, not a usage error).
 
 Output is one JSON document on stdout by default; --table renders the
@@ -24,7 +25,8 @@ from .fiber import FiberClass, classify_fiber, verify_fiber
 from .hopf import check_hopf_axioms
 from .models import (DEFAULT_BUDGET, ModelDescriptor, build_extension,
                      enumerate_models, hom_models, hom_models_brute,
-                     is_isomorphic, phi_brute, phi_closed, p2_surjective)
+                     is_isomorphic, phi_brute, phi_closed, phi_congruence,
+                     p2_surjective)
 from .selftest import run_selftest
 
 
@@ -169,6 +171,10 @@ def cmd_fiber(args) -> int:
 def cmd_verify(args) -> int:
     ring = _ring_for(args)
     d = _parse_descriptor(ring, args.descriptor)
+    if not phi_congruence(ring, d.m, d.n, d.a, d.j):
+        raise ValidationError(
+            f"(a, j) = ({d.a.digit_string() or '0'}, {d.j}) is not in "
+            f"Phi for (m, n) = ({d.m}, {d.n})")
     pres = build_extension(d)
     rep = check_hopf_axioms(pres)
     report = []

@@ -73,6 +73,7 @@ class RingDescriptor:
         self.full_prec = self.e * M
         self._validate_eisenstein()
         self._reduction_table = self._build_reduction_table()
+        self._build_packing()
         self._p_over_pi = None  # cached, built lazily (needs invert_unit)
 
     def _validate_eisenstein(self):
@@ -102,6 +103,26 @@ class RingDescriptor:
             cur = [c % pM for c in cur]
             rows.append(tuple(cur))
         return tuple(rows)
+
+    def _build_packing(self):
+        # Kronecker slots for RingElement.__mul__.  A low slot of the
+        # product collects at most e digit products, and the folding of
+        # the e-1 reduced high slots adds at most one more product each,
+        # so every slot stays below 2e(p^M-1)^2 and no slot carries into
+        # the next: the packed product is exact for every (p, M).
+        e, w = self.e, (2 * self.e * (self.pM - 1) ** 2).bit_length()
+        self._slot_bits = w
+        self._slot_mask = (1 << w) - 1
+        self._low_mask = (1 << (w * e)) - 1
+        self._packed_rows = tuple(self._pack(row)
+                                  for row in self._reduction_table)
+
+    def _pack(self, digits) -> int:
+        """The digits as one integer, digit i in slot i."""
+        w, x = self._slot_bits, 0
+        for d in reversed(digits):
+            x = (x << w) | d
+        return x
 
     # -- basic constructors ------------------------------------------------
 
@@ -270,26 +291,27 @@ class RingElement:
                            self.prec)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
+        """Kronecker-packed product: one big-integer multiplication of
+        the packed digit vectors, then each high slot, reduced mod p^M,
+        is folded into the low slots through the packed row of pi^(e+k)."""
         self._check_same_ring(other)
         r = self.ring
-        e, pM = r.e, r.pM
-        conv = [0] * (2 * e - 1)
-        for i, a in enumerate(self.digits):
-            if a:
-                for j, b in enumerate(other.digits):
-                    if b:
-                        conv[i + j] += a * b
-        table = r._reduction_table
-        for idx in range(2 * e - 2, e - 1, -1):
-            c = conv[idx]
+        w, mask, pM = r._slot_bits, r._slot_mask, r.pM
+        prod = r._pack(self.digits) * r._pack(other.digits)
+        low = prod & r._low_mask
+        high = prod >> (w * r.e)
+        for row in r._packed_rows:
+            if not high:
+                break
+            c = (high & mask) % pM
             if c:
-                row = table[idx - e]
-                for i, t in enumerate(row):
-                    if t:
-                        conv[i] += c * t
-                conv[idx] = 0
-        digits = tuple(c % pM for c in conv[:e])
-        return RingElement(r, digits, min(self.prec, other.prec))
+                low += c * row
+            high >>= w
+        digits = []
+        for _ in range(r.e):
+            digits.append((low & mask) % pM)
+            low >>= w
+        return RingElement(r, tuple(digits), min(self.prec, other.prec))
 
     def scale(self, n: int) -> "RingElement":
         """Multiplication by an ordinary integer."""
@@ -308,15 +330,16 @@ class RingElement:
     def __pow__(self, n: int) -> "RingElement":
         if n < 0:
             return self.invert_unit() ** (-n)
-        result = self.ring.one()
-        result = RingElement(self.ring, result.digits, self.prec)
-        base = self
-        while n:
+        if n == 0:
+            return RingElement(self.ring, self.ring.one().digits, self.prec)
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def invert_unit(self) -> "RingElement":
         """Inverse of a unit, by Newton iteration in the finite quotient."""
@@ -347,12 +370,8 @@ class RingElement:
             out = out + r.p_over_pi().scale(q0)
         return RingElement(r, out.digits, min(self.prec - 1, r.full_prec - 1))
 
-    def divide_exact(self, other: "RingElement") -> "RingElement":
-        """z with z*other = self; requires v(self) >= v(other) determinate."""
-        self._check_same_ring(other)
-        w = other.valuation()
-        if isinstance(w, IndeterminateAtPrecision):
-            raise ValuationError("divisor valuation indeterminate")
+    def _check_divisible(self, w: int):
+        """Raise unless v(self) >= w is decided at the stored precision."""
         vs = self.valuation()
         if not isinstance(vs, IndeterminateAtPrecision) and vs < w:
             raise ValuationError(
@@ -360,11 +379,37 @@ class RingElement:
         if isinstance(vs, IndeterminateAtPrecision) and vs.level < w:
             raise PrecisionError(
                 "dividend indistinguishable from 0 below divisor valuation")
+
+    def divide_exact(self, other: "RingElement") -> "RingElement":
+        """z with z*other = self; requires v(self) >= v(other) determinate."""
+        self._check_same_ring(other)
+        w = other.valuation()
+        if isinstance(w, IndeterminateAtPrecision):
+            raise ValuationError("divisor valuation indeterminate")
+        self._check_divisible(w)
         num, den = self, other
         for _ in range(w):
             num = num._div_pi()
             den = den._div_pi()
         return num * den.invert_unit()
+
+    def divide_p_power(self, r: int) -> "RingElement":
+        """z with z*p^r = self, digit by digit; precision drops by r*e.
+
+        Valid because v(self) >= r*e exactly when p^r divides every
+        digit (the digit valuations e*v_p(c_i) + i are distinct mod e).
+        Raises in the same cases as divide_exact(from_int(p^r)).
+        """
+        ring = self.ring
+        if r < 0:
+            raise ValueError(f"negative power p^{r}")
+        if r >= ring.M:  # p^r = 0 at precision p^M
+            raise ValuationError("divisor valuation indeterminate")
+        w = r * ring.e
+        self._check_divisible(w)
+        q = ring.p ** r
+        return RingElement(ring, tuple(d // q for d in self.digits),
+                           self.prec - w)
 
     # -- precision and quotient handling -------------------------------------
 
@@ -443,7 +488,9 @@ class QuotElement:
         self.ring = ring
         self.t = t
         self.digits = tuple(d % ring.p for d in digits)
-        assert len(self.digits) == t
+        if len(self.digits) != t:
+            raise ValueError(
+                f"{len(self.digits)} digits given for R/pi^{t}")
 
     def lift(self) -> RingElement:
         """Canonical lift to R at full precision."""
@@ -465,19 +512,24 @@ class QuotElement:
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.digits)
 
+    def _check_same_level(self, other: "QuotElement"):
+        if self.t != other.t:
+            raise ValueError(
+                f"operands in R/pi^{self.t} and R/pi^{other.t}")
+
     def __add__(self, other: "QuotElement") -> "QuotElement":
-        assert self.t == other.t
+        self._check_same_level(other)
         return (self.lift() + other.lift()).reduce_mod(self.t)
 
     def __sub__(self, other: "QuotElement") -> "QuotElement":
-        assert self.t == other.t
+        self._check_same_level(other)
         return (self.lift() - other.lift()).reduce_mod(self.t)
 
     def __neg__(self) -> "QuotElement":
         return (-self.lift()).reduce_mod(self.t)
 
     def __mul__(self, other: "QuotElement") -> "QuotElement":
-        assert self.t == other.t
+        self._check_same_level(other)
         return (self.lift() * other.lift()).reduce_mod(self.t)
 
     def scale(self, n: int) -> "QuotElement":

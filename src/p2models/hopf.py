@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .dvr import IndeterminateAtPrecision, RingElement
 from .errors import DivisibilityError, PrecisionError
-from .poly import ExactBase, FpBase, Poly, QuotBase, normal_form
+from .poly import ExactBase, FpBase, Poly, QuotBase, horner, normal_form
 
 
 @dataclass(frozen=True)
@@ -241,10 +241,6 @@ class AxiomReport:
                 and self.unit_certificates)
 
 
-def _subst_vars(poly: Poly, images: list) -> Poly:
-    return poly.subst(images)
-
-
 def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
     """Verify coassociativity, counit law, antipode law, cocommutativity
     and the designated-unit certificates by symbolic identities in the
@@ -264,8 +260,8 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
                      + [Poly.var(base, 3 * n, 2 * n + i) for i in range(n)])
         right_imgs = ([Poly.var(base, 3 * n, i) for i in range(n)]
                       + [pres.comult[i].embed(3 * n, n) for i in range(n)])
-        lhs = normal_form(_subst_vars(d, left_imgs), rel3)
-        rhs = normal_form(_subst_vars(d, right_imgs), rel3)
+        lhs = normal_form(d.subst(left_imgs), rel3)
+        rhs = normal_form(d.subst(right_imgs), rel3)
         if not lhs.eq(rhs):
             coassoc = False
             failures.append(f"coassociativity fails on generator {g}")
@@ -274,12 +270,12 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
     counit_ok = True
     for g in range(n):
         d = pres.comult[g]
-        left = _subst_vars(d, [Poly.const(base, n, pres.counit[i])
-                               for i in range(n)]
-                           + [pres.var(i) for i in range(n)])
-        right = _subst_vars(d, [pres.var(i) for i in range(n)]
-                            + [Poly.const(base, n, pres.counit[i])
-                               for i in range(n)])
+        left = d.subst([Poly.const(base, n, pres.counit[i])
+                        for i in range(n)]
+                       + [pres.var(i) for i in range(n)])
+        right = d.subst([pres.var(i) for i in range(n)]
+                        + [Poly.const(base, n, pres.counit[i])
+                           for i in range(n)])
         idg = pres.var(g)
         if pres.is_finite:
             left, right, idg = pres.nf(left), pres.nf(right), pres.nf(idg)
@@ -295,7 +291,7 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
         if all(isinstance(a, Poly) for a in pres.antipode):
             imgs = ([pres.antipode[i] for i in range(n)]
                     + [pres.var(i) for i in range(n)])
-            lhs = _subst_vars(d, imgs)
+            lhs = d.subst(imgs)
             if pres.is_finite:
                 lhs, target_nf = pres.nf(lhs), pres.nf(target)
             else:
@@ -320,7 +316,7 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
             + [Poly.var(base, 2 * n, i) for i in range(n)])
     for g in range(n):
         d = pres.comult[g]
-        sw = normal_form(_subst_vars(d, swap), rel2)
+        sw = normal_form(d.subst(swap), rel2)
         if not sw.eq(normal_form(d, rel2)):
             cocomm = False
             failures.append(f"comultiplication not cocommutative at {g}")
@@ -336,7 +332,7 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
         else:
             # group-likeness makes the unit usable in localized arithmetic
             uu = (u.poly.embed(2 * n, 0)) * (u.poly.embed(2 * n, n))
-            du = _subst_vars(u.poly, [pres.comult[i] for i in range(n)])
+            du = u.poly.subst([pres.comult[i] for i in range(n)])
             if not normal_form(du - uu, rel2).is_zero():
                 units_ok = False
                 failures.append(f"designated unit {k} not group-like")
@@ -351,16 +347,9 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
 def _subst_localized(poly: Poly, images: list, pres: HopfPresentation
                      ) -> LocalizedElement:
     """Substitute LocalizedElement images into a polynomial."""
-    acc = LocalizedElement(pres, Poly.zero(images[0].num.base,
-                                           images[0].num.nvars))
-    for m, c in poly.terms.items():
-        term = LocalizedElement(
-            pres, Poly.const(images[0].num.base, images[0].num.nvars, c))
-        for i, k in enumerate(m):
-            for _ in range(k):
-                term = term * images[i]
-        acc = acc + term
-    return acc
+    base, nv = images[0].num.base, images[0].num.nvars
+    return horner(poly, images, lambda c: LocalizedElement(
+        pres, Poly.const(base, nv, c)))
 
 
 # ---------------------------------------------------------------------------

@@ -423,6 +423,9 @@ class ModelDescriptor:
     def from_json(cls, ring: RingDescriptor, obj) -> "ModelDescriptor":
         if obj["p"] != ring.p:
             raise ValueError("descriptor p does not match ring")
+        if obj["M"] != ring.M:
+            raise ValueError(
+                f"descriptor M = {obj['M']} does not match precision {ring.M}")
         a = QuotElement(ring, obj["n"], tuple(obj["a_digits"]))
         return cls(ring, obj["m"], obj["n"], a, obj["j"])
 
@@ -853,12 +856,17 @@ def _psi_rs_built(src, tgt, d1, d2, r, s):
     return f
 
 
-def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor):
-    """Test all p^2 candidate maps; return (HomClass, morphisms)."""
+def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
+                     src: HopfPresentation | None = None,
+                     tgt: HopfPresentation | None = None):
+    """Test all p^2 candidate maps; return (HomClass, morphisms).
+
+    `src` and `tgt` are build_extension(d1) and build_extension(d2),
+    built here when not given."""
     ring = d1.ring
     p = ring.p
-    src = build_extension(d1)
-    tgt = build_extension(d2)
+    src = build_extension(d1) if src is None else src
+    tgt = build_extension(d2) if tgt is None else tgt
     survivors = []
     maps = []
     for r in range(p):

@@ -233,14 +233,16 @@ class Poly:
                     {m: base.mul(c, v) for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
-        result = Poly.one(self.base, self.nvars)
-        b = self
-        while n:
+        if n == 0:
+            return Poly.one(self.base, self.nvars)
+        result, b = None, self
+        while True:
             if n & 1:
-                result = result * b
-            b = b * b
+                result = b if result is None else result * b
             n >>= 1
-        return result
+            if not n:
+                return result
+            b = b * b
 
     # -- structure -----------------------------------------------------------
 
@@ -301,24 +303,8 @@ class Poly:
         All images must share a base and variable count; coefficients are
         carried over unchanged.
         """
-        nv = images[0].nvars
-        base = images[0].base
-        result = Poly.zero(base, nv)
-        power_cache = [{0: Poly.one(base, nv)} for _ in range(self.nvars)]
-
-        def ipow(i, k):
-            cache = power_cache[i]
-            if k not in cache:
-                cache[k] = ipow(i, k - 1) * images[i]
-            return cache[k]
-
-        for m, c in self.terms.items():
-            term = Poly.const(base, nv, c)
-            for i, k in enumerate(m):
-                if k:
-                    term = term * ipow(i, k)
-            result = result + term
-        return result
+        nv, base = images[0].nvars, images[0].base
+        return horner(self, images, lambda c: Poly.const(base, nv, c))
 
     def to_json(self):
         return {"nvars": self.nvars,
@@ -334,6 +320,48 @@ class Poly:
             mono = "*".join(f"x{i}^{k}" for i, k in enumerate(m) if k) or "1"
             bits.append(f"({c!r})*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def horner(poly: Poly, images: list, const):
+    """poly evaluated at images[i] for variable i, by nested Horner.
+
+    The images may be any ring values (Poly, LocalizedElement) closed
+    under + and *; `const(c)` turns a coefficient into such a value.
+    The terms are grouped by the exponent of the first variable, each
+    group is evaluated recursively in the later variables, and the groups
+    are combined as (..(h_K x^(K-k) + h_k) x^(k-k') + ..) x^k_min.  A gap
+    of g between exponents costs g products; no power of an image is
+    stored.
+    """
+    if not poly.terms:
+        return const(poly.base.zero())
+    return _horner(list(poly.terms.items()), 0, images, const)
+
+
+def _horner(items, i, images, const):
+    nv = len(items[0][0])
+    while i < nv and not any(m[i] for m, _ in items):
+        i += 1
+    if i == nv:
+        # all exponents from i on are zero: a single (monomial, coeff)
+        return const(items[0][1])
+    groups = {}
+    for m, c in items:
+        groups.setdefault(m[i], []).append((m, c))
+    x = images[i]
+    acc, prev = None, 0
+    for k in sorted(groups, reverse=True):
+        val = _horner(groups[k], i + 1, images, const)
+        if acc is None:
+            acc = val
+        else:
+            for _ in range(prev - k):
+                acc = acc * x
+            acc = acc + val
+        prev = k
+    for _ in range(prev):
+        acc = acc * x
+    return acc
 
 
 def normal_form(poly: Poly, relations: list) -> Poly:

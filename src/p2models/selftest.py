@@ -220,10 +220,11 @@ def criterion_9_classification(M=12):
     for i, d1 in enumerate(models):
         for j, d2 in enumerate(models):
             assert mdl.is_isomorphic(d1, d2) == (i == j)
-    for d1 in models:
-        for d2 in models:
+    built = [mdl.build_extension(d) for d in models]
+    for d1, pres1 in zip(models, built):
+        for d2, pres2 in zip(models, built):
             hc = mdl.hom_models(d1, d2)
-            hb, _ = mdl.hom_models_brute(d1, d2)
+            hb, _ = mdl.hom_models_brute(d1, d2, pres1, pres2)
             assert hc.tag == hb.tag, (d1.sort_key(), d2.sort_key())
 
 

@@ -252,9 +252,7 @@ def _recover(ring: RingDescriptor, ghosts: list[RingElement]) -> list[RingElemen
         acc = g
         for k, c in enumerate(coords):
             acc = acc - (c ** (p ** (r - k))).scale(p ** k)
-        if r:
-            acc = acc.divide_exact(ring.from_int(p ** r))
-        coords.append(acc)
+        coords.append(acc.divide_p_power(r))
     return coords
 
 

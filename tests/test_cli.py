@@ -83,7 +83,33 @@ def test_verify_exit_codes(capsys):
     bad = json.dumps({"p": 3, "M": 12, "m": 2, "n": 2,
                       "a_digits": [0, 0], "j": 1})  # (0,1) not in Phi
     code, out, err = run(capsys, "verify", "--descriptor", bad)
-    assert code == 1
+    assert code == 2 and "not in Phi" in err
+
+
+def test_verify_outside_phi_is_bad_input(capsys):
+    bad = json.dumps({"p": 3, "M": 12, "m": 3, "n": 3,
+                      "a_digits": [0, 1, 0], "j": 1})
+    code, out, err = run(capsys, "verify", "--descriptor", bad)
+    assert code == 2 and out == ""
+    assert "not in Phi" in err and "verification failure" not in err
+
+
+def test_verify_short_a_digits_is_bad_input(capsys):
+    short = json.dumps({"p": 3, "M": 12, "m": 3, "n": 3,
+                        "a_digits": [0, 1], "j": 1})
+    code, out, err = run(capsys, "verify", "--descriptor", short)
+    assert code == 2 and out == ""
+    assert "malformed descriptor" in err
+
+
+def test_verify_descriptor_precision_mismatch(capsys):
+    low = json.dumps({"p": 3, "M": 5, "m": 3, "n": 3,
+                      "a_digits": [0, 1, 1], "j": 1})
+    code, out, err = run(capsys, "verify", "--descriptor", low)
+    assert code == 2 and "does not match precision 12" in err
+    code, out, _ = run(capsys, "verify", "--descriptor", low,
+                       "--precision", "5")
+    assert code == 0 and json.loads(out)["descriptor"]["M"] == 5
 
 
 def test_validation_exit_code(capsys):

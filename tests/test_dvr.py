@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from p2models.dvr import (
     IndeterminateAtPrecision,
+    QuotElement,
     RingElement,
     cyclotomic_eisenstein,
     enumerate_quotient,
@@ -234,3 +235,11 @@ def test_valuation_formula_vs_repeated_division(R3):
         for _ in range(v):
             cur = cur.divide_exact(R3.pi())
         assert cur.valuation() == 0
+
+
+def test_quot_element_checks_survive_python_O(R3):
+    # explicit raises, not asserts: `python -O` must reject these too
+    with pytest.raises(ValueError):
+        QuotElement(R3, 3, (1,))
+    with pytest.raises(ValueError):
+        QuotElement(R3, 2, (1, 0)) + QuotElement(R3, 3, (1, 0, 0))

@@ -1,0 +1,249 @@
+"""Oracle tests for the arithmetic kernels.
+
+* The Kronecker-packed `RingElement.__mul__` against the schoolbook
+  product it replaced.
+* The nested-Horner substitution engine against term-by-term
+  substitution, for Poly and LocalizedElement images.
+* Digit-wise division by p^r against `divide_exact`.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from p2models.dvr import IndeterminateAtPrecision, make_ring
+from p2models.errors import PrecisionError, ValuationError
+from p2models.hopf import HopfPresentation, LocalizedElement, UnitSpec
+from p2models.poly import ExactBase, Poly, horner
+
+PRIMES = (3, 5, 7)
+PRECISIONS = (2, 8, 12, 20)
+
+
+@lru_cache(maxsize=None)
+def ring(p, M):
+    return make_ring(p, M)
+
+
+# ---------------------------------------------------------------------------
+# oracles
+# ---------------------------------------------------------------------------
+
+def schoolbook_mul(x, y):
+    """Digits and precision of x*y by convolution and row reduction."""
+    r = x.ring
+    e, pM = r.e, r.pM
+    conv = [0] * (2 * e - 1)
+    for i, a in enumerate(x.digits):
+        if a:
+            for j, b in enumerate(y.digits):
+                if b:
+                    conv[i + j] += a * b
+    for idx in range(2 * e - 2, e - 1, -1):
+        c = conv[idx]
+        if c:
+            for i, t in enumerate(r._reduction_table[idx - e]):
+                conv[i] += c * t
+    return tuple(c % pM for c in conv[:e]), min(x.prec, y.prec)
+
+
+def naive_subst(poly, images, const):
+    """Term by term: each monomial's image is a product of images."""
+    acc = const(poly.base.zero())
+    for m, c in poly.terms.items():
+        term = const(c)
+        for i, k in enumerate(m):
+            for _ in range(k):
+                term = term * images[i]
+        acc = acc + term
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# packed multiplication
+# ---------------------------------------------------------------------------
+
+@st.composite
+def element_pairs(draw):
+    R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    return [R.from_digits(draw(st.lists(digit, min_size=R.e, max_size=R.e)),
+                          draw(st.integers(0, R.full_prec)))
+            for _ in range(2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(element_pairs())
+def test_packed_product_matches_schoolbook(pair):
+    x, y = pair
+    z = x * y
+    assert (z.digits, z.prec) == schoolbook_mul(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from(PRECISIONS), st.data())
+def test_packed_product_sparse_operands(p, M, data):
+    R = ring(p, M)
+    positions = st.lists(st.integers(0, R.e - 1), max_size=3)
+    x = y = R.zero()
+    for i in data.draw(positions):
+        x = x + R.pi(i).scale(data.draw(st.integers(1, R.pM - 1)))
+    for i in data.draw(positions):
+        y = y + R.pi(i).scale(data.draw(st.integers(1, R.pM - 1)))
+    assert ((x * y).digits, (x * y).prec) == schoolbook_mul(x, y)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("M", PRECISIONS)
+def test_packed_product_all_digits_maximal(p, M):
+    R = ring(p, M)
+    top = R.from_digits([R.pM - 1] * R.e)
+    assert ((top * top).digits, (top * top).prec) == schoolbook_mul(top, top)
+
+
+def test_packed_product_exact_beyond_64_bit_slots():
+    R = ring(3, 20)
+    assert 2 * R.e * (R.pM - 1) ** 2 > 2 ** 64
+    assert R._slot_bits > 64
+    top = R.from_digits([R.pM - 1] * R.e)
+    mixed = R.from_digits([R.pM - 1 - 7 * i for i in range(R.e)])
+    for x, y in [(top, top), (top, mixed), (mixed, mixed)]:
+        assert (x * y).digits == schoolbook_mul(x, y)[0]
+
+
+# ---------------------------------------------------------------------------
+# substitution engine
+# ---------------------------------------------------------------------------
+
+SUBST_RING = make_ring(3, 4)
+BASE = ExactBase(SUBST_RING)
+
+
+def _coeff(data, full):
+    R = SUBST_RING
+    digits = data.draw(st.lists(st.integers(0, R.pM - 1),
+                                min_size=R.e, max_size=R.e))
+    prec = R.full_prec if full else data.draw(st.integers(0, R.full_prec))
+    return R.from_digits(digits, prec)
+
+
+def _poly(data, nvars, max_terms, max_exp, full):
+    monos = data.draw(st.lists(
+        st.tuples(*[st.integers(0, max_exp)] * nvars),
+        max_size=max_terms, unique=True))
+    return Poly(BASE, nvars, {m: _coeff(data, full) for m in monos})
+
+
+def _same_poly(a, b, check_prec):
+    assert a.nvars == b.nvars
+    assert set(a.terms) == set(b.terms)
+    for m, c in a.terms.items():
+        assert c.digits == b.terms[m].digits
+        if check_prec:
+            assert c.prec == b.terms[m].prec
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans())
+def test_horner_matches_naive_on_polys(data, full):
+    nv_in = data.draw(st.integers(1, 3))
+    nv_out = data.draw(st.integers(1, 3))
+    # exponents up to 5 in at most 5 terms: gaps between exponents
+    poly = _poly(data, nv_in, 5, 5, full)
+    images = [_poly(data, nv_out, 3, 2, full) for _ in range(nv_in)]
+    const = lambda c: Poly.const(BASE, nv_out, c)  # noqa: E731
+    got = poly.subst(images)
+    _same_poly(got, naive_subst(poly, images, const), check_prec=full)
+
+
+def test_horner_zero_polynomial_and_constant():
+    images = [Poly.var(BASE, 2, 1), Poly.var(BASE, 2, 0)]
+    assert not Poly.zero(BASE, 2).subst(images).terms
+    c = SUBST_RING.from_int(5)
+    got = Poly.const(BASE, 2, c).subst(images)
+    assert list(got.terms) == [(0, 0)] and got.terms[(0, 0)] == c
+
+
+def test_horner_gap_exponents():
+    # x^7 + x^2 at x = 1 + y: the gaps 5 and 2 are bridged by repeated
+    # products, no stored powers
+    R = SUBST_RING
+    x = Poly.var(BASE, 1, 0)
+    poly = Poly(BASE, 1, {(7,): R.one(), (2,): R.from_int(3)})
+    img = Poly.one(BASE, 1) + x
+    const = lambda c: Poly.const(BASE, 1, c)  # noqa: E731
+    _same_poly(poly.subst([img]), naive_subst(poly, [img], const), True)
+
+
+def _localized_pres():
+    R = SUBST_RING
+    x, y = Poly.var(BASE, 2, 0), Poly.var(BASE, 2, 1)
+    u1 = Poly.one(BASE, 2) + x.scale(R.pi())
+    u2 = Poly.one(BASE, 2) + y.scale(R.pi(2)) + (x * y).scale(R.pi())
+    return HopfPresentation(base=BASE, gens=("x", "y"),
+                            relations=(None, None), comult=(), counit=(),
+                            antipode=(), units=(UnitSpec(u1), UnitSpec(u2)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.booleans())
+def test_horner_matches_naive_on_localized(data, full):
+    pres = _localized_pres()
+    nv_in = data.draw(st.integers(1, 3))
+    poly = _poly(data, nv_in, 4, 4, full)
+    den = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    images = [LocalizedElement(pres, _poly(data, 2, 3, 2, full),
+                               data.draw(den)) for _ in range(nv_in)]
+    const = lambda c: LocalizedElement(  # noqa: E731
+        pres, Poly.const(BASE, 2, c))
+    got = horner(poly, images, const)
+    want = naive_subst(poly, images, const)
+    assert got.den == want.den
+    _same_poly(got.num, want.num, check_prec=full)
+    assert got.eq(want)
+
+
+# ---------------------------------------------------------------------------
+# digit-wise division by p^r
+# ---------------------------------------------------------------------------
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ValuationError, PrecisionError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from(PRECISIONS), st.data())
+def test_divide_p_power_against_divide_exact(p, M, data):
+    R = ring(p, M)
+    r = data.draw(st.integers(0, M))
+    # multiples of p^r (divisible), or arbitrary elements (often not)
+    quotient = R.from_digits(data.draw(st.lists(
+        st.integers(0, R.pM - 1), min_size=R.e, max_size=R.e)))
+    x = data.draw(st.sampled_from([
+        quotient.scale(p ** r), quotient, quotient.scale(p ** (r + 1))]))
+    x = x.with_prec(data.draw(st.integers(0, R.full_prec)))
+    got = _outcome(lambda: x.divide_p_power(r))
+    want = _outcome(lambda: x.divide_exact(R.from_int(p ** r)))
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.prec == want.prec == x.prec - r * R.e
+    assert (got - want).is_zero()
+    # round trip: z * p^r = x at the dividend's precision
+    back = got.scale(p ** r) - x
+    assert isinstance(back.valuation(), IndeterminateAtPrecision)
+
+
+def test_divide_p_power_errors():
+    R = ring(3, 12)
+    with pytest.raises(ValuationError):
+        R.pi().divide_p_power(1)
+    with pytest.raises(PrecisionError):
+        R.from_int(3).with_prec(R.e).divide_p_power(2)
+    with pytest.raises(ValuationError):
+        R.zero().divide_p_power(R.M)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from p2models.dvr import QuotElement, eq_mod, eta, make_ring
+from p2models.dvr import QuotElement, RingElement, eq_mod, eta, make_ring
 from p2models.errors import DivisibilityError, P2ModelsError, ValuationError
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
 from p2models.models import (
@@ -303,6 +303,17 @@ def test_hom_models_brute_agreement_sample(R3, models3):
         assert hc.tag == hb.tag, (d1.sort_key(), d2.sort_key())
 
 
+def test_hom_models_brute_prebuilt_presentations(R3, models3):
+    # the same classes and survivor lists from presentations built once
+    built = {d: build_extension(d) for d in (models3[0], models3[-1],
+                                             models3[4])}
+    for d1 in built:
+        for d2 in built:
+            fresh, _ = hom_models_brute(d1, d2)
+            reused, _ = hom_models_brute(d1, d2, built[d1], built[d2])
+            assert reused == fresh, (d1.sort_key(), d2.sort_key())
+
+
 def test_ambient_isogeny_canonical(R3, models3):
     d = models3[-1]
     g = solve_target_hom(d)
@@ -322,13 +333,26 @@ def test_ambient_isogeny_f1_case(R3, models3):
     ambient_isogeny(d)
 
 
-def test_ambient_isogeny_p5_kernel_extreme():
+def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     # a with maximal valuation in ker p2 at p=5
     R5 = make_ring(5, 8)
     els = [e for e in ker_p2(R5, 3, 3) if not e.a.is_zero()]
     a = max(els, key=lambda e: e.a.valuation()).a
     d = ModelDescriptor(R5, 3, 3, a, 0)
+    calls = 0
+    mul = RingElement.__mul__
+
+    def counting_mul(x, y):
+        nonlocal calls
+        calls += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
     ambient_isogeny(d)
+    # 262,870 ring products today; the bound is the 271,740 of the
+    # nested-Horner substitution alone plus 5 %.  Powering substitution
+    # images term by term again would more than double the count.
+    assert calls <= 285_000
 
 
 # -- rad (v(mu) < v(lam)) --------------------------------------------------------
