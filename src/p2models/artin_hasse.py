@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .dvr import QuotElement, RingDescriptor, RingElement, eq_mod
+from .dvr import QuotElement, RingElement, eq_mod
 from .errors import CertificationError
 from .poly import Poly
 from .witt import QQBase, WittVector
@@ -75,7 +75,8 @@ class TruncatedSeries:
         """(self)^q for a series with constant term 1 (binomial series)."""
         D = self.D if D is None else D
         base = self.base
-        assert base.eq(self.coeffs[0], base.one())
+        if not base.eq(self.coeffs[0], base.one()):
+            raise ValueError("binomial series needs constant term 1")
         g = TruncatedSeries(base, D, [base.zero()] + self.coeffs[1:])
         out = TruncatedSeries.one(base, D)
         gk = TruncatedSeries.one(base, D)

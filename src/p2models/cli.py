@@ -7,21 +7,21 @@ check or acceptance criterion — a bug signal, not a usage error).
 
 Output is one JSON document on stdout by default; --table renders the
 same data as an aligned table.  --out FILE writes the document to FILE
-instead.  P2MODELS_THREADS (or --threads) sizes the selftest pool;
-results are canonically ordered either way.
+instead.  Every subcommand takes --p; all but selftest and dump-series
+take --precision (the digit precision M), and only phi takes --budget
+(the brute-force candidate cap).  selftest runs its criteria in order.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .artin_hasse import ah_series, deformed_ah
 from .dvr import eta, make_ring
 from .errors import BudgetError, P2ModelsError
-from .fiber import FiberClass, classify_fiber, verify_fiber
+from .fiber import classify_fiber, verify_fiber
 from .hopf import check_hopf_axioms
 from .models import (DEFAULT_BUDGET, ModelDescriptor, build_extension,
                      enumerate_models, hom_models, hom_models_brute,
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
 def cmd_selftest(args) -> int:
     criteria = args.criteria.split(",") if args.criteria else None
     try:
-        results = run_selftest(args.p, criteria, threads=args.threads)
+        results = run_selftest(args.p, criteria)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     doc = [r.to_json() for r in results]
@@ -235,7 +235,6 @@ def cmd_dump_series(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    env_threads = os.environ.get("P2MODELS_THREADS", "1")
     parser = argparse.ArgumentParser(
         prog="p2models",
         description="Exact constructions and classification of the finite "
@@ -243,29 +242,27 @@ def build_parser() -> argparse.ArgumentParser:
                     "ramified cyclotomic base.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, cell=False):
+    def common(sp, precision=True):
         sp.add_argument("--p", type=int, default=3, help="odd prime")
-        sp.add_argument("--precision", type=int, default=12,
-                        help="coefficient precision M (digits mod p^M)")
-        sp.add_argument("--json", action="store_true", default=False,
-                        help="JSON output (default)")
+        if precision:
+            sp.add_argument("--precision", type=int, default=12,
+                            help="coefficient precision M (digits mod p^M)")
         sp.add_argument("--table", action="store_true",
                         help="aligned-table output")
         sp.add_argument("--out", help="write output to FILE")
-        sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="brute-force candidate budget")
-        if cell:
-            sp.add_argument("--m", type=int, required=True)
-            sp.add_argument("--n", type=int, required=True)
 
     sp = sub.add_parser("ring-info", help="base-ring constants")
     common(sp)
     sp.set_defaults(fn=cmd_ring_info)
 
     sp = sub.add_parser("phi", help="the parameter group of a cell")
-    common(sp, cell=True)
+    common(sp)
+    sp.add_argument("--m", type=int, required=True)
+    sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--brute", action="store_true",
                     help="enumerate the congruence instead of the closed form")
+    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="brute-force candidate budget")
     sp.set_defaults(fn=cmd_phi)
 
     sp = sub.add_parser("enumerate", help="all models up to m-max")
@@ -300,15 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("selftest", help="run the acceptance battery")
-    common(sp)
+    common(sp, precision=False)
     sp.add_argument("--criteria", help="comma-separated criterion ids")
-    sp.add_argument("--threads", type=int, default=int(env_threads)
-                    if env_threads.isdigit() else 1)
     sp.set_defaults(fn=cmd_selftest)
 
     sp = sub.add_parser("dump-series", help="series coefficients as "
                         "exact fractions (golden-file friendly)")
-    common(sp)
+    common(sp, precision=False)
     sp.add_argument("--degree", type=int, default=27)
     sp.add_argument("--deformed", action="store_true")
     sp.set_defaults(fn=cmd_dump_series)

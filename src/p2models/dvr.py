@@ -213,7 +213,8 @@ def cyclotomic_eisenstein(p: int) -> list[int]:
         n = i * p
         for k in range(n + 1):
             out[k] += math.comb(n, k)
-    assert out[e] == 1
+    if out[e] != 1:
+        raise EisensteinError("Phi_{p^2}(1+x) is not monic of degree p(p-1)")
     return out[:e]
 
 
@@ -263,9 +264,6 @@ class RingElement:
     def is_zero(self) -> bool:
         """True when indistinguishable from 0 at the stored precision."""
         return isinstance(self.valuation(), IndeterminateAtPrecision)
-
-    def is_unit(self) -> bool:
-        return self.valuation() == 0
 
     # -- ring operations ----------------------------------------------------
 

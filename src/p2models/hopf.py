@@ -70,9 +70,6 @@ class HopfPresentation:
     def var(self, i: int) -> Poly:
         return Poly.var(self.base, self.ngens, i)
 
-    def zero_poly(self) -> Poly:
-        return Poly.zero(self.base, self.ngens)
-
     def one_poly(self) -> Poly:
         return Poly.one(self.base, self.ngens)
 
@@ -119,10 +116,6 @@ def tensor_relations(pres: HopfPresentation, k: int) -> list:
     return out
 
 
-def tensor_nf(pres: HopfPresentation, k: int, poly: Poly) -> Poly:
-    return normal_form(poly, tensor_relations(pres, k))
-
-
 # ---------------------------------------------------------------------------
 # localized elements (smooth presentations)
 # ---------------------------------------------------------------------------
@@ -141,10 +134,6 @@ class LocalizedElement:
         self.pres = pres
         self.num = num
         self.den = den if den is not None else (0,) * len(pres.units)
-
-    @classmethod
-    def from_poly(cls, pres, poly):
-        return cls(pres, poly)
 
     def _common(self, other: "LocalizedElement"):
         den = tuple(max(a, b) for a, b in zip(self.den, other.den))
@@ -380,11 +369,6 @@ class HopfMorphism:
                   for im in self.images]
         return _subst_localized(poly, images, self.source)
 
-    def apply_poly(self, poly: Poly) -> Poly:
-        """Image when all generator images are plain polynomials."""
-        assert all(isinstance(im, Poly) for im in self.images)
-        return poly.subst(list(self.images))
-
 
 def _tensor_square_pres(pres: HopfPresentation) -> HopfPresentation:
     """The tensor square as a bare presentation (for localized equality)."""
@@ -475,8 +459,10 @@ def check_morphism(f: HopfMorphism) -> bool:
 def morphism_matrix(f: HopfMorphism):
     """Matrix of the algebra map in the monomial bases (finite case)."""
     src, tgt = f.source, f.target
-    assert src.is_finite and tgt.is_finite
-    assert src.rank() == tgt.rank()
+    if not (src.is_finite and tgt.is_finite):
+        raise ValueError("morphism matrix needs finite presentations")
+    if src.rank() != tgt.rank():
+        raise ValueError("morphism matrix needs equal ranks")
     import itertools
     degs_t = [r.degree_in(i) for i, r in enumerate(tgt.relations)]
     degs_s = [r.degree_in(i) for i, r in enumerate(src.relations)]

@@ -26,7 +26,7 @@ from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
 from .errors import (BudgetError, DivisibilityError, LinearSolveError,
                      P2ModelsError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
-                   UnitSpec, check_morphism, is_model_map, residue_fiber)
+                   UnitSpec, check_morphism, is_model_map)
 from .poly import ExactBase, Poly, QuotBase, normal_form
 
 DEFAULT_BUDGET = 10 ** 7
@@ -266,7 +266,7 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
     for coeffs in itertools.product(*coeff_pools):
         F_S = poly_in_var(qb, 2, 0, coeffs)
         F_T = poly_in_var(qb, 2, 1, coeffs)
-        F_arg = _eval_poly_at(coeffs, arg, qb)
+        F_arg = _eval_poly_at(coeffs, arg)
         lhs = normal_form(F_S * F_T, [relS, relT])
         rhs = normal_form(F_arg, [relS, relT])
         if lhs.eq(rhs):
@@ -279,13 +279,10 @@ def _all_digits(ring, n):
     return list(enumerate_quotient(ring, n))
 
 
-def _eval_poly_at(coeffs, arg: Poly, base) -> Poly:
-    acc = Poly.const(base, arg.nvars, coeffs[0])
-    power = Poly.one(base, arg.nvars)
-    for c in coeffs[1:]:
-        power = power * arg
-        acc = acc + power.scale(c)
-    return acc
+def _eval_poly_at(coeffs, arg: Poly) -> Poly:
+    """sum coeffs[k] * arg^k, by the Horner engine of Poly.subst."""
+    terms = {(k,): c for k, c in enumerate(coeffs)}
+    return Poly(arg.base, 1, terms).subst([arg])
 
 
 # ---------------------------------------------------------------------------
@@ -441,70 +438,50 @@ def canonical_lift_coeffs(d: ModelDescriptor) -> list[RingElement]:
     return out
 
 
-def _extension_data(d: ModelDescriptor):
-    """Shared polynomial data for the finite and smooth presentations.
+def _comult(base, fc, mu, lam, rel1=None) -> tuple:
+    """(Delta S1, Delta S2) over (mu, lam, F = sum fc[i] S^i) in the tensor
+    variables S1', S2', S1'', S2''.
 
-    Variables: S1 = 0, S2 = 1 (tensor squares use S1', S2', S1'', S2'').
-    Returns (base, mu, lam, Fcoeffs, rel1, Ft as 2-var poly).
+    Delta S2 carries the cocycle (F(x) F(y) - F(x+y+mu x y)) / lam.  With
+    the finite relation rel1 the division happens after normal form;
+    otherwise raw coefficient-wise (smooth case, valid when
+    v(mu) >= v(lam)).
     """
-    ring = d.ring
-    base = ExactBase(ring)
-    mu = ring.pi(d.m)
-    lam = ring.pi(d.n)
-    rel1 = poly_in_var(base, 2, 0,
-                       [ring.zero()] + kummer_quotient_coeffs(ring, mu, ring.p))
-    fc = canonical_lift_coeffs(d)
-    Ft = poly_in_var(base, 2, 0, fc)
-    return base, mu, lam, fc, rel1, Ft
-
-
-def _cocycle(base, fc, mu, lam, nvars, v0, v1, reduce_rels=None) -> Poly:
-    """(F(x) F(y) - F(x+y+mu x y)) / lam in variables v0, v1.
-
-    With reduce_rels the division happens after normal form (finite
-    quotient); otherwise raw coefficient-wise (smooth case, valid when
-    v(mu) >= v(lam))."""
-    Fx = poly_in_var(base, nvars, v0, fc)
-    Fy = poly_in_var(base, nvars, v1, fc)
-    x = Poly.var(base, nvars, v0)
-    y = Poly.var(base, nvars, v1)
-    arg = x + y + (x * y).scale(mu)
-    Farg = _eval_poly_at(fc, arg, base)
-    num = Fx * Fy - Farg
-    if reduce_rels is not None:
-        num = normal_form(num, reduce_rels)
-    return num.div_scalar(lam)
+    v = [Poly.var(base, 4, i) for i in range(4)]
+    d_s1 = v[0] + v[2] + (v[0] * v[2]).scale(mu)
+    F_x = poly_in_var(base, 4, 0, fc)
+    F_y = poly_in_var(base, 4, 2, fc)
+    num = F_x * F_y - _eval_poly_at(fc, d_s1)
+    if rel1 is not None:
+        num = normal_form(num, [rel1.embed(4, 0), None,
+                                rel1.embed(4, 2), None])
+    coc = num.div_scalar(lam).pruned()
+    d_s2 = v[1] * F_y + F_x * v[3] + (v[1] * v[3]).scale(lam) + coc
+    return d_s1, d_s2
 
 
 def build_extension(d: ModelDescriptor) -> HopfPresentation:
     """The finite rank-p^2 presentation attached to a descriptor.
 
-    Divisibility failures (relation by lam^p, cocycle by lam) raise
-    DivisibilityError and signal (a, j) not in Phi or precision loss.
+    Variables: S1 = 0, S2 = 1.  Divisibility failures (relation by
+    lam^p, cocycle by lam) raise DivisibilityError and signal (a, j) not
+    in Phi or precision loss.
     """
     ring = d.ring
     p = ring.p
-    base, mu, lam, fc, rel1, Ft = _extension_data(d)
-    S2 = Poly.var(base, 2, 1)
+    base = ExactBase(ring)
+    mu, lam = ring.pi(d.m), ring.pi(d.n)
+    fc = canonical_lift_coeffs(d)
+    rel1 = poly_in_var(base, 2, 0,
+                       [ring.zero()] + kummer_quotient_coeffs(ring, mu, p))
     u1 = Poly.one(base, 2) + Poly.var(base, 2, 0).scale(mu)
+    u2 = poly_in_var(base, 2, 0, fc) + Poly.var(base, 2, 1).scale(lam)
+    rel2 = normal_form(u2 ** p - u1 ** d.j, [rel1, None])
+    rel2 = rel2.div_scalar(lam ** p).pruned()
 
-    num2 = (Ft + S2.scale(lam)) ** p - u1 ** d.j
-    num2 = normal_form(num2, [rel1, None])
-    rel2 = num2.div_scalar(lam ** p).pruned()
-
-    # comultiplication (4 variables: S1', S2', S1'', S2'')
-    v = [Poly.var(base, 4, i) for i in range(4)]
-    d_s1 = v[0] + v[2] + (v[0] * v[2]).scale(mu)
-    rel1_t = [rel1.embed(4, 0), None, rel1.embed(4, 2), None]
-    coc = _cocycle(base, fc, mu, lam, 4, 0, 2, reduce_rels=rel1_t).pruned()
-    F_x = poly_in_var(base, 4, 0, fc)
-    F_y = poly_in_var(base, 4, 2, fc)
-    d_s2 = v[1] * F_y + F_x * v[3] + (v[1] * v[3]).scale(lam) + coc
-
-    # counit
+    # counit: zero for the canonical lift, but (1 - F(0))/lam is only
+    # known mod pi^(eM - n), and that precision is part of the output
     eps2 = (ring.one() - fc[0]).divide_exact(lam) if d.n else ring.zero()
-    # fc[0] = 1 for the canonical lift, so eps2 = 0; kept general
-    eps2 = ring.zero() if d.n == 0 else eps2
 
     # antipode
     anti1_coeffs = [ring.zero()]
@@ -512,59 +489,54 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
         anti1_coeffs.append(
             ring.from_int(math.comb(p - 1, k)) * mu ** (k - 1))
     anti1 = poly_in_var(base, 2, 0, anti1_coeffs)
-    F_anti = _eval_poly_at(fc, anti1, base)
-    anti2_num = (Ft + S2.scale(lam)) ** (p - 1) * u1 ** (p - d.j) - F_anti
+    anti2_num = (u2 ** (p - 1) * u1 ** (p - d.j)
+                 - _eval_poly_at(fc, anti1))
     anti2_num = normal_form(anti2_num, [rel1, None])
     anti2 = anti2_num.div_scalar(lam).pruned()
 
-    u2 = Ft + S2.scale(lam)
     rel_system = (rel1, rel2)
     inv1 = normal_form(u1 ** (p - 1), list(rel_system)).pruned()
     inv2 = normal_form(u2 ** (p - 1) * u1 ** (p - d.j),
                        list(rel_system)).pruned()
     return HopfPresentation(
         base=base, gens=("S1", "S2"),
-        relations=rel_system, comult=(d_s1, d_s2),
+        relations=rel_system, comult=_comult(base, fc, mu, lam, rel1),
         counit=(ring.zero(), eps2), antipode=(anti1, anti2),
         units=(UnitSpec(u1, inv1), UnitSpec(u2, inv2)),
         name=f"E(m={d.m}, n={d.n}, a={d.a.digit_string() or '0'}, j={d.j})")
 
 
-def build_extension_smooth(d: ModelDescriptor) -> HopfPresentation:
-    """The ambient smooth two-dimensional group over the descriptor's
-    (mu, lam, F); designated units (1+mu S1) and (F+lam S2), no
+def _smooth_extension(ring, mu, lam, fc, name) -> HopfPresentation:
+    """The ambient smooth two-dimensional group over (mu, lam, F) with
+    F = sum fc[i] S1^i: designated units (1+mu S1) and (F+lam S2), no
     finiteness relations."""
-    ring = d.ring
-    base, mu, lam, fc, rel1, Ft = _extension_data(d)
-    S2 = Poly.var(base, 2, 1)
-    u1 = Poly.one(base, 2) + Poly.var(base, 2, 0).scale(mu)
-    u2 = Ft + S2.scale(lam)
-
-    v = [Poly.var(base, 4, i) for i in range(4)]
-    d_s1 = v[0] + v[2] + (v[0] * v[2]).scale(mu)
-    coc = _cocycle(base, fc, mu, lam, 4, 0, 2, reduce_rels=None).pruned()
-    F_x = poly_in_var(base, 4, 0, fc)
-    F_y = poly_in_var(base, 4, 2, fc)
-    d_s2 = v[1] * F_y + F_x * v[3] + (v[1] * v[3]).scale(lam) + coc
-
-    eps2 = ring.zero()
+    p = ring.p
+    base = ExactBase(ring)
+    S1 = Poly.var(base, 2, 0)
+    u1 = Poly.one(base, 2) + S1.scale(mu)
+    u2 = poly_in_var(base, 2, 0, fc) + Poly.var(base, 2, 1).scale(lam)
+    eps2 = ring.one() - fc[0]
+    eps2 = ring.zero() if eps2.is_zero() else eps2.divide_exact(lam)
 
     # sigma(S1) = -S1/(1+mu S1); sigma(S2) via the inverse of (F+lam S2):
     # ((1+mu S1)^(p-1) - u2 * G1)/ (lam u2 u1^(p-1)),
-    # G1 = sum a^i/i! (-S1)^i (1+mu S1)^(p-1-i)
-    S1 = Poly.var(base, 2, 0)
+    # G1 = sum fc[i] (-S1)^i (1+mu S1)^(p-1-i)
     G1 = Poly.zero(base, 2)
     for i, c in enumerate(fc):
-        G1 = G1 + ((-S1) ** i) * (u1 ** (ring.p - 1 - i)).scale(c)
-    anti2_num = (u1 ** (ring.p - 1) - u2 * G1).div_scalar(lam).pruned()
-    anti = ((-S1, (1, 0)), (anti2_num, (ring.p - 1, 1)))
-
+        G1 = G1 + ((-S1) ** i) * (u1 ** (p - 1 - i)).scale(c)
+    anti2_num = (u1 ** (p - 1) - u2 * G1).div_scalar(lam).pruned()
     return HopfPresentation(
         base=base, gens=("S1", "S2"), relations=(None, None),
-        comult=(d_s1, d_s2), counit=(ring.zero(), eps2),
-        antipode=anti,
-        units=(UnitSpec(u1, None), UnitSpec(u2, None)),
-        name=f"E_smooth(m={d.m}, n={d.n}, a={d.a.digit_string() or '0'})")
+        comult=_comult(base, fc, mu, lam), counit=(ring.zero(), eps2),
+        antipode=((-S1, (1, 0)), (anti2_num, (p - 1, 1))),
+        units=(UnitSpec(u1, None), UnitSpec(u2, None)), name=name)
+
+
+def build_extension_smooth(d: ModelDescriptor) -> HopfPresentation:
+    """The ambient smooth group over the descriptor's (mu, lam, F)."""
+    return _smooth_extension(
+        d.ring, d.ring.pi(d.m), d.ring.pi(d.n), canonical_lift_coeffs(d),
+        f"E_smooth(m={d.m}, n={d.n}, a={d.a.digit_string() or '0'})")
 
 
 # ---------------------------------------------------------------------------
@@ -694,22 +666,15 @@ def ambient_isogeny(d: ModelDescriptor):
     ring = d.ring
     p = ring.p
     src = build_extension_smooth(d)
-    base = ExactBase(ring)
+    base = src.base
     mu, lam = ring.pi(d.m), ring.pi(d.n)
-    fc = canonical_lift_coeffs(d)
     g = solve_target_hom(d)
-
-    # target descriptor data: relations etc. built by hand since the
-    # canonical-lift constructor assumes the E_p(aS) shape
-    tgt = _smooth_from_hom(ring, mu ** p, lam ** p, g, name_suffix="target")
+    tgt = _smooth_extension(ring, mu ** p, lam ** p, g, "E_smooth target")
 
     Pmu = poly_in_var(base, 2, 0,
                       [ring.zero()] + kummer_quotient_coeffs(ring, mu, p))
-    Ft = poly_in_var(base, 2, 0, fc)
-    S2 = Poly.var(base, 2, 1)
-    u1 = Poly.one(base, 2) + Poly.var(base, 2, 0).scale(mu)
-    Gt = _eval_poly_at(g, Pmu, base)
-    bracket = (Ft + S2.scale(lam)) ** p - Gt * u1 ** d.j
+    u1, u2 = (u.poly for u in src.units)
+    bracket = u2 ** p - _eval_poly_at(g, Pmu) * u1 ** d.j
     img2_num = bracket.div_scalar(lam ** p)
     img2 = LocalizedElement(src, img2_num, (d.j, 0))
     f = HopfMorphism(source=src, target=tgt,
@@ -731,35 +696,6 @@ def ambient_isogeny(d: ModelDescriptor):
             and not fin.nf(img2_fin - Poly.const(base, 2, eps2)).is_zero():
         raise P2ModelsError("kernel containment fails for S2")
     return src, tgt, f
-
-
-def _smooth_from_hom(ring, mu, lam, fc, name_suffix=""):
-    """Smooth E-presentation from arbitrary hom coefficients fc."""
-    base = ExactBase(ring)
-    S2 = Poly.var(base, 2, 1)
-    Ft = poly_in_var(base, 2, 0, fc)
-    u1 = Poly.one(base, 2) + Poly.var(base, 2, 0).scale(mu)
-    u2 = Ft + S2.scale(lam)
-    v = [Poly.var(base, 4, i) for i in range(4)]
-    d_s1 = v[0] + v[2] + (v[0] * v[2]).scale(mu)
-    coc = _cocycle(base, fc, mu, lam, 4, 0, 2, reduce_rels=None).pruned()
-    F_x = poly_in_var(base, 4, 0, fc)
-    F_y = poly_in_var(base, 4, 2, fc)
-    d_s2 = v[1] * F_y + F_x * v[3] + (v[1] * v[3]).scale(lam) + coc
-    eps2 = ((ring.one() - fc[0]).divide_exact(lam)
-            if not (ring.one() - fc[0]).is_zero() else ring.zero())
-    S1 = Poly.var(base, 2, 0)
-    G1 = Poly.zero(base, 2)
-    for i, c in enumerate(fc):
-        G1 = G1 + ((-S1) ** i) * (u1 ** (ring.p - 1 - i)).scale(c)
-    anti2_num = (u1 ** (ring.p - 1) - u2 * G1).div_scalar(lam).pruned()
-    anti = ((-S1, (1, 0)), (anti2_num, (ring.p - 1, 1)))
-    return HopfPresentation(
-        base=base, gens=("S1", "S2"), relations=(None, None),
-        comult=(d_s1, d_s2), counit=(ring.zero(), eps2),
-        antipode=anti,
-        units=(UnitSpec(u1, None), UnitSpec(u2, None)),
-        name=f"E_smooth {name_suffix}")
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +737,6 @@ class HomClass:
     tag: str                 # "Zero" | "OrderP" | "OrderP2"
     maps: tuple = ()         # witness (r, s) pairs when brute-forced
 
-    def order(self) -> int:
-        return {"Zero": 1, "OrderP": None, "OrderP2": None}.get(self.tag)
-
     def to_json(self):
         return {"class": self.tag, "maps": [list(m) for m in self.maps]}
 
@@ -819,35 +752,26 @@ def hom_models(d1: ModelDescriptor, d2: ModelDescriptor) -> HomClass:
     return HomClass("OrderP")
 
 
-def psi_rs(d1: ModelDescriptor, d2: ModelDescriptor, r: int, s: int):
-    """Candidate map between the extensions; None when a required exact
-    division fails (the candidate is not well defined over R)."""
-    return _psi_rs_built(build_extension(d1), build_extension(d2),
-                         d1, d2, r, s)
-
-
 def _psi_rs_built(src, tgt, d1, d2, r, s):
+    """Candidate map between the extensions src = build_extension(d1)
+    and tgt = build_extension(d2); None when a required exact division
+    fails (the candidate is not well defined over R)."""
     ring = d1.ring
     p = ring.p
-    base = ExactBase(ring)
-    mu1, lam1 = ring.pi(d1.m), ring.pi(d1.n)
-    mu2, lam2 = ring.pi(d2.m), ring.pi(d2.n)
+    base = src.base
+    mu1, mu2, lam2 = ring.pi(d1.m), ring.pi(d2.m), ring.pi(d2.n)
     x = (r * d1.j * pow(d2.j, -1, p)) % p
-    # S1' -> ((1+mu1 S1)^x - 1)/mu2
+    # S1' -> ((1+mu1 S1)^x - 1)/mu2, S2' -> ((F1+lam1 S2)^r (1+mu1 S1)^s
+    # - F2(S1'))/lam2 with F1 + lam1 S2, 1 + mu1 S1 the units of src
     try:
         coeffs1 = [ring.zero()]
         for k in range(1, x + 1):
             coeffs1.append(
                 (ring.from_int(math.comb(x, k)) * mu1 ** k).divide_exact(mu2))
         img1 = poly_in_var(base, 2, 0, coeffs1)
-        fc1 = canonical_lift_coeffs(d1)
-        fc2 = canonical_lift_coeffs(d2)
-        F1 = poly_in_var(base, 2, 0, fc1)
-        S2 = Poly.var(base, 2, 1)
-        u1 = Poly.one(base, 2) + Poly.var(base, 2, 0).scale(mu1)
-        F2_at = _eval_poly_at(fc2, img1, base)
-        num = (F1 + S2.scale(lam1)) ** r * u1 ** s - F2_at
-        num = src.nf(num)
+        u1, u2 = (u.poly for u in src.units)
+        F2_at = _eval_poly_at(canonical_lift_coeffs(d2), img1)
+        num = src.nf(u2 ** r * u1 ** s - F2_at)
         img2 = num.div_scalar(lam2)
     except (DivisibilityError, ValuationError):
         return None

@@ -17,7 +17,7 @@ terminates because each step strictly lowers the reversed-lex key.
 
 from __future__ import annotations
 
-from .dvr import QuotElement, RingDescriptor, RingElement
+from .dvr import QuotElement, RingDescriptor
 from .errors import DivisibilityError, ValuationError
 
 
@@ -270,15 +270,6 @@ class Poly:
 
     def coefficient(self, monomial: tuple):
         return self.terms.get(monomial, self.base.zero())
-
-    def coeff_in_var(self, i: int, k: int) -> "Poly":
-        """Coefficient of var_i^k, a polynomial in the remaining variables
-        (still indexed over nvars, with exponent 0 in slot i)."""
-        out = {}
-        for m, c in self.terms.items():
-            if m[i] == k:
-                out[m[:i] + (0,) + m[i + 1:]] = c
-        return Poly(self.base, self.nvars, out)
 
     def map_coeffs(self, fn, new_base=None) -> "Poly":
         base = new_base if new_base is not None else self.base

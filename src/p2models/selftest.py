@@ -1,10 +1,11 @@
 """The acceptance battery: one callable per criterion.
 
-Each criterion function asserts its exact conditions (no tolerances
+Each criterion function checks its exact conditions (no tolerances
 beyond "equal at the stated precision") and raises AssertionError with a
-message on failure.  `run_selftest` wraps them into machine-readable
-records for the CLI; tests/test_acceptance.py drives the same battery
-under pytest.
+message on failure.  The checks go through `_check`, not `assert`, so
+`python -O` cannot strip them.  `run_selftest` wraps the criteria into
+machine-readable records for the CLI; tests/test_acceptance.py drives
+the same battery under pytest.
 
 Golden counts were frozen from the brute-force oracles, never invented:
 in particular the Hom counts for the cells (3,1), (3,3), (2,2), (1,1)
@@ -16,7 +17,6 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -24,11 +24,17 @@ from . import artin_hasse as ah
 from . import fiber as fib
 from . import models as mdl
 from . import witt as wt
-from .dvr import (IndeterminateAtPrecision, QuotElement, enumerate_quotient,
-                  eq_mod, eta, make_custom_ring, make_ring)
+from .dvr import (IndeterminateAtPrecision, enumerate_quotient, eq_mod, eta,
+                  make_custom_ring, make_ring)
 from .errors import EisensteinError
 from .hopf import check_hopf_axioms
 from .poly import Poly
+
+
+def _check(cond, detail="") -> None:
+    """Raise AssertionError(detail) unless cond holds."""
+    if not cond:
+        raise AssertionError(detail)
 
 
 @lru_cache(maxsize=None)
@@ -57,10 +63,10 @@ def criterion_1_hopf_validity(M=12):
         targets.append(mdl.build_extension(d))
     for pres in targets:
         rep = check_hopf_axioms(pres)
-        assert rep.ok, f"{pres.name}: {rep.failures}"
-        assert rep.rank in (3, 9)
+        _check(rep.ok, f"{pres.name}: {rep.failures}")
+        _check(rep.rank in (3, 9))
     ext_ranks = [mdl.build_extension(d).rank() for d in _models3(M)]
-    assert all(r == 9 for r in ext_ranks)
+    _check(all(r == 9 for r in ext_ranks))
 
 
 def criterion_2_canonical_model(M=12):
@@ -68,13 +74,13 @@ def criterion_2_canonical_model(M=12):
     the (0,1) class over Z/pZ; Wilson and eta^p/lam_(1) sub-checks."""
     R = _ring(3, M)
     a = eta(R).reduce_mod(3)
-    assert mdl.phi_congruence(R, 3, 3, a, 1), "Phi congruence fails for eta"
+    _check(mdl.phi_congruence(R, 3, 3, a, 1), "Phi congruence fails for eta")
     d = mdl.ModelDescriptor(R, 3, 3, a, 1)
     mdl.build_extension(d)
-    assert fib.classify_fiber(d) == fib.FiberClass("ZpByZp", (0, 1))
-    assert fib.wilson_check(3)
-    assert fib.eta_power_unit_check(R)
-    assert fib.verify_fiber(d)
+    _check(fib.classify_fiber(d) == fib.FiberClass("ZpByZp", (0, 1)))
+    _check(fib.wilson_check(3))
+    _check(fib.eta_power_unit_check(R))
+    _check(fib.verify_fiber(d))
 
 
 def criterion_3_phi_oracle(M=12):
@@ -85,19 +91,19 @@ def criterion_3_phi_oracle(M=12):
         for n in range(m + 1):
             pc = mdl.phi_closed(R3, m, n)
             pb = mdl.phi_brute(R3, m, n)
-            assert [(e.a.digits, e.j) for e in pc] == \
-                [(e.a.digits, e.j) for e in pb], f"cell ({m},{n})"
+            _check([(e.a.digits, e.j) for e in pc]
+                   == [(e.a.digits, e.j) for e in pb], f"cell ({m},{n})")
     els = mdl.phi_closed(R3, 3, 3)
-    assert len(els) == 3
+    _check(len(els) == 3)
     et = eta(R3)
     expect = sorted((et.scale(k).reduce_mod(3).digits, k) for k in range(3))
-    assert [(e.a.digits, e.j) for e in els] == expect
+    _check([(e.a.digits, e.j) for e in els] == expect)
     R5 = _ring(5, 8)
     for (m, n) in [(3, 3), (3, 2), (5, 1)]:
         pc = mdl.phi_closed(R5, m, n)
         pb = mdl.phi_brute(R5, m, n)
-        assert [(e.a.digits, e.j) for e in pc] == \
-            [(e.a.digits, e.j) for e in pb], f"p=5 cell ({m},{n})"
+        _check([(e.a.digits, e.j) for e in pc]
+               == [(e.a.digits, e.j) for e in pb], f"p=5 cell ({m},{n})")
 
 
 def criterion_4_ker_p2(M=12):
@@ -108,18 +114,18 @@ def criterion_4_ker_p2(M=12):
         for n in range(m + 1):
             kc = mdl.ker_p2(R3, m, n)
             kb = mdl.ker_p2_brute(R3, m, n)
-            assert [e.a.digits for e in kc] == [e.a.digits for e in kb]
+            _check([e.a.digits for e in kc] == [e.a.digits for e in kb])
             injective = len(kc) == 1
             predicted = (n <= 1) or (R3.e - 2 * m < 3)
-            assert injective == predicted, f"cell ({m},{n})"
+            _check(injective == predicted, f"cell ({m},{n})")
     R5 = _ring(5, 8)
     k = mdl.ker_p2(R5, 3, 3)
     kb = mdl.ker_p2_brute(R5, 3, 3)
-    assert [e.a.digits for e in k] == [e.a.digits for e in kb]
-    assert len(k) == 5
+    _check([e.a.digits for e in k] == [e.a.digits for e in kb])
+    _check(len(k) == 5)
     for e in k:
         v = e.a.valuation()
-        assert e.a.is_zero() or v >= 2  # 5 v(a~) >= 7
+        _check(e.a.is_zero() or v >= 2)  # 5 v(a~) >= 7
 
 
 def criterion_5_surjectivity(M=12):
@@ -130,12 +136,12 @@ def criterion_5_surjectivity(M=12):
         for n in range(m + 1):
             js = {e.j for e in mdl.phi_brute(R, m, n)}
             if mdl.p2_surjective(R, m, n):
-                assert js == {0, 1, 2}, f"cell ({m},{n})"
+                _check(js == {0, 1, 2}, f"cell ({m},{n})")
             else:
-                assert js == {0}, f"cell ({m},{n})"
-    assert mdl.p2_surjective(R, 2, 0)
-    assert not mdl.p2_surjective(R, 2, 1)
-    assert mdl.p2_surjective(R, 3, 1)
+                _check(js == {0}, f"cell ({m},{n})")
+    _check(mdl.p2_surjective(R, 2, 0))
+    _check(not mdl.p2_surjective(R, 2, 1))
+    _check(mdl.p2_surjective(R, 3, 1))
 
 
 def criterion_6_hom_oracle(M=12):
@@ -146,8 +152,8 @@ def criterion_6_hom_oracle(M=12):
     for (m, n), count in golden.items():
         hc = mdl.hom_closed(R, m, n)
         hb = mdl.hom_brute(R, m, n)
-        assert hc == hb, f"cell ({m},{n})"
-        assert len(hc) == count, f"cell ({m},{n}): {len(hc)} != {count}"
+        _check(hc == hb, f"cell ({m},{n})")
+        _check(len(hc) == count, f"cell ({m},{n}): {len(hc)} != {count}")
 
 
 def criterion_7_witt_layer(M=12):
@@ -160,14 +166,14 @@ def criterion_7_witt_layer(M=12):
                   for coords in product(pool, repeat=2)
                   if wt.is_frobenius_kernel(
                       wt.WittVector(R, t, coords), R.zero(), t)]
-        assert kernel
+        _check(kernel)
         for u in kernel:
             for v in kernel:
                 s = wt.witt_add(u, v)
                 comp = wt.WittVector(
                     R, t, [u.coord(i) + v.coord(i)
                            for i in range(max(len(u), len(v)))])
-                assert s == comp
+                _check(s == comp)
     rng = random.Random(7)
 
     def rand_vec(length):
@@ -179,17 +185,17 @@ def criterion_7_witt_layer(M=12):
         u, v = rand_vec(3), rand_vec(3)
         s, m = wt.witt_add(u, v), wt.witt_mul(u, v)
         for r in range(3):
-            assert (wt.ghost(s, r)
-                    - (wt.ghost(u, r) + wt.ghost(v, r))).is_zero()
-            assert (wt.ghost(m, r)
-                    - wt.ghost(u, r) * wt.ghost(v, r)).is_zero()
+            _check((wt.ghost(s, r)
+                    - (wt.ghost(u, r) + wt.ghost(v, r))).is_zero())
+            _check((wt.ghost(m, r)
+                    - wt.ghost(u, r) * wt.ghost(v, r)).is_zero())
     for _ in range(20):
         a = R.from_digits([rng.randrange(R.pM) for _ in range(R.e)])
         w = wt.witt_int_multiple(wt.WittVector.teichmuller(R, a), 3, 4)
         expect = [a.scale(3), a ** 3, R.zero(), R.zero()]
         for i in range(4):
             dv = (w.coord(i) - expect[i]).valuation()
-            assert isinstance(dv, IndeterminateAtPrecision) or dv >= 2 * R.e
+            _check(isinstance(dv, IndeterminateAtPrecision) or dv >= 2 * R.e)
 
 
 def criterion_8_artin_hasse(M=12):
@@ -202,15 +208,15 @@ def criterion_8_artin_hasse(M=12):
     U = Poly.var(base, 2, 0)
     Z = Poly.zero(base, 2)
     mu_mu = d.specialize_qq(U, U)
-    assert mu_mu[0].eq(Poly.one(base, 2)) and mu_mu[1].eq(U)
-    assert all(c.is_zero() for c in mu_mu[2:])
+    _check(mu_mu[0].eq(Poly.one(base, 2)) and mu_mu[1].eq(U))
+    _check(all(c.is_zero() for c in mu_mu[2:]))
     a_zero = d.specialize_qq(U, Z)
     e = ah.ah_series(3, D)
     for i in range(D + 1):
-        assert a_zero[i].eq((U ** i).scale(e.coeffs[i]))
+        _check(a_zero[i].eq((U ** i).scale(e.coeffs[i])))
     pf = ah.product_form(3, D)
     for i in range(D + 1):
-        assert d.coeffs[i].eq(pf[i]), f"product form differs at degree {i}"
+        _check(d.coeffs[i].eq(pf[i]), f"product form differs at degree {i}")
 
 
 def criterion_9_classification(M=12):
@@ -219,13 +225,13 @@ def criterion_9_classification(M=12):
     models = _models3(M)
     for i, d1 in enumerate(models):
         for j, d2 in enumerate(models):
-            assert mdl.is_isomorphic(d1, d2) == (i == j)
+            _check(mdl.is_isomorphic(d1, d2) == (i == j))
     built = [mdl.build_extension(d) for d in models]
     for d1, pres1 in zip(models, built):
         for d2, pres2 in zip(models, built):
             hc = mdl.hom_models(d1, d2)
             hb, _ = mdl.hom_models_brute(d1, d2, pres1, pres2)
-            assert hc.tag == hb.tag, (d1.sort_key(), d2.sort_key())
+            _check(hc.tag == hb.tag, (d1.sort_key(), d2.sort_key()))
 
 
 def criterion_10_rigidity(M=12):
@@ -234,10 +240,10 @@ def criterion_10_rigidity(M=12):
     R = _ring(3, M)
     for n in range(4):
         els = mdl.phi_closed(R, 3, n)
-        assert len(els) == 3, f"n={n}"
-        assert {e.j for e in els} == {0, 1, 2}
+        _check(len(els) == 3, f"n={n}")
+        _check({e.j for e in els} == {0, 1, 2})
         ker = [e for e in els if e.j == 0]
-        assert len(ker) == 1 and ker[0].a.is_zero()
+        _check(len(ker) == 1 and ker[0].a.is_zero())
 
 
 def criterion_11_rad(M=12):
@@ -245,8 +251,8 @@ def criterion_11_rad(M=12):
     have j = 0; count agrees with the independent Witt-layer oracle."""
     R = _ring(3, M)
     surv = mdl.rad_brute(R, 1, 2)
-    assert surv and all(j == 0 for _, j in surv)
-    assert len(surv) == mdl.rad_witt_count(R, 1, 2)
+    _check(surv and all(j == 0 for _, j in surv))
+    _check(len(surv) == mdl.rad_witt_count(R, 1, 2))
 
 
 def criterion_12_ambient_isogeny(M=12):
@@ -259,9 +265,9 @@ def criterion_12_ambient_isogeny(M=12):
         for x, y in zip(g, gc):
             if d.n:
                 ok, _ = eq_mod(x, y, 3 * d.n)
-                assert ok
+                _check(ok)
             else:
-                assert (x - y).is_zero()
+                _check((x - y).is_zero())
         mdl.ambient_isogeny(d)
 
 
@@ -278,12 +284,12 @@ def criterion_14_fiber_sweep(M=12):
     for d in _models3(M):
         fc = fib.classify_fiber(d)
         if (d.m, d.n) == (0, 0):
-            assert fc == fib.FiberClass("MuPExtension", (1,))
+            _check(fc == fib.FiberClass("MuPExtension", (1,)))
         elif d.n == 0 or (d.m == 3 and d.n < 3):
-            assert fc.tag == "TrivialExtension"
+            _check(fc.tag == "TrivialExtension")
         else:
-            assert fc == fib.FiberClass("ZpByZp", (0, 1))
-        assert fib.verify_fiber(d), (d.m, d.n)
+            _check(fc == fib.FiberClass("ZpByZp", (0, 1)))
+        _check(fib.verify_fiber(d), (d.m, d.n))
 
 
 def negative_control_eisenstein(M=12):
@@ -304,16 +310,16 @@ def criterion_p5_phi(M=8):
     for (m, n) in [(3, 3), (3, 2), (5, 1)]:
         pc = mdl.phi_closed(R5, m, n)
         pb = mdl.phi_brute(R5, m, n)
-        assert [(e.a.digits, e.j) for e in pc] == \
-            [(e.a.digits, e.j) for e in pb]
+        _check([(e.a.digits, e.j) for e in pc]
+               == [(e.a.digits, e.j) for e in pb])
 
 
 def criterion_p5_ker(M=8):
     R5 = _ring(5, M)
     k = mdl.ker_p2(R5, 3, 3)
-    assert len(k) == 5
-    assert [e.a.digits for e in k] == \
-        [e.a.digits for e in mdl.ker_p2_brute(R5, 3, 3)]
+    _check(len(k) == 5)
+    _check([e.a.digits for e in k]
+           == [e.a.digits for e in mdl.ker_p2_brute(R5, 3, 3)])
 
 
 def criterion_p5_eta(M=8):
@@ -322,9 +328,9 @@ def criterion_p5_eta(M=8):
     lhs = et.scale(5) - R5.lam1
     rhs = R5.from_int(5).divide_exact(R5.lam1 ** 4) * et ** 5
     ok, _ = eq_mod(lhs, rhs, 25)
-    assert ok
-    assert fib.wilson_check(5)
-    assert fib.eta_power_unit_check(R5)
+    _check(ok)
+    _check(fib.wilson_check(5))
+    _check(fib.eta_power_unit_check(R5))
 
 
 CRITERIA = {
@@ -380,13 +386,14 @@ class CriterionResult:
                 "seconds": round(self.seconds, 2)}
 
 
-def run_selftest(p: int = 3, criteria=None, threads: int = 1):
-    """Run the battery; returns a list of CriterionResult.
+def run_selftest(p: int = 3, criteria=None):
+    """Run the battery in order; returns a list of CriterionResult.
 
     p = 3 runs the full acceptance battery, p = 5 the subset that stays
-    desk-scale at the larger prime.  `threads` sizes a thread pool (the
-    criteria are pure); output order is canonical regardless.
+    desk-scale at the larger prime; any other p raises ValueError.
     """
+    if p not in (3, 5):
+        raise ValueError(f"selftest covers p = 3 and p = 5, got p = {p}")
     table = CRITERIA if p == 3 else CRITERIA_P5
     if criteria:
         unknown = [c for c in criteria if c not in table]
@@ -410,10 +417,4 @@ def run_selftest(p: int = 3, criteria=None, threads: int = 1):
                                    f"{type(exc).__name__}: {exc}",
                                    time.time() - t0)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_one, items))
-    else:
-        results = [run_one(item) for item in items]
-    return results
+    return [run_one(item) for item in items]

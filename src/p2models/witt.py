@@ -23,12 +23,12 @@ from functools import lru_cache
 
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
                   RingElement)
-from .errors import P2ModelsError, ValuationError
+from .errors import CertificationError, P2ModelsError
 from .poly import Poly
 
 
 # ---------------------------------------------------------------------------
-# symbolic universal polynomials (exact rationals, asserted integral)
+# symbolic universal polynomials (exact rationals, certified integral)
 # ---------------------------------------------------------------------------
 
 class QQBase:
@@ -87,51 +87,55 @@ def ghost_poly(p: int, r: int, nvars: int, offset: int = 0) -> Poly:
     return Poly(_QQ, nvars, terms)
 
 
+def _ghost_inverse(p: int, r: int, ghost_r: Poly, lower: list, name: str
+                   ) -> Poly:
+    """X_r with Phi_r(X_0..X_r) = ghost_r, given X_0..X_{r-1} in the
+    variables of ghost_r: (ghost_r - sum_k p^k X_k^(p^(r-k))) / p^r.
+
+    The division is exact exactly when the universal polynomial is
+    integral; anything else raises CertificationError.
+    """
+    acc = ghost_r
+    for k, xk in enumerate(lower):
+        acc = acc - (xk ** (p ** (r - k))).scale(Fraction(p ** k))
+    out = acc.map_coeffs(lambda c: c / p ** r)
+    if any(c.denominator != 1 for c in out.terms.values()):
+        raise CertificationError(f"{name} polynomial not integral")
+    return out
+
+
+def _binary_universal(p: int, r: int, combine, lower_fn, name: str) -> Poly:
+    """X_r of the binary ghost operation `combine`: variables 0..r are
+    T, r+1..2r+1 are U; lower_fn(p, k) is X_k in its own layout."""
+    nv = 2 * (r + 1)
+    lower = [_reindex(lower_fn(p, k),
+                      {i: i if i <= k else i + r - k
+                       for i in range(2 * (k + 1))}, nv)
+             for k in range(r)]
+    return _ghost_inverse(
+        p, r, combine(ghost_poly(p, r, nv, 0), ghost_poly(p, r, nv, r + 1)),
+        lower, name)
+
+
 @lru_cache(maxsize=None)
 def sum_poly(p: int, r: int) -> Poly:
     """S_r(T_0..T_r, U_0..U_r): variables 0..r are T, r+1..2r+1 are U."""
-    nv = 2 * (r + 1)
-    acc = ghost_poly(p, r, nv, 0) + ghost_poly(p, r, nv, r + 1)
-    for k in range(r):
-        sk = sum_poly(p, k)
-        mapping = {i: i for i in range(k + 1)}
-        mapping.update({k + 1 + i: r + 1 + i for i in range(k + 1)})
-        sk = _reindex(sk, mapping, nv)
-        acc = acc - (sk ** (p ** (r - k))).scale(Fraction(p ** k))
-    out = acc.map_coeffs(lambda c: c / p ** r)
-    for c in out.terms.values():
-        assert c.denominator == 1, "sum polynomial not integral"
-    return out
+    return _binary_universal(p, r, lambda a, b: a + b, sum_poly, "sum")
 
 
 @lru_cache(maxsize=None)
 def prod_poly(p: int, r: int) -> Poly:
-    nv = 2 * (r + 1)
-    acc = ghost_poly(p, r, nv, 0) * ghost_poly(p, r, nv, r + 1)
-    for k in range(r):
-        mk = prod_poly(p, k)
-        mapping = {i: i for i in range(k + 1)}
-        mapping.update({k + 1 + i: r + 1 + i for i in range(k + 1)})
-        mk = _reindex(mk, mapping, nv)
-        acc = acc - (mk ** (p ** (r - k))).scale(Fraction(p ** k))
-    out = acc.map_coeffs(lambda c: c / p ** r)
-    for c in out.terms.values():
-        assert c.denominator == 1, "product polynomial not integral"
-    return out
+    """P_r(T_0..T_r, U_0..U_r) in the variable layout of sum_poly."""
+    return _binary_universal(p, r, lambda a, b: a * b, prod_poly, "product")
 
 
 @lru_cache(maxsize=None)
 def frob_poly(p: int, r: int) -> Poly:
     """F_r(T_0..T_{r+1}) with Phi_r(F_0..F_r) = Phi_{r+1}(T_0..T_{r+1})."""
     nv = r + 2
-    acc = ghost_poly(p, r + 1, nv, 0)
-    for k in range(r):
-        fk = frob_poly(p, k).embed(nv, 0)
-        acc = acc - (fk ** (p ** (r - k))).scale(Fraction(p ** k))
-    out = acc.map_coeffs(lambda c: c / p ** r)
-    for c in out.terms.values():
-        assert c.denominator == 1, "Frobenius polynomial not integral"
-    return out
+    return _ghost_inverse(p, r, ghost_poly(p, r + 1, nv, 0),
+                          [frob_poly(p, k).embed(nv, 0) for k in range(r)],
+                          "Frobenius")
 
 
 def monomial_weight(p: int, monomial: tuple, r: int) -> int:

@@ -172,6 +172,13 @@ def test_selftest_subset(capsys):
     assert all(r["passed"] for r in doc)
 
 
+@pytest.mark.parametrize("p", ["4", "7"])
+def test_selftest_rejects_uncovered_prime(capsys, p):
+    code, out, err = run(capsys, "selftest", "--p", p)
+    assert code == 2 and out == ""
+    assert f"selftest covers p = 3 and p = 5, got p = {p}" in err
+
+
 def test_verify_emit_presentation(capsys):
     code, out, _ = run(capsys, "verify", "--descriptor", CANON,
                        "--emit-presentation")

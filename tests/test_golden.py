@@ -1,0 +1,63 @@
+"""Golden outputs of the presentation builders.
+
+The sha256 digests were recorded from the code before the finite and
+smooth extension builders shared their comultiplication.  They pin the
+exact JSON, per-coefficient precisions included, of
+`verify --emit-presentation` and of the source and target presentations
+of `ambient_isogeny` on the seven p = 3 models with m <= 3.  A precision
+drift in any coefficient changes a digest even when every axiom check
+still passes.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from p2models.cli import main
+from p2models.dvr import make_ring
+from p2models.models import ambient_isogeny, enumerate_models
+
+# model key "m,n,a" -> (verify --emit-presentation stdout, ambient pair)
+GOLDEN = {
+    "0,0,0": ("f7590841fa0e508c9b15bc2dcbe0d5c7c430e683d1da0ada31eb551d13964c6b",
+              "95fda969a8c8a47b1ebba9887d8066b7f2b1e35080009488290d6280f80ccc1c"),
+    "1,0,0": ("14697070c160b883efaa3c238c748f473b770bc64f157145e71e7df2368f38c1",
+              "e5cee46d5fe55ed40bdb561fbd9a88bd88363a459a1b0e30e23b453ddfafa767"),
+    "2,0,0": ("51783eb3680264482a674c6d691192093c2525ad721c0ad2e29c067438b77788",
+              "0aab0eede36b6762bddf02a654a5ab0bfec6c9ba2f64210e5c8b7f9c0fcb2bfe"),
+    "3,0,0": ("726f414c73d6408c12475df06c1ab29e6aae5d6c4194e5d20d28ae657d983bce",
+              "cf2f7eea318fc8ec27be1edafe7bde650063d5f54a42fb158cf1e1e22f747cbc"),
+    "3,1,0": ("1ea6180db570901dbe3b58ded159945889bcc6935424605976d91a58925ec6ed",
+              "fd73240d1f583694b6d43bcca03301bca3e9229929aa7be809581798433d41d9"),
+    "3,2,0.1": ("4b6488cc641bf56b46d20d1490c96423839fa29df6fd762b82b77fa3e6ba4ba1",
+                "a6b960acae35cf154c9c64c17d358ec6877861a1528ba51c46a7343fde2d9baa"),
+    "3,3,0.1.1": ("abd26221fbc88417f0c42d26194ba33bbb99dfe31ad9095417d9fa64a58c5298",
+                  "5aa96123a1ecd178ad87a5dcaf62c4a86a8076088c0889bf24b5979c0b696529"),
+}
+
+MODELS = {f"{d.m},{d.n},{d.a.digit_string() or '0'}": d
+          for d in enumerate_models(make_ring(3, 12), 3)}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_covers_every_model():
+    assert sorted(MODELS) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_emitted_presentation_golden(key, capsys):
+    code = main(["verify", "--descriptor", json.dumps(MODELS[key].to_json()),
+                 "--emit-presentation"])
+    assert code == 0
+    assert _sha(capsys.readouterr().out) == GOLDEN[key][0]
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_ambient_isogeny_presentations_golden(key):
+    src, tgt, _ = ambient_isogeny(MODELS[key])
+    pair = json.dumps([src.to_json(), tgt.to_json()], sort_keys=True)
+    assert _sha(pair) == GOLDEN[key][1]

@@ -45,20 +45,20 @@ def rand_vec(ring, rng, length, small=False):
 
 @pytest.mark.parametrize("p,r", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
 def test_sum_poly_ghost_identity(p, r):
-    s = [sum_poly(p, k) for k in range(r + 1)]
+    # Phi_r(S_0..S_r) == Phi_r(T) + Phi_r(U) and
+    # Phi_r(P_0..P_r) == Phi_r(T) * Phi_r(U), checked symbolically
+    from p2models.witt import _reindex
     nv = 2 * (r + 1)
-    # Phi_r(S_0..S_r) == Phi_r(T) + Phi_r(U), checked symbolically
-    lhs = None
-    from p2models.witt import _QQ, _reindex
-    acc = None
-    for i in range(r + 1):
-        mapping = {j: j for j in range(i + 1)}
-        mapping.update({i + 1 + j: r + 1 + j for j in range(i + 1)})
-        si = _reindex(s[i], mapping, nv)
-        term = (si ** (p ** (r - i))).scale(Fraction(p ** i))
-        acc = term if acc is None else acc + term
-    rhs = ghost_poly(p, r, nv, 0) + ghost_poly(p, r, nv, r + 1)
-    assert acc.eq(rhs)
+    T, U = ghost_poly(p, r, nv, 0), ghost_poly(p, r, nv, r + 1)
+    for universal, rhs in ((sum_poly, T + U), (prod_poly, T * U)):
+        acc = None
+        for i in range(r + 1):
+            mapping = {j: j for j in range(i + 1)}
+            mapping.update({i + 1 + j: r + 1 + j for j in range(i + 1)})
+            si = _reindex(universal(p, i), mapping, nv)
+            term = (si ** (p ** (r - i))).scale(Fraction(p ** i))
+            acc = term if acc is None else acc + term
+        assert acc.eq(rhs), universal.__name__
 
 
 @pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3), (5, 2)])
