@@ -22,7 +22,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .dvr import QuotElement, RingElement, eq_mod
+from .dvr import QuotElement, RingElement, _is_prime, eq_mod
 from .errors import CertificationError
 from .poly import Poly
 from .witt import QQBase, WittVector
@@ -124,11 +124,18 @@ def certify_p_integral(series: TruncatedSeries, p: int):
                 f"coefficient of T^{i} = {c} is not p-integral")
 
 
+def _check_args(p: int, D: int):
+    # E_p is defined for every prime p, 2 included
+    if not _is_prime(p):
+        raise ValueError(f"p must be a prime, got {p}")
+    if D < 1:
+        raise ValueError("degree must be >= 1")
+
+
 @lru_cache(maxsize=None)
 def ah_series(p: int, D: int) -> TruncatedSeries:
     """E_p(T) to degree D, exact rationals, certified p-integral."""
-    if D < 1:
-        raise ValueError("degree must be >= 1")
+    _check_args(p, D)
     arg = [Fraction(0)] * (D + 1)
     r = 0
     while p ** r <= D:
@@ -260,8 +267,7 @@ class DeformedAHSeries:
 @lru_cache(maxsize=None)
 def deformed_ah(p: int, D: int) -> DeformedAHSeries:
     """Compute E_p(U, L; T) by binomial expansion of each factor."""
-    if D < 1:
-        raise ValueError("degree must be >= 1")
+    _check_args(p, D)
     U = _LaurentUV.monomial(1, 0)
 
     # factor (1+LT)^(U/L): T^k coefficient is prod_{i<k}(U - iL)/k!

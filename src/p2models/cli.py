@@ -209,25 +209,26 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_dump_series(args) -> int:
-    if args.degree < 1:
-        raise ValidationError("degree must be >= 1")
+    try:
+        series = (deformed_ah if args.deformed else ah_series)(
+            args.p, args.degree)
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
     if args.deformed:
-        d = deformed_ah(args.p, args.degree)
         doc = {"p": args.p, "degree": args.degree, "series": "deformed",
                "coefficients": [
                    {"degree": i,
                     "terms": [{"u": ue, "l": le, "value": str(q)}
                               for (ue, le), q in sorted(poly.terms.items())]}
-                   for i, poly in enumerate(d.coeffs)]}
+                   for i, poly in enumerate(series.coeffs)]}
         rows = [(i, " + ".join(f"({q}) U^{ue} L^{le}"
                                for (ue, le), q in sorted(poly.terms.items()))
                  or "0")
-                for i, poly in enumerate(d.coeffs)]
+                for i, poly in enumerate(series.coeffs)]
     else:
-        s = ah_series(args.p, args.degree)
         doc = {"p": args.p, "degree": args.degree, "series": "exponential",
-               "coefficients": [str(c) for c in s.coeffs]}
-        rows = [(i, str(c)) for i, c in enumerate(s.coeffs)]
+               "coefficients": [str(c) for c in series.coeffs]}
+        rows = [(i, str(c)) for i, c in enumerate(series.coeffs)]
     _emit(args, doc, ["degree", "coefficient"], rows)
     return 0
 
@@ -242,8 +243,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "ramified cyclotomic base.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, precision=True):
-        sp.add_argument("--p", type=int, default=3, help="odd prime")
+    def common(sp, precision=True, p_help="odd prime"):
+        sp.add_argument("--p", type=int, default=3, help=p_help)
         if precision:
             sp.add_argument("--precision", type=int, default=12,
                             help="coefficient precision M (digits mod p^M)")
@@ -303,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("dump-series", help="series coefficients as "
                         "exact fractions (golden-file friendly)")
-    common(sp, precision=False)
+    common(sp, precision=False,
+           p_help="prime; 2 is allowed, since E_2 is defined")
     sp.add_argument("--degree", type=int, default=27)
     sp.add_argument("--deformed", action="store_true")
     sp.set_defaults(fn=cmd_dump_series)

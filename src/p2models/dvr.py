@@ -73,7 +73,8 @@ class RingDescriptor:
         self.full_prec = self.e * M
         self._validate_eisenstein()
         self._reduction_table = self._build_reduction_table()
-        self._build_packing()
+        self._slot_bits = self._slot_width(1)  # RingElement.__mul__
+        self._packings = {}  # slot width -> masks and packed rows (_fold)
         self._p_over_pi = None  # cached, built lazily (needs invert_unit)
 
     def _validate_eisenstein(self):
@@ -104,25 +105,50 @@ class RingDescriptor:
             rows.append(tuple(cur))
         return tuple(rows)
 
-    def _build_packing(self):
-        # Kronecker slots for RingElement.__mul__.  A low slot of the
-        # product collects at most e digit products, and the folding of
-        # the e-1 reduced high slots adds at most one more product each,
-        # so every slot stays below 2e(p^M-1)^2 and no slot carries into
-        # the next: the packed product is exact for every (p, M).
-        e, w = self.e, (2 * self.e * (self.pM - 1) ** 2).bit_length()
-        self._slot_bits = w
-        self._slot_mask = (1 << w) - 1
-        self._low_mask = (1 << (w * e)) - 1
-        self._packed_rows = tuple(self._pack(row)
-                                  for row in self._reduction_table)
+    def _slot_width(self, n: int) -> int:
+        """Slot width for a sum of n packed products.
 
-    def _pack(self, digits) -> int:
-        """The digits as one integer, digit i in slot i."""
-        w, x = self._slot_bits, 0
+        A low slot of the sum collects at most n*e digit products, and
+        the folding of the e-1 reduced high slots adds at most one more
+        product each, so every slot stays below 2en(p^M-1)^2 and no slot
+        carries into the next: the packed sum is exact for every (p, M).
+        """
+        return (2 * self.e * n * (self.pM - 1) ** 2).bit_length()
+
+    def _pack(self, digits, w: int) -> int:
+        """The digits as one integer, digit i in slot i of width w."""
+        x = 0
         for d in reversed(digits):
             x = (x << w) | d
         return x
+
+    def _fold(self, x: int, w: int) -> tuple:
+        """The digits mod p^M of x, a sum of packed products at slot width
+        w: each high slot, reduced mod p^M, is folded into the low slots
+        through the packed row of pi^(e+k), and the low slots are read
+        off mod p^M."""
+        try:
+            mask, low_mask, top, rows = self._packings[w]
+        except KeyError:
+            top = w * self.e
+            mask, low_mask = (1 << w) - 1, (1 << top) - 1
+            rows = tuple(self._pack(row, w) for row in self._reduction_table)
+            self._packings[w] = mask, low_mask, top, rows
+        pM = self.pM
+        low = x & low_mask
+        high = x >> top
+        for row in rows:
+            if not high:
+                break
+            c = (high & mask) % pM
+            if c:
+                low += c * row
+            high >>= w
+        digits = []
+        for _ in range(self.e):
+            digits.append((low & mask) % pM)
+            low >>= w
+        return tuple(digits)
 
     # -- basic constructors ------------------------------------------------
 
@@ -290,26 +316,13 @@ class RingElement:
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         """Kronecker-packed product: one big-integer multiplication of
-        the packed digit vectors, then each high slot, reduced mod p^M,
-        is folded into the low slots through the packed row of pi^(e+k)."""
-        self._check_same_ring(other)
+        the packed digit vectors, folded once (RingDescriptor._fold)."""
         r = self.ring
-        w, mask, pM = r._slot_bits, r._slot_mask, r.pM
-        prod = r._pack(self.digits) * r._pack(other.digits)
-        low = prod & r._low_mask
-        high = prod >> (w * r.e)
-        for row in r._packed_rows:
-            if not high:
-                break
-            c = (high & mask) % pM
-            if c:
-                low += c * row
-            high >>= w
-        digits = []
-        for _ in range(r.e):
-            digits.append((low & mask) % pM)
-            low >>= w
-        return RingElement(r, tuple(digits), min(self.prec, other.prec))
+        if other.ring is not r:  # _check_same_ring, inline in the hot path
+            raise ValueError("operands from different rings")
+        w = r._slot_bits
+        digits = r._fold(r._pack(self.digits, w) * r._pack(other.digits, w), w)
+        return RingElement(r, digits, min(self.prec, other.prec))
 
     def scale(self, n: int) -> "RingElement":
         """Multiplication by an ordinary integer."""

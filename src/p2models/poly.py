@@ -17,7 +17,9 @@ terminates because each step strictly lowers the reversed-lex key.
 
 from __future__ import annotations
 
-from .dvr import QuotElement, RingDescriptor
+from operator import add
+
+from .dvr import QuotElement, RingDescriptor, RingElement
 from .errors import DivisibilityError, ValuationError
 
 
@@ -212,10 +214,19 @@ class Poly:
                     {m: base.neg(c) for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        # term by term: a negated copy of other would double the peak
+        # memory of comparing two large polynomials
+        out = dict(self.terms)
+        base = self.base
+        for m, c in other.terms.items():
+            out[m] = base.add(out[m], base.neg(c)) if m in out else base.neg(c)
+        return Poly(base, self.nvars, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         base = self.base
+        if isinstance(base, ExactBase):
+            return Poly(base, self.nvars,
+                        _packed_product(self.terms, other.terms))
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -311,6 +322,44 @@ class Poly:
             mono = "*".join(f"x{i}^{k}" for i, k in enumerate(m) if k) or "1"
             bits.append(f"({c!r})*{mono}")
         return "Poly(" + " + ".join(bits) + ")"
+
+
+def _packed_product(ta: dict, tb: dict) -> dict:
+    """The terms of the product of two term dicts over ExactBase.
+
+    Every coefficient is packed once, at the slot width for
+    n = min(len(ta), len(tb)) products per output monomial (for each term
+    of the shorter operand at most one term of the other completes a given
+    monomial).  The raw products of each output monomial are summed and
+    folded once; its precision is the least operand precision over its
+    pairs.  Keys come in first-occurrence order, as in the generic loop.
+    """
+    if not ta or not tb:
+        return {}
+    ring = next(iter(ta.values())).ring
+    w = ring._slot_width(min(len(ta), len(tb)))
+
+    def packed(c):
+        if c.ring is not ring:
+            raise ValueError("operands from different rings")
+        return ring._pack(c.digits, w)
+
+    pb = [(m, packed(c), c.prec) for m, c in tb.items()]
+    acc = {}
+    for m1, c1 in ta.items():
+        x1, p1 = packed(c1), c1.prec
+        for m2, x2, p2 in pb:
+            m = tuple(map(add, m1, m2))
+            prec = p1 if p1 < p2 else p2
+            s = acc.get(m)
+            if s is None:
+                acc[m] = [x1 * x2, prec]
+            else:
+                s[0] += x1 * x2
+                if prec < s[1]:
+                    s[1] = prec
+    return {m: RingElement(ring, ring._fold(x, w), prec)
+            for m, (x, prec) in acc.items()}
 
 
 def horner(poly: Poly, images: list, const):

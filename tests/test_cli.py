@@ -1,6 +1,10 @@
 """CLI contract tests: exit codes, JSON round-trips, table/JSON parity."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,6 +165,29 @@ def test_dump_series_golden(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["coefficients"][:4] == ["1", "1", "1/2", "1/2"]
+
+
+@pytest.mark.parametrize("p", ["0", "1", "4"])
+@pytest.mark.parametrize("deformed", [[], ["--deformed"]])
+def test_dump_series_rejects_non_prime(p, deformed):
+    # in a subprocess with a timeout: p = 1 once looped forever in
+    # ah_series, whose `while p ** r <= D` never ended
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "p2models.cli", "dump-series", "--p", p,
+         "--degree", "6"] + deformed,
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"p must be a prime, got {p}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_dump_series_p2(capsys):
+    code, out, _ = run(capsys, "dump-series", "--p", "2", "--degree", "4")
+    assert code == 0
+    assert json.loads(out)["coefficients"] == ["1", "1", "1", "2/3", "2/3"]
 
 
 def test_selftest_subset(capsys):

@@ -6,7 +6,9 @@ exact JSON, per-coefficient precisions included, of
 `verify --emit-presentation` and of the source and target presentations
 of `ambient_isogeny` on the seven p = 3 models with m <= 3.  A precision
 drift in any coefficient changes a digest even when every axiom check
-still passes.
+still passes.  One more digest, recorded from the code before the packed
+polynomial product, pins the source, target and images of
+`ambient_isogeny` at p = 5 on (m, n, a, j) = (3, 3, pi^2, 0).
 """
 
 import hashlib
@@ -15,8 +17,9 @@ import json
 import pytest
 
 from p2models.cli import main
-from p2models.dvr import make_ring
-from p2models.models import ambient_isogeny, enumerate_models
+from p2models.dvr import QuotElement, make_ring
+from p2models.models import ModelDescriptor, ambient_isogeny, enumerate_models
+from p2models.poly import Poly
 
 # model key "m,n,a" -> (verify --emit-presentation stdout, ambient pair)
 GOLDEN = {
@@ -35,6 +38,8 @@ GOLDEN = {
     "3,3,0.1.1": ("abd26221fbc88417f0c42d26194ba33bbb99dfe31ad9095417d9fa64a58c5298",
                   "5aa96123a1ecd178ad87a5dcaf62c4a86a8076088c0889bf24b5979c0b696529"),
 }
+
+AMBIENT_P5 = "8aa26db48254e8e8bf9e523db1f94777a9952784e6ae21b16428c0d124b6c19d"
 
 MODELS = {f"{d.m},{d.n},{d.a.digit_string() or '0'}": d
           for d in enumerate_models(make_ring(3, 12), 3)}
@@ -61,3 +66,14 @@ def test_ambient_isogeny_presentations_golden(key):
     src, tgt, _ = ambient_isogeny(MODELS[key])
     pair = json.dumps([src.to_json(), tgt.to_json()], sort_keys=True)
     assert _sha(pair) == GOLDEN[key][1]
+
+
+def test_ambient_isogeny_p5_golden():
+    R = make_ring(5, 8)
+    d = ModelDescriptor(R, 3, 3, QuotElement(R, 3, (0, 0, 1)), 0)
+    src, tgt, f = ambient_isogeny(d)
+    images = [x.to_json() if isinstance(x, Poly)
+              else {"num": x.num.to_json(), "den": list(x.den)}
+              for x in f.images]
+    doc = json.dumps([src.to_json(), tgt.to_json(), images], sort_keys=True)
+    assert _sha(doc) == AMBIENT_P5

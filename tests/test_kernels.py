@@ -2,6 +2,8 @@
 
 * The Kronecker-packed `RingElement.__mul__` against the schoolbook
   product it replaced.
+* The packed `Poly` product over ExactBase against the term-by-term
+  product-and-sum of its coefficients.
 * The nested-Horner substitution engine against term-by-term
   substitution, for Poly and LocalizedElement images.
 * Digit-wise division by p^r against `divide_exact`.
@@ -31,22 +33,47 @@ def ring(p, M):
 # oracles
 # ---------------------------------------------------------------------------
 
-def schoolbook_mul(x, y):
-    """Digits and precision of x*y by convolution and row reduction."""
-    r = x.ring
-    e, pM = r.e, r.pM
-    conv = [0] * (2 * e - 1)
-    for i, a in enumerate(x.digits):
-        if a:
-            for j, b in enumerate(y.digits):
-                if b:
-                    conv[i + j] += a * b
+def reduce_conv(r, conv):
+    """Digits mod p^M of sum conv[i] pi^i, i < 2e-1, by row reduction."""
+    conv, e = list(conv), r.e
     for idx in range(2 * e - 2, e - 1, -1):
         c = conv[idx]
         if c:
             for i, t in enumerate(r._reduction_table[idx - e]):
                 conv[i] += c * t
-    return tuple(c % pM for c in conv[:e]), min(x.prec, y.prec)
+    return tuple(c % r.pM for c in conv[:e])
+
+
+def schoolbook_mul(x, y):
+    """Digits and precision of x*y by convolution and row reduction."""
+    r = x.ring
+    conv = [0] * (2 * r.e - 1)
+    for i, a in enumerate(x.digits):
+        if a:
+            for j, b in enumerate(y.digits):
+                if b:
+                    conv[i + j] += a * b
+    return reduce_conv(r, conv), min(x.prec, y.prec)
+
+
+def termwise_poly_mul(a, b):
+    """(monomial, digits, prec) of a*b, in first-occurrence key order:
+    the schoolbook product of each coefficient pair, summed per monomial
+    with RingElement addition; structural zeros dropped."""
+    out, products = {}, {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            key = (c1.digits, c2.digits)
+            if key not in products:
+                products[key] = schoolbook_mul(c1, c2)[0]
+            c = c1.ring.from_digits(products[key], min(c1.prec, c2.prec))
+            out[m] = out[m] + c if m in out else c
+    return [(m, c.digits, c.prec) for m, c in out.items() if any(c.digits)]
+
+
+def terms_of(poly):
+    return [(m, c.digits, c.prec) for m, c in poly.terms.items()]
 
 
 def naive_subst(poly, images, const):
@@ -111,6 +138,120 @@ def test_packed_product_exact_beyond_64_bit_slots():
     mixed = R.from_digits([R.pM - 1 - 7 * i for i in range(R.e)])
     for x, y in [(top, top), (top, mixed), (mixed, mixed)]:
         assert (x * y).digits == schoolbook_mul(x, y)[0]
+
+
+# ---------------------------------------------------------------------------
+# packed polynomial product
+# ---------------------------------------------------------------------------
+
+@st.composite
+def poly_pairs(draw):
+    R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
+    base, nvars = ExactBase(R), draw(st.integers(1, 4))
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    full = draw(st.booleans())
+
+    def coeff():
+        prec = R.full_prec if full else draw(st.integers(0, R.full_prec))
+        return R.from_digits(draw(st.lists(digit, min_size=R.e,
+                                           max_size=R.e)), prec)
+
+    def poly():
+        monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars),
+                              max_size=6, unique=True))
+        return Poly(base, nvars, {m: coeff() for m in monos})
+
+    return poly(), poly()
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_pairs())
+def test_packed_poly_product_matches_termwise(pair):
+    # ordered lists: keys, digits, precisions and key order all match
+    a, b = pair
+    assert terms_of(a * b) == termwise_poly_mul(a, b)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("M", PRECISIONS)
+def test_packed_poly_product_many_collisions(p, M):
+    # (sum_{i<n} top x^i)^2, all digits p^M-1: n products land on
+    # x^(n-1), whose digit e-1 is the widest slot the kernel sizes for
+    R, n = ring(p, M), 24
+    top = R.from_digits([R.pM - 1] * R.e)
+    a = Poly(ExactBase(R), 1, {(i,): top for i in range(n)})
+    assert terms_of(a * a) == termwise_poly_mul(a, a)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("M", PRECISIONS)
+def test_fold_holds_the_widest_slot_sums(p, M):
+    # The largest value each slot of a sum of n packed products can
+    # hold: low slot i at n*(i+1) digit products, high slot e+k at
+    # n*(e-1-k), high slots = -1 mod p^M so the fold adds the most.
+    R = ring(p, M)
+    e, sq = R.e, (R.pM - 1) ** 2
+    for n in range(1, 65):
+        slots = [n * (i + 1) * sq for i in range(e)]
+        for k in range(e - 1):
+            top = n * (e - 1 - k) * sq
+            slots.append(top - (top + 1) % R.pM)
+        w = R._slot_width(n)
+        assert R._fold(R._pack(slots, w), w) == reduce_conv(R, slots)
+
+
+# Operands whose product, times all digits p^M-1, fills a slot of the
+# single-product width w past 2^(w-1) once folded: found by a hill-climb
+# on the fullest slot, so a width one bit narrower carries between slots.
+FULL_SLOT_DIGITS = {
+    (3, 8): (6560, 6560, 6551, 3954, 6544, 2649),
+    (3, 20): (3486784400, 3486784400, 3081613811, 3062724373, 3404414940,
+              913255809),
+}
+
+
+@pytest.mark.parametrize("p, M", sorted(FULL_SLOT_DIGITS))
+def test_packed_products_that_need_the_full_slot(p, M):
+    R = ring(p, M)
+    x = R.from_digits(FULL_SLOT_DIGITS[p, M])
+    top = R.from_digits([R.pM - 1] * R.e)
+    conv = [0] * (2 * R.e - 1)
+    for i, a in enumerate(x.digits):
+        for j, b in enumerate(top.digits):
+            conv[i + j] += a * b
+    folded = conv[:R.e]
+    for k, row in enumerate(R._reduction_table):
+        for i, t in enumerate(row):
+            folded[i] += conv[R.e + k] % R.pM * t
+    assert max(folded) >= 2 ** (R._slot_width(1) - 1)
+    assert (x * top).digits == schoolbook_mul(x, top)[0]
+    a = Poly.const(ExactBase(R), 1, x)
+    b = Poly(ExactBase(R), 1, {(i,): top for i in range(3)})
+    assert terms_of(a * b) == termwise_poly_mul(a, b)
+
+
+def test_packed_poly_product_drops_cancelled_terms():
+    # (x + y)(c x - c y) = c x^2 - c y^2: the two xy products cancel to
+    # all-zero digits and the monomial is dropped, in either order
+    R = ring(5, 8)
+    base = ExactBase(R)
+    c = R.from_digits(range(1, R.e + 1))
+    x, y = Poly.var(base, 2, 0), Poly.var(base, 2, 1)
+    a, b = x + y, x.scale(c) - y.scale(c)
+    for u, v in [(a, b), (b, a)]:
+        assert terms_of(u * v) == termwise_poly_mul(u, v)
+        assert list((u * v).terms) == [(2, 0), (0, 2)]
+    assert not (a * (b - b)).terms
+
+
+def test_packed_poly_product_rejects_mixed_rings():
+    R, S = ring(3, 12), ring(3, 8)
+    a = Poly.var(ExactBase(R), 1, 0)
+    b = Poly.var(ExactBase(S), 1, 0)
+    mixed = Poly(ExactBase(R), 1, {(0,): R.one(), (1,): S.one()})
+    for u, v in [(a, b), (b, a), (a, mixed), (mixed, a)]:
+        with pytest.raises(ValueError, match="different rings"):
+            u * v
 
 
 # ---------------------------------------------------------------------------

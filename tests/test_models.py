@@ -2,6 +2,7 @@
 
 import pytest
 
+from p2models import poly as poly_module
 from p2models.dvr import QuotElement, RingElement, eq_mod, eta, make_ring
 from p2models.errors import DivisibilityError, P2ModelsError, ValuationError
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
@@ -341,17 +342,26 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     d = ModelDescriptor(R5, 3, 3, a, 0)
     calls = 0
     mul = RingElement.__mul__
+    packed = poly_module._packed_product
 
     def counting_mul(x, y):
         nonlocal calls
         calls += 1
         return mul(x, y)
 
+    def counting_packed(ta, tb):
+        # coefficient pairs multiplied inside the packed Poly kernel
+        nonlocal calls
+        calls += len(ta) * len(tb)
+        return packed(ta, tb)
+
     monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    monkeypatch.setattr(poly_module, "_packed_product", counting_packed)
     ambient_isogeny(d)
-    # 262,870 ring products today; the bound is the 271,740 of the
-    # nested-Horner substitution alone plus 5 %.  Powering substitution
-    # images term by term again would more than double the count.
+    # 8,939 ring products plus 253,512 kernel pairs today; the bound is
+    # the 271,740 ring products of the nested-Horner substitution alone
+    # plus 5 %.  Powering substitution images term by term again would
+    # more than double the count.
     assert calls <= 285_000
 
 
