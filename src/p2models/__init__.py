@@ -7,9 +7,9 @@ from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
 from .errors import (BudgetError, CertificationError, DivisibilityError,
                      EisensteinError, LinearSolveError, P2ModelsError,
                      PrecisionError, ValuationError)
-from .witt import (WittVector, frobenius_w, ghost, is_frobenius_kernel,
-                   mult_by_p, psi_star_image, scalar_teich, verschiebung,
-                   witt_add, witt_mul)
+from .witt import (WittVector, frobenius_w, ghost, ghosts,
+                   is_frobenius_kernel, mult_by_p, psi_star_image,
+                   scalar_teich, verschiebung, witt_add, witt_mul)
 from .artin_hasse import (DeformedAHSeries, TruncatedSeries, ah_series,
                           deformed_ah, ep_poly_special, ep_witt)
 from .hopf import (AxiomReport, HopfMorphism, HopfPresentation,

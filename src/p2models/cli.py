@@ -2,8 +2,10 @@
 
 Exit codes: 0 success; 2 validation error (bad arguments, non-prime p,
 malformed descriptors, a descriptor M other than --precision, `verify`
-on (a, j) outside Phi); 1 internal verification failure (a failed axiom
-check or acceptance criterion — a bug signal, not a usage error).
+on (a, j) outside Phi, `verify` or `fiber` on a model that needs more
+precision than --precision gives); 1 internal verification failure (a
+failed axiom check or acceptance criterion — a bug signal, not a usage
+error).
 
 Output is one JSON document on stdout by default; --table renders the
 same data as an aligned table.  --out FILE writes the document to FILE
@@ -15,12 +17,13 @@ take --precision (the digit precision M), and only phi takes --budget
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
 from .artin_hasse import ah_series, deformed_ah
 from .dvr import eta, make_ring
-from .errors import BudgetError, P2ModelsError
+from .errors import BudgetError, P2ModelsError, PrecisionError
 from .fiber import classify_fiber, verify_fiber
 from .hopf import check_hopf_axioms
 from .models import (DEFAULT_BUDGET, ModelDescriptor, build_extension,
@@ -69,6 +72,21 @@ def _parse_descriptor(ring, blob: str) -> ModelDescriptor:
         return ModelDescriptor.from_json(ring, obj)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed descriptor: {exc}") from exc
+
+
+def _precision_is_input(cmd):
+    """Too low a --precision for the model is bad input, not a failed
+    verification: the command exits 2 and names the M it used."""
+    @functools.wraps(cmd)
+    def run(args):
+        try:
+            return cmd(args)
+        except PrecisionError as exc:
+            raise ValidationError(
+                f"--precision {args.precision} is too low for this model: "
+                f"at M = {args.precision}, {exc}; rerun with a larger "
+                f"--precision") from exc
+    return run
 
 
 def _check_cell(args):
@@ -153,6 +171,7 @@ def cmd_hom(args) -> int:
     return 0
 
 
+@_precision_is_input
 def cmd_fiber(args) -> int:
     ring = _ring_for(args)
     d = _parse_descriptor(ring, args.descriptor)
@@ -168,6 +187,7 @@ def cmd_fiber(args) -> int:
     return 0
 
 
+@_precision_is_input
 def cmd_verify(args) -> int:
     ring = _ring_for(args)
     d = _parse_descriptor(ring, args.descriptor)

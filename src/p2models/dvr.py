@@ -75,7 +75,8 @@ class RingDescriptor:
         self._reduction_table = self._build_reduction_table()
         self._slot_bits = self._slot_width(1)  # RingElement.__mul__
         self._packings = {}  # slot width -> masks and packed rows (_fold)
-        self._p_over_pi = None  # cached, built lazily (needs invert_unit)
+        self._p_over_pi_e = None  # cached, built lazily (needs invert_unit)
+        self._p_over_pi = None  # cached, built from _p_over_pi_e
 
     def _validate_eisenstein(self):
         p, e = self.p, self.e
@@ -205,9 +206,9 @@ class RingDescriptor:
         """zeta_p = zeta_{p^2}^p."""
         return self.zeta2 ** self.p
 
-    def p_over_pi(self) -> "RingElement":
-        """p/pi in the digit basis (valuation e-1), used for digit shifts."""
-        if self._p_over_pi is None:
+    def p_over_pi_e(self) -> "RingElement":
+        """The unit p/pi^e, used to read pi-adic digits off in blocks."""
+        if self._p_over_pi_e is None:
             p, pM = self.p, self.pM
             # E(pi)=0 gives p*b0 = -(pi^e + p*sum_{i>=1} b_i pi^i) with
             # a_i = p*b_i, so p = -b0^{-1} pi^e u^{-1},
@@ -218,9 +219,13 @@ class RingDescriptor:
             u = self.one()
             for i in range(1, self.e):
                 u = u + self.from_int(b0_inv * b[i]) * self.pi(i)
-            u_inv = u.invert_unit()
-            self._p_over_pi = (
-                self.from_int(-b0_inv) * u_inv * self.pi(self.e - 1))
+            self._p_over_pi_e = self.from_int(-b0_inv) * u.invert_unit()
+        return self._p_over_pi_e
+
+    def p_over_pi(self) -> "RingElement":
+        """p/pi = (p/pi^e) pi^(e-1) (valuation e-1), used for digit shifts."""
+        if self._p_over_pi is None:
+            self._p_over_pi = self.p_over_pi_e() * self.pi(self.e - 1)
         return self._p_over_pi
 
     def __repr__(self):
@@ -428,17 +433,23 @@ class RingElement:
         return RingElement(self.ring, self.digits, prec)
 
     def pi_digit_expansion(self, t: int) -> tuple:
-        """Canonical pi-adic digits d_0..d_{t-1} in {0..p-1}."""
+        """Canonical pi-adic digits d_0..d_{t-1} in {0..p-1}, e at a time.
+
+        With c_i = (c_i mod p) + p*(c_i // p) and p = (p/pi^e) pi^e, the
+        next e digits are the c_i mod p, and the rest of the element
+        divided by pi^e is (p/pi^e) * sum (c_i // p) pi^i: one product
+        per further block of e digits.
+        """
         if t > self.prec:
             raise PrecisionError(
                 f"requested {t} digits at precision {self.prec}")
         r = self.ring
-        cur = self
-        out = []
-        for _ in range(t):
-            d = cur.digits[0] % r.p
-            out.append(d)
-            cur = (cur - r.from_int(d).with_prec(cur.prec))._div_pi()
+        p, digits = r.p, self.digits
+        out = [c % p for c in digits[:max(t, 0)]]
+        while len(out) < t:
+            rest = RingElement(r, tuple(c // p for c in digits), r.full_prec)
+            digits = (rest * r.p_over_pi_e()).digits
+            out.extend(c % p for c in digits[:t - len(out)])
         return tuple(out)
 
     def reduce_mod(self, t: int) -> "QuotElement":
@@ -521,7 +532,7 @@ class QuotElement:
         return IndeterminateAtPrecision(self.t)
 
     def is_zero(self) -> bool:
-        return all(d == 0 for d in self.digits)
+        return not any(self.digits)
 
     def _check_same_level(self, other: "QuotElement"):
         if self.t != other.t:

@@ -66,7 +66,7 @@ class ExactBase:
         # Only structural zeros may be dropped from polynomials: an
         # element that merely vanishes at its stored precision still
         # carries "known only mod pi^prec" information for its monomial.
-        return all(d == 0 for d in a.digits)
+        return not any(a.digits)
 
     def coeff_json(self, a):
         return a.to_json()

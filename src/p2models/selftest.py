@@ -184,11 +184,10 @@ def criterion_7_witt_layer(M=12):
     for _ in range(100):
         u, v = rand_vec(3), rand_vec(3)
         s, m = wt.witt_add(u, v), wt.witt_mul(u, v)
+        gs, gm, gu, gv = (wt.ghosts(x, 3) for x in (s, m, u, v))
         for r in range(3):
-            _check((wt.ghost(s, r)
-                    - (wt.ghost(u, r) + wt.ghost(v, r))).is_zero())
-            _check((wt.ghost(m, r)
-                    - wt.ghost(u, r) * wt.ghost(v, r)).is_zero())
+            _check((gs[r] - (gu[r] + gv[r])).is_zero())
+            _check((gm[r] - gu[r] * gv[r]).is_zero())
     for _ in range(20):
         a = R.from_digits([rng.randrange(R.pM) for _ in range(R.e)])
         w = wt.witt_int_multiple(wt.WittVector.teichmuller(R, a), 3, 4)

@@ -238,25 +238,46 @@ class WittVector:
         return True
 
 
+def _rung(c: RingElement, p: int) -> RingElement:
+    """The next rung c^p of a Frobenius power ladder c, c^p, c^(p^2), ...;
+    a structurally zero rung is its own successor (same digits and
+    precision as 0^p)."""
+    return c ** p if any(c.digits) else c
+
+
+def ghosts(w: WittVector, length: int) -> list[RingElement]:
+    """Phi_0..Phi_(length-1) of the (canonically lifted) vector, exactly.
+
+    Phi_r = sum_i p^i c_i^(p^(r-i)); each c_i^(p^k) is one p-th power of
+    the rung before it on the ladder of c_i.
+    """
+    ring, p = w.ring, w.ring.p
+    out, rungs = [], []  # rungs[i] = c_i^(p^(r-i))
+    for c in w.lift_coords(length):
+        rungs = [_rung(x, p) for x in rungs] + [c]
+        acc = ring.zero()
+        for i, x in enumerate(rungs):
+            acc = acc + x.scale(p ** i)
+        out.append(acc)
+    return out
+
+
 def ghost(w: WittVector, r: int) -> RingElement:
     """Phi_r of the (canonically lifted) vector, computed exactly."""
-    ring = w.ring
-    coords = w.lift_coords(r + 1)
-    acc = ring.zero()
-    for i, c in enumerate(coords):
-        acc = acc + (c ** (ring.p ** (r - i))).scale(ring.p ** i)
-    return acc
+    return ghosts(w, r + 1)[r]
 
 
-def _recover(ring: RingDescriptor, ghosts: list[RingElement]) -> list[RingElement]:
+def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
     """Coordinates from ghost components (divisions by p^r are exact)."""
     p = ring.p
-    coords = []
-    for r, g in enumerate(ghosts):
+    coords, rungs = [], []  # rungs[k] = c_k^(p^(r-k))
+    for r, g in enumerate(gh):
+        rungs = [_rung(x, p) for x in rungs]
         acc = g
-        for k, c in enumerate(coords):
-            acc = acc - (c ** (p ** (r - k))).scale(p ** k)
+        for k, x in enumerate(rungs):
+            acc = acc - x.scale(p ** k)
         coords.append(acc.divide_p_power(r))
+        rungs.append(coords[-1])
     return coords
 
 
@@ -284,13 +305,14 @@ def _binary_ghost_op(u: WittVector, v: WittVector, combine):
     t = u.t
     if t == 0:
         length = max(len(u), len(v))
-        gh = [combine(ghost(u, r), ghost(v, r)) for r in range(length)]
-        return WittVector(ring, 0, _recover(ring, gh))
-    length = max(len(u), len(v)) + _extra_length(ring.p, t)
-    ul = WittVector(ring, 0, u.lift_coords(length))
-    vl = WittVector(ring, 0, v.lift_coords(length))
-    gh = [combine(ghost(ul, r), ghost(vl, r)) for r in range(length)]
-    return _settle(ring, t, _recover(ring, gh))
+    else:
+        length = max(len(u), len(v)) + _extra_length(ring.p, t)
+    gh = [combine(a, b)
+          for a, b in zip(ghosts(u, length), ghosts(v, length))]
+    coords = _recover(ring, gh)
+    if t == 0:
+        return WittVector(ring, 0, coords)
+    return _settle(ring, t, coords)
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
@@ -335,12 +357,9 @@ def frobenius_w(u: WittVector) -> WittVector:
     ring = u.ring
     if u.t == 0:
         length = max(len(u) - 1, 0) + 1
-        ul = u
     else:
         length = len(u) + _extra_length(ring.p, u.t)
-        ul = WittVector(ring, 0, u.lift_coords(length + 1))
-    gh = [ghost(ul, r + 1) for r in range(length)]
-    coords = _recover(ring, gh)
+    coords = _recover(ring, ghosts(u, length + 1)[1:])
     if u.t == 0:
         return WittVector(ring, 0, coords)
     return _settle(ring, u.t, coords)
@@ -368,8 +387,7 @@ def mult_by_p(u: WittVector, target_t: int) -> WittVector:
     if u.t == 0:
         raise ValueError("mult_by_p expects a quotient-level vector")
     length = len(u) + _extra_length(ring.p, target_t)
-    ul = WittVector(ring, 0, u.lift_coords(length))
-    gh = [ghost(ul, r).scale(ring.p) for r in range(length)]
+    gh = [g.scale(ring.p) for g in ghosts(u, length)]
     return _settle(ring, target_t, _recover(ring, gh))
 
 
@@ -377,7 +395,7 @@ def witt_int_multiple(u: WittVector, n: int, length: int) -> WittVector:
     """n * u in W_length(R) for an integral vector (exact)."""
     if u.t != 0:
         raise ValueError("integral vectors only")
-    gh = [ghost(u, r).scale(n) for r in range(length)]
+    gh = [g.scale(n) for g in ghosts(u, length)]
     return WittVector(u.ring, 0, _recover(u.ring, gh))
 
 

@@ -116,6 +116,20 @@ def test_verify_descriptor_precision_mismatch(capsys):
     assert code == 0 and json.loads(out)["descriptor"]["M"] == 5
 
 
+def test_verify_and_fiber_reject_too_low_precision(capsys):
+    # (3,3,[0,1,1],1) cannot be decided at M = 2 and passes at M = 3
+    for M, want in ((2, 2), (3, 0)):
+        desc = json.dumps({"p": 3, "M": M, "m": 3, "n": 3,
+                           "a_digits": [0, 1, 1], "j": 1})
+        for argv in (("verify",), ("fiber", "--verify")):
+            code, out, err = run(capsys, *argv, "--descriptor", desc,
+                                 "--precision", str(M))
+            assert code == want, (argv, M, err)
+            if want == 2:
+                assert out == "" and "verification failure" not in err
+                assert "--precision 2" in err and "M = 2" in err
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "phi", "--p", "4", "--m", "1", "--n", "1")
     assert code == 2 and "odd prime" in err

@@ -7,6 +7,10 @@
 * The nested-Horner substitution engine against term-by-term
   substitution, for Poly and LocalizedElement images.
 * Digit-wise division by p^r against `divide_exact`.
+* The block pi-adic digit expansion against the stepwise `_div_pi`
+  expansion it replaced.
+* The Frobenius power ladders of `witt.ghosts` and `witt._recover`
+  against the direct formulas computed with `**`.
 """
 
 from functools import lru_cache
@@ -15,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2models.dvr import IndeterminateAtPrecision, make_ring
+from p2models.dvr import IndeterminateAtPrecision, QuotElement, make_ring
 from p2models.errors import PrecisionError, ValuationError
 from p2models.hopf import HopfPresentation, LocalizedElement, UnitSpec
 from p2models.poly import ExactBase, Poly, horner
+from p2models.witt import WittVector, _recover, ghost, ghosts
 
 PRIMES = (3, 5, 7)
 PRECISIONS = (2, 8, 12, 20)
@@ -388,3 +393,138 @@ def test_divide_p_power_errors():
         R.from_int(3).with_prec(R.e).divide_p_power(2)
     with pytest.raises(ValuationError):
         R.zero().divide_p_power(R.M)
+
+
+# ---------------------------------------------------------------------------
+# pi-adic digit expansion in blocks of e
+# ---------------------------------------------------------------------------
+
+def stepwise_digits(x, t):
+    """The canonical pi-adic digits of x, one _div_pi step per digit."""
+    if t > x.prec:
+        raise PrecisionError(f"requested {t} digits at precision {x.prec}")
+    r, cur, out = x.ring, x, []
+    for _ in range(t):
+        d = cur.digits[0] % r.p
+        out.append(d)
+        cur = (cur - r.from_int(d).with_prec(cur.prec))._div_pi()
+    return tuple(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from((2, 3, 8, 12)), st.data())
+def test_block_digit_expansion_matches_stepwise(p, M, data):
+    R = ring(p, M)
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    x = R.from_digits(data.draw(st.lists(digit, min_size=R.e, max_size=R.e)),
+                      data.draw(st.integers(0, R.full_prec)))
+    e = R.e
+    for t in (0, 1, e - 1, e, e + 1, 2 * e, x.prec, x.prec + 1):
+        got = _outcome(lambda: x.pi_digit_expansion(t))
+        want = _outcome(lambda: stepwise_digits(x, t))
+        assert got == want, (t, x)
+        if t > x.prec:
+            assert got is PrecisionError
+        else:
+            assert len(got) == t
+
+
+def test_block_digit_expansion_full_precision_and_p_over_pi():
+    for p, M in ((3, 2), (3, 12), (5, 8), (7, 3)):
+        R = ring(p, M)
+        assert (R.p_over_pi_e() * R.pi(R.e) - R.from_int(p)).is_zero()
+        assert R.p_over_pi() == R.p_over_pi_e() * R.pi(R.e - 1)
+        for x in (R.from_digits([R.pM - 1] * R.e), R.from_int(p ** (M - 1)),
+                  R.zero(), -R.pi(R.e - 1)):
+            n = R.full_prec
+            assert x.pi_digit_expansion(n) == stepwise_digits(x, n)
+            assert x.reduce_mod(n).digits == stepwise_digits(x, n)
+
+
+# ---------------------------------------------------------------------------
+# Witt ghosts and recovery along Frobenius power ladders
+# ---------------------------------------------------------------------------
+
+def direct_ghost(coords, r):
+    """Phi_r = sum_i p^i c_i^(p^(r-i)), every power computed with **."""
+    ring = coords[0].ring
+    acc = ring.zero()
+    for i, c in enumerate(coords[:r + 1]):
+        acc = acc + (c ** (ring.p ** (r - i))).scale(ring.p ** i)
+    return acc
+
+
+def direct_recover(ring, ghs):
+    """Coordinates from ghosts, every power computed with **."""
+    p, coords = ring.p, []
+    for r, g in enumerate(ghs):
+        acc = g
+        for k, c in enumerate(coords):
+            acc = acc - (c ** (p ** (r - k))).scale(p ** k)
+        coords.append(acc.divide_p_power(r))
+    return coords
+
+
+@st.composite
+def witt_vectors(draw, ring, t, min_len=0):
+    """Over R (t = 0): coordinates that are structural zeros, zeros at a
+    low precision, pi-powers or random digits, each at its own
+    precision.  Over R/pi^t: zero or random canonical digits."""
+    coords = []
+    for _ in range(draw(st.integers(min_len, 4))):
+        kind = draw(st.sampled_from(("zero", "low", "pi", "any")))
+        if t:
+            digits = [0] * t if kind == "zero" else draw(st.lists(
+                st.integers(0, ring.p - 1), min_size=t, max_size=t))
+            coords.append(QuotElement(ring, t, digits))
+            continue
+        if kind == "zero":
+            c = ring.zero()
+        elif kind == "low":
+            c = ring.zero(draw(st.integers(0, ring.e)))
+        elif kind == "pi":
+            c = ring.pi(draw(st.integers(0, ring.e - 1))).scale(
+                draw(st.integers(1, ring.pM - 1)))
+        else:
+            c = ring.from_digits(draw(st.lists(
+                st.integers(0, ring.pM - 1),
+                min_size=ring.e, max_size=ring.e)))
+        coords.append(c.with_prec(draw(st.one_of(
+            st.just(ring.full_prec), st.integers(0, ring.full_prec)))))
+    return WittVector(ring, t, coords)
+
+
+def _digits_prec(xs):
+    return [(x.digits, x.prec) for x in xs]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(((3, 2), (3, 8), (3, 12), (5, 3))),
+       st.sampled_from((0, 0, 1, 3)), st.data())
+def test_ghosts_match_direct_formula(pm, t, data):
+    R = ring(*pm)
+    w = data.draw(witt_vectors(R, t))
+    length = data.draw(st.integers(1, 4 if R.p == 3 else 3))
+    coords = w.lift_coords(length)
+    got = ghosts(w, length)
+    assert _digits_prec(got) == _digits_prec(
+        [direct_ghost(coords, r) for r in range(length)])
+    assert _digits_prec([ghost(w, r) for r in range(length)]) == \
+        _digits_prec(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(((3, 8), (3, 12), (5, 3))), st.data())
+def test_recover_matches_direct_recovery(pm, data):
+    R = ring(*pm)
+    u, v = (data.draw(witt_vectors(R, 0, min_len=2)) for _ in range(2))
+    length = data.draw(st.integers(2, 4 if R.p == 3 else 3))
+    for combine in (lambda a, b: a + b, lambda a, b: a * b):
+        ghs = [combine(a, b)
+               for a, b in zip(ghosts(u, length), ghosts(v, length))]
+        got = _outcome(lambda: _recover(R, ghs))
+        want = _outcome(lambda: direct_recover(R, ghs))
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert _digits_prec(got) == _digits_prec(want)
