@@ -11,6 +11,13 @@ pi^prec.  Binary operations take the min of the operand precisions;
 exact division by y subtracts v(y).  Because the residue field is F_p
 and the digit valuations e*v_p(c_i) + i are pairwise distinct mod e,
 the valuation of a nonzero element is read off its digits exactly.
+
+An element is resident as one packed integer P = sum_i c_i 2^(W i): digit
+c_i in [0, p^M) sits in slot i of W bits.  Ring operations act on P as a
+whole, SIMD within a register: a slot-wise Barrett reduction and a SWAR
+conditional subtract keep every slot canonical, and the product is
+reduced by E with a polynomial Barrett step; no operation loops over the
+digits.
 """
 
 from __future__ import annotations
@@ -21,6 +28,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EisensteinError, PrecisionError, ValuationError
+
+# Headroom of a slot, in bits: a sum of up to 2**HEADROOM_BITS raw packed
+# products stays inside the range that RingDescriptor._reduce_raw reduces
+# exactly.
+HEADROOM_BITS = 8
+RAW_PRODUCTS = 1 << HEADROOM_BITS
 
 
 def _is_prime(n: int) -> bool:
@@ -72,9 +85,7 @@ class RingDescriptor:
         self.flavor = flavor
         self.full_prec = self.e * M
         self._validate_eisenstein()
-        self._reduction_table = self._build_reduction_table()
-        self._slot_bits = self._slot_width(1)  # RingElement.__mul__
-        self._packings = {}  # slot width -> masks and packed rows (_fold)
+        self._build_kernel()
         self._p_over_pi_e = None  # cached, built lazily (needs invert_unit)
         self._p_over_pi = None  # cached, built from _p_over_pi_e
 
@@ -90,98 +101,113 @@ class RingDescriptor:
             raise EisensteinError(
                 "constant term has p-valuation > 1")
 
-    def _build_reduction_table(self):
-        # row k = digits of pi^(e+k) in the basis 1..pi^(e-1), k = 0..e-2
-        pM = self.pM
-        rows = []
-        cur = [(-a) % pM for a in self.coeffs]  # pi^e
-        rows.append(tuple(cur))
-        for _ in range(self.e - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                for i, a in enumerate(rows[0]):
-                    cur[i] = (cur[i] + top * a) % pM
-            cur = [c % pM for c in cur]
-            rows.append(tuple(cur))
-        return tuple(rows)
+    def _build_kernel(self):
+        """Slot width and the constants of the packed kernel.
 
-    def _slot_width(self, n: int) -> int:
-        """Slot width for a sum of n packed products.
-
-        A low slot of the sum collects at most n*e digit products, and
-        the folding of the e-1 reduced high slots adds at most one more
-        product each, so every slot stays below 2en(p^M-1)^2 and no slot
-        carries into the next: the packed sum is exact for every (p, M).
+        A slot-wise Barrett reduction takes slots below 2^B, where
+        B = bits(2e(p^M-1)^2) + HEADROOM_BITS.  A raw product adds less
+        than e(p^M-1)^2 to a slot, so 2^B holds RAW_PRODUCTS of them and
+        as much again for what the reduction by E adds.  With the
+        multiplier m = floor(2^B/p^M), a slot X < 2^B gives
+        X*m < 2^(2B)/p^M <= 2^W, so W = 2B - bits(p^M) + 1 keeps every
+        slot's X*m inside its own slot.
         """
-        return (2 * self.e * n * (self.pM - 1) ** 2).bit_length()
+        pM, e = self.pM, self.e
+        B = (2 * e * (pM - 1) ** 2).bit_length() + HEADROOM_BITS
+        W = 2 * B - pM.bit_length() + 1
+        self.W, self._B = W, B
+        self._slot_mask = (1 << W) - 1
+        self._low_bits = W * e
+        self._low_mask = (1 << self._low_bits) - 1
+        self._ones = ones = self._pack([1] * e)
+        self._pM_slots = pM * ones
+        self._barrett = (1 << B) // pM
+        self._q_mask = ((1 << (W - B)) - 1) * ones
+        # SWAR compare: slot + 2^H - p^M has bit H set iff slot >= p^M
+        self._ge_bit = pM.bit_length()
+        self._ge_bias = ((1 << self._ge_bit) - pM) * ones
+        # polynomial Barrett by the monic E: mu = floor(x^(2e-2) / E)
+        num = [0] * (2 * e - 2) + [1]
+        mu = [0] * (e - 1)
+        for k in range(e - 2, -1, -1):
+            c = mu[k] = num[k + e] % pM
+            for i, a in enumerate(self.coeffs):
+                num[k + i] -= c * a
+        self._mu = self._pack(mu)
+        self._mu_shift = W * (e - 2)
+        self._neg_e = self._pack([(-a) % pM for a in self.coeffs])
 
-    def _pack(self, digits, w: int) -> int:
-        """The digits as one integer, digit i in slot i of width w."""
-        x = 0
-        for d in reversed(digits):
-            x = (x << w) | d
+    def _pack(self, slots) -> int:
+        """The slot values as one integer, value i in slot i of width W."""
+        x, W = 0, self.W
+        for d in reversed(slots):
+            x = (x << W) | d
         return x
 
-    def _fold(self, x: int, w: int) -> tuple:
-        """The digits mod p^M of x, a sum of packed products at slot width
-        w: each high slot, reduced mod p^M, is folded into the low slots
-        through the packed row of pi^(e+k), and the low slots are read
-        off mod p^M."""
-        try:
-            mask, low_mask, top, rows = self._packings[w]
-        except KeyError:
-            top = w * self.e
-            mask, low_mask = (1 << w) - 1, (1 << top) - 1
-            rows = tuple(self._pack(row, w) for row in self._reduction_table)
-            self._packings[w] = mask, low_mask, top, rows
+    def _unpack(self, x: int, n: int) -> tuple:
+        """The first n slots of x."""
+        W, mask = self.W, self._slot_mask
+        return tuple((x >> (W * i)) & mask for i in range(n))
+
+    def _canon(self, x: int) -> int:
+        """Every slot of x (e slots, each below 2^B) reduced mod p^M.
+
+        Barrett: q = floor(X m / 2^B) is floor(X / p^M) or one less, for
+        all slots in one product, shift and mask; then one SWAR
+        conditional subtract of p^M.
+        """
         pM = self.pM
-        low = x & low_mask
-        high = x >> top
-        for row in rows:
-            if not high:
-                break
-            c = (high & mask) % pM
-            if c:
-                low += c * row
-            high >>= w
-        digits = []
-        for _ in range(self.e):
-            digits.append((low & mask) % pM)
-            low >>= w
-        return tuple(digits)
+        x -= (((x * self._barrett) >> self._B) & self._q_mask) * pM
+        return x - (((x + self._ge_bias) >> self._ge_bit) & self._ones) * pM
+
+    def _reduce_raw(self, x: int) -> int:
+        """The canonical packed element of a sum x of at most RAW_PRODUCTS
+        raw packed products (2e-1 slots each).
+
+        Polynomial Barrett by E: the high slots C_h give the quotient
+        Q = floor(C_h mu / x^(e-2)), exact since deg C_h <= e-2, and the
+        remainder is the low slots plus Q*(-E_low), cut to e slots.  C_h
+        and Q are first brought below 2 p^M slot-wise (a Barrett step
+        without the final subtract), which leaves the result unchanged
+        mod p^M.
+        """
+        high = x >> self._low_bits
+        if high:
+            m, B, qm, pM = self._barrett, self._B, self._q_mask, self.pM
+            high -= (((high * m) >> B) & qm) * pM
+            q = (high * self._mu) >> self._mu_shift
+            q -= (((q * m) >> B) & qm) * pM
+            x = (x & self._low_mask) + ((q * self._neg_e) & self._low_mask)
+        return self._canon(x)
 
     # -- basic constructors ------------------------------------------------
 
     def zero(self, prec: int | None = None) -> "RingElement":
-        return RingElement(self, (0,) * self.e,
-                           self.full_prec if prec is None else prec)
+        return RingElement(self, 0, self.full_prec if prec is None else prec)
 
     def one(self) -> "RingElement":
         return self.from_int(1)
 
     def from_int(self, n: int) -> "RingElement":
-        digits = (n % self.pM,) + (0,) * (self.e - 1)
-        return RingElement(self, digits, self.full_prec)
+        return RingElement(self, n % self.pM, self.full_prec)
 
     def pi(self, k: int = 1) -> "RingElement":
         """pi^k as an element."""
         if k == 0:
             return self.one()
         if k < self.e:
-            digits = [0] * self.e
-            digits[k] = 1
-            return RingElement(self, tuple(digits), self.full_prec)
+            return RingElement(self, 1 << (self.W * k), self.full_prec)
         x = self.pi(self.e - 1)
         for _ in range(k - self.e + 1):
             x = x * self.pi(1)
         return x
 
     def from_digits(self, digits, prec: int | None = None) -> "RingElement":
-        digits = tuple(d % self.pM for d in digits)
-        if len(digits) != self.e:
-            digits = digits + (0,) * (self.e - len(digits))
-        return RingElement(self, digits,
+        """The element sum digits[i] pi^i; missing digits are 0."""
+        digits = [d % self.pM for d in digits]
+        if len(digits) > self.e:
+            raise ValueError(f"{len(digits)} digits given for e = {self.e}")
+        return RingElement(self, self._pack(digits),
                            self.full_prec if prec is None else prec)
 
     # -- distinguished constants -------------------------------------------
@@ -265,29 +291,48 @@ def make_custom_ring(p: int, M: int, eisenstein_coeffs) -> RingDescriptor:
 
 
 class RingElement:
-    """Element of R as a digit vector in the basis 1, pi, ..., pi^(e-1).
+    """Element of R in the basis 1, pi, ..., pi^(e-1), resident as one
+    packed integer P (digit i in slot i of the ring's width W, each in
+    [0, p^M)).
 
     Immutable.  `prec` is the absolute pi-adic precision: the element is
     known modulo pi^prec.
     """
 
-    __slots__ = ("ring", "digits", "prec")
+    __slots__ = ("ring", "P", "prec")
 
-    def __init__(self, ring: RingDescriptor, digits: tuple, prec: int):
+    def __init__(self, ring: RingDescriptor, P: int, prec: int):
         self.ring = ring
-        self.digits = digits
-        self.prec = min(prec, ring.full_prec)
+        self.P = P
+        self.prec = prec if prec < ring.full_prec else ring.full_prec
+
+    @property
+    def digits(self) -> tuple:
+        """The e digits, unpacked from P on each access."""
+        return self.ring._unpack(self.P, self.ring.e)
 
     # -- valuation and zero tests ------------------------------------------
 
     def valuation(self):
         """Exact valuation, or IndeterminateAtPrecision if the element is
-        indistinguishable from 0 at the stored precision."""
+        indistinguishable from 0 at the stored precision.
+
+        v = min_i e*v_p(c_i) + i over the nonzero digits, visited from the
+        lowest; a digit at index i can only lower v below i, so the scan
+        stops at the first index >= min(v, prec).
+        """
         r = self.ring
-        v = r.full_prec + r.e  # +inf sentinel
-        for i, c in enumerate(self.digits):
-            if c:
-                v = min(v, r.e * _vp(c, r.p, r.M) + i)
+        e, W, mask = r.e, r.W, r._slot_mask
+        x, i, v = self.P, 0, self.prec
+        while x:
+            skip = ((x & -x).bit_length() - 1) // W  # zero slots
+            i += skip
+            if i >= v:
+                break
+            x >>= W * skip
+            v = min(v, e * _vp(x & mask, r.p, r.M) + i)
+            x >>= W
+            i += 1
         if v >= self.prec:
             return IndeterminateAtPrecision(self.prec)
         return v
@@ -297,43 +342,54 @@ class RingElement:
         return isinstance(self.valuation(), IndeterminateAtPrecision)
 
     # -- ring operations ----------------------------------------------------
+    #
+    # +, -, neg and scale are one big-integer expression and a slot-wise
+    # reduction; * is one product reduced by RingDescriptor._reduce_raw.
+    # None of them loops over the digits (tests/test_invariants.py).
 
     def _check_same_ring(self, other: "RingElement"):
         if self.ring is not other.ring:
             raise ValueError("operands from different rings")
 
     def __add__(self, other: "RingElement") -> "RingElement":
-        self._check_same_ring(other)
-        pM = self.ring.pM
-        digits = tuple((a + b) % pM for a, b in zip(self.digits, other.digits))
-        return RingElement(self.ring, digits, min(self.prec, other.prec))
+        r = self.ring
+        if other.ring is not r:
+            raise ValueError("operands from different rings")
+        x = self.P + other.P  # slots below 2 p^M: one conditional subtract
+        x -= ((x + r._ge_bias) >> r._ge_bit & r._ones) * r.pM
+        return RingElement(r, x, self.prec if self.prec < other.prec
+                           else other.prec)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
-        self._check_same_ring(other)
-        pM = self.ring.pM
-        digits = tuple((a - b) % pM for a, b in zip(self.digits, other.digits))
-        return RingElement(self.ring, digits, min(self.prec, other.prec))
+        r = self.ring
+        if other.ring is not r:
+            raise ValueError("operands from different rings")
+        x = self.P + r._pM_slots - other.P  # slots in (0, 2 p^M)
+        x -= ((x + r._ge_bias) >> r._ge_bit & r._ones) * r.pM
+        return RingElement(r, x, self.prec if self.prec < other.prec
+                           else other.prec)
 
     def __neg__(self) -> "RingElement":
-        pM = self.ring.pM
-        return RingElement(self.ring, tuple((-a) % pM for a in self.digits),
-                           self.prec)
+        r = self.ring
+        x = r._pM_slots - self.P  # slots in (0, p^M]
+        x -= ((x + r._ge_bias) >> r._ge_bit & r._ones) * r.pM
+        return RingElement(r, x, self.prec)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
-        """Kronecker-packed product: one big-integer multiplication of
-        the packed digit vectors, folded once (RingDescriptor._fold)."""
+        """Kronecker-packed product: one big-integer multiplication of the
+        resident integers, reduced by E (RingDescriptor._reduce_raw)."""
         r = self.ring
-        if other.ring is not r:  # _check_same_ring, inline in the hot path
+        if other.ring is not r:
             raise ValueError("operands from different rings")
-        w = r._slot_bits
-        digits = r._fold(r._pack(self.digits, w) * r._pack(other.digits, w), w)
-        return RingElement(r, digits, min(self.prec, other.prec))
+        return RingElement(r, r._reduce_raw(self.P * other.P),
+                           self.prec if self.prec < other.prec
+                           else other.prec)
 
     def scale(self, n: int) -> "RingElement":
-        """Multiplication by an ordinary integer."""
-        pM = self.ring.pM
-        return RingElement(self.ring,
-                           tuple((n * a) % pM for a in self.digits), self.prec)
+        """Multiplication by an ordinary integer: slots below p^(2M),
+        reduced slot-wise."""
+        r = self.ring
+        return RingElement(r, r._canon(self.P * (n % r.pM)), self.prec)
 
     def scale_unit_fraction(self, q: Fraction) -> "RingElement":
         """Multiplication by a rational with denominator prime to p."""
@@ -347,7 +403,7 @@ class RingElement:
         if n < 0:
             return self.invert_unit() ** (-n)
         if n == 0:
-            return RingElement(self.ring, self.ring.one().digits, self.prec)
+            return RingElement(self.ring, 1, self.prec)
         result, base = None, self
         while True:
             if n & 1:
@@ -362,13 +418,13 @@ class RingElement:
         r = self.ring
         if self.valuation() != 0:
             raise ValuationError("not a unit (valuation != 0)")
-        w = r.from_int(pow(self.digits[0] % r.p, -1, r.p))
-        w = RingElement(r, w.digits, self.prec)
-        two = r.from_int(2)
+        w = RingElement(r, pow((self.P & r._slot_mask) % r.p, -1, r.p),
+                        self.prec)
+        two = RingElement(r, 2, self.prec)
         steps = max(1, math.ceil(math.log2(r.full_prec)) + 1)
         for _ in range(steps):
-            w = w * (RingElement(r, two.digits, self.prec) - self * w)
-        check = self * w - RingElement(r, r.one().digits, self.prec)
+            w = w * (two - self * w)
+        check = self * w - RingElement(r, 1, self.prec)
         if not check.is_zero():
             raise ArithmeticError("unit inversion failed to converge")
         return w
@@ -376,15 +432,15 @@ class RingElement:
     def _div_pi(self) -> "RingElement":
         """Exact division by pi (requires v >= 1); precision drops by 1."""
         r = self.ring
-        c0 = self.digits[0]
+        c0 = self.P & r._slot_mask
         if c0 % r.p != 0:
             raise ValuationError("element not divisible by pi")
-        shifted = self.digits[1:] + (0,)
-        out = RingElement(r, shifted, min(self.prec - 1, r.full_prec - 1))
+        prec = min(self.prec - 1, r.full_prec - 1)
+        out = RingElement(r, self.P >> r.W, prec)
         q0 = c0 // r.p
         if q0:
             out = out + r.p_over_pi().scale(q0)
-        return RingElement(r, out.digits, min(self.prec - 1, r.full_prec - 1))
+        return RingElement(r, out.P, prec)
 
     def _check_divisible(self, w: int):
         """Raise unless v(self) >= w is decided at the stored precision."""
@@ -396,25 +452,42 @@ class RingElement:
             raise PrecisionError(
                 "dividend indistinguishable from 0 below divisor valuation")
 
+    def divisor(self):
+        """The map x -> x / self, for exact division by this element.
+
+        Prepared once: v(self) = w and the Newton inverse of the unit
+        self / pi^w; each call then divides x by pi w times and multiplies
+        by that inverse.  The map requires v(x) >= w determinate.
+        """
+        w = self.valuation()
+        if isinstance(w, IndeterminateAtPrecision):
+            raise ValuationError("divisor valuation indeterminate")
+        unit = self
+        for _ in range(w):
+            unit = unit._div_pi()
+        inverse, ring = unit.invert_unit(), self.ring
+
+        def divide(x: "RingElement") -> "RingElement":
+            if x.ring is not ring:
+                raise ValueError("operands from different rings")
+            x._check_divisible(w)
+            for _ in range(w):
+                x = x._div_pi()
+            return x * inverse
+        return divide
+
     def divide_exact(self, other: "RingElement") -> "RingElement":
         """z with z*other = self; requires v(self) >= v(other) determinate."""
         self._check_same_ring(other)
-        w = other.valuation()
-        if isinstance(w, IndeterminateAtPrecision):
-            raise ValuationError("divisor valuation indeterminate")
-        self._check_divisible(w)
-        num, den = self, other
-        for _ in range(w):
-            num = num._div_pi()
-            den = den._div_pi()
-        return num * den.invert_unit()
+        return other.divisor()(self)
 
     def divide_p_power(self, r: int) -> "RingElement":
-        """z with z*p^r = self, digit by digit; precision drops by r*e.
+        """z with z*p^r = self, slot by slot; precision drops by r*e.
 
         Valid because v(self) >= r*e exactly when p^r divides every
-        digit (the digit valuations e*v_p(c_i) + i are distinct mod e).
-        Raises in the same cases as divide_exact(from_int(p^r)).
+        digit (the digit valuations e*v_p(c_i) + i are distinct mod e),
+        and then P // p^r divides every slot exactly.  Raises in the
+        same cases as divide_exact(from_int(p^r)).
         """
         ring = self.ring
         if r < 0:
@@ -423,14 +496,12 @@ class RingElement:
             raise ValuationError("divisor valuation indeterminate")
         w = r * ring.e
         self._check_divisible(w)
-        q = ring.p ** r
-        return RingElement(ring, tuple(d // q for d in self.digits),
-                           self.prec - w)
+        return RingElement(ring, self.P // ring.p ** r, self.prec - w)
 
     # -- precision and quotient handling -------------------------------------
 
     def with_prec(self, prec: int) -> "RingElement":
-        return RingElement(self.ring, self.digits, prec)
+        return RingElement(self.ring, self.P, prec)
 
     def pi_digit_expansion(self, t: int) -> tuple:
         """Canonical pi-adic digits d_0..d_{t-1} in {0..p-1}, e at a time.
@@ -444,12 +515,14 @@ class RingElement:
             raise PrecisionError(
                 f"requested {t} digits at precision {self.prec}")
         r = self.ring
-        p, digits = r.p, self.digits
-        out = [c % p for c in digits[:max(t, 0)]]
+        p, P, out = r.p, self.P, []
         while len(out) < t:
-            rest = RingElement(r, tuple(c // p for c in digits), r.full_prec)
-            digits = (rest * r.p_over_pi_e()).digits
-            out.extend(c % p for c in digits[:t - len(out)])
+            need = t - len(out)
+            digits = r._unpack(P, r.e if need > r.e else need)
+            out.extend(c % p for c in digits)
+            if need > r.e:
+                rest = r.from_digits([c // p for c in digits])
+                P = (rest * r.p_over_pi_e()).P
         return tuple(out)
 
     def reduce_mod(self, t: int) -> "QuotElement":
@@ -459,10 +532,10 @@ class RingElement:
 
     def __eq__(self, other):
         return (isinstance(other, RingElement) and self.ring is other.ring
-                and self.digits == other.digits and self.prec == other.prec)
+                and self.P == other.P and self.prec == other.prec)
 
     def __hash__(self):
-        return hash((id(self.ring), self.digits, self.prec))
+        return hash((id(self.ring), self.P, self.prec))
 
     def __repr__(self):
         return f"RingElement({list(self.digits)}, prec={self.prec})"

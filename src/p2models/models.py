@@ -59,12 +59,9 @@ def kummer_quotient_coeffs(ring: RingDescriptor, lam: RingElement, N: int):
     Exists exactly under the degree condition; raises ValuationError if
     some binomial is not divisible.
     """
-    lamN = lam ** N
-    out = []
-    for k in range(1, N + 1):
-        c = ring.from_int(math.comb(N, k)) * lam ** k
-        out.append(c.divide_exact(lamN))
-    return out
+    divide = (lam ** N).divisor()
+    return [divide(ring.from_int(math.comb(N, k)) * lam ** k)
+            for k in range(1, N + 1)]
 
 
 def star_condition(ring: RingDescriptor, lam: RingElement, n: int) -> bool:

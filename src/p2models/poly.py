@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from operator import add
 
-from .dvr import QuotElement, RingDescriptor, RingElement
+from .dvr import RAW_PRODUCTS, QuotElement, RingDescriptor, RingElement
 from .errors import DivisibilityError, ValuationError
 
 
@@ -53,12 +53,6 @@ class ExactBase:
     def eq(self, a, b):
         return (a - b).is_zero()
 
-    def div_exact(self, a, d):
-        try:
-            return a.divide_exact(d)
-        except ValuationError as exc:
-            raise DivisibilityError(str(exc)) from exc
-
     def scale_fraction(self, a, q):
         return a.scale_unit_fraction(q)
 
@@ -66,7 +60,7 @@ class ExactBase:
         # Only structural zeros may be dropped from polynomials: an
         # element that merely vanishes at its stored precision still
         # carries "known only mod pi^prec" information for its monomial.
-        return not any(a.digits)
+        return not a.P
 
     def coeff_json(self, a):
         return a.to_json()
@@ -288,8 +282,12 @@ class Poly:
                     {m: fn(c) for m, c in self.terms.items()})
 
     def div_scalar(self, d) -> "Poly":
-        """Exact coefficient-wise division by a base element (ExactBase)."""
-        return self.map_coeffs(lambda c: self.base.div_exact(c, d))
+        """Exact coefficient-wise division by a base element (ExactBase);
+        the divisor is prepared once for all coefficients."""
+        try:
+            return self.map_coeffs(d.divisor())
+        except ValuationError as exc:
+            raise DivisibilityError(str(exc)) from exc
 
     def embed(self, nvars: int, offset: int) -> "Poly":
         """Reindex into a larger variable set at the given offset."""
@@ -327,27 +325,27 @@ class Poly:
 def _packed_product(ta: dict, tb: dict) -> dict:
     """The terms of the product of two term dicts over ExactBase.
 
-    Every coefficient is packed once, at the slot width for
-    n = min(len(ta), len(tb)) products per output monomial (for each term
-    of the shorter operand at most one term of the other completes a given
-    monomial).  The raw products of each output monomial are summed and
-    folded once; its precision is the least operand precision over its
-    pairs.  Keys come in first-occurrence order, as in the generic loop.
+    The raw products of the resident integers of each output monomial are
+    summed and reduced once; its precision is the least operand precision
+    over its pairs.  For each term of ta at most one term of tb completes
+    a given monomial, so every RAW_PRODUCTS - 1 terms of ta the sums are
+    reduced early (a reduced sum counts as one product): no sum holds more
+    than RAW_PRODUCTS products.  Keys come in first-occurrence order, as
+    in the generic loop.
     """
     if not ta or not tb:
         return {}
     ring = next(iter(ta.values())).ring
-    w = ring._slot_width(min(len(ta), len(tb)))
 
-    def packed(c):
+    def resident(c):
         if c.ring is not ring:
             raise ValueError("operands from different rings")
-        return ring._pack(c.digits, w)
+        return c.P
 
-    pb = [(m, packed(c), c.prec) for m, c in tb.items()]
+    pb = [(m, resident(c), c.prec) for m, c in tb.items()]
     acc = {}
-    for m1, c1 in ta.items():
-        x1, p1 = packed(c1), c1.prec
+    for row, (m1, c1) in enumerate(ta.items(), 1):
+        x1, p1 = resident(c1), c1.prec
         for m2, x2, p2 in pb:
             m = tuple(map(add, m1, m2))
             prec = p1 if p1 < p2 else p2
@@ -358,7 +356,10 @@ def _packed_product(ta: dict, tb: dict) -> dict:
                 s[0] += x1 * x2
                 if prec < s[1]:
                     s[1] = prec
-    return {m: RingElement(ring, ring._fold(x, w), prec)
+        if row % (RAW_PRODUCTS - 1) == 0:
+            for s in acc.values():
+                s[0] = ring._reduce_raw(s[0])
+    return {m: RingElement(ring, ring._reduce_raw(x), prec)
             for m, (x, prec) in acc.items()}
 
 

@@ -242,14 +242,22 @@ def _rung(c: RingElement, p: int) -> RingElement:
     """The next rung c^p of a Frobenius power ladder c, c^p, c^(p^2), ...;
     a structurally zero rung is its own successor (same digits and
     precision as 0^p)."""
-    return c ** p if any(c.digits) else c
+    return c ** p if c.P else c
+
+
+def _contributes(x: RingElement, acc: RingElement) -> bool:
+    """Whether acc +- (a multiple of x) can differ from acc: x has a
+    nonzero digit, or x is a structural zero whose precision is below
+    acc's and so still lowers the precision of the sum."""
+    return x.P or x.prec < acc.prec
 
 
 def ghosts(w: WittVector, length: int) -> list[RingElement]:
     """Phi_0..Phi_(length-1) of the (canonically lifted) vector, exactly.
 
     Phi_r = sum_i p^i c_i^(p^(r-i)); each c_i^(p^k) is one p-th power of
-    the rung before it on the ladder of c_i.
+    the rung before it on the ladder of c_i.  A structurally zero rung
+    is skipped unless its precision is below the running sum's.
     """
     ring, p = w.ring, w.ring.p
     out, rungs = [], []  # rungs[i] = c_i^(p^(r-i))
@@ -257,7 +265,8 @@ def ghosts(w: WittVector, length: int) -> list[RingElement]:
         rungs = [_rung(x, p) for x in rungs] + [c]
         acc = ring.zero()
         for i, x in enumerate(rungs):
-            acc = acc + x.scale(p ** i)
+            if _contributes(x, acc):
+                acc = acc + x.scale(p ** i)
         out.append(acc)
     return out
 
@@ -275,7 +284,8 @@ def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
         rungs = [_rung(x, p) for x in rungs]
         acc = g
         for k, x in enumerate(rungs):
-            acc = acc - x.scale(p ** k)
+            if _contributes(x, acc):
+                acc = acc - x.scale(p ** k)
         coords.append(acc.divide_p_power(r))
         rungs.append(coords[-1])
     return coords

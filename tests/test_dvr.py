@@ -1,6 +1,7 @@
 """Tests for the ramified-ring arithmetic layer."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -181,27 +182,49 @@ def test_json_roundtrip(R3):
     assert ring_element_from_json(R3, x.to_json()) == x
 
 
+# The property tests run over every (p, M) below: e = 6, 20, 42 and
+# slots from 2 to 20 digits of p wide.
+PRIMES = (3, 5, 7)
+PRECISIONS = (2, 3, 8, 12)
+
+
+@lru_cache(maxsize=None)
+def ring(p, M):
+    return make_ring(p, M)
+
+
+@st.composite
+def elements(draw, n, unit=None):
+    """A ring over PRIMES x PRECISIONS and n elements of it at full
+    precision; digits 0 and p^M - 1 are drawn often.  unit=True makes
+    every element a unit."""
+    R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    out = []
+    for _ in range(n):
+        digits = draw(st.lists(digit, min_size=R.e, max_size=R.e))
+        if unit:
+            digits[0] = digits[0] - digits[0] % R.p + draw(
+                st.integers(1, R.p - 1))
+        out.append(R.from_digits(digits))
+    return R, out
+
+
 @settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_ring_axioms(data):
-    R = make_ring(3, 6)
-    digs = st.lists(st.integers(0, R.pM - 1), min_size=R.e, max_size=R.e)
-    x = R.from_digits(data.draw(digs))
-    y = R.from_digits(data.draw(digs))
-    z = R.from_digits(data.draw(digs))
+@given(elements(3))
+def test_ring_axioms(ring_and_elements):
+    R, (x, y, z) = ring_and_elements
     assert ((x + y) + z == x + (y + z))
     assert (x * y == y * x)
     assert ((x * y) * z == x * (y * z))
     assert (x * (y + z) == x * y + x * z)
+    assert (x - y) + y == x and (x + (-x)).digits == (0,) * R.e
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.data())
-def test_valuation_laws(data):
-    R = make_ring(3, 6)
-    digs = st.lists(st.integers(0, R.pM - 1), min_size=R.e, max_size=R.e)
-    x = R.from_digits(data.draw(digs))
-    y = R.from_digits(data.draw(digs))
+@given(elements(2))
+def test_valuation_laws(ring_and_elements):
+    _, (x, y) = ring_and_elements
     vx, vy = x.valuation(), y.valuation()
     vxy = (x * y).valuation()
     if not any(isinstance(v, IndeterminateAtPrecision) for v in (vx, vy, vxy)):
@@ -211,16 +234,31 @@ def test_valuation_laws(data):
         assert vsum >= min(vx, vy)
 
 
-def test_divide_roundtrip_random(R3):
-    rng = random.Random(5)
-    for _ in range(30):
-        x = rand_element(R3, rng)
-        y = rand_element(R3, rng, unit=bool(rng.randrange(2)))
-        if isinstance(y.valuation(), IndeterminateAtPrecision):
-            continue
-        z = (x * y).divide_exact(y)
-        eq, _ = eq_mod(z, x, z.prec)
-        assert eq
+@settings(max_examples=50, deadline=None)
+@given(elements(2), st.data())
+def test_divide_roundtrip_random(ring_and_elements, data):
+    R, (x, y) = ring_and_elements
+    if data.draw(st.booleans()):  # a unit divisor
+        digits = list(y.digits)
+        digits[0] += 1 - digits[0] % R.p
+        y = R.from_digits(digits)
+    if isinstance(y.valuation(), IndeterminateAtPrecision):
+        return
+    z = (x * y).divide_exact(y)
+    eq, _ = eq_mod(z, x, z.prec)
+    assert eq
+
+
+@settings(max_examples=50, deadline=None)
+@given(elements(1, unit=True), st.data())
+def test_invert_unit_roundtrip(ring_and_elements, data):
+    # x * x^-1 = 1 at x's precision, full or lower
+    R, (x,) = ring_and_elements
+    x = x.with_prec(data.draw(st.integers(1, R.full_prec)))
+    inv = x.invert_unit()
+    assert inv.prec == x.prec
+    eq, _ = eq_mod(x * inv, R.one(), x.prec)
+    assert eq
 
 
 def test_valuation_formula_vs_repeated_division(R3):

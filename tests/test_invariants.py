@@ -1,4 +1,8 @@
-"""Invariants must not rest on `assert`, which `python -O` strips."""
+"""Invariants of the package source.
+
+* They must not rest on `assert`, which `python -O` strips.
+* The ring operations of the resident kernel do not loop over digits.
+"""
 
 import ast
 import json
@@ -27,6 +31,25 @@ def test_no_assert_statements_in_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+# RingElement methods that act on the packed integer as a whole
+LOOP_FREE = ("__add__", "__sub__", "__neg__", "__mul__", "scale")
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def test_ring_operations_are_loop_free():
+    path = SRC / "p2models" / "dvr.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+               and node.name == "RingElement")
+    methods = {node.name: node for node in cls.body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(LOOP_FREE) <= set(methods)
+    found = [f"{name}:{node.lineno}" for name in LOOP_FREE
+             for node in ast.walk(methods[name]) if isinstance(node, LOOPS)]
     assert found == []
 
 

@@ -1,7 +1,10 @@
 """Oracle tests for the arithmetic kernels.
 
-* The Kronecker-packed `RingElement.__mul__` against the schoolbook
-  product it replaced.
+* The resident packed `RingElement` (`+`, `-`, neg, `scale`) against
+  digit-wise arithmetic mod p^M, and its slot-wise Barrett reduction at
+  the top of its input range.
+* The Kronecker-packed `RingElement.__mul__` and its polynomial Barrett
+  reduction by E against the schoolbook product and row reduction.
 * The packed `Poly` product over ExactBase against the term-by-term
   product-and-sum of its coefficients.
 * The nested-Horner substitution engine against term-by-term
@@ -19,7 +22,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from p2models.dvr import IndeterminateAtPrecision, QuotElement, make_ring
+from p2models.dvr import (
+    HEADROOM_BITS,
+    RAW_PRODUCTS,
+    IndeterminateAtPrecision,
+    QuotElement,
+    make_ring,
+)
 from p2models.errors import PrecisionError, ValuationError
 from p2models.hopf import HopfPresentation, LocalizedElement, UnitSpec
 from p2models.poly import ExactBase, Poly, horner
@@ -38,13 +47,25 @@ def ring(p, M):
 # oracles
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def reduction_table(r):
+    """Row k = digits of pi^(e+k) in the basis 1..pi^(e-1), k = 0..e-2."""
+    rows, cur = [], [(-a) % r.pM for a in r.coeffs]  # pi^e
+    rows.append(tuple(cur))
+    for _ in range(r.e - 2):
+        top, cur = cur[-1], [0] + cur[:-1]
+        cur = [(c + top * a) % r.pM for c, a in zip(cur, rows[0])]
+        rows.append(tuple(cur))
+    return tuple(rows)
+
+
 def reduce_conv(r, conv):
     """Digits mod p^M of sum conv[i] pi^i, i < 2e-1, by row reduction."""
     conv, e = list(conv), r.e
     for idx in range(2 * e - 2, e - 1, -1):
         c = conv[idx]
         if c:
-            for i, t in enumerate(r._reduction_table[idx - e]):
+            for i, t in enumerate(reduction_table(r)[idx - e]):
                 conv[i] += c * t
     return tuple(c % r.pM for c in conv[:e])
 
@@ -106,6 +127,65 @@ def element_pairs(draw):
             for _ in range(2)]
 
 
+def digitwise(x, y, op):
+    """Digits of op applied digit by digit mod p^M."""
+    return tuple(op(a, b) % x.ring.pM for a, b in zip(x.digits, y.digits))
+
+
+def check_linear_ops(x, y, n):
+    pM = x.ring.pM
+    cases = [(x + y, digitwise(x, y, lambda a, b: a + b)),
+             (x - y, digitwise(x, y, lambda a, b: a - b)),
+             (-x, tuple((-a) % pM for a in x.digits)),
+             (x.scale(n), tuple(a * n % pM for a in x.digits))]
+    for got, want in cases:
+        assert got.digits == want
+        assert all(0 <= d < pM for d in got.digits)
+    prec = min(x.prec, y.prec)
+    assert [z.prec for z, _ in cases] == [prec, prec, x.prec, x.prec]
+
+
+@settings(max_examples=100, deadline=None)
+@given(element_pairs(), st.data())
+def test_resident_linear_ops_match_digitwise(pair, data):
+    x, y = pair
+    pM = x.ring.pM
+    n = data.draw(st.one_of(st.sampled_from((0, 1, -1, pM - 1, pM, pM + 1)),
+                            st.integers(-2 ** 80, 2 ** 80)))
+    check_linear_ops(x, y, n)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("M", PRECISIONS)
+def test_resident_linear_ops_all_digits_maximal(p, M):
+    R = ring(p, M)
+    top = R.from_digits([R.pM - 1] * R.e)
+    for x, y in [(top, top), (top, R.zero()), (R.zero(), top),
+                 (R.zero(), R.zero()), (top, R.one())]:
+        for n in (R.pM - 1, -1, 2, R.p ** (M - 1)):
+            check_linear_ops(x, y, n)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("M", PRECISIONS)
+def test_slot_reduction_at_the_top_of_its_range(p, M):
+    # The slot-wise Barrett step takes slots below 2^B: the top of that
+    # range, and the multiples of p^M and their predecessors just below
+    # it, where a quotient estimate off by one shows.
+    R = ring(p, M)
+    top = 2 ** R._B - 1
+    k = top // R.pM
+    values = [top, top - 1, k * R.pM, k * R.pM - 1, (k - 1) * R.pM,
+              (k - 1) * R.pM - 1, R.pM, R.pM - 1, 0]
+    values += [top - j * 7919 for j in range(1, R.e)]
+    for shift in range(len(values)):
+        slots = (values[shift:] + values[:shift])[:R.e]
+        want = tuple(v % R.pM for v in slots)
+        x = R._pack(slots)
+        assert R._unpack(R._canon(x), R.e + 1) == want + (0,)
+        assert R._unpack(R._reduce_raw(x), R.e + 1) == want + (0,)
+
+
 @settings(max_examples=150, deadline=None)
 @given(element_pairs())
 def test_packed_product_matches_schoolbook(pair):
@@ -138,7 +218,7 @@ def test_packed_product_all_digits_maximal(p, M):
 def test_packed_product_exact_beyond_64_bit_slots():
     R = ring(3, 20)
     assert 2 * R.e * (R.pM - 1) ** 2 > 2 ** 64
-    assert R._slot_bits > 64
+    assert R._B > 64  # the Barrett range of a slot is past 64 bits
     top = R.from_digits([R.pM - 1] * R.e)
     mixed = R.from_digits([R.pM - 1 - 7 * i for i in range(R.e)])
     for x, y in [(top, top), (top, mixed), (mixed, mixed)]:
@@ -194,15 +274,42 @@ def test_fold_holds_the_widest_slot_sums(p, M):
     # The largest value each slot of a sum of n packed products can
     # hold: low slot i at n*(i+1) digit products, high slot e+k at
     # n*(e-1-k), high slots = -1 mod p^M so the fold adds the most.
+    # n runs up to RAW_PRODUCTS, the most a resident sum may hold.
     R = ring(p, M)
     e, sq = R.e, (R.pM - 1) ** 2
-    for n in range(1, 65):
+    for n in [*range(1, 65), RAW_PRODUCTS - 1, RAW_PRODUCTS]:
         slots = [n * (i + 1) * sq for i in range(e)]
         for k in range(e - 1):
             top = n * (e - 1 - k) * sq
             slots.append(top - (top + 1) % R.pM)
-        w = R._slot_width(n)
-        assert R._fold(R._pack(slots, w), w) == reduce_conv(R, slots)
+        got = R._unpack(R._reduce_raw(R._pack(slots)), 2 * e)
+        assert got == reduce_conv(R, slots) + (0,) * e
+
+
+def test_packed_poly_product_reduces_sums_early(monkeypatch):
+    # (sum_{i<n} top x^i)^2, n = 2 RAW_PRODUCTS: x^(n-1) collects n
+    # products, more than two early reductions apart.  Each sum the
+    # kernel reduces holds at most RAW_PRODUCTS - 1 raw products plus one
+    # reduced sum, which slot e-1 of an all-(p^M-1) sum shows: each raw
+    # product adds e (p^M-1)^2 there, a reduced sum less than p^M.
+    R, n = ring(3, 2), 2 * RAW_PRODUCTS
+    top = R.from_digits([R.pM - 1] * R.e)
+    a = Poly(ExactBase(R), 1, {(i,): top for i in range(n)})
+    widest, reduce_raw = [], R._reduce_raw
+
+    def spy(x):
+        widest.append(R._unpack(x, R.e)[-1])
+        return reduce_raw(x)
+
+    monkeypatch.setattr(R, "_reduce_raw", spy)
+    got = terms_of(a * a)
+    monkeypatch.undo()
+    square = schoolbook_mul(top, top)[0]
+    want = [((k,), tuple(d * (n - abs(n - 1 - k)) % R.pM for d in square),
+             R.full_prec) for k in range(2 * n - 1)]
+    assert got == [t for t in want if any(t[1])]
+    one = R.e * (R.pM - 1) ** 2
+    assert (RAW_PRODUCTS - 1) * one <= max(widest) < RAW_PRODUCTS * one
 
 
 # Operands whose product, times all digits p^M-1, fills a slot of the
@@ -225,10 +332,11 @@ def test_packed_products_that_need_the_full_slot(p, M):
         for j, b in enumerate(top.digits):
             conv[i + j] += a * b
     folded = conv[:R.e]
-    for k, row in enumerate(R._reduction_table):
+    for k, row in enumerate(reduction_table(R)):
         for i, t in enumerate(row):
             folded[i] += conv[R.e + k] % R.pM * t
-    assert max(folded) >= 2 ** (R._slot_width(1) - 1)
+    # past half of one product's share bits(2e(p^M-1)^2) of the range
+    assert max(folded) >= 2 ** (R._B - HEADROOM_BITS - 1)
     assert (x * top).digits == schoolbook_mul(x, top)[0]
     a = Poly.const(ExactBase(R), 1, x)
     b = Poly(ExactBase(R), 1, {(i,): top for i in range(3)})
@@ -528,3 +636,17 @@ def test_recover_matches_direct_recovery(pm, data):
             assert got is want
         else:
             assert _digits_prec(got) == _digits_prec(want)
+
+
+def test_zero_rungs_below_the_sum_precision_still_count():
+    # A structurally zero coordinate adds nothing to a ghost sum, but one
+    # known only mod pi^20 makes every later ghost known only mod pi^20.
+    R = ring(3, 8)
+    for zero, prec in ((R.zero(), R.full_prec), (R.zero(20), 20)):
+        w = WittVector(R, 0, [R.pi(), zero, R.one()])
+        got = ghosts(w, 3)
+        assert [g.prec for g in got] == [R.full_prec, prec, prec]
+        assert _digits_prec(got) == _digits_prec(
+            [direct_ghost(w.lift_coords(3), r) for r in range(3)])
+        assert _digits_prec(_recover(R, got)) == _digits_prec(
+            direct_recover(R, got))

@@ -334,6 +334,26 @@ def test_ambient_isogeny_f1_case(R3, models3):
     ambient_isogeny(d)
 
 
+def test_build_extension_inverts_each_divisor_once(models3, monkeypatch):
+    # One Newton inversion per divisor: the Kummer coefficients of rel1
+    # (by mu^p), the counit (by lam), and the three Poly.div_scalar calls
+    # (relation by lam^p, cocycle and antipode by lam).  Inverting the
+    # unit part again for every coefficient made 25 calls here.
+    d = models3[-1]
+    assert (d.m, d.n, d.j) == (3, 3, 1)
+    calls = 0
+    invert = RingElement.invert_unit
+
+    def counting_invert(x):
+        nonlocal calls
+        calls += 1
+        return invert(x)
+
+    monkeypatch.setattr(RingElement, "invert_unit", counting_invert)
+    build_extension(d)
+    assert calls <= 5
+
+
 def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     # a with maximal valuation in ker p2 at p=5
     R5 = make_ring(5, 8)
