@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .dvr import QuotElement, RingElement, _is_prime, eq_mod
 from .errors import CertificationError
-from .poly import Poly
+from .poly import ExactBase, Poly
 from .witt import QQBase, WittVector
 
 _QQ = QQBase()
@@ -155,66 +155,30 @@ def ah_series(p: int, D: int) -> TruncatedSeries:
 # the deformed series
 # ---------------------------------------------------------------------------
 
-class _LaurentUV:
-    """Laurent polynomials Q[U, L, 1/L]: dict {(u_exp, l_exp): Fraction}."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
-
-    @classmethod
-    def const(cls, c):
-        return cls({(0, 0): Fraction(c)})
-
-    @classmethod
-    def monomial(cls, u, l, c=Fraction(1)):
-        return cls({(u, l): Fraction(c)})
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return _LaurentUV(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return _LaurentUV(out)
-
-    def __mul__(self, other):
-        out = {}
-        for (u1, l1), c1 in self.terms.items():
-            for (u2, l2), c2 in other.terms.items():
-                m = (u1 + u2, l1 + l2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
-        return _LaurentUV(out)
-
-    def scale(self, q):
-        return _LaurentUV({m: c * q for m, c in self.terms.items()})
-
-    def is_zero(self):
-        return not self.terms
+def _laurent(u: int = 0, l: int = 0, c=1) -> Poly:
+    """The monomial c U^u L^l of Q[U, L, 1/L], a Poly over QQ in (U, L)
+    with a signed L exponent."""
+    return Poly(_QQ, 2, {(u, l): Fraction(c)})
 
 
 class _LaurentBase:
-    """Coefficient base adapter so TruncatedSeries can run over _LaurentUV."""
+    """Coefficient base adapter so TruncatedSeries can run over
+    Q[U, L, 1/L], as Polys over QQ in (U, L)."""
 
     def zero(self):
-        return _LaurentUV({})
+        return Poly.zero(_QQ, 2)
 
     def one(self):
-        return _LaurentUV.const(1)
+        return _laurent()
 
     def from_int(self, n):
-        return _LaurentUV.const(n)
+        return _laurent(c=n)
 
     def add(self, a, b):
         return a + b
 
     def neg(self, a):
-        return a.scale(Fraction(-1))
+        return -a
 
     def mul(self, a, b):
         return a * b
@@ -223,7 +187,7 @@ class _LaurentBase:
         return a.is_zero()
 
     def eq(self, a, b):
-        return (a - b).is_zero()
+        return a.eq(b)
 
     def scale_fraction(self, a, q):
         return a.scale(q)
@@ -242,7 +206,6 @@ class DeformedAHSeries:
 
     def specialize(self, a: RingElement, mu: RingElement) -> TruncatedSeries:
         """Evaluate at U=a, L=mu over R."""
-        from .poly import ExactBase
         ring = a.ring
         base = ExactBase(ring)
         out = []
@@ -268,13 +231,13 @@ class DeformedAHSeries:
 def deformed_ah(p: int, D: int) -> DeformedAHSeries:
     """Compute E_p(U, L; T) by binomial expansion of each factor."""
     _check_args(p, D)
-    U = _LaurentUV.monomial(1, 0)
+    U = _laurent(1, 0)
 
     # factor (1+LT)^(U/L): T^k coefficient is prod_{i<k}(U - iL)/k!
-    coeffs = [_LaurentUV.const(1)]
-    running = _LaurentUV.const(1)
+    coeffs = [_laurent()]
+    running = _laurent()
     for k in range(1, D + 1):
-        running = running * (U - _LaurentUV.monomial(0, 1, k - 1))
+        running = running * (U - _laurent(0, 1, k - 1))
         coeffs.append(running.scale(Fraction(1, math.factorial(k))))
     series = TruncatedSeries(_LB, D, coeffs)
 
@@ -282,26 +245,24 @@ def deformed_ah(p: int, D: int) -> DeformedAHSeries:
     r = 1
     while p ** r <= D:
         q = p ** r
-        e_r = (_LaurentUV.monomial(q, -q) - _LaurentUV.monomial(
-            q // p, -(q // p))).scale(Fraction(1, q))
-        fac = [_LaurentUV.const(1)]
-        binom = _LaurentUV.const(1)
+        e_r = (_laurent(q, -q) - _laurent(q // p, -(q // p))).scale(
+            Fraction(1, q))
+        fac = [_laurent()]
+        binom = _laurent()
         kmax = D // q
         for k in range(1, kmax + 1):
-            binom = binom * (e_r - _LaurentUV.const(k - 1))
+            binom = binom * (e_r - _laurent(c=k - 1))
             binom_k = binom.scale(Fraction(1, math.factorial(k)))
-            fac.append(binom_k * _LaurentUV.monomial(0, q * k))
+            fac.append(binom_k * _laurent(0, q * k))
         fac_series = TruncatedSeries(
             _LB, D,
             [fac[i // q] if i % q == 0 and i // q < len(fac)
-             else _LaurentUV({}) for i in range(D + 1)])
+             else _LB.zero() for i in range(D + 1)])
         series = series * fac_series
         r += 1
 
     # certification: polynomial in L, p-integral coefficients
-    out = []
     for d, lc in enumerate(series.coeffs):
-        terms = {}
         for (ue, le), q in lc.terms.items():
             if le < 0:
                 raise CertificationError(
@@ -309,31 +270,26 @@ def deformed_ah(p: int, D: int) -> DeformedAHSeries:
             if q.denominator % p == 0:
                 raise CertificationError(
                     f"T^{d} coefficient {q} U^{ue} L^{le} not p-integral")
-            terms[(ue, le)] = q
-        out.append(Poly(_QQ, 2, terms))
-    return DeformedAHSeries(p, D, out)
+    return DeformedAHSeries(p, D, series.coeffs)
 
 
 def product_form(p: int, D: int) -> list[Poly]:
     """prod_{(i,p)=1} E_p(U L^(i-1) T^i)^((-1)^(i-1)/i) to degree D.
 
-    Returns per-degree Laurent coefficients for comparison against
-    deformed_ah (they must agree for p > 2).
+    Returns the per-degree coefficients, Polys over QQ in (U, L), for
+    comparison against deformed_ah (they must agree for p > 2).
     """
     ep = ah_series(p, D)
-    ep_l = TruncatedSeries(_LB, D, [_LaurentUV.const(c) for c in ep.coeffs])
+    ep_l = TruncatedSeries(_LB, D, [_laurent(c=c) for c in ep.coeffs])
     out = TruncatedSeries.one(_LB, D)
     for i in range(1, D + 1):
         if i % p == 0:
             continue
         # substitute T -> U L^(i-1) T^i, then exponent (-1)^(i-1)/i
-        fac = ep_l.compose_monomial(_LaurentUV.monomial(1, i - 1), i)
+        fac = ep_l.compose_monomial(_laurent(1, i - 1), i)
         fac = fac.rational_power(Fraction((-1) ** (i - 1), i))
         out = out * fac
-    coeffs = []
-    for lc in out.coeffs:
-        coeffs.append(Poly(_QQ, 2, dict(lc.terms)))
-    return coeffs
+    return out.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +321,6 @@ def ep_poly_special(a: RingElement, mu: RingElement, t: int) -> list[QuotElement
 
 def ep_witt(a: WittVector, mu: RingElement, D: int) -> TruncatedSeries:
     """E_p(a_vec, mu; T) = prod_k E_p(a_k, mu^(p^k); T^(p^k)), truncated."""
-    from .poly import ExactBase
     ring = a.ring
     base = ExactBase(ring)
     out = TruncatedSeries.one(base, D)

@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .dvr import RingDescriptor
+from .dvr import RingDescriptor, eta
 from .errors import P2ModelsError, PrecisionError
 from .hopf import (HopfMorphism, HopfPresentation, UnitSpec, check_morphism,
                    residue_fiber)
@@ -71,7 +71,6 @@ def wilson_check(p: int) -> bool:
 
 def eta_power_unit_check(ring: RingDescriptor) -> bool:
     """eta^p / lam_(1) = lam_(2)^p / lam_(1) = 1 mod pi."""
-    from .dvr import eta
     p = ring.p
     q1 = (eta(ring) ** p).divide_exact(ring.lam1)
     q2 = (ring.lam2 ** p).divide_exact(ring.lam1)

@@ -21,11 +21,12 @@ antipodes (the antipode is the convolution inverse of the identity).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from .dvr import IndeterminateAtPrecision, RingElement
 from .errors import DivisibilityError, PrecisionError
-from .poly import ExactBase, FpBase, Poly, QuotBase, horner, normal_form
+from .poly import ExactBase, FpBase, Poly, horner, normal_form
 
 
 @dataclass(frozen=True)
@@ -463,7 +464,6 @@ def morphism_matrix(f: HopfMorphism):
         raise ValueError("morphism matrix needs finite presentations")
     if src.rank() != tgt.rank():
         raise ValueError("morphism matrix needs equal ranks")
-    import itertools
     degs_t = [r.degree_in(i) for i, r in enumerate(tgt.relations)]
     degs_s = [r.degree_in(i) for i, r in enumerate(src.relations)]
     basis_t = list(itertools.product(*[range(d) for d in degs_t]))
@@ -541,26 +541,17 @@ def is_isomorphism(f: HopfMorphism) -> bool:
 # residue fiber
 # ---------------------------------------------------------------------------
 
-def _coeff_mod_pi(c):
-    if isinstance(c, RingElement):
-        if c.prec < 1:
-            raise PrecisionError("coefficient indeterminate at precision 0")
-        return c.digits[0] % c.ring.p
-    # QuotElement
-    if c.t < 1:
-        raise PrecisionError("coefficient in the zero ring")
-    return c.digits[0]
+def _coeff_mod_pi(c: RingElement) -> int:
+    if c.prec < 1:
+        raise PrecisionError("coefficient indeterminate at precision 0")
+    return c.digits[0] % c.ring.p
 
 
 def residue_fiber(pres: HopfPresentation) -> HopfPresentation:
     """Base change to the residue field F_p (reduce everything mod pi)."""
-    if isinstance(pres.base, ExactBase):
-        p = pres.base.ring.p
-    elif isinstance(pres.base, QuotBase):
-        p = pres.base.ring.p
-    else:
+    if not isinstance(pres.base, ExactBase):
         raise ValueError("presentation already over the residue field")
-    fp = FpBase(p)
+    fp = FpBase(pres.base.ring.p)
 
     def red(poly):
         return poly.map_coeffs(_coeff_mod_pi, fp) if poly is not None else None

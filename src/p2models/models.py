@@ -21,13 +21,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .artin_hasse import ep_poly_special
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
-                  RingElement, eq_mod, eta)
+                  RingElement, enumerate_quotient, eq_mod, eta)
 from .errors import (BudgetError, DivisibilityError, LinearSolveError,
-                     P2ModelsError, ValuationError)
+                     P2ModelsError, PrecisionError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
                    UnitSpec, check_morphism, is_model_map)
-from .poly import ExactBase, Poly, QuotBase, normal_form
+from .poly import ExactBase, Poly, normal_form
+from .witt import (WittVector, is_frobenius_kernel, mult_by_p,
+                   psi_star_image)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -41,6 +44,15 @@ def _budget_for(ring: RingDescriptor, budget) -> int:
 def _check_budget(count: int, budget: int):
     if count > budget:
         raise BudgetError(f"{count} candidates exceed budget {budget}")
+
+
+def _mod_pi(c: RingElement, t: int) -> RingElement:
+    """c as an element of R/pi^t: c at precision t, so that every test
+    on it is decided mod pi^t.  Refuses a c known to less than pi^t."""
+    if c.prec < t:
+        raise PrecisionError(f"element known mod pi^{c.prec}, needed "
+                             f"mod pi^{t}")
+    return c.with_prec(t)
 
 
 def poly_in_var(base, nvars: int, var: int, coeffs) -> Poly:
@@ -187,12 +199,11 @@ def hom_gln(ring: RingDescriptor, lam: RingElement, lam2: RingElement,
 # ---------------------------------------------------------------------------
 
 def _mu_relation_quot(ring, m: int, t: int, nvars: int, var: int) -> Poly:
-    """P_{pi^m,1} as a Poly over R/pi^t in the given variable."""
-    qb = QuotBase(ring, t)
-    coeffs = [ring.zero().reduce_mod(t)]
-    for c in kummer_quotient_coeffs(ring, ring.pi(m), ring.p):
-        coeffs.append(c.reduce_mod(t))
-    return poly_in_var(qb, nvars, var, coeffs)
+    """P_{pi^m,1} over R/pi^t in the given variable: its coefficients are
+    at precision t."""
+    coeffs = kummer_quotient_coeffs(ring, ring.pi(m), ring.p)
+    return poly_in_var(ExactBase(ring), nvars, var,
+                       [ring.zero(t)] + [_mod_pi(c, t) for c in coeffs])
 
 
 def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
@@ -204,10 +215,7 @@ def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
     evaluated exponentials with a ranging over the twisted kernel
     {a : a^p = mu^(p-1) a mod pi^n}.
     """
-    from .artin_hasse import ep_poly_special
     p = ring.p
-    one_row = tuple([ring.one().reduce_mod(n)]
-                    + [ring.zero().reduce_mod(n)] * (p - 1))
     if n == 0:
         return [tuple(ring.zero().reduce_mod(0) for _ in range(p))]
     if m == 0:
@@ -221,7 +229,6 @@ def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
         raise ValuationError("closed form needs v(p) >= (p-1)v(mu), v(lam)")
     mu = ring.pi(m)
     out = []
-    from .dvr import enumerate_quotient
     for a in enumerate_quotient(ring, n):
         al = a.lift()
         ok, _ = eq_mod(al ** p, mu ** (p - 1) * al, n)
@@ -238,42 +245,39 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
     p = ring.p
     if n == 0:
         return [tuple(ring.zero().reduce_mod(0) for _ in range(p))]
-    qb = QuotBase(ring, n)
+    base = ExactBase(ring)
     relS = _mu_relation_quot(ring, m, n, 2, 0)
     relT = _mu_relation_quot(ring, m, n, 2, 1)
-    S = Poly.var(qb, 2, 0)
-    T = Poly.var(qb, 2, 1)
-    mu_red = ring.pi(m).reduce_mod(n) if m < n else ring.zero().reduce_mod(n)
-    arg = S + T + (S * T).scale(mu_red)
+    one = ring.one().with_prec(n)
+    S = Poly.var(base, 2, 0, one)
+    T = Poly.var(base, 2, 1, one)
+    arg = S + T + (S * T).scale(_mod_pi(ring.pi(m), n))
 
     budget = _budget_for(ring, budget)
+    # each candidate coefficient with its canonical lift at precision n
+    pairs = [(c, c.lift().with_prec(n)) for c in enumerate_quotient(ring, n)]
     if m == 0:
-        coeff_pools = [_all_digits(ring, n)] * p
+        coeff_pools = [pairs] * p
     else:
         # F = 1 mod pi: constant term 1 + pi(...), others pi(...)
-        coeff_pools = [[c for c in _all_digits(ring, n) if c.digits[0] == 1]]
-        coeff_pools += [[c for c in _all_digits(ring, n)
-                         if c.digits[0] == 0]] * (p - 1)
+        coeff_pools = [[c for c in pairs if c[0].digits[0] == 1]]
+        coeff_pools += [[c for c in pairs if c[0].digits[0] == 0]] * (p - 1)
     count = 1
     for pool in coeff_pools:
         count *= len(pool)
     _check_budget(count, budget)
 
     out = []
-    for coeffs in itertools.product(*coeff_pools):
-        F_S = poly_in_var(qb, 2, 0, coeffs)
-        F_T = poly_in_var(qb, 2, 1, coeffs)
-        F_arg = _eval_poly_at(coeffs, arg)
+    for row in itertools.product(*coeff_pools):
+        coeffs, lifts = zip(*row)
+        F_S = poly_in_var(base, 2, 0, lifts)
+        F_T = poly_in_var(base, 2, 1, lifts)
+        F_arg = _eval_poly_at(lifts, arg)
         lhs = normal_form(F_S * F_T, [relS, relT])
         rhs = normal_form(F_arg, [relS, relT])
         if lhs.eq(rhs):
-            out.append(tuple(coeffs))
+            out.append(coeffs)
     return sorted(out, key=lambda row: [c.digits for c in row])
-
-
-def _all_digits(ring, n):
-    from .dvr import enumerate_quotient
-    return list(enumerate_quotient(ring, n))
 
 
 def _eval_poly_at(coeffs, arg: Poly) -> Poly:
@@ -311,7 +315,7 @@ def phi_congruence(ring: RingDescriptor, m: int, n: int,
     if n == 0:
         return True
     al = a.lift()
-    if not (al ** p).reduce_mod(n).is_zero():
+    if not _mod_pi(al ** p, n).is_zero():
         return False
     lhs = al.scale(p) - ring.pi(m).scale(j)
     rhs = rho_scalar(ring, m) * al ** p
@@ -328,7 +332,6 @@ def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
     bound = max(p * n + (p - 1) * m - ring.e, n)
     vmin = math.ceil(bound / p)
     out = []
-    from .dvr import enumerate_quotient
     for a in enumerate_quotient(ring, n):
         v = a.valuation()
         if a.is_zero() or (not isinstance(v, IndeterminateAtPrecision)
@@ -373,7 +376,6 @@ def phi_brute(ring: RingDescriptor, m: int, n: int,
     p = ring.p
     _check_budget(p ** n * p, _budget_for(ring, budget))
     out = []
-    from .dvr import enumerate_quotient
     for a in enumerate_quotient(ring, n):
         for j in range(p):
             if phi_congruence(ring, m, n, a, j):
@@ -389,6 +391,10 @@ def ker_p2_brute(ring: RingDescriptor, m: int, n: int,
 # ---------------------------------------------------------------------------
 # descriptors and the extension presentations
 # ---------------------------------------------------------------------------
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
 
 @dataclass(frozen=True)
 class ModelDescriptor:
@@ -415,12 +421,24 @@ class ModelDescriptor:
 
     @classmethod
     def from_json(cls, ring: RingDescriptor, obj) -> "ModelDescriptor":
+        """Parse outside input: p, M, m, n and j must be integers and
+        every digit of a an integer in [0, p); ValueError names the
+        first field that is not."""
+        for key in ("p", "M", "m", "n", "j"):
+            if not _is_int(obj[key]):
+                raise ValueError(
+                    f"field {key!r} must be an integer, got {obj[key]!r}")
+        digits = obj["a_digits"]
+        if not isinstance(digits, list) or not all(
+                _is_int(d) and 0 <= d < ring.p for d in digits):
+            raise ValueError(f"field 'a_digits' must be a list of integers "
+                             f"in [0, {ring.p}), got {digits!r}")
         if obj["p"] != ring.p:
             raise ValueError("descriptor p does not match ring")
         if obj["M"] != ring.M:
             raise ValueError(
                 f"descriptor M = {obj['M']} does not match precision {ring.M}")
-        a = QuotElement(ring, obj["n"], tuple(obj["a_digits"]))
+        a = QuotElement(ring, obj["n"], tuple(digits))
         return cls(ring, obj["m"], obj["n"], a, obj["j"])
 
 
@@ -543,16 +561,19 @@ def build_extension_smooth(d: ModelDescriptor) -> HopfPresentation:
 def _chain_solve(ring: RingDescriptor, rows, rhs, t: int):
     """Solve A x = rhs over R/pi^t by min-valuation pivoting.
 
-    rows: list of lists of RingElements (lifts); rhs: RingElements.
+    rows: list of lists of RingElements; rhs: RingElements.  The
+    elimination runs on the entries at precision t, so every valuation
+    and zero test is decided mod pi^t, and each pivot is inverted once.
     Returns x as RingElements (canonical lifts of the solution mod pi^t);
     raises LinearSolveError when inconsistent or underdetermined by a
     non-unit pivot.
     """
     ncols = len(rows[0])
-    A = [[c.reduce_mod(t) for c in row] for row in rows]
-    b = [c.reduce_mod(t) for c in rhs]
+    A = [[_mod_pi(c, t) for c in row] for row in rows]
+    b = [_mod_pi(c, t) for c in rhs]
     nrows = len(A)
     where = [None] * ncols
+    inverses = [None] * ncols
     used = set()
     for col in range(ncols):
         best, best_v = None, None
@@ -574,30 +595,23 @@ def _chain_solve(ring: RingDescriptor, rows, rhs, t: int):
                 "solution not unique at working precision")
         used.add(best)
         where[col] = best
-        piv_inv = A[best][col].lift().invert_unit()
+        # later steps change the pivot only by multiples of pi^t
+        piv_inv = inverses[col] = A[best][col].invert_unit()
         for r in range(nrows):
             if r == best:
                 continue
-            factor = (A[r][col].lift() * piv_inv).reduce_mod(t)
+            factor = A[r][col] * piv_inv
             if factor.is_zero():
                 continue
-            fl = factor.lift()
-            A[r] = [(x.lift() - fl * y.lift()).reduce_mod(t)
-                    for x, y in zip(A[r], A[best])]
-            b[r] = (b[r].lift() - fl * b[best].lift()).reduce_mod(t)
+            A[r] = [x - factor * y for x, y in zip(A[r], A[best])]
+            b[r] = b[r] - factor * b[best]
     # consistency of untouched rows
     for r in range(nrows):
         if r not in used and not b[r].is_zero():
             raise LinearSolveError("inconsistent linear system")
-    out = []
-    for col in range(ncols):
-        r = where[col]
-        if r is None:
-            out.append(ring.zero())
-        else:
-            out.append((b[r].lift() * A[r][col].lift().invert_unit())
-                       .reduce_mod(t).lift())
-    return out
+    return [ring.zero() if r is None
+            else (b[r] * inverses[col]).reduce_mod(t).lift()
+            for col, r in enumerate(where)]
 
 
 def solve_target_hom(d: ModelDescriptor) -> list[RingElement]:
@@ -830,20 +844,23 @@ def rad_brute(ring: RingDescriptor, m: int, n: int,
     """Pairs (F, j) with F a hom representative over R/pi^n and
     F^p (1+mu S)^(-j) = 1 over R/pi^(pn); survivors must have j = 0
     when v(mu) < v(lam) (no cyclic-p^2 models in this regime)."""
-    p = ring.p
+    p, t = ring.p, ring.p * n
     homs = hom_brute(ring, m, n, budget)
-    qb = QuotBase(ring, p * n)
-    rel = _mu_relation_quot(ring, m, p * n, 1, 0)
-    u1 = (Poly.one(qb, 1)
-          + Poly.var(qb, 1, 0).scale(ring.pi(m).reduce_mod(p * n)))
+    base = ExactBase(ring)
+    rel = _mu_relation_quot(ring, m, t, 1, 0)
+    one = Poly.const(base, 1, ring.one().with_prec(t))
+    u1 = one + Poly.var(base, 1, 0, _mod_pi(ring.pi(m), t))
+    # the reduced (1 + mu S)^j for j < p
+    rhs, u1j = [], one
+    for _ in range(p):
+        rhs.append(normal_form(u1j, [rel]))
+        u1j = u1j * u1
     out = []
     for row in homs:
-        lifts = [c.lift().reduce_mod(p * n) for c in row]
-        F = poly_in_var(qb, 1, 0, lifts)
+        F = poly_in_var(base, 1, 0, [c.lift().with_prec(t) for c in row])
         Fp = normal_form(F ** p, [rel])
         for j in range(p):
-            rhs = normal_form(u1 ** j, [rel])
-            if Fp.eq(rhs):
+            if Fp.eq(rhs[j]):
                 out.append((row, j))
     if n > m and any(j != 0 for _, j in out):
         raise P2ModelsError(
@@ -856,9 +873,6 @@ def rad_witt_count(ring: RingDescriptor, m: int, n: int,
     """Independent count of rad survivors via the Witt layer, for
     support-1 classes: a with [a] in the twisted kernel over R/pi^n and
     p[a] in the image of the isogeny pullback over R/pi^(pn)."""
-    from .dvr import enumerate_quotient
-    from .witt import (WittVector, is_frobenius_kernel, mult_by_p,
-                       psi_star_image)
     p = ring.p
     mu = ring.pi(m)
     _check_budget(p ** n * p ** (p * n), _budget_for(ring, budget))

@@ -4,22 +4,27 @@ The bases are thin adapters exposing a common protocol (zero/one/
 from_int/add/neg/mul/is_zero/eq, plus exact scalar division where it
 makes sense):
 
-  * ExactBase  -- elements of R at working precision,
-  * QuotBase   -- canonical elements of R/pi^t R,
+  * ExactBase  -- elements of R, each at its own pi-adic precision,
   * FpBase     -- integers mod p (the residue field).
 
-Polynomials are sparse dicts {exponent tuple: coefficient}.  Normal
-forms modulo a triangular monic relation system (relation i monic in
-variable i, other terms of lower degree in variable i and involving
-only earlier variables) are computed by iterated rewriting, which
-terminates because each step strictly lowers the reversed-lex key.
+A polynomial over a quotient R/pi^t R is an ExactBase polynomial whose
+coefficients are at precision t: R/pi^t is R known mod pi^t, and every
+coefficient comparison is decided mod pi^t.
+
+Polynomials are sparse dicts {exponent tuple: coefficient}.  Arithmetic
+allows negative exponents, so a Poly can be a Laurent polynomial
+(artin_hasse inverts L this way).  Normal forms modulo a triangular
+monic relation system (relation i monic in variable i, other terms of
+lower degree in variable i and involving only earlier variables) are
+computed by iterated rewriting, which terminates because each step
+strictly lowers the reversed-lex key.
 """
 
 from __future__ import annotations
 
 from operator import add
 
-from .dvr import RAW_PRODUCTS, QuotElement, RingDescriptor, RingElement
+from .dvr import RAW_PRODUCTS, RingDescriptor, RingElement
 from .errors import DivisibilityError, ValuationError
 
 
@@ -70,51 +75,6 @@ class ExactBase:
 
     def __repr__(self):
         return f"ExactBase(p={self.ring.p})"
-
-
-class QuotBase:
-    """Coefficients in R/pi^t R, canonical digit representatives."""
-
-    def __init__(self, ring: RingDescriptor, t: int):
-        self.ring = ring
-        self.t = t
-
-    def zero(self):
-        return QuotElement(self.ring, self.t, (0,) * self.t)
-
-    def one(self):
-        return self.ring.one().reduce_mod(self.t)
-
-    def from_int(self, n):
-        return self.ring.from_int(n).reduce_mod(self.t)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
-    def eq(self, a, b):
-        return a == b
-
-    def prune_zero(self, a):
-        return a.is_zero()
-
-    def coeff_json(self, a):
-        return a.to_json()
-
-    def __eq__(self, other):
-        return (isinstance(other, QuotBase) and other.ring is self.ring
-                and other.t == self.t)
-
-    def __repr__(self):
-        return f"QuotBase(p={self.ring.p}, t={self.t})"
 
 
 class FpBase:

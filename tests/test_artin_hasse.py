@@ -1,5 +1,6 @@
 """Tests for the Artin-Hasse layer: integrality, specializations, forms."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from p2models.artin_hasse import (
 )
 from p2models.dvr import eq_mod, eta, make_ring
 from p2models.errors import CertificationError
-from p2models.poly import Poly
+from p2models.poly import ExactBase, Poly, normal_form
 from p2models.witt import WittVector, verschiebung
 
 
@@ -142,49 +143,60 @@ def test_ep_witt_verschiebung_collapses(R3):
     assert series.eq(direct)
 
 
+def _perturbed(coeffs, i, x):
+    return [c + x if k == i else c for k, c in enumerate(coeffs)]
+
+
 def test_group_like_property(R3):
-    # F(S)F(T) = F(S+T+mu S T) modulo the relation ideal, for closed-form F
-    from p2models.poly import QuotBase, normal_form
+    # F(S)F(T) = F(S+T+mu S T) modulo the relation ideal, for closed-form
+    # F: polynomials over R/pi^t, with coefficients at precision t
     t = 3
     mu = R3.pi(3)
     a = R3.pi()  # a^3 = 0 mod pi^3
-    coeffs = ep_poly_special(a, mu, t)
-    qb = QuotBase(R3, t)
-    # two variables S, T
-    S = Poly.var(qb, 2, 0)
-    T = Poly.var(qb, 2, 1)
-    F_S = poly_from_coeffs(S, coeffs)
-    F_T = poly_from_coeffs(T, coeffs)
-    arg = S + T + (S * T).scale(mu.reduce_mod(t))
-    F_arg = poly_from_coeffs(arg, coeffs)
+    base = ExactBase(R3)
+    one = R3.one().with_prec(t)
+    S = Poly.var(base, 2, 0, one)
+    T = Poly.var(base, 2, 1, one)
+    arg = S + T + (S * T).scale(mu.with_prec(t))
     # relation ideal: P_{mu,1}(S), P_{mu,1}(T)
-    import math as _m
-    rel_coeffs = []
-    for k in range(1, 4):
-        rel_coeffs.append(
-            R3.from_int(_m.comb(3, k)).divide_exact(mu ** (3 - k)))
-    relS = poly_from_coeffs(S, [R3.zero().reduce_mod(t)]
-                            + [c.reduce_mod(t) for c in rel_coeffs])
-    relT = poly_from_coeffs(T, [R3.zero().reduce_mod(t)]
-                            + [c.reduce_mod(t) for c in rel_coeffs])
-    lhs = normal_form(F_S * F_T, [relS, relT])
-    rhs = normal_form(F_arg, [relS, relT])
-    assert lhs.eq(rhs)
+    rel_coeffs = [R3.zero(t)] + [
+        R3.from_int(math.comb(3, k)).divide_exact(mu ** (3 - k)).with_prec(t)
+        for k in range(1, 4)]
+    rels = [poly_from_coeffs(S, rel_coeffs), poly_from_coeffs(T, rel_coeffs)]
+
+    def group_like(coeffs):
+        lhs = poly_from_coeffs(S, coeffs) * poly_from_coeffs(T, coeffs)
+        rhs = poly_from_coeffs(arg, coeffs)
+        return normal_form(lhs, rels).eq(normal_form(rhs, rels))
+
+    coeffs = [c.lift().with_prec(t) for c in ep_poly_special(a, mu, t)]
+    assert group_like(coeffs)
+    # negative controls: the constant term moved by pi^(t-1) breaks the
+    # identity, moved by pi^t it does not; equality is decided mod pi^t
+    assert not group_like(_perturbed(coeffs, 0, R3.pi(t - 1)))
+    assert group_like(_perturbed(coeffs, 0, R3.pi(t)))
 
 
 def test_differential_characterization(R3):
-    # F(S) a = F'(S)(1 + mu S) for the closed form
-    from p2models.poly import QuotBase
+    # F(S) a = F'(S)(1 + mu S) for the closed form, at precision t
     t = 3
     mu = R3.pi(3)
     a = R3.pi()
-    coeffs = ep_poly_special(a, mu, t)
-    qb = QuotBase(R3, t)
-    S = Poly.var(qb, 1, 0)
-    F = poly_from_coeffs(S, coeffs)
-    Fp = Poly.zero(qb, 1)
-    for i, c in enumerate(coeffs[1:], start=1):
-        Fp = Fp + (S ** (i - 1)).scale(c.scale(i))
-    lhs = F.scale(a.reduce_mod(t))
-    rhs = Fp * (Poly.one(qb, 1) + S.scale(mu.reduce_mod(t)))
-    assert lhs.eq(rhs)
+    base = ExactBase(R3)
+    S = Poly.var(base, 1, 0, R3.one().with_prec(t))
+
+    def differential(coeffs):
+        F = poly_from_coeffs(S, coeffs)
+        Fp = Poly.zero(base, 1)
+        for i, c in enumerate(coeffs[1:], start=1):
+            Fp = Fp + (S ** (i - 1)).scale(c.scale(i))
+        lhs = F.scale(a.with_prec(t))
+        rhs = Fp * (S ** 0 + S.scale(mu.with_prec(t)))
+        return lhs.eq(rhs)
+
+    coeffs = [c.lift().with_prec(t) for c in ep_poly_special(a, mu, t)]
+    assert differential(coeffs)
+    # negative controls on the linear coefficient (a moved constant term
+    # changes F a only by a multiple of pi^t)
+    assert not differential(_perturbed(coeffs, 1, R3.pi(t - 1)))
+    assert differential(_perturbed(coeffs, 1, R3.pi(t)))

@@ -106,6 +106,23 @@ def test_verify_short_a_digits_is_bad_input(capsys):
     assert "malformed descriptor" in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("a_digits", [0, 4, 1]),     # a digit not below p
+    ("a_digits", [0, -2, 1]),
+    ("a_digits", [0, True, 1]),
+    ("j", 1.0),
+    ("a_digits", [0, 1.5, 1]),
+    ("a_digits", ["x", 1, 1]),
+])
+def test_verify_rejects_non_integer_descriptor_fields(capsys, field, value):
+    # a digit outside [0, p) is rejected, not reduced mod p and verified
+    desc = {"p": 3, "M": 12, "m": 3, "n": 3, "a_digits": [0, 1, 1], "j": 1}
+    desc[field] = value
+    code, out, err = run(capsys, "verify", "--descriptor", json.dumps(desc))
+    assert code == 2 and out == ""
+    assert "malformed descriptor" in err and repr(field) in err
+
+
 def test_verify_descriptor_precision_mismatch(capsys):
     low = json.dumps({"p": 3, "M": 5, "m": 3, "n": 3,
                       "a_digits": [0, 1, 1], "j": 1})

@@ -2,16 +2,20 @@
 
 * They must not rest on `assert`, which `python -O` strips.
 * The ring operations of the resident kernel do not loop over digits.
+* Every boundary the benchmark's tracer wraps exists in the package.
 """
 
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # Criteria 3, 6 and 10 compare the closed forms phi_closed and hom_closed
 # with their oracles; emptied closed forms must fail them.
@@ -61,3 +65,22 @@ def test_sabotaged_battery_fails_under_optimize():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"3": False, "6": False, "10": False}
+
+
+def test_trace_boundaries_resolve():
+    # `perfbench/run.py --trace 1` wraps each of these names, looked up as
+    # owner.__dict__[attr]; a refactor that renames or removes one breaks
+    # the traced benchmark run.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for bname, (modname, qualnames) in tracing.BOUNDARIES.items():
+        mod = importlib.import_module(f"p2models.{modname}")
+        for qual in qualnames:
+            owner_name, _, attr = qual.rpartition(".")
+            owner = getattr(mod, owner_name, None) if owner_name else mod
+            if owner is None or attr not in vars(owner):
+                missing.append(f"{bname}: {modname}.{qual}")
+    assert missing == []

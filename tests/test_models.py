@@ -354,6 +354,30 @@ def test_build_extension_inverts_each_divisor_once(models3, monkeypatch):
     assert calls <= 5
 
 
+@pytest.mark.parametrize("p, M, m, n, a_digits, j", [
+    (3, 12, 3, 3, (0, 1, 1), 1),   # a = eta mod pi^3
+    (5, 8, 3, 3, (0, 0, 1), 0),    # the kernel-extreme p = 5 descriptor
+])
+def test_solve_target_hom_inverts_each_pivot_once(monkeypatch, p, M, m, n,
+                                                  a_digits, j):
+    # One Newton inversion for the Kummer divisor mu^p and one per pivot
+    # column, reused for the solution: 4 at p = 3, 6 at p = 5.
+    ring = make_ring(p, M)
+    ring.p_over_pi()  # the ring's cached unit is not part of the count
+    d = ModelDescriptor(ring, m, n, QuotElement(ring, n, a_digits), j)
+    calls = 0
+    invert = RingElement.invert_unit
+
+    def counting_invert(x):
+        nonlocal calls
+        calls += 1
+        return invert(x)
+
+    monkeypatch.setattr(RingElement, "invert_unit", counting_invert)
+    solve_target_hom(d)
+    assert calls == 1 + p
+
+
 def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     # a with maximal valuation in ker p2 at p=5
     R5 = make_ring(5, 8)
