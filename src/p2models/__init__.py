@@ -10,8 +10,8 @@ from .errors import (BudgetError, CertificationError, DivisibilityError,
 from .witt import (WittVector, frobenius_w, ghost, ghosts,
                    is_frobenius_kernel, mult_by_p, psi_star_image,
                    scalar_teich, verschiebung, witt_add, witt_mul)
-from .artin_hasse import (DeformedAHSeries, TruncatedSeries, ah_series,
-                          deformed_ah, ep_poly_special, ep_witt)
+from .artin_hasse import (ah_series, deformed_ah, ep_poly_special, ep_witt,
+                          specialize)
 from .hopf import (AxiomReport, HopfMorphism, HopfPresentation,
                    check_hopf_axioms, check_morphism, is_isomorphism,
                    is_model_map, residue_fiber)

@@ -234,21 +234,25 @@ def cmd_dump_series(args) -> int:
             args.p, args.degree)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
+    # the terms of each T-degree, as (exponents after T, coefficient)
+    groups = [[] for _ in range(args.degree + 1)]
+    for m, q in sorted(series.terms.items()):
+        groups[m[0]].append((m[1:], q))
     if args.deformed:
         doc = {"p": args.p, "degree": args.degree, "series": "deformed",
                "coefficients": [
                    {"degree": i,
                     "terms": [{"u": ue, "l": le, "value": str(q)}
-                              for (ue, le), q in sorted(poly.terms.items())]}
-                   for i, poly in enumerate(series.coeffs)]}
+                              for (ue, le), q in terms]}
+                   for i, terms in enumerate(groups)]}
         rows = [(i, " + ".join(f"({q}) U^{ue} L^{le}"
-                               for (ue, le), q in sorted(poly.terms.items()))
-                 or "0")
-                for i, poly in enumerate(series.coeffs)]
+                               for (ue, le), q in terms) or "0")
+                for i, terms in enumerate(groups)]
     else:
+        coeffs = [str(terms[0][1]) if terms else "0" for terms in groups]
         doc = {"p": args.p, "degree": args.degree, "series": "exponential",
-               "coefficients": [str(c) for c in series.coeffs]}
-        rows = [(i, str(c)) for i, c in enumerate(series.coeffs)]
+               "coefficients": coeffs}
+        rows = list(enumerate(coeffs))
     _emit(args, doc, ["degree", "coefficient"], rows)
     return 0
 

@@ -28,9 +28,8 @@ import math
 from dataclasses import dataclass
 
 from .dvr import RingDescriptor, eta
-from .errors import P2ModelsError, PrecisionError
 from .hopf import (HopfMorphism, HopfPresentation, UnitSpec, check_morphism,
-                   residue_fiber)
+                   coeff_mod_pi, residue_fiber)
 from .models import ModelDescriptor, build_extension, rho_scalar
 from .poly import FpBase, Poly, normal_form
 
@@ -77,12 +76,6 @@ def eta_power_unit_check(ring: RingDescriptor) -> bool:
     return (q1.digits[0] % p == 1) and (q2.digits[0] % p == 1)
 
 
-def _mod_pi(x) -> int:
-    if x.prec < 1:
-        raise PrecisionError("cannot reduce mod pi at precision 0")
-    return x.digits[0] % x.ring.p
-
-
 def classify_fiber(d: ModelDescriptor) -> FiberClass:
     """Dispatch on the valuation cell; j = 0 descriptors allowed."""
     ring = d.ring
@@ -98,7 +91,8 @@ def classify_fiber(d: ModelDescriptor) -> FiberClass:
         defect = al.scale(p) - mu.scale(d.j) - rho_scalar(ring, m) * al ** p
         beta = (-defect.divide_exact(lam ** p))
         gamma = (al ** p).divide_exact(lam)
-        return FiberClass("AlphaPExtension", (_mod_pi(beta), _mod_pi(gamma)))
+        return FiberClass("AlphaPExtension",
+                          (coeff_mod_pi(beta), coeff_mod_pi(gamma)))
     if n < p:
         return FiberClass("TrivialExtension")
     return FiberClass("ZpByZp", (0, d.j))
@@ -175,11 +169,11 @@ def claimed_presentation(ring: RingDescriptor, d: ModelDescriptor,
         rel1 = S1 ** p
         if d.m == p:
             rel1 = S1 ** p - S1.scale(
-                (-_mod_pi(rho_scalar(ring, d.m))) % p)
+                (-coeff_mod_pi(rho_scalar(ring, d.m))) % p)
         rel2 = S2 ** p
         if d.n == p:
             rel2 = S2 ** p - S2.scale(
-                (-_mod_pi(rho_scalar(ring, d.n))) % p)
+                (-coeff_mod_pi(rho_scalar(ring, d.n))) % p)
         d1 = _mult_comult(p, 4, 0, 2, mu_bar)
         d2 = _mult_comult(p, 4, 1, 3, lam_bar)
         return _fp_pres(p, rel1, rel2, d1, d2,

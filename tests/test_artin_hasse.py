@@ -6,17 +6,20 @@ from fractions import Fraction
 import pytest
 
 from p2models.artin_hasse import (
-    DeformedAHSeries,
+    _certify,
+    _mul,
+    _rational_power,
     ah_series,
     deformed_ah,
     ep_poly_special,
     ep_witt,
     product_form,
+    specialize,
 )
 from p2models.dvr import eq_mod, eta, make_ring
 from p2models.errors import CertificationError
 from p2models.poly import ExactBase, Poly, normal_form
-from p2models.witt import WittVector, verschiebung
+from p2models.witt import QQBase, WittVector, verschiebung
 
 
 def poly_from_coeffs(var, coeffs):
@@ -33,58 +36,82 @@ def R3():
 
 def test_ah_series_leading_coeffs():
     s = ah_series(3, 9)
-    assert s.coeffs[0] == 1
-    assert s.coeffs[1] == 1
+    assert s.coefficient((0,)) == 1
+    assert s.coefficient((1,)) == 1
 
 
 def test_ah_series_p_integral_to_27():
     s = ah_series(3, 27)
-    for c in s.coeffs:
+    assert s.degree_in(0) == 27
+    for c in s.terms.values():
         assert c.denominator % 3 != 0
 
 
 def test_ah_series_known_values():
     # exp(T + T^3/3 + ...): T^2 coefficient 1/2, T^3: 1/6 + 1/3 = 1/2
     s = ah_series(3, 4)
-    assert s.coeffs[2] == Fraction(1, 2)
-    assert s.coeffs[3] == Fraction(1, 2)
+    assert s.coefficient((2,)) == Fraction(1, 2)
+    assert s.coefficient((3,)) == Fraction(1, 2)
 
 
 def test_deformed_ah_specialize_u_equals_l():
     # E_p(mu, mu; T) = 1 + mu T
     d = deformed_ah(3, 9)
-    U = Poly.var(d.coeffs[0].base, 2, 0)
-    coeffs = d.specialize_qq(U, U)
-    assert coeffs[0].eq(Poly.one(coeffs[0].base, 2))
-    assert coeffs[1].eq(U)
-    for c in coeffs[2:]:
-        assert c.is_zero()
+    T, U = Poly.var(d.base, 3, 0), Poly.var(d.base, 3, 1)
+    assert d.subst([T, U, U]).eq(Poly.one(d.base, 3) + U * T)
 
 
 def test_deformed_ah_specialize_l_zero():
     # E_p(a, 0; T) = E_p(aT)
     D = 9
     d = deformed_ah(3, D)
-    base = d.coeffs[0].base
-    U = Poly.var(base, 2, 0)
-    Z = Poly.zero(base, 2)
-    coeffs = d.specialize_qq(U, Z)
-    e = ah_series(3, D)
-    for i in range(D + 1):
-        expect = (U ** i).scale(e.coeffs[i])
-        assert coeffs[i].eq(expect)
+    T, U = Poly.var(d.base, 3, 0), Poly.var(d.base, 3, 1)
+    Z = Poly.zero(d.base, 3)
+    assert d.subst([T, U, Z]).eq(ah_series(3, D).subst([U * T]))
 
 
 def test_deformed_ah_product_form_p3():
-    D = 27
-    d = deformed_ah(3, D)
-    pf = product_form(3, D)
-    for i in range(D + 1):
-        assert d.coeffs[i].eq(pf[i]), f"degree {i} mismatch"
+    assert deformed_ah(3, 27).eq(product_form(3, 27))
+
+
+def test_deformed_ah_product_form_p5():
+    assert deformed_ah(5, 25).eq(product_form(5, 25))
 
 
 def test_deformed_ah_certified_at_p5():
-    deformed_ah(5, 25)  # certification runs internally
+    d = deformed_ah(5, 25)  # certification runs internally
+    assert d.degree_in(0) == 25
+    assert all(min(m) >= 0 for m in d.terms)
+
+
+def test_certify_rejects_non_integral():
+    # exp(T) to degree p: the coefficient 1/p! is not p-integral
+    p = 3
+    qq = QQBase()
+    exp_t = Poly(qq, 1, {(k,): Fraction(1, math.factorial(k))
+                         for k in range(p + 1)})
+    _certify(Poly(qq, 1, {(k,): c for (k,), c in exp_t.terms.items()
+                          if k < p}), p)
+    with pytest.raises(CertificationError, match="not p-integral"):
+        _certify(exp_t, p)
+
+
+def test_certify_rejects_negative_l_exponent():
+    qq = QQBase()
+    with pytest.raises(CertificationError, match="negative exponent"):
+        _certify(Poly(qq, 3, {(0, 0, 0): Fraction(1),
+                              (1, 1, -1): Fraction(1)}), 3)
+
+
+def test_rational_power_needs_constant_term_one():
+    qq = QQBase()
+    T = Poly.var(qq, 1, 0)
+    one = Poly.one(qq, 1)
+    # (1 + T)^(1/2) squared is 1 + T to the truncation degree
+    r = _rational_power(one + T, Fraction(1, 2), 6)
+    assert _mul(r, r, 6).eq(one + T)
+    with pytest.raises(ValueError, match="constant term 1"):
+        _rational_power(one.scale(Fraction(2)) + T, Fraction(1, 2), 6)
 
 
 def test_ep_poly_special_mu_zero(R3):
@@ -122,25 +149,35 @@ def test_ep_witt_single_factor(R3):
     mu = R3.pi()
     w = WittVector.integral(R3, [a0])
     series = ep_witt(w, mu, 8)
-    direct = deformed_ah(3, 8).specialize(a0, mu)
+    direct = specialize(deformed_ah(3, 8), a0, mu)
     assert series.eq(direct)
 
 
 def test_ep_witt_zero(R3):
     series = ep_witt(WittVector.zero(R3), R3.pi(), 5)
-    assert series.coeffs[0] == R3.one()
-    assert all(c.is_zero() for c in series.coeffs[1:])
+    assert series.coefficient((0,)) == R3.one()
+    assert all(series.coefficient((i,)).is_zero() for i in range(1, 6))
 
 
 def test_ep_witt_verschiebung_collapses(R3):
-    # a = V([b]) gives E_p(b, mu^p; T^p)
+    # a = V([b]) gives E_p(b, mu^p; T^p); after T -> T^3 a truncation at
+    # 9 keeps the degrees <= 3 of E_p(b, mu^p; T)
     b = R3.pi()
     mu = R3.pi()
     w = verschiebung(WittVector.integral(R3, [b]))
     series = ep_witt(w, mu, 9)
-    direct = deformed_ah(3, 9).specialize(b, mu ** 3).compose_monomial(
-        R3.one(), 3)
+    T = Poly.var(ExactBase(R3), 1, 0)
+    direct = specialize(deformed_ah(3, 3), b, mu ** 3).subst([T ** 3])
     assert series.eq(direct)
+
+
+def test_ep_witt_precision_per_coefficient(R3):
+    # the constant term is exactly 1 and the T coefficient is a, so
+    # neither inherits the precision of mu
+    a = R3.pi().with_prec(5)
+    series = ep_witt(WittVector.integral(R3, [a]), R3.pi().with_prec(7), 8)
+    assert series.coefficient((0,)) == R3.one()
+    assert series.coefficient((1,)) == a
 
 
 def _perturbed(coeffs, i, x):

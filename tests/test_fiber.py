@@ -81,7 +81,7 @@ def test_beta_gamma_lift_independence():
     # perturbing the lift of a Phi element by lam * x leaves the residue
     # classes alone (the formula's exactness absorbs the shift)
     from p2models.models import rho_scalar, phi_congruence
-    from p2models.fiber import _mod_pi
+    from p2models.hopf import coeff_mod_pi
     import random
     rng = random.Random(0)
     R5 = make_ring(5, 8)
@@ -95,8 +95,8 @@ def test_beta_gamma_lift_independence():
         x = R5.from_digits([rng.randrange(R5.pM) for _ in range(R5.e)])
         al = base_lift + lam * x
         defect = al.scale(p) - rho_scalar(R5, m) * al ** p
-        beta = _mod_pi(-defect.divide_exact(lam ** p))
-        gamma = _mod_pi((al ** p).divide_exact(lam))
+        beta = coeff_mod_pi(-defect.divide_exact(lam ** p))
+        gamma = coeff_mod_pi((al ** p).divide_exact(lam))
         vals.add((beta, gamma))
     assert vals == {(0, 0)}
 

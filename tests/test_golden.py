@@ -8,7 +8,9 @@ of `ambient_isogeny` on the seven p = 3 models with m <= 3.  A precision
 drift in any coefficient changes a digest even when every axiom check
 still passes.  One more digest, recorded from the code before the packed
 polynomial product, pins the source, target and images of
-`ambient_isogeny` at p = 5 on (m, n, a, j) = (3, 3, pi^2, 0).
+`ambient_isogeny` at p = 5 on (m, n, a, j) = (3, 3, pi^2, 0).  The
+`dump-series` digests were recorded from the code before the truncated
+series became Polys in T.
 """
 
 import hashlib
@@ -40,6 +42,15 @@ GOLDEN = {
 }
 
 AMBIENT_P5 = "8aa26db48254e8e8bf9e523db1f94777a9952784e6ae21b16428c0d124b6c19d"
+
+DUMP_SERIES = {
+    "--p 3 --degree 27":
+        "32f5ab234cfc7ec9838324467352bd81857a3789ee3cbad5aa8cddcf8cddd226",
+    "--p 3 --degree 27 --deformed":
+        "0eb05973809066bf75f7e78737dc7d9779beb8b572121e48606b815308a81ecc",
+    "--p 5 --degree 25 --deformed":
+        "42e866a97bfa861b2547349ee0993e72d75f9e8a4a41a125ae7fb03efdcf122e",
+}
 
 MODELS = {f"{d.m},{d.n},{d.a.digit_string() or '0'}": d
           for d in enumerate_models(make_ring(3, 12), 3)}
@@ -77,3 +88,9 @@ def test_ambient_isogeny_p5_golden():
               for x in f.images]
     doc = json.dumps([src.to_json(), tgt.to_json(), images], sort_keys=True)
     assert _sha(doc) == AMBIENT_P5
+
+
+@pytest.mark.parametrize("args", sorted(DUMP_SERIES))
+def test_dump_series_golden(args, capsys):
+    assert main(["dump-series", *args.split()]) == 0
+    assert _sha(capsys.readouterr().out) == DUMP_SERIES[args]

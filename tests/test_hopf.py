@@ -85,6 +85,27 @@ def test_smooth_axioms(R3):
     assert report.rank is None
 
 
+def test_antipode_and_unit_counit_can_fail(R3):
+    # negative controls: a polynomial antipode over R and over F_p, and
+    # a (num, den) antipode, each moved off the true one
+    from dataclasses import replace
+    G = build_g(R3, R3.pi(), 1)
+    S = build_g_smooth(R3, R3.pi())
+    for pres in (G, residue_fiber(G)):
+        report = check_hopf_axioms(
+            replace(pres, antipode=(pres.antipode[0] + pres.var(0),)))
+        assert not report.antipode_law
+        assert report.coassoc and report.counit_law
+    num, den = S.antipode[0]
+    assert not check_hopf_axioms(
+        replace(S, antipode=((-num, den),))).antipode_law
+    # a designated unit 2(1 + lam T) has counit 2
+    u = replace(S.units[0], poly=S.units[0].poly.scale(R3.from_int(2)))
+    report = check_hopf_axioms(replace(S, units=(u,)))
+    assert not report.unit_certificates
+    assert "designated unit 0 has counit != 1" in report.failures
+
+
 def test_star_condition_guard(R3):
     from p2models.errors import ValuationError
     with pytest.raises(ValuationError):

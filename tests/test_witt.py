@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from p2models.dvr import make_ring
+from p2models.errors import CertificationError
+from p2models.poly import Poly
 from p2models.witt import (
     WittVector,
     frob_poly,
@@ -81,6 +83,19 @@ def test_frob_poly_ghost_identity(p, r):
 
 def test_prod_poly_integral():
     prod_poly(3, 2)  # integrality asserted internally
+
+
+def test_ghost_inverse_rejects_non_integral():
+    # Phi_1 = X_0^3 + 3 X_1 gives back X_1; the ghost X_0^3 + X_1 would
+    # give X_1 / 3, which is not integral
+    from p2models.witt import _ghost_inverse
+    g = ghost_poly(3, 1, 2, 0)
+    x0 = Poly(g.base, 2, {(1, 0): Fraction(1)})
+    x1 = Poly(g.base, 2, {(0, 1): Fraction(1)})
+    assert _ghost_inverse(3, 1, g, [x0], "ghost").eq(x1)
+    bad = Poly(g.base, 2, {(3, 0): Fraction(1), (0, 1): Fraction(1)})
+    with pytest.raises(CertificationError, match="not integral"):
+        _ghost_inverse(3, 1, bad, [x0], "ghost")
 
 
 # -- ghost map ----------------------------------------------------------------
