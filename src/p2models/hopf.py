@@ -13,6 +13,10 @@ polynomial inverse, so identities involving 1/u are verified on
 LocalizedElement values by clearing denominators.  All designated units
 are required to be group-like (Delta u = u (x) u, eps u = 1), which is
 what makes denominators compose through comultiplications and morphisms.
+The antipode of a smooth presentation is then a pair (num, den): num
+divided by prod_i units[i]^den[i].  `to_json` writes such a pair as
+{"num": <num as a polynomial>, "den": [...]}, a polynomial antipode as
+a polynomial.
 
 Antipode compatibility of morphisms is not checked separately: a
 bialgebra morphism between Hopf algebras automatically commutes with the
@@ -86,7 +90,8 @@ class HopfPresentation:
                           for r in self.relations],
             "comult": [c.to_json() for c in self.comult],
             "counit": [self.base.coeff_json(c) for c in self.counit],
-            "antipode": [a.to_json() if isinstance(a, Poly) else repr(a)
+            "antipode": [a.to_json() if isinstance(a, Poly)
+                         else {"num": a[0].to_json(), "den": list(a[1])}
                          for a in self.antipode],
             "units": [u.poly.to_json() for u in self.units],
         }
@@ -96,17 +101,29 @@ class HopfPresentation:
 # tensor powers
 # ---------------------------------------------------------------------------
 
-def tensor_relations(pres: HopfPresentation, k: int) -> list:
-    """Relations of the k-fold tensor power (kn variables)."""
+def tensor_power(pres: HopfPresentation, k: int) -> HopfPresentation:
+    """The k-fold tensor power as a bare presentation in kn variables.
+
+    Factor f holds generators f*n .. f*n + n - 1; the relations and the
+    designated units (inverse certificates included) of each factor are
+    those of `pres`, embedded.
+    """
     n = pres.ngens
-    out = []
-    for f in range(k):
-        for i, r in enumerate(pres.relations):
-            if r is None:
-                out.append(None)
-            else:
-                out.append(r.embed(k * n, f * n))
-    return out
+
+    def emb(poly, f):
+        return None if poly is None else poly.embed(k * n, f * n)
+
+    return HopfPresentation(
+        base=pres.base,
+        gens=tuple(g + "'" * (f + 1) for f in range(k) for g in pres.gens),
+        relations=tuple(emb(r, f) for f in range(k) for r in pres.relations),
+        comult=(),
+        counit=pres.counit * k,
+        antipode=(),
+        units=tuple(UnitSpec(emb(u.poly, f), emb(u.inverse, f))
+                    for f in range(k) for u in pres.units),
+        name=" (x) ".join([pres.name] * k),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +147,11 @@ class LocalizedElement:
 
     def _common(self, other: "LocalizedElement"):
         den = tuple(max(a, b) for a, b in zip(self.den, other.den))
-        n1, n2 = self.num, other.num
-        for i, (a, b) in enumerate(zip(self.den, other.den)):
-            u = self.pres.units[i].poly
-            for _ in range(den[i] - a):
-                n1 = n1 * u
-            for _ in range(den[i] - b):
-                n2 = n2 * u
-        return n1, n2, den
+        x, y = self, other
+        for i, e in enumerate(den):
+            x = x.mul_unit_power(i, e - self.den[i])
+            y = y.mul_unit_power(i, e - other.den[i])
+        return x.num, y.num, den
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -167,7 +181,9 @@ class LocalizedElement:
 
     def mul_unit_power(self, i: int, e: int) -> "LocalizedElement":
         """Multiply by units[i]^e (e may be negative)."""
-        if e >= 0:
+        if e == 0:
+            return self
+        if e > 0:
             num = self.num
             for _ in range(e):
                 num = num * self.pres.units[i].poly
@@ -231,17 +247,17 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
     n = pres.ngens
     failures = []
 
-    rel3 = tensor_relations(pres, 3)
-    rel2 = tensor_relations(pres, 2)
+    sq = tensor_power(pres, 2)
+    rel2, rel3 = sq.relations, tensor_power(pres, 3).relations
 
     # coassociativity: (Delta x id) Delta = (id x Delta) Delta
     coassoc = True
+    left_imgs = ([pres.comult[i].embed(3 * n, 0) for i in range(n)]
+                 + [Poly.var(base, 3 * n, 2 * n + i) for i in range(n)])
+    right_imgs = ([Poly.var(base, 3 * n, i) for i in range(n)]
+                  + [pres.comult[i].embed(3 * n, n) for i in range(n)])
     for g in range(n):
         d = pres.comult[g]
-        left_imgs = ([pres.comult[i].embed(3 * n, 0) for i in range(n)]
-                     + [Poly.var(base, 3 * n, 2 * n + i) for i in range(n)])
-        right_imgs = ([Poly.var(base, 3 * n, i) for i in range(n)]
-                      + [pres.comult[i].embed(3 * n, n) for i in range(n)])
         lhs = normal_form(d.subst(left_imgs), rel3)
         rhs = normal_form(d.subst(right_imgs), rel3)
         if not lhs.eq(rhs):
@@ -300,7 +316,7 @@ def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
                 failures.append(f"unit certificate {k} fails")
         else:
             # group-likeness makes the unit usable in localized arithmetic
-            uu = (u.poly.embed(2 * n, 0)) * (u.poly.embed(2 * n, n))
+            uu = sq.units[k].poly * sq.units[len(pres.units) + k].poly
             du = u.poly.subst([pres.comult[i] for i in range(n)])
             if not normal_form(du - uu, rel2).is_zero():
                 units_ok = False
@@ -330,108 +346,53 @@ class HopfMorphism:
     """Group-scheme map source -> target = algebra map R[target] ->
     R[source]: one image (Poly or LocalizedElement over the source) per
     target generator.
-
-    `unit_images[i]` expresses the image of target unit i as a monomial
-    prod_j (source unit j)^e_j, which is how all the maps in this
-    artifact behave; it lets localized target elements pull back.
     """
 
     source: HopfPresentation
     target: HopfPresentation
     images: tuple
-    unit_images: tuple = ()   # tuple of dict {source unit index: exponent}
     name: str = ""
+
+    def localized_images(self) -> list:
+        """The images as LocalizedElement values over the source."""
+        return [im if isinstance(im, LocalizedElement)
+                else LocalizedElement(self.source, im) for im in self.images]
 
     def apply(self, poly: Poly):
         """Image of a target polynomial in the source coordinate ring."""
-        images = [im if isinstance(im, LocalizedElement)
-                  else LocalizedElement(self.source, im)
-                  for im in self.images]
-        return _subst_localized(poly, images, self.source)
+        return _subst_localized(poly, self.localized_images(), self.source)
 
 
-def _tensor_square_pres(pres: HopfPresentation) -> HopfPresentation:
-    """The tensor square as a bare presentation (for localized equality)."""
-    n = pres.ngens
-    units = []
-    for u in pres.units:
-        units.append(UnitSpec(u.poly.embed(2 * n, 0),
-                              None if u.inverse is None
-                              else u.inverse.embed(2 * n, 0)))
-    for u in pres.units:
-        units.append(UnitSpec(u.poly.embed(2 * n, n),
-                              None if u.inverse is None
-                              else u.inverse.embed(2 * n, n)))
-    return HopfPresentation(
-        base=pres.base,
-        gens=tuple(f"{g}'" for g in pres.gens) + tuple(
-            f"{g}''" for g in pres.gens),
-        relations=tuple(tensor_relations(pres, 2)),
-        comult=(),
-        counit=pres.counit + pres.counit,
-        antipode=(),
-        units=tuple(units),
-        name=pres.name + " (x) " + pres.name,
-    )
+def _in_factor(x: LocalizedElement, sq: HopfPresentation, f: int
+               ) -> LocalizedElement:
+    """x placed in tensor factor f (0 or 1) of the square sq."""
+    n, zero = x.pres.ngens, (0,) * len(x.pres.units)
+    den = x.den + zero if f == 0 else zero + x.den
+    return LocalizedElement(sq, x.num.embed(2 * n, f * n), den)
 
 
 def check_morphism(f: HopfMorphism) -> bool:
-    """Relations map to zero, comultiplications commute, counits agree."""
+    """Relations of the target die in the source, counits agree, and
+    Delta_src o f = (f (x) f) o Delta_tgt on every target generator."""
     src, tgt = f.source, f.target
-    n_s, n_t = src.ngens, tgt.ngens
-    base = src.base
-
-    images = [im if isinstance(im, LocalizedElement)
-              else LocalizedElement(src, im) for im in f.images]
-
-    # relations of the target must die in the source
-    for r in tgt.relations:
-        if r is None:
-            continue
-        if not _subst_localized(r, images, src).is_zero():
-            return False
-
-    # counits
-    for g in range(n_t):
-        im = images[g]
-        eps = src.counit_of(im.num)
-        # group-like units have counit 1, so the denominator drops out
-        if not base.eq(eps, tgt.counit[g]):
-            return False
-
-    # comultiplication squares
-    sq = _tensor_square_pres(src)
-    lifted = []
-    for im in images:
-        den2 = tuple(im.den) + (0,) * len(src.units)
-        lifted.append(LocalizedElement(sq, im.num.embed(2 * n_s, 0), den2))
-    # images of target units as unit monomials, needed to pull back
-    # denominators of target comultiplications (none appear in this
-    # artifact: target comults are polynomial)
-    delta_src_imgs = []
-    for i in range(n_s):
-        delta_src_imgs.append(LocalizedElement(sq, src.comult[i]))
-    for g in range(n_t):
-        # LHS: Delta_src(f(g))
-        num_l = _subst_localized(images[g].num, delta_src_imgs, sq)
-        den_l = list((0,) * len(sq.units))
-        for i, e in enumerate(images[g].den):
-            den_l[i] += e
-            den_l[len(src.units) + i] += e
-        lhs = LocalizedElement(sq, num_l.num,
-                               tuple(a + b for a, b in
-                                     zip(num_l.den, tuple(den_l))))
-        # RHS: (f x f)(Delta_tgt(g))
-        subs = []
-        for j in range(n_t):
-            subs.append(lifted[j])
-        for j in range(n_t):
-            im = images[j]
-            den2 = (0,) * len(src.units) + tuple(im.den)
-            subs.append(LocalizedElement(sq, im.num.embed(2 * n_s, n_s),
-                                         den2))
-        rhs = _subst_localized(tgt.comult[g], subs, sq)
-        if not lhs.eq(rhs):
+    images = f.localized_images()
+    if any(r is not None and not _subst_localized(r, images, src).is_zero()
+           for r in tgt.relations):
+        return False
+    # group-like units have counit 1, so the denominator drops out
+    if not all(src.base.eq(src.counit_of(im.num), e)
+               for im, e in zip(images, tgt.counit)):
+        return False
+    sq = tensor_power(src, 2)
+    delta = [LocalizedElement(sq, c) for c in src.comult]
+    pair = ([_in_factor(im, sq, 0) for im in images]
+            + [_in_factor(im, sq, 1) for im in images])
+    for im, d in zip(images, tgt.comult):
+        # Delta u = u (x) u for a designated unit u, so Delta(num / u^den)
+        # = Delta(num) / (u^den (x) u^den)
+        lhs = LocalizedElement(sq, _subst_localized(im.num, delta, sq).num,
+                               im.den + im.den)
+        if not lhs.eq(_subst_localized(d, pair, sq)):
             return False
     return True
 
@@ -451,10 +412,7 @@ def morphism_matrix(f: HopfMorphism):
     cols = []
     for m in basis_t:
         poly = Poly(tgt.base, tgt.ngens, {m: tgt.base.one()})
-        img = f.apply(poly)
-        img_poly = (img.num if all(e == 0 for e in img.den)
-                    else img.clear_in_finite(src))
-        img_poly = src.nf(img_poly)
+        img_poly = f.apply(poly).clear_in_finite(src)
         col = [src.base.zero()] * len(basis_s)
         for mm, c in img_poly.terms.items():
             col[index_s[mm]] = c
@@ -542,7 +500,7 @@ def residue_fiber(pres: HopfPresentation) -> HopfPresentation:
         relations=tuple(red(r) for r in pres.relations),
         comult=tuple(red(c) for c in pres.comult),
         counit=tuple(coeff_mod_pi(c) for c in pres.counit),
-        antipode=tuple(red(a) if isinstance(a, Poly) else a
+        antipode=tuple(red(a) if isinstance(a, Poly) else (red(a[0]), a[1])
                        for a in pres.antipode),
         units=tuple(UnitSpec(red(u.poly),
                              red(u.inverse) if u.inverse is not None else None)

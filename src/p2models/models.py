@@ -142,7 +142,7 @@ def isogeny_psi(ring: RingDescriptor, lam: RingElement, n: int) -> HopfMorphism:
     img = poly_in_var(base, 1, 0,
                       [ring.zero()] + kummer_quotient_coeffs(ring, lam, N))
     f = HopfMorphism(source=src, target=tgt, images=(img,),
-                     unit_images=({0: N},), name=f"psi(n={n})")
+                     name=f"psi(n={n})")
     if not check_morphism(f):
         raise P2ModelsError("isogeny failed the morphism check")
     return f
@@ -160,7 +160,7 @@ def neron_blowup_unit(ring: RingDescriptor, mu: RingElement) -> HopfMorphism:
     base = ExactBase(ring)
     img = Poly.var(base, 1, 0).scale(ring.pi())
     f = HopfMorphism(source=src, target=tgt, images=(img,),
-                     unit_images=({0: 1},), name="unit-section blow-up")
+                     name="unit-section blow-up")
     if not is_model_map(f):
         raise P2ModelsError("blow-up map failed the model-map check")
     return f
@@ -688,9 +688,7 @@ def ambient_isogeny(d: ModelDescriptor):
     bracket = u2 ** p - _eval_poly_at(g, Pmu) * u1 ** d.j
     img2_num = bracket.div_scalar(lam ** p)
     img2 = LocalizedElement(src, img2_num, (d.j, 0))
-    f = HopfMorphism(source=src, target=tgt,
-                     images=(Pmu, img2),
-                     unit_images=({0: p}, {1: p, 0: -d.j}),
+    f = HopfMorphism(source=src, target=tgt, images=(Pmu, img2),
                      name=f"ambient isogeny (j={d.j})")
     if not check_morphism(f):
         raise P2ModelsError("ambient isogeny failed the morphism check")

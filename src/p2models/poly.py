@@ -58,9 +58,6 @@ class ExactBase:
     def eq(self, a, b):
         return (a - b).is_zero()
 
-    def scale_fraction(self, a, q):
-        return a.scale_unit_fraction(q)
-
     def prune_zero(self, a):
         # Only structural zeros may be dropped from polynomials: an
         # element that merely vanishes at its stored precision still

@@ -98,12 +98,7 @@ def criterion_3_phi_oracle(M=12):
     et = eta(R3)
     expect = sorted((et.scale(k).reduce_mod(3).digits, k) for k in range(3))
     _check([(e.a.digits, e.j) for e in els] == expect)
-    R5 = _ring(5, 8)
-    for (m, n) in [(3, 3), (3, 2), (5, 1)]:
-        pc = mdl.phi_closed(R5, m, n)
-        pb = mdl.phi_brute(R5, m, n)
-        _check([(e.a.digits, e.j) for e in pc]
-               == [(e.a.digits, e.j) for e in pb], f"p=5 cell ({m},{n})")
+    criterion_p5_phi()
 
 
 def criterion_4_ker_p2(M=12):
@@ -118,14 +113,7 @@ def criterion_4_ker_p2(M=12):
             injective = len(kc) == 1
             predicted = (n <= 1) or (R3.e - 2 * m < 3)
             _check(injective == predicted, f"cell ({m},{n})")
-    R5 = _ring(5, 8)
-    k = mdl.ker_p2(R5, 3, 3)
-    kb = mdl.ker_p2_brute(R5, 3, 3)
-    _check([e.a.digits for e in k] == [e.a.digits for e in kb])
-    _check(len(k) == 5)
-    for e in k:
-        v = e.a.valuation()
-        _check(e.a.is_zero() or v >= 2)  # 5 v(a~) >= 7
+    criterion_p5_ker()
 
 
 def criterion_5_surjectivity(M=12):
@@ -303,7 +291,7 @@ def criterion_p5_phi(M=8):
         pc = mdl.phi_closed(R5, m, n)
         pb = mdl.phi_brute(R5, m, n)
         _check([(e.a.digits, e.j) for e in pc]
-               == [(e.a.digits, e.j) for e in pb])
+               == [(e.a.digits, e.j) for e in pb], f"p=5 cell ({m},{n})")
 
 
 def criterion_p5_ker(M=8):
@@ -312,6 +300,8 @@ def criterion_p5_ker(M=8):
     _check(len(k) == 5)
     _check([e.a.digits for e in k]
            == [e.a.digits for e in mdl.ker_p2_brute(R5, 3, 3)])
+    for e in k:
+        _check(e.a.is_zero() or e.a.valuation() >= 2)  # 5 v(a~) >= 7
 
 
 def criterion_p5_eta(M=8):

@@ -56,9 +56,6 @@ class QQBase:
     def eq(self, a, b):
         return a == b
 
-    def scale_fraction(self, a, q):
-        return a * q
-
     def coeff_json(self, a):
         return str(a)
 

@@ -13,8 +13,10 @@ from p2models.hopf import (
     is_model_map,
     morphism_matrix,
     residue_fiber,
+    tensor_power,
 )
-from p2models.models import build_g, build_g_smooth, poly_in_var
+from p2models.models import (build_extension_smooth, build_g, build_g_smooth,
+                             enumerate_models, poly_in_var)
 from p2models.poly import ExactBase, Poly, normal_form
 
 
@@ -192,10 +194,54 @@ def test_residue_fiber_precision_guard(R3):
 
 
 def test_rank_of_tensor_square(R3):
-    from p2models.hopf import tensor_relations
     G = build_g(R3, R3.pi(), 1)
-    rels = tensor_relations(G, 2)
-    total = 1
-    for i, r in enumerate(rels):
-        total *= r.degree_in(i)
-    assert total == 9  # rank(H x H) = rank(H)^2
+    assert tensor_power(G, 2).rank() == 9  # rank(H x H) = rank(H)^2
+    assert tensor_power(G, 3).rank() == 27
+
+
+def test_tensor_power_embeds_units(R3):
+    # factor f carries the unit and its inverse certificate at offset f*n
+    E = build_g(R3, R3.pi(), 2)
+    sq = tensor_power(E, 2)
+    n, k = E.ngens, len(E.units)
+    assert len(sq.units) == 2 * k and sq.counit == E.counit * 2
+    for f in range(2):
+        for i, u in enumerate(E.units):
+            v = sq.units[f * k + i]
+            assert v.poly.eq(u.poly.embed(2 * n, f * n))
+            assert v.inverse.eq(u.inverse.embed(2 * n, f * n))
+            assert sq.nf(v.poly * v.inverse).eq(Poly.one(sq.base, 2 * n))
+
+
+def test_residue_fiber_of_smooth_presentations(R3):
+    # a (num, den) antipode is reduced mod pi along with everything else
+    smooth = [build_g_smooth(R3, R3.pi())] + [
+        build_extension_smooth(d) for d in enumerate_models(R3, 3)]
+    for pres in smooth:
+        Gk = residue_fiber(pres)
+        assert all(isinstance(c, int) for a in Gk.antipode
+                   for c in a[0].terms.values())
+        report = check_hopf_axioms(Gk)
+        assert report.ok, (pres.name, report.failures)
+
+
+def test_morphism_relation_can_fail(R3):
+    # T -> 2T on G_{pi,1}: the relation P_{pi,1}(2T) is not a multiple
+    # of P_{pi,1}(T), so the first branch of check_morphism rejects it
+    G = build_g(R3, R3.pi(), 1)
+    f = HopfMorphism(source=G, target=G,
+                     images=(G.var(0).scale(R3.from_int(2)),))
+    assert not f.apply(G.relations[0]).is_zero()
+    assert not check_morphism(f)
+
+
+def test_morphism_comultiplication_can_fail(R3):
+    # T -> T + pi T^2 on the smooth G^(pi): no relations, counits agree
+    # (both 0), but Delta(f T) != (f x f)(Delta T)
+    S = build_g_smooth(R3, R3.pi())
+    T = S.var(0)
+    f = HopfMorphism(source=S, target=S,
+                     images=(T + (T * T).scale(R3.pi()),))
+    assert S.relations == (None,)
+    assert S.counit_of(f.images[0]).is_zero()
+    assert not check_morphism(f)

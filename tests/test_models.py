@@ -378,35 +378,78 @@ def test_solve_target_hom_inverts_each_pivot_once(monkeypatch, p, M, m, n,
     assert calls == 1 + p
 
 
+def _count_products(monkeypatch):
+    """Patch the ring and packed-Poly products to count into a dict:
+    one per RingElement.__mul__ call plus len(ta) * len(tb) coefficient
+    pairs per packed Poly product."""
+    count = {"products": 0}
+    mul = RingElement.__mul__
+    packed = poly_module._packed_product
+
+    def counting_mul(x, y):
+        count["products"] += 1
+        return mul(x, y)
+
+    def counting_packed(ta, tb):
+        count["products"] += len(ta) * len(tb)
+        return packed(ta, tb)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    monkeypatch.setattr(poly_module, "_packed_product", counting_packed)
+    return count
+
+
 def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     # a with maximal valuation in ker p2 at p=5
     R5 = make_ring(5, 8)
     els = [e for e in ker_p2(R5, 3, 3) if not e.a.is_zero()]
     a = max(els, key=lambda e: e.a.valuation()).a
     d = ModelDescriptor(R5, 3, 3, a, 0)
-    calls = 0
-    mul = RingElement.__mul__
-    packed = poly_module._packed_product
-
-    def counting_mul(x, y):
-        nonlocal calls
-        calls += 1
-        return mul(x, y)
-
-    def counting_packed(ta, tb):
-        # coefficient pairs multiplied inside the packed Poly kernel
-        nonlocal calls
-        calls += len(ta) * len(tb)
-        return packed(ta, tb)
-
-    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
-    monkeypatch.setattr(poly_module, "_packed_product", counting_packed)
+    count = _count_products(monkeypatch)
     ambient_isogeny(d)
     # 8,939 ring products plus 253,512 kernel pairs today; the bound is
     # the 271,740 ring products of the nested-Horner substitution alone
     # plus 5 %.  Powering substitution images term by term again would
     # more than double the count.
-    assert calls <= 285_000
+    assert count["products"] <= 285_000
+
+
+def test_morphism_checks_product_counts(R3, models3, monkeypatch):
+    # On the (3,3) model: 9,282 products for the nine hom_models_brute
+    # candidates of the self-pair and 3,061 for check_morphism on the
+    # ambient isogeny, both exactly as before check_morphism was stated
+    # through tensor_power; the bounds are those counts plus 5 %.
+    d = models3[-1]
+    assert (d.m, d.n, d.a.digit_string()) == (3, 3, "0.1.1")
+    pres = build_extension(d)
+    _, _, f = ambient_isogeny(d)
+    count = _count_products(monkeypatch)
+    hom_models_brute(d, d, pres, pres)
+    assert count["products"] <= 9_746
+    count["products"] = 0
+    assert check_morphism(f)
+    assert count["products"] <= 3_214
+
+
+def test_ambient_isogeny_morphism_check_is_two_sided(R3, models3):
+    # perturb the numerator of image 2 by pi^k S1: the least coefficient
+    # precision of that image is 54, and the check rejects k = 50 while
+    # k = 52 and k = 54 fall below what the comparison can see
+    from dataclasses import replace
+
+    from p2models.hopf import LocalizedElement
+    src, _, f = ambient_isogeny(models3[-1])
+    im = f.images[1]
+    assert min(c.prec for c in im.num.terms.values()) == 54
+
+    def perturbed(k):
+        num = im.num + Poly.var(src.base, 2, 0).scale(R3.pi(k))
+        return replace(f, images=(f.images[0],
+                                  LocalizedElement(src, num, im.den)))
+
+    assert not check_morphism(perturbed(50))
+    assert check_morphism(perturbed(52))
+    assert check_morphism(perturbed(54))
 
 
 # -- rad (v(mu) < v(lam)) --------------------------------------------------------
