@@ -180,6 +180,11 @@ class RingDescriptor:
             x = (x & self._low_mask) + ((q * self._neg_e) & self._low_mask)
         return self._canon(x)
 
+    def _negate(self, x: int) -> int:
+        """The canonical packed element -x of a canonical packed x."""
+        x = self._pM_slots - x  # slots in (0, p^M]
+        return x - ((x + self._ge_bias) >> self._ge_bit & self._ones) * self.pM
+
     # -- basic constructors ------------------------------------------------
 
     def zero(self, prec: int | None = None) -> "RingElement":
@@ -370,10 +375,7 @@ class RingElement:
                            else other.prec)
 
     def __neg__(self) -> "RingElement":
-        r = self.ring
-        x = r._pM_slots - self.P  # slots in (0, p^M]
-        x -= ((x + r._ge_bias) >> r._ge_bit & r._ones) * r.pM
-        return RingElement(r, x, self.prec)
+        return RingElement(self.ring, self.ring._negate(self.P), self.prec)
 
     def __mul__(self, other: "RingElement") -> "RingElement":
         """Kronecker-packed product: one big-integer multiplication of the

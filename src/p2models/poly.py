@@ -14,10 +14,14 @@ coefficient comparison is decided mod pi^t.
 Polynomials are sparse dicts {exponent tuple: coefficient}.  Arithmetic
 allows negative exponents, so a Poly can be a Laurent polynomial
 (artin_hasse inverts L this way).  Normal forms modulo a triangular
-monic relation system (relation i monic in variable i, other terms of
-lower degree in variable i and involving only earlier variables) are
-computed by iterated rewriting, which terminates because each step
-strictly lowers the reversed-lex key.
+monic relation system (relation i monic of degree d_i in variable i,
+its other terms of lower degree in variable i and involving only
+variables j <= i) are computed in one descending pass: the variables
+from last to first, the exponents of each from the top down.  A rewrite
+only lowers the exponent of variable i, so the pass terminates with
+every monomial rewritten at most once.  Each monomial sums the raw
+products that land on it and is reduced once; its precision is the
+least min(prec) over those products.
 """
 
 from __future__ import annotations
@@ -366,48 +370,113 @@ def normal_form(poly: Poly, relations: list) -> Poly:
     """Reduce modulo a triangular monic relation system.
 
     `relations[i]` is either None (no relation on variable i) or a Poly
-    that is monic of degree d_i in variable i, with all other terms of
-    lower degree in variable i and involving only variables j < i.
-    """
-    base = poly.base
-    nv = poly.nvars
-    degs = [None if r is None else r.degree_in(i)
-            for i, r in enumerate(relations)]
-    reducers = []
-    for i, r in enumerate(relations):
-        if r is None:
-            reducers.append(None)
-        else:
-            lead = tuple(degs[i] if j == i else 0 for j in range(nv))
-            rest = Poly(base, nv,
-                        {m: c for m, c in r.terms.items() if m != lead})
-            reducers.append(-rest)  # var_i^{d_i} == reducers[i]
+    whose x_i^d_i coefficient is one at its precision and whose other
+    terms have x_i-degree below d_i and involve only variables j <= i;
+    any other system raises ValueError.  Relation i rewrites x_i^d_i as
+    minus its other terms.
 
-    drop = getattr(base, "prune_zero", base.is_zero)
-    terms = dict(poly.terms)
-    changed = True
-    while changed:
-        changed = False
-        for i in reversed(range(nv)):
-            d = degs[i]
-            if d is None:
-                continue
-            hot = [m for m in terms if m[i] >= d]
-            if not hot:
-                continue
-            changed = True
-            for m in hot:
-                c = terms.pop(m)
-                rem = m[:i] + (m[i] - d,) + m[i + 1:]
-                for rm, rc in reducers[i].terms.items():
-                    mm = tuple(a + b for a, b in zip(rem, rm))
-                    cc = base.mul(c, rc)
-                    if mm in terms:
-                        s = base.add(terms[mm], cc)
-                        if drop(s):
-                            del terms[mm]
-                        else:
-                            terms[mm] = s
-                    else:
-                        terms[mm] = cc
-    return Poly(base, nv, terms)
+    One pass: the variables from last to first, and the exponents of
+    each from the top down to d_i.  A rewrite lowers the exponent of x_i
+    and leaves the later variables alone, so every monomial is rewritten
+    at most once, after every contribution to it has arrived, and the
+    pass ends.  Each monomial holds a raw sum of the products that land
+    on it (resident integers over ExactBase, plain ints over FpBase),
+    reduced once when it is rewritten or at the end, and early before it
+    could hold more than RAW_PRODUCTS products.  Its precision is the
+    least min(prec) over those products, a sum that cancels to zero
+    included; a leading one counts as exact.
+    """
+    base, nv = poly.base, poly.nvars
+    if isinstance(base, ExactBase):
+        ring = base.ring
+        reduce, negate = ring._reduce_raw, ring._negate
+
+        def resident(c):
+            if c.ring is not ring:
+                raise ValueError("operands from different rings")
+            return c.P, c.prec
+
+        def coeff(x, prec):
+            return RingElement(ring, reduce(x), prec)
+    elif isinstance(base, FpBase):
+        p = base.p
+
+        def reduce(x):
+            return x % p
+
+        def negate(x):
+            return -x % p
+
+        def resident(c):
+            return c, 0
+
+        def coeff(x, prec):
+            return x % p
+    else:
+        raise TypeError(f"normal_form over {base!r}")
+
+    rules = _triangular_rules(base, nv, relations, resident)
+    # monomial -> [raw sum, precision, number of products in the sum]
+    acc = {m: [*resident(c), 1] for m, c in poly.terms.items()}
+    for i, d, lower in rules:
+        hot = {}
+        for m in acc:
+            if m[i] >= d:
+                hot.setdefault(m[i], []).append(m)
+        for k in range(max(hot, default=d - 1), d - 1, -1):
+            for m in hot.pop(k, ()):
+                x, prec, _ = acc.pop(m)
+                x = negate(reduce(x))
+                head = m[:i] + (k - d,) + m[i + 1:]
+                for rm, rx, rprec in lower:
+                    mm = tuple(map(add, head, rm))
+                    q = prec if prec < rprec else rprec
+                    s = acc.get(mm)
+                    if s is None:
+                        acc[mm] = [x * rx, q, 1]
+                        if mm[i] >= d:
+                            hot.setdefault(mm[i], []).append(mm)
+                        continue
+                    if s[2] == RAW_PRODUCTS:
+                        s[0], s[2] = reduce(s[0]), 1
+                    s[0] += x * rx
+                    s[2] += 1
+                    if q < s[1]:
+                        s[1] = q
+    return Poly(base, nv, {m: coeff(x, prec)
+                           for m, (x, prec, _) in acc.items()})
+
+
+def _triangular_rules(base, nv: int, relations: list, resident) -> list:
+    """(i, d_i, [(monomial, *resident(coeff))] of the other terms) for
+    each relation, last variable first.
+
+    Raises ValueError unless relation i is over the same base and
+    variables, its x_i^d_i coefficient is one at its precision, and its
+    other terms have x_i-degree below d_i and no later variable.
+    """
+    if len(relations) != nv:
+        raise ValueError(f"{len(relations)} relations for {nv} variables")
+    one = base.one()
+    rules = []
+    for i in reversed(range(nv)):
+        r = relations[i]
+        if r is None:
+            continue
+        if r.base != base or r.nvars != nv:
+            raise ValueError(f"relation {i} is over another base or "
+                             "variable set")
+        d = r.degree_in(i)
+        tail = (0,) * (nv - 1 - i)
+        lead = (0,) * i + (d,) + tail
+        c = r.terms.get(lead)
+        # resident 1 is an exact one
+        if c is None or resident(c)[0] != 1 and not base.eq(c, one):
+            raise ValueError(f"relation {i} is not monic in x{i}")
+        lower = [(m, *resident(c)) for m, c in r.terms.items() if m != lead]
+        for m, _, _ in lower:
+            if m[i] == d or m[i + 1:] != tail:
+                raise ValueError(f"relation {i} is not triangular: its "
+                                 f"term {m} is not below x{i}^{d}")
+        rules.append((i, d, lower))
+    return rules

@@ -7,6 +7,9 @@
   reduction by E against the schoolbook product and row reduction.
 * The packed `Poly` product over ExactBase against the term-by-term
   product-and-sum of its coefficients.
+* The lazy single-pass `normal_form` against the stepwise rewriting
+  loop it replaced, and its rejection of systems that are not
+  triangular and monic.
 * The nested-Horner substitution engine against term-by-term
   substitution, for Poly and LocalizedElement images.
 * Digit-wise division by p^r against `divide_exact`.
@@ -31,7 +34,7 @@ from p2models.dvr import (
 )
 from p2models.errors import PrecisionError, ValuationError
 from p2models.hopf import HopfPresentation, LocalizedElement, UnitSpec
-from p2models.poly import ExactBase, Poly, horner
+from p2models.poly import ExactBase, FpBase, Poly, horner, normal_form
 from p2models.witt import WittVector, _recover, ghost, ghosts
 
 PRIMES = (3, 5, 7)
@@ -365,6 +368,188 @@ def test_packed_poly_product_rejects_mixed_rings():
     for u, v in [(a, b), (b, a), (a, mixed), (mixed, a)]:
         with pytest.raises(ValueError, match="different rings"):
             u * v
+
+
+# ---------------------------------------------------------------------------
+# lazy single-pass normal form
+# ---------------------------------------------------------------------------
+
+def stepwise_normal_form(poly, relations):
+    """The rewriting loop normal_form replaced: negate each relation's
+    lower terms, then rewrite every monomial at or above a leading power
+    term by term, one base product and sum per reducer term, until no
+    monomial is left to rewrite.
+
+    One change: a sum that cancels to a structural zero stays until the
+    end, as in normal_form.  The loop used to delete it at once, which
+    lost the precision of its earlier products, and raised KeyError when
+    that monomial was still waiting to be rewritten."""
+    base = poly.base
+    nv = poly.nvars
+    degs = [None if r is None else r.degree_in(i)
+            for i, r in enumerate(relations)]
+    reducers = []
+    for i, r in enumerate(relations):
+        if r is None:
+            reducers.append(None)
+        else:
+            lead = tuple(degs[i] if j == i else 0 for j in range(nv))
+            rest = Poly(base, nv,
+                        {m: c for m, c in r.terms.items() if m != lead})
+            reducers.append(-rest)  # var_i^{d_i} == reducers[i]
+
+    terms = dict(poly.terms)
+    changed = True
+    while changed:
+        changed = False
+        for i in reversed(range(nv)):
+            d = degs[i]
+            if d is None:
+                continue
+            hot = [m for m in terms if m[i] >= d]
+            if not hot:
+                continue
+            changed = True
+            for m in hot:
+                c = terms.pop(m)
+                rem = m[:i] + (m[i] - d,) + m[i + 1:]
+                for rm, rc in reducers[i].terms.items():
+                    mm = tuple(a + b for a, b in zip(rem, rm))
+                    cc = base.mul(c, rc)
+                    terms[mm] = base.add(terms[mm], cc) if mm in terms else cc
+    return Poly(base, nv, terms)
+
+
+def nf_terms(poly):
+    """{monomial: (digits, prec)} over ExactBase, {monomial: c mod p}
+    over FpBase."""
+    if isinstance(poly.base, FpBase):
+        return {m: c % poly.base.p for m, c in poly.terms.items()}
+    return {m: (c.digits, c.prec) for m, c in poly.terms.items()}
+
+
+@st.composite
+def triangular_systems(draw):
+    """(poly, relations) over ExactBase at p in {3, 5, 7}, M in {2, 3,
+    8, 12}, or over FpBase: 1-3 variables, each with no relation or a
+    monic one of degree 1-3 whose lower terms use variables j <= i, its
+    leading one often at a lower precision; mixed precisions."""
+    p = draw(st.sampled_from(PRIMES))
+    nv = draw(st.integers(1, 3))
+    if draw(st.integers(0, 4)) == 0:
+        base = FpBase(p)
+
+        def coeff():
+            return draw(st.integers(0, p - 1))
+
+        def one():
+            return 1
+    else:
+        R = ring(p, draw(st.sampled_from((2, 3, 8, 12))))
+        base = ExactBase(R)
+        digit = st.one_of(st.just(0), st.just(R.pM - 1),
+                          st.integers(0, R.pM - 1))
+        precs = st.one_of(st.just(R.full_prec), st.integers(0, R.full_prec))
+
+        def coeff():
+            return R.from_digits(draw(st.lists(digit, min_size=R.e,
+                                               max_size=R.e)), draw(precs))
+
+        def one():
+            # one at its precision t: 1, or 1 + pi^t when t < e
+            t = draw(precs)
+            if t < R.e and draw(st.booleans()):
+                return (R.one() + R.pi(t)).with_prec(t)
+            return R.one().with_prec(t)
+
+    relations = []
+    for i in range(nv):
+        if draw(st.integers(0, 3)) == 0:
+            relations.append(None)
+            continue
+        d = draw(st.integers(1, 3))
+        tail = (0,) * (nv - 1 - i)
+        lower = draw(st.lists(
+            st.tuples(*[st.integers(0, 2)] * i, st.integers(0, d - 1)),
+            max_size=4, unique=True))
+        terms = {m + tail: coeff() for m in lower}
+        terms[(0,) * i + (d,) + tail] = one()
+        relations.append(Poly(base, nv, terms))
+    monos = draw(st.lists(st.tuples(*[st.integers(0, 5)] * nv),
+                          max_size=6, unique=True))
+    return Poly(base, nv, {m: coeff() for m in monos}), relations
+
+
+@settings(max_examples=200, deadline=None)
+@given(triangular_systems())
+def test_normal_form_matches_stepwise(system):
+    poly, relations = system
+    got = normal_form(poly, relations)
+    assert nf_terms(got) == nf_terms(stepwise_normal_form(poly, relations))
+    for i, r in enumerate(relations):
+        if r is not None:
+            assert got.degree_in(i) < r.degree_in(i)
+
+
+def test_normal_form_many_products_on_one_monomial(monkeypatch):
+    # x1 = -sum_{k<n} top x0^k rewrites sum_{j<n} c x0^j x1, with -c all
+    # p^M-1: n = RAW_PRODUCTS + 44 products top*top land on x0^(n-1).
+    # Each adds e (p^M-1)^2 to slot e-1, so the widest sum reduced is
+    # exactly RAW_PRODUCTS of them: the sum is reduced early, not later.
+    R, n = ring(3, 2), RAW_PRODUCTS + 44
+    base = ExactBase(R)
+    top = R.from_digits([R.pM - 1] * R.e)
+    c = -top
+    rel = Poly.var(base, 2, 1) + Poly(base, 2, {(k, 0): top for k in range(n)})
+    poly = Poly(base, 2, {(j, 1): c for j in range(n)})
+    widest, reduce_raw = [], R._reduce_raw
+
+    def spy(x):
+        widest.append(R._unpack(x, R.e)[-1])
+        return reduce_raw(x)
+
+    monkeypatch.setattr(R, "_reduce_raw", spy)
+    got = normal_form(poly, [None, rel])
+    monkeypatch.undo()
+    square = schoolbook_mul(top, top)[0]
+    want = {(k, 0): (tuple(d * (n - abs(n - 1 - k)) % R.pM for d in square),
+                     R.full_prec) for k in range(2 * n - 1)}
+    assert nf_terms(got) == {m: v for m, v in want.items() if any(v[0])}
+    assert max(widest) == RAW_PRODUCTS * R.e * (R.pM - 1) ** 2
+
+
+def test_normal_form_when_a_waiting_monomial_cancels():
+    # x1^4 mod x1^2 + 2 x0 x1 + 4 x0^2 over F_7: the rewrite of x0 x1^3
+    # cancels x0^2 x1^2 while it waits to be rewritten, and x0^4
+    # cancels too; the stepwise loop raised KeyError here
+    base = FpBase(7)
+    x0, x1 = Poly.var(base, 2, 0), Poly.var(base, 2, 1)
+    rel = x1 * x1 + x0.scale(2) * x1 + (x0 * x0).scale(4)
+    assert normal_form(x1 ** 4, [None, rel]).terms == {(3, 1): 1}
+
+
+def test_normal_form_rejects_systems_not_triangular_and_monic():
+    # the leading coefficient used to be taken as 1 whatever it was:
+    # x^2 mod 2x^2 - 1 came out as 1
+    R = ring(3, 12)
+    base = ExactBase(R)
+    x, y = Poly.var(base, 2, 0), Poly.var(base, 2, 1)
+    one = Poly.one(base, 2)
+    near_one = (R.one() + R.pi(5)).with_prec(6)
+    bad = [("not monic", [(x * x).scale(R.from_int(2)) - one, None]),
+           ("not monic", [(x * x).scale(near_one) - one, None]),
+           ("not monic", [None, x * y - one]),
+           ("not triangular", [None, y * y + y * y * x + x]),
+           ("not triangular", [x * x + y, None]),
+           ("3 relations for 2 variables", [None, None, None])]
+    for message, rels in bad:
+        with pytest.raises(ValueError, match=message):
+            normal_form(x * x, rels)
+    # 1 + 3*5 is one mod pi^6, since v(15) = v(3) = e = 6
+    lead = R.from_int(16).with_prec(6)
+    rel = Poly(base, 2, {(2, 0): lead, (0, 0): R.from_int(-1)})
+    assert nf_terms(normal_form(x * x, [rel, None])) == {
+        (0, 0): (R.one().digits, R.full_prec)}
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,14 @@
 import pytest
 
 from p2models import poly as poly_module
-from p2models.dvr import QuotElement, RingElement, eq_mod, eta, make_ring
+from p2models.dvr import (
+    QuotElement,
+    RingDescriptor,
+    RingElement,
+    eq_mod,
+    eta,
+    make_ring,
+)
 from p2models.errors import DivisibilityError, P2ModelsError, ValuationError
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
 from p2models.models import (
@@ -429,6 +436,49 @@ def test_morphism_checks_product_counts(R3, models3, monkeypatch):
     count["products"] = 0
     assert check_morphism(f)
     assert count["products"] <= 3_214
+
+
+def _count_reductions(monkeypatch):
+    """Patch RingDescriptor._reduce_raw to count into a dict: one per
+    product or sum of raw products reduced, in RingElement.__mul__, the
+    packed Poly product or normal_form."""
+    count = {"reductions": 0}
+    reduce_raw = RingDescriptor._reduce_raw
+
+    def counting(ring, x):
+        count["reductions"] += 1
+        return reduce_raw(ring, x)
+
+    monkeypatch.setattr(RingDescriptor, "_reduce_raw", counting)
+    return count
+
+
+def test_hom_models_brute_reduction_counts(models3, monkeypatch):
+    # normal_form sums raw products per monomial and reduces each sum
+    # once, out of sight of _count_products; the reductions count it.
+    # 4,144 on the (3,3) self-pair and 74,622 on the 49 ordered p = 3
+    # pairs; reducing every product in normal_form made 7,294 and
+    # 120,702.  The bounds are the counts plus 5 %.
+    pres = [build_extension(d) for d in models3]
+    count = _count_reductions(monkeypatch)
+    hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
+    assert count["reductions"] <= 4_351
+    count["reductions"] = 0
+    for d1, pres1 in zip(models3, pres):
+        for d2, pres2 in zip(models3, pres):
+            hom_models_brute(d1, d2, pres1, pres2)
+    assert count["reductions"] <= 78_353
+
+
+def test_normal_form_makes_no_ring_product(models3, monkeypatch):
+    pres = build_extension(models3[-1])
+    poly = (pres.var(0) + pres.var(1) + pres.one_poly()) ** 6
+    products = _count_products(monkeypatch)
+    reductions = _count_reductions(monkeypatch)
+    nf = pres.nf(poly)
+    assert products["products"] == 0
+    assert reductions["reductions"] > len(nf.terms)
+    assert nf.degree_in(0) < pres.relations[0].degree_in(0)
 
 
 def test_ambient_isogeny_morphism_check_is_two_sided(R3, models3):
