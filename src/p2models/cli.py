@@ -1,11 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 success; 2 validation error (bad arguments, non-prime p,
-malformed descriptors, a descriptor M other than --precision, `verify`
-on (a, j) outside Phi, `verify` or `fiber` on a model that needs more
-precision than --precision gives); 1 internal verification failure (a
-failed axiom check or acceptance criterion — a bug signal, not a usage
-error).
+malformed descriptors, a descriptor M other than --precision, a
+descriptor whose (a, j) is outside Phi, a descriptor check or a `verify`
+or `fiber` run that needs more precision than --precision gives); 1
+internal verification failure (a failed axiom check or acceptance
+criterion — a bug signal, not a usage error).
 
 Output is one JSON document on stdout by default; --table renders the
 same data as an aligned table.  --out FILE writes the document to FILE
@@ -66,26 +66,40 @@ def _ring_for(args):
         raise ValidationError(str(exc)) from exc
 
 
+def _too_low_precision(M: int, exc: PrecisionError) -> ValidationError:
+    """Too low a --precision for the model is bad input, not a failed
+    verification: the command exits 2 and names the M it used."""
+    return ValidationError(
+        f"--precision {M} is too low for this model: at M = {M}, {exc}; "
+        f"rerun with a larger --precision")
+
+
 def _parse_descriptor(ring, blob: str) -> ModelDescriptor:
+    """The descriptor in `blob`, which must be well formed and have
+    (a, j) in Phi for its (m, n)."""
     try:
-        obj = json.loads(blob)
-        return ModelDescriptor.from_json(ring, obj)
+        d = ModelDescriptor.from_json(ring, json.loads(blob))
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed descriptor: {exc}") from exc
+    try:
+        in_phi = phi_congruence(ring, d.m, d.n, d.a, d.j)
+    except PrecisionError as exc:
+        raise _too_low_precision(ring.M, exc) from exc
+    if not in_phi:
+        raise ValidationError(
+            f"(a, j) = ({d.a.digit_string() or '0'}, {d.j}) is not in "
+            f"Phi for (m, n) = ({d.m}, {d.n})")
+    return d
 
 
 def _precision_is_input(cmd):
-    """Too low a --precision for the model is bad input, not a failed
-    verification: the command exits 2 and names the M it used."""
+    """Turn a PrecisionError of the command into _too_low_precision."""
     @functools.wraps(cmd)
     def run(args):
         try:
             return cmd(args)
         except PrecisionError as exc:
-            raise ValidationError(
-                f"--precision {args.precision} is too low for this model: "
-                f"at M = {args.precision}, {exc}; rerun with a larger "
-                f"--precision") from exc
+            raise _too_low_precision(args.precision, exc) from exc
     return run
 
 
@@ -191,10 +205,6 @@ def cmd_fiber(args) -> int:
 def cmd_verify(args) -> int:
     ring = _ring_for(args)
     d = _parse_descriptor(ring, args.descriptor)
-    if not phi_congruence(ring, d.m, d.n, d.a, d.j):
-        raise ValidationError(
-            f"(a, j) = ({d.a.digit_string() or '0'}, {d.j}) is not in "
-            f"Phi for (m, n) = ({d.m}, {d.n})")
     pres = build_extension(d)
     rep = check_hopf_axioms(pres)
     report = []

@@ -28,10 +28,10 @@ import math
 from dataclasses import dataclass
 
 from .dvr import RingDescriptor, eta
-from .hopf import (HopfMorphism, HopfPresentation, UnitSpec, check_morphism,
+from .hopf import (HopfMorphism, HopfPresentation, check_morphism,
                    coeff_mod_pi, residue_fiber)
 from .models import ModelDescriptor, build_extension, rho_scalar
-from .poly import FpBase, Poly, normal_form
+from .poly import ExactBase, Poly, normal_form
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def eta_power_unit_check(ring: RingDescriptor) -> bool:
     p = ring.p
     q1 = (eta(ring) ** p).divide_exact(ring.lam1)
     q2 = (ring.lam2 ** p).divide_exact(ring.lam1)
-    return (q1.digits[0] % p == 1) and (q2.digits[0] % p == 1)
+    return coeff_mod_pi(q1) == 1 and coeff_mod_pi(q2) == 1
 
 
 def classify_fiber(d: ModelDescriptor) -> FiberClass:
@@ -101,65 +101,67 @@ def classify_fiber(d: ModelDescriptor) -> FiberClass:
 # ---------------------------------------------------------------------------
 # claimed presentations over F_p
 # ---------------------------------------------------------------------------
+#
+# Each is built over R from integer lifts of its F_p coefficients and
+# reduced mod pi by residue_fiber.
 
-def cocycle_c1(p: int, nvars: int, vx: int, vy: int) -> Poly:
-    """C_1 = (X^p + Y^p - (X+Y)^p)/p mod p in the given variables."""
-    base = FpBase(p)
+def cocycle_c1(ring: RingDescriptor, nvars: int, vx: int, vy: int) -> Poly:
+    """C_1 = (X^p + Y^p - (X+Y)^p)/p in the given variables, over R."""
+    p = ring.p
     terms = {}
     for k in range(1, p):
-        c = (-(math.comb(p, k) // p)) % p
-        if c:
-            mono = tuple(k if i == vx else (p - k if i == vy else 0)
-                         for i in range(nvars))
-            terms[mono] = c
-    return Poly(base, nvars, terms)
+        mono = tuple(k if i == vx else (p - k if i == vy else 0)
+                     for i in range(nvars))
+        terms[mono] = ring.from_int(-(math.comb(p, k) // p))
+    return Poly(ExactBase(ring), nvars, terms)
 
 
-def _fp_pres(p, rel1, rel2, d1, d2, anti1, anti2, name):
-    base = FpBase(p)
-    return HopfPresentation(
-        base=base, gens=("S1", "S2"), relations=(rel1, rel2),
-        comult=(d1, d2), counit=(0, 0), antipode=(anti1, anti2), name=name)
+def _fp_pres(ring, rel1, rel2, d1, d2, anti1, anti2, name):
+    return residue_fiber(HopfPresentation(
+        base=ExactBase(ring), gens=("S1", "S2"), relations=(rel1, rel2),
+        comult=(d1, d2), counit=(ring.zero(), ring.zero()),
+        antipode=(anti1, anti2), name=name))
 
 
-def _mult_comult(p, nvars, v0, v1, scale=1) -> Poly:
-    base = FpBase(p)
+def _mult_comult(ring, nvars, v0, v1, scale=1) -> Poly:
+    base = ExactBase(ring)
     x = Poly.var(base, nvars, v0)
     y = Poly.var(base, nvars, v1)
-    return x + y + (x * y).scale(scale % p)
+    return x + y + (x * y).scale(ring.from_int(scale))
 
 
-def _mult_antipode(p, var, lam_bar) -> Poly:
-    """((1+lam S)^(p-1) - 1)/lam over F_p, i.e. sum C(p-1,k) lam^(k-1) S^k."""
-    base = FpBase(p)
-    terms = {}
-    for k in range(1, p):
-        c = (math.comb(p - 1, k) * pow(lam_bar, k - 1, p)) % p
-        if c:
-            terms[tuple(k if i == var else 0 for i in range(2))] = c
-    return Poly(base, 2, terms)
+def _mult_antipode(ring, var, lam_bar) -> Poly:
+    """((1+lam S)^(p-1) - 1)/lam, i.e. sum C(p-1,k) lam^(k-1) S^k."""
+    p = ring.p
+    terms = {tuple(k if i == var else 0 for i in range(2)):
+             ring.from_int(math.comb(p - 1, k) * lam_bar ** (k - 1))
+             for k in range(1, p)}
+    return Poly(ExactBase(ring), 2, terms)
 
 
 def claimed_presentation(ring: RingDescriptor, d: ModelDescriptor,
                          fc: FiberClass) -> HopfPresentation:
     """The explicit F_p presentation the classification asserts."""
     p = ring.p
-    base = FpBase(p)
+    base = ExactBase(ring)
     S1 = Poly.var(base, 2, 0)
     S2 = Poly.var(base, 2, 1)
+
+    def scaled(poly, n):
+        return poly.scale(ring.from_int(n))
 
     if fc.tag == "MuPExtension":
         i = fc.params[0] % p
         rel1 = S1 ** p
-        # (1+S2)^p - (1+S1)^i = S2^p - ((1+S1)^i - 1) over F_p
+        # (1+S2)^p - (1+S1)^i = S2^p - ((1+S1)^i - 1) mod pi
         low = Poly.zero(base, 2)
         for k in range(1, i + 1):
-            low = low + (S1 ** k).scale(math.comb(i, k))
+            low = low + scaled(S1 ** k, math.comb(i, k))
         rel2 = S2 ** p - low
-        d1 = _mult_comult(p, 4, 0, 2, 1)
-        d2 = _mult_comult(p, 4, 1, 3, 1)
-        return _fp_pres(p, rel1, rel2, d1, d2,
-                        _mult_antipode(p, 0, 1), _mult_antipode(p, 1, 1),
+        d1 = _mult_comult(ring, 4, 0, 2, 1)
+        d2 = _mult_comult(ring, 4, 1, 3, 1)
+        return _fp_pres(ring, rel1, rel2, d1, d2,
+                        _mult_antipode(ring, 0, 1), _mult_antipode(ring, 1, 1),
                         f"mu_p extension E_{i}")
 
     if fc.tag == "TrivialExtension":
@@ -168,37 +170,35 @@ def claimed_presentation(ring: RingDescriptor, d: ModelDescriptor,
         lam_bar = 1 if d.n == 0 else 0
         rel1 = S1 ** p
         if d.m == p:
-            rel1 = S1 ** p - S1.scale(
-                (-coeff_mod_pi(rho_scalar(ring, d.m))) % p)
+            rel1 = rel1 + S1.scale(rho_scalar(ring, d.m))
         rel2 = S2 ** p
         if d.n == p:
-            rel2 = S2 ** p - S2.scale(
-                (-coeff_mod_pi(rho_scalar(ring, d.n))) % p)
-        d1 = _mult_comult(p, 4, 0, 2, mu_bar)
-        d2 = _mult_comult(p, 4, 1, 3, lam_bar)
-        return _fp_pres(p, rel1, rel2, d1, d2,
-                        _mult_antipode(p, 0, mu_bar),
-                        _mult_antipode(p, 1, lam_bar),
+            rel2 = rel2 + S2.scale(rho_scalar(ring, d.n))
+        d1 = _mult_comult(ring, 4, 0, 2, mu_bar)
+        d2 = _mult_comult(ring, 4, 1, 3, lam_bar)
+        return _fp_pres(ring, rel1, rel2, d1, d2,
+                        _mult_antipode(ring, 0, mu_bar),
+                        _mult_antipode(ring, 1, lam_bar),
                         "trivial extension")
 
     if fc.tag == "AlphaPExtension":
         beta, gamma = fc.params
         rel1 = S1 ** p
-        rel2 = S2 ** p - S1.scale(beta % p)
-        d1 = _mult_comult(p, 4, 0, 2, 0)
-        d2 = (_mult_comult(p, 4, 1, 3, 0)
-              + cocycle_c1(p, 4, 0, 2).scale(gamma % p))
-        return _fp_pres(p, rel1, rel2, d1, d2, -S1, -S2,
+        rel2 = S2 ** p - scaled(S1, beta)
+        d1 = _mult_comult(ring, 4, 0, 2, 0)
+        d2 = (_mult_comult(ring, 4, 1, 3, 0)
+              + scaled(cocycle_c1(ring, 4, 0, 2), gamma))
+        return _fp_pres(ring, rel1, rel2, d1, d2, -S1, -S2,
                         f"E_(beta={beta}, gamma={gamma})")
 
     if fc.tag == "ZpByZp":
         abar, b = fc.params
         rel1 = S1 ** p - S1
-        rel2 = S2 ** p - S2 - S1.scale(abar % p)
-        d1 = _mult_comult(p, 4, 0, 2, 0)
-        d2 = (_mult_comult(p, 4, 1, 3, 0)
-              + cocycle_c1(p, 4, 0, 2).scale(b % p))
-        return _fp_pres(p, rel1, rel2, d1, d2, -S1, -S2,
+        rel2 = S2 ** p - S2 - scaled(S1, abar)
+        d1 = _mult_comult(ring, 4, 0, 2, 0)
+        d2 = (_mult_comult(ring, 4, 1, 3, 0)
+              + scaled(cocycle_c1(ring, 4, 0, 2), b))
+        return _fp_pres(ring, rel1, rel2, d1, d2, -S1, -S2,
                         f"E_(a={abar}, b={b})")
 
     raise ValueError(fc.tag)
@@ -207,15 +207,22 @@ def claimed_presentation(ring: RingDescriptor, d: ModelDescriptor,
 def _try_normalization(fiber: HopfPresentation, claimed: HopfPresentation,
                        h_coeffs) -> bool:
     """Does S1 -> S1, S2 -> S2 + h(S1) carry `claimed` to `fiber`?"""
-    base = fiber.base
-    S1 = Poly.var(base, 2, 0)
-    S2 = Poly.var(base, 2, 1)
+    base, ring = fiber.base, fiber.base.ring
+    one = ring.one().with_prec(1)
+    S1 = Poly.var(base, 2, 0, one)
+    S2 = Poly.var(base, 2, 1, one)
     h = Poly.zero(base, 2)
     for k, c in enumerate(h_coeffs, start=1):
         if c:
-            h = h + (S1 ** k).scale(c)
+            h = h + (S1 ** k).scale(ring.from_int(c))
     f = HopfMorphism(source=fiber, target=claimed, images=(S1, S2 + h))
     return check_morphism(f)
+
+
+def _residues(poly: Poly) -> dict:
+    """{monomial: residue} of the terms with a nonzero residue."""
+    out = {m: coeff_mod_pi(c) for m, c in poly.terms.items()}
+    return {m: r for m, r in out.items() if r}
 
 
 def verify_fiber(d: ModelDescriptor, report=None) -> bool:
@@ -236,10 +243,10 @@ def verify_fiber(d: ModelDescriptor, report=None) -> bool:
     if report is not None:
         diff = []
         for i in range(2):
-            a = normal_form(fiber.relations[i],
-                            list(fiber.relations)).terms
-            b = normal_form(claimed.relations[i],
-                            list(claimed.relations)).terms
+            a = _residues(normal_form(fiber.relations[i],
+                                      list(fiber.relations)))
+            b = _residues(normal_form(claimed.relations[i],
+                                      list(claimed.relations)))
             if a != b:
                 keys = sorted(set(a) | set(b))
                 first = next(k for k in keys if a.get(k) != b.get(k))

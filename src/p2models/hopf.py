@@ -18,6 +18,10 @@ divided by prod_i units[i]^den[i].  `to_json` writes such a pair as
 {"num": <num as a polynomial>, "den": [...]}, a polynomial antipode as
 a polynomial.
 
+The special fiber (`residue_fiber`) stays over the same ExactBase: each
+coefficient becomes its residue digit at precision 1, so every
+comparison on it is decided mod pi, that is in F_p = R/pi.
+
 Antipode compatibility of morphisms is not checked separately: a
 bialgebra morphism between Hopf algebras automatically commutes with the
 antipodes (the antipode is the convolution inverse of the identity).
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .dvr import IndeterminateAtPrecision, RingElement
 from .errors import DivisibilityError, PrecisionError
-from .poly import ExactBase, FpBase, Poly, horner, normal_form
+from .poly import Poly, horner, normal_form
 
 
 @dataclass(frozen=True)
@@ -453,25 +457,28 @@ def det_valuation(matrix):
     return total
 
 
-def is_model_map(f: HopfMorphism) -> bool:
-    """Morphism that is an isomorphism after inverting pi: the basis
-    matrix determinant has determinate finite valuation."""
+def _map_det_valuation(f: HopfMorphism):
+    """det_valuation of the basis matrix of f, or None when f is not a
+    morphism or the ranks differ.  Raises ValueError unless both
+    presentations are finite."""
     if not check_morphism(f):
-        return False
+        return None
     if not (f.source.is_finite and f.target.is_finite):
         raise ValueError("model-map check needs finite presentations")
     if f.source.rank() != f.target.rank():
-        return False
-    return det_valuation(morphism_matrix(f)) is not None
+        return None
+    return det_valuation(morphism_matrix(f))
+
+
+def is_model_map(f: HopfMorphism) -> bool:
+    """Morphism that is an isomorphism after inverting pi: the basis
+    matrix determinant has determinate finite valuation."""
+    return _map_det_valuation(f) is not None
 
 
 def is_isomorphism(f: HopfMorphism) -> bool:
     """Model map whose determinant is a unit."""
-    if not check_morphism(f):
-        return False
-    if f.source.rank() != f.target.rank():
-        return False
-    return det_valuation(morphism_matrix(f)) == 0
+    return _map_det_valuation(f) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -482,28 +489,30 @@ def coeff_mod_pi(c: RingElement) -> int:
     """The residue of c in F_p; c must be known mod pi."""
     if c.prec < 1:
         raise PrecisionError("coefficient indeterminate at precision 0")
-    return c.digits[0] % c.ring.p
+    return (c.P & c.ring._slot_mask) % c.ring.p
 
 
 def residue_fiber(pres: HopfPresentation) -> HopfPresentation:
-    """Base change to the residue field F_p (reduce everything mod pi)."""
-    if not isinstance(pres.base, ExactBase):
-        raise ValueError("presentation already over the residue field")
-    fp = FpBase(pres.base.ring.p)
+    """Base change to the residue field F_p = R/pi: every coefficient
+    becomes its residue digit at precision 1, and coefficients with
+    residue 0 drop out."""
+    ring = pres.base.ring
+
+    def res(c):
+        return RingElement(ring, coeff_mod_pi(c), 1)
 
     def red(poly):
-        return poly.map_coeffs(coeff_mod_pi, fp) if poly is not None else None
+        return poly.map_coeffs(res) if poly is not None else None
 
     return HopfPresentation(
-        base=fp,
+        base=pres.base,
         gens=pres.gens,
         relations=tuple(red(r) for r in pres.relations),
         comult=tuple(red(c) for c in pres.comult),
-        counit=tuple(coeff_mod_pi(c) for c in pres.counit),
+        counit=tuple(res(c) for c in pres.counit),
         antipode=tuple(red(a) if isinstance(a, Poly) else (red(a[0]), a[1])
                        for a in pres.antipode),
-        units=tuple(UnitSpec(red(u.poly),
-                             red(u.inverse) if u.inverse is not None else None)
+        units=tuple(UnitSpec(red(u.poly), red(u.inverse))
                     for u in pres.units),
         name=pres.name + " (special fiber)",
     )

@@ -1,15 +1,13 @@
 """Multivariate polynomials over pluggable coefficient bases.
 
-The bases are thin adapters exposing a common protocol (zero/one/
-from_int/add/neg/mul/is_zero/eq, plus exact scalar division where it
-makes sense):
-
-  * ExactBase  -- elements of R, each at its own pi-adic precision,
-  * FpBase     -- integers mod p (the residue field).
+A base is a thin adapter exposing a common protocol (zero/one/from_int/
+add/neg/mul/is_zero/eq).  ExactBase holds elements of R, each at its own
+pi-adic precision; witt.QQBase holds exact rationals.
 
 A polynomial over a quotient R/pi^t R is an ExactBase polynomial whose
 coefficients are at precision t: R/pi^t is R known mod pi^t, and every
-coefficient comparison is decided mod pi^t.
+coefficient comparison is decided mod pi^t.  The residue field
+F_p = R/pi is the case t = 1.
 
 Polynomials are sparse dicts {exponent tuple: coefficient}.  Arithmetic
 allows negative exponents, so a Poly can be a Laurent polynomial
@@ -76,49 +74,6 @@ class ExactBase:
 
     def __repr__(self):
         return f"ExactBase(p={self.ring.p})"
-
-
-class FpBase:
-    """The residue field F_p."""
-
-    def __init__(self, p: int):
-        self.p = p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n % self.p
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def is_zero(self, a):
-        return a % self.p == 0
-
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
-    def prune_zero(self, a):
-        return a % self.p == 0
-
-    def coeff_json(self, a):
-        return a % self.p
-
-    def __eq__(self, other):
-        return isinstance(other, FpBase) and other.p == self.p
-
-    def __repr__(self):
-        return f"FpBase({self.p})"
 
 
 class Poly:
@@ -379,41 +334,24 @@ def normal_form(poly: Poly, relations: list) -> Poly:
     each from the top down to d_i.  A rewrite lowers the exponent of x_i
     and leaves the later variables alone, so every monomial is rewritten
     at most once, after every contribution to it has arrived, and the
-    pass ends.  Each monomial holds a raw sum of the products that land
-    on it (resident integers over ExactBase, plain ints over FpBase),
-    reduced once when it is rewritten or at the end, and early before it
-    could hold more than RAW_PRODUCTS products.  Its precision is the
-    least min(prec) over those products, a sum that cancels to zero
-    included; a leading one counts as exact.
+    pass ends.  Each monomial holds a raw sum of the resident products
+    that land on it, reduced once when it is rewritten or at the end,
+    and early before it could hold more than RAW_PRODUCTS products.  Its
+    precision is the least min(prec) over those products, a sum that
+    cancels to zero included; a leading one counts as exact.  Only
+    ExactBase polynomials have a normal form; any other base raises
+    TypeError.
     """
     base, nv = poly.base, poly.nvars
-    if isinstance(base, ExactBase):
-        ring = base.ring
-        reduce, negate = ring._reduce_raw, ring._negate
-
-        def resident(c):
-            if c.ring is not ring:
-                raise ValueError("operands from different rings")
-            return c.P, c.prec
-
-        def coeff(x, prec):
-            return RingElement(ring, reduce(x), prec)
-    elif isinstance(base, FpBase):
-        p = base.p
-
-        def reduce(x):
-            return x % p
-
-        def negate(x):
-            return -x % p
-
-        def resident(c):
-            return c, 0
-
-        def coeff(x, prec):
-            return x % p
-    else:
+    if not isinstance(base, ExactBase):
         raise TypeError(f"normal_form over {base!r}")
+    ring = base.ring
+    reduce, negate = ring._reduce_raw, ring._negate
+
+    def resident(c):
+        if c.ring is not ring:
+            raise ValueError("operands from different rings")
+        return c.P, c.prec
 
     rules = _triangular_rules(base, nv, relations, resident)
     # monomial -> [raw sum, precision, number of products in the sum]
@@ -443,7 +381,7 @@ def normal_form(poly: Poly, relations: list) -> Poly:
                     s[2] += 1
                     if q < s[1]:
                         s[1] = q
-    return Poly(base, nv, {m: coeff(x, prec)
+    return Poly(base, nv, {m: RingElement(ring, reduce(x), prec)
                            for m, (x, prec, _) in acc.items()})
 
 

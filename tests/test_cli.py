@@ -98,6 +98,40 @@ def test_verify_outside_phi_is_bad_input(capsys):
     assert "not in Phi" in err and "verification failure" not in err
 
 
+OUTSIDE_PHI = json.dumps({"p": 3, "M": 12, "m": 3, "n": 3,
+                          "a_digits": [0, 1, 0], "j": 1})
+
+
+@pytest.mark.parametrize("argv", [
+    ("fiber", "--descriptor", OUTSIDE_PHI),
+    ("fiber", "--verify", "--descriptor", OUTSIDE_PHI),
+    ("isomorphic", "--left", CANON, "--right", OUTSIDE_PHI),
+    ("hom", "--left", OUTSIDE_PHI, "--right", CANON),
+    ("hom", "--brute", "--left", CANON, "--right", OUTSIDE_PHI),
+])
+def test_every_subcommand_rejects_descriptors_outside_phi(capsys, argv):
+    # fiber used to print a class and isomorphic to answer true, with
+    # exit 0; fiber --verify and hom --brute exited 1 with
+    # "verification failure: DivisibilityError"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "not in Phi" in err and "verification failure" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fiber", "--descriptor"),
+    ("isomorphic", "--right", CANON.replace('"M": 12', '"M": 2'), "--left"),
+    ("hom", "--right", CANON.replace('"M": 12', '"M": 2'), "--left"),
+])
+def test_descriptor_check_names_too_low_precision(capsys, argv):
+    # membership in Phi of (3,3,[0,1,1],1) is not decided at M = 2
+    low = CANON.replace('"M": 12', '"M": 2')
+    code, out, err = run(capsys, *argv, low, "--precision", "2")
+    assert code == 2 and out == ""
+    assert "--precision 2" in err and "M = 2" in err
+    assert "verification failure" not in err
+
+
 def test_verify_short_a_digits_is_bad_input(capsys):
     short = json.dumps({"p": 3, "M": 12, "m": 3, "n": 3,
                         "a_digits": [0, 1], "j": 1})

@@ -12,7 +12,9 @@ from p2models.fiber import (
     verify_fiber,
     wilson_check,
 )
+from p2models.hopf import coeff_mod_pi
 from p2models.models import ModelDescriptor, enumerate_models
+from p2models.poly import Poly
 
 
 @pytest.fixture(scope="module")
@@ -34,10 +36,14 @@ def test_eta_power_unit(R3):
     assert eta_power_unit_check(make_ring(5, 8))
 
 
-def test_cocycle_c1_p3():
-    # (X^3+Y^3-(X+Y)^3)/3 = -X^2 Y - X Y^2 mod 3
-    c = cocycle_c1(3, 2, 0, 1)
-    assert c.terms == {(2, 1): 2, (1, 2): 2}
+def test_cocycle_c1_p3(R3):
+    # (X^3+Y^3-(X+Y)^3)/3 = -X^2 Y - X Y^2, which is 2 X^2 Y + 2 X Y^2
+    # mod 3
+    c = cocycle_c1(R3, 2, 0, 1)
+    assert {m: coeff_mod_pi(x) for m, x in c.terms.items()} == {
+        (2, 1): 2, (1, 2): 2}
+    X, Y = Poly.var(c.base, 2, 0), Poly.var(c.base, 2, 1)
+    assert c.scale(R3.from_int(3)).eq(X ** 3 + Y ** 3 - (X + Y) ** 3)
 
 
 def test_classification_dispatch(R3, models3):
@@ -81,7 +87,6 @@ def test_beta_gamma_lift_independence():
     # perturbing the lift of a Phi element by lam * x leaves the residue
     # classes alone (the formula's exactness absorbs the shift)
     from p2models.models import rho_scalar, phi_congruence
-    from p2models.hopf import coeff_mod_pi
     import random
     rng = random.Random(0)
     R5 = make_ring(5, 8)
@@ -101,8 +106,9 @@ def test_beta_gamma_lift_independence():
     assert vals == {(0, 0)}
 
 
-def test_verify_fiber_reports_mismatch(R3, models3):
+def test_verify_fiber_reports_mismatch(R3, models3, monkeypatch):
     # force a wrong claim and check the comparator rejects it
+    from p2models import fiber as fiber_module
     from p2models.fiber import claimed_presentation, _try_normalization
     from p2models.hopf import residue_fiber
     from p2models.models import build_extension
@@ -114,6 +120,10 @@ def test_verify_fiber_reports_mismatch(R3, models3):
     assert not _try_normalization(fiber, claimed, ())
     assert not any(_try_normalization(fiber, claimed, h)
                    for h in itertools.product(range(3), repeat=2))
+    monkeypatch.setattr(fiber_module, "classify_fiber", lambda d: wrong)
+    report = []
+    assert not verify_fiber(d, report)
+    assert report == ["relations match; comultiplication differs"]
 
 
 def test_fiber_json_roundtrip():

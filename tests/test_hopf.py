@@ -8,6 +8,7 @@ from p2models.hopf import (
     HopfMorphism,
     check_hopf_axioms,
     check_morphism,
+    coeff_mod_pi,
     det_valuation,
     is_isomorphism,
     is_model_map,
@@ -23,6 +24,11 @@ from p2models.poly import ExactBase, Poly, normal_form
 @pytest.fixture(scope="module")
 def R3():
     return make_ring(3, 12)
+
+
+def residues(poly):
+    """{monomial: residue in F_p} of a polynomial over a residue fiber."""
+    return {m: coeff_mod_pi(c) for m, c in poly.terms.items()}
 
 
 def test_normal_form_basics(R3):
@@ -108,6 +114,52 @@ def test_antipode_and_unit_counit_can_fail(R3):
     assert "designated unit 0 has counit != 1" in report.failures
 
 
+def _fiber_with_comult_term(R3, monomial, c):
+    """The special fiber alpha_p of G_{pi,1} (T^3 = 0, Delta T = T x 1
+    + 1 x T) with c T^a x T^b added to Delta T, c taken mod pi."""
+    from dataclasses import replace
+    Gk = residue_fiber(build_g(R3, R3.pi(), 1))
+    extra = Poly(Gk.base, 2, {monomial: c.with_prec(1)})
+    return replace(Gk, comult=(Gk.comult[0] + extra,))
+
+
+def _zero_mod_pi(R3):
+    # nonzero elements of R that vanish mod pi
+    return (R3.pi(), R3.from_int(3))
+
+
+def test_coassociativity_can_fail(R3):
+    # F = x + y + x^2 y^2 is symmetric and vanishes at y = 0, but
+    # F(F(x,y),z) - F(x,F(y,z)) = 2 (x y z^2 - x^2 y z) != 0 mod x^3
+    report = check_hopf_axioms(_fiber_with_comult_term(R3, (2, 2), R3.one()))
+    assert not report.coassoc
+    assert report.counit_law and report.commutativity
+    assert "coassociativity fails on generator 0" in report.failures
+    for c in _zero_mod_pi(R3):
+        assert check_hopf_axioms(_fiber_with_comult_term(R3, (2, 2), c)).ok
+
+
+def test_counit_law_can_fail(R3):
+    # F = x + y + 1: (eps x id) F = y + 1, though F stays coassociative
+    # and symmetric
+    report = check_hopf_axioms(_fiber_with_comult_term(R3, (0, 0), R3.one()))
+    assert not report.counit_law
+    assert report.coassoc and report.commutativity
+    assert "counit law fails on generator 0" in report.failures
+    for c in _zero_mod_pi(R3):
+        assert check_hopf_axioms(_fiber_with_comult_term(R3, (0, 0), c)).ok
+
+
+def test_cocommutativity_can_fail(R3):
+    # F = x + y + x y^2 is not symmetric (nor coassociative)
+    report = check_hopf_axioms(_fiber_with_comult_term(R3, (1, 2), R3.one()))
+    assert not report.commutativity and report.counit_law
+    assert "comultiplication not cocommutative at 0" in report.failures
+    for c in _zero_mod_pi(R3):
+        report = check_hopf_axioms(_fiber_with_comult_term(R3, (1, 2), c))
+        assert report.ok and report.commutativity
+
+
 def test_star_condition_guard(R3):
     from p2models.errors import ValuationError
     with pytest.raises(ValuationError):
@@ -120,6 +172,15 @@ def test_identity_morphism(R3):
     assert check_morphism(f)
     assert is_model_map(f)
     assert is_isomorphism(f)
+
+
+def test_model_map_checks_need_finite_presentations(R3):
+    S = build_g_smooth(R3, R3.pi())
+    f = HopfMorphism(source=S, target=S, images=(S.var(0),))
+    assert check_morphism(f)
+    for check in (is_model_map, is_isomorphism):
+        with pytest.raises(ValueError, match="needs finite presentations"):
+            check(f)
 
 
 def test_alpha_map_to_mu_p(R3):
@@ -159,7 +220,7 @@ def test_residue_fiber_mu_p(R3):
     Gk = residue_fiber(build_g(R3, R3.one(), 1))
     # relation (1+T)^3 - 1 = T^3 + 3T^2 + 3T reduces to T^3 over F_3
     rel = Gk.relations[0]
-    assert rel.terms == {(3,): 1}
+    assert residues(rel) == {(3,): 1}
     report = check_hopf_axioms(Gk)
     assert report.ok and report.rank == 3
 
@@ -167,19 +228,18 @@ def test_residue_fiber_mu_p(R3):
 def test_residue_fiber_alpha_p(R3):
     # 0 < (p-1)v(lam) < v(p): relation becomes S^p = 0
     Gk = residue_fiber(build_g(R3, R3.pi(), 1))
-    assert Gk.relations[0].terms == {(3,): 1}
+    assert residues(Gk.relations[0]) == {(3,): 1}
     # additive comultiplication: T x 1 + 1 x T
-    assert Gk.comult[0].terms == {(1, 0): 1, (0, 1): 1}
+    assert residues(Gk.comult[0]) == {(1, 0): 1, (0, 1): 1}
 
 
 def test_residue_fiber_z_mod_p(R3):
     # boundary case v(lam) = v(lam_(1)): relation S^p - c S with c a unit
     Gk = residue_fiber(build_g(R3, R3.lam1, 1))
-    rel = Gk.relations[0]
-    assert rel.degree_in(0) == 3
-    c = rel.terms.get((1,), 0)
-    assert c != 0  # unit coefficient: the etale Z/pZ form
-    assert rel.terms.get((2,), 0) == 0
+    rel = residues(Gk.relations[0])
+    assert Gk.relations[0].degree_in(0) == 3
+    assert rel.get((1,), 0) != 0  # unit coefficient: the etale Z/pZ form
+    assert rel.get((2,), 0) == 0
     report = check_hopf_axioms(Gk)
     assert report.ok
 
@@ -219,8 +279,9 @@ def test_residue_fiber_of_smooth_presentations(R3):
         build_extension_smooth(d) for d in enumerate_models(R3, 3)]
     for pres in smooth:
         Gk = residue_fiber(pres)
-        assert all(isinstance(c, int) for a in Gk.antipode
-                   for c in a[0].terms.values())
+        # every coefficient is its residue digit at precision 1
+        assert all(c == R3.from_int(coeff_mod_pi(c)).with_prec(1)
+                   for a in Gk.antipode for c in a[0].terms.values())
         report = check_hopf_axioms(Gk)
         assert report.ok, (pres.name, report.failures)
 

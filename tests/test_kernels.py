@@ -33,9 +33,10 @@ from p2models.dvr import (
     make_ring,
 )
 from p2models.errors import PrecisionError, ValuationError
-from p2models.hopf import HopfPresentation, LocalizedElement, UnitSpec
-from p2models.poly import ExactBase, FpBase, Poly, horner, normal_form
-from p2models.witt import WittVector, _recover, ghost, ghosts
+from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
+                           coeff_mod_pi)
+from p2models.poly import ExactBase, Poly, horner, normal_form
+from p2models.witt import QQBase, WittVector, _recover, ghost, ghosts
 
 PRIMES = (3, 5, 7)
 PRECISIONS = (2, 8, 12, 20)
@@ -420,47 +421,43 @@ def stepwise_normal_form(poly, relations):
     return Poly(base, nv, terms)
 
 
-def nf_terms(poly):
-    """{monomial: (digits, prec)} over ExactBase, {monomial: c mod p}
-    over FpBase."""
-    if isinstance(poly.base, FpBase):
-        return {m: c % poly.base.p for m, c in poly.terms.items()}
+def nf_terms(poly, residues=False):
+    """{monomial: (digits, prec)}, or {monomial: residue} of the nonzero
+    residues when the coefficients are taken in F_p = R/pi."""
+    if residues:
+        out = {m: coeff_mod_pi(c) for m, c in poly.terms.items()}
+        return {m: r for m, r in out.items() if r}
     return {m: (c.digits, c.prec) for m, c in poly.terms.items()}
 
 
 @st.composite
 def triangular_systems(draw):
-    """(poly, relations) over ExactBase at p in {3, 5, 7}, M in {2, 3,
-    8, 12}, or over FpBase: 1-3 variables, each with no relation or a
-    monic one of degree 1-3 whose lower terms use variables j <= i, its
-    leading one often at a lower precision; mixed precisions."""
+    """(poly, relations, residues) over ExactBase at p in {3, 5, 7}, M in
+    {2, 3, 8, 12}: 1-3 variables, each with no relation or a monic one
+    of degree 1-3 whose lower terms use variables j <= i, its leading
+    one often at a lower precision; mixed precisions.  One draw in five
+    (residues true) puts every coefficient at precision 1, a system over
+    the residue field."""
     p = draw(st.sampled_from(PRIMES))
     nv = draw(st.integers(1, 3))
-    if draw(st.integers(0, 4)) == 0:
-        base = FpBase(p)
+    R = ring(p, draw(st.sampled_from((2, 3, 8, 12))))
+    base = ExactBase(R)
+    residues = draw(st.integers(0, 4)) == 0
+    digit = st.one_of(st.just(0), st.just(R.pM - 1),
+                      st.integers(0, R.pM - 1))
+    precs = (st.just(1) if residues else
+             st.one_of(st.just(R.full_prec), st.integers(0, R.full_prec)))
 
-        def coeff():
-            return draw(st.integers(0, p - 1))
+    def coeff():
+        return R.from_digits(draw(st.lists(digit, min_size=R.e,
+                                           max_size=R.e)), draw(precs))
 
-        def one():
-            return 1
-    else:
-        R = ring(p, draw(st.sampled_from((2, 3, 8, 12))))
-        base = ExactBase(R)
-        digit = st.one_of(st.just(0), st.just(R.pM - 1),
-                          st.integers(0, R.pM - 1))
-        precs = st.one_of(st.just(R.full_prec), st.integers(0, R.full_prec))
-
-        def coeff():
-            return R.from_digits(draw(st.lists(digit, min_size=R.e,
-                                               max_size=R.e)), draw(precs))
-
-        def one():
-            # one at its precision t: 1, or 1 + pi^t when t < e
-            t = draw(precs)
-            if t < R.e and draw(st.booleans()):
-                return (R.one() + R.pi(t)).with_prec(t)
-            return R.one().with_prec(t)
+    def one():
+        # one at its precision t: 1, or 1 + pi^t when t < e
+        t = draw(precs)
+        if t < R.e and draw(st.booleans()):
+            return (R.one() + R.pi(t)).with_prec(t)
+        return R.one().with_prec(t)
 
     relations = []
     for i in range(nv):
@@ -477,15 +474,16 @@ def triangular_systems(draw):
         relations.append(Poly(base, nv, terms))
     monos = draw(st.lists(st.tuples(*[st.integers(0, 5)] * nv),
                           max_size=6, unique=True))
-    return Poly(base, nv, {m: coeff() for m in monos}), relations
+    return Poly(base, nv, {m: coeff() for m in monos}), relations, residues
 
 
 @settings(max_examples=200, deadline=None)
 @given(triangular_systems())
 def test_normal_form_matches_stepwise(system):
-    poly, relations = system
+    poly, relations, residues = system
     got = normal_form(poly, relations)
-    assert nf_terms(got) == nf_terms(stepwise_normal_form(poly, relations))
+    want = stepwise_normal_form(poly, relations)
+    assert nf_terms(got, residues) == nf_terms(want, residues)
     for i, r in enumerate(relations):
         if r is not None:
             assert got.degree_in(i) < r.degree_in(i)
@@ -519,13 +517,24 @@ def test_normal_form_many_products_on_one_monomial(monkeypatch):
 
 
 def test_normal_form_when_a_waiting_monomial_cancels():
-    # x1^4 mod x1^2 + 2 x0 x1 + 4 x0^2 over F_7: the rewrite of x0 x1^3
-    # cancels x0^2 x1^2 while it waits to be rewritten, and x0^4
-    # cancels too; the stepwise loop raised KeyError here
-    base = FpBase(7)
-    x0, x1 = Poly.var(base, 2, 0), Poly.var(base, 2, 1)
-    rel = x1 * x1 + x0.scale(2) * x1 + (x0 * x0).scale(4)
-    assert normal_form(x1 ** 4, [None, rel]).terms == {(3, 1): 1}
+    # x1^4 mod x1^2 + 2 x0 x1 + 4 x0^2 over F_7 (R at p = 7, precision
+    # 1): the rewrite of x0 x1^3 cancels x0^2 x1^2 while it waits to be
+    # rewritten, and x0^4 cancels too; the stepwise loop raised KeyError
+    # here
+    R = ring(7, 2)
+    base, one = ExactBase(R), R.one().with_prec(1)
+    x0, x1 = Poly.var(base, 2, 0, one), Poly.var(base, 2, 1, one)
+    rel = (x1 * x1 + x0.scale(R.from_int(2)) * x1
+           + (x0 * x0).scale(R.from_int(4)))
+    got = normal_form(x1 ** 4, [None, rel])
+    assert nf_terms(got, residues=True) == {(3, 1): 1}
+    assert list(got.terms) == [(3, 1)]
+
+
+def test_normal_form_needs_an_exact_base():
+    x = Poly.var(QQBase(), 1, 0)
+    with pytest.raises(TypeError, match="normal_form over"):
+        normal_form(x * x, [x * x - Poly.one(QQBase(), 1)])
 
 
 def test_normal_form_rejects_systems_not_triangular_and_monic():
