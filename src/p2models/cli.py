@@ -2,10 +2,10 @@
 
 Exit codes: 0 success; 2 validation error (bad arguments, non-prime p,
 malformed descriptors, a descriptor M other than --precision, a
-descriptor whose (a, j) is outside Phi, a descriptor check or a `verify`
-or `fiber` run that needs more precision than --precision gives); 1
-internal verification failure (a failed axiom check or acceptance
-criterion — a bug signal, not a usage error).
+descriptor whose (a, j) is outside Phi, a run of any subcommand with
+--precision that needs more precision than it gives); 1 internal
+verification failure (a failed axiom check or acceptance criterion — a
+bug signal, not a usage error).
 
 Output is one JSON document on stdout by default; --table renders the
 same data as an aligned table.  --out FILE writes the document to FILE
@@ -17,7 +17,6 @@ take --precision (the digit precision M), and only phi takes --budget
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -67,10 +66,10 @@ def _ring_for(args):
 
 
 def _too_low_precision(M: int, exc: PrecisionError) -> ValidationError:
-    """Too low a --precision for the model is bad input, not a failed
-    verification: the command exits 2 and names the M it used."""
+    """Too low a --precision is bad input, not a failed verification:
+    the command exits 2 and names the M it used."""
     return ValidationError(
-        f"--precision {M} is too low for this model: at M = {M}, {exc}; "
+        f"--precision {M} is too low for this input: at M = {M}, {exc}; "
         f"rerun with a larger --precision")
 
 
@@ -81,26 +80,11 @@ def _parse_descriptor(ring, blob: str) -> ModelDescriptor:
         d = ModelDescriptor.from_json(ring, json.loads(blob))
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"malformed descriptor: {exc}") from exc
-    try:
-        in_phi = phi_congruence(ring, d.m, d.n, d.a, d.j)
-    except PrecisionError as exc:
-        raise _too_low_precision(ring.M, exc) from exc
-    if not in_phi:
+    if not phi_congruence(ring, d.m, d.n, d.a, d.j):
         raise ValidationError(
             f"(a, j) = ({d.a.digit_string() or '0'}, {d.j}) is not in "
             f"Phi for (m, n) = ({d.m}, {d.n})")
     return d
-
-
-def _precision_is_input(cmd):
-    """Turn a PrecisionError of the command into _too_low_precision."""
-    @functools.wraps(cmd)
-    def run(args):
-        try:
-            return cmd(args)
-        except PrecisionError as exc:
-            raise _too_low_precision(args.precision, exc) from exc
-    return run
 
 
 def _check_cell(args):
@@ -185,7 +169,6 @@ def cmd_hom(args) -> int:
     return 0
 
 
-@_precision_is_input
 def cmd_fiber(args) -> int:
     ring = _ring_for(args)
     d = _parse_descriptor(ring, args.descriptor)
@@ -201,7 +184,6 @@ def cmd_fiber(args) -> int:
     return 0
 
 
-@_precision_is_input
 def cmd_verify(args) -> int:
     ring = _ring_for(args)
     d = _parse_descriptor(ring, args.descriptor)
@@ -350,7 +332,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        try:
+            return args.fn(args)
+        except PrecisionError as exc:
+            # selftest and dump-series fix their own precision
+            if "precision" not in vars(args):
+                raise
+            raise _too_low_precision(args.precision, exc) from exc
     except (ValidationError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,8 +27,12 @@ class DivisibilityError(P2ModelsError):
 
 
 class LinearSolveError(P2ModelsError):
-    """A linear system guaranteed solvable by theory had no solution
-    at working precision."""
+    """A polynomial identity has no solution at working precision.
+
+    Raised by models.solve_target_hom when F^p (1+mu S)^(-j) is not a
+    polynomial in P_{mu,1} mod pi^(pn): no target G exists, so (a, j) is
+    not in Phi.
+    """
 
 
 class BudgetError(P2ModelsError):

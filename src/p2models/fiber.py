@@ -228,8 +228,9 @@ def _residues(poly: Poly) -> dict:
 def verify_fiber(d: ModelDescriptor, report=None) -> bool:
     """Compare residue_fiber(build_extension(d)) with the claimed
     presentation, allowing the S2 -> S2 + h(S1) unit-section
-    normalization.  Appends a diagnostic to `report` (a list) on
-    mismatch."""
+    normalization.  On mismatch, appends a diagnostic to `report` (a
+    list): the first monomial of each fiber relation's nonzero remainder
+    modulo the claimed relations."""
     ring = d.ring
     p = ring.p
     fc = classify_fiber(d)
@@ -243,15 +244,13 @@ def verify_fiber(d: ModelDescriptor, report=None) -> bool:
     if report is not None:
         diff = []
         for i in range(2):
-            a = _residues(normal_form(fiber.relations[i],
-                                      list(fiber.relations)))
-            b = _residues(normal_form(claimed.relations[i],
-                                      list(claimed.relations)))
-            if a != b:
-                keys = sorted(set(a) | set(b))
-                first = next(k for k in keys if a.get(k) != b.get(k))
+            rest = _residues(normal_form(fiber.relations[i],
+                                         list(claimed.relations)))
+            if rest:
+                first = min(rest)
                 diff.append(f"relation {i} differs at monomial {first}: "
-                            f"{a.get(first, 0)} vs {b.get(first, 0)}")
+                            f"remainder {rest[first]} modulo the claimed "
+                            f"relations")
         report.append("; ".join(diff) if diff
                       else "relations match; comultiplication differs")
     return False

@@ -65,13 +65,18 @@ def poly_in_var(base, nvars: int, var: int, coeffs) -> Poly:
     return Poly(base, nvars, terms)
 
 
-def kummer_quotient_coeffs(ring: RingDescriptor, lam: RingElement, N: int):
-    """Coefficients c_1..c_N of ((1+lam T)^N - 1)/lam^N, c_k = C(N,k) lam^(k-N).
+def kummer_quotient_coeffs(ring: RingDescriptor, lam: RingElement, N: int,
+                           divisor: RingElement | None = None):
+    """Coefficients c_1..c_N of ((1+lam T)^N - 1)/divisor, c_k =
+    C(N,k) lam^k / divisor; the divisor defaults to lam^N and is prepared
+    once.
 
     Exists exactly under the degree condition; raises ValuationError if
     some binomial is not divisible.
     """
-    divide = (lam ** N).divisor()
+    if N == 0:
+        return []
+    divide = (lam ** N if divisor is None else divisor).divisor()
     return [divide(ring.from_int(math.comb(N, k)) * lam ** k)
             for k in range(1, N + 1)]
 
@@ -181,10 +186,7 @@ def hom_gln(ring: RingDescriptor, lam: RingElement, lam2: RingElement,
     base = ExactBase(ring)
     out = []
     for i in range(ring.p ** n):
-        coeffs = [ring.zero()]
-        for k in range(1, i + 1):
-            coeffs.append(
-                (ring.from_int(math.comb(i, k)) * lam ** k).divide_exact(lam2))
+        coeffs = [ring.zero()] + kummer_quotient_coeffs(ring, lam, i, lam2)
         img = src.nf(poly_in_var(base, 1, 0, coeffs))
         f = HopfMorphism(source=src, target=tgt, images=(img,),
                          name=f"hom_g(i={i})")
@@ -470,7 +472,7 @@ def _comult(base, fc, mu, lam, rel1=None) -> tuple:
     if rel1 is not None:
         num = normal_form(num, [rel1.embed(4, 0), None,
                                 rel1.embed(4, 2), None])
-    coc = num.div_scalar(lam).pruned()
+    coc = num.div_scalar(lam)
     d_s2 = v[1] * F_y + F_x * v[3] + (v[1] * v[3]).scale(lam) + coc
     return d_s1, d_s2
 
@@ -492,7 +494,7 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
     u1 = Poly.one(base, 2) + Poly.var(base, 2, 0).scale(mu)
     u2 = poly_in_var(base, 2, 0, fc) + Poly.var(base, 2, 1).scale(lam)
     rel2 = normal_form(u2 ** p - u1 ** d.j, [rel1, None])
-    rel2 = rel2.div_scalar(lam ** p).pruned()
+    rel2 = rel2.div_scalar(lam ** p)
 
     # counit: zero for the canonical lift, but (1 - F(0))/lam is only
     # known mod pi^(eM - n), and that precision is part of the output
@@ -507,12 +509,12 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
     anti2_num = (u2 ** (p - 1) * u1 ** (p - d.j)
                  - _eval_poly_at(fc, anti1))
     anti2_num = normal_form(anti2_num, [rel1, None])
-    anti2 = anti2_num.div_scalar(lam).pruned()
+    anti2 = anti2_num.div_scalar(lam)
 
     rel_system = (rel1, rel2)
-    inv1 = normal_form(u1 ** (p - 1), list(rel_system)).pruned()
+    inv1 = normal_form(u1 ** (p - 1), list(rel_system))
     inv2 = normal_form(u2 ** (p - 1) * u1 ** (p - d.j),
-                       list(rel_system)).pruned()
+                       list(rel_system))
     return HopfPresentation(
         base=base, gens=("S1", "S2"),
         relations=rel_system, comult=_comult(base, fc, mu, lam, rel1),
@@ -539,7 +541,7 @@ def _smooth_extension(ring, mu, lam, fc, name) -> HopfPresentation:
     G1 = Poly.zero(base, 2)
     for i, c in enumerate(fc):
         G1 = G1 + ((-S1) ** i) * (u1 ** (p - 1 - i)).scale(c)
-    anti2_num = (u1 ** (p - 1) - u2 * G1).div_scalar(lam).pruned()
+    anti2_num = (u1 ** (p - 1) - u2 * G1).div_scalar(lam)
     return HopfPresentation(
         base=base, gens=("S1", "S2"), relations=(None, None),
         comult=_comult(base, fc, mu, lam), counit=(ring.zero(), eps2),
@@ -558,96 +560,45 @@ def build_extension_smooth(d: ModelDescriptor) -> HopfPresentation:
 # the ambient isogeny
 # ---------------------------------------------------------------------------
 
-def _chain_solve(ring: RingDescriptor, rows, rhs, t: int):
-    """Solve A x = rhs over R/pi^t by min-valuation pivoting.
-
-    rows: list of lists of RingElements; rhs: RingElements.  The
-    elimination runs on the entries at precision t, so every valuation
-    and zero test is decided mod pi^t, and each pivot is inverted once.
-    Returns x as RingElements (canonical lifts of the solution mod pi^t);
-    raises LinearSolveError when inconsistent or underdetermined by a
-    non-unit pivot.
-    """
-    ncols = len(rows[0])
-    A = [[_mod_pi(c, t) for c in row] for row in rows]
-    b = [_mod_pi(c, t) for c in rhs]
-    nrows = len(A)
-    where = [None] * ncols
-    inverses = [None] * ncols
-    used = set()
-    for col in range(ncols):
-        best, best_v = None, None
-        for r in range(nrows):
-            if r in used:
-                continue
-            v = A[r][col].valuation()
-            if isinstance(v, IndeterminateAtPrecision):
-                continue
-            if best_v is None or v < best_v:
-                best, best_v = r, v
-        if best is None:
-            # column identically zero: the unknown must be irrelevant
-            where[col] = None
-            continue
-        if best_v != 0:
-            raise LinearSolveError(
-                f"pivot for unknown {col} has valuation {best_v}; "
-                "solution not unique at working precision")
-        used.add(best)
-        where[col] = best
-        # later steps change the pivot only by multiples of pi^t
-        piv_inv = inverses[col] = A[best][col].invert_unit()
-        for r in range(nrows):
-            if r == best:
-                continue
-            factor = A[r][col] * piv_inv
-            if factor.is_zero():
-                continue
-            A[r] = [x - factor * y for x, y in zip(A[r], A[best])]
-            b[r] = b[r] - factor * b[best]
-    # consistency of untouched rows
-    for r in range(nrows):
-        if r not in used and not b[r].is_zero():
-            raise LinearSolveError("inconsistent linear system")
-    return [ring.zero() if r is None
-            else (b[r] * inverses[col]).reduce_mod(t).lift()
-            for col, r in enumerate(where)]
-
-
 def solve_target_hom(d: ModelDescriptor) -> list[RingElement]:
     """Coefficients g_0..g_{p-1} of G with
     F(S)^p (1+mu S)^(-j) = G(P_{mu,1}(S)) mod lam^p (raw identity).
 
-    Solved as a linear system over R/pi^(pn); the solution is unique
-    because P_{mu,1} is monic.
+    (1+mu S)^p = 1 + mu^p P_{mu,1} and v(mu^p) >= pn, so the identity is
+    G(P_{mu,1}) = F^p (1+mu S)^((-j) mod p) mod pi^(pn): G is the
+    P_{mu,1}-adic expansion of the right side.  P_{mu,1} is monic of
+    degree p with constant term 0, so each division leaves a remainder
+    whose constant term is the next digit g_k, and its other
+    coefficients must vanish mod pi^(pn); LinearSolveError when one does
+    not.  The right side has degree below p^2, hence at most p digits.
     """
     ring = d.ring
     p = ring.p
     if d.n == 0:
-        out = [ring.one()] + [ring.zero()] * (p - 1)
-        return out
+        return [ring.one()] + [ring.zero()] * (p - 1)
     base = ExactBase(ring)
+    t = p * d.n
     mu = ring.pi(d.m)
-    fc = canonical_lift_coeffs(d)
-    Pmu = poly_in_var(base, 1, 0,
-                      [ring.zero()] + kummer_quotient_coeffs(ring, mu, p))
     u1 = Poly.one(base, 1) + Poly.var(base, 1, 0).scale(mu)
-    F = poly_in_var(base, 1, 0, fc)
-    lhs_poly = F ** p
-    u1j = u1 ** d.j
-    # columns: coefficients of P^k (1+mu S)^j as polynomials in S
-    deg = p * (p - 1) + d.j
-    cols = []
-    Pk = Poly.one(base, 1)
-    for k in range(p):
-        if k:
-            Pk = Pk * Pmu
-        colpoly = Pk * u1j
-        cols.append([colpoly.coefficient((i,)) for i in range(deg + 1)])
-    rows = [[cols[k][i] for k in range(p)] for i in range(deg + 1)]
-    rhs = [lhs_poly.coefficient((i,)) for i in range(deg + 1)]
-    g = _chain_solve(ring, rows, rhs, p * d.n)
-    return g
+    F = poly_in_var(base, 1, 0, canonical_lift_coeffs(d))
+    H = F ** p * u1 ** ((-d.j) % p)
+    h = [H.coefficient((i,)) for i in range(H.degree_in(0) + 1)]
+    P = kummer_quotient_coeffs(ring, mu, p)  # S^1..S^p coefficients
+    zero = ring.zero()
+    g = []
+    while h:
+        # h = q P + r in place: r in h[:p], q in h[p:]
+        for i in range(len(h) - 1, p - 1, -1):
+            for k in range(1, p):
+                h[i - p + k] = h[i - p + k] - h[i] * P[k - 1]
+        for k, c in enumerate(h[1:p], 1):
+            if not eq_mod(c, zero, t)[0]:
+                raise LinearSolveError(
+                    f"remainder {len(g)} has S^{k} coefficient nonzero mod "
+                    f"pi^{t}: no G over R/pi^{t}")
+        g.append(h[0].reduce_mod(t).lift())
+        h = h[p:]
+    return g + [zero] * (p - len(g))
 
 
 def target_hom_closed_form(d: ModelDescriptor) -> list[RingElement]:
@@ -701,8 +652,7 @@ def ambient_isogeny(d: ModelDescriptor):
         raise P2ModelsError("kernel containment fails for S1")
     img2_fin = LocalizedElement(fin, img2_num, (d.j, 0)).clear_in_finite(fin)
     eps2 = (ring.one() - g[0]).divide_exact(lam ** p) if d.n else ring.zero()
-    if not (img2_fin - Poly.const(base, 2, eps2)).is_zero() \
-            and not fin.nf(img2_fin - Poly.const(base, 2, eps2)).is_zero():
+    if not (img2_fin - Poly.const(base, 2, eps2)).is_zero():
         raise P2ModelsError("kernel containment fails for S2")
     return src, tgt, f
 
@@ -773,11 +723,8 @@ def _psi_rs_built(src, tgt, d1, d2, r, s):
     # S1' -> ((1+mu1 S1)^x - 1)/mu2, S2' -> ((F1+lam1 S2)^r (1+mu1 S1)^s
     # - F2(S1'))/lam2 with F1 + lam1 S2, 1 + mu1 S1 the units of src
     try:
-        coeffs1 = [ring.zero()]
-        for k in range(1, x + 1):
-            coeffs1.append(
-                (ring.from_int(math.comb(x, k)) * mu1 ** k).divide_exact(mu2))
-        img1 = poly_in_var(base, 2, 0, coeffs1)
+        img1 = poly_in_var(base, 2, 0, [ring.zero()]
+                           + kummer_quotient_coeffs(ring, mu1, x, mu2))
         u1, u2 = (u.poly for u in src.units)
         F2_at = _eval_poly_at(canonical_lift_coeffs(d2), img1)
         num = src.nf(u2 ** r * u1 ** s - F2_at)

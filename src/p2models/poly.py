@@ -172,17 +172,6 @@ class Poly:
         precision."""
         return all(self.base.is_zero(c) for c in self.terms.values())
 
-    def pruned(self) -> "Poly":
-        """Drop coefficients that vanish at their stored precision.
-
-        Only for construction-time data whose vanishing is certified by
-        theory (relations, cocycles): run-time arithmetic keeps such
-        coefficients to track per-monomial precision honestly.
-        """
-        return Poly(self.base, self.nvars,
-                    {m: c for m, c in self.terms.items()
-                     if not self.base.is_zero(c)})
-
     def eq(self, other: "Poly") -> bool:
         return (self - other).is_zero()
 

@@ -168,8 +168,10 @@ def test_verify_descriptor_precision_mismatch(capsys):
 
 
 def test_verify_and_fiber_reject_too_low_precision(capsys):
-    # (3,3,[0,1,1],1) cannot be decided at M = 2 and passes at M = 3
-    for M, want in ((2, 2), (3, 0)):
+    # (3,3,[0,1,1],1) cannot be decided at M = 2 or 3 and passes at M = 4.
+    # At M = 3 its relation has coefficients known to no digit; they were
+    # once dropped as zero, and verify passed on a different algebra.
+    for M, want in ((2, 2), (3, 2), (4, 0)):
         desc = json.dumps({"p": 3, "M": M, "m": 3, "n": 3,
                            "a_digits": [0, 1, 1], "j": 1})
         for argv in (("verify",), ("fiber", "--verify")):
@@ -178,7 +180,17 @@ def test_verify_and_fiber_reject_too_low_precision(capsys):
             assert code == want, (argv, M, err)
             if want == 2:
                 assert out == "" and "verification failure" not in err
-                assert "--precision 2" in err and "M = 2" in err
+                assert f"--precision {M}" in err and f"M = {M}" in err
+
+
+def test_every_precision_subcommand_names_too_low_precision(capsys):
+    # phi --brute decides the congruence mod pi^9 from elements known
+    # mod pi^6; this exited 1 with "verification failure: PrecisionError"
+    code, out, err = run(capsys, "phi", "--p", "3", "--m", "3", "--n", "3",
+                         "--brute", "--precision", "2")
+    assert code == 2 and out == ""
+    assert "--precision 2" in err and "M = 2" in err
+    assert "verification failure" not in err
 
 
 def test_validation_exit_code(capsys):

@@ -126,6 +126,22 @@ def test_verify_fiber_reports_mismatch(R3, models3, monkeypatch):
     assert report == ["relations match; comultiplication differs"]
 
 
+def test_verify_fiber_reports_differing_relations(R3, models3, monkeypatch):
+    # the mu_p fiber (0,0) has relation S1^3, which leaves the remainder S1
+    # modulo the claimed S1^3 - S1; the report once compared each relation
+    # with itself and said "relations match"
+    from p2models import fiber as fiber_module
+    d = models3[0]
+    assert classify_fiber(d) == FiberClass("MuPExtension", (1,))
+    monkeypatch.setattr(fiber_module, "classify_fiber",
+                        lambda d: FiberClass("ZpByZp", (0, 2)))
+    report = []
+    assert not verify_fiber(d, report)
+    assert len(report) == 1
+    assert report[0].startswith("relation 0 differs at monomial (1, 0): "
+                                "remainder 1 ")
+
+
 def test_fiber_json_roundtrip():
     for fc in [FiberClass("MuPExtension", (2,)),
                FiberClass("TrivialExtension"),

@@ -7,11 +7,13 @@ from p2models.dvr import (
     QuotElement,
     RingDescriptor,
     RingElement,
+    enumerate_quotient,
     eq_mod,
     eta,
     make_ring,
 )
-from p2models.errors import DivisibilityError, P2ModelsError, ValuationError
+from p2models.errors import (DivisibilityError, LinearSolveError,
+                             P2ModelsError, ValuationError)
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
 from p2models.models import (
     ModelDescriptor,
@@ -365,10 +367,11 @@ def test_build_extension_inverts_each_divisor_once(models3, monkeypatch):
     (3, 12, 3, 3, (0, 1, 1), 1),   # a = eta mod pi^3
     (5, 8, 3, 3, (0, 0, 1), 0),    # the kernel-extreme p = 5 descriptor
 ])
-def test_solve_target_hom_inverts_each_pivot_once(monkeypatch, p, M, m, n,
-                                                  a_digits, j):
-    # One Newton inversion for the Kummer divisor mu^p and one per pivot
-    # column, reused for the solution: 4 at p = 3, 6 at p = 5.
+def test_solve_target_hom_inverts_only_the_kummer_divisor(
+        monkeypatch, p, M, m, n, a_digits, j):
+    # The P-adic expansion divides by the monic P_{mu,1} and inverts no
+    # unit: the one Newton inversion is that of mu^p for the Kummer
+    # coefficients of P_{mu,1}.
     ring = make_ring(p, M)
     ring.p_over_pi()  # the ring's cached unit is not part of the count
     d = ModelDescriptor(ring, m, n, QuotElement(ring, n, a_digits), j)
@@ -382,7 +385,51 @@ def test_solve_target_hom_inverts_each_pivot_once(monkeypatch, p, M, m, n,
 
     monkeypatch.setattr(RingElement, "invert_unit", counting_invert)
     solve_target_hom(d)
-    assert calls == 1 + p
+    assert calls == 1
+
+
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
+def test_solve_target_hom_matches_closed_form_on_phi(p, M):
+    # every member of every Phi cell, j = 0 included
+    ring = make_ring(p, M)
+    count = 0
+    for m in range(p + 1):
+        for n in range(m + 1):
+            for el in phi_closed(ring, m, n):
+                d = ModelDescriptor(ring, m, n, el.a, el.j)
+                g, gc = solve_target_hom(d), target_hom_closed_form(d)
+                assert len(g) == p
+                for x, y in zip(g, gc):
+                    assert eq_mod(x, y, p * n)[0], d.sort_key()
+                count += 1
+    assert count == {3: 24, 5: 77}[p]  # 101 members in all
+
+
+# the descriptors (m, n, a digits, j), n >= 1, at p = 3 for which G
+# exists: the Phi members and the two j = 0 units a of cell (1, 1)
+SOLVABLE_P3 = {
+    (1, 1, (0,), 0), (1, 1, (1,), 0), (1, 1, (2,), 0), (2, 1, (0,), 0),
+    (2, 2, (0, 0), 0), (3, 1, (0,), 0), (3, 1, (0,), 1), (3, 1, (0,), 2),
+    (3, 2, (0, 0), 0), (3, 2, (0, 1), 1), (3, 2, (0, 2), 2),
+    (3, 3, (0, 0, 0), 0), (3, 3, (0, 1, 1), 1), (3, 3, (0, 2, 2), 2),
+}
+
+
+def test_solve_target_hom_rejects_exactly_the_unsolvable(R3):
+    # all 162 descriptors of the cells with n >= 1: the other 148 have a
+    # remainder with a non-constant coefficient nonzero mod pi^(pn)
+    solved = set()
+    for m in range(1, 4):
+        for n in range(1, m + 1):
+            for a in enumerate_quotient(R3, n):
+                for j in range(3):
+                    d = ModelDescriptor(R3, m, n, a, j)
+                    try:
+                        solve_target_hom(d)
+                    except LinearSolveError:
+                        continue
+                    solved.add(d.sort_key())
+    assert solved == SOLVABLE_P3
 
 
 def _count_products(monkeypatch):
