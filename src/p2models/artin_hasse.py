@@ -47,8 +47,8 @@ def _mul(f: Poly, g: Poly, D: int) -> Poly:
             if m2[0] > room:
                 break
             m = tuple(map(add, m1, m2))
-            c = base.mul(c1, c2)
-            out[m] = base.add(out[m], c) if m in out else c
+            c = c1 * c2
+            out[m] = out[m] + c if m in out else c
     return Poly(base, f.nvars, out)
 
 
@@ -178,8 +178,7 @@ def ep_poly_special(a: RingElement, mu: RingElement, t: int) -> list[QuotElement
     p = ring.p
     lhs = a ** p
     rhs = mu ** (p - 1) * a
-    ok, _ = eq_mod(lhs, rhs, t)
-    if not ok:
+    if not eq_mod(lhs, rhs, t):
         raise ValueError("precondition a^p = mu^(p-1) a mod pi^t fails")
     out = [ring.one().reduce_mod(t)]
     running = ring.one()

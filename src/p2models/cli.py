@@ -11,7 +11,8 @@ Output is one JSON document on stdout by default; --table renders the
 same data as an aligned table.  --out FILE writes the document to FILE
 instead.  Every subcommand takes --p; all but selftest and dump-series
 take --precision (the digit precision M), and only phi takes --budget
-(the brute-force candidate cap).  selftest runs its criteria in order.
+(the cap on brute-force candidates, by default p^9 as in the library;
+more candidates exit 2).  selftest runs its criteria in order.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from .dvr import eta, make_ring
 from .errors import BudgetError, P2ModelsError, PrecisionError
 from .fiber import classify_fiber, verify_fiber
 from .hopf import check_hopf_axioms
-from .models import (DEFAULT_BUDGET, ModelDescriptor, build_extension,
-                     enumerate_models, hom_models, hom_models_brute,
-                     is_isomorphic, phi_brute, phi_closed, phi_congruence,
-                     p2_surjective)
+from .models import (ModelDescriptor, build_extension, enumerate_models,
+                     hom_models, hom_models_brute, is_isomorphic, phi_brute,
+                     phi_closed, phi_congruence, p2_surjective)
 from .selftest import run_selftest
 
 
@@ -278,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--brute", action="store_true",
                     help="enumerate the congruence instead of the closed form")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="brute-force candidate budget")
+    sp.add_argument("--budget", type=int,
+                    help="brute-force candidate budget (default p^9)")
     sp.set_defaults(fn=cmd_phi)
 
     sp = sub.add_parser("enumerate", help="all models up to m-max")

@@ -554,22 +554,17 @@ def ring_element_from_json(ring: RingDescriptor, obj) -> RingElement:
                             prec=obj["prec"])
 
 
-def eq_mod(x: RingElement, y: RingElement, t: int):
-    """Equality modulo pi^t.
-
-    Returns (equal, mode): mode is "exact" when the difference has
-    determinate valuation >= t, "indeterminate" when the difference is
-    indistinguishable from 0 at level >= t, and None when not equal.
-    """
+def eq_mod(x: RingElement, y: RingElement, t: int) -> bool:
+    """Equality modulo pi^t: the difference has valuation >= t, or is
+    indistinguishable from 0 at a precision >= t.  A difference
+    indistinguishable from 0 below pi^t raises PrecisionError."""
     d = (x - y).valuation()
     if isinstance(d, IndeterminateAtPrecision):
         if d.level >= t:
-            return True, "indeterminate"
+            return True
         raise PrecisionError(
             f"cannot decide equality mod pi^{t} at precision {d.level}")
-    if d >= t:
-        return True, "exact"
-    return False, None
+    return d >= t
 
 
 class QuotElement:

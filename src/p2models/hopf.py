@@ -18,6 +18,15 @@ divided by prod_i units[i]^den[i].  `to_json` writes such a pair as
 {"num": <num as a polynomial>, "den": [...]}, a polynomial antipode as
 a polynomial.
 
+Every identity of this layer (the axiom laws, morphism checks, and the
+kernel containment of models.ambient_isogeny) is decided one way: as
+LocalizedElement values compared by `LocalizedElement.is_zero`, on the
+normal form of the cleared numerator in a finite presentation and on
+the raw numerator in a smooth one.  Its precision floor is one digit:
+a coefficient of that polynomial known to no digit (precision < 1)
+raises PrecisionError rather than pass as zero.  The only comparisons
+made in the ring itself are counits.
+
 The special fiber (`residue_fiber`) stays over the same ExactBase: each
 coefficient becomes its residue digit at precision 1, so every
 comparison on it is decided mod pi, that is in F_p = R/pi.
@@ -197,9 +206,15 @@ class LocalizedElement:
         return LocalizedElement(self.pres, self.num, tuple(den))
 
     def is_zero(self) -> bool:
-        if self.pres.is_finite:
-            return self.pres.nf(self.num).is_zero()
-        return self.num.is_zero()
+        """Decided on the normal form of the numerator in a finite
+        presentation and on the numerator itself in a smooth one.  A
+        coefficient known to no digit (precision < 1) makes the test
+        vacuous, so it raises PrecisionError instead."""
+        num = self.pres.nf(self.num) if self.pres.is_finite else self.num
+        if any(c.prec < 1 for c in num.terms.values()):
+            raise PrecisionError("cannot decide a zero test on a "
+                                 "coefficient known to no digit")
+        return num.is_zero()
 
     def eq(self, other: "LocalizedElement") -> bool:
         return (self - self._coerce(other)).is_zero()
@@ -245,92 +260,82 @@ class AxiomReport:
 
 def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
     """Verify coassociativity, counit law, antipode law, cocommutativity
-    and the designated-unit certificates by symbolic identities in the
-    tensor quotients."""
-    base = pres.base
-    n = pres.ngens
+    and the designated-unit certificates: every law of `_laws` is one
+    comparison, decided by LocalizedElement.is_zero.  A law whose
+    failure is already reported (the second counit law of a generator)
+    is not decided again."""
+    flags = dict.fromkeys(("coassoc", "counit_law", "antipode_law",
+                           "commutativity", "unit_certificates"), True)
     failures = []
+    for flag, failure, lhs, rhs in _laws(pres):
+        if failure not in failures and not (lhs - rhs).is_zero():
+            flags[flag] = False
+            failures.append(failure)
+    return AxiomReport(rank=pres.rank(), failures=failures, **flags)
 
-    sq = tensor_power(pres, 2)
-    rel2, rel3 = sq.relations, tensor_power(pres, 3).relations
 
-    # coassociativity: (Delta x id) Delta = (id x Delta) Delta
-    coassoc = True
-    left_imgs = ([pres.comult[i].embed(3 * n, 0) for i in range(n)]
-                 + [Poly.var(base, 3 * n, 2 * n + i) for i in range(n)])
-    right_imgs = ([Poly.var(base, 3 * n, i) for i in range(n)]
-                  + [pres.comult[i].embed(3 * n, n) for i in range(n)])
-    for g in range(n):
-        d = pres.comult[g]
-        lhs = normal_form(d.subst(left_imgs), rel3)
-        rhs = normal_form(d.subst(right_imgs), rel3)
-        if not lhs.eq(rhs):
-            coassoc = False
-            failures.append(f"coassociativity fails on generator {g}")
+def _laws(pres: HopfPresentation):
+    """(AxiomReport flag, failure, lhs, rhs) for every law, in report
+    order.  lhs and rhs are LocalizedElement values over pres or its
+    square or cube, except the counit of a designated unit, which is a
+    comparison in the ring."""
+    base, n = pres.base, pres.ngens
+    sq, cube = tensor_power(pres, 2), tensor_power(pres, 3)
 
-    # counit law: (eps x id) Delta = id = (id x eps) Delta
-    counit_ok = True
-    for g in range(n):
-        d = pres.comult[g]
-        left = d.subst([Poly.const(base, n, pres.counit[i])
-                        for i in range(n)]
-                       + [pres.var(i) for i in range(n)])
-        right = d.subst([pres.var(i) for i in range(n)]
-                        + [Poly.const(base, n, pres.counit[i])
-                           for i in range(n)])
-        idg = pres.var(g)
-        if pres.is_finite:
-            left, right, idg = pres.nf(left), pres.nf(right), pres.nf(idg)
-        if not (left.eq(idg) and right.eq(idg)):
-            counit_ok = False
-            failures.append(f"counit law fails on generator {g}")
+    def var(k, i):
+        return Poly.var(base, k * n, i)
+
+    # coassociativity: (Delta x id) Delta = (id x Delta) Delta in the cube
+    left = ([c.embed(3 * n, 0) for c in pres.comult]
+            + [var(3, 2 * n + i) for i in range(n)])
+    right = ([var(3, i) for i in range(n)]
+             + [c.embed(3 * n, n) for c in pres.comult])
+    for g, d in enumerate(pres.comult):
+        yield ("coassoc", f"coassociativity fails on generator {g}",
+               LocalizedElement(cube, d.subst(left)),
+               LocalizedElement(cube, d.subst(right)))
+
+    # counit laws: (eps x id) Delta = id = (id x eps) Delta
+    ids = [pres.var(i) for i in range(n)]
+    eps = [Poly.const(base, n, c) for c in pres.counit]
+    for g, d in enumerate(pres.comult):
+        idg = LocalizedElement(pres, ids[g])
+        for imgs in (eps + ids, ids + eps):
+            yield ("counit_law", f"counit law fails on generator {g}",
+                   LocalizedElement(pres, d.subst(imgs)), idg)
 
     # antipode law: m (sigma x id) Delta = unit . counit, with the
     # antipode as (num, den) pairs or polynomials
-    antipode_ok = True
-    imgs = [LocalizedElement(pres, a[0], a[1]) if isinstance(a, tuple)
+    imgs = [LocalizedElement(pres, *a) if isinstance(a, tuple)
             else LocalizedElement(pres, a) for a in pres.antipode]
-    imgs += [LocalizedElement(pres, pres.var(i)) for i in range(n)]
-    for g in range(n):
-        d = pres.comult[g]
-        target = Poly.const(base, n, pres.counit[g])
-        lhs = _subst_localized(d, imgs, pres)
-        if not lhs.eq(LocalizedElement(pres, target)):
-            antipode_ok = False
-            failures.append(f"antipode law fails on generator {g}")
+    imgs += [LocalizedElement(pres, x) for x in ids]
+    for g, d in enumerate(pres.comult):
+        yield ("antipode_law", f"antipode law fails on generator {g}",
+               _subst_localized(d, imgs, pres),
+               LocalizedElement(pres, eps[g]))
 
-    # cocommutativity (the group law is abelian)
-    cocomm = True
-    swap = ([Poly.var(base, 2 * n, n + i) for i in range(n)]
-            + [Poly.var(base, 2 * n, i) for i in range(n)])
-    for g in range(n):
-        d = pres.comult[g]
-        sw = normal_form(d.subst(swap), rel2)
-        if not sw.eq(normal_form(d, rel2)):
-            cocomm = False
-            failures.append(f"comultiplication not cocommutative at {g}")
+    # cocommutativity (the group law is abelian), in the square
+    swap = [var(2, n + i) for i in range(n)] + [var(2, i) for i in range(n)]
+    for g, d in enumerate(pres.comult):
+        yield ("commutativity", f"comultiplication not cocommutative at {g}",
+               LocalizedElement(sq, d.subst(swap)), LocalizedElement(sq, d))
 
-    # unit certificates
-    units_ok = True
+    # designated units: the inverse certificate in pres; without one,
+    # group-likeness in the square (it makes the unit usable in
+    # localized arithmetic) and counit 1
+    k_units = len(pres.units)
     for k, u in enumerate(pres.units):
         if u.inverse is not None:
-            prod = pres.nf(u.poly * u.inverse)
-            if not prod.eq(pres.one_poly()):
-                units_ok = False
-                failures.append(f"unit certificate {k} fails")
-        else:
-            # group-likeness makes the unit usable in localized arithmetic
-            uu = sq.units[k].poly * sq.units[len(pres.units) + k].poly
-            du = u.poly.subst([pres.comult[i] for i in range(n)])
-            if not normal_form(du - uu, rel2).is_zero():
-                units_ok = False
-                failures.append(f"designated unit {k} not group-like")
-            if not base.eq(pres.counit_of(u.poly), base.one()):
-                units_ok = False
-                failures.append(f"designated unit {k} has counit != 1")
-
-    return AxiomReport(coassoc, counit_ok, antipode_ok, cocomm,
-                       pres.rank(), units_ok, failures)
+            yield ("unit_certificates", f"unit certificate {k} fails",
+                   LocalizedElement(pres, u.poly * u.inverse),
+                   LocalizedElement(pres, pres.one_poly()))
+            continue
+        yield ("unit_certificates", f"designated unit {k} not group-like",
+               LocalizedElement(sq, u.poly.subst(list(pres.comult))),
+               LocalizedElement(sq, sq.units[k].poly
+                                * sq.units[k_units + k].poly))
+        yield ("unit_certificates", f"designated unit {k} has counit != 1",
+               pres.counit_of(u.poly), base.one())
 
 
 def _subst_localized(poly: Poly, images: list, pres: HopfPresentation

@@ -1,8 +1,9 @@
 """Multivariate polynomials over pluggable coefficient bases.
 
-A base is a thin adapter exposing a common protocol (zero/one/from_int/
-add/neg/mul/is_zero/eq).  ExactBase holds elements of R, each at its own
-pi-adic precision; witt.QQBase holds exact rationals.
+A base is a thin adapter exposing zero/one/is_zero/eq/coeff_json; the
+coefficients themselves are combined with +, - and *.  ExactBase holds
+elements of R, each at its own pi-adic precision; witt.QQBase holds
+exact rationals.
 
 A polynomial over a quotient R/pi^t R is an ExactBase polynomial whose
 coefficients are at precision t: R/pi^t is R known mod pi^t, and every
@@ -41,18 +42,6 @@ class ExactBase:
 
     def one(self):
         return self.ring.one()
-
-    def from_int(self, n):
-        return self.ring.from_int(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
 
     def is_zero(self, a):
         return a.is_zero()
@@ -110,27 +99,21 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
-        base = self.base
         for m, c in other.terms.items():
-            if m in out:
-                out[m] = base.add(out[m], c)
-            else:
-                out[m] = c
-        return Poly(base, self.nvars, out)
+            out[m] = out[m] + c if m in out else c
+        return Poly(self.base, self.nvars, out)
 
     def __neg__(self) -> "Poly":
-        base = self.base
-        return Poly(base, self.nvars,
-                    {m: base.neg(c) for m, c in self.terms.items()})
+        return Poly(self.base, self.nvars,
+                    {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         # term by term: a negated copy of other would double the peak
         # memory of comparing two large polynomials
         out = dict(self.terms)
-        base = self.base
         for m, c in other.terms.items():
-            out[m] = base.add(out[m], base.neg(c)) if m in out else base.neg(c)
-        return Poly(base, self.nvars, out)
+            out[m] = out[m] - c if m in out else -c
+        return Poly(self.base, self.nvars, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         base = self.base
@@ -141,17 +124,13 @@ class Poly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                c = base.mul(c1, c2)
-                if m in out:
-                    out[m] = base.add(out[m], c)
-                else:
-                    out[m] = c
+                c = c1 * c2
+                out[m] = out[m] + c if m in out else c
         return Poly(base, self.nvars, out)
 
     def scale(self, c) -> "Poly":
-        base = self.base
-        return Poly(base, self.nvars,
-                    {m: base.mul(c, v) for m, v in self.terms.items()})
+        return Poly(self.base, self.nvars,
+                    {m: c * v for m, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n == 0:

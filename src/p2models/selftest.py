@@ -37,42 +37,46 @@ def _check(cond, detail="") -> None:
         raise AssertionError(detail)
 
 
-@lru_cache(maxsize=None)
-def _ring(p: int, M: int = 12):
-    return make_ring(p, M)
+# the digit precision M of the p = 3 battery and of the p = 5 subset
+M3, M5 = 12, 8
 
 
 @lru_cache(maxsize=None)
-def _models3(M: int = 12):
-    return tuple(mdl.enumerate_models(_ring(3, M), 3))
+def _ring(p: int):
+    return make_ring(p, M3 if p == 3 else M5)
+
+
+@lru_cache(maxsize=None)
+def _models3():
+    return tuple(mdl.enumerate_models(_ring(3), 3))
 
 
 # ---------------------------------------------------------------------------
 # criteria
 # ---------------------------------------------------------------------------
 
-def criterion_1_hopf_validity(M=12):
+def criterion_1_hopf_validity():
     """Axioms for mu_p, G_{pi^n,1} (n<=3), the two-step kernel group, and
     every enumerated extension."""
-    R = _ring(3, M)
+    R = _ring(3)
     targets = [mdl.build_g(R, R.one(), 1)]
     for n in range(1, 4):
         targets.append(mdl.build_g(R, R.pi(n), 1))
     targets.append(mdl.build_g(R, R.pi(), 2))
-    for d in _models3(M):
+    for d in _models3():
         targets.append(mdl.build_extension(d))
     for pres in targets:
         rep = check_hopf_axioms(pres)
         _check(rep.ok, f"{pres.name}: {rep.failures}")
         _check(rep.rank in (3, 9))
-    ext_ranks = [mdl.build_extension(d).rank() for d in _models3(M)]
+    ext_ranks = [mdl.build_extension(d).rank() for d in _models3()]
     _check(all(r == 9 for r in ext_ranks))
 
 
-def criterion_2_canonical_model(M=12):
+def criterion_2_canonical_model():
     """(3,3,eta,1) solves the defining congruence, builds, and reduces to
     the (0,1) class over Z/pZ; Wilson and eta^p/lam_(1) sub-checks."""
-    R = _ring(3, M)
+    R = _ring(3)
     a = eta(R).reduce_mod(3)
     _check(mdl.phi_congruence(R, 3, 3, a, 1), "Phi congruence fails for eta")
     d = mdl.ModelDescriptor(R, 3, 3, a, 1)
@@ -83,10 +87,10 @@ def criterion_2_canonical_model(M=12):
     _check(fib.verify_fiber(d))
 
 
-def criterion_3_phi_oracle(M=12):
+def criterion_3_phi_oracle():
     """phi_closed = phi_brute on every desk-scale cell; the lam_(1) cell
     is {(k eta, k)}."""
-    R3 = _ring(3, M)
+    R3 = _ring(3)
     for m in range(4):
         for n in range(m + 1):
             pc = mdl.phi_closed(R3, m, n)
@@ -101,10 +105,10 @@ def criterion_3_phi_oracle(M=12):
     criterion_p5_phi()
 
 
-def criterion_4_ker_p2(M=12):
+def criterion_4_ker_p2():
     """Kernel formula vs brute force; the p=5 (3,3) cell has 5 elements;
     injectivity exactly under the stated valuation conditions."""
-    R3 = _ring(3, M)
+    R3 = _ring(3)
     for m in range(4):
         for n in range(m + 1):
             kc = mdl.ker_p2(R3, m, n)
@@ -116,10 +120,10 @@ def criterion_4_ker_p2(M=12):
     criterion_p5_ker()
 
 
-def criterion_5_surjectivity(M=12):
+def criterion_5_surjectivity():
     """Image of the projection to Z/pZ matches the trichotomy on every
     cell; spot values (2,0) onto, (2,1) zero, (3,1) onto."""
-    R = _ring(3, M)
+    R = _ring(3)
     for m in range(4):
         for n in range(m + 1):
             js = {e.j for e in mdl.phi_brute(R, m, n)}
@@ -132,10 +136,10 @@ def criterion_5_surjectivity(M=12):
     _check(mdl.p2_surjective(R, 3, 1))
 
 
-def criterion_6_hom_oracle(M=12):
+def criterion_6_hom_oracle():
     """hom_closed = hom_brute on the four cells; counts frozen from the
     oracle (1, 9, 3, 1)."""
-    R = _ring(3, M)
+    R = _ring(3)
     golden = {(3, 1): 1, (3, 3): 9, (2, 2): 3, (1, 1): 1}
     for (m, n), count in golden.items():
         hc = mdl.hom_closed(R, m, n)
@@ -144,10 +148,10 @@ def criterion_6_hom_oracle(M=12):
         _check(len(hc) == count, f"cell ({m},{n}): {len(hc)} != {count}")
 
 
-def criterion_7_witt_layer(M=12):
+def criterion_7_witt_layer():
     """Component-wise addition on the twisted kernel (exhaustive),
     ghost-homomorphism identities, and p[a] = (pa, a^p, 0, ...) mod p^2."""
-    R = _ring(3, M)
+    R = _ring(3)
     for t in (1, 2):
         pool = list(enumerate_quotient(R, t))
         kernel = [wt.WittVector(R, t, coords)
@@ -185,7 +189,7 @@ def criterion_7_witt_layer(M=12):
             _check(isinstance(dv, IndeterminateAtPrecision) or dv >= 2 * R.e)
 
 
-def criterion_8_artin_hasse(M=12):
+def criterion_8_artin_hasse():
     """Integrality to degree 27, the two specializations, and the
     coprime-index product formula."""
     D = 27
@@ -199,10 +203,10 @@ def criterion_8_artin_hasse(M=12):
     _check(d.eq(ah.product_form(3, D)), "product form differs")
 
 
-def criterion_9_classification(M=12):
+def criterion_9_classification():
     """Pairwise non-isomorphic enumeration; hom_models = hom_models_brute
     on all ordered pairs."""
-    models = _models3(M)
+    models = _models3()
     for i, d1 in enumerate(models):
         for j, d2 in enumerate(models):
             _check(mdl.is_isomorphic(d1, d2) == (i == j))
@@ -214,10 +218,10 @@ def criterion_9_classification(M=12):
             _check(hc.tag == hb.tag, (d1.sort_key(), d2.sort_key()))
 
 
-def criterion_10_rigidity(M=12):
+def criterion_10_rigidity():
     """At v(mu) = v(lam_(1)) every cell has |Phi| = p with trivial kernel
     (the projection to Z/pZ is an isomorphism)."""
-    R = _ring(3, M)
+    R = _ring(3)
     for n in range(4):
         els = mdl.phi_closed(R, 3, n)
         _check(len(els) == 3, f"n={n}")
@@ -226,42 +230,41 @@ def criterion_10_rigidity(M=12):
         _check(len(ker) == 1 and ker[0].a.is_zero())
 
 
-def criterion_11_rad(M=12):
+def criterion_11_rad():
     """No cyclic-p^2 survivors when v(mu) < v(lam): all (1,2) survivors
     have j = 0; count agrees with the independent Witt-layer oracle."""
-    R = _ring(3, M)
+    R = _ring(3)
     surv = mdl.rad_brute(R, 1, 2)
     _check(surv and all(j == 0 for _, j in surv))
     _check(len(surv) == mdl.rad_witt_count(R, 1, 2))
 
 
-def criterion_12_ambient_isogeny(M=12):
+def criterion_12_ambient_isogeny():
     """The isogeny presentation succeeds (morphism + kernel containment)
     on every enumerated descriptor; the solved target hom matches the
     closed form."""
-    for d in _models3(M):
+    for d in _models3():
         g = mdl.solve_target_hom(d)
         gc = mdl.target_hom_closed_form(d)
         for x, y in zip(g, gc):
             if d.n:
-                ok, _ = eq_mod(x, y, 3 * d.n)
-                _check(ok)
+                _check(eq_mod(x, y, 3 * d.n))
             else:
                 _check((x - y).is_zero())
         mdl.ambient_isogeny(d)
 
 
-def criterion_13_blowup(M=12):
+def criterion_13_blowup():
     """T -> pi T is a verified model map from the dilatation at
     v(mu) in {0, 1}."""
-    R = _ring(3, M)
+    R = _ring(3)
     for mu in (R.one(), R.pi()):
         mdl.neron_blowup_unit(R, mu)
 
 
-def criterion_14_fiber_sweep(M=12):
+def criterion_14_fiber_sweep():
     """verify_fiber on the full enumeration; cells classify as stated."""
-    for d in _models3(M):
+    for d in _models3():
         fc = fib.classify_fiber(d)
         if (d.m, d.n) == (0, 0):
             _check(fc == fib.FiberClass("MuPExtension", (1,)))
@@ -272,21 +275,21 @@ def criterion_14_fiber_sweep(M=12):
         _check(fib.verify_fiber(d), (d.m, d.n))
 
 
-def negative_control_eisenstein(M=12):
+def negative_control_eisenstein():
     """Corrupted Eisenstein coefficients must be rejected."""
-    R = _ring(3, M)
+    R = _ring(3)
     corrupted = list(R.coeffs)
     corrupted[2] = corrupted[2] + 1  # no longer divisible by p
     try:
-        make_custom_ring(3, M, corrupted)
+        make_custom_ring(3, M3, corrupted)
     except EisensteinError:
         return
     raise AssertionError("corrupted Eisenstein polynomial was accepted")
 
 
 # p = 5 subset: the checks that stay desk-scale at the larger prime
-def criterion_p5_phi(M=8):
-    R5 = _ring(5, M)
+def criterion_p5_phi():
+    R5 = _ring(5)
     for (m, n) in [(3, 3), (3, 2), (5, 1)]:
         pc = mdl.phi_closed(R5, m, n)
         pb = mdl.phi_brute(R5, m, n)
@@ -294,8 +297,8 @@ def criterion_p5_phi(M=8):
                == [(e.a.digits, e.j) for e in pb], f"p=5 cell ({m},{n})")
 
 
-def criterion_p5_ker(M=8):
-    R5 = _ring(5, M)
+def criterion_p5_ker():
+    R5 = _ring(5)
     k = mdl.ker_p2(R5, 3, 3)
     _check(len(k) == 5)
     _check([e.a.digits for e in k]
@@ -304,13 +307,12 @@ def criterion_p5_ker(M=8):
         _check(e.a.is_zero() or e.a.valuation() >= 2)  # 5 v(a~) >= 7
 
 
-def criterion_p5_eta(M=8):
-    R5 = _ring(5, M)
+def criterion_p5_eta():
+    R5 = _ring(5)
     et = eta(R5)
     lhs = et.scale(5) - R5.lam1
     rhs = R5.from_int(5).divide_exact(R5.lam1 ** 4) * et ** 5
-    ok, _ = eq_mod(lhs, rhs, 25)
-    _check(ok)
+    _check(eq_mod(lhs, rhs, 25))
     _check(fib.wilson_check(5))
     _check(fib.eta_power_unit_check(R5))
 

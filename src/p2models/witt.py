@@ -38,18 +38,6 @@ class QQBase:
     def one(self):
         return Fraction(1)
 
-    def from_int(self, n):
-        return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
     def is_zero(self, a):
         return a == 0
 

@@ -193,6 +193,29 @@ def test_every_precision_subcommand_names_too_low_precision(capsys):
     assert "verification failure" not in err
 
 
+def test_hom_brute_rejects_too_low_precision(capsys):
+    # at M = 3 the relation of (3,3,[0,1,1],1) has coefficients known to
+    # no digit; hom --brute once classified it as OrderP2 from zero tests
+    # on them
+    for M, want in ((3, 2), (4, 0)):
+        desc = json.dumps({"p": 3, "M": M, "m": 3, "n": 3,
+                           "a_digits": [0, 1, 1], "j": 1})
+        code, out, err = run(capsys, "hom", "--left", desc, "--right", desc,
+                             "--brute", "--precision", str(M))
+        assert code == want, (M, err)
+        if want == 2:
+            assert out == "" and f"--precision {M} is too low" in err
+        else:
+            assert json.loads(out)["brute"]["class"] == "OrderP2"
+
+
+def test_phi_brute_over_budget_is_bad_input(capsys):
+    code, out, err = run(capsys, "phi", "--p", "3", "--m", "1", "--n", "1",
+                         "--brute", "--budget", "1")
+    assert code == 2 and out == ""
+    assert "candidates exceed budget 1" in err
+
+
 def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "phi", "--p", "4", "--m", "1", "--n", "1")
     assert code == 2 and "odd prime" in err

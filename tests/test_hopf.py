@@ -2,10 +2,11 @@
 
 import pytest
 
-from p2models.dvr import make_ring
+from p2models.dvr import QuotElement, make_ring
 from p2models.errors import PrecisionError
 from p2models.hopf import (
     HopfMorphism,
+    LocalizedElement,
     check_hopf_axioms,
     check_morphism,
     coeff_mod_pi,
@@ -16,8 +17,10 @@ from p2models.hopf import (
     residue_fiber,
     tensor_power,
 )
-from p2models.models import (build_extension_smooth, build_g, build_g_smooth,
-                             enumerate_models, poly_in_var)
+from p2models.models import (ModelDescriptor, ambient_isogeny,
+                             build_extension, build_extension_smooth, build_g,
+                             build_g_smooth, enumerate_models,
+                             hom_models_brute, poly_in_var)
 from p2models.poly import ExactBase, Poly, normal_form
 
 
@@ -251,6 +254,37 @@ def test_residue_fiber_precision_guard(R3):
     G0 = replace(G, counit=(R3.zero(prec=0),))
     with pytest.raises(PrecisionError):
         residue_fiber(G0)
+
+
+def test_localized_zero_test_needs_a_known_digit(R3):
+    # a coefficient known to no digit makes a zero test vacuous, in a
+    # smooth presentation and in a finite one
+    for pres in (build_g_smooth(R3, R3.pi()), build_g(R3, R3.pi(), 1)):
+        x = LocalizedElement(pres, pres.var(0).scale(R3.one().with_prec(0)))
+        with pytest.raises(PrecisionError, match="known to no digit"):
+            x.is_zero()
+        assert LocalizedElement(
+            pres, pres.var(0).scale(R3.pi().with_prec(1))).is_zero()
+
+
+def test_hopf_layer_rejects_coefficients_known_to_no_digit():
+    # at M = 3 the relation of (3,3,[0,1,1],1) has four coefficients at
+    # precision 0: the axioms, the Hom oracle and the ambient isogeny
+    # all raise; at M = 4 they pass
+    for M in (3, 4):
+        R = make_ring(3, M)
+        d = ModelDescriptor(R, 3, 3, QuotElement(R, 3, (0, 1, 1)), 1)
+        pres = build_extension(d)
+        checks = (lambda: check_hopf_axioms(pres).ok,
+                  lambda: hom_models_brute(d, d, pres, pres)[0].tag
+                  == "OrderP2",
+                  lambda: ambient_isogeny(d) is not None)
+        for check in checks:
+            if M == 3:
+                with pytest.raises(PrecisionError):
+                    check()
+            else:
+                assert check()
 
 
 def test_rank_of_tensor_square(R3):

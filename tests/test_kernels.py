@@ -416,8 +416,8 @@ def stepwise_normal_form(poly, relations):
                 rem = m[:i] + (m[i] - d,) + m[i + 1:]
                 for rm, rc in reducers[i].terms.items():
                     mm = tuple(a + b for a, b in zip(rem, rm))
-                    cc = base.mul(c, rc)
-                    terms[mm] = base.add(terms[mm], cc) if mm in terms else cc
+                    cc = c * rc
+                    terms[mm] = terms[mm] + cc if mm in terms else cc
     return Poly(base, nv, terms)
 
 

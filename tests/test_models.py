@@ -2,6 +2,7 @@
 
 import pytest
 
+from p2models import models as models_module
 from p2models import poly as poly_module
 from p2models.dvr import (
     QuotElement,
@@ -12,8 +13,8 @@ from p2models.dvr import (
     eta,
     make_ring,
 )
-from p2models.errors import (DivisibilityError, LinearSolveError,
-                             P2ModelsError, ValuationError)
+from p2models.errors import (BudgetError, DivisibilityError,
+                             LinearSolveError, P2ModelsError, ValuationError)
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
 from p2models.models import (
     ModelDescriptor,
@@ -143,6 +144,17 @@ def test_hom_closed_equals_brute(R3, m, n, count):
     hb = hom_brute(R3, m, n)
     assert hc == hb
     assert len(hc) == count
+
+
+def test_hom_brute_refuses_more_than_p9_candidates(monkeypatch):
+    # cell (3,3) at p = 5 has 25^5 (about 9.8e6) candidates, above the
+    # default budget 5^9; none of them may be tested
+    def refuse(*args):
+        raise AssertionError("a candidate was tested")
+
+    monkeypatch.setattr(models_module, "normal_form", refuse)
+    with pytest.raises(BudgetError, match="exceed budget 1953125"):
+        hom_brute(make_ring(5, 8), 3, 3)
 
 
 def test_hom_closed_33_shape(R3):
@@ -329,8 +341,7 @@ def test_ambient_isogeny_canonical(R3, models3):
     g = solve_target_hom(d)
     gc = target_hom_closed_form(d)
     for x, y in zip(g, gc):
-        ok, _ = eq_mod(x, y, 9)
-        assert ok
+        assert eq_mod(x, y, 9)
     src, tgt, f = ambient_isogeny(d)  # raises on any verification failure
 
 
@@ -341,6 +352,22 @@ def test_ambient_isogeny_f1_case(R3, models3):
     assert (g[0] - R3.one()).is_zero()
     assert all(c.is_zero() for c in g[1:])
     ambient_isogeny(d)
+
+
+@pytest.mark.parametrize("key,swapped,generator", [
+    ((3, 0, ""), (2, 0, ""), "S1"),
+    ((3, 3, "0.1.1"), (3, 2, "0.1"), "S2"),
+], ids=["S1", "S2"])
+def test_ambient_isogeny_kernel_containment_can_fail(models3, monkeypatch,
+                                                     key, swapped, generator):
+    # negative controls: the kernel of the isogeny of one model does not
+    # contain the finite extension of another
+    by_key = {(d.m, d.n, d.a.digit_string()): d for d in models3}
+    other = build_extension(by_key[swapped])
+    monkeypatch.setattr(models_module, "build_extension", lambda d: other)
+    with pytest.raises(P2ModelsError,
+                       match=f"kernel containment fails for {generator}"):
+        ambient_isogeny(by_key[key])
 
 
 def test_build_extension_inverts_each_divisor_once(models3, monkeypatch):
@@ -400,7 +427,7 @@ def test_solve_target_hom_matches_closed_form_on_phi(p, M):
                 g, gc = solve_target_hom(d), target_hom_closed_form(d)
                 assert len(g) == p
                 for x, y in zip(g, gc):
-                    assert eq_mod(x, y, p * n)[0], d.sort_key()
+                    assert eq_mod(x, y, p * n), d.sort_key()
                 count += 1
     assert count == {3: 24, 5: 77}[p]  # 101 members in all
 
