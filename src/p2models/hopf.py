@@ -40,10 +40,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .dvr import IndeterminateAtPrecision, RingElement
 from .errors import DivisibilityError, PrecisionError
-from .poly import Poly, horner, normal_form
+from .poly import Poly, TriangularRules, horner, normal_form
 
 
 @dataclass(frozen=True)
@@ -82,8 +83,18 @@ class HopfPresentation:
             out *= r.degree_in(i)
         return out
 
+    @cached_property
+    def rules(self) -> TriangularRules:
+        """The relations, checked and prepared for normal forms once."""
+        return TriangularRules(self.base, self.ngens, self.relations)
+
+    @cached_property
+    def square(self) -> "HopfPresentation":
+        """tensor_power(self, 2), built once."""
+        return tensor_power(self, 2)
+
     def nf(self, poly: Poly) -> Poly:
-        return normal_form(poly, list(self.relations))
+        return normal_form(poly, self.rules)
 
     def var(self, i: int) -> Poly:
         return Poly.var(self.base, self.ngens, i)
@@ -280,7 +291,7 @@ def _laws(pres: HopfPresentation):
     square or cube, except the counit of a designated unit, which is a
     comparison in the ring."""
     base, n = pres.base, pres.ngens
-    sq, cube = tensor_power(pres, 2), tensor_power(pres, 3)
+    sq, cube = pres.square, tensor_power(pres, 3)
 
     def var(k, i):
         return Poly.var(base, k * n, i)
@@ -392,7 +403,7 @@ def check_morphism(f: HopfMorphism) -> bool:
     if not all(src.base.eq(src.counit_of(im.num), e)
                for im, e in zip(images, tgt.counit)):
         return False
-    sq = tensor_power(src, 2)
+    sq = src.square
     delta = [LocalizedElement(sq, c) for c in src.comult]
     pair = ([_in_factor(im, sq, 0) for im in images]
             + [_in_factor(im, sq, 1) for im in images])

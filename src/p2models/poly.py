@@ -1,9 +1,9 @@
 """Multivariate polynomials over pluggable coefficient bases.
 
-A base is a thin adapter exposing zero/one/is_zero/eq/coeff_json; the
-coefficients themselves are combined with +, - and *.  ExactBase holds
-elements of R, each at its own pi-adic precision; witt.QQBase holds
-exact rationals.
+A base is a thin adapter exposing zero/one/is_zero/prune_zero/eq/
+coeff_json; the coefficients themselves are combined with +, - and *.
+ExactBase holds elements of R, each at its own pi-adic precision;
+witt.QQBase holds exact rationals.
 
 A polynomial over a quotient R/pi^t R is an ExactBase polynomial whose
 coefficients are at precision t: R/pi^t is R known mod pi^t, and every
@@ -21,11 +21,16 @@ only lowers the exponent of variable i, so the pass terminates with
 every monomial rewritten at most once.  Each monomial sums the raw
 products that land on it and is reduced once; its precision is the
 least min(prec) over those products.
+
+Substitution (`horner`) nests the variables by the size of their
+images, the largest outermost: the outer image is multiplied the fewest
+times.  The order changes no digit of a result; a tracked precision is
+a lower bound in any order, and can differ between orders.
 """
 
 from __future__ import annotations
 
-from operator import add
+from operator import add, neg, sub
 
 from .dvr import RAW_PRODUCTS, RingDescriptor, RingElement
 from .errors import DivisibilityError, ValuationError
@@ -66,17 +71,29 @@ class ExactBase:
 
 
 class Poly:
-    """Sparse multivariate polynomial over a coefficient base."""
+    """Sparse multivariate polynomial over a coefficient base.
+
+    No term holds a structural zero (`base.prune_zero`): `degree_in` and
+    the rank of a presentation read the monomials of the terms.
+    """
 
     __slots__ = ("base", "nvars", "terms")
 
     def __init__(self, base, nvars: int, terms: dict):
         self.base = base
         self.nvars = nvars
-        drop = getattr(base, "prune_zero", base.is_zero)
+        drop = base.prune_zero
         self.terms = {m: c for m, c in terms.items() if not drop(c)}
 
     # -- constructors --------------------------------------------------------
+
+    @classmethod
+    def from_nonzero(cls, base, nvars, terms: dict):
+        """A Poly on a terms dict its builder has kept free of structural
+        zeros; the dict is taken as it is."""
+        self = object.__new__(cls)
+        self.base, self.nvars, self.terms = base, nvars, terms
+        return self
 
     @classmethod
     def zero(cls, base, nvars):
@@ -98,28 +115,36 @@ class Poly:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return Poly(self.base, self.nvars, out)
+        return self._merge(other, add, lambda c: c)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.base, self.nvars,
-                    {m: -c for m, c in self.terms.items()})
+        return Poly.from_nonzero(self.base, self.nvars,
+                                 {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
         # term by term: a negated copy of other would double the peak
         # memory of comparing two large polynomials
+        return self._merge(other, sub, neg)
+
+    def _merge(self, other, op, single):
+        """self op other, term by term; only a sum on a monomial of both
+        can be a structural zero, so only those are tested."""
+        drop = self.base.prune_zero
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out[m] - c if m in out else -c
-        return Poly(self.base, self.nvars, out)
+            if m not in out:
+                out[m] = single(c)
+            elif drop(s := op(out[m], c)):
+                del out[m]
+            else:
+                out[m] = s
+        return Poly.from_nonzero(self.base, self.nvars, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         base = self.base
         if isinstance(base, ExactBase):
-            return Poly(base, self.nvars,
-                        _packed_product(self.terms, other.terms))
+            return Poly.from_nonzero(base, self.nvars,
+                                     _packed_product(self.terms, other.terms))
         out = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
@@ -179,7 +204,7 @@ class Poly:
         for m, c in self.terms.items():
             mm = (0,) * offset + m + (0,) * (nvars - offset - self.nvars)
             out[mm] = c
-        return Poly(self.base, nvars, out)
+        return Poly.from_nonzero(self.base, nvars, out)
 
     def subst(self, images: list["Poly"]) -> "Poly":
         """Substitute images[i] for variable i (algebra map on generators).
@@ -214,8 +239,9 @@ def _packed_product(ta: dict, tb: dict) -> dict:
     over its pairs.  For each term of ta at most one term of tb completes
     a given monomial, so every RAW_PRODUCTS - 1 terms of ta the sums are
     reduced early (a reduced sum counts as one product): no sum holds more
-    than RAW_PRODUCTS products.  Keys come in first-occurrence order, as
-    in the generic loop.
+    than RAW_PRODUCTS products.  A sum that reduces to a structural zero
+    is dropped.  Keys come in first-occurrence order, as in the generic
+    loop.
     """
     if not ta or not tb:
         return {}
@@ -243,40 +269,58 @@ def _packed_product(ta: dict, tb: dict) -> dict:
         if row % (RAW_PRODUCTS - 1) == 0:
             for s in acc.values():
                 s[0] = ring._reduce_raw(s[0])
-    return {m: RingElement(ring, ring._reduce_raw(x), prec)
-            for m, (x, prec) in acc.items()}
+    out = {}
+    for m, (x, prec) in acc.items():
+        x = ring._reduce_raw(x)
+        if x:
+            out[m] = RingElement(ring, x, prec)
+    return out
 
 
 def horner(poly: Poly, images: list, const):
     """poly evaluated at images[i] for variable i, by nested Horner.
 
-    The images may be any ring values (Poly, LocalizedElement) closed
-    under + and *; `const(c)` turns a coefficient into such a value.
-    The terms are grouped by the exponent of the first variable, each
-    group is evaluated recursively in the later variables, and the groups
-    are combined as (..(h_K x^(K-k) + h_k) x^(k-k') + ..) x^k_min.  A gap
-    of g between exponents costs g products; no power of an image is
-    stored.
+    The images may be any ring values (Poly, LocalizedElement, ring
+    constants) closed under + and *; `const(c)` turns a coefficient into
+    such a value.  The terms are grouped by the exponent of the outermost
+    variable, each group is evaluated recursively in the inner variables,
+    and the groups are combined as (..(h_K x^(K-k) + h_k) x^(k-k') + ..)
+    x^k_min.  A gap of g between exponents costs g products; no power of
+    an image is stored.
+
+    The outer variable's image is multiplied at most deg times in all,
+    an inner one's again inside every outer group.  So the variables are
+    nested by the size of their images, the largest outermost: a Poly
+    counts its terms, a LocalizedElement the terms of its numerator and
+    a ring constant one; ties keep index order.
     """
     if not poly.terms:
         return const(poly.base.zero())
-    return _horner(list(poly.terms.items()), 0, images, const)
+    order = sorted(range(poly.nvars), key=lambda i: -_size(images[i]))
+    return _horner(list(poly.terms.items()), order, 0, images, const)
 
 
-def _horner(items, i, images, const):
-    nv = len(items[0][0])
-    while i < nv and not any(m[i] for m, _ in items):
-        i += 1
-    if i == nv:
-        # all exponents from i on are zero: a single (monomial, coeff)
+def _size(image) -> int:
+    """Terms of a Poly or of a LocalizedElement's numerator; 1 else."""
+    terms = getattr(getattr(image, "num", image), "terms", None)
+    return 1 if terms is None else len(terms)
+
+
+def _horner(items, order, pos, images, const):
+    nv = len(order)
+    while pos < nv and not any(m[order[pos]] for m, _ in items):
+        pos += 1
+    if pos == nv:
+        # all exponents from pos on are zero: a single (monomial, coeff)
         return const(items[0][1])
+    i = order[pos]
     groups = {}
     for m, c in items:
         groups.setdefault(m[i], []).append((m, c))
     x = images[i]
     acc, prev = None, 0
     for k in sorted(groups, reverse=True):
-        val = _horner(groups[k], i + 1, images, const)
+        val = _horner(groups[k], order, pos + 1, images, const)
         if acc is None:
             acc = val
         else:
@@ -289,100 +333,118 @@ def _horner(items, i, images, const):
     return acc
 
 
-def normal_form(poly: Poly, relations: list) -> Poly:
-    """Reduce modulo a triangular monic relation system.
+def normal_form(poly: Poly, relations) -> Poly:
+    """Reduce modulo a triangular monic relation system: a list of
+    relations, or the TriangularRules prepared from one (see there for
+    the system and the pass).  A system used more than once is better
+    prepared once, as HopfPresentation.nf does."""
+    if not isinstance(relations, TriangularRules):
+        relations = TriangularRules(poly.base, poly.nvars, relations)
+    return relations.reduce(poly)
+
+
+class TriangularRules:
+    """A triangular monic relation system, checked and read once.
 
     `relations[i]` is either None (no relation on variable i) or a Poly
     whose x_i^d_i coefficient is one at its precision and whose other
     terms have x_i-degree below d_i and involve only variables j <= i;
     any other system raises ValueError.  Relation i rewrites x_i^d_i as
-    minus its other terms.
-
-    One pass: the variables from last to first, and the exponents of
-    each from the top down to d_i.  A rewrite lowers the exponent of x_i
-    and leaves the later variables alone, so every monomial is rewritten
-    at most once, after every contribution to it has arrived, and the
-    pass ends.  Each monomial holds a raw sum of the resident products
-    that land on it, reduced once when it is rewritten or at the end,
-    and early before it could hold more than RAW_PRODUCTS products.  Its
-    precision is the least min(prec) over those products, a sum that
-    cancels to zero included; a leading one counts as exact.  Only
-    ExactBase polynomials have a normal form; any other base raises
-    TypeError.
+    minus its other terms.  Only ExactBase polynomials have a normal
+    form; any other base raises TypeError.
     """
-    base, nv = poly.base, poly.nvars
-    if not isinstance(base, ExactBase):
-        raise TypeError(f"normal_form over {base!r}")
-    ring = base.ring
-    reduce, negate = ring._reduce_raw, ring._negate
 
-    def resident(c):
-        if c.ring is not ring:
+    __slots__ = ("base", "nvars", "rules")
+
+    def __init__(self, base, nvars: int, relations: list):
+        if not isinstance(base, ExactBase):
+            raise TypeError(f"normal_form over {base!r}")
+        if len(relations) != nvars:
+            raise ValueError(f"{len(relations)} relations for {nvars} "
+                             "variables")
+        self.base, self.nvars = base, nvars
+        resident = self._resident
+        one = base.one()
+        # (i, d_i, [(monomial, P, prec)] of the other terms), last
+        # variable first
+        self.rules = []
+        for i in reversed(range(nvars)):
+            r = relations[i]
+            if r is None:
+                continue
+            if r.base != base or r.nvars != nvars:
+                raise ValueError(f"relation {i} is over another base or "
+                                 "variable set")
+            d = r.degree_in(i)
+            tail = (0,) * (nvars - 1 - i)
+            lead = (0,) * i + (d,) + tail
+            c = r.terms.get(lead)
+            # resident 1 is an exact one
+            if c is None or resident(c)[0] != 1 and not base.eq(c, one):
+                raise ValueError(f"relation {i} is not monic in x{i}")
+            lower = [(m, *resident(c)) for m, c in r.terms.items()
+                     if m != lead]
+            for m, _, _ in lower:
+                if m[i] == d or m[i + 1:] != tail:
+                    raise ValueError(f"relation {i} is not triangular: its "
+                                     f"term {m} is not below x{i}^{d}")
+            self.rules.append((i, d, lower))
+
+    def _resident(self, c):
+        if c.ring is not self.base.ring:
             raise ValueError("operands from different rings")
         return c.P, c.prec
 
-    rules = _triangular_rules(base, nv, relations, resident)
-    # monomial -> [raw sum, precision, number of products in the sum]
-    acc = {m: [*resident(c), 1] for m, c in poly.terms.items()}
-    for i, d, lower in rules:
-        hot = {}
-        for m in acc:
-            if m[i] >= d:
-                hot.setdefault(m[i], []).append(m)
-        for k in range(max(hot, default=d - 1), d - 1, -1):
-            for m in hot.pop(k, ()):
-                x, prec, _ = acc.pop(m)
-                x = negate(reduce(x))
-                head = m[:i] + (k - d,) + m[i + 1:]
-                for rm, rx, rprec in lower:
-                    mm = tuple(map(add, head, rm))
-                    q = prec if prec < rprec else rprec
-                    s = acc.get(mm)
-                    if s is None:
-                        acc[mm] = [x * rx, q, 1]
-                        if mm[i] >= d:
-                            hot.setdefault(mm[i], []).append(mm)
-                        continue
-                    if s[2] == RAW_PRODUCTS:
-                        s[0], s[2] = reduce(s[0]), 1
-                    s[0] += x * rx
-                    s[2] += 1
-                    if q < s[1]:
-                        s[1] = q
-    return Poly(base, nv, {m: RingElement(ring, reduce(x), prec)
-                           for m, (x, prec, _) in acc.items()})
+    def reduce(self, poly: Poly) -> Poly:
+        """The normal form of poly, in one pass: the variables from last
+        to first, and the exponents of each from the top down to d_i.
 
-
-def _triangular_rules(base, nv: int, relations: list, resident) -> list:
-    """(i, d_i, [(monomial, *resident(coeff))] of the other terms) for
-    each relation, last variable first.
-
-    Raises ValueError unless relation i is over the same base and
-    variables, its x_i^d_i coefficient is one at its precision, and its
-    other terms have x_i-degree below d_i and no later variable.
-    """
-    if len(relations) != nv:
-        raise ValueError(f"{len(relations)} relations for {nv} variables")
-    one = base.one()
-    rules = []
-    for i in reversed(range(nv)):
-        r = relations[i]
-        if r is None:
-            continue
-        if r.base != base or r.nvars != nv:
-            raise ValueError(f"relation {i} is over another base or "
-                             "variable set")
-        d = r.degree_in(i)
-        tail = (0,) * (nv - 1 - i)
-        lead = (0,) * i + (d,) + tail
-        c = r.terms.get(lead)
-        # resident 1 is an exact one
-        if c is None or resident(c)[0] != 1 and not base.eq(c, one):
-            raise ValueError(f"relation {i} is not monic in x{i}")
-        lower = [(m, *resident(c)) for m, c in r.terms.items() if m != lead]
-        for m, _, _ in lower:
-            if m[i] == d or m[i + 1:] != tail:
-                raise ValueError(f"relation {i} is not triangular: its "
-                                 f"term {m} is not below x{i}^{d}")
-        rules.append((i, d, lower))
-    return rules
+        A rewrite lowers the exponent of x_i and leaves the later
+        variables alone, so every monomial is rewritten at most once,
+        after every contribution to it has arrived, and the pass ends.
+        Each monomial holds a raw sum of the resident products that land
+        on it, reduced once when it is rewritten or at the end, and early
+        before it could hold more than RAW_PRODUCTS products.  Its
+        precision is the least min(prec) over those products, a sum that
+        cancels to zero included; a leading one counts as exact.  A sum
+        that reduces to a structural zero is dropped at the end.
+        """
+        base, nv = self.base, self.nvars
+        if poly.base != base or poly.nvars != nv:
+            raise ValueError("polynomial over another base or variable set")
+        ring = base.ring
+        reduce, negate = ring._reduce_raw, ring._negate
+        resident = self._resident
+        # monomial -> [raw sum, precision, number of products in the sum]
+        acc = {m: [*resident(c), 1] for m, c in poly.terms.items()}
+        for i, d, lower in self.rules:
+            hot = {}
+            for m in acc:
+                if m[i] >= d:
+                    hot.setdefault(m[i], []).append(m)
+            for k in range(max(hot, default=d - 1), d - 1, -1):
+                for m in hot.pop(k, ()):
+                    x, prec, _ = acc.pop(m)
+                    x = negate(reduce(x))
+                    head = m[:i] + (k - d,) + m[i + 1:]
+                    for rm, rx, rprec in lower:
+                        mm = tuple(map(add, head, rm))
+                        q = prec if prec < rprec else rprec
+                        s = acc.get(mm)
+                        if s is None:
+                            acc[mm] = [x * rx, q, 1]
+                            if mm[i] >= d:
+                                hot.setdefault(mm[i], []).append(mm)
+                            continue
+                        if s[2] == RAW_PRODUCTS:
+                            s[0], s[2] = reduce(s[0]), 1
+                        s[0] += x * rx
+                        s[2] += 1
+                        if q < s[1]:
+                            s[1] = q
+        out = {}
+        for m, (x, prec, _) in acc.items():
+            x = reduce(x)
+            if x:
+                out[m] = RingElement(ring, x, prec)
+        return Poly.from_nonzero(base, nv, out)

@@ -16,7 +16,7 @@ from p2models.artin_hasse import (
     product_form,
     specialize,
 )
-from p2models.dvr import eq_mod, eta, make_ring
+from p2models.dvr import make_ring
 from p2models.errors import CertificationError
 from p2models.poly import ExactBase, Poly, normal_form
 from p2models.witt import QQBase, WittVector, verschiebung

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from p2models.dvr import (
     IndeterminateAtPrecision,
     QuotElement,
-    RingElement,
     cyclotomic_eisenstein,
     enumerate_quotient,
     eq_mod,

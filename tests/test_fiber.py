@@ -2,7 +2,7 @@
 
 import pytest
 
-from p2models.dvr import QuotElement, eta, make_ring
+from p2models.dvr import QuotElement, make_ring
 from p2models.fiber import (
     FiberClass,
     classify_fiber,

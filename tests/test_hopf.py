@@ -13,15 +13,14 @@ from p2models.hopf import (
     det_valuation,
     is_isomorphism,
     is_model_map,
-    morphism_matrix,
     residue_fiber,
     tensor_power,
 )
 from p2models.models import (ModelDescriptor, ambient_isogeny,
                              build_extension, build_extension_smooth, build_g,
                              build_g_smooth, enumerate_models,
-                             hom_models_brute, poly_in_var)
-from p2models.poly import ExactBase, Poly, normal_form
+                             hom_models_brute)
+from p2models.poly import Poly
 
 
 @pytest.fixture(scope="module")

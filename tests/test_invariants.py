@@ -3,6 +3,7 @@
 * They must not rest on `assert`, which `python -O` strips.
 * The ring operations of the resident kernel do not loop over digits.
 * Every boundary the benchmark's tracer wraps exists in the package.
+* No module of the package or the tests imports a name it never reads.
 """
 
 import ast
@@ -65,6 +66,35 @@ def test_sabotaged_battery_fails_under_optimize():
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"3": False, "6": False, "10": False}
+
+
+def _unread_imports(path):
+    """(line, name) of every name the module imports and never reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                imported[name] = node.lineno
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module != "__future__"):
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in read)
+
+
+def test_no_unused_imports():
+    # the package __init__ imports only to re-export
+    paths = [*sorted((SRC / "p2models").glob("*.py")),
+             *sorted((ROOT / "tests").glob("*.py"))]
+    found = [f"{path.relative_to(ROOT)}:{line} {name}"
+             for path in paths if path.name != "__init__.py"
+             for line, name in _unread_imports(path)]
+    assert found == []
 
 
 def test_trace_boundaries_resolve():

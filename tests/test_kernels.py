@@ -11,7 +11,10 @@
   loop it replaced, and its rejection of systems that are not
   triangular and monic.
 * The nested-Horner substitution engine against term-by-term
-  substitution, for Poly and LocalizedElement images.
+  substitution and against nesting in index order, for Poly and
+  LocalizedElement images, and its independence of the variable order.
+* No Poly built by a sum, a product or a normal form holds a structural
+  zero.
 * Digit-wise division by p^r against `divide_exact`.
 * The block pi-adic digit expansion against the stepwise `_div_pi`
   expansion it replaced.
@@ -35,7 +38,8 @@ from p2models.dvr import (
 from p2models.errors import PrecisionError, ValuationError
 from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
                            coeff_mod_pi)
-from p2models.poly import ExactBase, Poly, horner, normal_form
+from p2models.poly import (ExactBase, Poly, TriangularRules, horner,
+                           normal_form)
 from p2models.witt import QQBase, WittVector, _recover, ghost, ghosts
 
 PRIMES = (3, 5, 7)
@@ -116,6 +120,37 @@ def naive_subst(poly, images, const):
                 term = term * images[i]
         acc = acc + term
     return acc
+
+
+def index_order_horner(poly, images, const):
+    """Nested Horner with the first variable outermost and the others in
+    index order, as the engine nested before it ordered the variables by
+    the size of their images."""
+    nv = poly.nvars
+
+    def nest(items, i):
+        while i < nv and not any(m[i] for m, _ in items):
+            i += 1
+        if i == nv:
+            return const(items[0][1])
+        groups = {}
+        for m, c in items:
+            groups.setdefault(m[i], []).append((m, c))
+        acc, prev = None, 0
+        for k in sorted(groups, reverse=True):
+            val = nest(groups[k], i + 1)
+            if acc is not None:
+                for _ in range(prev - k):
+                    acc = acc * images[i]
+                val = acc + val
+            acc, prev = val, k
+        for _ in range(prev):
+            acc = acc * images[i]
+        return acc
+
+    if not poly.terms:
+        return const(poly.base.zero())
+    return nest(list(poly.terms.items()), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +294,25 @@ def test_packed_poly_product_matches_termwise(pair):
     # ordered lists: keys, digits, precisions and key order all match
     a, b = pair
     assert terms_of(a * b) == termwise_poly_mul(a, b)
+
+
+def _no_structural_zero(poly):
+    return all(c.P for c in poly.terms.values())
+
+
+@settings(max_examples=120, deadline=None)
+@given(poly_pairs())
+def test_sums_and_products_hold_no_structural_zero(pair):
+    # in (a + b)(a - b) the products a b and -b a cancel on every
+    # monomial nothing else reaches, and a - a cancels everywhere; sums
+    # and products drop those terms themselves, and Poly does not filter
+    # its terms again
+    a, b = pair
+    assert not (a - a).terms and not (a + -a).terms
+    for u, v in [(a, b), (a + b, a - b), (a, -a)]:
+        assert _no_structural_zero(u * v)
+        assert _no_structural_zero(u + v)
+        assert _no_structural_zero(u - v)
 
 
 @pytest.mark.parametrize("p", PRIMES)
@@ -484,9 +538,22 @@ def test_normal_form_matches_stepwise(system):
     got = normal_form(poly, relations)
     want = stepwise_normal_form(poly, relations)
     assert nf_terms(got, residues) == nf_terms(want, residues)
+    rules = TriangularRules(poly.base, poly.nvars, relations)
+    assert nf_terms(normal_form(poly, rules)) == nf_terms(got)
     for i, r in enumerate(relations):
         if r is not None:
             assert got.degree_in(i) < r.degree_in(i)
+
+
+@settings(max_examples=120, deadline=None)
+@given(triangular_systems())
+def test_normal_forms_hold_no_structural_zero(system):
+    # poly times each relation cancels on many monomials as it is reduced
+    poly, relations, _ = system
+    assert _no_structural_zero(normal_form(poly, relations))
+    for r in relations:
+        if r is not None:
+            assert _no_structural_zero(normal_form(poly * r, relations))
 
 
 def test_normal_form_many_products_on_one_monomial(monkeypatch):
@@ -604,6 +671,49 @@ def test_horner_matches_naive_on_polys(data, full):
     const = lambda c: Poly.const(BASE, nv_out, c)  # noqa: E731
     got = poly.subst(images)
     _same_poly(got, naive_subst(poly, images, const), check_prec=full)
+
+
+def _renamed(poly, perm):
+    """poly with variable i renamed perm[i]."""
+    out = {}
+    for m, c in poly.terms.items():
+        mm = [0] * poly.nvars
+        for i, k in enumerate(m):
+            mm[perm[i]] = k
+        out[tuple(mm)] = c
+    return Poly(poly.base, poly.nvars, out)
+
+
+def _same_value(a, b, check_prec):
+    """Same den, term set and digits, and precisions when asked."""
+    assert getattr(a, "den", None) == getattr(b, "den", None)
+    _same_poly(getattr(a, "num", a), getattr(b, "num", b), check_prec)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.booleans(), st.booleans())
+def test_horner_variable_order_does_not_matter(data, full, localized):
+    # images of 0-4 terms, so sizes differ and tie; at full precision
+    # every order gives the same precisions too
+    nv_in = data.draw(st.integers(1, 3))
+    poly = _poly(data, nv_in, 5, 4, full)
+    if localized:
+        pres = _localized_pres()
+        den = st.tuples(st.integers(0, 2), st.integers(0, 2))
+        images = [LocalizedElement(pres, _poly(data, 2, 4, 2, full),
+                                   data.draw(den)) for _ in range(nv_in)]
+        const = lambda c: LocalizedElement(  # noqa: E731
+            pres, Poly.const(BASE, 2, c))
+    else:
+        images = [_poly(data, 2, 4, 2, full) for _ in range(nv_in)]
+        const = lambda c: Poly.const(BASE, 2, c)  # noqa: E731
+    perm = data.draw(st.permutations(range(nv_in)))
+    renamed = [None] * nv_in
+    for i, im in enumerate(images):
+        renamed[perm[i]] = im
+    got = horner(poly, images, const)
+    _same_value(got, horner(_renamed(poly, perm), renamed, const), full)
+    _same_value(got, index_order_horner(poly, images, const), full)
 
 
 def test_horner_zero_polynomial_and_constant():

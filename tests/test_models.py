@@ -21,7 +21,6 @@ from p2models.models import (
     ambient_isogeny,
     build_extension,
     build_g,
-    build_g_smooth,
     enumerate_models,
     hom_brute,
     hom_closed,
@@ -315,7 +314,6 @@ def test_hom_models_trichotomy_spots(R3, models3):
 
 
 def test_hom_models_brute_agreement_sample(R3, models3):
-    import itertools
     sample = [(models3[0], models3[0]), (models3[0], models3[-1]),
               (models3[-1], models3[0]), (models3[-1], models3[-2]),
               (models3[4], models3[5])]
@@ -488,28 +486,29 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     d = ModelDescriptor(R5, 3, 3, a, 0)
     count = _count_products(monkeypatch)
     ambient_isogeny(d)
-    # 8,939 ring products plus 253,512 kernel pairs today; the bound is
-    # the 271,740 ring products of the nested-Horner substitution alone
+    # 107,403 products with the largest image nested outermost, 254,150
+    # with the variables nested in index order; the bound is the count
     # plus 5 %.  Powering substitution images term by term again would
     # more than double the count.
-    assert count["products"] <= 285_000
+    assert count["products"] <= 112_773
 
 
 def test_morphism_checks_product_counts(R3, models3, monkeypatch):
-    # On the (3,3) model: 9,282 products for the nine hom_models_brute
-    # candidates of the self-pair and 3,061 for check_morphism on the
-    # ambient isogeny, both exactly as before check_morphism was stated
-    # through tensor_power; the bounds are those counts plus 5 %.
+    # On the (3,3) model: 4,216 products for the nine hom_models_brute
+    # candidates of the self-pair and 2,526 for check_morphism on the
+    # ambient isogeny, against 5,339 and 3,061 with the variables of a
+    # substitution nested in index order; the bounds are the counts
+    # plus 5 %.
     d = models3[-1]
     assert (d.m, d.n, d.a.digit_string()) == (3, 3, "0.1.1")
     pres = build_extension(d)
     _, _, f = ambient_isogeny(d)
     count = _count_products(monkeypatch)
     hom_models_brute(d, d, pres, pres)
-    assert count["products"] <= 9_746
+    assert count["products"] <= 4_426
     count["products"] = 0
     assert check_morphism(f)
-    assert count["products"] <= 3_214
+    assert count["products"] <= 2_652
 
 
 def _count_reductions(monkeypatch):
@@ -530,18 +529,41 @@ def _count_reductions(monkeypatch):
 def test_hom_models_brute_reduction_counts(models3, monkeypatch):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
-    # 4,144 on the (3,3) self-pair and 74,622 on the 49 ordered p = 3
-    # pairs; reducing every product in normal_form made 7,294 and
-    # 120,702.  The bounds are the counts plus 5 %.
+    # 3,170 on the (3,3) self-pair and 65,111 on the 49 ordered p = 3
+    # pairs; with the variables of a substitution nested in index order
+    # they were 4,093 and 72,888, and reducing every product in
+    # normal_form made 7,294 and 120,702.  The bounds are the counts
+    # plus 5 %.
     pres = [build_extension(d) for d in models3]
     count = _count_reductions(monkeypatch)
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["reductions"] <= 4_351
+    assert count["reductions"] <= 3_328
     count["reductions"] = 0
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["reductions"] <= 78_353
+    assert count["reductions"] <= 68_366
+
+
+def test_hom_models_brute_prepares_each_presentation_once(models3,
+                                                         monkeypatch):
+    # the nine candidates share the square of the source and the rules
+    # of each presentation
+    from p2models import hopf
+    pres = build_extension(models3[-1])
+    built = {"square": 0, "rules": 0}
+    tensor_power, rules = hopf.tensor_power, hopf.TriangularRules
+
+    def counting(name, fn):
+        def wrapped(*args):
+            built[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(hopf, "tensor_power", counting("square", tensor_power))
+    monkeypatch.setattr(hopf, "TriangularRules", counting("rules", rules))
+    hom_models_brute(models3[-1], models3[-1], pres, pres)
+    assert built == {"square": 1, "rules": 2}
 
 
 def test_normal_form_makes_no_ring_product(models3, monkeypatch):

@@ -145,12 +145,20 @@ def test_witt_add_identity_and_neg(R3):
 
 
 def test_scalar_teich_closed_form(R3):
+    # [c] u = (c u_0, c^p u_1, c^(p^2) u_2) against the Witt product, for
+    # a random u over R and its reductions over R/pi^t
     rng = random.Random(3)
     c = R3.from_digits([rng.randrange(R3.pM) for _ in range(R3.e)])
+    u = rand_vec(R3, rng, 3)
+    assert scalar_teich(c, u) == witt_mul(WittVector.teichmuller(R3, c), u)
+    for t in (1, 2, 3):
+        ut = u.reduce(t)
+        teich = WittVector.teichmuller(R3, c.reduce_mod(t), t)
+        assert scalar_teich(c, ut) == witt_mul(teich, ut)
+    # [c][a] = [ca]
     a = R3.from_digits([rng.randrange(R3.pM) for _ in range(R3.e)])
-    w = witt_mul(WittVector.teichmuller(R3, c), WittVector.teichmuller(R3, a))
-    expect = WittVector.teichmuller(R3, c * a)
-    assert w == expect
+    assert (scalar_teich(c, WittVector.teichmuller(R3, a))
+            == WittVector.teichmuller(R3, c * a))
 
 
 def test_frobenius_ghost_shift(R3):
