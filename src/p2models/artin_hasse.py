@@ -167,26 +167,27 @@ def product_form(p: int, D: int) -> Poly:
 # evaluated forms
 # ---------------------------------------------------------------------------
 
-def ep_poly_special(a: RingElement, mu: RingElement, t: int) -> list[QuotElement]:
-    """E_p(a, mu; T) as the closed degree-(p-1) polynomial over R/pi^t.
-
-    Requires a^p = mu^(p-1) a mod pi^t; coefficients are
-    prod_{k<i}(a - k mu)/i!.  When mu = 0 this degenerates to
-    sum a^i/i! T^i.
-    """
+def ep_coeffs(a: RingElement, mu: RingElement) -> list[RingElement]:
+    """The coefficients 1, prod_{k<i}(a - k mu)/i! (0 < i < p) of the
+    closed degree-(p-1) polynomial E_p(a, mu; T) over R; for mu = 0 they
+    are a^i/i!."""
     ring = a.ring
-    p = ring.p
-    lhs = a ** p
-    rhs = mu ** (p - 1) * a
-    if not eq_mod(lhs, rhs, t):
-        raise ValueError("precondition a^p = mu^(p-1) a mod pi^t fails")
-    out = [ring.one().reduce_mod(t)]
+    out = [ring.one()]
     running = ring.one()
-    for i in range(1, p):
+    for i in range(1, ring.p):
         running = running * (a - mu.scale(i - 1))
-        c = running.scale_unit_fraction(Fraction(1, math.factorial(i)))
-        out.append(c.reduce_mod(t))
+        out.append(running.scale_unit_fraction(
+            Fraction(1, math.factorial(i))))
     return out
+
+
+def ep_poly_special(a: RingElement, mu: RingElement, t: int) -> list[QuotElement]:
+    """E_p(a, mu; T) as the closed degree-(p-1) polynomial over R/pi^t:
+    `ep_coeffs` reduced mod pi^t.  Requires a^p = mu^(p-1) a mod pi^t."""
+    p = a.ring.p
+    if not eq_mod(a ** p, mu ** (p - 1) * a, t):
+        raise ValueError("precondition a^p = mu^(p-1) a mod pi^t fails")
+    return [c.reduce_mod(t) for c in ep_coeffs(a, mu)]
 
 
 def specialize(series: Poly, a: RingElement, mu: RingElement) -> Poly:

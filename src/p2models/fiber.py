@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from .dvr import RingDescriptor, eta
 from .hopf import (HopfMorphism, HopfPresentation, check_morphism,
                    coeff_mod_pi, residue_fiber)
-from .models import ModelDescriptor, build_extension, rho_scalar
+from .models import (ModelDescriptor, build_extension, kummer_poly,
+                     rho_scalar)
 from .poly import ExactBase, Poly, normal_form
 
 
@@ -116,13 +117,6 @@ def cocycle_c1(ring: RingDescriptor, nvars: int, vx: int, vy: int) -> Poly:
     return Poly(ExactBase(ring), nvars, terms)
 
 
-def _fp_pres(ring, rel1, rel2, d1, d2, anti1, anti2, name):
-    return residue_fiber(HopfPresentation(
-        base=ExactBase(ring), gens=("S1", "S2"), relations=(rel1, rel2),
-        comult=(d1, d2), counit=(ring.zero(), ring.zero()),
-        antipode=(anti1, anti2), name=name))
-
-
 def _mult_comult(ring, nvars, v0, v1, scale=1) -> Poly:
     base = ExactBase(ring)
     x = Poly.var(base, nvars, v0)
@@ -131,7 +125,8 @@ def _mult_comult(ring, nvars, v0, v1, scale=1) -> Poly:
 
 
 def _mult_antipode(ring, var, lam_bar) -> Poly:
-    """((1+lam S)^(p-1) - 1)/lam, i.e. sum C(p-1,k) lam^(k-1) S^k."""
+    """((1+lam S)^(p-1) - 1)/lam, i.e. sum C(p-1,k) lam^(k-1) S^k; for
+    lam = 0 it is (p-1) S = -S mod p."""
     p = ring.p
     terms = {tuple(k if i == var else 0 for i in range(2)):
              ring.from_int(math.comb(p - 1, k) * lam_bar ** (k - 1))
@@ -141,67 +136,53 @@ def _mult_antipode(ring, var, lam_bar) -> Poly:
 
 def claimed_presentation(ring: RingDescriptor, d: ModelDescriptor,
                          fc: FiberClass) -> HopfPresentation:
-    """The explicit F_p presentation the classification asserts."""
+    """The explicit F_p presentation the classification asserts.
+
+    Every class has the relations S1^p + tail1, S2^p + tail2, the
+    comultiplications S' + S'' + c S'S'' with c = mu_bar on S1 and
+    c = lam_bar on S2, the latter plus coc * C_1(S1', S1''), and the
+    matching antipodes ((1 + c S)^(p-1) - 1)/c (= -S when c = 0).
+    """
     p = ring.p
     base = ExactBase(ring)
     S1 = Poly.var(base, 2, 0)
     S2 = Poly.var(base, 2, 1)
-
-    def scaled(poly, n):
-        return poly.scale(ring.from_int(n))
-
+    zero = Poly.zero(base, 2)
+    coc = 0
     if fc.tag == "MuPExtension":
-        i = fc.params[0] % p
-        rel1 = S1 ** p
         # (1+S2)^p - (1+S1)^i = S2^p - ((1+S1)^i - 1) mod pi
-        low = Poly.zero(base, 2)
-        for k in range(1, i + 1):
-            low = low + scaled(S1 ** k, math.comb(i, k))
-        rel2 = S2 ** p - low
-        d1 = _mult_comult(ring, 4, 0, 2, 1)
-        d2 = _mult_comult(ring, 4, 1, 3, 1)
-        return _fp_pres(ring, rel1, rel2, d1, d2,
-                        _mult_antipode(ring, 0, 1), _mult_antipode(ring, 1, 1),
-                        f"mu_p extension E_{i}")
-
-    if fc.tag == "TrivialExtension":
+        i = fc.params[0] % p
+        mu_bar = lam_bar = 1
+        tail1, tail2 = zero, -kummer_poly(ring, ring.one(), i, 2, 0)
+        name = f"mu_p extension E_{i}"
+    elif fc.tag == "TrivialExtension":
         # product of the two fiber groups: no S1-mixing, no cocycle
-        mu_bar = 1 if d.m == 0 else 0
-        lam_bar = 1 if d.n == 0 else 0
-        rel1 = S1 ** p
-        if d.m == p:
-            rel1 = rel1 + S1.scale(rho_scalar(ring, d.m))
-        rel2 = S2 ** p
-        if d.n == p:
-            rel2 = rel2 + S2.scale(rho_scalar(ring, d.n))
-        d1 = _mult_comult(ring, 4, 0, 2, mu_bar)
-        d2 = _mult_comult(ring, 4, 1, 3, lam_bar)
-        return _fp_pres(ring, rel1, rel2, d1, d2,
-                        _mult_antipode(ring, 0, mu_bar),
-                        _mult_antipode(ring, 1, lam_bar),
-                        "trivial extension")
-
-    if fc.tag == "AlphaPExtension":
-        beta, gamma = fc.params
-        rel1 = S1 ** p
-        rel2 = S2 ** p - scaled(S1, beta)
-        d1 = _mult_comult(ring, 4, 0, 2, 0)
-        d2 = (_mult_comult(ring, 4, 1, 3, 0)
-              + scaled(cocycle_c1(ring, 4, 0, 2), gamma))
-        return _fp_pres(ring, rel1, rel2, d1, d2, -S1, -S2,
-                        f"E_(beta={beta}, gamma={gamma})")
-
-    if fc.tag == "ZpByZp":
-        abar, b = fc.params
-        rel1 = S1 ** p - S1
-        rel2 = S2 ** p - S2 - scaled(S1, abar)
-        d1 = _mult_comult(ring, 4, 0, 2, 0)
-        d2 = (_mult_comult(ring, 4, 1, 3, 0)
-              + scaled(cocycle_c1(ring, 4, 0, 2), b))
-        return _fp_pres(ring, rel1, rel2, d1, d2, -S1, -S2,
-                        f"E_(a={abar}, b={b})")
-
-    raise ValueError(fc.tag)
+        mu_bar, lam_bar = int(d.m == 0), int(d.n == 0)
+        tail1 = S1.scale(rho_scalar(ring, d.m)) if d.m == p else zero
+        tail2 = S2.scale(rho_scalar(ring, d.n)) if d.n == p else zero
+        name = "trivial extension"
+    elif fc.tag == "AlphaPExtension":
+        beta, coc = fc.params
+        mu_bar = lam_bar = 0
+        tail1, tail2 = zero, -S1.scale(ring.from_int(beta))
+        name = f"E_(beta={beta}, gamma={coc})"
+    elif fc.tag == "ZpByZp":
+        abar, coc = fc.params
+        mu_bar = lam_bar = 0
+        tail1, tail2 = -S1, -S2 - S1.scale(ring.from_int(abar))
+        name = f"E_(a={abar}, b={coc})"
+    else:
+        raise ValueError(fc.tag)
+    d2 = (_mult_comult(ring, 4, 1, 3, lam_bar)
+          + cocycle_c1(ring, 4, 0, 2).scale(ring.from_int(coc)))
+    return residue_fiber(HopfPresentation(
+        base=base, gens=("S1", "S2"),
+        relations=(S1 ** p + tail1, S2 ** p + tail2),
+        comult=(_mult_comult(ring, 4, 0, 2, mu_bar), d2),
+        counit=(ring.zero(), ring.zero()),
+        antipode=(_mult_antipode(ring, 0, mu_bar),
+                  _mult_antipode(ring, 1, lam_bar)),
+        name=name))
 
 
 def _try_normalization(fiber: HopfPresentation, claimed: HopfPresentation,

@@ -27,9 +27,10 @@ a coefficient of that polynomial known to no digit (precision < 1)
 raises PrecisionError rather than pass as zero.  The only comparisons
 made in the ring itself are counits.
 
-The special fiber (`residue_fiber`) stays over the same ExactBase: each
-coefficient becomes its residue digit at precision 1, so every
-comparison on it is decided mod pi, that is in F_p = R/pi.
+Base change to R/pi^t (`residue_fiber`) stays over the same ExactBase:
+each coefficient becomes its canonical representative mod pi^t at
+precision t, so every comparison on it is decided mod pi^t.  The special
+fiber over F_p = R/pi is t = 1.
 
 Antipode compatibility of morphisms is not checked separately: a
 bialgebra morphism between Hopf algebras automatically commutes with the
@@ -508,14 +509,18 @@ def coeff_mod_pi(c: RingElement) -> int:
     return (c.P & c.ring._slot_mask) % c.ring.p
 
 
-def residue_fiber(pres: HopfPresentation) -> HopfPresentation:
-    """Base change to the residue field F_p = R/pi: every coefficient
-    becomes its residue digit at precision 1, and coefficients with
-    residue 0 drop out."""
-    ring = pres.base.ring
+def residue_fiber(pres: HopfPresentation, t: int = 1) -> HopfPresentation:
+    """Base change to R/pi^t: every coefficient becomes its canonical
+    representative mod pi^t (pi-adic digits in [0, p)) at precision t,
+    and coefficients = 0 mod pi^t drop out.  t = 1 is the special fiber
+    over F_p = R/pi, each coefficient its residue digit.  A coefficient
+    known below pi^t raises PrecisionError, and so does t < 1: over the
+    zero ring R/pi^0 every identity holds vacuously."""
+    if t < 1:
+        raise PrecisionError(f"no decision can be made over R/pi^{t}")
 
     def res(c):
-        return RingElement(ring, coeff_mod_pi(c), 1)
+        return c.reduce_mod(t).lift().with_prec(t)
 
     def red(poly):
         return poly.map_coeffs(res) if poly is not None else None
@@ -530,5 +535,5 @@ def residue_fiber(pres: HopfPresentation) -> HopfPresentation:
                        for a in pres.antipode),
         units=tuple(UnitSpec(red(u.poly), red(u.inverse))
                     for u in pres.units),
-        name=pres.name + " (special fiber)",
+        name=pres.name + (" (special fiber)" if t == 1 else f" mod pi^{t}"),
     )

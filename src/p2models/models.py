@@ -21,13 +21,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .artin_hasse import ep_poly_special
+from .artin_hasse import ep_coeffs, ep_poly_special
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
                   RingElement, enumerate_quotient, eq_mod, eta)
 from .errors import (BudgetError, DivisibilityError, LinearSolveError,
                      P2ModelsError, PrecisionError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
-                   UnitSpec, check_morphism, is_model_map)
+                   UnitSpec, check_morphism, is_model_map, residue_fiber)
 from .poly import ExactBase, Poly, normal_form
 from .witt import (WittVector, is_frobenius_kernel, mult_by_p,
                    psi_star_image)
@@ -60,20 +60,23 @@ def poly_in_var(base, nvars: int, var: int, coeffs) -> Poly:
     return Poly(base, nvars, terms)
 
 
-def kummer_quotient_coeffs(ring: RingDescriptor, lam: RingElement, N: int,
-                           divisor: RingElement | None = None):
-    """Coefficients c_1..c_N of ((1+lam T)^N - 1)/divisor, c_k =
-    C(N,k) lam^k / divisor; the divisor defaults to lam^N and is prepared
-    once.
+def kummer_poly(ring: RingDescriptor, lam: RingElement, N: int,
+                nvars: int = 1, var: int = 0,
+                divisor: RingElement | None = None) -> Poly:
+    """((1+lam x)^N - 1)/divisor as a Poly in x = x_var of nvars
+    variables: the coefficient of x^k is C(N,k) lam^k / divisor.  The
+    divisor defaults to lam^N, which for N = p^n gives P_{lam,n}, and is
+    prepared once.
 
     Exists exactly under the degree condition; raises ValuationError if
     some binomial is not divisible.
     """
-    if N == 0:
-        return []
-    divide = (lam ** N if divisor is None else divisor).divisor()
-    return [divide(ring.from_int(math.comb(N, k)) * lam ** k)
-            for k in range(1, N + 1)]
+    coeffs = [ring.zero()]
+    if N:
+        divide = (lam ** N if divisor is None else divisor).divisor()
+        coeffs += [divide(ring.from_int(math.comb(N, k)) * lam ** k)
+                   for k in range(1, N + 1)]
+    return poly_in_var(ExactBase(ring), nvars, var, coeffs)
 
 
 def star_condition(ring: RingDescriptor, lam: RingElement, n: int) -> bool:
@@ -95,8 +98,7 @@ def build_g(ring: RingDescriptor, lam: RingElement, n: int) -> HopfPresentation:
             "condition (*) fails: v(p) < p^(n-1)(p-1) v(lam)")
     base = ExactBase(ring)
     N = ring.p ** n
-    rel = poly_in_var(base, 1, 0,
-                      [ring.zero()] + kummer_quotient_coeffs(ring, lam, N))
+    rel = kummer_poly(ring, lam, N)
     T0 = Poly.var(base, 2, 0)
     T1 = Poly.var(base, 2, 1)
     comult = T0 + T1 + (T0 * T1).scale(lam)
@@ -137,10 +139,7 @@ def isogeny_psi(ring: RingDescriptor, lam: RingElement, n: int) -> HopfMorphism:
         raise ValuationError("condition (*) fails")
     src = build_g_smooth(ring, lam)
     tgt = build_g_smooth(ring, lam ** (ring.p ** n))
-    base = ExactBase(ring)
-    N = ring.p ** n
-    img = poly_in_var(base, 1, 0,
-                      [ring.zero()] + kummer_quotient_coeffs(ring, lam, N))
+    img = kummer_poly(ring, lam, ring.p ** n)
     f = HopfMorphism(source=src, target=tgt, images=(img,),
                      name=f"psi(n={n})")
     if not check_morphism(f):
@@ -178,11 +177,9 @@ def hom_gln(ring: RingDescriptor, lam: RingElement, lam2: RingElement,
         return []
     src = build_g(ring, lam, n)
     tgt = build_g(ring, lam2, n)
-    base = ExactBase(ring)
     out = []
     for i in range(ring.p ** n):
-        coeffs = [ring.zero()] + kummer_quotient_coeffs(ring, lam, i, lam2)
-        img = src.nf(poly_in_var(base, 1, 0, coeffs))
+        img = src.nf(kummer_poly(ring, lam, i, divisor=lam2))
         f = HopfMorphism(source=src, target=tgt, images=(img,),
                          name=f"hom_g(i={i})")
         if not check_morphism(f):
@@ -194,14 +191,6 @@ def hom_gln(ring: RingDescriptor, lam: RingElement, lam2: RingElement,
 # ---------------------------------------------------------------------------
 # Hom(G_{mu,1}|S_lam, Gm|S_lam): closed form vs brute force
 # ---------------------------------------------------------------------------
-
-def _mu_relation_quot(ring, m: int, t: int, nvars: int, var: int) -> Poly:
-    """P_{pi^m,1} over R/pi^t in the given variable: its coefficients are
-    at precision t."""
-    coeffs = kummer_quotient_coeffs(ring, ring.pi(m), ring.p)
-    return poly_in_var(ExactBase(ring), nvars, var,
-                       [ring.zero(t)] + [_mod_pi(c, t) for c in coeffs])
-
 
 def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
     """Degree < p representatives of Hom(G_{mu,1}|S_lam, Gm|S_lam) with
@@ -237,18 +226,11 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
               budget: int | None = None) -> list[tuple]:
     """All degree < p polynomials F over R/pi^n with F(0) = 1 (and
     F = 1 mod pi when mu is not a unit) satisfying
-    F(S)F(T) = F(S+T+mu ST) modulo the relation ideal."""
+    F(S)F(T) = F(S+T+mu ST) modulo the relation ideal: F group-like in
+    G_{mu,1} over R/pi^n, decided in its square."""
     p = ring.p
     if n == 0:
         return [tuple(ring.zero().reduce_mod(0) for _ in range(p))]
-    base = ExactBase(ring)
-    relS = _mu_relation_quot(ring, m, n, 2, 0)
-    relT = _mu_relation_quot(ring, m, n, 2, 1)
-    one = ring.one().with_prec(n)
-    S = Poly.var(base, 2, 0, one)
-    T = Poly.var(base, 2, 1, one)
-    arg = S + T + (S * T).scale(_mod_pi(ring.pi(m), n))
-
     # each candidate coefficient with its canonical lift at precision n
     pairs = [(c, c.lift().with_prec(n)) for c in enumerate_quotient(ring, n)]
     if m == 0:
@@ -262,15 +244,13 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
         count *= len(pool)
     _check_budget(ring, count, budget)
 
+    G = residue_fiber(build_g(ring, ring.pi(m), 1), n)
     out = []
     for row in itertools.product(*coeff_pools):
         coeffs, lifts = zip(*row)
-        F_S = poly_in_var(base, 2, 0, lifts)
-        F_T = poly_in_var(base, 2, 1, lifts)
-        F_arg = _eval_poly_at(lifts, arg)
-        lhs = normal_form(F_S * F_T, [relS, relT])
-        rhs = normal_form(F_arg, [relS, relT])
-        if lhs.eq(rhs):
+        F = poly_in_var(G.base, 1, 0, lifts)
+        if LocalizedElement(G.square, F.embed(2, 0) * F.embed(2, 1)
+                            - F.subst(G.comult)).is_zero():
             out.append(coeffs)
     return sorted(out, key=lambda row: [c.digits for c in row])
 
@@ -437,14 +417,9 @@ class ModelDescriptor:
 
 
 def canonical_lift_coeffs(d: ModelDescriptor) -> list[RingElement]:
-    """F = sum a^i / i! S^i on the canonical digit lift of a."""
-    ring = d.ring
-    al = d.a.lift()
-    out = [ring.one()]
-    for i in range(1, ring.p):
-        out.append((al ** i).scale_unit_fraction(
-            Fraction(1, math.factorial(i))))
-    return out
+    """F = sum a^i / i! S^i = E_p(a, 0; S) on the canonical digit lift
+    of a."""
+    return ep_coeffs(d.a.lift(), d.ring.zero())
 
 
 def _comult(base, fc, mu, lam, rel1=None) -> tuple:
@@ -478,12 +453,14 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
     """
     ring = d.ring
     p = ring.p
-    base = ExactBase(ring)
     mu, lam = ring.pi(d.m), ring.pi(d.n)
     fc = canonical_lift_coeffs(d)
-    rel1 = poly_in_var(base, 2, 0,
-                       [ring.zero()] + kummer_quotient_coeffs(ring, mu, p))
-    u1 = Poly.one(base, 2) + Poly.var(base, 2, 0).scale(mu)
+    # the S1 factor is G_{mu,1}: relation, antipode, unit and inverse
+    g1 = build_g(ring, mu, 1)
+    base = g1.base
+    rel1, anti1, u1, inv1 = (x.embed(2, 0) for x in (
+        g1.relations[0], g1.antipode[0], g1.units[0].poly,
+        g1.units[0].inverse))
     u2 = poly_in_var(base, 2, 0, fc) + Poly.var(base, 2, 1).scale(lam)
     rel2 = normal_form(u2 ** p - u1 ** d.j, [rel1, None])
     rel2 = rel2.div_scalar(lam ** p)
@@ -492,19 +469,12 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
     # known mod pi^(eM - n), and that precision is part of the output
     eps2 = (ring.one() - fc[0]).divide_exact(lam) if d.n else ring.zero()
 
-    # antipode
-    anti1_coeffs = [ring.zero()]
-    for k in range(1, p):
-        anti1_coeffs.append(
-            ring.from_int(math.comb(p - 1, k)) * mu ** (k - 1))
-    anti1 = poly_in_var(base, 2, 0, anti1_coeffs)
     anti2_num = (u2 ** (p - 1) * u1 ** (p - d.j)
                  - _eval_poly_at(fc, anti1))
     anti2_num = normal_form(anti2_num, [rel1, None])
     anti2 = anti2_num.div_scalar(lam)
 
     rel_system = (rel1, rel2)
-    inv1 = normal_form(u1 ** (p - 1), list(rel_system))
     inv2 = normal_form(u2 ** (p - 1) * u1 ** (p - d.j),
                        list(rel_system))
     return HopfPresentation(
@@ -575,7 +545,8 @@ def solve_target_hom(d: ModelDescriptor) -> list[RingElement]:
     F = poly_in_var(base, 1, 0, canonical_lift_coeffs(d))
     H = F ** p * u1 ** ((-d.j) % p)
     h = [H.coefficient((i,)) for i in range(H.degree_in(0) + 1)]
-    P = kummer_quotient_coeffs(ring, mu, p)  # S^1..S^p coefficients
+    Pmu = kummer_poly(ring, mu, p)
+    P = [Pmu.coefficient((k,)) for k in range(1, p)]  # S^1..S^(p-1)
     zero = ring.zero()
     g = []
     while h:
@@ -625,8 +596,7 @@ def ambient_isogeny(d: ModelDescriptor):
     g = solve_target_hom(d)
     tgt = _smooth_extension(ring, mu ** p, lam ** p, g, "E_smooth target")
 
-    Pmu = poly_in_var(base, 2, 0,
-                      [ring.zero()] + kummer_quotient_coeffs(ring, mu, p))
+    Pmu = kummer_poly(ring, mu, p, 2, 0)
     u1, u2 = (u.poly for u in src.units)
     bracket = u2 ** p - _eval_poly_at(g, Pmu) * u1 ** d.j
     img2_num = bracket.div_scalar(lam ** p)
@@ -708,14 +678,12 @@ def _psi_rs_built(src, tgt, d1, d2, r, s):
     fails (the candidate is not well defined over R)."""
     ring = d1.ring
     p = ring.p
-    base = src.base
     mu1, mu2, lam2 = ring.pi(d1.m), ring.pi(d2.m), ring.pi(d2.n)
     x = (r * d1.j * pow(d2.j, -1, p)) % p
     # S1' -> ((1+mu1 S1)^x - 1)/mu2, S2' -> ((F1+lam1 S2)^r (1+mu1 S1)^s
     # - F2(S1'))/lam2 with F1 + lam1 S2, 1 + mu1 S1 the units of src
     try:
-        img1 = poly_in_var(base, 2, 0, [ring.zero()]
-                           + kummer_quotient_coeffs(ring, mu1, x, mu2))
+        img1 = kummer_poly(ring, mu1, x, 2, 0, mu2)
         u1, u2 = (u.poly for u in src.units)
         F2_at = _eval_poly_at(canonical_lift_coeffs(d2), img1)
         num = src.nf(u2 ** r * u1 ** s - F2_at)
@@ -778,26 +746,17 @@ def enumerate_models(ring: RingDescriptor, m_max: int) -> list[ModelDescriptor]:
 def rad_brute(ring: RingDescriptor, m: int, n: int,
               budget: int | None = None) -> list[tuple]:
     """Pairs (F, j) with F a hom representative over R/pi^n and
-    F^p (1+mu S)^(-j) = 1 over R/pi^(pn); survivors must have j = 0
-    when v(mu) < v(lam) (no cyclic-p^2 models in this regime)."""
+    F^p (1+mu S)^(-j) = 1 in G_{mu,1} over R/pi^(pn); survivors must have
+    j = 0 when v(mu) < v(lam) (no cyclic-p^2 models in this regime)."""
     p, t = ring.p, ring.p * n
     homs = hom_brute(ring, m, n, budget)
-    base = ExactBase(ring)
-    rel = _mu_relation_quot(ring, m, t, 1, 0)
-    one = Poly.const(base, 1, ring.one().with_prec(t))
-    u1 = one + Poly.var(base, 1, 0, _mod_pi(ring.pi(m), t))
-    # the reduced (1 + mu S)^j for j < p
-    rhs, u1j = [], one
-    for _ in range(p):
-        rhs.append(normal_form(u1j, [rel]))
-        u1j = u1j * u1
+    G = residue_fiber(build_g(ring, ring.pi(m), 1), t)
     out = []
     for row in homs:
-        F = poly_in_var(base, 1, 0, [c.lift().with_prec(t) for c in row])
-        Fp = normal_form(F ** p, [rel])
-        for j in range(p):
-            if Fp.eq(rhs[j]):
-                out.append((row, j))
+        F = poly_in_var(G.base, 1, 0, [c.lift().with_prec(t) for c in row])
+        Fp = F ** p
+        out += [(row, j) for j in range(p)
+                if LocalizedElement(G, Fp, (j,)).eq(G.one_poly())]
     if n > m and any(j != 0 for _, j in out):
         raise P2ModelsError(
             "survivor with j != 0 in the v(mu) < v(lam) regime")

@@ -185,9 +185,8 @@ class Poly:
     def coefficient(self, monomial: tuple):
         return self.terms.get(monomial, self.base.zero())
 
-    def map_coeffs(self, fn, new_base=None) -> "Poly":
-        base = new_base if new_base is not None else self.base
-        return Poly(base, self.nvars,
+    def map_coeffs(self, fn) -> "Poly":
+        return Poly(self.base, self.nvars,
                     {m: fn(c) for m, c in self.terms.items()})
 
     def div_scalar(self, d) -> "Poly":

@@ -1,5 +1,9 @@
 """Tests for special-fiber classification and verification."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 
 from p2models.dvr import QuotElement, make_ring
@@ -148,3 +152,51 @@ def test_fiber_json_roundtrip():
                FiberClass("AlphaPExtension", (1, 2)),
                FiberClass("ZpByZp", (0, 1))]:
         assert FiberClass.from_json(fc.to_json()) == fc
+
+
+# sha256 of the claimed presentations, per (p, class): the JSON list of
+# [descriptor, class, claimed_presentation(R, d, fc)] over every model d
+# (m <= p) and, for each, its own class followed by every class with
+# parameters in [0, p).  Recorded from the code before the four classes
+# shared one construction.
+CLAIMED = {
+    (3, "AlphaPExtension"):
+        "3d7a766dc74ac51f1e97e61968e332b8a3cd90e6444a3e9577b719075d34650b",
+    (3, "MuPExtension"):
+        "8d0a1ef2d181932a24c26521a728409d6a09fc0a7a4bed99348efad315de7d44",
+    (3, "TrivialExtension"):
+        "4b856574aac5ddc66afd5db9522292975845cad0fd2d812a4d2e315de74c90ee",
+    (3, "ZpByZp"):
+        "70322ffaf39a215203552b84b24679b4738681558529b42bf2053faa657d0f72",
+    (5, "AlphaPExtension"):
+        "b86a03905ab823aae09a47fe3cf71d0bac1dd1f692d5e31571962b9a9aefb443",
+    (5, "MuPExtension"):
+        "6aad3315f7fa8bf60b9043410875e4d470428c0273ec3a1a3d320b2463cba3cd",
+    (5, "TrivialExtension"):
+        "6b226a314486d7a64794331f2209355caa463945902dffc8975cbbd35d69e6cb",
+    (5, "ZpByZp"):
+        "6f8c16cdc4afae5f549e63cb5af33e4edbe4a72d55583061ee0bb435f55a100b",
+}
+
+
+def _every_class(p):
+    yield from (FiberClass("MuPExtension", (i,)) for i in range(p))
+    yield FiberClass("TrivialExtension")
+    for tag in ("AlphaPExtension", "ZpByZp"):
+        yield from (FiberClass(tag, params)
+                    for params in itertools.product(range(p), repeat=2))
+
+
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
+def test_claimed_presentation_golden(p, M):
+    R = make_ring(p, M)
+    docs = {}
+    for d in enumerate_models(R, p):
+        for fc in (classify_fiber(d), *_every_class(p)):
+            docs.setdefault(fc.tag, []).append(
+                [d.to_json(), fc.to_json(),
+                 claimed_presentation(R, d, fc).to_json()])
+    digests = {(p, tag): hashlib.sha256(
+        json.dumps(doc, sort_keys=True).encode()).hexdigest()
+        for tag, doc in docs.items()}
+    assert digests == {k: v for k, v in CLAIMED.items() if k[0] == p}

@@ -2,7 +2,7 @@
 
 import pytest
 
-from p2models.dvr import QuotElement, make_ring
+from p2models.dvr import QuotElement, RingElement, eq_mod, make_ring
 from p2models.errors import PrecisionError
 from p2models.hopf import (
     HopfMorphism,
@@ -247,12 +247,49 @@ def test_residue_fiber_z_mod_p(R3):
 
 
 def test_residue_fiber_precision_guard(R3):
-    # a structure constant known to precision 0 cannot be reduced mod pi
+    # a structure constant known to precision 0 cannot be reduced mod pi,
+    # one known mod pi^2 not mod pi^3; nothing is decided over R/pi^0
     G = build_g(R3, R3.pi(), 1)
     from dataclasses import replace
     G0 = replace(G, counit=(R3.zero(prec=0),))
     with pytest.raises(PrecisionError):
         residue_fiber(G0)
+    G2 = replace(G, counit=(R3.zero(prec=2),))
+    residue_fiber(G2, 2)
+    with pytest.raises(PrecisionError):
+        residue_fiber(G2, 3)
+    with pytest.raises(PrecisionError):
+        residue_fiber(G, 0)
+
+
+def _polys(pres):
+    """Every polynomial of a presentation, antipode numerators and unit
+    inverses included."""
+    return [*pres.relations, *pres.comult,
+            *(a if isinstance(a, Poly) else a[0] for a in pres.antipode),
+            *(u.poly for u in pres.units), *(u.inverse for u in pres.units)]
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 6])
+def test_residue_fiber_is_base_change_to_level_t(R3, t):
+    # every coefficient becomes the canonical representative of the
+    # original mod pi^t, at precision t; one = 0 mod pi^t drops out
+    d = enumerate_models(R3, 3)[-1]
+    for pres in (build_g(R3, R3.pi(), 1), build_extension(d)):
+        red = residue_fiber(pres, t)
+        pairs = list(zip(pres.counit, red.counit))
+        for a, b in zip(_polys(pres), _polys(red)):
+            assert set(b.terms) <= set(a.terms)
+            pairs += [(c, b.terms.get(m)) for m, c in a.terms.items()]
+        for c, r in pairs:
+            if r is None:
+                assert eq_mod(c, R3.zero(), t)
+                continue
+            # the digits of the canonical representative (t <= e)
+            assert r.prec == t and eq_mod(c, r, t)
+            assert r.digits == c.reduce_mod(t).digits + (0,) * (R3.e - t)
+            if t == 1:
+                assert r == RingElement(R3, coeff_mod_pi(c), 1)
 
 
 def test_localized_zero_test_needs_a_known_digit(R3):

@@ -4,6 +4,7 @@
 * The ring operations of the resident kernel do not loop over digits.
 * Every boundary the benchmark's tracer wraps exists in the package.
 * No module of the package or the tests imports a name it never reads.
+* Every function, class and method of the package is read somewhere.
 """
 
 import ast
@@ -114,3 +115,54 @@ def test_trace_boundaries_resolve():
             if owner is None or attr not in vars(owner):
                 missing.append(f"{bname}: {modname}.{qual}")
     assert missing == []
+
+
+def _definitions(path):
+    """(line, name) of every function, class and method defined in the
+    module, dunders excepted."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.lineno, node.name) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
+
+
+def _read_names(path):
+    """Every name the module reads: loaded names and attributes, and the
+    parts of dotted names written as strings (the tracer's boundaries)."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            out.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                out.update(parts)
+    return out
+
+
+def _unread_definitions(package, readers):
+    read = set().union(*(_read_names(path) for path in readers))
+    return [f"{path.name}:{line} {name}"
+            for path in sorted(package.glob("*.py"))
+            for line, name in _definitions(path) if name not in read]
+
+
+def test_every_definition_is_read():
+    readers = [path for sub in ("src", "tests", "perfbench")
+               for path in sorted((ROOT / sub).rglob("*.py"))]
+    assert _unread_definitions(SRC / "p2models", readers) == []
+
+
+def test_unread_definition_is_found(tmp_path):
+    # negative control: a method nothing reads is reported
+    (tmp_path / "mod.py").write_text(
+        "class A:\n    def used(self):\n        return self.spare\n\n"
+        "    def spare(self):\n        return 0\n\n\n"
+        "def unused():\n    return A().used()\n")
+    readers = [tmp_path / "mod.py"]
+    assert _unread_definitions(tmp_path, readers) == ["mod.py:9 unused"]

@@ -31,14 +31,13 @@ from p2models.models import (
     isogeny_psi,
     ker_p2,
     ker_p2_brute,
-    kummer_quotient_coeffs,
+    kummer_poly,
     neron_blowup_unit,
     normal_form_model,
     p2_surjective,
     phi_brute,
     phi_closed,
     phi_congruence,
-    poly_in_var,
     rad_brute,
     rad_witt_count,
     solve_target_hom,
@@ -75,18 +74,15 @@ def test_isogeny_kernel_relation(R3):
     # P_{lam,n}(T) is the defining relation: normal form 0 in the kernel
     lam = R3.pi()
     G = build_g(R3, lam, 1)
-    base = ExactBase(R3)
-    P = poly_in_var(base, 1, 0,
-                    [R3.zero()] + kummer_quotient_coeffs(R3, lam, 3))
-    assert G.nf(P).is_zero()
+    assert G.nf(kummer_poly(R3, lam, 3)).is_zero()
 
 
 def test_isogeny_lam_unit_case(R3):
     # lam = 1: P(T) = (1+T)^(p^n) - 1
-    coeffs = kummer_quotient_coeffs(R3, R3.one(), 9)
+    P = kummer_poly(R3, R3.one(), 9)
     import math
-    for k, c in enumerate(coeffs, start=1):
-        assert (c - R3.from_int(math.comb(9, k))).is_zero()
+    for k in range(1, 10):
+        assert (P.coefficient((k,)) - R3.from_int(math.comb(9, k))).is_zero()
 
 
 def test_isogeny_psi_verified(R3):
@@ -100,8 +96,7 @@ def test_isogeny_compatible_with_power_map(R3):
     base = ExactBase(R3)
     n = 1
     N = 3
-    P = poly_in_var(base, 1, 0,
-                    [R3.zero()] + kummer_quotient_coeffs(R3, lam, N))
+    P = kummer_poly(R3, lam, N)
     lhs = Poly.one(base, 1) + P.scale(lam ** N)
     u = Poly.one(base, 1) + Poly.var(base, 1, 0).scale(lam)
     assert lhs.eq(u ** N)
@@ -147,13 +142,50 @@ def test_hom_closed_equals_brute(R3, m, n, count):
 
 def test_hom_brute_refuses_more_than_p9_candidates(monkeypatch):
     # cell (3,3) at p = 5 has 25^5 (about 9.8e6) candidates, above the
-    # default budget 5^9; none of them may be tested
+    # default budget 5^9; none of them may be tested.  Each candidate is
+    # decided by one LocalizedElement.is_zero, so the spy sits there; the
+    # control with a budget above the count shows that it fires.
     def refuse(*args):
         raise AssertionError("a candidate was tested")
 
-    monkeypatch.setattr(models_module, "normal_form", refuse)
+    monkeypatch.setattr(models_module.LocalizedElement, "is_zero", refuse)
     with pytest.raises(BudgetError, match="exceed budget 1953125"):
         hom_brute(make_ring(5, 8), 3, 3)
+    with pytest.raises(AssertionError, match="a candidate was tested"):
+        hom_brute(make_ring(5, 8), 3, 3, budget=10 ** 8)
+
+
+@pytest.mark.parametrize("m,n,count", [(1, 1, 1), (2, 1, 1), (2, 2, 5),
+                                       (5, 1, 1)])
+def test_hom_closed_equals_brute_p5(m, n, count):
+    # (2,2) enumerates 5^5 = 3,125 candidates
+    R5 = make_ring(5, 8)
+    hc = hom_closed(R5, m, n)
+    assert hc == hom_brute(R5, m, n)
+    assert len(hc) == count
+
+
+def test_hom_brute_prepares_its_rules_once(R3, monkeypatch):
+    # every candidate of cell (3,3) is decided in the square of G_{mu,1}
+    # over R/pi^3: two rule set-ups (the unit inverse of build_g and the
+    # square) and 15,807 reductions, against 1,458 set-ups and 24,781
+    # reductions when each candidate reduced modulo relations of its
+    # own.  The reduction bound is the count plus 5 %.
+    R3.p_over_pi()  # the ring's cached unit is not part of the count
+    built = 0
+    init = poly_module.TriangularRules.__init__
+
+    def counting_init(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(poly_module.TriangularRules, "__init__",
+                        counting_init)
+    count = _count_reductions(monkeypatch)
+    assert len(hom_brute(R3, 3, 3)) == 9
+    assert built <= 2
+    assert count["reductions"] <= 16_598
 
 
 def test_hom_closed_33_shape(R3):
