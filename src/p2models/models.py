@@ -767,25 +767,31 @@ def rad_witt_count(ring: RingDescriptor, m: int, n: int,
                    budget: int | None = None) -> int:
     """Independent count of rad survivors via the Witt layer, for
     support-1 classes: a with [a] in the twisted kernel over R/pi^n and
-    p[a] in the image of the isogeny pullback over R/pi^(pn)."""
+    p[a] in the image of the isogeny pullback over R/pi^(pn).
+
+    Each b is tested and pulled back at most once, and only as far into
+    the pool as some a needs: the images reached so far are kept.
+    """
     p = ring.p
     mu = ring.pi(m)
     _check_budget(ring, p ** n * p ** (p * n), budget)
-    pool_b = list(enumerate_quotient(ring, p * n))
+    pool_b = (WittVector(ring, p * n, [b0])
+              for b0 in enumerate_quotient(ring, p * n))
+    fresh = (psi_star_image(b, mu) for b in pool_b
+             if is_frobenius_kernel(b, mu ** p, p * n))
+    images = []
     count = 0
     for a in enumerate_quotient(ring, n):
         w = WittVector(ring, n, [a])
         if not is_frobenius_kernel(w, mu, n):
             continue
         pw = mult_by_p(w, p * n)
-        found = False
-        for b0 in pool_b:
-            b = WittVector(ring, p * n, [b0])
-            if not is_frobenius_kernel(b, mu ** p, p * n):
-                continue
-            if psi_star_image(b, mu) == pw:
-                found = True
-                break
-        if found:
+        if any(image == pw for image in images):
             count += 1
+            continue
+        for image in fresh:
+            images.append(image)
+            if image == pw:
+                count += 1
+                break
     return count

@@ -154,10 +154,9 @@ def criterion_7_witt_layer():
     R = _ring(3)
     for t in (1, 2):
         pool = list(enumerate_quotient(R, t))
-        kernel = [wt.WittVector(R, t, coords)
-                  for coords in product(pool, repeat=2)
-                  if wt.is_frobenius_kernel(
-                      wt.WittVector(R, t, coords), R.zero(), t)]
+        kernel = [w for w in (wt.WittVector(R, t, coords)
+                              for coords in product(pool, repeat=2))
+                  if wt.is_frobenius_kernel(w, R.zero(), t)]
         _check(kernel)
         for u in kernel:
             for v in kernel:

@@ -13,11 +13,13 @@ Over a quotient R/pi^t with nilpotent coordinates, a sum of vectors of
 support <= K has coordinates of weight p^r and hence of valuation at
 least p^(r-K+1), so indices beyond K + log_p(t) vanish; `_settle`
 computes one extra coordinate and fails loudly if it does not vanish.
+
+Each vector computes its ghost components once: `ghosts` keeps the
+longest prefix computed so far on the vector, and later calls read it.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -139,9 +141,14 @@ def monomial_weight(p: int, monomial: tuple, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 class WittVector:
-    """Finite-support Witt vector over R (t=0) or over R/pi^t (t>0)."""
+    """Finite-support Witt vector over R (t=0) or over R/pi^t (t>0).
 
-    __slots__ = ("ring", "t", "coords")
+    Immutable apart from `_ghosts`, the longest prefix Phi_0..Phi_(k-1)
+    that `ghosts` has computed; it is written only there, a longer prefix
+    replacing a shorter one.
+    """
+
+    __slots__ = ("ring", "t", "coords", "_ghosts")
 
     def __init__(self, ring: RingDescriptor, t: int, coords):
         self.ring = ring
@@ -150,6 +157,7 @@ class WittVector:
         while coords and self._coord_zero(coords[-1]):
             coords.pop()
         self.coords = tuple(coords)
+        self._ghosts = ()
 
     def _coord_zero(self, c):
         return c.is_zero()
@@ -244,8 +252,12 @@ def ghosts(w: WittVector, length: int) -> list[RingElement]:
 
     Phi_r = sum_i p^i c_i^(p^(r-i)); each c_i^(p^k) is one p-th power of
     the rung before it on the ladder of c_i.  A structurally zero rung
-    is skipped unless its precision is below the running sum's.
+    is skipped unless its precision is below the running sum's.  Phi_r
+    depends on c_0..c_r alone, so a stored longer prefix answers a
+    shorter request with the same digits and precision.
     """
+    if len(w._ghosts) >= length:
+        return list(w._ghosts[:length])
     ring, p = w.ring, w.ring.p
     out, rungs = [], []  # rungs[i] = c_i^(p^(r-i))
     for c in w.lift_coords(length):
@@ -255,6 +267,7 @@ def ghosts(w: WittVector, length: int) -> list[RingElement]:
             if _contributes(x, acc):
                 acc = acc + x.scale(p ** i)
         out.append(acc)
+    w._ghosts = tuple(out)
     return out
 
 
@@ -282,7 +295,10 @@ def _extra_length(p: int, t: int) -> int:
     """Indices needed beyond the support for coordinates to vanish mod pi^t."""
     if t <= 1:
         return 1
-    return max(1, math.ceil(math.log(t, p))) + 1
+    k = 1  # the least k >= 1 with p^k >= t, in integers
+    while p ** k < t:
+        k += 1
+    return k + 1
 
 
 def _settle(ring, t, coords):

@@ -199,6 +199,18 @@ def test_alpha_map_to_mu_p(R3):
     assert not is_isomorphism(f)  # v(lam) > 0: determinant not a unit
 
 
+def test_zero_map_is_a_morphism_but_not_a_model_map(R3):
+    # negative control for is_model_map: the zero map on G_{1,1} = mu_p
+    # respects the relation, the counit and the comultiplication, but
+    # is not an isomorphism on the generic fiber
+    G = build_g(R3, R3.one(), 1)
+    f = HopfMorphism(source=G, target=G,
+                     images=(G.var(0).scale(R3.zero()),))
+    assert check_morphism(f)
+    assert not is_model_map(f)
+    assert not is_isomorphism(f)
+
+
 def test_zero_map_fails_nonzero_relation(R3):
     # sending the generator to 0 is not a morphism onto a target whose
     # comultiplication has the extra lam-term... it is a morphism for

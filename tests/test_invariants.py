@@ -5,6 +5,8 @@
 * Every boundary the benchmark's tracer wraps exists in the package.
 * No module of the package or the tests imports a name it never reads.
 * Every function, class and method of the package is read somewhere.
+* Only `WittVector.__init__` and `witt.ghosts` write a vector's ghost
+  memo `_ghosts`; the vector is otherwise immutable.
 """
 
 import ast
@@ -166,3 +168,48 @@ def test_unread_definition_is_found(tmp_path):
         "def unused():\n    return A().used()\n")
     readers = [tmp_path / "mod.py"]
     assert _unread_definitions(tmp_path, readers) == ["mod.py:9 unused"]
+
+
+def _writes_ghost_memo(node):
+    """node stores or deletes an attribute `_ghosts`, or names it in a
+    call such as setattr(w, "_ghosts", ...)."""
+    if isinstance(node, ast.Attribute) and node.attr == "_ghosts":
+        return isinstance(node.ctx, (ast.Store, ast.Del))
+    return isinstance(node, ast.Call) and any(
+        isinstance(arg, ast.Constant) and arg.value == "_ghosts"
+        for arg in node.args)
+
+
+def _ghost_memo_writers(package):
+    """module:qualname of every definition that writes `_ghosts`."""
+    found = set()
+
+    def visit(node, path, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, path, scope + (child.name,))
+                continue
+            if _writes_ghost_memo(child):
+                found.add(f"{path.name}:{'.'.join(scope)}")
+            visit(child, path, scope)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, ())
+    return sorted(found)
+
+
+def test_ghost_memo_is_written_only_by_init_and_ghosts():
+    assert _ghost_memo_writers(SRC / "p2models") == [
+        "witt.py:WittVector.__init__", "witt.py:ghosts"]
+
+
+def test_ghost_memo_writer_is_found(tmp_path):
+    # negative control: an assignment, a deletion and a setattr elsewhere
+    (tmp_path / "mod.py").write_text(
+        "def reset(w):\n    w._ghosts = ()\n\n\n"
+        "class A:\n    def drop(self, w):\n        del w._ghosts\n\n\n"
+        "def seed(w, gh):\n    setattr(w, '_ghosts', gh)\n\n\n"
+        "def read(w):\n    return w._ghosts\n")
+    assert _ghost_memo_writers(tmp_path) == [
+        "mod.py:A.drop", "mod.py:reset", "mod.py:seed"]

@@ -19,10 +19,12 @@
 * The block pi-adic digit expansion against the stepwise `_div_pi`
   expansion it replaced.
 * The Frobenius power ladders of `witt.ghosts` and `witt._recover`
-  against the direct formulas computed with `**`.
+  against the direct formulas computed with `**`, and the ghost prefix
+  stored on each vector against a fresh vector's.
 """
 
 from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,8 @@ from p2models.dvr import (
     RAW_PRODUCTS,
     IndeterminateAtPrecision,
     QuotElement,
+    RingElement,
+    enumerate_quotient,
     make_ring,
 )
 from p2models.errors import PrecisionError, ValuationError
@@ -40,7 +44,8 @@ from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
                            coeff_mod_pi)
 from p2models.poly import (ExactBase, Poly, TriangularRules, horner,
                            normal_form)
-from p2models.witt import QQBase, WittVector, _recover, ghost, ghosts
+from p2models.witt import (QQBase, WittVector, _recover, ghost, ghosts,
+                           is_frobenius_kernel, witt_add)
 
 PRIMES = (3, 5, 7)
 PRECISIONS = (2, 8, 12, 20)
@@ -954,3 +959,75 @@ def test_zero_rungs_below_the_sum_precision_still_count():
             [direct_ghost(w.lift_coords(3), r) for r in range(3)])
         assert _digits_prec(_recover(R, got)) == _digits_prec(
             direct_recover(R, got))
+
+
+def _memo_cases(R):
+    """(t, coords) of integral and quotient vectors; one coordinate is a
+    structural zero known only mod pi^20."""
+    q = [QuotElement(R, 3, digits) for digits in ([1, 0, 2], [0, 1, 1],
+                                                   [0, 0, 0], [2, 2, 1])]
+    return [
+        (0, [R.pi(), R.zero(20), R.one()]),
+        (0, [R.pi(), R.zero(), R.one()]),
+        (0, [R.from_digits(list(range(1, R.e + 1))), R.pi(3).with_prec(9),
+             R.from_int(5), R.pi(2)]),
+        (3, q[:2]),
+        (3, q),
+    ]
+
+
+def test_ghost_prefixes_match_a_fresh_vector():
+    # ghosts(w, 2) after ghosts(w, 4) reads the stored prefix, and
+    # ghosts(w, 4) after ghosts(w, 2) replaces it; both give the digits
+    # and precision of a fresh vector and of the direct formula
+    R = ring(3, 8)
+    for t, coords in _memo_cases(R):
+        lifted = WittVector(R, t, coords).lift_coords(4)
+        want = {n: _digits_prec([direct_ghost(lifted, r) for r in range(n)])
+                for n in (2, 4)}
+        for n in (2, 4):
+            assert _digits_prec(ghosts(WittVector(R, t, coords), n)) == \
+                want[n]
+        for order in ((4, 2), (2, 4)):
+            w = WittVector(R, t, coords)
+            for n in order:
+                assert _digits_prec(ghosts(w, n)) == want[n]
+
+
+def test_ghosts_returns_a_copy_of_the_stored_prefix():
+    R = ring(3, 8)
+    for t, coords in _memo_cases(R):
+        w = WittVector(R, t, coords)
+        want = _digits_prec(ghosts(w, 3))
+        got = ghosts(w, 3)
+        got[0] = R.one()
+        got.append(R.one())
+        assert _digits_prec(ghosts(w, 3)) == want
+        got = ghosts(w, 2)
+        got.clear()
+        assert _digits_prec(ghosts(w, 3)) == want
+
+
+def test_kernel_sweep_product_count(monkeypatch):
+    # The t = 2 kernel sweep of selftest criterion 7: 81 Witt sums over
+    # the 9 kernel vectors, whose ghosts is_frobenius_kernel already
+    # computed.  816 RingElement products read the stored ghosts; 1,872
+    # recompute both operands' ghosts in every sum.
+    R = ring(3, 12)
+    pool = list(enumerate_quotient(R, 2))
+    kernel = [w for w in (WittVector(R, 2, coords)
+                          for coords in product(pool, repeat=2))
+              if is_frobenius_kernel(w, R.zero(), 2)]
+    assert len(kernel) == 9
+    count = {"products": 0}
+    mul = RingElement.__mul__
+
+    def counting_mul(x, y):
+        count["products"] += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    for u in kernel:
+        for v in kernel:
+            witt_add(u, v)
+    assert count["products"] == 816

@@ -10,6 +10,7 @@ from p2models.errors import CertificationError
 from p2models.poly import Poly
 from p2models.witt import (
     WittVector,
+    _extra_length,
     frob_poly,
     frobenius_w,
     ghost,
@@ -325,3 +326,20 @@ def test_psi_star_solve_characterization(R3):
     b = WittVector(R3, t, [(a ** 3).reduce_mod(t)])
     assert is_frobenius_kernel(b, mu ** 3, t)
     assert psi_star_image(b, mu) == target
+
+
+def test_extra_length_is_an_integer_ceiling_log():
+    # 1 for t <= 1, else k + 1 for the least k >= 1 with p^k >= t; a
+    # float log overshoots at exact prime powers such as log(125, 5)
+    def least_k(p, t):
+        k = 1
+        while p ** k < t:
+            k += 1
+        return k
+
+    cases = [(p, t) for p in (3, 5, 7) for t in range(p ** 4 + 1)]
+    cases += [(5, 5 ** 3), (5, 5 ** 6), (7, 7 ** 5)]
+    for p, t in cases:
+        assert _extra_length(p, t) == (1 if t <= 1 else least_k(p, t) + 1)
+    assert [_extra_length(5, 5 ** 3), _extra_length(5, 5 ** 6),
+            _extra_length(7, 7 ** 5)] == [4, 7, 6]
