@@ -3,9 +3,9 @@
 Exit codes: 0 success; 2 validation error (bad arguments, non-prime p,
 malformed descriptors, a descriptor M other than --precision, a
 descriptor whose (a, j) is outside Phi, a run of any subcommand with
---precision that needs more precision than it gives); 1 internal
-verification failure (a failed axiom check or acceptance criterion — a
-bug signal, not a usage error).
+--precision that needs more precision than it gives, an --out FILE
+that cannot be written); 1 internal verification failure (a failed
+axiom check or acceptance criterion — a bug signal, not a usage error).
 
 Output is one JSON document on stdout by default; --table renders the
 same data as an aligned table.  --out FILE writes the document to FILE
@@ -52,8 +52,12 @@ def _emit(args, doc, headers=None, rows=None) -> None:
     else:
         text = json.dumps(doc, indent=2, sort_keys=True)
     if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValidationError(
+                f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         print(text)
 

@@ -217,11 +217,9 @@ def verify_fiber(d: ModelDescriptor, report=None) -> bool:
     fc = classify_fiber(d)
     fiber = residue_fiber(build_extension(d))
     claimed = claimed_presentation(ring, d, fc)
-    if _try_normalization(fiber, claimed, ()):
+    if any(_try_normalization(fiber, claimed, h)
+           for h in itertools.product(range(p), repeat=p - 1)):
         return True
-    for h in itertools.product(range(p), repeat=p - 1):
-        if any(h) and _try_normalization(fiber, claimed, h):
-            return True
     if report is not None:
         diff = []
         for i in range(2):

@@ -12,13 +12,16 @@ group Phi_{mu,lam} consists of the pairs (a, j) with a^p = 0 mod pi^n
 and p*a - j*mu = (p/mu^(p-1)) a^p mod pi^(pn); extensions with j != 0
 are exactly the models of the constant group of order p^2 on the
 generic fiber, and (m, n, a mod pi^n) with j = 1 classifies them.
+
+The extension builders take their S1 factor, with its unit, antipode
+and comultiplication, from build_g(ring, mu, 1) or build_g_smooth.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .artin_hasse import ep_coeffs, ep_poly_special
@@ -51,13 +54,10 @@ def _mod_pi(c: RingElement, t: int) -> RingElement:
 
 
 def poly_in_var(base, nvars: int, var: int, coeffs) -> Poly:
-    """sum coeffs[k] * x_var^k."""
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if not base.is_zero(c):
-            m = tuple(k if i == var else 0 for i in range(nvars))
-            terms[m] = c
-    return Poly(base, nvars, terms)
+    """sum coeffs[k] * x_var^k; Poly drops the structural zeros."""
+    return Poly(base, nvars, {
+        tuple(k if i == var else 0 for i in range(nvars)): c
+        for k, c in enumerate(coeffs)})
 
 
 def kummer_poly(ring: RingDescriptor, lam: RingElement, N: int,
@@ -92,30 +92,25 @@ def star_condition(ring: RingDescriptor, lam: RingElement, n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 def build_g(ring: RingDescriptor, lam: RingElement, n: int) -> HopfPresentation:
-    """Finite kernel group of the degree-p^n isogeny: R[T]/P_{lam,n}(T)."""
+    """Finite kernel group of the degree-p^n isogeny: R[T]/P_{lam,n}(T),
+    build_g_smooth(ring, lam) with the relation and polynomial inverses."""
     if not star_condition(ring, lam, n):
         raise ValuationError(
             "condition (*) fails: v(p) < p^(n-1)(p-1) v(lam)")
-    base = ExactBase(ring)
+    smooth = build_g_smooth(ring, lam)
     N = ring.p ** n
     rel = kummer_poly(ring, lam, N)
-    T0 = Poly.var(base, 2, 0)
-    T1 = Poly.var(base, 2, 1)
-    comult = T0 + T1 + (T0 * T1).scale(lam)
     # antipode: ((1+lam T)^(N-1) - 1)/lam, a polynomial
     anti_coeffs = [ring.zero()]
     for k in range(1, N):
         anti_coeffs.append(
             ring.from_int(math.comb(N - 1, k)) * lam ** (k - 1))
-    antipode = poly_in_var(base, 1, 0, anti_coeffs)
-    unit_poly = Poly.one(base, 1) + Poly.var(base, 1, 0).scale(lam)
-    unit_inv = normal_form(unit_poly ** (N - 1), [rel])
-    vlam = lam.valuation()
-    return HopfPresentation(
-        base=base, gens=("T",), relations=(rel,), comult=(comult,),
-        counit=(ring.zero(),), antipode=(antipode,),
-        units=(UnitSpec(unit_poly, unit_inv),),
-        name=f"G(v(lam)={vlam}, n={n})")
+    unit_poly = smooth.units[0].poly
+    return replace(
+        smooth, relations=(rel,),
+        antipode=(poly_in_var(smooth.base, 1, 0, anti_coeffs),),
+        units=(UnitSpec(unit_poly, normal_form(unit_poly ** (N - 1), [rel])),),
+        name=f"G(v(lam)={lam.valuation()}, n={n})")
 
 
 def build_g_smooth(ring: RingDescriptor, lam: RingElement) -> HopfPresentation:
@@ -253,12 +248,6 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
                             - F.subst(G.comult)).is_zero():
             out.append(coeffs)
     return sorted(out, key=lambda row: [c.digits for c in row])
-
-
-def _eval_poly_at(coeffs, arg: Poly) -> Poly:
-    """sum coeffs[k] * arg^k, by the Horner engine of Poly.subst."""
-    terms = {(k,): c for k, c in enumerate(coeffs)}
-    return Poly(arg.base, 1, terms).subst([arg])
 
 
 # ---------------------------------------------------------------------------
@@ -422,20 +411,22 @@ def canonical_lift_coeffs(d: ModelDescriptor) -> list[RingElement]:
     return ep_coeffs(d.a.lift(), d.ring.zero())
 
 
-def _comult(base, fc, mu, lam, rel1=None) -> tuple:
-    """(Delta S1, Delta S2) over (mu, lam, F = sum fc[i] S^i) in the tensor
+def _comult(g1: HopfPresentation, fc, lam) -> tuple:
+    """(Delta S1, Delta S2) of the extension by lam and F = sum fc[i] S^i
+    of the S1 factor g1 (build_g or build_g_smooth), in the tensor
     variables S1', S2', S1'', S2''.
 
-    Delta S2 carries the cocycle (F(x) F(y) - F(x+y+mu x y)) / lam.  With
-    the finite relation rel1 the division happens after normal form;
-    otherwise raw coefficient-wise (smooth case, valid when
-    v(mu) >= v(lam)).
+    Delta S1 is g1's comultiplication.  Delta S2 carries the cocycle
+    (F(x) F(y) - F(Delta S1)) / lam.  With g1's relation rel1 the
+    division happens after normal form; otherwise raw coefficient-wise
+    (smooth case, valid when v(mu) >= v(lam)).
     """
+    base, rel1 = g1.base, g1.relations[0]
     v = [Poly.var(base, 4, i) for i in range(4)]
-    d_s1 = v[0] + v[2] + (v[0] * v[2]).scale(mu)
-    F_x = poly_in_var(base, 4, 0, fc)
-    F_y = poly_in_var(base, 4, 2, fc)
-    num = F_x * F_y - _eval_poly_at(fc, d_s1)
+    d_s1 = g1.comult[0].subst([v[0], v[2]])
+    F = poly_in_var(base, 1, 0, fc)
+    F_x, F_y = F.embed(4, 0), F.embed(4, 2)
+    num = F_x * F_y - F.subst([d_s1])
     if rel1 is not None:
         num = normal_form(num, [rel1.embed(4, 0), None,
                                 rel1.embed(4, 2), None])
@@ -461,7 +452,8 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
     rel1, anti1, u1, inv1 = (x.embed(2, 0) for x in (
         g1.relations[0], g1.antipode[0], g1.units[0].poly,
         g1.units[0].inverse))
-    u2 = poly_in_var(base, 2, 0, fc) + Poly.var(base, 2, 1).scale(lam)
+    F = poly_in_var(base, 1, 0, fc)
+    u2 = F.embed(2, 0) + Poly.var(base, 2, 1).scale(lam)
     rel2 = normal_form(u2 ** p - u1 ** d.j, [rel1, None])
     rel2 = rel2.div_scalar(lam ** p)
 
@@ -469,52 +461,53 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
     # known mod pi^(eM - n), and that precision is part of the output
     eps2 = (ring.one() - fc[0]).divide_exact(lam) if d.n else ring.zero()
 
-    anti2_num = (u2 ** (p - 1) * u1 ** (p - d.j)
-                 - _eval_poly_at(fc, anti1))
-    anti2_num = normal_form(anti2_num, [rel1, None])
-    anti2 = anti2_num.div_scalar(lam)
+    # u2^(p-1) u1^(p-j) is 1/u2 modulo both relations: sigma(S2) =
+    # (1/u2 - F(sigma(S1)))/lam, and the inverse certificate of u2
+    u2_inv = u2 ** (p - 1) * u1 ** (p - d.j)
+    anti2 = normal_form(u2_inv - F.subst([anti1]), [rel1, None])
+    anti2 = anti2.div_scalar(lam)
 
     rel_system = (rel1, rel2)
-    inv2 = normal_form(u2 ** (p - 1) * u1 ** (p - d.j),
-                       list(rel_system))
+    inv2 = normal_form(u2_inv, list(rel_system))
     return HopfPresentation(
         base=base, gens=("S1", "S2"),
-        relations=rel_system, comult=_comult(base, fc, mu, lam, rel1),
+        relations=rel_system, comult=_comult(g1, fc, lam),
         counit=(ring.zero(), eps2), antipode=(anti1, anti2),
         units=(UnitSpec(u1, inv1), UnitSpec(u2, inv2)),
         name=f"E(m={d.m}, n={d.n}, a={d.a.digit_string() or '0'}, j={d.j})")
 
 
-def _smooth_extension(ring, mu, lam, fc, name) -> HopfPresentation:
-    """The ambient smooth two-dimensional group over (mu, lam, F) with
-    F = sum fc[i] S1^i: designated units (1+mu S1) and (F+lam S2), no
-    finiteness relations."""
+def _smooth_extension(g1, lam, fc, name) -> HopfPresentation:
+    """The ambient smooth two-dimensional group over the S1 factor g1 =
+    build_g_smooth(ring, mu), lam and F = sum fc[i] S1^i: designated
+    units (1+mu S1) and (F+lam S2), no finiteness relations."""
+    base, ring = g1.base, g1.base.ring
     p = ring.p
-    base = ExactBase(ring)
-    S1 = Poly.var(base, 2, 0)
-    u1 = Poly.one(base, 2) + S1.scale(mu)
+    u1 = g1.units[0].poly.embed(2, 0)
+    anti1 = g1.antipode[0][0].embed(2, 0)     # sigma(S1) = anti1 / u1
     u2 = poly_in_var(base, 2, 0, fc) + Poly.var(base, 2, 1).scale(lam)
     eps2 = ring.one() - fc[0]
     eps2 = ring.zero() if eps2.is_zero() else eps2.divide_exact(lam)
 
-    # sigma(S1) = -S1/(1+mu S1); sigma(S2) via the inverse of (F+lam S2):
+    # sigma(S2) via the inverse of (F+lam S2):
     # ((1+mu S1)^(p-1) - u2 * G1)/ (lam u2 u1^(p-1)),
-    # G1 = sum fc[i] (-S1)^i (1+mu S1)^(p-1-i)
+    # G1 = u1^(p-1) F(sigma(S1)) = sum fc[i] anti1^i u1^(p-1-i)
     G1 = Poly.zero(base, 2)
     for i, c in enumerate(fc):
-        G1 = G1 + ((-S1) ** i) * (u1 ** (p - 1 - i)).scale(c)
+        G1 = G1 + (anti1 ** i) * (u1 ** (p - 1 - i)).scale(c)
     anti2_num = (u1 ** (p - 1) - u2 * G1).div_scalar(lam)
     return HopfPresentation(
         base=base, gens=("S1", "S2"), relations=(None, None),
-        comult=_comult(base, fc, mu, lam), counit=(ring.zero(), eps2),
-        antipode=((-S1, (1, 0)), (anti2_num, (p - 1, 1))),
+        comult=_comult(g1, fc, lam), counit=(ring.zero(), eps2),
+        antipode=((anti1, (1, 0)), (anti2_num, (p - 1, 1))),
         units=(UnitSpec(u1, None), UnitSpec(u2, None)), name=name)
 
 
 def build_extension_smooth(d: ModelDescriptor) -> HopfPresentation:
     """The ambient smooth group over the descriptor's (mu, lam, F)."""
     return _smooth_extension(
-        d.ring, d.ring.pi(d.m), d.ring.pi(d.n), canonical_lift_coeffs(d),
+        build_g_smooth(d.ring, d.ring.pi(d.m)), d.ring.pi(d.n),
+        canonical_lift_coeffs(d),
         f"E_smooth(m={d.m}, n={d.n}, a={d.a.digit_string() or '0'})")
 
 
@@ -538,11 +531,10 @@ def solve_target_hom(d: ModelDescriptor) -> list[RingElement]:
     p = ring.p
     if d.n == 0:
         return [ring.one()] + [ring.zero()] * (p - 1)
-    base = ExactBase(ring)
     t = p * d.n
     mu = ring.pi(d.m)
-    u1 = Poly.one(base, 1) + Poly.var(base, 1, 0).scale(mu)
-    F = poly_in_var(base, 1, 0, canonical_lift_coeffs(d))
+    u1 = build_g_smooth(ring, mu).units[0].poly
+    F = poly_in_var(u1.base, 1, 0, canonical_lift_coeffs(d))
     H = F ** p * u1 ** ((-d.j) % p)
     h = [H.coefficient((i,)) for i in range(H.degree_in(0) + 1)]
     Pmu = kummer_poly(ring, mu, p)
@@ -594,11 +586,12 @@ def ambient_isogeny(d: ModelDescriptor):
     base = src.base
     mu, lam = ring.pi(d.m), ring.pi(d.n)
     g = solve_target_hom(d)
-    tgt = _smooth_extension(ring, mu ** p, lam ** p, g, "E_smooth target")
+    tgt = _smooth_extension(build_g_smooth(ring, mu ** p), lam ** p, g,
+                            "E_smooth target")
 
     Pmu = kummer_poly(ring, mu, p, 2, 0)
     u1, u2 = (u.poly for u in src.units)
-    bracket = u2 ** p - _eval_poly_at(g, Pmu) * u1 ** d.j
+    bracket = u2 ** p - poly_in_var(base, 1, 0, g).subst([Pmu]) * u1 ** d.j
     img2_num = bracket.div_scalar(lam ** p)
     img2 = LocalizedElement(src, img2_num, (d.j, 0))
     f = HopfMorphism(source=src, target=tgt, images=(Pmu, img2),
@@ -612,9 +605,8 @@ def ambient_isogeny(d: ModelDescriptor):
     fin = build_extension(d)
     if not LocalizedElement(fin, Pmu).is_zero():
         raise P2ModelsError("kernel containment fails for S1")
-    eps2 = (ring.one() - g[0]).divide_exact(lam ** p) if d.n else ring.zero()
     if not LocalizedElement(fin, img2_num, (d.j, 0)).eq(
-            Poly.const(base, 2, eps2)):
+            Poly.const(base, 2, tgt.counit[1])):
         raise P2ModelsError("kernel containment fails for S2")
     return src, tgt, f
 
@@ -685,7 +677,8 @@ def _psi_rs_built(src, tgt, d1, d2, r, s):
     try:
         img1 = kummer_poly(ring, mu1, x, 2, 0, mu2)
         u1, u2 = (u.poly for u in src.units)
-        F2_at = _eval_poly_at(canonical_lift_coeffs(d2), img1)
+        F2_at = poly_in_var(src.base, 1, 0,
+                            canonical_lift_coeffs(d2)).subst([img1])
         num = src.nf(u2 ** r * u1 ** s - F2_at)
         img2 = num.div_scalar(lam2)
     except (DivisibilityError, ValuationError):

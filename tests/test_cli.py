@@ -260,6 +260,34 @@ def test_out_file(tmp_path, capsys):
     assert doc["p"] == 3
 
 
+@pytest.mark.parametrize("table", [False, True], ids=["json", "table"])
+def test_out_file_holds_what_stdout_prints(tmp_path, capsys, table):
+    argv = ["phi", "--p", "3", "--m", "3", "--n", "3"]
+    argv += ["--table"] if table else []
+    _, printed, _ = run(capsys, *argv)
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text() == printed
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "directory"])
+def test_out_unwritable_is_bad_input(tmp_path, where):
+    # in a subprocess, so that a traceback would reach stderr
+    target = tmp_path / "no-such-dir" / "x.json" if where == "missing-dir" \
+        else tmp_path
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "p2models.cli", "ring-info", "--p", "3",
+         "--out", str(target)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"cannot write --out {target}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_dump_series_golden(capsys):
     code, out, _ = run(capsys, "dump-series", "--p", "3", "--degree", "6")
     doc = json.loads(out)

@@ -20,7 +20,9 @@ from p2models.models import (
     ModelDescriptor,
     ambient_isogeny,
     build_extension,
+    build_extension_smooth,
     build_g,
+    build_g_smooth,
     enumerate_models,
     hom_brute,
     hom_closed,
@@ -382,6 +384,70 @@ def test_ambient_isogeny_f1_case(R3, models3):
     assert (g[0] - R3.one()).is_zero()
     assert all(c.is_zero() for c in g[1:])
     ambient_isogeny(d)
+
+
+# -- the S1 factor of the extensions -----------------------------------------
+
+def _s1_pieces(pres, factor=False):
+    """Relation, antipode, unit, unit inverse and comultiplication of
+    generator 0 as JSON.  With factor=True, pres is a one-generator group,
+    placed as the S1 factor of an extension by reindexing its monomials."""
+    def js(poly, nvars=2, slots=(0,)):
+        if poly is None or not factor:
+            return poly and poly.to_json()
+        terms = {}
+        for m, c in poly.terms.items():
+            mm = [0] * nvars
+            for i, k in zip(slots, m):
+                mm[i] = k
+            terms[tuple(mm)] = c
+        return Poly(poly.base, nvars, terms).to_json()
+
+    anti = pres.antipode[0]
+    if not isinstance(anti, Poly):
+        anti = (js(anti[0]), tuple(anti[1]) + ((0,) if factor else ()))
+    else:
+        anti = js(anti)
+    return {"relation": js(pres.relations[0]),
+            "antipode": anti,
+            "unit": js(pres.units[0].poly),
+            "inverse": js(pres.units[0].inverse),
+            "comult": js(pres.comult[0], 4, (0, 2))}
+
+
+@pytest.mark.parametrize("p,M", [(3, 12), (5, 8)])
+def test_extension_s1_factor_is_g_mu_1(p, M):
+    # the finite extension's S1 factor is G_{mu,1}, the smooth ambient's
+    # is G^(mu), digits and precisions both
+    R = make_ring(p, M)
+    for d in enumerate_models(R, p):
+        mu = R.pi(d.m)
+        assert _s1_pieces(build_extension(d)) == \
+            _s1_pieces(build_g(R, mu, 1), True), d.sort_key()
+        smooth = _s1_pieces(build_g_smooth(R, mu), True)
+        assert smooth["relation"] is None and smooth["inverse"] is None
+        assert _s1_pieces(build_extension_smooth(d)) == smooth, \
+            d.sort_key()
+
+
+def test_ambient_target_s1_factor_is_g_mu_p(R3, models3):
+    for d in models3:
+        _, tgt, _ = ambient_isogeny(d)
+        assert _s1_pieces(tgt) == \
+            _s1_pieces(build_g_smooth(R3, R3.pi(d.m * 3)), True), d.sort_key()
+
+
+@pytest.mark.parametrize("p,M", [(3, 12), (5, 8)])
+@pytest.mark.parametrize("v,n", [(0, 1), (1, 1), (2, 1), (3, 1), (1, 2)])
+def test_build_g_shares_the_smooth_group_law(p, M, v, n):
+    R = make_ring(p, M)
+    lam = R.pi(v)
+    g, smooth = build_g(R, lam, n), build_g_smooth(R, lam)
+    assert g.comult[0].to_json() == smooth.comult[0].to_json()
+    assert [c.to_json() for c in g.counit] == \
+        [c.to_json() for c in smooth.counit]
+    assert g.units[0].poly.to_json() == smooth.units[0].poly.to_json()
+    assert g.relations[0].degree_in(0) == p ** n
 
 
 @pytest.mark.parametrize("key,swapped,generator", [
