@@ -10,14 +10,18 @@ Every element carries an absolute pi-adic precision: it is known modulo
 pi^prec.  Binary operations take the min of the operand precisions;
 exact division by y subtracts v(y).  Because the residue field is F_p
 and the digit valuations e*v_p(c_i) + i are pairwise distinct mod e,
-the valuation of a nonzero element is read off its digits exactly.
+the valuation of a nonzero element is exact: it is e*k + i for the least
+k at which some digit is not divisible by p^(k+1), and the lowest such
+digit index i, both read from the slot residues mod p^(k+1).
 
 An element is resident as one packed integer P = sum_i c_i 2^(W i): digit
 c_i in [0, p^M) sits in slot i of W bits.  Ring operations act on P as a
 whole, SIMD within a register: a slot-wise Barrett reduction and a SWAR
 conditional subtract keep every slot canonical, and the product is
 reduced by E with a polynomial Barrett step; no operation loops over the
-digits.
+digits.  The same slot-wise Barrett step with the modulus p^r gives every
+digit's residue mod p^r at once, which decides p^r-divisibility,
+valuations and residue digits.
 """
 
 from __future__ import annotations
@@ -54,17 +58,6 @@ class IndeterminateAtPrecision:
     """
 
     level: int
-
-
-def _vp(n: int, p: int, cap: int) -> int:
-    """p-valuation of the integer n, capped at `cap` (v_p(0) = cap)."""
-    if n == 0:
-        return cap
-    v = 0
-    while n % p == 0 and v < cap:
-        n //= p
-        v += 1
-    return v
 
 
 class RingDescriptor:
@@ -136,6 +129,15 @@ class RingDescriptor:
         self._mu = self._pack(mu)
         self._mu_shift = W * (e - 2)
         self._neg_e = self._pack([(-a) % pM for a in self.coeffs])
+        # slot residues mod p^r, r = 0..M, for canonical slots (below
+        # p^M): with K = W - bits(p^M) and m_r = floor(2^K/p^r), a slot X
+        # gives X*m_r < 2^W, so one Barrett step stays inside the slot
+        self._mod_K = K = W - pM.bit_length()
+        self._mod_q_mask = ((1 << pM.bit_length()) - 1) * ones
+        self._mod_consts = tuple(
+            ((1 << K) // d, d, d.bit_length(),
+             ((1 << d.bit_length()) - d) * ones)
+            for d in (self.p ** r for r in range(self.M + 1)))
 
     def _pack(self, slots) -> int:
         """The slot values as one integer, value i in slot i of width W."""
@@ -159,6 +161,17 @@ class RingDescriptor:
         pM = self.pM
         x -= (((x * self._barrett) >> self._B) & self._q_mask) * pM
         return x - (((x + self._ge_bias) >> self._ge_bit) & self._ones) * pM
+
+    def _slots_mod(self, x: int, r: int) -> int:
+        """Every slot of a canonical packed x reduced mod p^r, 0 <= r <= M.
+
+        The Barrett step of _canon with the modulus p^r and the shift K:
+        q is floor(X / p^r) or one less, as X < 2^K; then one SWAR
+        conditional subtract of p^r.
+        """
+        m, d, bit, bias = self._mod_consts[r]
+        x -= (((x * m) >> self._mod_K) & self._mod_q_mask) * d
+        return x - (((x + bias) >> bit) & self._ones) * d
 
     def _reduce_raw(self, x: int) -> int:
         """The canonical packed element of a sum x of at most RAW_PRODUCTS
@@ -322,25 +335,19 @@ class RingElement:
         """Exact valuation, or IndeterminateAtPrecision if the element is
         indistinguishable from 0 at the stored precision.
 
-        v = min_i e*v_p(c_i) + i over the nonzero digits, visited from the
-        lowest; a digit at index i can only lower v below i, so the scan
-        stops at the first index >= min(v, prec).
+        v = min_i e*v_p(c_i) + i = e*k + i, where k is the least level at
+        which the slot residues z mod p^(k+1) are not all 0 and i is the
+        lowest nonzero slot of z; levels with e*k >= prec are not read.
         """
-        r = self.ring
-        e, W, mask = r.e, r.W, r._slot_mask
-        x, i, v = self.P, 0, self.prec
-        while x:
-            skip = ((x & -x).bit_length() - 1) // W  # zero slots
-            i += skip
-            if i >= v:
-                break
-            x >>= W * skip
-            v = min(v, e * _vp(x & mask, r.p, r.M) + i)
-            x >>= W
-            i += 1
-        if v >= self.prec:
-            return IndeterminateAtPrecision(self.prec)
-        return v
+        r, P, prec = self.ring, self.P, self.prec
+        k = 0
+        while P and r.e * k < prec:
+            z = r._slots_mod(P, k + 1)
+            if z:
+                v = r.e * k + ((z & -z).bit_length() - 1) // r.W
+                return v if v < prec else IndeterminateAtPrecision(prec)
+            k += 1
+        return IndeterminateAtPrecision(prec)
 
     def is_zero(self) -> bool:
         """True when indistinguishable from 0 at the stored precision."""
@@ -488,8 +495,10 @@ class RingElement:
 
         Valid because v(self) >= r*e exactly when p^r divides every
         digit (the digit valuations e*v_p(c_i) + i are distinct mod e),
-        and then P // p^r divides every slot exactly.  Raises in the
-        same cases as divide_exact(from_int(p^r)).
+        and then P // p^r divides every slot exactly.  When r*e <= prec
+        and every slot residue mod p^r is 0 the division is decided;
+        otherwise _check_divisible raises in the same cases as
+        divide_exact(from_int(p^r)).
         """
         ring = self.ring
         if r < 0:
@@ -497,7 +506,8 @@ class RingElement:
         if r >= ring.M:  # p^r = 0 at precision p^M
             raise ValuationError("divisor valuation indeterminate")
         w = r * ring.e
-        self._check_divisible(w)
+        if w > self.prec or ring._slots_mod(self.P, r):
+            self._check_divisible(w)
         return RingElement(ring, self.P // ring.p ** r, self.prec - w)
 
     # -- precision and quotient handling -------------------------------------
@@ -509,26 +519,26 @@ class RingElement:
         """Canonical pi-adic digits d_0..d_{t-1} in {0..p-1}, e at a time.
 
         With c_i = (c_i mod p) + p*(c_i // p) and p = (p/pi^e) pi^e, the
-        next e digits are the c_i mod p, and the rest of the element
-        divided by pi^e is (p/pi^e) * sum (c_i // p) pi^i: one product
-        per further block of e digits.
+        next e digits are the slot residues Z of P mod p, and the rest of
+        the element divided by pi^e is (p/pi^e) * (P - Z) // p: one
+        product per further block of e digits.
         """
         if t > self.prec:
             raise PrecisionError(
                 f"requested {t} digits at precision {self.prec}")
         r = self.ring
-        p, P, out = r.p, self.P, []
-        while len(out) < t:
-            need = t - len(out)
-            digits = r._unpack(P, r.e if need > r.e else need)
-            out.extend(c % p for c in digits)
-            if need > r.e:
-                rest = r.from_digits([c // p for c in digits])
-                P = (rest * r.p_over_pi_e()).P
+        P, out = self.P, []
+        while t - len(out) > r.e:
+            Z = r._slots_mod(P, 1)
+            out.extend(r._unpack(Z, r.e))
+            P = (RingElement(r, (P - Z) // r.p, r.full_prec)
+                 * r.p_over_pi_e()).P
+        out.extend(r._unpack(r._slots_mod(P, 1), t - len(out)))
         return tuple(out)
 
     def reduce_mod(self, t: int) -> "QuotElement":
-        return QuotElement(self.ring, t, self.pi_digit_expansion(t))
+        return QuotElement.from_canonical(self.ring, t,
+                                          self.pi_digit_expansion(t))
 
     # -- structural equality (same digits and precision) ---------------------
 
@@ -583,6 +593,14 @@ class QuotElement:
         if len(self.digits) != t:
             raise ValueError(
                 f"{len(self.digits)} digits given for R/pi^{t}")
+
+    @classmethod
+    def from_canonical(cls, ring: RingDescriptor, t: int, digits: tuple):
+        """A QuotElement on t digits already in {0..p-1}, taken as they
+        are."""
+        self = object.__new__(cls)
+        self.ring, self.t, self.digits = ring, t, digits
+        return self
 
     def lift(self) -> RingElement:
         """Canonical lift to R at full precision."""

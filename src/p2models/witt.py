@@ -285,7 +285,7 @@ def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
         acc = g
         for k, x in enumerate(rungs):
             if _contributes(x, acc):
-                acc = acc - x.scale(p ** k)
+                acc = acc - (x.scale(p ** k) if k else x)
         coords.append(acc.divide_p_power(r))
         rungs.append(coords[-1])
     return coords

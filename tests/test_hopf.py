@@ -270,6 +270,11 @@ def test_residue_fiber_precision_guard(R3):
     residue_fiber(G2, 2)
     with pytest.raises(PrecisionError):
         residue_fiber(G2, 3)
+    # beyond t = e the representative comes from the digit expansion
+    G8 = replace(G, counit=(R3.zero(prec=8),))
+    residue_fiber(G8, 8)
+    with pytest.raises(PrecisionError):
+        residue_fiber(G8, 9)
     with pytest.raises(PrecisionError):
         residue_fiber(G, 0)
 
@@ -282,10 +287,12 @@ def _polys(pres):
             *(u.poly for u in pres.units), *(u.inverse for u in pres.units)]
 
 
-@pytest.mark.parametrize("t", [1, 2, 3, 6])
+@pytest.mark.parametrize("t", [1, 2, 3, 6, 7, 12])
 def test_residue_fiber_is_base_change_to_level_t(R3, t):
     # every coefficient becomes the canonical representative of the
-    # original mod pi^t, at precision t; one = 0 mod pi^t drops out
+    # original mod pi^t, at precision t; one = 0 mod pi^t drops out.
+    # Up to t = e = 6 it is read from the slots, beyond that through
+    # the pi-adic digit expansion.
     d = enumerate_models(R3, 3)[-1]
     for pres in (build_g(R3, R3.pi(), 1), build_extension(d)):
         red = residue_fiber(pres, t)
@@ -297,9 +304,11 @@ def test_residue_fiber_is_base_change_to_level_t(R3, t):
             if r is None:
                 assert eq_mod(c, R3.zero(), t)
                 continue
-            # the digits of the canonical representative (t <= e)
             assert r.prec == t and eq_mod(c, r, t)
-            assert r.digits == c.reduce_mod(t).digits + (0,) * (R3.e - t)
+            assert r == c.reduce_mod(t).lift().with_prec(t)
+            if t <= R3.e:  # the digits of the canonical representative
+                assert r.digits == c.reduce_mod(t).digits + (0,) * (
+                    R3.e - t)
             if t == 1:
                 assert r == RingElement(R3, coeff_mod_pi(c), 1)
 

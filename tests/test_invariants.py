@@ -1,7 +1,8 @@
 """Invariants of the package source.
 
 * They must not rest on `assert`, which `python -O` strips.
-* The ring operations of the resident kernel do not loop over digits.
+* The ring operations of the resident kernel and the slot-wise
+  reductions of its descriptor do not loop over digits.
 * Every boundary the benchmark's tracer wraps exists in the package.
 * No module of the package or the tests imports a name it never reads.
 * Every function, class and method of the package is read somewhere.
@@ -43,22 +44,45 @@ def test_no_assert_statements_in_package():
 
 
 # RingElement methods that act on the packed integer as a whole
-LOOP_FREE = ("__add__", "__sub__", "__neg__", "__mul__", "scale")
+LOOP_FREE = ("__add__", "__sub__", "__neg__", "__mul__", "scale",
+             "divide_p_power")
+# RingDescriptor kernel methods that reduce every slot at once
+KERNEL_LOOP_FREE = ("_canon", "_negate", "_reduce_raw", "_slots_mod")
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 
 
-def test_ring_operations_are_loop_free():
-    path = SRC / "p2models" / "dvr.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
+def _loops_in(source, cls_name, names):
+    """name:line of every loop in the named methods of the class."""
+    tree = ast.parse(source)
     cls = next(node for node in tree.body if isinstance(node, ast.ClassDef)
-               and node.name == "RingElement")
+               and node.name == cls_name)
     methods = {node.name: node for node in cls.body
                if isinstance(node, ast.FunctionDef)}
-    assert set(LOOP_FREE) <= set(methods)
-    found = [f"{name}:{node.lineno}" for name in LOOP_FREE
-             for node in ast.walk(methods[name]) if isinstance(node, LOOPS)]
-    assert found == []
+    assert set(names) <= set(methods)
+    return [f"{name}:{node.lineno}" for name in names
+            for node in ast.walk(methods[name]) if isinstance(node, LOOPS)]
+
+
+def test_ring_operations_are_loop_free():
+    source = (SRC / "p2models" / "dvr.py").read_text()
+    assert _loops_in(source, "RingElement", LOOP_FREE) == []
+
+
+def test_kernel_reductions_are_loop_free():
+    source = (SRC / "p2models" / "dvr.py").read_text()
+    assert _loops_in(source, "RingDescriptor", KERNEL_LOOP_FREE) == []
+
+
+def test_loop_in_a_kernel_method_is_found():
+    # negative control: a loop, a comprehension and a generator
+    source = ("class RingDescriptor:\n"
+              "    def _canon(self, x):\n        return x\n\n"
+              "    def _slots_mod(self, x, r):\n"
+              "        for _ in range(r):\n            x //= 3\n"
+              "        return sum(c for c in [x])\n")
+    assert _loops_in(source, "RingDescriptor", ("_canon", "_slots_mod")) \
+        == ["_slots_mod:6", "_slots_mod:8"]
 
 
 def test_sabotaged_battery_fails_under_optimize():

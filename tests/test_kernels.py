@@ -15,6 +15,9 @@
   LocalizedElement images, and its independence of the variable order.
 * No Poly built by a sum, a product or a normal form holds a structural
   zero.
+* The slot residues mod p^r of `RingDescriptor._slots_mod` against `%`
+  per digit, and `RingElement.valuation` read from them against a scan
+  of the digits' p-valuations.
 * Digit-wise division by p^r against `divide_exact`.
 * The block pi-adic digit expansion against the stepwise `_div_pi`
   expansion it replaced.
@@ -228,6 +231,104 @@ def test_slot_reduction_at_the_top_of_its_range(p, M):
         x = R._pack(slots)
         assert R._unpack(R._canon(x), R.e + 1) == want + (0,)
         assert R._unpack(R._reduce_raw(x), R.e + 1) == want + (0,)
+
+
+# ---------------------------------------------------------------------------
+# slot residues mod p^r and the valuation read from them
+# ---------------------------------------------------------------------------
+
+def check_slots_mod(R, slots):
+    """_slots_mod of the packed canonical slots against % per slot, for
+    every r = 0..M; the slot above the last stays clear."""
+    x = R._pack(slots)
+    for r in range(R.M + 1):
+        want = tuple(c % R.p ** r for c in slots)
+        assert R._unpack(R._slots_mod(x, r), R.e + 1) == want + (0,), r
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("M", PRECISIONS)
+def test_slots_mod_matches_digitwise(p, M):
+    # all digits p^M - 1, multiples of p^(M-1), zero, and the multiples
+    # of each p^r and their predecessors, where an off-by-one quotient
+    # estimate shows
+    R = ring(p, M)
+    top = p ** (M - 1)
+    cases = [[R.pM - 1] * R.e, [0] * R.e,
+             [(k % p) * top for k in range(R.e)], [top] * R.e]
+    for r in range(M + 1):
+        d = p ** r
+        values = [v for v in ((R.pM - 1) // d * d, (R.pM - 1) // d * d - 1,
+                              d, d - 1, 0, R.pM - 1) if 0 <= v < R.pM]
+        cases.append([values[i % len(values)] for i in range(R.e)])
+    for slots in cases:
+        check_slots_mod(R, slots)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from(PRECISIONS), st.data())
+def test_slots_mod_matches_digitwise_random(p, M, data):
+    R = ring(p, M)
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    check_slots_mod(R, data.draw(st.lists(digit, min_size=R.e,
+                                          max_size=R.e)))
+
+
+def _vp(n, p, cap):
+    """p-valuation of the integer n, capped at `cap` (v_p(0) = cap)."""
+    if n == 0:
+        return cap
+    v = 0
+    while n % p == 0 and v < cap:
+        n //= p
+        v += 1
+    return v
+
+
+def slot_scan_valuation(x):
+    """min_i e*v_p(c_i) + i over the digits, scanned from the lowest and
+    stopped at the first index >= min(v, prec)."""
+    R, v = x.ring, x.prec
+    for i, c in enumerate(x.digits):
+        if i >= v:
+            break
+        v = min(v, R.e * _vp(c, R.p, R.M) + i)
+    return IndeterminateAtPrecision(x.prec) if v >= x.prec else v
+
+
+@st.composite
+def valuation_digits(draw, R):
+    """Digits that are structural zeros, p^M - 1, or multiples of a
+    random power of p."""
+    def multiple(j):
+        return st.integers(0, R.pM - 1).map(lambda q: q * R.p ** j % R.pM)
+
+    digit = st.one_of(st.just(0), st.just(R.pM - 1),
+                      st.integers(0, R.M).flatmap(multiple))
+    return draw(st.lists(digit, min_size=R.e, max_size=R.e))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from(PRECISIONS), st.data())
+def test_valuation_matches_slot_scan(p, M, data):
+    R = ring(p, M)
+    x = R.from_digits(data.draw(valuation_digits(R)))
+    for prec in range(R.full_prec + 1):
+        y = x.with_prec(prec)
+        assert y.valuation() == slot_scan_valuation(y), prec
+
+
+def test_valuation_of_structural_zeros_and_pure_powers():
+    for p, M in ((3, 2), (3, 12), (5, 8), (7, 3)):
+        R = ring(p, M)
+        for prec in range(R.full_prec + 1):
+            assert R.zero(prec).valuation() == IndeterminateAtPrecision(prec)
+        for j in range(M):
+            for i in range(R.e):
+                x = R.pi(i).scale(p ** j)
+                assert x.valuation() == R.e * j + i
+                assert x.with_prec(R.e * j + i).valuation() == \
+                    IndeterminateAtPrecision(R.e * j + i)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1012,22 +1113,30 @@ def test_kernel_sweep_product_count(monkeypatch):
     # The t = 2 kernel sweep of selftest criterion 7: 81 Witt sums over
     # the 9 kernel vectors, whose ghosts is_frobenius_kernel already
     # computed.  816 RingElement products read the stored ghosts; 1,872
-    # recompute both operands' ghosts in every sum.
+    # recompute both operands' ghosts in every sum.  Every division by
+    # p^r in the recovery is decided from the slot residues mod p^r, so
+    # none falls back to the valuation scan of _check_divisible (314
+    # calls when every division scanned).
     R = ring(3, 12)
     pool = list(enumerate_quotient(R, 2))
     kernel = [w for w in (WittVector(R, 2, coords)
                           for coords in product(pool, repeat=2))
               if is_frobenius_kernel(w, R.zero(), 2)]
     assert len(kernel) == 9
-    count = {"products": 0}
-    mul = RingElement.__mul__
+    count = {"products": 0, "scans": 0}
+    mul, check = RingElement.__mul__, RingElement._check_divisible
 
     def counting_mul(x, y):
         count["products"] += 1
         return mul(x, y)
 
+    def counting_check(x, w):
+        count["scans"] += 1
+        return check(x, w)
+
     monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    monkeypatch.setattr(RingElement, "_check_divisible", counting_check)
     for u in kernel:
         for v in kernel:
             witt_add(u, v)
-    assert count["products"] == 816
+    assert count == {"products": 816, "scans": 0}
