@@ -537,8 +537,19 @@ class RingElement:
         return tuple(out)
 
     def reduce_mod(self, t: int) -> "QuotElement":
-        return QuotElement.from_canonical(self.ring, t,
-                                          self.pi_digit_expansion(t))
+        return QuotElement._from_canonical(self.ring, t,
+                                           self.pi_digit_expansion(t))
+
+    def mod_pi(self, t: int) -> "RingElement":
+        """The canonical representative of self mod pi^t (pi-adic digits
+        in {0..p-1}) at precision t: reduce_mod(t).lift().with_prec(t),
+        which also raises where t is out of range.  For t <= e its digits
+        are the first t slot residues mod p, in place."""
+        r = self.ring
+        if not 0 <= t <= min(r.e, self.prec):
+            return self.reduce_mod(t).lift().with_prec(t)
+        return RingElement(r, r._slots_mod(self.P, 1)
+                           & ((1 << r.W * t) - 1), t)
 
     # -- structural equality (same digits and precision) ---------------------
 
@@ -595,9 +606,11 @@ class QuotElement:
                 f"{len(self.digits)} digits given for R/pi^{t}")
 
     @classmethod
-    def from_canonical(cls, ring: RingDescriptor, t: int, digits: tuple):
-        """A QuotElement on t digits already in {0..p-1}, taken as they
-        are."""
+    def _from_canonical(cls, ring: RingDescriptor, t: int, digits: tuple):
+        """reduce_mod's constructor: the digits of pi_digit_expansion are
+        already in {0..p-1} and are not reduced mod p again."""
+        if len(digits) != t:
+            raise ValueError(f"{len(digits)} digits given for R/pi^{t}")
         self = object.__new__(cls)
         self.ring, self.t, self.digits = ring, t, digits
         return self

@@ -520,16 +520,7 @@ def residue_fiber(pres: HopfPresentation, t: int = 1) -> HopfPresentation:
         raise PrecisionError(f"no decision can be made over R/pi^{t}")
 
     def res(c):
-        # for t <= e the representative's digits are the first t slot
-        # residues mod p
-        ring = c.ring
-        if t > ring.e:
-            return c.reduce_mod(t).lift().with_prec(t)
-        if c.prec < t:
-            raise PrecisionError(
-                f"requested {t} digits at precision {c.prec}")
-        return RingElement(ring, ring._slots_mod(c.P, 1)
-                           & ((1 << ring.W * t) - 1), t)
+        return c.mod_pi(t)
 
     def red(poly):
         return poly.map_coeffs(res) if poly is not None else None

@@ -20,7 +20,8 @@
   of the digits' p-valuations.
 * Digit-wise division by p^r against `divide_exact`.
 * The block pi-adic digit expansion against the stepwise `_div_pi`
-  expansion it replaced.
+  expansion it replaced, and `RingElement.mod_pi` against the
+  `QuotElement` round trip.
 * The Frobenius power ladders of `witt.ghosts` and `witt._recover`
   against the direct formulas computed with `**`, and the ghost prefix
   stored on each vector against a fresh vector's.
@@ -957,6 +958,31 @@ def test_block_digit_expansion_full_precision_and_p_over_pi():
             n = R.full_prec
             assert x.pi_digit_expansion(n) == stepwise_digits(x, n)
             assert x.reduce_mod(n).digits == stepwise_digits(x, n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(PRIMES), st.sampled_from((2, 3, 8, 12)), st.data())
+def test_mod_pi_matches_reduced_lift(p, M, data):
+    # the representative mod pi^t, and the PrecisionError below pi^t,
+    # are those of the QuotElement round trip on both sides of t = e
+    R = ring(p, M)
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    x = R.from_digits(data.draw(st.lists(digit, min_size=R.e, max_size=R.e)),
+                      data.draw(st.integers(0, R.full_prec)))
+    e = R.e
+    for t in (0, 1, 2, e - 1, e, e + 1, 2 * e, x.prec, x.prec + 1):
+        got = _outcome(lambda: x.mod_pi(t))
+        want = _outcome(lambda: x.reduce_mod(t).lift().with_prec(t))
+        assert got == want, (t, x)
+
+
+def test_negative_levels_are_refused():
+    x = ring(3, 12).pi()
+    for t in (-1, -7):
+        with pytest.raises(ValueError):
+            x.reduce_mod(t)
+        with pytest.raises(ValueError):
+            x.mod_pi(t)
 
 
 # ---------------------------------------------------------------------------
