@@ -202,17 +202,15 @@ def specialize(series: Poly, a: RingElement, mu: RingElement) -> Poly:
 
 def ep_witt(a: WittVector, mu: RingElement, D: int) -> Poly:
     """E_p(a_vec, mu; T) = prod_k E_p(a_k, mu^(p^k); T^(p^k)) truncated at
-    degree D, a Poly over R in T."""
+    degree D, a Poly over R in T; a vector over R/pi^t gives the series
+    of its coordinates' canonical lifts."""
     ring = a.ring
     out = Poly.one(ExactBase(ring), 1)
     series = deformed_ah(ring.p, D)
-    for k in range(len(a)):
+    for k, c in enumerate(a.coords):
         q = ring.p ** k
         if q > D:
             break
-        c = a.coord(k)
-        if isinstance(c, QuotElement):
-            c = c.lift()
         factor = specialize(series, c, mu ** q)
         # T -> T^q
         factor = Poly(out.base, 1, {(q * t,): v for (t,), v

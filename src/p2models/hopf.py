@@ -506,7 +506,7 @@ def coeff_mod_pi(c: RingElement) -> int:
     """The residue of c in F_p; c must be known mod pi."""
     if c.prec < 1:
         raise PrecisionError("coefficient indeterminate at precision 0")
-    return (c.P & c.ring._slot_mask) % c.ring.p
+    return c.mod_pi(1).P
 
 
 def residue_fiber(pres: HopfPresentation, t: int = 1) -> HopfPresentation:

@@ -28,7 +28,7 @@ from .artin_hasse import ep_coeffs, ep_poly_special
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
                   RingElement, enumerate_quotient, eq_mod, eta)
 from .errors import (BudgetError, DivisibilityError, LinearSolveError,
-                     P2ModelsError, PrecisionError, ValuationError)
+                     P2ModelsError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
                    UnitSpec, check_morphism, is_model_map, residue_fiber)
 from .poly import ExactBase, Poly, normal_form
@@ -42,15 +42,6 @@ def _check_budget(ring: RingDescriptor, count: int, budget: int | None):
     budget = ring.p ** 9 if budget is None else budget
     if count > budget:
         raise BudgetError(f"{count} candidates exceed budget {budget}")
-
-
-def _mod_pi(c: RingElement, t: int) -> RingElement:
-    """c as an element of R/pi^t: c at precision t, so that every test
-    on it is decided mod pi^t.  Refuses a c known to less than pi^t."""
-    if c.prec < t:
-        raise PrecisionError(f"element known mod pi^{c.prec}, needed "
-                             f"mod pi^{t}")
-    return c.with_prec(t)
 
 
 def poly_in_var(base, nvars: int, var: int, coeffs) -> Poly:
@@ -279,7 +270,7 @@ def phi_congruence(ring: RingDescriptor, m: int, n: int,
     if n == 0:
         return True
     al = a.lift()
-    if not _mod_pi(al ** p, n).is_zero():
+    if not eq_mod(al ** p, ring.zero(), n):
         return False
     lhs = al.scale(p) - ring.pi(m).scale(j)
     rhs = rho_scalar(ring, m) * al ** p

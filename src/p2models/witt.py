@@ -9,6 +9,11 @@ polynomials are integral.  This evaluates the same universal polynomials
 without expanding them; the symbolic expansions (sum_poly, frob_poly)
 are kept for the identity and isobaricity checks.
 
+Over a quotient R/pi^t each coordinate is held as its canonical lift,
+a full-precision element of R whose pi-adic digits lie in {0..p-1} below
+pi^t and vanish from pi^t on, so the Witt layer computes on RingElements
+alone; `WittVector.coord` returns the class as a QuotElement.
+
 Over a quotient R/pi^t with nilpotent coordinates, a sum of vectors of
 support <= K has coordinates of weight p^r and hence of valuation at
 least p^(r-K+1), so indices beyond K + log_p(t) vanish; `_settle`
@@ -143,6 +148,10 @@ def monomial_weight(p: int, monomial: tuple, r: int) -> int:
 class WittVector:
     """Finite-support Witt vector over R (t=0) or over R/pi^t (t>0).
 
+    Over R/pi^t the constructor takes QuotElements of R/pi^t or
+    RingElements known mod pi^t and keeps their canonical lifts;
+    `coord`, `to_json` and `repr` show them as QuotElements.
+
     Immutable apart from `_ghosts`, the longest prefix Phi_0..Phi_(k-1)
     that `ghosts` has computed; it is written only there, a longer prefix
     replacing a shorter one.
@@ -154,13 +163,17 @@ class WittVector:
         self.ring = ring
         self.t = t
         coords = list(coords)
-        while coords and self._coord_zero(coords[-1]):
+        for i, c in enumerate(coords if t else ()):
+            if not isinstance(c, QuotElement):
+                coords[i] = c.mod_pi(t).with_prec(ring.full_prec)
+            elif c.t == t:
+                coords[i] = c.lift()
+            else:
+                raise ValueError(f"coordinate in R/pi^{c.t} for R/pi^{t}")
+        while coords and coords[-1].is_zero():
             coords.pop()
         self.coords = tuple(coords)
         self._ghosts = ()
-
-    def _coord_zero(self, c):
-        return c.is_zero()
 
     @classmethod
     def integral(cls, ring, coords):
@@ -177,25 +190,18 @@ class WittVector:
     def __len__(self):
         return len(self.coords)
 
-    def coord(self, i: int):
-        if i < len(self.coords):
-            return self.coords[i]
-        if self.t == 0:
-            return self.ring.zero()
-        return QuotElement(self.ring, self.t, (0,) * self.t)
+    def coord(self, i: int) -> RingElement | QuotElement:
+        """Coordinate i: in R, or its class in R/pi^t."""
+        c = self.coords[i] if i < len(self.coords) else self.ring.zero()
+        return c.reduce_mod(self.t) if self.t else c
 
     def lift_coords(self, length: int) -> list[RingElement]:
-        out = []
-        for i in range(length):
-            c = self.coord(i)
-            out.append(c.lift() if isinstance(c, QuotElement) else c)
-        return out
+        """The first `length` coordinates in R, zero-padded."""
+        return (list(self.coords[:length])
+                + [self.ring.zero()] * (length - len(self.coords)))
 
     def reduce(self, t: int) -> "WittVector":
-        return WittVector(self.ring, t,
-                          [c.reduce_mod(t) if isinstance(c, RingElement)
-                           else c.lift().reduce_mod(t)
-                           for c in self.coords])
+        return WittVector(self.ring, t, self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, WittVector):
@@ -203,24 +209,18 @@ class WittVector:
         if self.ring is not other.ring or self.t != other.t:
             return False
         n = max(len(self), len(other))
-        for i in range(n):
-            a, b = self.coord(i), other.coord(i)
-            if isinstance(a, QuotElement):
-                if a != b:
-                    return False
-            else:
-                if not (a - b).is_zero():
-                    return False
-        return True
+        return all((a - b).is_zero() for a, b
+                   in zip(self.lift_coords(n), other.lift_coords(n)))
 
     def __hash__(self):
         raise TypeError("WittVector is unhashable")
 
     def __repr__(self):
-        return f"WittVector(t={self.t}, {list(self.coords)!r})"
+        return (f"WittVector(t={self.t}, "
+                f"{[self.coord(i) for i in range(len(self))]!r})")
 
     def to_json(self):
-        return [c.to_json() for c in self.coords]
+        return [self.coord(i).to_json() for i in range(len(self))]
 
     def is_nilpotent(self) -> bool:
         """All coordinates nilpotent in R/pi^t (valuation >= 1)."""
@@ -302,13 +302,15 @@ def _extra_length(p: int, t: int) -> int:
 
 
 def _settle(ring, t, coords):
-    """Build a quotient vector, checking the dropped tail really vanishes."""
-    reduced = [c.reduce_mod(t) for c in coords]
-    if reduced and not reduced[-1].is_zero():
+    """The vector of coords over R/pi^t (over R when t = 0).  Over a
+    quotient the last coordinate is the spare one of the working length;
+    it must vanish mod pi^t and so be dropped."""
+    w = WittVector(ring, t, coords)
+    if t and len(w) == len(coords):
         raise P2ModelsError(
             "Witt vector did not settle within the working length; "
             "input coordinates were likely not nilpotent")
-    return WittVector(ring, t, reduced)
+    return w
 
 
 def _binary_ghost_op(u: WittVector, v: WittVector, combine):
@@ -316,16 +318,10 @@ def _binary_ghost_op(u: WittVector, v: WittVector, combine):
     if u.t != v.t or u.ring is not v.ring:
         raise ValueError("Witt operands on different bases")
     t = u.t
-    if t == 0:
-        length = max(len(u), len(v))
-    else:
-        length = max(len(u), len(v)) + _extra_length(ring.p, t)
+    length = max(len(u), len(v)) + (_extra_length(ring.p, t) if t else 0)
     gh = [combine(a, b)
           for a, b in zip(ghosts(u, length), ghosts(v, length))]
-    coords = _recover(ring, gh)
-    if t == 0:
-        return WittVector(ring, 0, coords)
-    return _settle(ring, t, coords)
+    return _settle(ring, t, _recover(ring, gh))
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
@@ -347,35 +343,21 @@ def witt_sub(u: WittVector, v: WittVector) -> WittVector:
 
 def scalar_teich(c: RingElement, u: WittVector) -> WittVector:
     """[c] * u = (c u_0, c^p u_1, c^{p^2} u_2, ...), the closed form."""
-    ring = u.ring
-    out = []
-    for k, a in enumerate(u.coords):
-        ck = c ** (ring.p ** k)
-        if isinstance(a, QuotElement):
-            out.append((ck * a.lift()).reduce_mod(u.t))
-        else:
-            out.append(ck * a)
-    return WittVector(ring, u.t, out)
+    p = u.ring.p
+    return WittVector(u.ring, u.t, [c ** (p ** k) * a
+                                    for k, a in enumerate(u.coords)])
 
 
 def verschiebung(u: WittVector) -> WittVector:
-    zero = (u.ring.zero() if u.t == 0
-            else QuotElement(u.ring, u.t, (0,) * u.t))
-    return WittVector(u.ring, u.t, (zero,) + u.coords)
+    return WittVector(u.ring, u.t, (u.ring.zero(),) + u.coords)
 
 
 def frobenius_w(u: WittVector) -> WittVector:
     """Generalized Frobenius; on a base where p = 0 it is the
     coordinate-wise p-power map."""
     ring = u.ring
-    if u.t == 0:
-        length = max(len(u) - 1, 0) + 1
-    else:
-        length = len(u) + _extra_length(ring.p, u.t)
-    coords = _recover(ring, ghosts(u, length + 1)[1:])
-    if u.t == 0:
-        return WittVector(ring, 0, coords)
-    return _settle(ring, u.t, coords)
+    length = len(u) + (_extra_length(ring.p, u.t) if u.t else 0)
+    return _settle(ring, u.t, _recover(ring, ghosts(u, length + 1)[1:]))
 
 
 def is_frobenius_kernel(u: WittVector, mu: RingElement, t: int) -> bool:

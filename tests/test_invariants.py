@@ -8,6 +8,10 @@
 * Every function, class and method of the package is read somewhere.
 * Only `WittVector.__init__` and `witt.ghosts` write a vector's ghost
   memo `_ghosts`; the vector is otherwise immutable.
+* Inside the Witt layer coordinates are ring elements: `witt.py` names
+  `QuotElement` only where a vector takes and shows its coordinates.
+* The slot layout of the packed kernel is read only by `dvr.py` and
+  `poly.py`.
 """
 
 import ast
@@ -204,8 +208,9 @@ def _writes_ghost_memo(node):
         for arg in node.args)
 
 
-def _ghost_memo_writers(package):
-    """module:qualname of every definition that writes `_ghosts`."""
+def _scopes_where(package, predicate):
+    """module:qualname of every definition (module:, for the module
+    body) holding a node that satisfies predicate."""
     found = set()
 
     def visit(node, path, scope):
@@ -214,13 +219,18 @@ def _ghost_memo_writers(package):
                                   ast.ClassDef)):
                 visit(child, path, scope + (child.name,))
                 continue
-            if _writes_ghost_memo(child):
+            if predicate(child):
                 found.add(f"{path.name}:{'.'.join(scope)}")
             visit(child, path, scope)
 
     for path in sorted(package.glob("*.py")):
         visit(ast.parse(path.read_text(), filename=str(path)), path, ())
     return sorted(found)
+
+
+def _ghost_memo_writers(package):
+    """module:qualname of every definition that writes `_ghosts`."""
+    return _scopes_where(package, _writes_ghost_memo)
 
 
 def test_ghost_memo_is_written_only_by_init_and_ghosts():
@@ -237,3 +247,46 @@ def test_ghost_memo_writer_is_found(tmp_path):
         "def read(w):\n    return w._ghosts\n")
     assert _ghost_memo_writers(tmp_path) == [
         "mod.py:A.drop", "mod.py:reset", "mod.py:seed"]
+
+
+def _names(names):
+    """Predicate: node is a name or an attribute spelled as one of names."""
+    return lambda node: (isinstance(node, ast.Name) and node.id in names
+                         or isinstance(node, ast.Attribute)
+                         and node.attr in names)
+
+
+def test_witt_names_quot_element_only_at_its_edge():
+    # the constructor converts QuotElements to canonical lifts in R and
+    # coord shows them as QuotElements; nothing else in the Witt layer
+    # branches on or builds one
+    scopes = _scopes_where(SRC / "p2models", _names({"QuotElement"}))
+    assert [s for s in scopes if s.startswith("witt.py:")] == [
+        "witt.py:WittVector.__init__", "witt.py:WittVector.coord"]
+
+
+# the private slot layout of RingDescriptor's packed kernel
+SLOT_LAYOUT = {"_slot_mask", "_slots_mod", "_pack", "_unpack", "_canon",
+               "_reduce_raw", "_negate"}
+
+
+def test_slot_layout_is_read_only_by_the_kernel_modules():
+    scopes = _scopes_where(SRC / "p2models", _names(SLOT_LAYOUT))
+    assert {s.partition(":")[0] for s in scopes} == {"dvr.py", "poly.py"}
+
+
+def test_name_scan_is_found(tmp_path):
+    # negative control: a name, an attribute, an annotation and a
+    # module-level use are reported; an import and a string are not
+    (tmp_path / "mod.py").write_text(
+        "from dvr import QuotElement\n\n\n"
+        "class W:\n    def coord(self, i) -> QuotElement:\n"
+        "        return i\n\n"
+        "    def name(self):\n        return 'QuotElement'\n\n"
+        "    def lift(self, c):\n"
+        "        return isinstance(c, QuotElement)\n\n\n"
+        "def res(c):\n    return c.P & c.ring._slot_mask\n")
+    (tmp_path / "top.py").write_text("ZERO = QuotElement(None, 0, ())\n")
+    assert _scopes_where(tmp_path, _names({"QuotElement"})) == [
+        "mod.py:W.coord", "mod.py:W.lift", "top.py:"]
+    assert _scopes_where(tmp_path, _names(SLOT_LAYOUT)) == ["mod.py:res"]

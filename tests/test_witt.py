@@ -343,3 +343,68 @@ def test_extra_length_is_an_integer_ceiling_log():
         assert _extra_length(p, t) == (1 if t <= 1 else least_k(p, t) + 1)
     assert [_extra_length(5, 5 ** 3), _extra_length(5, 5 ** 6),
             _extra_length(7, 7 ** 5)] == [4, 7, 6]
+
+
+# -- quotient coordinates are canonical lifts ---------------------------------
+
+def test_quotient_coordinates_are_canonical_lifts(R3):
+    # c + pi^t x is c mod pi^t: the vectors built from either, and from
+    # the QuotElement c mod pi^t, are equal and show the same coordinates
+    from p2models.dvr import QuotElement
+    rng = random.Random(9)
+    for t in (1, 3, 6, 9):
+        cs = [R3.from_digits([rng.randrange(R3.pM) for _ in range(R3.e)])
+              for _ in range(3)]
+        xs = [R3.from_digits([rng.randrange(R3.pM) for _ in range(R3.e)])
+              for _ in range(3)]
+        shifted = WittVector(R3, t, [c + R3.pi(t) * x
+                                     for c, x in zip(cs, xs)])
+        quot = WittVector(R3, t, [c.reduce_mod(t) for c in cs])
+        assert shifted == quot and len(shifted) == len(quot) == 3
+        for i, c in enumerate(cs):
+            q = shifted.coord(i)
+            assert isinstance(q, QuotElement) and q == c.reduce_mod(t)
+            assert shifted.coords[i] == q.lift()
+        # negative control: digit t - 1 of one coordinate changed
+        d = list(quot.coord(1).digits)
+        d[t - 1] = (d[t - 1] + 1) % R3.p
+        other = WittVector(R3, t, [quot.coord(0), QuotElement(R3, t, d),
+                                   quot.coord(2)])
+        assert other != quot and other.coord(1).digits == tuple(d)
+
+
+def test_quotient_vector_json_shows_digits(R3):
+    w = WittVector(R3, 3, [R3.pi() + R3.pi(3), R3.from_int(5), R3.zero()])
+    assert w.to_json() == [{"t": 3, "digits": [0, 1, 0]},
+                           {"t": 3, "digits": [2, 0, 0]}]
+    assert repr(w) == ("WittVector(t=3, [QuotElement(0.1.0 mod pi^3), "
+                       "QuotElement(2.0.0 mod pi^3)])")
+
+
+def test_quotient_coordinate_known_below_modulus_is_refused(R3):
+    from p2models.errors import PrecisionError
+    with pytest.raises(PrecisionError):
+        WittVector(R3, 3, [R3.one(), R3.pi().with_prec(2)])
+    assert WittVector(R3, 3, [R3.pi().with_prec(3)]).coord(0) == \
+        R3.pi().reduce_mod(3)
+
+
+def test_quotient_coordinate_of_another_level_is_refused(R3):
+    # the lift 1 + pi of a class mod pi^3 is not the canonical lift 1 of
+    # its class mod pi, and a class mod pi is not known mod pi^3
+    one_pi = (R3.one() + R3.pi()).reduce_mod(3)
+    with pytest.raises(ValueError, match="R/pi\\^3 for R/pi\\^1"):
+        WittVector(R3, 1, [one_pi])
+    with pytest.raises(ValueError, match="R/pi\\^1 for R/pi\\^3"):
+        WittVector(R3, 3, [one_pi, R3.one().reduce_mod(1)])
+    assert WittVector(R3, 1, [one_pi.lift()]) == WittVector(
+        R3, 1, [R3.one().reduce_mod(1)])
+
+
+def test_non_nilpotent_sum_does_not_settle(R3):
+    # [1] + [1] over R/pi: coordinate 1 is (2 - 2^3)/3 = -2, a unit, so
+    # the spare coordinate of the working length does not vanish
+    from p2models.errors import P2ModelsError
+    one = WittVector.teichmuller(R3, R3.one(), 1)
+    with pytest.raises(P2ModelsError, match="did not settle"):
+        witt_add(one, one)
