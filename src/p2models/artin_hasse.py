@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
-from .dvr import QuotElement, RingElement, _is_prime, eq_mod
+from .dvr import RingElement, _is_prime, eq_mod
 from .errors import CertificationError
 from .poly import ExactBase, Poly, horner
 from .witt import QQBase, WittVector
@@ -181,13 +181,14 @@ def ep_coeffs(a: RingElement, mu: RingElement) -> list[RingElement]:
     return out
 
 
-def ep_poly_special(a: RingElement, mu: RingElement, t: int) -> list[QuotElement]:
+def ep_poly_special(a: RingElement, mu: RingElement, t: int) -> list[RingElement]:
     """E_p(a, mu; T) as the closed degree-(p-1) polynomial over R/pi^t:
-    `ep_coeffs` reduced mod pi^t.  Requires a^p = mu^(p-1) a mod pi^t."""
+    the classes `mod_pi(t)` of the `ep_coeffs`.  Requires
+    a^p = mu^(p-1) a mod pi^t."""
     p = a.ring.p
     if not eq_mod(a ** p, mu ** (p - 1) * a, t):
         raise ValueError("precondition a^p = mu^(p-1) a mod pi^t fails")
-    return [c.reduce_mod(t) for c in ep_coeffs(a, mu)]
+    return [c.mod_pi(t) for c in ep_coeffs(a, mu)]
 
 
 def specialize(series: Poly, a: RingElement, mu: RingElement) -> Poly:

@@ -26,9 +26,10 @@ from .dvr import eta, make_ring
 from .errors import BudgetError, P2ModelsError, PrecisionError
 from .fiber import classify_fiber, verify_fiber
 from .hopf import check_hopf_axioms
-from .models import (ModelDescriptor, build_extension, enumerate_models,
-                     hom_models, hom_models_brute, is_isomorphic, phi_brute,
-                     phi_closed, phi_congruence, p2_surjective)
+from .models import (ModelDescriptor, build_extension, digit_string,
+                     enumerate_models, hom_models, hom_models_brute,
+                     is_isomorphic, phi_brute, phi_closed, phi_congruence,
+                     p2_surjective)
 from .selftest import run_selftest
 
 
@@ -86,7 +87,7 @@ def _parse_descriptor(ring, blob: str) -> ModelDescriptor:
         raise ValidationError(f"malformed descriptor: {exc}") from exc
     if not phi_congruence(ring, d.m, d.n, d.a, d.j):
         raise ValidationError(
-            f"(a, j) = ({d.a.digit_string() or '0'}, {d.j}) is not in "
+            f"(a, j) = ({digit_string(d.a)}, {d.j}) is not in "
             f"Phi for (m, n) = ({d.m}, {d.n})")
     return d
 
@@ -107,7 +108,7 @@ def cmd_ring_info(args) -> int:
         "p": ring.p, "M": ring.M, "e": ring.e, "flavor": ring.flavor,
         "v_p": ring.e, "v_lam1": ring.lam1.valuation(),
         "v_lam2": ring.lam2.valuation(),
-        "eta_digits_mod_pi^p": list(eta(ring).reduce_mod(ring.p).digits),
+        "eta_digits_mod_pi^p": list(eta(ring).pi_digit_expansion(ring.p)),
         "eisenstein_coeffs": [int(c) for c in ring.coeffs],
     }
     rows = [(k, v) for k, v in doc.items()]
@@ -120,11 +121,11 @@ def cmd_phi(args) -> int:
     _check_cell(args)
     els = (phi_brute(ring, args.m, args.n, args.budget) if args.brute
            else phi_closed(ring, args.m, args.n))
-    els = sorted(els, key=lambda e: (e.j, e.a.digits))
+    els = sorted(els, key=lambda e: (e.j, e.sort_key()))
     doc = {"p": args.p, "m": args.m, "n": args.n,
            "surjective": p2_surjective(ring, args.m, args.n),
            "elements": [e.to_json() for e in els]}
-    rows = [(e.a.digit_string() or "0", e.j) for e in els]
+    rows = [(digit_string(e.a), e.j) for e in els]
     _emit(args, doc, ["a", "j"], rows)
     return 0
 
@@ -136,7 +137,7 @@ def cmd_enumerate(args) -> int:
     models = enumerate_models(ring, args.m_max)
     doc = {"p": args.p, "m_max": args.m_max,
            "models": [d.to_json() for d in models]}
-    rows = [(d.m, d.n, d.a.digit_string() or "0", d.j) for d in models]
+    rows = [(d.m, d.n, digit_string(d.a), d.j) for d in models]
     _emit(args, doc, ["m", "n", "a", "j"], rows)
     return 0
 

@@ -228,6 +228,15 @@ class RingDescriptor:
         return RingElement(self, self._pack(digits),
                            self.full_prec if prec is None else prec)
 
+    def from_pi_digits(self, digits, prec: int | None = None) -> "RingElement":
+        """sum digits[i] pi^i for any number of pi-adic digits, at
+        precision prec (full by default)."""
+        x = self.from_digits(digits[:self.e], prec)
+        for i, d in enumerate(digits[self.e:], self.e):
+            if d:
+                x = x + self.pi(i).scale(d)
+        return x
+
     # -- distinguished constants -------------------------------------------
 
     @property
@@ -542,12 +551,14 @@ class RingElement:
 
     def mod_pi(self, t: int) -> "RingElement":
         """The canonical representative of self mod pi^t (pi-adic digits
-        in {0..p-1}) at precision t: reduce_mod(t).lift().with_prec(t),
-        which also raises where t is out of range.  For t <= e its digits
-        are the first t slot residues mod p, in place."""
+        in {0..p-1}) at precision t.  For t <= e its digits are the first
+        t slot residues mod p, in place; otherwise pi_digit_expansion(t)
+        reads them, and raises above the precision."""
         r = self.ring
-        if not 0 <= t <= min(r.e, self.prec):
-            return self.reduce_mod(t).lift().with_prec(t)
+        if t < 0:
+            raise ValueError(f"negative level pi^{t}")
+        if t > min(r.e, self.prec):
+            return r.from_pi_digits(self.pi_digit_expansion(t), t)
         return RingElement(r, r._slots_mod(self.P, 1)
                            & ((1 << r.W * t) - 1), t)
 
@@ -589,8 +600,9 @@ def eq_mod(x: RingElement, y: RingElement, t: int) -> bool:
 
 
 class QuotElement:
-    """Canonical element of R/pi^t R: digits d_0..d_{t-1} in {0..p-1}.
-
+    """Printed and parsed form of a class of R/pi^t R: digits d_0..d_{t-1}
+    in {0..p-1}.  The library computes on the class as the RingElement at
+    precision t that `mod_pi(t)` gives; `lift()` is it at full precision.
     Quotients R/lam R are canonicalized to R/pi^{v(lam)} R, which is
     legitimate because lam = unit * pi^{v(lam)}.
     """
@@ -617,14 +629,7 @@ class QuotElement:
 
     def lift(self) -> RingElement:
         """Canonical lift to R at full precision."""
-        digits = list(self.digits) + [0] * (self.ring.e - self.t)
-        if self.t <= self.ring.e:
-            return self.ring.from_digits(digits[:self.ring.e])
-        x = self.ring.zero()
-        for i, d in enumerate(self.digits):
-            if d:
-                x = x + self.ring.pi(i).scale(d)
-        return x
+        return self.ring.from_pi_digits(self.digits)
 
     def valuation(self):
         for i, d in enumerate(self.digits):
@@ -671,9 +676,6 @@ class QuotElement:
     def __repr__(self):
         return f"QuotElement({'.'.join(map(str, self.digits)) or '0'} mod pi^{self.t})"
 
-    def digit_string(self) -> str:
-        return ".".join(map(str, self.digits)) if self.t else ""
-
     def to_json(self):
         return {"t": self.t, "digits": list(self.digits)}
 
@@ -683,11 +685,12 @@ def reduce_mod(x: RingElement, t: int) -> QuotElement:
 
 
 def enumerate_quotient(ring: RingDescriptor, t: int):
-    """All p^t canonical representatives of R/pi^t R."""
+    """The p^t classes of R/pi^t R, as mod_pi(t) gives them, in
+    lexicographic digit order."""
     if t > ring.full_prec:
         raise PrecisionError("quotient exceeds representable precision")
     for digits in itertools.product(range(ring.p), repeat=t):
-        yield QuotElement(ring, t, digits)
+        yield ring.from_pi_digits(digits, t)
 
 
 def eta(ring: RingDescriptor) -> RingElement:

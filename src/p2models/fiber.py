@@ -87,7 +87,7 @@ def classify_fiber(d: ModelDescriptor) -> FiberClass:
     if n == 0:
         return FiberClass("TrivialExtension")
     if m < p:
-        al = d.a.lift()
+        al = d.a.with_prec(ring.full_prec)
         mu, lam = ring.pi(m), ring.pi(n)
         defect = al.scale(p) - mu.scale(d.j) - rho_scalar(ring, m) * al ** p
         beta = (-defect.divide_exact(lam ** p))

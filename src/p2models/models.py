@@ -13,6 +13,10 @@ and p*a - j*mu = (p/mu^(p-1)) a^p mod pi^(pn); extensions with j != 0
 are exactly the models of the constant group of order p^2 on the
 generic fiber, and (m, n, a mod pi^n) with j = 1 classifies them.
 
+A class of R/pi^t (a mod pi^n, a coefficient of a Hom row) is the
+RingElement x.mod_pi(t) at precision t; x.with_prec(ring.full_prec) is
+its canonical lift.
+
 The extension builders take their S1 factor, with its unit, antipode
 and comultiplication, from build_g(ring, mu, 1) or build_g_smooth.
 """
@@ -22,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .artin_hasse import ep_coeffs, ep_poly_special
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
@@ -68,6 +71,15 @@ def kummer_poly(ring: RingDescriptor, lam: RingElement, N: int,
         coeffs += [divide(ring.from_int(math.comb(N, k)) * lam ** k)
                    for k in range(1, N + 1)]
     return poly_in_var(ExactBase(ring), nvars, var, coeffs)
+
+
+def digit_string(a: RingElement) -> str:
+    """The pi-adic digits of a class a mod pi^t, dot-separated, or "0"."""
+    return ".".join(map(str, a.pi_digit_expansion(a.prec))) or "0"
+
+
+def _row_key(row) -> list:
+    return [c.pi_digit_expansion(c.prec) for c in row]
 
 
 def star_condition(ring: RingDescriptor, lam: RingElement, n: int) -> bool:
@@ -180,7 +192,7 @@ def hom_gln(ring: RingDescriptor, lam: RingElement, lam2: RingElement,
 
 def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
     """Degree < p representatives of Hom(G_{mu,1}|S_lam, Gm|S_lam) with
-    mu = pi^m, lam = pi^n, as coefficient tuples over R/pi^n.
+    mu = pi^m, lam = pi^n, as tuples of classes of R/pi^n.
 
     v(mu) = 0 is the multiplicative case {(1+mu S)^i}; v(lam) = 0 gives
     the one-element group (empty base).  Otherwise the elements are the
@@ -189,23 +201,19 @@ def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
     """
     p = ring.p
     if n == 0:
-        return [tuple(ring.zero().reduce_mod(0) for _ in range(p))]
+        return [(ring.zero(0),) * p]
     if m == 0:
-        out = set()
-        for i in range(p):
-            coeffs = [ring.from_int(math.comb(i, k)).reduce_mod(n)
-                      for k in range(p)]
-            out.add(tuple(coeffs))
-        return sorted(out, key=lambda row: [c.digits for c in row])
+        out = {tuple(ring.from_int(math.comb(i, k)).mod_pi(n)
+                     for k in range(p)) for i in range(p)}
+        return sorted(out, key=_row_key)
     if ring.e < (p - 1) * m or ring.e < n:
         raise ValuationError("closed form needs v(p) >= (p-1)v(mu), v(lam)")
     mu = ring.pi(m)
     out = []
     for a in enumerate_quotient(ring, n):
-        al = a.lift()
-        if eq_mod(al ** p, mu ** (p - 1) * al, n):
-            out.append(tuple(ep_poly_special(al, mu, n)))
-    return sorted(out, key=lambda row: [c.digits for c in row])
+        if eq_mod(a ** p, mu ** (p - 1) * a, n):
+            out.append(tuple(ep_poly_special(a, mu, n)))
+    return sorted(out, key=_row_key)
 
 
 def hom_brute(ring: RingDescriptor, m: int, n: int,
@@ -213,32 +221,29 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
     """All degree < p polynomials F over R/pi^n with F(0) = 1 (and
     F = 1 mod pi when mu is not a unit) satisfying
     F(S)F(T) = F(S+T+mu ST) modulo the relation ideal: F group-like in
-    G_{mu,1} over R/pi^n, decided in its square."""
+    G_{mu,1} over R/pi^n, decided in its square.  Each F is a tuple of
+    classes of R/pi^n."""
     p = ring.p
     if n == 0:
-        return [tuple(ring.zero().reduce_mod(0) for _ in range(p))]
-    # each candidate coefficient with its canonical lift at precision n
-    pairs = [(c, c.lift().with_prec(n)) for c in enumerate_quotient(ring, n)]
+        return [(ring.zero(0),) * p]
+    classes = list(enumerate_quotient(ring, n))
     if m == 0:
-        coeff_pools = [pairs] * p
+        coeff_pools = [classes] * p
     else:
         # F = 1 mod pi: constant term 1 + pi(...), others pi(...)
-        coeff_pools = [[c for c in pairs if c[0].digits[0] == 1]]
-        coeff_pools += [[c for c in pairs if c[0].digits[0] == 0]] * (p - 1)
-    count = 1
-    for pool in coeff_pools:
-        count *= len(pool)
-    _check_budget(ring, count, budget)
+        by_d0 = [[c for c in classes if c.pi_digit_expansion(1) == (d,)]
+                 for d in (0, 1)]
+        coeff_pools = [by_d0[1]] + [by_d0[0]] * (p - 1)
+    _check_budget(ring, math.prod(map(len, coeff_pools)), budget)
 
     G = residue_fiber(build_g(ring, ring.pi(m), 1), n)
     out = []
     for row in itertools.product(*coeff_pools):
-        coeffs, lifts = zip(*row)
-        F = poly_in_var(G.base, 1, 0, lifts)
+        F = poly_in_var(G.base, 1, 0, row)
         if LocalizedElement(G.square, F.embed(2, 0) * F.embed(2, 1)
                             - F.subst(G.comult)).is_zero():
-            out.append(coeffs)
-    return sorted(out, key=lambda row: [c.digits for c in row])
+            out.append(row)
+    return sorted(out, key=_row_key)
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +252,15 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
 
 @dataclass(frozen=True)
 class PhiElement:
-    a: QuotElement
+    """(a, j) with a a class of R/pi^n."""
+    a: RingElement
     j: int
 
     def sort_key(self):
-        return (self.a.digits, self.j)
+        return (self.a.pi_digit_expansion(self.a.prec), self.j)
 
     def to_json(self):
-        return {"a_digits": list(self.a.digits), "j": self.j}
+        return {"a_digits": list(self.sort_key()[0]), "j": self.j}
 
 
 def rho_scalar(ring: RingDescriptor, m: int) -> RingElement:
@@ -263,13 +269,13 @@ def rho_scalar(ring: RingDescriptor, m: int) -> RingElement:
 
 
 def phi_congruence(ring: RingDescriptor, m: int, n: int,
-                   a: QuotElement, j: int) -> bool:
-    """(a, j) in Phi: a^p = 0 mod pi^n and
+                   a: RingElement, j: int) -> bool:
+    """(a, j) in Phi for a class a of R/pi^n: a^p = 0 mod pi^n and
     p a - j mu = (p/mu^(p-1)) a^p mod pi^(pn), on canonical lifts."""
     p = ring.p
     if n == 0:
         return True
-    al = a.lift()
+    al = a.with_prec(ring.full_prec)
     if not eq_mod(al ** p, ring.zero(), n):
         return False
     lhs = al.scale(p) - ring.pi(m).scale(j)
@@ -281,15 +287,12 @@ def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
     """Closed form of the kernel of the projection (a, j) -> j:
     pairs (a, 0) with p v(a) >= max(p v(lam) + (p-1) v(mu) - v(p), v(lam))."""
     p = ring.p
-    if n == 0:
-        return [PhiElement(QuotElement(ring, 0, ()), 0)]
     bound = max(p * n + (p - 1) * m - ring.e, n)
     vmin = math.ceil(bound / p)
     out = []
     for a in enumerate_quotient(ring, n):
         v = a.valuation()
-        if a.is_zero() or (not isinstance(v, IndeterminateAtPrecision)
-                           and v >= vmin):
+        if isinstance(v, IndeterminateAtPrecision) or v >= vmin:
             out.append(PhiElement(a, 0))
     return sorted(out, key=PhiElement.sort_key)
 
@@ -305,8 +308,6 @@ def phi_closed(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
         raise ValueError("need p >= m >= n >= 0")
     p = ring.p
     ker = ker_p2(ring, m, n)
-    if n == 0:
-        return [PhiElement(QuotElement(ring, 0, ()), j) for j in range(p)]
     out = []
     if m >= p * n:
         for j in range(p):
@@ -317,8 +318,7 @@ def phi_closed(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
         for j in range(p):
             shift = base_sol.scale(j)
             for alpha in ker:
-                out.append(PhiElement(
-                    (shift + alpha.a.lift()).reduce_mod(n), j))
+                out.append(PhiElement((shift + alpha.a).mod_pi(n), j))
     else:
         out = list(ker)
     return sorted(out, key=PhiElement.sort_key)
@@ -355,23 +355,30 @@ class ModelDescriptor:
     ring: RingDescriptor
     m: int
     n: int
-    a: QuotElement
+    a: RingElement
     j: int
 
     def __post_init__(self):
+        """Hold a (QuotElement of R/pi^n, or known mod pi^n) as mod_pi(n)."""
+        a = self.a
         if not (self.ring.p >= self.m >= self.n >= 0):
             raise ValueError("need p >= m >= n >= 0")
-        if self.a.t != self.n:
-            raise ValueError("a must live in R/pi^n")
+        if a.ring is not self.ring:
+            raise ValueError("a must lie in the descriptor's ring")
+        if isinstance(a, QuotElement):
+            if a.t != self.n:
+                raise ValueError("a must live in R/pi^n")
+            a = a.lift()
+        object.__setattr__(self, "a", a.mod_pi(self.n))
         if not (0 <= self.j < self.ring.p):
             raise ValueError("j must be reduced mod p")
 
     def sort_key(self):
-        return (self.m, self.n, self.a.digits, self.j)
+        return (self.m, self.n, self.a.pi_digit_expansion(self.n), self.j)
 
     def to_json(self):
-        return {"p": self.ring.p, "M": self.ring.M, "m": self.m,
-                "n": self.n, "a_digits": list(self.a.digits), "j": self.j}
+        return {"p": self.ring.p, "M": self.ring.M, "m": self.m, "n": self.n,
+                "a_digits": list(self.sort_key()[2]), "j": self.j}
 
     @classmethod
     def from_json(cls, ring: RingDescriptor, obj) -> "ModelDescriptor":
@@ -399,7 +406,7 @@ class ModelDescriptor:
 def canonical_lift_coeffs(d: ModelDescriptor) -> list[RingElement]:
     """F = sum a^i / i! S^i = E_p(a, 0; S) on the canonical digit lift
     of a."""
-    return ep_coeffs(d.a.lift(), d.ring.zero())
+    return ep_coeffs(d.a.with_prec(d.ring.full_prec), d.ring.zero())
 
 
 def _comult(g1: HopfPresentation, fc, lam) -> tuple:
@@ -465,7 +472,7 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
         relations=rel_system, comult=_comult(g1, fc, lam),
         counit=(ring.zero(), eps2), antipode=(anti1, anti2),
         units=(UnitSpec(u1, inv1), UnitSpec(u2, inv2)),
-        name=f"E(m={d.m}, n={d.n}, a={d.a.digit_string() or '0'}, j={d.j})")
+        name=f"E(m={d.m}, n={d.n}, a={digit_string(d.a)}, j={d.j})")
 
 
 def _smooth_extension(g1, lam, fc, name) -> HopfPresentation:
@@ -499,7 +506,7 @@ def build_extension_smooth(d: ModelDescriptor) -> HopfPresentation:
     return _smooth_extension(
         build_g_smooth(d.ring, d.ring.pi(d.m)), d.ring.pi(d.n),
         canonical_lift_coeffs(d),
-        f"E_smooth(m={d.m}, n={d.n}, a={d.a.digit_string() or '0'})")
+        f"E_smooth(m={d.m}, n={d.n}, a={digit_string(d.a)})")
 
 
 # ---------------------------------------------------------------------------
@@ -542,25 +549,17 @@ def solve_target_hom(d: ModelDescriptor) -> list[RingElement]:
                 raise LinearSolveError(
                     f"remainder {len(g)} has S^{k} coefficient nonzero mod "
                     f"pi^{t}: no G over R/pi^{t}")
-        g.append(h[0].reduce_mod(t).lift())
+        g.append(h[0].mod_pi(t).with_prec(ring.full_prec))
         h = h[p:]
     return g + [zero] * (p - len(g))
 
 
 def target_hom_closed_form(d: ModelDescriptor) -> list[RingElement]:
     """The predicted solution G = E_p(a^p, mu^p; X): coefficients
-    prod_{k<i}(a^p - k mu^p)/i!."""
+    prod_{k<i}(a^p - k mu^p)/i!, on the canonical lift of a."""
     ring = d.ring
-    al = d.a.lift() if d.n else ring.zero()
-    mup = ring.pi(d.m) ** ring.p
-    ap = al ** ring.p
-    out = [ring.one()]
-    running = ring.one()
-    for i in range(1, ring.p):
-        running = running * (ap - mup.scale(i - 1))
-        out.append(running.scale_unit_fraction(
-            Fraction(1, math.factorial(i))))
-    return out
+    return ep_coeffs(d.a.with_prec(ring.full_prec) ** ring.p,
+                     ring.pi(d.m) ** ring.p)
 
 
 def ambient_isogeny(d: ModelDescriptor):
@@ -611,20 +610,17 @@ def normal_form_model(d: ModelDescriptor) -> ModelDescriptor:
     if d.j == 0:
         raise ValueError("j = 0 is not a model of the cyclic group")
     inv = pow(d.j, -1, d.ring.p)
-    a2 = d.a.scale(inv)
-    out = ModelDescriptor(d.ring, d.m, d.n, a2, 1)
-    if not phi_congruence(d.ring, d.m, d.n, a2, 1):
+    out = ModelDescriptor(d.ring, d.m, d.n, d.a.scale(inv), 1)
+    if not phi_congruence(d.ring, d.m, d.n, out.a, 1):
         raise P2ModelsError("normalized parameters left Phi")
     return out
 
 
 def _a_congruent(d1: ModelDescriptor, d2: ModelDescriptor) -> bool:
-    """a1 = (j1/j2)(mu1/mu2) a2 mod pi^(n2)."""
+    """a1 = (j1/j2)(mu1/mu2) a2 mod pi^(n2), for n1 >= n2."""
     ring = d1.ring
     r = (d1.j * pow(d2.j, -1, ring.p)) % ring.p
-    lhs = d1.a.lift()
-    rhs = (d2.a.lift() * ring.pi(d1.m - d2.m)).scale(r)
-    return eq_mod(lhs, rhs, d2.n)
+    return eq_mod(d1.a, (d2.a * ring.pi(d1.m - d2.m)).scale(r), d2.n)
 
 
 def is_isomorphic(d1: ModelDescriptor, d2: ModelDescriptor) -> bool:
@@ -737,7 +733,7 @@ def rad_brute(ring: RingDescriptor, m: int, n: int,
     G = residue_fiber(build_g(ring, ring.pi(m), 1), t)
     out = []
     for row in homs:
-        F = poly_in_var(G.base, 1, 0, [c.lift().with_prec(t) for c in row])
+        F = poly_in_var(G.base, 1, 0, [c.with_prec(t) for c in row])
         Fp = F ** p
         out += [(row, j) for j in range(p)
                 if LocalizedElement(G, Fp, (j,)).eq(G.one_poly())]

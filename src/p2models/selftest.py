@@ -77,7 +77,7 @@ def criterion_2_canonical_model():
     """(3,3,eta,1) solves the defining congruence, builds, and reduces to
     the (0,1) class over Z/pZ; Wilson and eta^p/lam_(1) sub-checks."""
     R = _ring(3)
-    a = eta(R).reduce_mod(3)
+    a = eta(R).mod_pi(3)
     _check(mdl.phi_congruence(R, 3, 3, a, 1), "Phi congruence fails for eta")
     d = mdl.ModelDescriptor(R, 3, 3, a, 1)
     mdl.build_extension(d)
@@ -95,13 +95,13 @@ def criterion_3_phi_oracle():
         for n in range(m + 1):
             pc = mdl.phi_closed(R3, m, n)
             pb = mdl.phi_brute(R3, m, n)
-            _check([(e.a.digits, e.j) for e in pc]
-                   == [(e.a.digits, e.j) for e in pb], f"cell ({m},{n})")
+            _check(pc == pb, f"cell ({m},{n})")
     els = mdl.phi_closed(R3, 3, 3)
     _check(len(els) == 3)
     et = eta(R3)
-    expect = sorted((et.scale(k).reduce_mod(3).digits, k) for k in range(3))
-    _check([(e.a.digits, e.j) for e in els] == expect)
+    expect = sorted((mdl.PhiElement(et.scale(k).mod_pi(3), k)
+                     for k in range(3)), key=mdl.PhiElement.sort_key)
+    _check(els == expect)
     criterion_p5_phi()
 
 
@@ -113,7 +113,7 @@ def criterion_4_ker_p2():
         for n in range(m + 1):
             kc = mdl.ker_p2(R3, m, n)
             kb = mdl.ker_p2_brute(R3, m, n)
-            _check([e.a.digits for e in kc] == [e.a.digits for e in kb])
+            _check(kc == kb)
             injective = len(kc) == 1
             predicted = (n <= 1) or (R3.e - 2 * m < 3)
             _check(injective == predicted, f"cell ({m},{n})")
@@ -292,16 +292,14 @@ def criterion_p5_phi():
     for (m, n) in [(3, 3), (3, 2), (5, 1)]:
         pc = mdl.phi_closed(R5, m, n)
         pb = mdl.phi_brute(R5, m, n)
-        _check([(e.a.digits, e.j) for e in pc]
-               == [(e.a.digits, e.j) for e in pb], f"p=5 cell ({m},{n})")
+        _check(pc == pb, f"p=5 cell ({m},{n})")
 
 
 def criterion_p5_ker():
     R5 = _ring(5)
     k = mdl.ker_p2(R5, 3, 3)
     _check(len(k) == 5)
-    _check([e.a.digits for e in k]
-           == [e.a.digits for e in mdl.ker_p2_brute(R5, 3, 3)])
+    _check(k == mdl.ker_p2_brute(R5, 3, 3))
     for e in k:
         _check(e.a.is_zero() or e.a.valuation() >= 2)  # 5 v(a~) >= 7
 

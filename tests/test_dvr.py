@@ -1,5 +1,6 @@
 """Tests for the ramified-ring arithmetic layer."""
 
+import itertools
 import random
 from functools import lru_cache
 
@@ -153,8 +154,21 @@ def test_eta_congruence(p, M):
 def test_reduce_mod_and_enumerate(R3):
     assert len(list(enumerate_quotient(R3, 3))) == 27
     assert R3.lam1.reduce_mod(3).is_zero()
-    ones = sorted(q.digits for q in enumerate_quotient(R3, 1))
+    ones = sorted(q.pi_digit_expansion(1) for q in enumerate_quotient(R3, 1))
     assert ones == [(0,), (1,), (2,)]
+
+
+@pytest.mark.parametrize("t", [0, 2, 6, 7])
+def test_enumerate_quotient_classes_in_digit_order(R3, t):
+    # R3 has e = 6: t = 7 needs a digit beyond the slots
+    classes = list(enumerate_quotient(R3, t))
+    assert [x.pi_digit_expansion(t) for x in classes] == list(
+        itertools.product(range(R3.p), repeat=t))
+    assert len(set(classes)) == R3.p ** t
+    for x in classes:
+        assert x.prec == t and x == x.mod_pi(t)
+        assert x.with_prec(R3.full_prec) == QuotElement(
+            R3, t, x.pi_digit_expansion(t)).lift()
 
 
 def test_reduce_mod_precision_guard(R3):

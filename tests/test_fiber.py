@@ -95,10 +95,10 @@ def test_beta_gamma_lift_independence():
     rng = random.Random(0)
     R5 = make_ring(5, 8)
     p, m, n = 5, 3, 3
-    a = QuotElement(R5, 3, (0, 0, 1))  # in ker p2 at (3,3)
+    a = R5.pi(2).mod_pi(n)  # in ker p2 at (3,3)
     assert phi_congruence(R5, m, n, a, 0)
     lam = R5.pi(n)
-    base_lift = a.lift()
+    base_lift = a.with_prec(R5.full_prec)
     vals = set()
     for _ in range(5):
         x = R5.from_digits([rng.randrange(R5.pM) for _ in range(R5.e)])

@@ -18,6 +18,13 @@ presentation became the JSON object {"num": ..., "den": [...]}, the
 encoding of localized images, instead of a Python repr string.  Nothing
 else in those documents moved: every other field was compared with the
 old output and was identical.
+
+The CLI digests of `phi` (closed form and --brute, JSON and --table, on
+every p = 3 cell), `enumerate --m-max 3`, `ring-info` at p = 3 and
+p = 5, and `hom --brute` on the 49 ordered pairs of p = 3 models were
+recorded from the code before the models layer held a mod pi^n as a
+ring element at precision n instead of a digit tuple: they pin how the
+pi-adic digits of a class are printed and sorted.
 """
 
 import hashlib
@@ -27,7 +34,8 @@ import pytest
 
 from p2models.cli import main
 from p2models.dvr import QuotElement, make_ring
-from p2models.models import ModelDescriptor, ambient_isogeny, enumerate_models
+from p2models.models import (ModelDescriptor, ambient_isogeny, digit_string,
+                             enumerate_models)
 from p2models.poly import Poly
 
 # model key "m,n,a" -> (verify --emit-presentation stdout, ambient pair)
@@ -59,12 +67,75 @@ DUMP_SERIES = {
         "42e866a97bfa861b2547349ee0993e72d75f9e8a4a41a125ae7fb03efdcf122e",
 }
 
-MODELS = {f"{d.m},{d.n},{d.a.digit_string() or '0'}": d
+# cell "m,n" -> phi output: closed JSON, closed --table, --brute JSON,
+# --brute --table, concatenated
+PHI = {
+    "0,0": "dd6138d55d9590f3de9e77be16eb74ceafab3c9378c1840ba0e6318ae5306bcb",
+    "1,0": "fabb959026b35fa0e69ab101c23da8af874dbb4b2e2327aafd8408b1b4b03190",
+    "1,1": "6cd76831ab9447b7afc292e94538c26acf7f2511de76b3ab6e723526513f7cdb",
+    "2,0": "1c1aa1a129a3f07546ba40dd9ad5ec988231bd0b8ea9c579cf0659fe54c39926",
+    "2,1": "dd21cdc84afa8dbd12a2472cdbe3525c212bb693769d945c670b19aabd7dce4e",
+    "2,2": "487ab3a0d599f447741bf32bcc76f63f5d0814de679cfaabba6e2e189cad52e6",
+    "3,0": "6dc0c22966bb1c19764de51e5ca8c82b1dc66640adbd69fcadccdf3953228d2a",
+    "3,1": "93e7b78c568effbd4300af2c69450e0bae331ae12076872499226b0718965a2b",
+    "3,2": "456ad93b565c94260605d96b6fcc1062f019f5720bc7fea4506bbc3f5ca6f1c2",
+    "3,3": "82d171d6bf8e4607d56060b8b7955cc0b0968434cee65fcd45ebb6d84762d393",
+}
+
+# enumerate --m-max 3, JSON then --table
+ENUMERATE = "86eee302e273ce192b1939ad4d7023227df0d59d20d42197bb8281532c3476c7"
+
+# ring-info, JSON then --table
+RING_INFO = {
+    3: "3e92df10c843c99c82e10fd92c4360612f2f5f58e79ed95f9616698c95b11e1d",
+    5: "80e8046d0f61a96743b98d4513c5e2056630bb9e7eaac66f7ad5a366877d59a9",
+}
+
+# hom --brute on every ordered pair of p = 3 models, in enumeration order
+HOM_BRUTE = "7147be33105e2269a94a0a8282dda8810b9c958168d972712103e71b7df49038"
+
+MODELS = {f"{d.m},{d.n},{digit_string(d.a)}": d
           for d in enumerate_models(make_ring(3, 12), 3)}
 
 
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _stdout(capsys, *argvs) -> str:
+    """The stdout of the CLI runs, concatenated; each must exit 0."""
+    out = ""
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        out += capsys.readouterr().out
+    return out
+
+
+@pytest.mark.parametrize("cell", sorted(PHI))
+def test_phi_golden(cell, capsys):
+    m, n = cell.split(",")
+    argv = ["phi", "--m", m, "--n", n]
+    out = _stdout(capsys, argv, argv + ["--table"], argv + ["--brute"],
+                  argv + ["--brute", "--table"])
+    assert _sha(out) == PHI[cell]
+
+
+def test_enumerate_golden(capsys):
+    argv = ["enumerate", "--m-max", "3"]
+    assert _sha(_stdout(capsys, argv, argv + ["--table"])) == ENUMERATE
+
+
+@pytest.mark.parametrize("p", sorted(RING_INFO))
+def test_ring_info_golden(p, capsys):
+    argv = ["ring-info", "--p", str(p)]
+    assert _sha(_stdout(capsys, argv, argv + ["--table"])) == RING_INFO[p]
+
+
+def test_hom_brute_golden(capsys):
+    models = [json.dumps(d.to_json()) for d in MODELS.values()]
+    out = _stdout(capsys, *(["hom", "--left", a, "--right", b, "--brute"]
+                            for a in models for b in models))
+    assert _sha(out) == HOM_BRUTE
 
 
 def test_golden_covers_every_model():

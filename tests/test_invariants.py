@@ -8,8 +8,9 @@
 * Every function, class and method of the package is read somewhere.
 * Only `WittVector.__init__` and `witt.ghosts` write a vector's ghost
   memo `_ghosts`; the vector is otherwise immutable.
-* Inside the Witt layer coordinates are ring elements: `witt.py` names
-  `QuotElement` only where a vector takes and shows its coordinates.
+* Outside `dvr.py` the package computes on classes of R/pi^t as ring
+  elements: it names `QuotElement` only where a Witt vector takes and
+  shows its coordinates and where a descriptor takes and parses a.
 * The slot layout of the packed kernel is read only by `dvr.py` and
   `poly.py`.
 """
@@ -257,11 +258,15 @@ def _names(names):
 
 
 def test_witt_names_quot_element_only_at_its_edge():
-    # the constructor converts QuotElements to canonical lifts in R and
-    # coord shows them as QuotElements; nothing else in the Witt layer
-    # branches on or builds one
+    # dvr.py defines QuotElement.  A Witt vector's constructor converts
+    # QuotElements to canonical lifts in R and coord shows them as
+    # QuotElements; a descriptor's constructor converts its a to a class
+    # mod pi^n and from_json parses a into one.  Nothing else in the
+    # package branches on or builds one.
     scopes = _scopes_where(SRC / "p2models", _names({"QuotElement"}))
-    assert [s for s in scopes if s.startswith("witt.py:")] == [
+    assert [s for s in scopes if not s.startswith("dvr.py:")] == [
+        "models.py:ModelDescriptor.__post_init__",
+        "models.py:ModelDescriptor.from_json",
         "witt.py:WittVector.__init__", "witt.py:WittVector.coord"]
 
 

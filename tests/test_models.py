@@ -13,8 +13,10 @@ from p2models.dvr import (
     eta,
     make_ring,
 )
+from p2models.artin_hasse import ep_poly_special
 from p2models.errors import (BudgetError, DivisibilityError,
-                             LinearSolveError, P2ModelsError, ValuationError)
+                             LinearSolveError, P2ModelsError, PrecisionError,
+                             ValuationError)
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
 from p2models.models import (
     ModelDescriptor,
@@ -205,6 +207,56 @@ def test_hom_mu_unit_case(R3):
     assert len(rows) == 3
 
 
+def _is_class(x, n):
+    return x.prec == n and x == x.mod_pi(n)
+
+
+def test_library_classes_are_canonical_at_their_level(R3):
+    for m in range(4):
+        for n in range(m + 1):
+            els = phi_closed(R3, m, n) + phi_brute(R3, m, n) + ker_p2(R3, m, n)
+            assert all(_is_class(e.a, n) for e in els), (m, n)
+    for m, n in [(0, 1), (1, 1), (2, 2), (3, 1), (3, 3)]:
+        rows = hom_closed(R3, m, n) + hom_brute(R3, m, n)
+        assert all(_is_class(c, n) for row in rows for c in row), (m, n)
+    # a moved by pi^n still gives the classes of a
+    a, mu = R3.pi(), R3.pi(3)
+    for x in (a, a + R3.pi(3) * R3.from_int(5)):
+        coeffs = ep_poly_special(x, mu, 3)
+        assert all(_is_class(c, 3) for c in coeffs)
+        assert coeffs == ep_poly_special(a, mu, 3)
+
+
+def test_descriptor_holds_the_class_of_a(R3):
+    # a QuotElement of R/pi^n, its class and a non-canonical a + pi^n x
+    # give one descriptor; digit n - 1 of a tells descriptors apart
+    q = QuotElement(R3, 3, (0, 1, 1))
+    x = R3.from_digits([7, 100, 5, 0, 2, 1])
+    ds = [ModelDescriptor(R3, 3, 3, a, 1)
+          for a in (q, q.lift().mod_pi(3), q.lift() + R3.pi(3) * x)]
+    assert ds[0] == ds[1] == ds[2] and len(set(ds)) == 1
+    assert ds[0].a.prec == 3 and ds[0].a.pi_digit_expansion(3) == (0, 1, 1)
+    other = ModelDescriptor(R3, 3, 3, q.lift() + R3.pi(2), 1)
+    assert other != ds[0]
+    assert other.a.pi_digit_expansion(3) == (0, 1, 2)
+
+
+def test_descriptor_refuses_a_known_below_pi_n(R3):
+    with pytest.raises(PrecisionError):
+        ModelDescriptor(R3, 3, 3, R3.pi().with_prec(2), 1)
+    with pytest.raises(ValueError, match="R/pi"):
+        ModelDescriptor(R3, 3, 3, QuotElement(R3, 2, (0, 1)), 1)
+
+
+def test_descriptor_refuses_a_from_another_ring(R3):
+    # a from a ring of lower precision used to construct and fail later,
+    # inside build_extension, with "operands from different rings"
+    other = make_ring(3, 6)
+    for a in (QuotElement(other, 3, (0, 1, 1)), other.pi().mod_pi(3)):
+        with pytest.raises(ValueError, match="descriptor's ring"):
+            ModelDescriptor(R3, 3, 3, a, 1)
+
+
 # -- Phi ------------------------------------------------------------------------
 
 def test_phi_closed_equals_brute_all_cells(R3):
@@ -221,19 +273,19 @@ def test_phi_lam1_cell_is_k_eta(R3):
     assert len(els) == 3
     et = eta(R3)
     expect = sorted((et.scale(k).reduce_mod(3).digits, k) for k in range(3))
-    assert [(e.a.digits, e.j) for e in els] == expect
+    assert [(e.a.pi_digit_expansion(3), e.j) for e in els] == expect
 
 
 def test_phi_group_closure(R3):
     # Phi is a subgroup: closed under componentwise addition
     for (m, n) in [(3, 3), (3, 1), (2, 1)]:
         els = phi_closed(R3, m, n)
-        keys = {(e.a.digits, e.j) for e in els}
+        keys = {(e.a, e.j) for e in els}
         for e1 in els:
             for e2 in els:
-                s_a = e1.a + e2.a
+                s_a = (e1.a + e2.a).mod_pi(n)
                 s_j = (e1.j + e2.j) % 3
-                assert (s_a.digits, s_j) in keys
+                assert (s_a, s_j) in keys
 
 
 def test_ker_p2_formula(R3):
@@ -269,7 +321,7 @@ def test_phi_p5_cells():
 # -- extensions -----------------------------------------------------------------
 
 def test_canonical_model_congruence(R3):
-    a = eta(R3).reduce_mod(3)
+    a = eta(R3).mod_pi(3)
     assert phi_congruence(R3, 3, 3, a, 1)
     d = ModelDescriptor(R3, 3, 3, a, 1)
     E = build_extension(d)
@@ -451,14 +503,14 @@ def test_build_g_shares_the_smooth_group_law(p, M, v, n):
 
 
 @pytest.mark.parametrize("key,swapped,generator", [
-    ((3, 0, ""), (2, 0, ""), "S1"),
-    ((3, 3, "0.1.1"), (3, 2, "0.1"), "S2"),
+    ((3, 0, ()), (2, 0, ()), "S1"),
+    ((3, 3, (0, 1, 1)), (3, 2, (0, 1)), "S2"),
 ], ids=["S1", "S2"])
 def test_ambient_isogeny_kernel_containment_can_fail(models3, monkeypatch,
                                                      key, swapped, generator):
     # negative controls: the kernel of the isogeny of one model does not
     # contain the finite extension of another
-    by_key = {(d.m, d.n, d.a.digit_string()): d for d in models3}
+    by_key = {(d.m, d.n, d.a.pi_digit_expansion(d.n)): d for d in models3}
     other = build_extension(by_key[swapped])
     monkeypatch.setattr(models_module, "build_extension", lambda d: other)
     with pytest.raises(P2ModelsError,
@@ -598,7 +650,7 @@ def test_morphism_checks_product_counts(R3, models3, monkeypatch):
     # substitution nested in index order; the bounds are the counts
     # plus 5 %.
     d = models3[-1]
-    assert (d.m, d.n, d.a.digit_string()) == (3, 3, "0.1.1")
+    assert (d.m, d.n, d.a.pi_digit_expansion(d.n)) == (3, 3, (0, 1, 1))
     pres = build_extension(d)
     _, _, f = ambient_isogeny(d)
     count = _count_products(monkeypatch)
@@ -702,8 +754,7 @@ def test_rad_brute_12(R3):
     surv = rad_brute(R3, 1, 2)
     assert surv, "the trivial pair must survive"
     assert all(j == 0 for _, j in surv)
-    one_row = tuple(
-        [R3.one().reduce_mod(2)] + [R3.zero().reduce_mod(2)] * 2)
+    one_row = tuple([R3.one().mod_pi(2)] + [R3.zero().mod_pi(2)] * 2)
     assert any(row == one_row for row, _ in surv)
     assert len(surv) == rad_witt_count(R3, 1, 2)
 
