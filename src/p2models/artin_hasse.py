@@ -30,8 +30,8 @@ from operator import add
 
 from .dvr import RingElement, _is_prime, eq_mod
 from .errors import CertificationError
-from .poly import ExactBase, Poly, horner
-from .witt import QQBase, WittVector
+from .poly import ExactBase, Poly, QQBase, horner
+from .witt import WittVector
 
 _QQ = QQBase()
 

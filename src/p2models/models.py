@@ -382,9 +382,9 @@ class ModelDescriptor:
 
     @classmethod
     def from_json(cls, ring: RingDescriptor, obj) -> "ModelDescriptor":
-        """Parse outside input: p, M, m, n and j must be integers and
-        every digit of a an integer in [0, p); ValueError names the
-        first field that is not."""
+        """Parse outside input: p, M, m, n and j must be integers and a
+        n digits, each an integer in [0, p); ValueError names the first
+        field that is not."""
         for key in ("p", "M", "m", "n", "j"):
             if not _is_int(obj[key]):
                 raise ValueError(
@@ -399,7 +399,10 @@ class ModelDescriptor:
         if obj["M"] != ring.M:
             raise ValueError(
                 f"descriptor M = {obj['M']} does not match precision {ring.M}")
-        a = QuotElement(ring, obj["n"], tuple(digits))
+        if len(digits) != obj["n"]:
+            raise ValueError(f"field 'a_digits' must hold n = {obj['n']} "
+                             f"digits, got {len(digits)}")
+        a = ring.from_pi_digits(digits, obj["n"])
         return cls(ring, obj["m"], obj["n"], a, obj["j"])
 
 

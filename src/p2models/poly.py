@@ -3,7 +3,7 @@
 A base is a thin adapter exposing zero/one/is_zero/prune_zero/eq/
 coeff_json; the coefficients themselves are combined with +, - and *.
 ExactBase holds elements of R, each at its own pi-adic precision;
-witt.QQBase holds exact rationals.
+QQBase holds exact rationals (the Artin-Hasse series over Q).
 
 A polynomial over a quotient R/pi^t R is an ExactBase polynomial whose
 coefficients are at precision t: R/pi^t is R known mod pi^t, and every
@@ -30,6 +30,7 @@ a lower bound in any order, and can differ between orders.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import add, neg, sub
 
 from .dvr import RAW_PRODUCTS, RingDescriptor, RingElement
@@ -68,6 +69,27 @@ class ExactBase:
 
     def __repr__(self):
         return f"ExactBase(p={self.ring.p})"
+
+
+class QQBase:
+    """Exact rational coefficients."""
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def is_zero(self, a):
+        return a == 0
+
+    prune_zero = is_zero
+
+    def eq(self, a, b):
+        return a == b
+
+    def coeff_json(self, a):
+        return str(a)
 
 
 class Poly:

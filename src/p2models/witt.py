@@ -5,9 +5,9 @@ lifted canonically to R (characteristic zero), combined through the
 ghost components Phi_r(c) = c_0^{p^r} + p c_1^{p^(r-1)} + ... + p^r c_r,
 and the result coordinates are recovered by the inverse recursion whose
 divisions by p^r are exact precisely because the universal sum/product
-polynomials are integral.  This evaluates the same universal polynomials
-without expanding them; the symbolic expansions (sum_poly, frob_poly)
-are kept for the identity and isobaricity checks.
+polynomials are integral.  This evaluates the universal polynomials
+without expanding them; the tests check it against their closed forms
+in length 2.
 
 Over a quotient R/pi^t each coordinate is held as its canonical lift,
 a full-precision element of R whose pi-adic digits lie in {0..p-1} below
@@ -25,125 +25,10 @@ longest prefix computed so far on the vector, and later calls read it.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
                   RingElement)
-from .errors import CertificationError, P2ModelsError
-from .poly import Poly
+from .errors import P2ModelsError
 
-
-# ---------------------------------------------------------------------------
-# symbolic universal polynomials (exact rationals, certified integral)
-# ---------------------------------------------------------------------------
-
-class QQBase:
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def is_zero(self, a):
-        return a == 0
-
-    prune_zero = is_zero
-
-    def eq(self, a, b):
-        return a == b
-
-    def coeff_json(self, a):
-        return str(a)
-
-
-_QQ = QQBase()
-
-
-def _reindex(poly: Poly, mapping: dict, nvars: int) -> Poly:
-    out = {}
-    for m, c in poly.terms.items():
-        mm = [0] * nvars
-        for i, k in enumerate(m):
-            if k:
-                mm[mapping[i]] += k
-        out[tuple(mm)] = c
-    return Poly(poly.base, nvars, out)
-
-
-def ghost_poly(p: int, r: int, nvars: int, offset: int = 0) -> Poly:
-    """Phi_r in variables offset..offset+r of an nvars-variable ring."""
-    terms = {}
-    for i in range(r + 1):
-        m = [0] * nvars
-        m[offset + i] = p ** (r - i)
-        terms[tuple(m)] = Fraction(p ** i)
-    return Poly(_QQ, nvars, terms)
-
-
-def _ghost_inverse(p: int, r: int, ghost_r: Poly, lower: list, name: str
-                   ) -> Poly:
-    """X_r with Phi_r(X_0..X_r) = ghost_r, given X_0..X_{r-1} in the
-    variables of ghost_r: (ghost_r - sum_k p^k X_k^(p^(r-k))) / p^r.
-
-    The division is exact exactly when the universal polynomial is
-    integral; anything else raises CertificationError.
-    """
-    acc = ghost_r
-    for k, xk in enumerate(lower):
-        acc = acc - (xk ** (p ** (r - k))).scale(Fraction(p ** k))
-    out = acc.map_coeffs(lambda c: c / p ** r)
-    if any(c.denominator != 1 for c in out.terms.values()):
-        raise CertificationError(f"{name} polynomial not integral")
-    return out
-
-
-def _binary_universal(p: int, r: int, combine, lower_fn, name: str) -> Poly:
-    """X_r of the binary ghost operation `combine`: variables 0..r are
-    T, r+1..2r+1 are U; lower_fn(p, k) is X_k in its own layout."""
-    nv = 2 * (r + 1)
-    lower = [_reindex(lower_fn(p, k),
-                      {i: i if i <= k else i + r - k
-                       for i in range(2 * (k + 1))}, nv)
-             for k in range(r)]
-    return _ghost_inverse(
-        p, r, combine(ghost_poly(p, r, nv, 0), ghost_poly(p, r, nv, r + 1)),
-        lower, name)
-
-
-@lru_cache(maxsize=None)
-def sum_poly(p: int, r: int) -> Poly:
-    """S_r(T_0..T_r, U_0..U_r): variables 0..r are T, r+1..2r+1 are U."""
-    return _binary_universal(p, r, lambda a, b: a + b, sum_poly, "sum")
-
-
-@lru_cache(maxsize=None)
-def prod_poly(p: int, r: int) -> Poly:
-    """P_r(T_0..T_r, U_0..U_r) in the variable layout of sum_poly."""
-    return _binary_universal(p, r, lambda a, b: a * b, prod_poly, "product")
-
-
-@lru_cache(maxsize=None)
-def frob_poly(p: int, r: int) -> Poly:
-    """F_r(T_0..T_{r+1}) with Phi_r(F_0..F_r) = Phi_{r+1}(T_0..T_{r+1})."""
-    nv = r + 2
-    return _ghost_inverse(p, r, ghost_poly(p, r + 1, nv, 0),
-                          [frob_poly(p, k).embed(nv, 0) for k in range(r)],
-                          "Frobenius")
-
-
-def monomial_weight(p: int, monomial: tuple, r: int) -> int:
-    """Weight with T_i, U_i of weight p^i (variable layout of sum_poly)."""
-    w = 0
-    for i, k in enumerate(monomial):
-        idx = i if i <= r else i - (r + 1)
-        w += k * p ** idx
-    return w
-
-
-# ---------------------------------------------------------------------------
-# vectors
-# ---------------------------------------------------------------------------
 
 class WittVector:
     """Finite-support Witt vector over R (t=0) or over R/pi^t (t>0).

@@ -18,8 +18,8 @@ from p2models.artin_hasse import (
 )
 from p2models.dvr import make_ring
 from p2models.errors import CertificationError
-from p2models.poly import ExactBase, Poly, normal_form
-from p2models.witt import QQBase, WittVector, verschiebung
+from p2models.poly import ExactBase, Poly, QQBase, normal_form
+from p2models.witt import WittVector, verschiebung
 
 
 def poly_from_coeffs(var, coeffs):

@@ -5,12 +5,14 @@
   reductions of its descriptor do not loop over digits.
 * Every boundary the benchmark's tracer wraps exists in the package.
 * No module of the package or the tests imports a name it never reads.
-* Every function, class and method of the package is read somewhere.
+* Every function, class and method of the package is read somewhere,
+  and is reachable from an entry point along the names read in the
+  bodies of reachable definitions; a short list is kept on purpose.
 * Only `WittVector.__init__` and `witt.ghosts` write a vector's ghost
   memo `_ghosts`; the vector is otherwise immutable.
 * Outside `dvr.py` the package computes on classes of R/pi^t as ring
   elements: it names `QuotElement` only where a Witt vector takes and
-  shows its coordinates and where a descriptor takes and parses a.
+  shows its coordinates and where a descriptor takes a.
 * The slot layout of the packed kernel is read only by `dvr.py` and
   `poly.py`.
 """
@@ -148,6 +150,10 @@ def test_trace_boundaries_resolve():
     assert missing == []
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(path):
     """(line, name) of every function, class and method defined in the
     module, dunders excepted."""
@@ -155,15 +161,20 @@ def _definitions(path):
     return [(node.lineno, node.name) for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef))
-            and not (node.name.startswith("__") and node.name.endswith("__"))]
+            and not _is_dunder(node.name)]
 
 
 def _read_names(path):
     """Every name the module reads: loaded names and attributes, and the
     parts of dotted names written as strings (the tracer's boundaries)."""
-    tree = ast.parse(path.read_text(), filename=str(path))
+    return _reads(ast.parse(path.read_text(), filename=str(path)))
+
+
+def _reads(*roots):
+    """The names read anywhere under the given AST nodes, as _read_names
+    counts them."""
     out = set()
-    for node in ast.walk(tree):
+    for node in (node for root in roots for node in ast.walk(root)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
@@ -197,6 +208,139 @@ def test_unread_definition_is_found(tmp_path):
         "def unused():\n    return A().used()\n")
     readers = [tmp_path / "mod.py"]
     assert _unread_definitions(tmp_path, readers) == ["mod.py:9 unused"]
+
+
+def _nested_definitions(node):
+    """The definitions directly inside a function body, not inside one
+    another."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            yield child
+        else:
+            yield from _nested_definitions(child)
+
+
+def _name_graph(package):
+    """(defs, roots, reported) of the package's name graph.
+
+    defs maps a name to the names read where it is defined, one set per
+    definition of that name: the whole body of a function or of the value
+    of a module-level assignment; for a class its bases, decorators,
+    class-level statements and dunder methods (Python calls those), not
+    its other methods.  roots holds the names the package __init__ imports
+    and the names read by module-level statements that define nothing.
+    reported maps module:qualname to the name of every function, class
+    and method outside __init__, dunders excepted.
+    """
+    defs, roots, reported = {}, set(), {}
+
+    def define(path, node, scope):
+        qual = ".".join(scope + (node.name,))
+        if not _is_dunder(node.name):
+            reported[f"{path.name}:{qual}"] = node.name
+        if isinstance(node, ast.ClassDef):
+            body = [stmt for stmt in node.body
+                    if not isinstance(stmt, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+                    or _is_dunder(stmt.name)]
+            reads = _reads(*node.bases, *node.keywords,
+                           *node.decorator_list, *body)
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                    define(path, stmt, scope + (node.name,))
+        else:
+            reads = _reads(node)
+            for inner in _nested_definitions(node):
+                define(path, inner, scope + (node.name, "<locals>"))
+        defs.setdefault(node.name, []).append(reads)
+
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if path.name == "__init__.py":
+                if isinstance(stmt, ast.ImportFrom):
+                    roots.update(alias.asname or alias.name
+                                 for alias in stmt.names)
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                   ast.ClassDef)):
+                define(path, stmt, ())
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                           else [stmt.target])
+                for target in targets:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name):
+                            defs.setdefault(node.id, []).append(
+                                _reads(stmt.value) if stmt.value else set())
+            else:
+                roots |= _reads(stmt)
+    return defs, roots, reported
+
+
+def _unreachable_definitions(package, entry_names):
+    """module:qualname of every definition of the package that no entry
+    point reaches: the package's roots and entry_names, then every name
+    read where a reached name is defined."""
+    defs, roots, reported = _name_graph(package)
+    reached, todo = set(), list(roots | set(entry_names))
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for reads in defs.get(name, ()):
+                todo.extend(reads - reached)
+    return sorted(label for label, name in reported.items()
+                  if name not in reached)
+
+
+# Definitions no entry point reaches that are kept, one reason each.
+UNREACHED_ON_PURPOSE = {
+    "dvr.py:ring_element_from_json":
+        "inverse of RingElement.to_json; identifying a printed model by "
+        "its Hopf order (ROADMAP item 13) parses elements with it",
+    "dvr.py:RingDescriptor.zeta1":
+        "zeta_p, the first coordinate of the R-points of a model that "
+        "the generic-fiber check (ROADMAP item 12) evaluates",
+    "witt.py:witt_neg": "Witt group API: the negative of a vector",
+    "witt.py:witt_sub":
+        "Witt group API: the difference p[a] - j[mu] of the paper's "
+        "psi* characterization, checked in test_witt",
+}
+
+
+def test_every_definition_is_reachable_from_an_entry_point():
+    # entry points: the names __init__ imports (the package's roots), the
+    # console script cli.main, the selftest tables and every name the
+    # benchmark reads
+    bench = _reads(*(ast.parse(path.read_text(), filename=str(path))
+                     for path in sorted((ROOT / "perfbench").glob("*.py"))))
+    entries = {"main", "CRITERIA", "CRITERIA_P5"} | bench
+    found = _unreachable_definitions(SRC / "p2models", entries)
+    assert [label for label in found
+            if label not in UNREACHED_ON_PURPOSE] == []
+    # an entry that became reachable, or went away, leaves the list
+    assert sorted(UNREACHED_ON_PURPOSE) == [
+        label for label in found if label in UNREACHED_ON_PURPOSE]
+
+
+def test_unreachable_island_is_found(tmp_path):
+    # negative control: two mutually recursive functions read each other
+    # (and a test could read both), yet no entry point reaches them; a
+    # method reached only through its class's dunder is reached
+    (tmp_path / "__init__.py").write_text("from .mod import api\n")
+    (tmp_path / "mod.py").write_text(
+        "def api():\n    return Box().value\n\n\n"
+        "class Box:\n    def __init__(self):\n"
+        "        self.value = self.fill()\n\n"
+        "    def fill(self):\n        return 1\n\n"
+        "    def spare(self):\n        return even(2)\n\n\n"
+        "def even(n):\n    return n == 0 or odd(n - 1)\n\n\n"
+        "def odd(n):\n    return n != 0 and even(n - 1)\n")
+    assert _unreachable_definitions(tmp_path, ()) == [
+        "mod.py:Box.spare", "mod.py:even", "mod.py:odd"]
+    assert _unreachable_definitions(tmp_path, {"spare"}) == []
 
 
 def _writes_ghost_memo(node):
@@ -261,12 +405,10 @@ def test_witt_names_quot_element_only_at_its_edge():
     # dvr.py defines QuotElement.  A Witt vector's constructor converts
     # QuotElements to canonical lifts in R and coord shows them as
     # QuotElements; a descriptor's constructor converts its a to a class
-    # mod pi^n and from_json parses a into one.  Nothing else in the
-    # package branches on or builds one.
+    # mod pi^n.  Nothing else in the package branches on or builds one.
     scopes = _scopes_where(SRC / "p2models", _names({"QuotElement"}))
     assert [s for s in scopes if not s.startswith("dvr.py:")] == [
         "models.py:ModelDescriptor.__post_init__",
-        "models.py:ModelDescriptor.from_json",
         "witt.py:WittVector.__init__", "witt.py:WittVector.coord"]
 
 

@@ -46,9 +46,9 @@ from p2models.dvr import (
 from p2models.errors import PrecisionError, ValuationError
 from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
                            coeff_mod_pi)
-from p2models.poly import (ExactBase, Poly, TriangularRules, horner,
+from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules, horner,
                            normal_form)
-from p2models.witt import (QQBase, WittVector, _recover, ghost, ghosts,
+from p2models.witt import (WittVector, _recover, ghost, ghosts,
                            is_frobenius_kernel, witt_add)
 
 PRIMES = (3, 5, 7)

@@ -1,27 +1,19 @@
 """Tests for the Witt-vector layer."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from p2models.dvr import make_ring
-from p2models.errors import CertificationError
-from p2models.poly import Poly
 from p2models.witt import (
     WittVector,
     _extra_length,
-    frob_poly,
     frobenius_w,
     ghost,
-    ghost_poly,
     is_frobenius_kernel,
-    monomial_weight,
     mult_by_p,
-    prod_poly,
     psi_star_image,
     scalar_teich,
-    sum_poly,
     verschiebung,
     witt_add,
     witt_int_multiple,
@@ -44,59 +36,54 @@ def rand_vec(ring, rng, length, small=False):
     return WittVector.integral(ring, coords)
 
 
-# -- universal polynomials ---------------------------------------------------
+# -- closed forms in length 2 -------------------------------------------------
 
-@pytest.mark.parametrize("p,r", [(3, 0), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2)])
-def test_sum_poly_ghost_identity(p, r):
-    # Phi_r(S_0..S_r) == Phi_r(T) + Phi_r(U) and
-    # Phi_r(P_0..P_r) == Phi_r(T) * Phi_r(U), checked symbolically
-    from p2models.witt import _reindex
-    nv = 2 * (r + 1)
-    T, U = ghost_poly(p, r, nv, 0), ghost_poly(p, r, nv, r + 1)
-    for universal, rhs in ((sum_poly, T + U), (prod_poly, T * U)):
-        acc = None
-        for i in range(r + 1):
-            mapping = {j: j for j in range(i + 1)}
-            mapping.update({i + 1 + j: r + 1 + j for j in range(i + 1)})
-            si = _reindex(universal(p, i), mapping, nv)
-            term = (si ** (p ** (r - i))).scale(Fraction(p ** i))
-            acc = term if acc is None else acc + term
-        assert acc.eq(rhs), universal.__name__
-
-
-@pytest.mark.parametrize("p,r", [(3, 1), (3, 2), (3, 3), (5, 2)])
-def test_sum_poly_isobaric(p, r):
-    s = sum_poly(p, r)
-    for m in s.terms:
-        assert monomial_weight(p, m, r) == p ** r
+def _closed_forms(T, U):
+    """(vector, its coordinates in closed form): the sum, product and
+    Frobenius of T = (t0, t1) and U = (u0, u1) over R from the first
+    universal polynomials,
+      S_1 = t1 + u1 + (t0^p + u0^p - (t0 + u0)^p)/p,
+      P_1 = t0^p u1 + u0^p t1 + p t1 u1,
+      F_1 = t1^p + (t0^(p^2) - F_0^p)/p,  F_0 = t0^p + p t1."""
+    p = T.ring.p
+    (t0, t1), (u0, u1) = T.lift_coords(2), U.lift_coords(2)
+    f0 = t0 ** p + t1.scale(p)
+    return [
+        (witt_add(T, U),
+         [t0 + u0,
+          t1 + u1 + (t0 ** p + u0 ** p - (t0 + u0) ** p).divide_p_power(1)]),
+        (witt_mul(T, U),
+         [t0 * u0, t0 ** p * u1 + u0 ** p * t1 + (t1 * u1).scale(p)]),
+        (frobenius_w(T),
+         [f0, t1 ** p + (t0 ** (p * p) - f0 ** p).divide_p_power(1)]),
+    ]
 
 
-@pytest.mark.parametrize("p,r", [(3, 0), (3, 1), (3, 2), (5, 1)])
-def test_frob_poly_ghost_identity(p, r):
-    f = [frob_poly(p, k).embed(r + 2, 0) for k in range(r + 1)]
-    acc = None
-    for i in range(r + 1):
-        term = (f[i] ** (p ** (r - i))).scale(Fraction(p ** i))
-        acc = term if acc is None else acc + term
-    rhs = ghost_poly(p, r + 1, r + 2, 0)
-    assert acc.eq(rhs)
+def _agrees(w, closed, floor):
+    """w has the coordinates `closed` and no more, each difference decided
+    at precision floor or above."""
+    diffs = [w.coord(i) - c for i, c in enumerate(closed)]
+    assert all(d.prec >= floor for d in diffs), "below the precision floor"
+    return len(w) <= len(closed) and all(d.is_zero() for d in diffs)
 
 
-def test_prod_poly_integral():
-    prod_poly(3, 2)  # integrality asserted internally
-
-
-def test_ghost_inverse_rejects_non_integral():
-    # Phi_1 = X_0^3 + 3 X_1 gives back X_1; the ghost X_0^3 + X_1 would
-    # give X_1 / 3, which is not integral
-    from p2models.witt import _ghost_inverse
-    g = ghost_poly(3, 1, 2, 0)
-    x0 = Poly(g.base, 2, {(1, 0): Fraction(1)})
-    x1 = Poly(g.base, 2, {(0, 1): Fraction(1)})
-    assert _ghost_inverse(3, 1, g, [x0], "ghost").eq(x1)
-    bad = Poly(g.base, 2, {(3, 0): Fraction(1), (0, 1): Fraction(1)})
-    with pytest.raises(CertificationError, match="not integral"):
-        _ghost_inverse(3, 1, bad, [x0], "ghost")
+@pytest.mark.parametrize("p,M", [(3, 12), (5, 8), (7, 4)])
+def test_ghost_recursion_matches_length_two_closed_forms(p, M):
+    # one division by p costs e digits, so every comparison is decided at
+    # precision full_prec - e or above; a result with one coordinate moved
+    # by pi^k just under that floor is rejected
+    ring = make_ring(p, M)
+    floor = ring.full_prec - ring.e
+    rng = random.Random(p)
+    for _ in range(4):
+        T, U = rand_vec(ring, rng, 2), rand_vec(ring, rng, 2)
+        for w, closed in _closed_forms(T, U):
+            assert _agrees(w, closed, floor)
+            for i in range(2):
+                moved = w.lift_coords(2)
+                moved[i] = moved[i] + ring.pi(floor - 1)
+                assert not _agrees(WittVector.integral(ring, moved), closed,
+                                   floor)
 
 
 # -- ghost map ----------------------------------------------------------------
