@@ -16,10 +16,11 @@ digit index i, both read from the slot residues mod p^(k+1).
 
 An element is resident as one packed integer P = sum_i c_i 2^(W i): digit
 c_i in [0, p^M) sits in slot i of W bits.  Ring operations act on P as a
-whole, SIMD within a register: a slot-wise Barrett reduction and a SWAR
-conditional subtract keep every slot canonical, and the product is
+whole, SIMD within a register: a slot-wise Barrett reduction, read off
+each slot shifted right by bits(p^M) - 2 so that W stays narrow, and a
+SWAR conditional subtract keep every slot canonical, and the product is
 reduced by E with a polynomial Barrett step; no operation loops over the
-digits.  The same slot-wise Barrett step with the modulus p^r gives every
+digits.  A slot-wise Barrett step with the modulus p^r gives every
 digit's residue mod p^r at once, which decides p^r-divisibility,
 valuations and residue digits.
 """
@@ -100,25 +101,32 @@ class RingDescriptor:
         A slot-wise Barrett reduction takes slots below 2^B, where
         B = bits(2e(p^M-1)^2) + HEADROOM_BITS.  A raw product adds less
         than e(p^M-1)^2 to a slot, so 2^B holds RAW_PRODUCTS of them and
-        as much again for what the reduction by E adds.  With the
-        multiplier m = floor(2^B/p^M), a slot X < 2^B gives
-        X*m < 2^(2B)/p^M <= 2^W, so W = 2B - bits(p^M) + 1 keeps every
-        slot's X*m inside its own slot.
+        as much again for what the reduction by E adds.  The Barrett step
+        reads a slot X pre-shifted by s = h - 2, h = bits(p^M): with
+        m = floor(2^(B+1)/p^M), Y = X >> s < 2^(B-s) gives
+        Y*m < 2^(2B-s+1)/p^M < 2^(2B-2h+4), so W = 2B - 2h + 4 keeps every
+        slot's Y*m inside its own slot.
         """
         pM, e = self.pM, self.e
+        h = pM.bit_length()
         B = (2 * e * (pM - 1) ** 2).bit_length() + HEADROOM_BITS
-        W = 2 * B - pM.bit_length() + 1
+        W = 2 * B - 2 * h + 4
         self.W, self._B = W, B
         self._slot_mask = (1 << W) - 1
         self._low_bits = W * e
         self._low_mask = (1 << self._low_bits) - 1
         self._ones = ones = self._pack([1] * e)
         self._pM_slots = pM * ones
-        self._barrett = (1 << B) // pM
-        self._q_mask = ((1 << (W - B)) - 1) * ones
+        # pre-shifted Barrett: the top B - s bits of each slot, times m,
+        # shifted down by B + 1 - s; the quotient has B - s - 1 bits
+        self._pre_shift = s = h - 2
+        self._pre_mask = ((1 << (B - s)) - 1) * ones
+        self._barrett = (1 << (B + 1)) // pM
+        self._q_shift = B + 1 - s
+        self._q_mask = ((1 << (B - s - 1)) - 1) * ones
         # SWAR compare: slot + 2^H - p^M has bit H set iff slot >= p^M
-        self._ge_bit = pM.bit_length()
-        self._ge_bias = ((1 << self._ge_bit) - pM) * ones
+        self._ge_bit = h
+        self._ge_bias = ((1 << h) - pM) * ones
         # polynomial Barrett by the monic E: mu = floor(x^(2e-2) / E)
         num = [0] * (2 * e - 2) + [1]
         mu = [0] * (e - 1)
@@ -132,8 +140,8 @@ class RingDescriptor:
         # slot residues mod p^r, r = 0..M, for canonical slots (below
         # p^M): with K = W - bits(p^M) and m_r = floor(2^K/p^r), a slot X
         # gives X*m_r < 2^W, so one Barrett step stays inside the slot
-        self._mod_K = K = W - pM.bit_length()
-        self._mod_q_mask = ((1 << pM.bit_length()) - 1) * ones
+        self._mod_K = K = W - h
+        self._mod_q_mask = ((1 << h) - 1) * ones
         self._mod_consts = tuple(
             ((1 << K) // d, d, d.bit_length(),
              ((1 << d.bit_length()) - d) * ones)
@@ -154,19 +162,24 @@ class RingDescriptor:
     def _canon(self, x: int) -> int:
         """Every slot of x (e slots, each below 2^B) reduced mod p^M.
 
-        Barrett: q = floor(X m / 2^B) is floor(X / p^M) or one less, for
-        all slots in one product, shift and mask; then one SWAR
-        conditional subtract of p^M.
+        Barrett on the pre-shifted slot: with Y = X >> s (its B - s
+        bits), q = floor(Y m / 2^(B+1-s)) is floor(X / p^M) or one less,
+        as the error is below 2^s/p^M + 1/2 < 1; q has B - s - 1 bits,
+        and its mask keeps out the next slot's Y m, which the shift brings
+        in from bit B - s - 1 up.  That is one shift, mask, product, shift
+        and mask for all slots; then one SWAR conditional subtract of p^M.
         """
         pM = self.pM
-        x -= (((x * self._barrett) >> self._B) & self._q_mask) * pM
+        x -= ((((x >> self._pre_shift) & self._pre_mask) * self._barrett
+               >> self._q_shift) & self._q_mask) * pM
         return x - (((x + self._ge_bias) >> self._ge_bit) & self._ones) * pM
 
     def _slots_mod(self, x: int, r: int) -> int:
         """Every slot of a canonical packed x reduced mod p^r, 0 <= r <= M.
 
-        The Barrett step of _canon with the modulus p^r and the shift K:
-        q is floor(X / p^r) or one less, as X < 2^K; then one SWAR
+        A Barrett step with the modulus p^r and the shift K, on the slot
+        itself (it is below p^M, so not pre-shifted as in _canon): q is
+        floor(X / p^r) or one less, as X < 2^K; then one SWAR
         conditional subtract of p^r.
         """
         m, d, bit, bias = self._mod_consts[r]
@@ -180,16 +193,17 @@ class RingDescriptor:
         Polynomial Barrett by E: the high slots C_h give the quotient
         Q = floor(C_h mu / x^(e-2)), exact since deg C_h <= e-2, and the
         remainder is the low slots plus Q*(-E_low), cut to e slots.  C_h
-        and Q are first brought below 2 p^M slot-wise (a Barrett step
-        without the final subtract), which leaves the result unchanged
-        mod p^M.
+        and Q are first brought below 2 p^M slot-wise (the pre-shifted
+        Barrett step of _canon without the final subtract), which leaves
+        the result unchanged mod p^M.
         """
         high = x >> self._low_bits
         if high:
-            m, B, qm, pM = self._barrett, self._B, self._q_mask, self.pM
-            high -= (((high * m) >> B) & qm) * pM
+            s, pm, m = self._pre_shift, self._pre_mask, self._barrett
+            qs, qm, pM = self._q_shift, self._q_mask, self.pM
+            high -= ((((high >> s) & pm) * m >> qs) & qm) * pM
             q = (high * self._mu) >> self._mu_shift
-            q -= (((q * m) >> B) & qm) * pM
+            q -= ((((q >> s) & pm) * m >> qs) & qm) * pM
             x = (x & self._low_mask) + ((q * self._neg_e) & self._low_mask)
         return self._canon(x)
 
@@ -432,10 +446,16 @@ class RingElement:
             base = base * base
 
     def invert_unit(self) -> "RingElement":
-        """Inverse of a unit, by Newton iteration in the finite quotient."""
+        """Inverse of a unit, by Newton iteration in the finite quotient.
+
+        An exact one (P = 1) is its own inverse at its own precision,
+        which is what Newton returns for it, and is returned as it is.
+        """
         r = self.ring
         if self.valuation() != 0:
             raise ValuationError("not a unit (valuation != 0)")
+        if self.P == 1:
+            return self
         w = RingElement(r, pow((self.P & r._slot_mask) % r.p, -1, r.p),
                         self.prec)
         two = RingElement(r, 2, self.prec)

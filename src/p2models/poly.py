@@ -257,16 +257,17 @@ def _packed_product(ta: dict, tb: dict) -> dict:
 
     The raw products of the resident integers of each output monomial are
     summed and reduced once; its precision is the least operand precision
-    over its pairs.  For each term of ta at most one term of tb completes
-    a given monomial, so every RAW_PRODUCTS - 1 terms of ta the sums are
-    reduced early (a reduced sum counts as one product): no sum holds more
-    than RAW_PRODUCTS products.  A sum that reduces to a structural zero
-    is dropped.  Keys come in first-occurrence order, as in the generic
-    loop.
+    over its pairs.  Each sum counts its products, as in
+    TriangularRules.reduce: a sum about to take its (RAW_PRODUCTS + 1)-th
+    product is first reduced, and counts as one product, so no sum holds
+    more than RAW_PRODUCTS products and only a full sum is reduced early.
+    A sum that reduces to a structural zero is dropped.  Keys come in
+    first-occurrence order, as in the generic loop.
     """
     if not ta or not tb:
         return {}
     ring = next(iter(ta.values())).ring
+    reduce = ring._reduce_raw
 
     def resident(c):
         if c.ring is not ring:
@@ -274,25 +275,26 @@ def _packed_product(ta: dict, tb: dict) -> dict:
         return c.P
 
     pb = [(m, resident(c), c.prec) for m, c in tb.items()]
+    # monomial -> [raw sum, precision, number of products in the sum]
     acc = {}
-    for row, (m1, c1) in enumerate(ta.items(), 1):
+    for m1, c1 in ta.items():
         x1, p1 = resident(c1), c1.prec
         for m2, x2, p2 in pb:
             m = tuple(map(add, m1, m2))
             prec = p1 if p1 < p2 else p2
             s = acc.get(m)
             if s is None:
-                acc[m] = [x1 * x2, prec]
-            else:
-                s[0] += x1 * x2
-                if prec < s[1]:
-                    s[1] = prec
-        if row % (RAW_PRODUCTS - 1) == 0:
-            for s in acc.values():
-                s[0] = ring._reduce_raw(s[0])
+                acc[m] = [x1 * x2, prec, 1]
+                continue
+            if s[2] == RAW_PRODUCTS:
+                s[0], s[2] = reduce(s[0]), 1
+            s[0] += x1 * x2
+            s[2] += 1
+            if prec < s[1]:
+                s[1] = prec
     out = {}
-    for m, (x, prec) in acc.items():
-        x = ring._reduce_raw(x)
+    for m, (x, prec, _) in acc.items():
+        x = reduce(x)
         if x:
             out[m] = RingElement(ring, x, prec)
     return out

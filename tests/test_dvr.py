@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from p2models.dvr import (
     IndeterminateAtPrecision,
     QuotElement,
+    RingElement,
     cyclotomic_eisenstein,
     enumerate_quotient,
     eq_mod,
@@ -130,6 +131,33 @@ def test_invert_unit(R3):
     assert (z.invert_unit() - z ** 8).is_zero()
     with pytest.raises(ValuationError):
         R3.pi().invert_unit()
+
+
+@pytest.mark.parametrize("prec", [1, 2, 7, 24, 48])
+def test_invert_exact_one_skips_newton(R3, prec, monkeypatch):
+    # An exact one comes back with its own P and precision and no
+    # product, as Newton would return it; every other unit, one that is
+    # 1 mod pi included, still goes through Newton.
+    products = []
+    mul = RingElement.__mul__
+
+    def counting(x, y):
+        products.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(RingElement, "__mul__", counting)
+    one = R3.one().with_prec(prec)
+    inv = one.invert_unit()
+    assert (inv.P, inv.prec) == (1, prec) and not products
+    for u in (R3.from_int(4), R3.from_int(-1), R3.one() + R3.pi(prec - 1),
+              R3.zeta2):
+        u = u.with_prec(prec)
+        products.clear()
+        inv = u.invert_unit()
+        assert products and inv.prec == prec
+        assert eq_mod(u * inv, R3.one(), prec)
+    with pytest.raises(ValuationError):
+        R3.one().with_prec(0).invert_unit()
 
 
 def test_eta_p3(R3):

@@ -414,7 +414,8 @@ def test_witt_names_quot_element_only_at_its_edge():
 
 # the private slot layout of RingDescriptor's packed kernel
 SLOT_LAYOUT = {"_slot_mask", "_slots_mod", "_pack", "_unpack", "_canon",
-               "_reduce_raw", "_negate"}
+               "_reduce_raw", "_negate", "_pre_shift", "_pre_mask",
+               "_barrett", "_q_shift", "_q_mask"}
 
 
 def test_slot_layout_is_read_only_by_the_kernel_modules():

@@ -2,7 +2,8 @@
 
 * The resident packed `RingElement` (`+`, `-`, neg, `scale`) against
   digit-wise arithmetic mod p^M, and its slot-wise Barrett reduction at
-  the top of its input range.
+  the top of its input range, on every slot value at (3, 2), and with a
+  quotient mask one bit too wide (a negative control).
 * The Kronecker-packed `RingElement.__mul__` and its polynomial Barrett
   reduction by E against the schoolbook product and row reduction.
 * The packed `Poly` product over ExactBase against the term-by-term
@@ -214,13 +215,10 @@ def test_resident_linear_ops_all_digits_maximal(p, M):
             check_linear_ops(x, y, n)
 
 
-@pytest.mark.parametrize("p", PRIMES)
-@pytest.mark.parametrize("M", PRECISIONS)
-def test_slot_reduction_at_the_top_of_its_range(p, M):
-    # The slot-wise Barrett step takes slots below 2^B: the top of that
-    # range, and the multiples of p^M and their predecessors just below
-    # it, where a quotient estimate off by one shows.
-    R = ring(p, M)
+def check_slot_reduction_at_the_top(R):
+    """_canon and _reduce_raw at the top of the Barrett range, 2^B: the
+    top itself, and the multiples of p^M and their predecessors just
+    below it, where a quotient estimate off by one shows."""
     top = 2 ** R._B - 1
     k = top // R.pM
     values = [top, top - 1, k * R.pM, k * R.pM - 1, (k - 1) * R.pM,
@@ -232,6 +230,44 @@ def test_slot_reduction_at_the_top_of_its_range(p, M):
         x = R._pack(slots)
         assert R._unpack(R._canon(x), R.e + 1) == want + (0,)
         assert R._unpack(R._reduce_raw(x), R.e + 1) == want + (0,)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("M", PRECISIONS)
+def test_slot_reduction_at_the_top_of_its_range(p, M):
+    check_slot_reduction_at_the_top(ring(p, M))
+
+
+@pytest.mark.parametrize("p, M", [(3, 8), (3, 12), (7, 2)])
+def test_wider_quotient_mask_is_found(p, M, monkeypatch):
+    # Negative control: a quotient mask of B - s bits, one too wide,
+    # takes in bit 0 of the next slot's Y*m.  That bit is set for odd
+    # Y and odd m = floor(2^(B+1)/p^M), as at these (p, M), and the
+    # slot check above must then fail.
+    R = make_ring(p, M)
+    assert R._barrett & 1
+    monkeypatch.setattr(R, "_q_mask",
+                        ((1 << (R._B - R._pre_shift)) - 1) * R._ones)
+    with pytest.raises(AssertionError):
+        check_slot_reduction_at_the_top(R)
+
+
+def test_slot_reduction_of_every_slot_value():
+    # every X in [0, 2^B) at (3, 2), e consecutive values a packed
+    # integer, so each slot also sees every value of its neighbour
+    R = ring(3, 2)
+    top = 2 ** R._B
+    for lo in range(0, top, R.e):
+        slots = [min(v, top - 1) for v in range(lo, lo + R.e)]
+        want = tuple(v % R.pM for v in slots)
+        assert R._unpack(R._canon(R._pack(slots)), R.e + 1) == want + (0,)
+
+
+@pytest.mark.parametrize("p, M, W", [(3, 12, 64), (5, 8, 68)])
+def test_slot_width(p, M, W):
+    # W = 2B - 2 bits(p^M) + 4 with the pre-shifted Barrett step
+    R = ring(p, M)
+    assert R.W == W == 2 * R._B - 2 * R.pM.bit_length() + 4
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +489,10 @@ def test_fold_holds_the_widest_slot_sums(p, M):
 
 def test_packed_poly_product_reduces_sums_early(monkeypatch):
     # (sum_{i<n} top x^i)^2, n = 2 RAW_PRODUCTS: x^(n-1) collects n
-    # products, more than two early reductions apart.  Each sum the
-    # kernel reduces holds at most RAW_PRODUCTS - 1 raw products plus one
-    # reduced sum, which slot e-1 of an all-(p^M-1) sum shows: each raw
-    # product adds e (p^M-1)^2 there, a reduced sum less than p^M.
+    # products.  A sum is reduced early when it already holds
+    # RAW_PRODUCTS products, so the widest sum the kernel reduces holds
+    # exactly RAW_PRODUCTS raw products, which slot e-1 of an
+    # all-(p^M-1) sum shows: each raw product adds e (p^M-1)^2 there.
     R, n = ring(3, 2), 2 * RAW_PRODUCTS
     top = R.from_digits([R.pM - 1] * R.e)
     a = Poly(ExactBase(R), 1, {(i,): top for i in range(n)})
@@ -474,7 +510,29 @@ def test_packed_poly_product_reduces_sums_early(monkeypatch):
              R.full_prec) for k in range(2 * n - 1)]
     assert got == [t for t in want if any(t[1])]
     one = R.e * (R.pM - 1) ** 2
-    assert (RAW_PRODUCTS - 1) * one <= max(widest) < RAW_PRODUCTS * one
+    assert max(widest) == RAW_PRODUCTS * one
+
+
+def test_packed_product_reduces_only_full_sums(monkeypatch):
+    # a 300-term by 3-term product: no monomial collects more than 3
+    # products, so each of the 302 sums is reduced once, at the end
+    R = ring(3, 2)
+    base = ExactBase(R)
+    c = R.from_digits(range(1, R.e + 1))
+    a = Poly(base, 1, {(i,): c for i in range(300)})
+    b = Poly(base, 1, {(i,): c for i in range(3)})
+    calls, reduce_raw = [], R._reduce_raw
+
+    def spy(x):
+        calls.append(1)
+        return reduce_raw(x)
+
+    monkeypatch.setattr(R, "_reduce_raw", spy)
+    got = a * b
+    monkeypatch.undo()
+    assert len(got.terms) == 302
+    assert len(calls) == 302
+    assert terms_of(got) == termwise_poly_mul(a, b)
 
 
 # Operands whose product, times all digits p^M-1, fills a slot of the
