@@ -14,10 +14,12 @@ a full-precision element of R whose pi-adic digits lie in {0..p-1} below
 pi^t and vanish from pi^t on, so the Witt layer computes on RingElements
 alone; `WittVector.coord` returns the class as a QuotElement.
 
-Over a quotient R/pi^t with nilpotent coordinates, a sum of vectors of
-support <= K has coordinates of weight p^r and hence of valuation at
-least p^(r-K+1), so indices beyond K + log_p(t) vanish; `_settle`
-computes one extra coordinate and fails loudly if it does not vanish.
+Over R/pi^t coordinate r of a sum, Frobenius or p-multiple of vectors of
+support <= K is isobaric of weight p^r (p^(r+1) for F) in coordinates of
+weight p^i, i < K; a product is so in each operand.  Nilpotent operands
+(one for a product) give it valuation >= p^(r-K+1): zero mod pi^t from
+r = K - 1 + k on, k least >= 0 with p^k >= t.  Each operation works at
+length K + max(1, k); `_settle` checks that the last, spare one vanishes.
 
 Each vector computes its ghost components once: `ghosts` keeps the
 longest prefix computed so far on the vector, and later calls read it.
@@ -55,7 +57,7 @@ class WittVector:
                 coords[i] = c.lift()
             else:
                 raise ValueError(f"coordinate in R/pi^{c.t} for R/pi^{t}")
-        while coords and coords[-1].is_zero():
+        while coords and (coords[-1].P == 0 if t else coords[-1].is_zero()):
             coords.pop()
         self.coords = tuple(coords)
         self._ghosts = ()
@@ -94,7 +96,7 @@ class WittVector:
         if self.ring is not other.ring or self.t != other.t:
             return False
         n = max(len(self), len(other))
-        return all((a - b).is_zero() for a, b
+        return all(a.P == b.P if self.t else (a - b).is_zero() for a, b
                    in zip(self.lift_coords(n), other.lift_coords(n)))
 
     def __hash__(self):
@@ -177,19 +179,17 @@ def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
 
 
 def _extra_length(p: int, t: int) -> int:
-    """Indices needed beyond the support for coordinates to vanish mod pi^t."""
-    if t <= 1:
-        return 1
-    k = 1  # the least k >= 1 with p^k >= t, in integers
+    """max(1, k) for the least k >= 0 with p^k >= t, in integers: the
+    indices past the support that the weight bound asks over R/pi^t."""
+    k = 0
     while p ** k < t:
         k += 1
-    return k + 1
+    return max(1, k)
 
 
 def _settle(ring, t, coords):
-    """The vector of coords over R/pi^t (over R when t = 0).  Over a
-    quotient the last coordinate is the spare one of the working length;
-    it must vanish mod pi^t and so be dropped."""
+    """The vector of coords over R/pi^t (over R when t = 0); over a
+    quotient the spare last coordinate must vanish and be dropped."""
     w = WittVector(ring, t, coords)
     if t and len(w) == len(coords):
         raise P2ModelsError(

@@ -1196,11 +1196,12 @@ def test_ghosts_returns_a_copy_of_the_stored_prefix():
 def test_kernel_sweep_product_count(monkeypatch):
     # The t = 2 kernel sweep of selftest criterion 7: 81 Witt sums over
     # the 9 kernel vectors, whose ghosts is_frobenius_kernel already
-    # computed.  816 RingElement products read the stored ghosts; 1,872
-    # recompute both operands' ghosts in every sum.  Every division by
-    # p^r in the recovery is decided from the slot residues mod p^r, so
-    # none falls back to the valuation scan of _check_divisible (314
-    # calls when every division scanned).
+    # computed.  At the working length K + 1 of t = 2 (one spare
+    # coordinate), 416 RingElement products read the stored ghosts;
+    # 1,008 recompute both operands' ghosts in every sum, and 816 work
+    # at K + 2.  Every division by p^r in the recovery is decided from
+    # the slot residues mod p^r, so none falls back to the valuation
+    # scan of _check_divisible (233 calls when every division scanned).
     R = ring(3, 12)
     pool = list(enumerate_quotient(R, 2))
     kernel = [w for w in (WittVector(R, 2, coords)
@@ -1223,4 +1224,4 @@ def test_kernel_sweep_product_count(monkeypatch):
     for u in kernel:
         for v in kernel:
             witt_add(u, v)
-    assert count == {"products": 816, "scans": 0}
+    assert count == {"products": 416, "scans": 0}

@@ -220,9 +220,10 @@ def test_componentwise_sum_on_frobenius_kernel_exhaustive(R3, monkeypatch):
                                   [u.coord(i) + v.coord(i)
                                    for i in range(max(len(u), len(v)))])
                 assert s == comp
-    # 197,545 ring products today, about 5 % under the bound.  Powering
-    # each ghost and recovery term from scratch again (420,563) fails.
-    assert calls <= 210_000
+    # 40,797 ring products today, about 5 % under the bound (80,137 at
+    # the working length with two spare coordinates).  Powering each
+    # ghost term from scratch again (146,945) fails.
+    assert calls <= 43_000
 
 
 def test_mult_by_p_teichmuller(R3):
@@ -316,10 +317,10 @@ def test_psi_star_solve_characterization(R3):
 
 
 def test_extra_length_is_an_integer_ceiling_log():
-    # 1 for t <= 1, else k + 1 for the least k >= 1 with p^k >= t; a
-    # float log overshoots at exact prime powers such as log(125, 5)
+    # max(1, k) for the least k >= 0 with p^k >= t; a float log
+    # overshoots at exact prime powers such as log(125, 5)
     def least_k(p, t):
-        k = 1
+        k = 0
         while p ** k < t:
             k += 1
         return k
@@ -327,9 +328,137 @@ def test_extra_length_is_an_integer_ceiling_log():
     cases = [(p, t) for p in (3, 5, 7) for t in range(p ** 4 + 1)]
     cases += [(5, 5 ** 3), (5, 5 ** 6), (7, 7 ** 5)]
     for p, t in cases:
-        assert _extra_length(p, t) == (1 if t <= 1 else least_k(p, t) + 1)
+        assert _extra_length(p, t) == max(1, least_k(p, t))
     assert [_extra_length(5, 5 ** 3), _extra_length(5, 5 ** 6),
-            _extra_length(7, 7 ** 5)] == [4, 7, 6]
+            _extra_length(7, 7 ** 5)] == [3, 6, 5]
+
+
+# -- the working length from the weight bound ---------------------------------
+
+def _spare_two_length(p, t):
+    """The extra length before the weight bound set it: k + 1 for the
+    least k >= 1 with p^k >= t (1 for t <= 1), one index more than
+    `_extra_length` for 2 <= t.  The oracle of the agreement tests."""
+    if t <= 1:
+        return 1
+    k = 1
+    while p ** k < t:
+        k += 1
+    return k + 1
+
+
+def _nilpotent_digits(rng, p, t, support):
+    """pi-adic digits of `support` coordinates of valuation >= 1 mod pi^t."""
+    return [[0] + [rng.randrange(p) for _ in range(t - 1)]
+            for _ in range(support)]
+
+
+def _vec(ring, t, digits):
+    return WittVector(ring, t, [ring.from_pi_digits(d) for d in digits])
+
+
+def _op_cases(seed):
+    """(p, name, t, digits of u, digits of v): seeded random nilpotent
+    operands of support 1..3 over R/pi^t, t <= 3p, for each operation."""
+    rng = random.Random(seed)
+    for p, count in ((3, 40), (5, 15), (7, 5)):
+        for name in ("add", "mul", "frobenius", "mult_by_p"):
+            for _ in range(count):
+                t = rng.randrange(1, 3 * p + 1)
+                yield (p, name, t,
+                       _nilpotent_digits(rng, p, t, rng.randrange(1, 4)),
+                       _nilpotent_digits(rng, p, t, rng.randrange(1, 4)))
+
+
+def _run_op(ring, name, t, ud, vd):
+    u, v = _vec(ring, t, ud), _vec(ring, t, vd)
+    if name == "add":
+        return witt_add(u, v)
+    if name == "mul":
+        return witt_mul(u, v)
+    if name == "frobenius":
+        return frobenius_w(u)
+    return mult_by_p(u, ring.p * t)
+
+
+def _outcome(ring, name, t, ud, vd):
+    """The result's coordinate digits, or None on PrecisionError."""
+    from p2models.errors import PrecisionError
+    try:
+        return _run_op(ring, name, t, ud, vd).to_json()
+    except PrecisionError:
+        return None
+
+
+_AGREEMENT_M = {3: 12, 5: 12, 7: 10}
+
+
+def test_working_length_agrees_with_one_more_spare(monkeypatch):
+    # Wherever the old length (one more coordinate) returns, the new one
+    # returns the same vector.  Where only the new one returns, it agrees
+    # digit for digit with the same call at twice the precision M.
+    from p2models import witt
+    rings = {p: make_ring(p, M) for p, M in _AGREEMENT_M.items()}
+    wide = {p: make_ring(p, 2 * M) for p, M in _AGREEMENT_M.items()}
+    agreed, rescued = dict.fromkeys(rings, 0), 0
+    for p, name, t, ud, vd in _op_cases(23):
+        new = _outcome(rings[p], name, t, ud, vd)
+        with monkeypatch.context() as m:
+            m.setattr(witt, "_extra_length", _spare_two_length)
+            old = _outcome(rings[p], name, t, ud, vd)
+        if old is not None:
+            assert new == old, (p, name, t, ud, vd)
+            agreed[p] += 1
+        elif new is not None:
+            assert new == _outcome(wide[p], name, t, ud, vd), (p, name, t)
+            rescued += 1
+    assert min(agreed.values()) >= 5 and rescued >= 1
+
+
+@pytest.mark.parametrize("c", [1, 2])
+def test_teichmuller_product_needs_one_nilpotent_operand(R3, c):
+    # [c] * u with [c] a unit: the bound rests on the product being
+    # isobaric in u alone; the closed form scalar_teich is the oracle
+    rng = random.Random(29 + c)
+    for t in range(1, 10):
+        for support in (1, 2, 3):
+            u = _vec(R3, t, _nilpotent_digits(rng, 3, t, support))
+            teich = WittVector.teichmuller(R3, R3.from_int(c), t)
+            assert witt_mul(teich, u) == scalar_teich(R3.from_int(c), u)
+            assert witt_mul(u, teich) == scalar_teich(R3.from_int(c), u)
+
+
+@pytest.mark.parametrize("t", [5, 6])
+def test_mult_by_p_within_precision_at_the_bound(R3, t):
+    # p [pi] over R/pi^t into R/pi^(3t): the extra coordinate of the old
+    # working length divided by one more power of p and ran out of
+    # precision at M = 12; the result equals the same call at M = 30
+    R30 = make_ring(3, 30)
+    got = mult_by_p(WittVector(R3, t, [R3.pi()]), 3 * t)
+    want = mult_by_p(WittVector(R30, t, [R30.pi()]), 3 * t)
+    assert got.t == want.t == 3 * t and len(got) == len(want) == 2
+    assert got.to_json() == want.to_json()
+
+
+def test_working_length_without_spare_does_not_settle(R3, monkeypatch):
+    # Negative control: one index fewer leaves no spare coordinate, and
+    # the t = 3 kernel sweep then fails the settle check
+    from itertools import product
+
+    from p2models import witt
+    from p2models.dvr import enumerate_quotient
+    from p2models.errors import P2ModelsError
+    pool = list(enumerate_quotient(R3, 3))
+    kernel = [w for w in (WittVector(R3, 3, coords)
+                          for coords in product(pool, repeat=2))
+              if is_frobenius_kernel(w, R3.zero(), 3)]
+    assert len(kernel) == 81
+    extra = witt._extra_length
+    monkeypatch.setattr(witt, "_extra_length", lambda p, t: extra(p, t) - 1)
+    with pytest.raises(P2ModelsError, match="did not settle"):
+        for u in kernel:
+            for v in kernel:
+                witt_add(u, v)
 
 
 # -- quotient coordinates are canonical lifts ---------------------------------
