@@ -423,6 +423,13 @@ class RingElement:
         r = self.ring
         return RingElement(r, r._canon(self.P * (n % r.pM)), self.prec)
 
+    def times_p_power(self, k: int) -> "RingElement":
+        """p^k * self, known k*e digits further than self (up to full
+        precision): p^k kills the unknown part below pi^prec."""
+        r = self.ring
+        return RingElement(r, r._canon(self.P * (r.p ** k % r.pM)),
+                           self.prec + k * r.e)
+
     def scale_unit_fraction(self, q: Fraction) -> "RingElement":
         """Multiplication by a rational with denominator prime to p."""
         p, pM = self.ring.p, self.ring.pM

@@ -19,13 +19,15 @@ divided by prod_i units[i]^den[i].  `to_json` writes such a pair as
 a polynomial.
 
 Every identity of this layer (the axiom laws, morphism checks, and the
-kernel containment of models.ambient_isogeny) is decided one way: as
-LocalizedElement values compared by `LocalizedElement.is_zero`, on the
-normal form of the cleared numerator in a finite presentation and on
-the raw numerator in a smooth one.  Its precision floor is one digit:
-a coefficient of that polynomial known to no digit (precision < 1)
-raises PrecisionError rather than pass as zero.  The only comparisons
-made in the ring itself are counits.
+kernel containment of models.ambient_isogeny) is decided as one
+polynomial that must vanish, above one floor (`_is_zero_above_floor`):
+a coefficient known to no digit (precision < 1) raises PrecisionError
+rather than pass as zero.  The polynomial is the normal form of a
+cleared LocalizedElement numerator in a finite presentation and the raw
+numerator in a smooth one, except for morphisms between finite
+presentations: those are checked linearly, in the monomial bases, each
+identity one sum of products of normal forms (`_check_morphism_linear`).
+The only comparisons made in the ring itself are counits.
 
 Base change to R/pi^t (`residue_fiber`) stays over the same ExactBase:
 each coefficient becomes its canonical representative mod pi^t at
@@ -45,7 +47,8 @@ from functools import cached_property
 
 from .dvr import IndeterminateAtPrecision, RingElement
 from .errors import DivisibilityError, PrecisionError
-from .poly import Poly, TriangularRules, horner, normal_form
+from .poly import (Poly, TriangularRules, horner, normal_form,
+                   sum_of_products)
 
 
 @dataclass(frozen=True)
@@ -93,6 +96,14 @@ class HopfPresentation:
     def square(self) -> "HopfPresentation":
         """tensor_power(self, 2), built once."""
         return tensor_power(self, 2)
+
+    @cached_property
+    def comult_memo(self) -> "MonomialMemo":
+        """Delta on monomials, each value in normal form in the square,
+        memoised as read."""
+        sq = self.square
+        return MonomialMemo(sq.one_poly(), [sq.nf(c) for c in self.comult],
+                            sq.rules)
 
     def nf(self, poly: Poly) -> Poly:
         return normal_form(poly, self.rules)
@@ -149,6 +160,55 @@ def tensor_power(pres: HopfPresentation, k: int) -> HopfPresentation:
                     for f in range(k) for u in pres.units),
         name=" (x) ".join([pres.name] * k),
     )
+
+
+# ---------------------------------------------------------------------------
+# algebra maps on monomials (finite presentations)
+# ---------------------------------------------------------------------------
+
+class MonomialMemo:
+    """An algebra map out of a polynomial ring, on monomials: the value on
+    m is the normal form of value(m - e_k) * value(e_k), memoised as
+    read.  `gens` are the values on the generators, already in normal
+    form; `rules` are the codomain's, so every value is in normal form
+    and a linear combination of values is too.
+
+    k is the variable of m with the fewest terms in its value (ties: the
+    first), so the largest value is multiplied only along the monomials
+    that are pure in it, as in poly.horner.
+    """
+
+    __slots__ = ("one", "gens", "rules", "values", "order")
+
+    def __init__(self, one: Poly, gens: list, rules: TriangularRules):
+        self.one, self.gens, self.rules = one, gens, rules
+        n = len(gens)
+        self.values = {(0,) * n: one}
+        self.values.update(((0,) * k + (1,) + (0,) * (n - 1 - k), g)
+                           for k, g in enumerate(gens))
+        self.order = sorted(range(n), key=lambda i: len(gens[i].terms))
+
+    def __call__(self, m: tuple) -> Poly:
+        out = self.values.get(m)
+        if out is None:
+            k = next(i for i in self.order if m[i])
+            prev = m[:k] + (m[k] - 1,) + m[k + 1:]
+            out = self.values[m] = self.rules.reduce_product(
+                self(prev), self.gens[k])
+        return out
+
+    def pairs(self, poly: Poly):
+        """(c_m, value(m)) over the terms c_m m of poly, c_m as a constant
+        of the codomain: their products sum to the value on poly."""
+        base, nv = self.one.base, self.one.nvars
+        zero = (0,) * nv
+        for m, c in poly.terms.items():
+            yield Poly.from_nonzero(base, nv, {zero: c}), self(m)
+
+    def image(self, poly: Poly) -> Poly:
+        """The value on poly, in normal form, in one accumulation."""
+        return sum_of_products(self.pairs(poly), self.one.base,
+                               self.one.nvars)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +279,10 @@ class LocalizedElement:
 
     def is_zero(self) -> bool:
         """Decided on the normal form of the numerator in a finite
-        presentation and on the numerator itself in a smooth one.  A
-        coefficient known to no digit (precision < 1) makes the test
-        vacuous, so it raises PrecisionError instead."""
-        num = self.pres.nf(self.num) if self.pres.is_finite else self.num
-        if any(c.prec < 1 for c in num.terms.values()):
-            raise PrecisionError("cannot decide a zero test on a "
-                                 "coefficient known to no digit")
-        return num.is_zero()
+        presentation and on the numerator itself in a smooth one, above
+        the floor of `_is_zero_above_floor`."""
+        return _is_zero_above_floor(
+            self.pres.nf(self.num) if self.pres.is_finite else self.num)
 
     def eq(self, other: "LocalizedElement") -> bool:
         return (self - self._coerce(other)).is_zero()
@@ -243,11 +299,20 @@ class LocalizedElement:
             if e and inv is None:
                 raise DivisibilityError("no inverse certificate for unit")
             for _ in range(e):
-                out = pres_fin.nf(out * inv)
+                out = pres_fin.rules.reduce_product(out, inv)
         return out
 
     def __repr__(self):
         return f"LocalizedElement({self.num!r} / u^{self.den})"
+
+
+def _is_zero_above_floor(num: Poly) -> bool:
+    """Whether num is zero.  A coefficient known to no digit (precision
+    < 1) makes the test vacuous, so it raises PrecisionError instead."""
+    if any(c.prec < 1 for c in num.terms.values()):
+        raise PrecisionError("cannot decide a zero test on a "
+                             "coefficient known to no digit")
+    return num.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +444,14 @@ class HopfMorphism:
         return [im if isinstance(im, LocalizedElement)
                 else LocalizedElement(self.source, im) for im in self.images]
 
-    def apply(self, poly: Poly):
-        """Image of a target polynomial in the source coordinate ring."""
-        return _subst_localized(poly, self.localized_images(), self.source)
+    @cached_property
+    def image_memo(self) -> MonomialMemo:
+        """The map on target monomials, each image in normal form in a
+        finite source, memoised as read."""
+        src = self.source
+        return MonomialMemo(src.one_poly(),
+                            [im.clear_in_finite(src)
+                             for im in self.localized_images()], src.rules)
 
 
 def _in_factor(x: LocalizedElement, sq: HopfPresentation, f: int
@@ -394,15 +464,35 @@ def _in_factor(x: LocalizedElement, sq: HopfPresentation, f: int
 
 def check_morphism(f: HopfMorphism) -> bool:
     """Relations of the target die in the source, counits agree, and
-    Delta_src o f = (f (x) f) o Delta_tgt on every target generator."""
+    Delta_src o f = (f (x) f) o Delta_tgt on every target generator.
+
+    Between finite presentations the check is linear in the monomial
+    bases (`_check_morphism_linear`); it reads Delta_src on the source
+    basis, so it rests on the source's comultiplication being well
+    defined: Delta(r) = 0 in the square and eps(r) = 0 for every source
+    relation r.  Otherwise the identities are compared as
+    LocalizedElement values (`_check_morphism_localized`)."""
+    if f.source.is_finite and f.target.is_finite:
+        return _check_morphism_linear(f)
+    return _check_morphism_localized(f)
+
+
+def _counits_agree(f: HopfMorphism) -> bool:
+    src = f.source
+    # group-like units have counit 1, so the denominator drops out
+    return all(src.base.eq(src.counit_of(im.num), e)
+               for im, e in zip(f.localized_images(), f.target.counit))
+
+
+def _check_morphism_localized(f: HopfMorphism) -> bool:
+    """check_morphism by substitution into LocalizedElement values, each
+    identity reduced once at the end."""
     src, tgt = f.source, f.target
     images = f.localized_images()
     if any(r is not None and not _subst_localized(r, images, src).is_zero()
            for r in tgt.relations):
         return False
-    # group-like units have counit 1, so the denominator drops out
-    if not all(src.base.eq(src.counit_of(im.num), e)
-               for im, e in zip(images, tgt.counit)):
+    if not _counits_agree(f):
         return False
     sq = src.square
     delta = [LocalizedElement(sq, c) for c in src.comult]
@@ -414,6 +504,45 @@ def check_morphism(f: HopfMorphism) -> bool:
         lhs = LocalizedElement(sq, _subst_localized(im.num, delta, sq).num,
                                im.den + im.den)
         if not lhs.eq(_subst_localized(d, pair, sq)):
+            return False
+    return True
+
+
+def _check_morphism_linear(f: HopfMorphism) -> bool:
+    """check_morphism between finite presentations, in the monomial
+    bases.  With F the image of a target monomial in normal form
+    (`HopfMorphism.image_memo`) and Delta of a source monomial in normal
+    form in the square (`HopfPresentation.comult_memo`):
+
+    * a relation r = sum c_m m dies when sum c_m F(m) = 0;
+    * Delta_src(f(g)) = sum c_m Delta(m) over the terms of F(g), and
+      (f (x) f)(Delta_tgt g) = sum_a F(a) (x) (sum_b c_ab F(b)), grouped
+      by the left exponent a: an outer product of normal forms is
+      normal.
+
+    Each identity is one accumulation of raw products (`sum_of_products`),
+    so both sides are normal forms and the difference is compared
+    coefficient by coefficient, above the floor of
+    `_is_zero_above_floor`."""
+    src, tgt = f.source, f.target
+    F, n, nt = f.image_memo, src.ngens, tgt.ngens
+    base = src.base
+    if any(not _is_zero_above_floor(F.image(r)) for r in tgt.relations):
+        return False
+    if not _counits_agree(f):
+        return False
+    delta = src.comult_memo
+    for g, d in enumerate(tgt.comult):
+        # rows hold -c_ab, so that one sum is lhs - rhs
+        rows = {}
+        for m, c in d.terms.items():
+            rows.setdefault(m[:nt], {})[m[nt:]] = -c
+        rhs = ((F(a).embed(2 * n, 0),
+                F.image(Poly.from_nonzero(base, nt, row)).embed(2 * n, n))
+               for a, row in rows.items())
+        lhs = delta.pairs(F.gens[g])
+        if not _is_zero_above_floor(sum_of_products(
+                itertools.chain(lhs, rhs), base, 2 * n)):
             return False
     return True
 
@@ -432,10 +561,8 @@ def morphism_matrix(f: HopfMorphism):
     index_s = {m: i for i, m in enumerate(basis_s)}
     cols = []
     for m in basis_t:
-        poly = Poly(tgt.base, tgt.ngens, {m: tgt.base.one()})
-        img_poly = f.apply(poly).clear_in_finite(src)
         col = [src.base.zero()] * len(basis_s)
-        for mm, c in img_poly.terms.items():
+        for mm, c in f.image_memo(m).terms.items():
             col[index_s[mm]] = c
         cols.append(col)
     # rows indexed by source basis, columns by target basis

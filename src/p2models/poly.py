@@ -22,6 +22,13 @@ every monomial rewritten at most once.  Each monomial sums the raw
 products that land on it and is reduced once; its precision is the
 least min(prec) over those products.
 
+Over ExactBase every polynomial product goes through one packed kernel
+(`_raw_sums`): it sums the raw products of the resident integers of a
+list of pairs per output monomial.  A product is its one-pair case, a
+sum of products (`sum_of_products`) reduces each monomial once, and a
+product whose normal form is wanted (`TriangularRules.reduce_product`)
+enters the normal-form pass unreduced.
+
 Substitution (`horner`) nests the variables by the size of their
 images, the largest outermost: the outer image is multiplied the fewest
 times.  The order changes no digit of a result; a tracked precision is
@@ -252,52 +259,77 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def sum_of_products(pairs, base, nvars: int) -> Poly:
+    """sum a*b over pairs (a, b) of ExactBase polynomials in nvars
+    variables, in one accumulation (`_raw_sums`): each monomial sums the
+    raw products that land on it and is reduced once."""
+    return Poly.from_nonzero(base, nvars, _settled(
+        *_raw_sums((a.terms, b.terms) for a, b in pairs)))
+
+
 def _packed_product(ta: dict, tb: dict) -> dict:
-    """The terms of the product of two term dicts over ExactBase.
+    """The terms of the product of two term dicts over ExactBase: the
+    one-pair case of `_raw_sums`, each sum reduced once."""
+    return _settled(*_raw_sums(((ta, tb),)))
+
+
+def _raw_sums(pairs) -> tuple:
+    """(ring, raw sums) of sum a*b over pairs (a, b) of term dicts over
+    ExactBase: the packed kernel.
 
     The raw products of the resident integers of each output monomial are
-    summed and reduced once; its precision is the least operand precision
-    over its pairs.  Each sum counts its products, as in
-    TriangularRules.reduce: a sum about to take its (RAW_PRODUCTS + 1)-th
-    product is first reduced, and counts as one product, so no sum holds
-    more than RAW_PRODUCTS products and only a full sum is reduced early.
-    A sum that reduces to a structural zero is dropped.  Keys come in
-    first-occurrence order, as in the generic loop.
+    summed, over all pairs, into {monomial: [raw sum, precision, number
+    of products in the sum]}; the precision is the least operand
+    precision over its products.  A sum about to take its
+    (RAW_PRODUCTS + 1)-th product is first reduced, and counts as one
+    product, so no sum holds more than RAW_PRODUCTS products and only a
+    full sum is reduced early.  Keys come in first-occurrence order, as
+    in the generic product loop.  The ring is None when no pair has a
+    term.
     """
-    if not ta or not tb:
+    acc, ring = {}, None
+    for ta, tb in pairs:
+        if not ta or not tb:
+            continue
+        if ring is None:
+            ring = next(iter(ta.values())).ring
+        pb = [(m, _resident(c, ring), c.prec) for m, c in tb.items()]
+        for m1, c1 in ta.items():
+            x1, p1 = _resident(c1, ring), c1.prec
+            for m2, x2, p2 in pb:
+                m = tuple(map(add, m1, m2))
+                prec = p1 if p1 < p2 else p2
+                s = acc.get(m)
+                if s is None:
+                    acc[m] = [x1 * x2, prec, 1]
+                    continue
+                if s[2] == RAW_PRODUCTS:
+                    s[0], s[2] = ring._reduce_raw(s[0]), 1
+                s[0] += x1 * x2
+                s[2] += 1
+                if prec < s[1]:
+                    s[1] = prec
+    return ring, acc
+
+
+def _settled(ring, acc: dict) -> dict:
+    """The terms of raw sums {monomial: [raw sum, precision, count]}: each
+    sum reduced once, and a sum that reduces to a structural zero
+    dropped."""
+    if not acc:
         return {}
-    ring = next(iter(ta.values())).ring
-    reduce = ring._reduce_raw
-
-    def resident(c):
-        if c.ring is not ring:
-            raise ValueError("operands from different rings")
-        return c.P
-
-    pb = [(m, resident(c), c.prec) for m, c in tb.items()]
-    # monomial -> [raw sum, precision, number of products in the sum]
-    acc = {}
-    for m1, c1 in ta.items():
-        x1, p1 = resident(c1), c1.prec
-        for m2, x2, p2 in pb:
-            m = tuple(map(add, m1, m2))
-            prec = p1 if p1 < p2 else p2
-            s = acc.get(m)
-            if s is None:
-                acc[m] = [x1 * x2, prec, 1]
-                continue
-            if s[2] == RAW_PRODUCTS:
-                s[0], s[2] = reduce(s[0]), 1
-            s[0] += x1 * x2
-            s[2] += 1
-            if prec < s[1]:
-                s[1] = prec
-    out = {}
+    reduce, out = ring._reduce_raw, {}
     for m, (x, prec, _) in acc.items():
         x = reduce(x)
         if x:
             out[m] = RingElement(ring, x, prec)
     return out
+
+
+def _resident(c, ring) -> int:
+    if c.ring is not ring:
+        raise ValueError("operands from different rings")
+    return c.P
 
 
 def horner(poly: Poly, images: list, const):
@@ -386,8 +418,7 @@ class TriangularRules:
             raise ValueError(f"{len(relations)} relations for {nvars} "
                              "variables")
         self.base, self.nvars = base, nvars
-        resident = self._resident
-        one = base.one()
+        ring, one = base.ring, base.one()
         # (i, d_i, [(monomial, P, prec)] of the other terms), last
         # variable first
         self.rules = []
@@ -403,20 +434,15 @@ class TriangularRules:
             lead = (0,) * i + (d,) + tail
             c = r.terms.get(lead)
             # resident 1 is an exact one
-            if c is None or resident(c)[0] != 1 and not base.eq(c, one):
+            if c is None or _resident(c, ring) != 1 and not base.eq(c, one):
                 raise ValueError(f"relation {i} is not monic in x{i}")
-            lower = [(m, *resident(c)) for m, c in r.terms.items()
-                     if m != lead]
+            lower = [(m, _resident(c, ring), c.prec)
+                     for m, c in r.terms.items() if m != lead]
             for m, _, _ in lower:
                 if m[i] == d or m[i + 1:] != tail:
                     raise ValueError(f"relation {i} is not triangular: its "
                                      f"term {m} is not below x{i}^{d}")
             self.rules.append((i, d, lower))
-
-    def _resident(self, c):
-        if c.ring is not self.base.ring:
-            raise ValueError("operands from different rings")
-        return c.P, c.prec
 
     def reduce(self, poly: Poly) -> Poly:
         """The normal form of poly, in one pass: the variables from last
@@ -436,10 +462,26 @@ class TriangularRules:
         if poly.base != base or poly.nvars != nv:
             raise ValueError("polynomial over another base or variable set")
         ring = base.ring
+        return self._rewrite({m: [_resident(c, ring), c.prec, 1]
+                              for m, c in poly.terms.items()})
+
+    def reduce_product(self, a: Poly, b: Poly) -> Poly:
+        """The normal form of a*b: the raw sums of the packed product
+        (`_raw_sums`) enter the pass of `reduce` as they are, so each
+        monomial is reduced once."""
+        base, nv = self.base, self.nvars
+        if any(x.base != base or x.nvars != nv for x in (a, b)):
+            raise ValueError("polynomial over another base or variable set")
+        ring, acc = _raw_sums(((a.terms, b.terms),))
+        if ring is not None and ring is not base.ring:
+            raise ValueError("operands from different rings")
+        return self._rewrite(acc)
+
+    def _rewrite(self, acc: dict) -> Poly:
+        """The pass of `reduce` on raw sums {monomial: [raw sum, precision,
+        number of products in the sum]}, which it consumes."""
+        ring = self.base.ring
         reduce, negate = ring._reduce_raw, ring._negate
-        resident = self._resident
-        # monomial -> [raw sum, precision, number of products in the sum]
-        acc = {m: [*resident(c), 1] for m, c in poly.terms.items()}
         for i, d, lower in self.rules:
             hot = {}
             for m in acc:
@@ -465,9 +507,4 @@ class TriangularRules:
                         s[2] += 1
                         if q < s[1]:
                             s[1] = q
-        out = {}
-        for m, (x, prec, _) in acc.items():
-            x = reduce(x)
-            if x:
-                out[m] = RingElement(ring, x, prec)
-        return Poly.from_nonzero(base, nv, out)
+        return Poly.from_nonzero(self.base, self.nvars, _settled(ring, acc))

@@ -164,15 +164,21 @@ def ghost(w: WittVector, r: int) -> RingElement:
 
 
 def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
-    """Coordinates from ghost components (divisions by p^r are exact)."""
+    """Coordinates from ghost components (divisions by p^r are exact).
+
+    The term p^k c_k^(p^(r-k)) is known to k e digits more than the rung
+    (`RingElement.times_p_power`), so coordinate r loses the r e digits
+    of its own division, not those of the earlier ones again."""
     p = ring.p
     coords, rungs = [], []  # rungs[k] = c_k^(p^(r-k))
     for r, g in enumerate(gh):
         rungs = [_rung(x, p) for x in rungs]
         acc = g
         for k, x in enumerate(rungs):
+            if k:
+                x = x.times_p_power(k)
             if _contributes(x, acc):
-                acc = acc - (x.scale(p ** k) if k else x)
+                acc = acc - x
         coords.append(acc.divide_p_power(r))
         rungs.append(coords[-1])
     return coords

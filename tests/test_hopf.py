@@ -1,5 +1,8 @@
 """Tests for presentations, axiom checking, morphisms, residue fibers."""
 
+import dataclasses
+import itertools
+
 import pytest
 
 from p2models.dvr import QuotElement, RingElement, eq_mod, make_ring
@@ -7,6 +10,8 @@ from p2models.errors import PrecisionError
 from p2models.hopf import (
     HopfMorphism,
     LocalizedElement,
+    _check_morphism_localized,
+    _is_zero_above_floor,
     check_hopf_axioms,
     check_morphism,
     coeff_mod_pi,
@@ -16,9 +21,9 @@ from p2models.hopf import (
     residue_fiber,
     tensor_power,
 )
-from p2models.models import (ModelDescriptor, ambient_isogeny,
+from p2models.models import (ModelDescriptor, _psi_rs_built, ambient_isogeny,
                              build_extension, build_extension_smooth, build_g,
-                             build_g_smooth, enumerate_models,
+                             build_g_smooth, enumerate_models, hom_models,
                              hom_models_brute)
 from p2models.poly import Poly
 
@@ -383,7 +388,7 @@ def test_morphism_relation_can_fail(R3):
     G = build_g(R3, R3.pi(), 1)
     f = HopfMorphism(source=G, target=G,
                      images=(G.var(0).scale(R3.from_int(2)),))
-    assert not f.apply(G.relations[0]).is_zero()
+    assert not f.image_memo.image(G.relations[0]).is_zero()
     assert not check_morphism(f)
 
 
@@ -397,3 +402,117 @@ def test_morphism_comultiplication_can_fail(R3):
     assert S.relations == (None,)
     assert S.counit_of(f.images[0]).is_zero()
     assert not check_morphism(f)
+
+
+# -- the linear morphism check against the localized one ----------------------
+
+def _same_verdict(f):
+    """check_morphism(f), asserted equal to the localized check, the
+    reference for the linear one on finite presentations."""
+    got = check_morphism(f)
+    assert got == _check_morphism_localized(f), f.name
+    return got
+
+
+def test_linear_check_agrees_on_the_hom_candidates_at_p3(R3):
+    # all 441 candidates of the 49 ordered pairs of criterion 9; the 303
+    # that are well defined over R are morphisms
+    models = enumerate_models(R3, 3)
+    built = [build_extension(d) for d in models]
+    assert all(pres.is_finite for pres in built)
+    total, verdicts = 0, []
+    for d1, src in zip(models, built):
+        for d2, tgt in zip(models, built):
+            for r, s in itertools.product(range(3), repeat=2):
+                total += 1
+                f = _psi_rs_built(src, tgt, d1, d2, r, s)
+                if f is not None:
+                    verdicts.append(_same_verdict(f))
+    assert (total, len(verdicts)) == (441, 303) and all(verdicts)
+
+
+def test_linear_check_agrees_on_orderp2_pairs_at_p5():
+    R5 = make_ring(5, 8)
+    models = {(d.m, d.n): d for d in enumerate_models(R5, 5)}
+    for left, right in (((2, 0), (0, 0)), ((4, 0), (2, 0)), ((5, 1), (5, 1))):
+        d1, d2 = models[left], models[right]
+        assert hom_models(d1, d2).tag == "OrderP2"
+        src, tgt = build_extension(d1), build_extension(d2)
+        fs = [_psi_rs_built(src, tgt, d1, d2, r, s)
+              for r, s in itertools.product(range(5), repeat=2)]
+        assert all(f is not None and _same_verdict(f) for f in fs)
+
+
+@pytest.mark.parametrize("p, M, attempts, rejected",
+                         [(3, 12, 19, 12), (5, 8, 1761, 1750)],
+                         ids=["p3", "p5"])
+def test_linear_check_agrees_on_the_fiber_normalizations(
+        monkeypatch, p, M, attempts, rejected):
+    # every S2 -> S2 + h(S1) attempt verify_fiber makes on the enumerated
+    # models; each rejection comes from the relation branch
+    from p2models import fiber
+    verdicts = []
+
+    def both(f):
+        verdicts.append(_same_verdict(f))
+        return verdicts[-1]
+
+    monkeypatch.setattr(fiber, "check_morphism", both)
+    models = enumerate_models(make_ring(p, M), p)
+    assert len(models) == {3: 7, 5: 11}[p]
+    assert all(fiber.verify_fiber(d) for d in models)
+    assert (len(verdicts), verdicts.count(False)) == (attempts, rejected)
+
+
+def test_linear_check_clears_denominators_by_inverse_certificates(R3):
+    # images with denominators over a finite source, u the designated
+    # unit 1 + pi T of G_{pi,1}: T u / u is the identity; T u^2 / u =
+    # T + pi T^2 and T u / u^2 = T / u are not morphisms
+    G = build_g(R3, R3.pi(), 1)
+    T, u = G.var(0), G.units[0].poly
+    for num, den, want in ((T * u, 1, True), (T * u * u, 1, False),
+                           (T * u, 2, False)):
+        f = HopfMorphism(source=G, target=G,
+                         images=(LocalizedElement(G, num, (den,)),))
+        assert f.image_memo.gens[0].eq(T) == want
+        assert _same_verdict(f) == want
+
+
+def test_morphism_comultiplication_can_fail_on_a_finite_presentation(R3):
+    # T -> T^2 on the special fiber of G_{pi,1}, where the relation is T^3
+    # and Delta T = T' + T'': (T^2)^3 = 0 and both counits are 0, but
+    # Delta(T^2) - T'^2 - T''^2 = 2 T'T'' is not 0
+    G = residue_fiber(build_g(R3, R3.pi(), 1))
+    assert residues(G.relations[0]) == {(3,): 1}
+    assert residues(G.comult[0]) == {(1, 0): 1, (0, 1): 1}
+    T = G.var(0)
+    f = HopfMorphism(source=G, target=G, images=(T * T,))
+    assert f.image_memo.image(G.relations[0]).is_zero()
+    assert G.counit_of(T * T).is_zero()
+    assert not _same_verdict(f)
+
+
+def _comult_respects_relations(pres) -> bool:
+    """Delta(r) = 0 in the square and eps(r) = 0 for every relation r:
+    the premise of the linear morphism check."""
+    return all(_is_zero_above_floor(pres.comult_memo.image(r))
+               and pres.counit_of(r).is_zero() for r in pres.relations)
+
+
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)], ids=["p3", "p5"])
+def test_comultiplication_respects_the_relations(p, M):
+    models = enumerate_models(make_ring(p, M), p)
+    assert len(models) == {3: 7, 5: 11}[p]
+    assert all(_comult_respects_relations(build_extension(d))
+               for d in models)
+
+
+def test_comultiplication_breaking_a_relation_is_found(R3):
+    # negative control: relation T^2 with Delta T = T' + T'' over F_3;
+    # eps(T^2) = 0, but Delta(T^2) = 2 T'T'' modulo T'^2 and T''^2
+    G = residue_fiber(build_g(R3, R3.pi(), 1))
+    T = G.var(0)
+    broken = dataclasses.replace(G, relations=(T * T,))
+    assert _comult_respects_relations(G)
+    assert broken.counit_of(T * T).is_zero()
+    assert not _comult_respects_relations(broken)

@@ -962,6 +962,19 @@ def test_divide_p_power_against_divide_exact(p, M, data):
     assert isinstance(back.valuation(), IndeterminateAtPrecision)
 
 
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
+def test_times_p_power_gains_k_e_digits(p, M):
+    # the digits of x.scale(p^k), known k e digits further than x, up to
+    # full precision
+    R = ring(p, M)
+    for k, prec in ((1, R.e + 1), (2, 3), (M - 1, R.full_prec - 1)):
+        x = R.from_digits([(7919 * i + k) % R.pM
+                           for i in range(R.e)]).with_prec(prec)
+        got = x.times_p_power(k)
+        assert got.digits == x.scale(p ** k).digits
+        assert got.prec == min(R.full_prec, prec + k * R.e)
+
+
 def test_divide_p_power_errors():
     R = ring(3, 12)
     with pytest.raises(ValuationError):
@@ -1057,12 +1070,14 @@ def direct_ghost(coords, r):
 
 
 def direct_recover(ring, ghs):
-    """Coordinates from ghosts, every power computed with **."""
+    """Coordinates from ghosts, every power computed with **; p^k times
+    an element known mod pi^prec is known mod pi^(prec + k e)."""
     p, coords = ring.p, []
     for r, g in enumerate(ghs):
         acc = g
         for k, c in enumerate(coords):
-            acc = acc - (c ** (p ** (r - k))).scale(p ** k)
+            x = c ** (p ** (r - k))
+            acc = acc - x.scale(p ** k).with_prec(x.prec + k * ring.e)
         coords.append(acc.divide_p_power(r))
     return coords
 

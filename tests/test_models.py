@@ -608,23 +608,26 @@ def test_solve_target_hom_rejects_exactly_the_unsolvable(R3):
 
 
 def _count_products(monkeypatch):
-    """Patch the ring and packed-Poly products to count into a dict:
-    one per RingElement.__mul__ call plus len(ta) * len(tb) coefficient
-    pairs per packed Poly product."""
+    """Patch the ring product and the packed sum-of-products kernel to
+    count into a dict: one per RingElement.__mul__ call plus
+    len(ta) * len(tb) coefficient pairs per pair of term dicts summed by
+    poly._raw_sums, which every packed Poly product, every product fed
+    into a normal form and every linear morphism check goes through."""
     count = {"products": 0}
     mul = RingElement.__mul__
-    packed = poly_module._packed_product
+    packed = poly_module._raw_sums
 
     def counting_mul(x, y):
         count["products"] += 1
         return mul(x, y)
 
-    def counting_packed(ta, tb):
-        count["products"] += len(ta) * len(tb)
-        return packed(ta, tb)
+    def counting_packed(pairs):
+        pairs = list(pairs)
+        count["products"] += sum(len(ta) * len(tb) for ta, tb in pairs)
+        return packed(pairs)
 
     monkeypatch.setattr(RingElement, "__mul__", counting_mul)
-    monkeypatch.setattr(poly_module, "_packed_product", counting_packed)
+    monkeypatch.setattr(poly_module, "_raw_sums", counting_packed)
     return count
 
 
@@ -644,18 +647,19 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
 
 
 def test_morphism_checks_product_counts(R3, models3, monkeypatch):
-    # On the (3,3) model: 4,216 products for the nine hom_models_brute
-    # candidates of the self-pair and 2,526 for check_morphism on the
-    # ambient isogeny, against 5,339 and 3,061 with the variables of a
-    # substitution nested in index order; the bounds are the counts
-    # plus 5 %.
+    # On the (3,3) model: 2,917 products for the nine hom_models_brute
+    # candidates of the self-pair, decided by the linear check, and 2,526
+    # for check_morphism on the ambient isogeny, between smooth
+    # presentations.  Substituting into the free ring, the self-pair took
+    # 3,970 (5,339 with the variables nested in index order; the ambient
+    # isogeny then took 3,061).  The bounds are the counts plus 5 %.
     d = models3[-1]
     assert (d.m, d.n, d.a.pi_digit_expansion(d.n)) == (3, 3, (0, 1, 1))
     pres = build_extension(d)
     _, _, f = ambient_isogeny(d)
     count = _count_products(monkeypatch)
     hom_models_brute(d, d, pres, pres)
-    assert count["products"] <= 4_426
+    assert count["products"] <= 3_062
     count["products"] = 0
     assert check_morphism(f)
     assert count["products"] <= 2_652
@@ -679,20 +683,21 @@ def _count_reductions(monkeypatch):
 def test_hom_models_brute_reduction_counts(models3, monkeypatch):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
-    # 3,170 on the (3,3) self-pair and 65,111 on the 49 ordered p = 3
-    # pairs; with the variables of a substitution nested in index order
-    # they were 4,093 and 72,888, and reducing every product in
-    # normal_form made 7,294 and 120,702.  The bounds are the counts
-    # plus 5 %.
+    # 1,690 on the (3,3) self-pair and 29,839 on the 49 ordered p = 3
+    # pairs with the linear check, against 2,924 and 54,497 substituting
+    # into the free ring.  Earlier, with the variables of a substitution
+    # nested in index order, they were 4,093 and 72,888, and reducing
+    # every product in normal_form made 7,294 and 120,702.  The bounds
+    # are the counts plus 5 %.
     pres = [build_extension(d) for d in models3]
     count = _count_reductions(monkeypatch)
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["reductions"] <= 3_328
+    assert count["reductions"] <= 1_774
     count["reductions"] = 0
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["reductions"] <= 68_366
+    assert count["reductions"] <= 31_330
 
 
 def test_hom_models_brute_prepares_each_presentation_once(models3,
