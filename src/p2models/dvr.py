@@ -573,8 +573,7 @@ class RingElement:
         return tuple(out)
 
     def reduce_mod(self, t: int) -> "QuotElement":
-        return QuotElement._from_canonical(self.ring, t,
-                                           self.pi_digit_expansion(t))
+        return QuotElement(self.ring, t, self.pi_digit_expansion(t))
 
     def mod_pi(self, t: int) -> "RingElement":
         """The canonical representative of self mod pi^t (pi-adic digits
@@ -643,16 +642,6 @@ class QuotElement:
         if len(self.digits) != t:
             raise ValueError(
                 f"{len(self.digits)} digits given for R/pi^{t}")
-
-    @classmethod
-    def _from_canonical(cls, ring: RingDescriptor, t: int, digits: tuple):
-        """reduce_mod's constructor: the digits of pi_digit_expansion are
-        already in {0..p-1} and are not reduced mod p again."""
-        if len(digits) != t:
-            raise ValueError(f"{len(digits)} digits given for R/pi^{t}")
-        self = object.__new__(cls)
-        self.ring, self.t, self.digits = ring, t, digits
-        return self
 
     def lift(self) -> RingElement:
         """Canonical lift to R at full precision."""

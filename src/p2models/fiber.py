@@ -31,7 +31,7 @@ from .dvr import RingDescriptor, eta
 from .hopf import (HopfMorphism, HopfPresentation, check_morphism,
                    coeff_mod_pi, residue_fiber)
 from .models import (ModelDescriptor, build_extension, kummer_poly,
-                     rho_scalar)
+                     phi_defect, rho_scalar)
 from .poly import ExactBase, Poly, normal_form
 
 
@@ -87,11 +87,9 @@ def classify_fiber(d: ModelDescriptor) -> FiberClass:
     if n == 0:
         return FiberClass("TrivialExtension")
     if m < p:
-        al = d.a.with_prec(ring.full_prec)
-        mu, lam = ring.pi(m), ring.pi(n)
-        defect = al.scale(p) - mu.scale(d.j) - rho_scalar(ring, m) * al ** p
-        beta = (-defect.divide_exact(lam ** p))
-        gamma = (al ** p).divide_exact(lam)
+        lam = ring.pi(n)
+        beta = -phi_defect(ring, m, d.a, d.j).divide_exact(lam ** p)
+        gamma = (d.a.with_prec(ring.full_prec) ** p).divide_exact(lam)
         return FiberClass("AlphaPExtension",
                           (coeff_mod_pi(beta), coeff_mod_pi(gamma)))
     if n < p:

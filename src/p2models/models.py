@@ -218,11 +218,11 @@ def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
 
 def hom_brute(ring: RingDescriptor, m: int, n: int,
               budget: int | None = None) -> list[tuple]:
-    """All degree < p polynomials F over R/pi^n with F(0) = 1 (and
-    F = 1 mod pi when mu is not a unit) satisfying
-    F(S)F(T) = F(S+T+mu ST) modulo the relation ideal: F group-like in
-    G_{mu,1} over R/pi^n, decided in its square.  Each F is a tuple of
-    classes of R/pi^n."""
+    """All degree < p polynomials F over R/pi^n (F = 1 mod pi when mu is
+    not a unit) for which T -> F - 1 is a morphism G_{mu,1} -> G_m over
+    R/pi^n: F(0) = 1 and F(S)F(T) = F(S+T+mu ST) modulo the relation
+    ideal, both decided by check_morphism.  Each F is a tuple of classes
+    of R/pi^n."""
     p = ring.p
     if n == 0:
         return [(ring.zero(0),) * p]
@@ -237,12 +237,11 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
     _check_budget(ring, math.prod(map(len, coeff_pools)), budget)
 
     G = residue_fiber(build_g(ring, ring.pi(m), 1), n)
-    out = []
-    for row in itertools.product(*coeff_pools):
-        F = poly_in_var(G.base, 1, 0, row)
-        if LocalizedElement(G.square, F.embed(2, 0) * F.embed(2, 1)
-                            - F.subst(G.comult)).is_zero():
-            out.append(row)
+    Gm = residue_fiber(build_g_smooth(ring, ring.one()), n)
+    one = G.one_poly()
+    out = [row for row in itertools.product(*coeff_pools)
+           if check_morphism(HopfMorphism(
+               G, Gm, (poly_in_var(G.base, 1, 0, row) - one,)))]
     return sorted(out, key=_row_key)
 
 
@@ -268,19 +267,24 @@ def rho_scalar(ring: RingDescriptor, m: int) -> RingElement:
     return ring.from_int(ring.p).divide_exact(ring.pi(m) ** (ring.p - 1))
 
 
+def phi_defect(ring: RingDescriptor, m: int, a: RingElement,
+               j: int) -> RingElement:
+    """p a - j mu - (p/mu^(p-1)) a^p for mu = pi^m, on the canonical lift
+    of the class a."""
+    al = a.with_prec(ring.full_prec)
+    return (al.scale(ring.p) - ring.pi(m).scale(j)
+            - rho_scalar(ring, m) * al ** ring.p)
+
+
 def phi_congruence(ring: RingDescriptor, m: int, n: int,
                    a: RingElement, j: int) -> bool:
     """(a, j) in Phi for a class a of R/pi^n: a^p = 0 mod pi^n and
-    p a - j mu = (p/mu^(p-1)) a^p mod pi^(pn), on canonical lifts."""
-    p = ring.p
+    phi_defect = 0 mod pi^(pn)."""
     if n == 0:
         return True
-    al = a.with_prec(ring.full_prec)
-    if not eq_mod(al ** p, ring.zero(), n):
+    if not eq_mod(a.with_prec(ring.full_prec) ** ring.p, ring.zero(), n):
         return False
-    lhs = al.scale(p) - ring.pi(m).scale(j)
-    rhs = rho_scalar(ring, m) * al ** p
-    return eq_mod(lhs, rhs, p * n)
+    return eq_mod(phi_defect(ring, m, a, j), ring.zero(), ring.p * n)
 
 
 def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
@@ -685,6 +689,8 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
 
     `src` and `tgt` are build_extension(d1) and build_extension(d2),
     built here when not given."""
+    if d1.j == 0 or d2.j == 0:
+        raise ValueError("hom classification applies to models (j != 0)")
     ring = d1.ring
     p = ring.p
     src = build_extension(d1) if src is None else src
