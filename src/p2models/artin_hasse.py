@@ -2,7 +2,7 @@
 
 A series truncated at degree D is a Poly whose variable 0 is T and which
 has no term of T-degree above D; products of series go through `_mul`,
-which never forms such a term.
+which over Q never forms such a term.
 
 E_p(T) = exp(sum_r T^(p^r)/p^r) is a Poly over Q in T, computed by exact
 rational arithmetic and certified p-integral.  The deformed series
@@ -26,30 +26,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from operator import add
 
 from .dvr import RingElement, _is_prime, eq_mod
 from .errors import CertificationError
-from .poly import ExactBase, Poly, QQBase, horner
+from .poly import ExactBase, Poly, QQBase, _rational_product, horner
 from .witt import WittVector
 
 _QQ = QQBase()
 
 
 def _mul(f: Poly, g: Poly, D: int) -> Poly:
-    """f * g truncated at T-degree D; no term above D is formed."""
-    base = f.base
-    gs = sorted(g.terms.items(), key=lambda mc: mc[0][0])
-    out = {}
-    for m1, c1 in f.terms.items():
-        room = D - m1[0]
-        for m2, c2 in gs:
-            if m2[0] > room:
-                break
-            m = tuple(map(add, m1, m2))
-            c = c1 * c2
-            out[m] = out[m] + c if m in out else c
-    return Poly(base, f.nvars, out)
+    """f * g truncated at T-degree D.  Over Q no term above D is formed
+    (the capped `_rational_product`); over R, for `ep_witt`, the packed
+    product is truncated."""
+    if isinstance(f.base, QQBase):
+        terms = _rational_product(f.terms, g.terms, D)
+    else:
+        terms = {m: c for m, c in (f * g).terms.items() if m[0] <= D}
+    return Poly.from_nonzero(f.base, f.nvars, terms)
 
 
 def _rational_power(f: Poly, q: Fraction, D: int) -> Poly:

@@ -115,8 +115,24 @@ class HopfPresentation:
         return Poly.one(self.base, self.ngens)
 
     def counit_of(self, poly: Poly):
-        """Evaluate the counit (an algebra map to the base) on a polynomial."""
-        return horner(poly, list(self.counit), lambda c: c)
+        """Evaluate the counit (an algebra map to the base) on a polynomial.
+
+        When every counit value is a structural zero, as in every build_g
+        presentation, the value is the constant term, known to the least
+        precision over the terms and the counit values of the variables
+        that occur: the digits and precision `horner` gives.
+        """
+        if any(e.P for e in self.counit):
+            return horner(poly, list(self.counit), lambda c: c)
+        terms = poly.terms
+        if not terms:
+            return self.base.zero()
+        prec = min(c.prec for c in terms.values())
+        for i, e in enumerate(self.counit):
+            if e.prec < prec and any(m[i] for m in terms):
+                prec = e.prec
+        c0 = terms.get((0,) * self.ngens)
+        return RingElement(self.base.ring, 0 if c0 is None else c0.P, prec)
 
     def to_json(self):
         return {

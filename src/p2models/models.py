@@ -658,28 +658,42 @@ def hom_models(d1: ModelDescriptor, d2: ModelDescriptor) -> HomClass:
     return HomClass("OrderP")
 
 
-def _psi_rs_built(src, tgt, d1, d2, r, s):
-    """Candidate map between the extensions src = build_extension(d1)
-    and tgt = build_extension(d2); None when a required exact division
-    fails (the candidate is not well defined over R)."""
+def _psi_candidates(src, tgt, d1, d2):
+    """The p^2 candidate maps psi(r, s) between the extensions src =
+    build_extension(d1) and tgt = build_extension(d2), yielded as
+    ((r, s), f) for r, then s, in range(p); f is None when a required
+    exact division fails (the candidate is not well defined over R).
+
+    S1' -> ((1+mu1 S1)^x - 1)/mu2 with x = r j1/j2, and S2' ->
+    ((F1+lam1 S2)^r (1+mu1 S1)^s - F2(S1'))/lam2, with u2 = F1 + lam1 S2
+    and u1 = 1 + mu1 S1 the units of src.  The image of S1' and F2 at it
+    depend on r alone and are built once per r; the raw powers u1^s and
+    u2^r are built once per call.
+    """
     ring = d1.ring
     p = ring.p
     mu1, mu2, lam2 = ring.pi(d1.m), ring.pi(d2.m), ring.pi(d2.n)
-    x = (r * d1.j * pow(d2.j, -1, p)) % p
-    # S1' -> ((1+mu1 S1)^x - 1)/mu2, S2' -> ((F1+lam1 S2)^r (1+mu1 S1)^s
-    # - F2(S1'))/lam2 with F1 + lam1 S2, 1 + mu1 S1 the units of src
-    try:
-        img1 = kummer_poly(ring, mu1, x, 2, 0, mu2)
-        u1, u2 = (u.poly for u in src.units)
-        F2_at = poly_in_var(src.base, 1, 0,
-                            canonical_lift_coeffs(d2)).subst([img1])
-        num = src.nf(u2 ** r * u1 ** s - F2_at)
-        img2 = num.div_scalar(lam2)
-    except (DivisibilityError, ValuationError):
-        return None
-    f = HopfMorphism(source=src, target=tgt, images=(img1, img2),
-                     name=f"psi({r},{s})")
-    return f
+    u1, u2 = (u.poly for u in src.units)
+    u1_pow = [u1 ** s for s in range(p)]
+    u2_pow = [u2 ** r for r in range(p)]
+    F2 = poly_in_var(src.base, 1, 0, canonical_lift_coeffs(d2))
+    for r in range(p):
+        x = (r * d1.j * pow(d2.j, -1, p)) % p
+        try:
+            img1 = kummer_poly(ring, mu1, x, 2, 0, mu2)
+            F2_at = F2.subst([img1])
+        except (DivisibilityError, ValuationError):
+            yield from (((r, s), None) for s in range(p))
+            continue
+        for s in range(p):
+            try:
+                img2 = src.nf(u2_pow[r] * u1_pow[s] - F2_at).div_scalar(lam2)
+            except (DivisibilityError, ValuationError):
+                yield (r, s), None
+                continue
+            yield (r, s), HopfMorphism(source=src, target=tgt,
+                                       images=(img1, img2),
+                                       name=f"psi({r},{s})")
 
 
 def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
@@ -697,12 +711,10 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
     tgt = build_extension(d2) if tgt is None else tgt
     survivors = []
     maps = []
-    for r in range(p):
-        for s in range(p):
-            f = _psi_rs_built(src, tgt, d1, d2, r, s)
-            if f is not None and check_morphism(f):
-                survivors.append((r, s))
-                maps.append(f)
+    for rs, f in _psi_candidates(src, tgt, d1, d2):
+        if f is not None and check_morphism(f):
+            survivors.append(rs)
+            maps.append(f)
     if len(survivors) == p * p:
         tag = "OrderP2"
     elif len(survivors) == p and all(r == 0 for r, _ in survivors):

@@ -27,17 +27,26 @@ Over ExactBase every polynomial product goes through one packed kernel
 list of pairs per output monomial.  A product is its one-pair case, a
 sum of products (`sum_of_products`) reduces each monomial once, and a
 product whose normal form is wanted (`TriangularRules.reduce_product`)
-enters the normal-form pass unreduced.
+enters the normal-form pass unreduced.  Over QQBase every product goes
+through its rational counterpart (`_rational_product`): each operand as
+integer numerators over the lcm of its denominators, the integer
+products of each output monomial summed, and one Fraction, so one gcd,
+per output term; it can leave out the terms above a degree in variable
+0 (the truncated series of artin_hasse).
 
 Substitution (`horner`) nests the variables by the size of their
 images, the largest outermost: the outer image is multiplied the fewest
 times.  The order changes no digit of a result; a tracked precision is
-a lower bound in any order, and can differ between orders.
+a lower bound in any order, and can differ between orders.  Over QQBase
+a substitution of images with at most one term each is an exponent map
+(`_monomial_subst`): every term lands on one monomial.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 from operator import add, neg, sub
 
 from .dvr import RAW_PRODUCTS, RingDescriptor, RingElement
@@ -170,17 +179,10 @@ class Poly:
         return Poly.from_nonzero(self.base, self.nvars, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        base = self.base
-        if isinstance(base, ExactBase):
-            return Poly.from_nonzero(base, self.nvars,
-                                     _packed_product(self.terms, other.terms))
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                c = c1 * c2
-                out[m] = out[m] + c if m in out else c
-        return Poly(base, self.nvars, out)
+        kernel = (_packed_product if isinstance(self.base, ExactBase)
+                  else _rational_product)
+        return Poly.from_nonzero(self.base, self.nvars,
+                                 kernel(self.terms, other.terms))
 
     def scale(self, c) -> "Poly":
         return Poly(self.base, self.nvars,
@@ -238,9 +240,15 @@ class Poly:
         """Substitute images[i] for variable i (algebra map on generators).
 
         All images must share a base and variable count; coefficients are
-        carried over unchanged.
+        carried over unchanged.  Over QQBase, when no image has more than
+        one term, each term lands on one monomial (`_monomial_subst`);
+        every other substitution goes through `horner`.
         """
         nv, base = images[0].nvars, images[0].base
+        if isinstance(base, QQBase) and all(len(x.terms) <= 1
+                                            for x in images):
+            return Poly.from_nonzero(base, nv, _monomial_subst(
+                self.terms, images, nv))
         return horner(self, images, lambda c: Poly.const(base, nv, c))
 
     def to_json(self):
@@ -323,6 +331,78 @@ def _settled(ring, acc: dict) -> dict:
         x = reduce(x)
         if x:
             out[m] = RingElement(ring, x, prec)
+    return out
+
+
+def _rational_product(ta: dict, tb: dict, cap: int | None = None) -> dict:
+    """The terms of the product of two term dicts over QQBase, without
+    the terms of degree above `cap` in variable 0 when a cap is given
+    (none of them is formed).
+
+    Each operand is written as integer numerators over the lcm of its
+    denominators, d_a and d_b; the integer products of each output
+    monomial are summed, and each nonzero sum s becomes one
+    Fraction(s, d_a d_b): one gcd per output term, not one per product.
+    Keys come in first-occurrence order; exponents may be negative.
+    """
+    if not ta or not tb:
+        return {}
+    da, na = _over_lcm(ta)
+    db, nb = _over_lcm(tb)
+    if cap is not None:
+        nb.sort(key=lambda t: t[0][0])
+        degrees = [m[0] for m, _ in nb]
+    acc = {}
+    get = acc.get
+    for m1, x1 in na:
+        row = nb if cap is None else nb[:bisect_right(degrees, cap - m1[0])]
+        for m2, x2 in row:
+            m = tuple(map(add, m1, m2))
+            acc[m] = get(m, 0) + x1 * x2
+    d = da * db
+    return {m: Fraction(s, d) for m, s in acc.items() if s}
+
+
+def _over_lcm(terms: dict) -> tuple:
+    """(d, [(monomial, numerator)]) with every coefficient numerator/d,
+    d the lcm of the denominators."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, [(m, c.numerator * (d // c.denominator))
+               for m, c in terms.items()]
+
+
+def _monomial_subst(terms: dict, images: list, nvars: int) -> dict:
+    """The terms of the substitution of one-term-or-zero QQBase images
+    for the variables of a term dict.
+
+    For the images c_i x^(m_i), the term c x^k lands on the one monomial
+    sum_i k_i m_i, with coefficient c prod_i c_i^(k_i), kept as an
+    integer numerator and denominator; the parts on each monomial are
+    summed over the lcm of their denominators into one Fraction.  A zero
+    image is c_i = 0: it kills every term in which its variable occurs
+    to a positive power, and a negative power of it raises
+    ZeroDivisionError.
+    """
+    zero = (0,) * nvars
+    imgs = [next(iter(x.terms.items()), (zero, Fraction(0)))
+            for x in images]
+    acc = {}
+    for m, c in terms.items():
+        mm, n, q = zero, c.numerator, c.denominator
+        for k, (mi, ci) in zip(m, imgs):
+            if k:
+                mm = tuple(a + k * b for a, b in zip(mm, mi))
+                a, b = ci.numerator, ci.denominator
+                if k < 0:
+                    a, b, k = b, a, -k
+                n, q = n * a ** k, q * b ** k
+        acc.setdefault(mm, []).append((n, q))
+    out = {}
+    for mm, parts in acc.items():
+        d = lcm(*(q for _, q in parts))
+        s = sum(n * (d // q) for n, q in parts)
+        if s:
+            out[mm] = Fraction(s, d)
     return out
 
 

@@ -21,11 +21,11 @@ from p2models.hopf import (
     residue_fiber,
     tensor_power,
 )
-from p2models.models import (ModelDescriptor, _psi_rs_built, ambient_isogeny,
+from p2models.models import (ModelDescriptor, _psi_candidates, ambient_isogeny,
                              build_extension, build_extension_smooth, build_g,
                              build_g_smooth, enumerate_models, hom_models,
-                             hom_models_brute)
-from p2models.poly import Poly
+                             hom_models_brute, star_condition)
+from p2models.poly import Poly, horner
 
 
 @pytest.fixture(scope="module")
@@ -423,9 +423,8 @@ def test_linear_check_agrees_on_the_hom_candidates_at_p3(R3):
     total, verdicts = 0, []
     for d1, src in zip(models, built):
         for d2, tgt in zip(models, built):
-            for r, s in itertools.product(range(3), repeat=2):
+            for _, f in _psi_candidates(src, tgt, d1, d2):
                 total += 1
-                f = _psi_rs_built(src, tgt, d1, d2, r, s)
                 if f is not None:
                     verdicts.append(_same_verdict(f))
     assert (total, len(verdicts)) == (441, 303) and all(verdicts)
@@ -438,9 +437,10 @@ def test_linear_check_agrees_on_orderp2_pairs_at_p5():
         d1, d2 = models[left], models[right]
         assert hom_models(d1, d2).tag == "OrderP2"
         src, tgt = build_extension(d1), build_extension(d2)
-        fs = [_psi_rs_built(src, tgt, d1, d2, r, s)
-              for r, s in itertools.product(range(5), repeat=2)]
-        assert all(f is not None and _same_verdict(f) for f in fs)
+        cands = list(_psi_candidates(src, tgt, d1, d2))
+        assert [rs for rs, _ in cands] == list(
+            itertools.product(range(5), repeat=2))
+        assert all(f is not None and _same_verdict(f) for _, f in cands)
 
 
 @pytest.mark.parametrize("p, M, attempts, rejected",
@@ -490,6 +490,58 @@ def test_morphism_comultiplication_can_fail_on_a_finite_presentation(R3):
     assert f.image_memo.image(G.relations[0]).is_zero()
     assert G.counit_of(T * T).is_zero()
     assert not _same_verdict(f)
+
+
+def _same_counit_as_horner(pres, poly):
+    got = pres.counit_of(poly)
+    want = horner(poly, list(pres.counit), lambda c: c)
+    return (got.P, got.prec) == (want.P, want.prec)
+
+
+def _lowered(poly, k):
+    """poly with its first nonconstant coefficient known to pi^k only."""
+    terms = dict(poly.terms)
+    m = next(m for m in terms if any(m))
+    terms[m] = terms[m].with_prec(k)
+    return Poly(poly.base, poly.nvars, terms)
+
+
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)], ids=["p3", "p5"])
+def test_zero_counit_is_read_off_the_constant_term(p, M):
+    # every build_g presentation and its residue fibers has counit 0, so
+    # counit_of reads the constant term; digits and precision are those
+    # of the Horner evaluation, on the presentation's own polynomials,
+    # one without a constant term, one with a coefficient known to pi^2
+    # only, and the zero and constant polynomials, in the presentation
+    # and in its square
+    ring = make_ring(p, M)
+    built = [build_g(ring, ring.pi(v), n)
+             for v in range(ring.e + 1) for n in (1, 2)
+             if star_condition(ring, ring.pi(v), n)]
+    checked = 0
+    for G in built:
+        for pres in [G] + [residue_fiber(G, t) for t in (1, 2, p)]:
+            assert not any(e.P for e in pres.counit)
+            for space in (pres, pres.square):
+                polys = [f for f in _polys(pres)
+                         if f is not None and f.nvars == space.ngens]
+                x = space.var(space.ngens - 1)
+                unit = space.one_poly() + x.scale(ring.pi())
+                polys += [x * unit, _lowered(unit, 2), space.one_poly(),
+                          Poly.zero(space.base, space.ngens)]
+                for f in polys:
+                    assert _same_counit_as_horner(space, f)
+                    checked += 1
+    assert checked > 100
+    # counit values at two precisions: only those of the variables that
+    # occur bound the precision
+    sq = built[0].square
+    mixed = dataclasses.replace(sq, counit=(ring.zero(3), ring.zero(5)))
+    y = mixed.var(1)
+    assert mixed.counit_of(y + mixed.one_poly()).prec == 5
+    assert mixed.counit_of(mixed.var(0) * y).prec == 3
+    for f in (y + mixed.one_poly(), mixed.var(0) * y):
+        assert _same_counit_as_horner(mixed, f)
 
 
 def _comult_respects_relations(pres) -> bool:

@@ -8,6 +8,10 @@
   reduction by E against the schoolbook product and row reduction.
 * The packed `Poly` product over ExactBase against the term-by-term
   product-and-sum of its coefficients.
+* The rational `Poly` product over QQBase, capped and uncapped, against
+  term-by-term Fraction arithmetic, with a kernel that divides by one
+  operand's denominator alone as a negative control; and the exponent
+  map of one-term QQBase substitutions against `horner`.
 * The lazy single-pass `normal_form` against the stepwise rewriting
   loop it replaced, and its rejection of systems that are not
   triangular and monic.
@@ -28,13 +32,16 @@
   stored on each vector against a fresh vector's.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2models.artin_hasse import _mul as ah_mul
 from p2models.dvr import (
     HEADROOM_BITS,
     RAW_PRODUCTS,
@@ -47,8 +54,8 @@ from p2models.dvr import (
 from p2models.errors import PrecisionError, ValuationError
 from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
                            coeff_mod_pi)
-from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules, horner,
-                           normal_form)
+from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules,
+                           _rational_product, horner, normal_form)
 from p2models.witt import (WittVector, _recover, ghost, ghosts,
                            is_frobenius_kernel, witt_add)
 
@@ -588,6 +595,151 @@ def test_packed_poly_product_rejects_mixed_rings():
     for u, v in [(a, b), (b, a), (a, mixed), (mixed, a)]:
         with pytest.raises(ValueError, match="different rings"):
             u * v
+
+
+# ---------------------------------------------------------------------------
+# rational polynomial product and monomial substitution
+# ---------------------------------------------------------------------------
+
+QQ = QQBase()
+
+
+def termwise_rational_mul(ta, tb, cap=None):
+    """The product of two QQBase term dicts by Fraction arithmetic, one
+    product and one sum per coefficient pair, in first-occurrence key
+    order; terms above T-degree cap dropped, zero sums dropped."""
+    out = {}
+    for m1, c1 in ta.items():
+        for m2, c2 in tb.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if cap is None or m[0] <= cap:
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _matches_termwise(product, ta, tb):
+    got, want = product(ta, tb), termwise_rational_mul(ta, tb)
+    return (list(got) == list(want)
+            and all(type(c) is Fraction and c == want[m]
+                    for m, c in got.items()))
+
+
+# small numerators and exponents, so products often land on one
+# monomial and cancel there; L exponents are signed
+_fractions = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                       st.integers(1, 12))
+_tul = st.tuples(st.integers(0, 4), st.integers(0, 3), st.integers(-3, 3))
+
+
+@st.composite
+def rational_polys(draw, max_terms=6):
+    """A QQBase Poly in (T, U, L), possibly without terms."""
+    monos = draw(st.lists(_tul, max_size=max_terms, unique=True))
+    return Poly(QQ, 3, {m: draw(_fractions) for m in monos})
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_polys(), rational_polys())
+def test_rational_product_matches_termwise(a, b):
+    # same keys in the same order, the same Fractions; an empty operand
+    # gives no term, and a product that cancels leaves none
+    assert _matches_termwise(_rational_product, a.terms, b.terms)
+    assert _matches_termwise(_rational_product, a.terms,
+                             (b - b).terms)
+    assert (a * b).terms == termwise_rational_mul(a.terms, b.terms)
+
+
+def test_rational_product_cancels_to_zero():
+    # (T/2 + U/(3L))(T/2 - U/(3L)) = T^2/4 - U^2/(9L^2): the two cross
+    # products cancel and their monomial is dropped
+    T, U = Poly.var(QQ, 3, 0), Poly.var(QQ, 3, 1)
+    t = T.scale(Fraction(1, 2))
+    u = U * Poly(QQ, 3, {(0, 0, -1): Fraction(1, 3)})
+    got = ((t + u) * (t - u)).terms
+    assert got == {(2, 0, 0): Fraction(1, 4), (0, 2, -2): Fraction(-1, 9)}
+    assert not (T * (u - u)).terms and not ((u - u) * T).terms
+
+
+def _divides_by_da_alone(ta, tb):
+    """The kernel with each sum divided by d_a alone, not d_a d_b: its
+    terms times d_b, the lcm of the denominators of tb."""
+    db = lcm(*(c.denominator for c in tb.values())) if tb else 1
+    return {m: c * db for m, c in _rational_product(ta, tb).items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_polys(), rational_polys())
+def test_rational_product_oracle_rejects_a_wrong_denominator(a, b):
+    # negative control: the oracle comparison fails the mutated kernel
+    # whenever the second operand has a denominator and the product a term
+    db = lcm(*(c.denominator for c in b.terms.values())) if b.terms else 1
+    wrong = db > 1 and bool(termwise_rational_mul(a.terms, b.terms))
+    assert _matches_termwise(_divides_by_da_alone, a.terms,
+                             b.terms) is not wrong
+    T = Poly.var(QQ, 3, 0)
+    half = T.scale(Fraction(1, 2))
+    assert not _matches_termwise(_divides_by_da_alone, T.terms, half.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_polys(8), rational_polys(8), st.integers(0, 8))
+def test_capped_product_is_the_truncated_product(a, b, D):
+    # the T-degree cap of artin_hasse._mul drops exactly the terms of the
+    # uncapped product above D, and forms none of them
+    want = {m: c for m, c in (a * b).terms.items() if m[0] <= D}
+    got = ah_mul(a, b, D)
+    assert got.terms == want
+    assert got.terms == termwise_rational_mul(a.terms, b.terms, D)
+
+
+def _rational_images(data, nv_in, nv_out):
+    """One image per variable: zero, a constant, a term with a non-unit
+    coefficient, or a term with a negative exponent."""
+    def image(kind):
+        c = data.draw(_fractions)
+        m = [data.draw(st.integers(0, 2)) for _ in range(nv_out)]
+        if kind == "zero":
+            return Poly.zero(QQ, nv_out)
+        if kind == "constant":
+            return Poly.const(QQ, nv_out, c)
+        if kind == "negative":
+            m[data.draw(st.integers(0, nv_out - 1))] = data.draw(
+                st.integers(-3, -1))
+        return Poly(QQ, nv_out, {tuple(m): c})
+
+    kinds = st.sampled_from(["zero", "constant", "term", "negative"])
+    return [image(data.draw(kinds)) for _ in range(nv_in)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_monomial_subst_matches_horner(data):
+    nv_in, nv_out = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    monos = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * nv_in),
+                               max_size=8, unique=True))
+    poly = Poly(QQ, nv_in, {m: data.draw(_fractions) for m in monos})
+    images = _rational_images(data, nv_in, nv_out)
+    const = lambda c: Poly.const(QQ, nv_out, c)  # noqa: E731
+    got = poly.subst(images)
+    assert got.nvars == nv_out
+    assert got.terms == horner(poly, images, const).terms
+    assert all(type(c) is Fraction and c for c in got.terms.values())
+
+
+def test_monomial_subst_collisions_and_zero_images():
+    # T^t U^u L^l at (T, U, U) lands on T^t U^(u+l): the terms of one
+    # total degree meet and may cancel; at (T, U, 0) every term with an
+    # L drops out
+    T, U, L = (Poly.var(QQ, 3, i) for i in range(3))
+    poly = (U * T + L * T).scale(Fraction(1, 2)) - (U * L).scale(
+        Fraction(2, 3)) + L * L
+    assert poly.subst([T, U, U]).terms == {
+        (1, 1, 0): Fraction(1), (0, 2, 0): Fraction(1, 3)}
+    assert poly.subst([T, U, Poly.zero(QQ, 3)]).terms == {
+        (1, 1, 0): Fraction(1, 2)}
+    assert not (U * T - T * L).subst([T, U, U]).terms
+    with pytest.raises(ZeroDivisionError):
+        Poly(QQ, 1, {(-1,): Fraction(1)}).subst([Poly.zero(QQ, 1)])
 
 
 # ---------------------------------------------------------------------------

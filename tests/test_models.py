@@ -20,11 +20,13 @@ from p2models.errors import (BudgetError, DivisibilityError,
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
 from p2models.models import (
     ModelDescriptor,
+    _psi_candidates,
     ambient_isogeny,
     build_extension,
     build_extension_smooth,
     build_g,
     build_g_smooth,
+    canonical_lift_coeffs,
     enumerate_models,
     hom_brute,
     hom_closed,
@@ -42,6 +44,7 @@ from p2models.models import (
     phi_brute,
     phi_closed,
     phi_congruence,
+    poly_in_var,
     rad_brute,
     rad_witt_count,
     solve_target_hom,
@@ -148,13 +151,14 @@ def test_hom_closed_equals_brute(R3, m, n, count):
 
 def test_hom_brute_refuses_more_than_p9_candidates(monkeypatch):
     # cell (3,3) at p = 5 has 25^5 (about 9.8e6) candidates, above the
-    # default budget 5^9; none of them may be tested.  Each candidate is
-    # decided by one check_morphism, so the spy sits there; the control
-    # with a budget above the count shows that it fires.
-    def refuse(*args):
+    # default budget 5^9; none of them may be tested.  The candidate loop
+    # builds one HopfMorphism per candidate, whatever then decides it, so
+    # the spy sits there; the control with a budget above the count shows
+    # that it fires on the first candidate.
+    def refuse(*args, **kwargs):
         raise AssertionError("a candidate was tested")
 
-    monkeypatch.setattr(models_module, "check_morphism", refuse)
+    monkeypatch.setattr(models_module, "HopfMorphism", refuse)
     with pytest.raises(BudgetError, match="exceed budget 1953125"):
         hom_brute(make_ring(5, 8), 3, 3)
     with pytest.raises(AssertionError, match="a candidate was tested"):
@@ -174,9 +178,10 @@ def test_hom_closed_equals_brute_p5(m, n, count):
 def test_hom_brute_prepares_its_rules_once(R3, monkeypatch):
     # every candidate of cell (3,3) is decided by check_morphism into
     # G_m over R/pi^3, in the square of G_{mu,1}: two rule set-ups (the
-    # unit inverse of build_g and the square) and 2,897 reductions, the
+    # unit inverse of build_g and the square) and 1,529 reductions, the
     # counit rejecting 8 of every 9 candidates before the square is
-    # read (15,807 when F(S)F(T) - F(Delta S) was reduced for every
+    # read (2,897 while counit_of evaluated the zero counit by Horner,
+    # 15,807 when F(S)F(T) - F(Delta S) was reduced for every
     # candidate).  The reduction bound is the count plus 5 %.
     R3.p_over_pi()  # the ring's cached unit is not part of the count
     built = 0
@@ -192,7 +197,7 @@ def test_hom_brute_prepares_its_rules_once(R3, monkeypatch):
     count = _count_reductions(monkeypatch)
     assert len(hom_brute(R3, 3, 3)) == 9
     assert built <= 2
-    assert count["reductions"] <= 3_042
+    assert count["reductions"] <= 1_605
 
 
 def test_hom_closed_33_shape(R3):
@@ -435,6 +440,48 @@ def test_hom_models_brute_prebuilt_presentations(R3, models3):
             assert reused == fresh, (d1.sort_key(), d2.sort_key())
 
 
+def _psi_reference(src, d1, d2, r, s):
+    """The images of candidate psi(r, s), each built from scratch; None
+    when an exact division fails."""
+    ring, p = d1.ring, d1.ring.p
+    x = (r * d1.j * pow(d2.j, -1, p)) % p
+    try:
+        img1 = kummer_poly(ring, ring.pi(d1.m), x, 2, 0, ring.pi(d2.m))
+        u1, u2 = (u.poly for u in src.units)
+        F2_at = poly_in_var(src.base, 1, 0,
+                            canonical_lift_coeffs(d2)).subst([img1])
+        num = src.nf(u2 ** r * u1 ** s - F2_at)
+        return img1, num.div_scalar(ring.pi(d2.n))
+    except (DivisibilityError, ValuationError):
+        return None
+
+
+def _digits_and_precisions(poly):
+    return {m: (c.digits, c.prec) for m, c in poly.terms.items()}
+
+
+def test_hom_candidates_share_pieces_without_changing_them(models3):
+    # the S1' image and F2 at it once per r, the powers once per pair:
+    # every candidate of the 49 ordered p = 3 pairs has the digits and
+    # precisions of one built from scratch, and fails where it fails
+    built = [build_extension(d) for d in models3]
+    defined = 0
+    for d1, src in zip(models3, built):
+        for d2, tgt in zip(models3, built):
+            cands = list(_psi_candidates(src, tgt, d1, d2))
+            assert [rs for rs, _ in cands] == [(r, s) for r in range(3)
+                                               for s in range(3)]
+            for (r, s), f in cands:
+                ref = _psi_reference(src, d1, d2, r, s)
+                assert (f is None) == (ref is None), (r, s)
+                if f is not None:
+                    defined += 1
+                    assert f.source is src and f.target is tgt
+                    assert [_digits_and_precisions(x) for x in f.images] \
+                        == [_digits_and_precisions(x) for x in ref]
+    assert defined == 303
+
+
 def test_ambient_isogeny_canonical(R3, models3):
     d = models3[-1]
     g = solve_target_hom(d)
@@ -654,30 +701,33 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     d = ModelDescriptor(R5, 3, 3, a, 0)
     count = _count_products(monkeypatch)
     ambient_isogeny(d)
-    # 107,403 products with the largest image nested outermost, 254,150
+    # 106,539 products with the largest image nested outermost (107,403
+    # before counit_of read a zero counit off the constant term), 254,150
     # with the variables nested in index order; the bound is the count
     # plus 5 %.  Powering substitution images term by term again would
     # more than double the count.
-    assert count["products"] <= 112_773
+    assert count["products"] <= 111_865
 
 
 def test_morphism_checks_product_counts(R3, models3, monkeypatch):
-    # On the (3,3) model: 2,917 products for the nine hom_models_brute
-    # candidates of the self-pair, decided by the linear check, and 2,526
+    # On the (3,3) model: 2,782 products for the nine hom_models_brute
+    # candidates of the self-pair, decided by the linear check, and 2,507
     # for check_morphism on the ambient isogeny, between smooth
-    # presentations.  Substituting into the free ring, the self-pair took
-    # 3,970 (5,339 with the variables nested in index order; the ambient
-    # isogeny then took 3,061).  The bounds are the counts plus 5 %.
+    # presentations (2,917 and 2,526 before the candidates shared their
+    # powers and counit_of read a zero counit off the constant term).
+    # Substituting into the free ring, the self-pair took 3,970 (5,339
+    # with the variables nested in index order; the ambient isogeny then
+    # took 3,061).  The bounds are the counts plus 5 %.
     d = models3[-1]
     assert (d.m, d.n, d.a.pi_digit_expansion(d.n)) == (3, 3, (0, 1, 1))
     pres = build_extension(d)
     _, _, f = ambient_isogeny(d)
     count = _count_products(monkeypatch)
     hom_models_brute(d, d, pres, pres)
-    assert count["products"] <= 3_062
+    assert count["products"] <= 2_921
     count["products"] = 0
     assert check_morphism(f)
-    assert count["products"] <= 2_652
+    assert count["products"] <= 2_632
 
 
 def _count_reductions(monkeypatch):
@@ -698,21 +748,22 @@ def _count_reductions(monkeypatch):
 def test_hom_models_brute_reduction_counts(models3, monkeypatch):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
-    # 1,690 on the (3,3) self-pair and 29,839 on the 49 ordered p = 3
-    # pairs with the linear check, against 2,924 and 54,497 substituting
-    # into the free ring.  Earlier, with the variables of a substitution
-    # nested in index order, they were 4,093 and 72,888, and reducing
-    # every product in normal_form made 7,294 and 120,702.  The bounds
-    # are the counts plus 5 %.
+    # 1,575 on the (3,3) self-pair and 26,858 on the 49 ordered p = 3
+    # pairs with the linear check and candidates sharing their powers
+    # (1,690 and 29,839 building each candidate alone), against 2,924
+    # and 54,497 substituting into the free ring.  Earlier, with the
+    # variables of a substitution nested in index order, they were 4,093
+    # and 72,888, and reducing every product in normal_form made 7,294
+    # and 120,702.  The bounds are the counts plus 5 %.
     pres = [build_extension(d) for d in models3]
     count = _count_reductions(monkeypatch)
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["reductions"] <= 1_774
+    assert count["reductions"] <= 1_653
     count["reductions"] = 0
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["reductions"] <= 31_330
+    assert count["reductions"] <= 28_200
 
 
 def test_hom_models_brute_prepares_each_presentation_once(models3,
