@@ -23,6 +23,10 @@ reduced by E with a polynomial Barrett step; no operation loops over the
 digits.  A slot-wise Barrett step with the modulus p^r gives every
 digit's residue mod p^r at once, which decides p^r-divisibility,
 valuations and residue digits.
+
+Each ring keeps one bounded memo of its powers and prepared divisors
+(`RingDescriptor._unary`), the one cache of ring arithmetic in the
+package.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import EisensteinError, PrecisionError, ValuationError
 
@@ -39,6 +44,12 @@ from .errors import EisensteinError, PrecisionError, ValuationError
 # exactly.
 HEADROOM_BITS = 8
 RAW_PRODUCTS = 1 << HEADROOM_BITS
+
+# Entries of each ring's memo of powers and prepared divisors
+# (RingDescriptor._memo), least recently used first out.  A pass of the
+# Witt kernel sweep at p = 3 asks for 1,155 distinct ones, the p = 3
+# ring of the acceptance battery for 1,596.
+MEMO_ENTRIES = 2048
 
 
 def _is_prime(n: int) -> bool:
@@ -82,6 +93,26 @@ class RingDescriptor:
         self._build_kernel()
         self._p_over_pi_e = None  # cached, built lazily (needs invert_unit)
         self._p_over_pi = None  # cached, built from _p_over_pi_e
+        self._memo = lru_cache(maxsize=MEMO_ENTRIES)(self._unary)
+
+    def _unary(self, P: int, prec: int, n: int | None = None):
+        """x ** n, or x.divisor() when n is None, for x = RingElement(P,
+        prec), computed without the memo.
+
+        `_memo` is this function behind a least-recently-used table of
+        MEMO_ENTRIES entries, keyed (P, prec, n) for a power and (P, prec)
+        for a divisor.  Over R/pi^t the operands come from a finite set,
+        so the same Frobenius rungs c -> c^p and the same divisors recur.
+        A stored result is handed to every caller: a RingElement is
+        immutable and a prepared divisor is a pure closure, so sharing
+        one cannot change what a caller sees.  The table belongs to the
+        ring, so a fresh ring starts cold and no global table keeps rings
+        alive.  Worst case at p = 5, M = 12 (1,760-bit packed integers),
+        key included: about 0.7 KB a power and 1 KB a prepared divisor,
+        so at most 2 MB for a full table.
+        """
+        x = RingElement(self, P, prec)
+        return x._divisor() if n is None else x._power(n)
 
     def _validate_eisenstein(self):
         p, e = self.p, self.e
@@ -439,6 +470,12 @@ class RingElement:
         return self.scale(n)
 
     def __pow__(self, n: int) -> "RingElement":
+        """self^n from the ring's memo (RingDescriptor._unary); a negative
+        n is a power of the inverse of a unit."""
+        return self.ring._memo(self.P, self.prec, n)
+
+    def _power(self, n: int) -> "RingElement":
+        """self^n by square-and-multiply, without the memo."""
         if n < 0:
             return self.invert_unit() ** (-n)
         if n == 0:
@@ -502,8 +539,15 @@ class RingElement:
 
         Prepared once: v(self) = w and the Newton inverse of the unit
         self / pi^w; each call then divides x by pi w times and multiplies
-        by that inverse.  The map requires v(x) >= w determinate.
+        by that inverse.  The map requires v(x) >= w determinate.  The
+        map is a pure closure, shared through the ring's memo
+        (RingDescriptor._unary) by every element of the same digits and
+        precision.
         """
+        return self.ring._memo(self.P, self.prec)
+
+    def _divisor(self):
+        """The prepared map of `divisor`, without the memo."""
         w = self.valuation()
         if isinstance(w, IndeterminateAtPrecision):
             raise ValuationError("divisor valuation indeterminate")

@@ -267,24 +267,43 @@ def rho_scalar(ring: RingDescriptor, m: int) -> RingElement:
     return ring.from_int(ring.p).divide_exact(ring.pi(m) ** (ring.p - 1))
 
 
+def _defect(ring: RingDescriptor, m: int, al: RingElement,
+            al_p: RingElement, rho: RingElement, j: int) -> RingElement:
+    """p a - j mu - rho a^p from the lift al of a, al_p = al^p and
+    rho = rho_scalar(ring, m)."""
+    return al.scale(ring.p) - ring.pi(m).scale(j) - rho * al_p
+
+
 def phi_defect(ring: RingDescriptor, m: int, a: RingElement,
                j: int) -> RingElement:
     """p a - j mu - (p/mu^(p-1)) a^p for mu = pi^m, on the canonical lift
     of the class a."""
     al = a.with_prec(ring.full_prec)
-    return (al.scale(ring.p) - ring.pi(m).scale(j)
-            - rho_scalar(ring, m) * al ** ring.p)
+    return _defect(ring, m, al, al ** ring.p, rho_scalar(ring, m), j)
+
+
+def _phi_js(ring: RingDescriptor, m: int, n: int, a: RingElement, js,
+            rho: RingElement | None = None) -> list[int]:
+    """The j in js with (a, j) in Phi, for a class a of R/pi^n, n >= 1.
+
+    a^p is computed once for every j; rho = rho_scalar(ring, m) is
+    computed only once a^p = 0 mod pi^n, unless it is given."""
+    al = a.with_prec(ring.full_prec)
+    al_p = al ** ring.p
+    if not eq_mod(al_p, ring.zero(), n):
+        return []
+    if rho is None:
+        rho = rho_scalar(ring, m)
+    zero, pn = ring.zero(), ring.p * n
+    return [j for j in js
+            if eq_mod(_defect(ring, m, al, al_p, rho, j), zero, pn)]
 
 
 def phi_congruence(ring: RingDescriptor, m: int, n: int,
                    a: RingElement, j: int) -> bool:
     """(a, j) in Phi for a class a of R/pi^n: a^p = 0 mod pi^n and
     phi_defect = 0 mod pi^(pn)."""
-    if n == 0:
-        return True
-    if not eq_mod(a.with_prec(ring.full_prec) ** ring.p, ring.zero(), n):
-        return False
-    return eq_mod(phi_defect(ring, m, a, j), ring.zero(), ring.p * n)
+    return n == 0 or bool(_phi_js(ring, m, n, a, (j,)))
 
 
 def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
@@ -333,11 +352,12 @@ def phi_brute(ring: RingDescriptor, m: int, n: int,
     """Direct enumeration of the defining congruence."""
     p = ring.p
     _check_budget(ring, p ** n * p, budget)
+    # a = 0 comes first and passes a^p = 0, so rho is always reached
+    rho = rho_scalar(ring, m) if n else None
     out = []
     for a in enumerate_quotient(ring, n):
-        for j in range(p):
-            if phi_congruence(ring, m, n, a, j):
-                out.append(PhiElement(a, j))
+        js = _phi_js(ring, m, n, a, range(p), rho) if n else range(p)
+        out.extend(PhiElement(a, j) for j in js)
     return sorted(out, key=PhiElement.sort_key)
 
 

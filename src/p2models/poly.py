@@ -423,6 +423,10 @@ def horner(poly: Poly, images: list, const):
     x^k_min.  A gap of g between exponents costs g products; no power of
     an image is stored.
 
+    Every exponent must be >= 0: a negative one raises ValueError.
+    (Poly.subst sends a Laurent polynomial over QQBase with one-term
+    images to `_monomial_subst` instead.)
+
     The outer variable's image is multiplied at most deg times in all,
     an inner one's again inside every outer group.  So the variables are
     nested by the size of their images, the largest outermost: a Poly
@@ -463,6 +467,8 @@ def _horner(items, order, pos, images, const):
                 acc = acc * x
             acc = acc + val
         prev = k
+    if prev < 0:
+        raise ValueError(f"negative exponent {prev} of variable {i}")
     for _ in range(prev):
         acc = acc * x
     return acc

@@ -23,6 +23,9 @@ length K + max(1, k); `_settle` checks that the last, spare one vanishes.
 
 Each vector computes its ghost components once: `ghosts` keeps the
 longest prefix computed so far on the vector, and later calls read it.
+The rungs c -> c^p of the Frobenius power ladders come from the ring's
+memo of powers (`RingDescriptor._unary`): over R/pi^t the coordinates
+range over a finite set, so across vectors the same rungs recur.
 """
 
 from __future__ import annotations
@@ -168,7 +171,8 @@ def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
 
     The term p^k c_k^(p^(r-k)) is known to k e digits more than the rung
     (`RingElement.times_p_power`), so coordinate r loses the r e digits
-    of its own division, not those of the earlier ones again."""
+    of its own division, not those of the earlier ones again.
+    Coordinate 0 is Phi_0 itself."""
     p = ring.p
     coords, rungs = [], []  # rungs[k] = c_k^(p^(r-k))
     for r, g in enumerate(gh):
@@ -179,7 +183,7 @@ def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
                 x = x.times_p_power(k)
             if _contributes(x, acc):
                 acc = acc - x
-        coords.append(acc.divide_p_power(r))
+        coords.append(acc.divide_p_power(r) if r else acc)
         rungs.append(coords[-1])
     return coords
 

@@ -15,6 +15,9 @@
   shows its coordinates and where a descriptor takes a.
 * The slot layout of the packed kernel is read only by `dvr.py` and
   `poly.py`.
+* Caching stays behind `dvr.py`, the ring's memo of powers and
+  divisors: elsewhere only the known tables of `artin_hasse.py` and
+  `selftest.py` use `lru_cache` or `cache`.
 """
 
 import ast
@@ -438,3 +441,34 @@ def test_name_scan_is_found(tmp_path):
     assert _scopes_where(tmp_path, _names({"QuotElement"})) == [
         "mod.py:W.coord", "mod.py:W.lift", "top.py:"]
     assert _scopes_where(tmp_path, _names(SLOT_LAYOUT)) == ["mod.py:res"]
+
+
+# functools' memo decorators, as names or attributes
+CACHES = {"lru_cache", "cache"}
+
+
+def test_caching_stays_behind_the_ring_memo():
+    # the ring's memo of powers and divisors in dvr.py is the package's
+    # caching policy; the other tables are the series and the battery's
+    # rings and models, each built once per process
+    scopes = _scopes_where(SRC / "p2models", _names(CACHES))
+    assert [s for s in scopes if not s.startswith("dvr.py:")] == [
+        "artin_hasse.py:ah_series", "artin_hasse.py:deformed_ah",
+        "selftest.py:_models3", "selftest.py:_ring"]
+
+
+def test_cache_scan_is_found(tmp_path):
+    # negative control: a bare, a called and a dotted decorator and a
+    # cache built by a call are reported; an import and cached_property
+    # are not
+    (tmp_path / "mod.py").write_text(
+        "import functools\nfrom functools import cache, lru_cache\n\n\n"
+        "@cache\ndef a():\n    return 1\n\n\n"
+        "@lru_cache(maxsize=8)\ndef b():\n    return 2\n\n\n"
+        "class C:\n    @functools.cache\n    def c(self):\n"
+        "        return 3\n\n"
+        "    @functools.cached_property\n    def d(self):\n"
+        "        return 4\n\n\n"
+        "def e(f):\n    return functools.lru_cache(None)(f)\n")
+    assert _scopes_where(tmp_path, _names(CACHES)) == [
+        "mod.py:C.c", "mod.py:a", "mod.py:b", "mod.py:e"]

@@ -11,7 +11,8 @@
 * The rational `Poly` product over QQBase, capped and uncapped, against
   term-by-term Fraction arithmetic, with a kernel that divides by one
   operand's denominator alone as a negative control; and the exponent
-  map of one-term QQBase substitutions against `horner`.
+  map of one-term QQBase substitutions against `horner`, Laurent
+  polynomials included, which `horner` refuses.
 * The lazy single-pass `normal_form` against the stepwise rewriting
   loop it replaced, and its rejection of systems that are not
   triangular and monic.
@@ -27,6 +28,9 @@
 * The block pi-adic digit expansion against the stepwise `_div_pi`
   expansion it replaced, and `RingElement.mod_pi` against the
   `QuotElement` round trip.
+* Each ring's memo of powers and prepared divisors against the same
+  ring operations without it, with a memo keyed without the precision
+  as a negative control; its bound, and that it belongs to its ring.
 * The Frobenius power ladders of `witt.ghosts` and `witt._recover`
   against the direct formulas computed with `**`, and the ghost prefix
   stored on each vector against a fresh vector's.
@@ -41,6 +45,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from p2models import dvr
+from p2models import poly as poly_module
 from p2models.artin_hasse import _mul as ah_mul
 from p2models.dvr import (
     HEADROOM_BITS,
@@ -742,6 +748,21 @@ def test_monomial_subst_collisions_and_zero_images():
         Poly(QQ, 1, {(-1,): Fraction(1)}).subst([Poly.zero(QQ, 1)])
 
 
+def test_laurent_substitution_takes_the_exponent_map(monkeypatch):
+    # one-term images of a Laurent polynomial, themselves with negative
+    # exponents, go through _monomial_subst and never reach horner,
+    # which refuses negative exponents
+    monkeypatch.setattr(poly_module, "horner", None)
+    T, U = Poly.var(QQ, 2, 0), Poly.var(QQ, 2, 1)
+    poly = Poly(QQ, 2, {(-1, 2): Fraction(3), (2, -3): Fraction(-1, 2),
+                        (0, 0): Fraction(5)})
+    images = [T.scale(Fraction(2)), Poly(QQ, 2, {(1, -1): Fraction(-3)})]
+    # 3 (2T)^(-1) (-3 T/U)^2 + (-1/2) (2T)^2 (-3 T/U)^(-3) + 5
+    assert poly.subst(images).terms == {
+        (1, -2): Fraction(27, 2), (-1, 3): Fraction(2, 27),
+        (0, 0): Fraction(5)}
+
+
 # ---------------------------------------------------------------------------
 # lazy single-pass normal form
 # ---------------------------------------------------------------------------
@@ -1052,6 +1073,26 @@ def test_horner_gap_exponents():
     _same_poly(poly.subst([img]), naive_subst(poly, [img], const), True)
 
 
+def test_horner_rejects_negative_exponents():
+    # x^(-1) at 1 + x used to evaluate to 1, silently; the negative
+    # exponent may sit in the outer or an inner variable, over QQBase or
+    # ExactBase
+    x = Poly.var(QQ, 1, 0)
+    one_plus_x = Poly.one(QQ, 1) + x
+    laurent = Poly(QQ, 1, {(-1,): Fraction(1)})
+    const = lambda c: Poly.const(QQ, 1, c)  # noqa: E731
+    for poly in (laurent, laurent + x):
+        with pytest.raises(ValueError, match="negative exponent"):
+            poly.subst([one_plus_x])
+        with pytest.raises(ValueError, match="negative exponent"):
+            horner(poly, [one_plus_x], const)
+    R = SUBST_RING
+    y = Poly.var(BASE, 2, 1)
+    inner = Poly(BASE, 2, {(3, -2): R.one(), (0, 1): R.from_int(2)})
+    with pytest.raises(ValueError, match="negative exponent"):
+        inner.subst([y + y * y, Poly.one(BASE, 2) + y])
+
+
 def _localized_pres():
     R = SUBST_RING
     x, y = Poly.var(BASE, 2, 0), Poly.var(BASE, 2, 1)
@@ -1209,6 +1250,150 @@ def test_negative_levels_are_refused():
 
 
 # ---------------------------------------------------------------------------
+# the ring memo of powers and prepared divisors
+# ---------------------------------------------------------------------------
+
+MEMO_RINGS = ((3, 12), (3, 2), (5, 8), (5, 3))
+
+
+def uncached(p, M):
+    """A fresh ring whose memo is the computation it stands for, so the
+    power of an inverse inside `_power` is computed again too."""
+    R = make_ring(p, M)
+    R._memo = R._unary
+    return R
+
+
+def _result(fn):
+    """(digits, prec) of fn(), or the type of the error it raises."""
+    try:
+        x = fn()
+    except (ValuationError, PrecisionError, ArithmeticError) as exc:
+        return type(exc)
+    return x.digits, x.prec
+
+
+@st.composite
+def memo_operands(draw, R):
+    """A structural zero, pi^w times a unit (0 <= w <= e + 2) or random
+    digits, at full or at a reduced precision."""
+    kind = draw(st.sampled_from(("zero", "pi_unit", "any")))
+    digits = draw(st.lists(st.integers(0, R.pM - 1),
+                           min_size=R.e, max_size=R.e))
+    if kind == "zero":
+        x = R.zero()
+    elif kind == "pi_unit":
+        unit = R.from_digits([draw(st.integers(1, R.p - 1))] + digits[1:])
+        x = R.pi(draw(st.integers(0, R.e + 2))) * unit
+    else:
+        x = R.from_digits(digits)
+    return x.with_prec(draw(st.one_of(st.just(R.full_prec),
+                                      st.integers(0, R.full_prec))))
+
+
+def _memo_mismatches(R, U, xs, ns, ys):
+    """Every power x ** n and division y / x on R, each asked twice (a
+    miss, then a hit) and once more from a copy of x, that differs from
+    the uncached code (`_power`, `_divisor`) on the ring U in digits,
+    precision or error."""
+    def on(S, x):
+        return RingElement(S, x.P, x.prec)
+
+    out = []
+    for x in xs:
+        copies = (x, x, RingElement(R, x.P, x.prec))
+        for n in ns:
+            want = _result(lambda: on(U, x)._power(n))
+            out += [("pow", x, n) for c in copies
+                    if _result(lambda: c ** n) != want]
+        for y in ys:
+            want = _result(lambda: on(U, x)._divisor()(on(U, y)))
+            out += [("div", x, y) for c in copies
+                    if _result(lambda: c.divisor()(y)) != want]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MEMO_RINGS), st.data())
+def test_memo_powers_match_the_uncached_code(pm, data):
+    # the module's shared rings: their memos already hold what earlier
+    # tests put there
+    R, U = ring(*pm), uncached(*pm)
+    xs = [data.draw(memo_operands(R)) for _ in range(3)]
+    ns = data.draw(st.lists(st.integers(-4, 12), min_size=1, max_size=5))
+    assert _memo_mismatches(R, U, xs, ns + [0, 1, R.p], ()) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(MEMO_RINGS), st.data())
+def test_memo_divisors_match_the_uncached_code(pm, data):
+    # dividends: multiples of the divisor (divisible unless its precision
+    # is too low) and arbitrary elements (often not divisible)
+    R, U = ring(*pm), uncached(*pm)
+    d = data.draw(memo_operands(R))
+    zs = [data.draw(memo_operands(R)) for _ in range(2)]
+    ys = [d * z for z in zs] + zs
+    assert _memo_mismatches(R, U, [d], (), ys) == []
+
+
+def _memo_without_prec(R):
+    """A memo of R keyed (P, n) alone: wrong, for elements of the same
+    digits at different precisions."""
+    table = {}
+
+    def memo(P, prec, n=None):
+        if (P, n) not in table:
+            table[P, n] = R._unary(P, prec, n)
+        return table[P, n]
+    return memo
+
+
+def test_memo_keyed_without_precision_fails_the_oracle():
+    # negative control: the oracle tells a memo that drops prec from its
+    # key from the right one, on powers and on divisors
+    for pm in ((3, 12), (5, 8)):
+        R, U = make_ring(*pm), uncached(*pm)
+        x = R.one() + R.pi()
+        xs, ys = [x, x.with_prec(5)], [R.pi(3)]
+        assert _memo_mismatches(R, U, xs, (3, -2), ys) == []
+        R._memo = _memo_without_prec(R)
+        assert {kind for kind, *_ in _memo_mismatches(
+            R, U, xs, (3, -2), ys)} == {"pow", "div"}
+
+
+def test_memo_stays_within_its_bound():
+    # past MEMO_ENTRIES distinct powers the table stays full, the least
+    # recently used entries leave it, and asked again they are computed
+    # again, with the same digits and precision
+    R, U = make_ring(3, 12), uncached(3, 12)
+    xs = [R.from_int(k) for k in range(2, dvr.MEMO_ENTRIES + 102)]
+    for x in xs:
+        x ** 3
+        assert R._memo.cache_info().currsize <= dvr.MEMO_ENTRIES
+    assert R._memo.cache_info().currsize == dvr.MEMO_ENTRIES
+    misses = R._memo.cache_info().misses
+    assert _memo_mismatches(R, U, xs[:50] + xs[-50:], (3,), ()) == []
+    assert R._memo.cache_info().misses == misses + 50
+    assert R._memo.cache_info().currsize == dvr.MEMO_ENTRIES
+
+
+def test_memo_belongs_to_its_ring():
+    # a fresh ring starts cold whatever another ring holds, and a ring
+    # that is dropped is freed with its memo
+    import gc
+    import weakref
+    R = make_ring(3, 12)
+    R.zeta2 ** 5
+    R.pi(2).divisor()
+    assert R._memo.cache_info().currsize == 2
+    assert make_ring(3, 12)._memo.cache_info().currsize == 0
+    dropped = weakref.ref(R)
+    del R
+    gc.collect()
+    assert dropped() is None
+
+
+# ---------------------------------------------------------------------------
 # Witt ghosts and recovery along Frobenius power ladders
 # ---------------------------------------------------------------------------
 
@@ -1363,20 +1548,29 @@ def test_ghosts_returns_a_copy_of_the_stored_prefix():
 def test_kernel_sweep_product_count(monkeypatch):
     # The t = 2 kernel sweep of selftest criterion 7: 81 Witt sums over
     # the 9 kernel vectors, whose ghosts is_frobenius_kernel already
-    # computed.  At the working length K + 1 of t = 2 (one spare
-    # coordinate), 416 RingElement products read the stored ghosts;
-    # 1,008 recompute both operands' ghosts in every sum, and 816 work
-    # at K + 2.  Every division by p^r in the recovery is decided from
-    # the slot residues mod p^r, so none falls back to the valuation
-    # scan of _check_divisible (233 calls when every division scanned).
-    R = ring(3, 12)
+    # computed, on a fresh ring (the shared ones hold other tests'
+    # powers).  At the working length K + 1 of t = 2 (one spare
+    # coordinate), 208 powers and 416 RingElement products read the
+    # stored ghosts; 1,008 products recompute both operands' ghosts in
+    # every sum, and 816 work at K + 2.  The ring's memo of powers
+    # already holds most rungs from the kernel test, so 36 of the 416
+    # products remain.  Every division by p^r in the recovery is decided
+    # from the slot residues mod p^r, so none falls back to the
+    # valuation scan of _check_divisible (233 calls when every division
+    # scanned).
+    R = make_ring(3, 12)
     pool = list(enumerate_quotient(R, 2))
     kernel = [w for w in (WittVector(R, 2, coords)
                           for coords in product(pool, repeat=2))
               if is_frobenius_kernel(w, R.zero(), 2)]
     assert len(kernel) == 9
-    count = {"products": 0, "scans": 0}
+    count = {"powers": 0, "products": 0, "scans": 0}
     mul, check = RingElement.__mul__, RingElement._check_divisible
+    power = RingElement.__pow__
+
+    def counting_pow(x, n):
+        count["powers"] += 1
+        return power(x, n)
 
     def counting_mul(x, y):
         count["products"] += 1
@@ -1386,9 +1580,10 @@ def test_kernel_sweep_product_count(monkeypatch):
         count["scans"] += 1
         return check(x, w)
 
+    monkeypatch.setattr(RingElement, "__pow__", counting_pow)
     monkeypatch.setattr(RingElement, "__mul__", counting_mul)
     monkeypatch.setattr(RingElement, "_check_divisible", counting_check)
     for u in kernel:
         for v in kernel:
             witt_add(u, v)
-    assert count == {"products": 416, "scans": 0}
+    assert count == {"powers": 208, "products": 36, "scans": 0}

@@ -175,14 +175,16 @@ def test_hom_closed_equals_brute_p5(m, n, count):
     assert len(hc) == count
 
 
-def test_hom_brute_prepares_its_rules_once(R3, monkeypatch):
+def test_hom_brute_prepares_its_rules_once(monkeypatch):
     # every candidate of cell (3,3) is decided by check_morphism into
     # G_m over R/pi^3, in the square of G_{mu,1}: two rule set-ups (the
-    # unit inverse of build_g and the square) and 1,529 reductions, the
-    # counit rejecting 8 of every 9 candidates before the square is
-    # read (2,897 while counit_of evaluated the zero counit by Horner,
-    # 15,807 when F(S)F(T) - F(Delta S) was reduced for every
-    # candidate).  The reduction bound is the count plus 5 %.
+    # unit inverse of build_g and the square) and 1,527 reductions on a
+    # fresh ring, the counit rejecting 8 of every 9 candidates before
+    # the square is read (1,529 before the ring's memo of powers, 2,897
+    # while counit_of evaluated the zero counit by Horner, 15,807 when
+    # F(S)F(T) - F(Delta S) was reduced for every candidate).  The
+    # reduction bound is the count plus 5 %.
+    R3 = make_ring(3, 12)
     R3.p_over_pi()  # the ring's cached unit is not part of the count
     built = 0
     init = poly_module.TriangularRules.__init__
@@ -197,7 +199,7 @@ def test_hom_brute_prepares_its_rules_once(R3, monkeypatch):
     count = _count_reductions(monkeypatch)
     assert len(hom_brute(R3, 3, 3)) == 9
     assert built <= 2
-    assert count["reductions"] <= 1_605
+    assert count["reductions"] <= 1_603
 
 
 def test_hom_closed_33_shape(R3):
@@ -580,13 +582,16 @@ def test_ambient_isogeny_kernel_containment_can_fail(models3, monkeypatch,
         ambient_isogeny(by_key[key])
 
 
-def test_build_extension_inverts_each_divisor_once(models3, monkeypatch):
-    # One Newton inversion per divisor: the Kummer coefficients of rel1
-    # (by mu^p), the counit (by lam), and the three Poly.div_scalar calls
-    # (relation by lam^p, cocycle and antipode by lam).  Inverting the
-    # unit part again for every coefficient made 25 calls here.
-    d = models3[-1]
-    assert (d.m, d.n, d.j) == (3, 3, 1)
+def test_build_extension_inverts_each_divisor_once(monkeypatch):
+    # One Newton inversion per distinct divisor, on a fresh ring: the
+    # Kummer coefficients of rel1 (by mu^p) and the relation (by lam^p,
+    # the same pi^9) share one, and the counit, cocycle and antipode (by
+    # lam) another; the ring's memo prepares each divisor once.  Preparing
+    # each divisor again made 5 calls here, and inverting the unit part
+    # again for every coefficient 25.
+    R3 = make_ring(3, 12)
+    R3.p_over_pi()  # the ring's cached unit is not part of the count
+    d = ModelDescriptor(R3, 3, 3, QuotElement(R3, 3, (0, 1, 1)), 1)
     calls = 0
     invert = RingElement.invert_unit
 
@@ -597,7 +602,7 @@ def test_build_extension_inverts_each_divisor_once(models3, monkeypatch):
 
     monkeypatch.setattr(RingElement, "invert_unit", counting_invert)
     build_extension(d)
-    assert calls <= 5
+    assert calls == 2
 
 
 @pytest.mark.parametrize("p, M, m, n, a_digits, j", [
@@ -701,30 +706,32 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     d = ModelDescriptor(R5, 3, 3, a, 0)
     count = _count_products(monkeypatch)
     ambient_isogeny(d)
-    # 106,539 products with the largest image nested outermost (107,403
-    # before counit_of read a zero counit off the constant term), 254,150
-    # with the variables nested in index order; the bound is the count
-    # plus 5 %.  Powering substitution images term by term again would
-    # more than double the count.
-    assert count["products"] <= 111_865
+    # 106,499 products with the largest image nested outermost (106,539
+    # before the ring's memo of powers and divisors, 107,403 before
+    # counit_of read a zero counit off the constant term), 254,150 with
+    # the variables nested in index order; the bound is the count plus
+    # 5 %.  Powering substitution images term by term again would more
+    # than double the count.
+    assert count["products"] <= 111_823
 
 
-def test_morphism_checks_product_counts(R3, models3, monkeypatch):
-    # On the (3,3) model: 2,782 products for the nine hom_models_brute
-    # candidates of the self-pair, decided by the linear check, and 2,507
-    # for check_morphism on the ambient isogeny, between smooth
-    # presentations (2,917 and 2,526 before the candidates shared their
-    # powers and counit_of read a zero counit off the constant term).
+def test_morphism_checks_product_counts(monkeypatch):
+    # On the (3,3) model of a fresh ring: 2,781 products for the nine
+    # hom_models_brute candidates of the self-pair, decided by the
+    # linear check, and 2,507 for check_morphism on the ambient isogeny,
+    # between smooth presentations (2,782 before the ring's memo of
+    # powers; 2,917 and 2,526 before the candidates shared their powers
+    # and counit_of read a zero counit off the constant term).
     # Substituting into the free ring, the self-pair took 3,970 (5,339
     # with the variables nested in index order; the ambient isogeny then
     # took 3,061).  The bounds are the counts plus 5 %.
-    d = models3[-1]
+    d = enumerate_models(make_ring(3, 12), 3)[-1]
     assert (d.m, d.n, d.a.pi_digit_expansion(d.n)) == (3, 3, (0, 1, 1))
     pres = build_extension(d)
     _, _, f = ambient_isogeny(d)
     count = _count_products(monkeypatch)
     hom_models_brute(d, d, pres, pres)
-    assert count["products"] <= 2_921
+    assert count["products"] <= 2_920
     count["products"] = 0
     assert check_morphism(f)
     assert count["products"] <= 2_632
@@ -745,25 +752,28 @@ def _count_reductions(monkeypatch):
     return count
 
 
-def test_hom_models_brute_reduction_counts(models3, monkeypatch):
+def test_hom_models_brute_reduction_counts(monkeypatch):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
-    # 1,575 on the (3,3) self-pair and 26,858 on the 49 ordered p = 3
-    # pairs with the linear check and candidates sharing their powers
-    # (1,690 and 29,839 building each candidate alone), against 2,924
+    # On a fresh ring, 1,574 on the (3,3) self-pair and 26,824 on the 49
+    # ordered p = 3 pairs with the linear check, candidates sharing
+    # their powers and the ring's memo of powers and divisors (1,575 and
+    # 26,858 without the memo, 1,690 and 29,839 building each candidate
+    # alone), against 2,924
     # and 54,497 substituting into the free ring.  Earlier, with the
     # variables of a substitution nested in index order, they were 4,093
     # and 72,888, and reducing every product in normal_form made 7,294
     # and 120,702.  The bounds are the counts plus 5 %.
+    models3 = enumerate_models(make_ring(3, 12), 3)
     pres = [build_extension(d) for d in models3]
     count = _count_reductions(monkeypatch)
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["reductions"] <= 1_653
+    assert count["reductions"] <= 1_652
     count["reductions"] = 0
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["reductions"] <= 28_200
+    assert count["reductions"] <= 28_165
 
 
 def test_hom_models_brute_prepares_each_presentation_once(models3,
