@@ -27,12 +27,19 @@ Over ExactBase every polynomial product goes through one packed kernel
 list of pairs per output monomial.  A product is its one-pair case, a
 sum of products (`sum_of_products`) reduces each monomial once, and a
 product whose normal form is wanted (`TriangularRules.reduce_product`)
-enters the normal-form pass unreduced.  Over QQBase every product goes
-through its rational counterpart (`_rational_product`): each operand as
-integer numerators over the lcm of its denominators, the integer
-products of each output monomial summed, and one Fraction, so one gcd,
-per output term; it can leave out the terms above a degree in variable
-0 (the truncated series of artin_hasse).
+enters the normal-form pass unreduced.  A product of two operands in 2n
+variables, each invariant under swapping the first and the last n (the
+same digits and precision at m and at its mirror), is invariant too:
+only its monomials m with m[:n] <= m[n:] are summed, and each mirror
+gets the same element (`_packed_product`).  Operands over another base
+or in another number of variables raise ValueError.
+
+Over QQBase every product goes through its rational counterpart
+(`_rational_product`): each operand as integer numerators over the lcm
+of its denominators, the integer products of each output monomial
+summed, and one Fraction, so one gcd, per output term; it can leave out
+the terms above a degree in variable 0 (the truncated series of
+artin_hasse).
 
 Substitution (`horner`) nests the variables by the size of their
 images, the largest outermost: the outer image is multiplied the fewest
@@ -107,6 +114,12 @@ class QQBase:
     def coeff_json(self, a):
         return str(a)
 
+    def __eq__(self, other):
+        return isinstance(other, QQBase)
+
+    def __repr__(self):
+        return "QQBase()"
+
 
 class Poly:
     """Sparse multivariate polynomial over a coefficient base.
@@ -169,7 +182,7 @@ class Poly:
         can be a structural zero, so only those are tested."""
         drop = self.base.prune_zero
         out = dict(self.terms)
-        for m, c in other.terms.items():
+        for m, c in _terms_in(other, self.base, self.nvars).items():
             if m not in out:
                 out[m] = single(c)
             elif drop(s := op(out[m], c)):
@@ -181,8 +194,8 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         kernel = (_packed_product if isinstance(self.base, ExactBase)
                   else _rational_product)
-        return Poly.from_nonzero(self.base, self.nvars,
-                                 kernel(self.terms, other.terms))
+        return Poly.from_nonzero(self.base, self.nvars, kernel(
+            self.terms, _terms_in(other, self.base, self.nvars)))
 
     def scale(self, c) -> "Poly":
         return Poly(self.base, self.nvars,
@@ -271,17 +284,59 @@ def sum_of_products(pairs, base, nvars: int) -> Poly:
     """sum a*b over pairs (a, b) of ExactBase polynomials in nvars
     variables, in one accumulation (`_raw_sums`): each monomial sums the
     raw products that land on it and is reduced once."""
-    return Poly.from_nonzero(base, nvars, _settled(
-        *_raw_sums((a.terms, b.terms) for a, b in pairs)))
+    return Poly.from_nonzero(base, nvars, _settled(*_raw_sums(
+        (_terms_in(a, base, nvars), _terms_in(b, base, nvars))
+        for a, b in pairs)))
+
+
+def _terms_in(x: Poly, base, nvars: int) -> dict:
+    """The terms of x, which must be over base in nvars variables: a
+    polynomial of another ring raises ValueError."""
+    if x.nvars != nvars or x.base is not base and x.base != base:
+        raise ValueError(f"operands from different rings: {x.base!r} in "
+                         f"{x.nvars} variables, {base!r} in {nvars}")
+    return x.terms
 
 
 def _packed_product(ta: dict, tb: dict) -> dict:
     """The terms of the product of two term dicts over ExactBase: the
-    one-pair case of `_raw_sums`, each sum reduced once."""
-    return _settled(*_raw_sums(((ta, tb),)))
+    one-pair case of `_raw_sums`, each sum reduced once.
+
+    When both operands are swap-invariant in 2n variables (`_swap_half`),
+    so is their product: only its monomials m with m[:n] <= m[n:] are
+    summed, the smaller operand sorted for the row bound, and each one's
+    mirror m[n:] + m[:n] gets the same element.  The keys then come as
+    the kept monomials in first-occurrence order, each followed by its
+    mirror.
+    """
+    n = _swap_half(ta, tb)
+    if not n:
+        return _settled(*_raw_sums(((ta, tb),)))
+    if len(ta) < len(tb):
+        ta, tb = tb, ta
+    out = {}
+    for m, c in _settled(*_raw_sums(((ta, tb),), n)).items():
+        out[m] = out[m[n:] + m[:n]] = c
+    return out
 
 
-def _raw_sums(pairs) -> tuple:
+def _swap_half(ta: dict, tb: dict) -> int:
+    """n when both term dicts are in 2n > 0 variables (read off the first
+    key of ta) and each is invariant under swapping its first and last n
+    variables: the same digits and precision at m and at its mirror
+    m[n:] + m[:n].  0 otherwise."""
+    n, odd = divmod(len(next(iter(ta), ())), 2)
+    if odd or not n:
+        return 0
+    for terms in (ta, tb):
+        for m, c in terms.items():
+            d = terms.get(m[n:] + m[:n])
+            if d is None or d.P != c.P or d.prec != c.prec:
+                return 0
+    return n
+
+
+def _raw_sums(pairs, half: int = 0) -> tuple:
     """(ring, raw sums) of sum a*b over pairs (a, b) of term dicts over
     ExactBase: the packed kernel.
 
@@ -294,6 +349,13 @@ def _raw_sums(pairs) -> tuple:
     full sum is reduced early.  Keys come in first-occurrence order, as
     in the generic product loop.  The ring is None when no pair has a
     term.
+
+    With half = n > 0 every pair must be swap-invariant in 2n variables
+    (`_swap_half`), and only the monomials m with m[:n] <= m[n:]
+    (lexicographic) are summed.  That order is compatible with addition,
+    so m1 + m2 is kept exactly when lag(m2) <= -lag(m1), lag(m) =
+    m[:n] - m[n:]: with the terms of b sorted by lag, the terms of b kept
+    in the row of a term of a are a prefix, found by one bisect.
     """
     acc, ring = {}, None
     for ta, tb in pairs:
@@ -302,9 +364,14 @@ def _raw_sums(pairs) -> tuple:
         if ring is None:
             ring = next(iter(ta.values())).ring
         pb = [(m, _resident(c, ring), c.prec) for m, c in tb.items()]
+        if half:
+            pb.sort(key=lambda t: _lag(t[0], half))
+            lags = [_lag(m, half) for m, _, _ in pb]
         for m1, c1 in ta.items():
             x1, p1 = _resident(c1, ring), c1.prec
-            for m2, x2, p2 in pb:
+            row = pb if not half else pb[:bisect_right(
+                lags, _lag(m1[half:] + m1[:half], half))]
+            for m2, x2, p2 in row:
                 m = tuple(map(add, m1, m2))
                 prec = p1 if p1 < p2 else p2
                 s = acc.get(m)
@@ -318,6 +385,11 @@ def _raw_sums(pairs) -> tuple:
                 if prec < s[1]:
                     s[1] = prec
     return ring, acc
+
+
+def _lag(m: tuple, n: int) -> tuple:
+    """m[:n] - m[n:], the key of the row bound of `_raw_sums`."""
+    return tuple(map(sub, m[:n], m[n:]))
 
 
 def _settled(ring, acc: dict) -> dict:
@@ -542,23 +614,24 @@ class TriangularRules:
         before it could hold more than RAW_PRODUCTS products.  Its
         precision is the least min(prec) over those products, a sum that
         cancels to zero included; a leading one counts as exact.  A sum
-        that reduces to a structural zero is dropped at the end.
+        that reduces to a structural zero is dropped at the end.  A poly
+        with no term of x_i-degree d_i or more for any rule is already in
+        normal form and comes back as it is.
         """
-        base, nv = self.base, self.nvars
-        if poly.base != base or poly.nvars != nv:
-            raise ValueError("polynomial over another base or variable set")
-        ring = base.ring
+        terms = _terms_in(poly, self.base, self.nvars)
+        if not any(m[i] >= d for m in terms for i, d, _ in self.rules):
+            return poly
+        ring = self.base.ring
         return self._rewrite({m: [_resident(c, ring), c.prec, 1]
-                              for m, c in poly.terms.items()})
+                              for m, c in terms.items()})
 
     def reduce_product(self, a: Poly, b: Poly) -> Poly:
         """The normal form of a*b: the raw sums of the packed product
         (`_raw_sums`) enter the pass of `reduce` as they are, so each
         monomial is reduced once."""
         base, nv = self.base, self.nvars
-        if any(x.base != base or x.nvars != nv for x in (a, b)):
-            raise ValueError("polynomial over another base or variable set")
-        ring, acc = _raw_sums(((a.terms, b.terms),))
+        ring, acc = _raw_sums(((_terms_in(a, base, nv),
+                                _terms_in(b, base, nv)),))
         if ring is not None and ring is not base.ring:
             raise ValueError("operands from different rings")
         return self._rewrite(acc)

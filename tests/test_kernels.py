@@ -40,6 +40,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import lcm
+import operator
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -61,7 +63,8 @@ from p2models.errors import PrecisionError, ValuationError
 from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
                            coeff_mod_pi)
 from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules,
-                           _rational_product, horner, normal_form)
+                           _rational_product, horner, normal_form,
+                           sum_of_products)
 from p2models.witt import (WittVector, _recover, ghost, ghosts,
                            is_frobenius_kernel, witt_add)
 
@@ -447,9 +450,14 @@ def poly_pairs(draw):
 @settings(max_examples=120, deadline=None)
 @given(poly_pairs())
 def test_packed_poly_product_matches_termwise(pair):
-    # ordered lists: keys, digits, precisions and key order all match
+    # ordered lists: keys, digits, precisions and key order all match;
+    # a swap-invariant pair keeps its own key order (`_packed_product`),
+    # so its terms are compared as a mapping
     a, b = pair
-    assert terms_of(a * b) == termwise_poly_mul(a, b)
+    got, want = terms_of(a * b), termwise_poly_mul(a, b)
+    if poly_module._swap_half(a.terms, b.terms):
+        got, want = sorted(got), sorted(want)
+    assert got == want
 
 
 def _no_structural_zero(poly):
@@ -601,6 +609,143 @@ def test_packed_poly_product_rejects_mixed_rings():
     for u, v in [(a, b), (b, a), (a, mixed), (mixed, a)]:
         with pytest.raises(ValueError, match="different rings"):
             u * v
+
+
+def test_poly_arithmetic_rejects_other_rings():
+    # x1 in 2 variables times x3 in 4 came out as x1 in 2 variables, the
+    # sum held keys of two lengths, and a QQBase times an ExactBase
+    # product failed with AttributeError
+    R = ring(3, 12)
+    B = ExactBase(R)
+    x = Poly.var(B, 2, 1)
+    qq = Poly.var(QQBase(), 2, 1)
+    for other in (Poly.var(B, 4, 3), qq, Poly.var(ExactBase(ring(3, 8)), 2, 1)):
+        for u, v in [(x, other), (other, x)]:
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(ValueError, match="different rings"):
+                    op(u, v)
+            with pytest.raises(ValueError, match="different rings"):
+                sum_of_products([(x, x), (u, v)], B, 2)
+    # bases compare by ring, not by identity
+    assert (Poly.var(QQBase(), 2, 1) * qq).terms == {(0, 2): Fraction(1)}
+    assert terms_of(sum_of_products([(x, Poly.var(ExactBase(R), 2, 1))],
+                                    B, 2)) == terms_of(x * x)
+
+
+# ---------------------------------------------------------------------------
+# swap-invariant products
+# ---------------------------------------------------------------------------
+
+def mirror(m):
+    n = len(m) // 2
+    return m[n:] + m[:n]
+
+
+@st.composite
+def swap_invariant_pairs(draw):
+    """Two polynomials in 2 or 4 variables, each invariant under swapping
+    the first and the last half of its variables: a monomial and its
+    mirror hold one element.  Each has a fixed point (first half = last
+    half) and a monomial that is not one; precisions are mixed."""
+    R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
+    nvars = draw(st.sampled_from((2, 4)))
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    half = st.tuples(*[st.integers(0, 3)] * (nvars // 2))
+
+    def coeff():
+        digits = draw(st.lists(digit, min_size=R.e, max_size=R.e))
+        return R.from_digits([digits[0] or 1] + digits[1:],
+                             draw(st.integers(0, R.full_prec)))
+
+    def poly():
+        lo = draw(half)
+        monos = [lo + lo, lo + (lo[0] + 1,) + lo[1:]]
+        monos += draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars),
+                               max_size=5))
+        terms = {}
+        for m in monos:
+            terms[m] = terms[mirror(m)] = coeff()
+        return Poly(ExactBase(R), nvars, terms)
+
+    return poly(), poly()
+
+
+def swap_path(ta, tb):
+    """(terms of _packed_product(ta, tb), the row bound `half` it handed
+    to _raw_sums)."""
+    with mock.patch.object(poly_module, "_raw_sums",
+                           wraps=poly_module._raw_sums) as spy:
+        out = poly_module._packed_product(ta, tb)
+    (_, *half), _ = spy.call_args
+    return out, half[0] if half else 0
+
+
+def full_kernel(ta, tb):
+    """{monomial: (digits, prec)} of the product, every monomial summed."""
+    return {m: (c.digits, c.prec) for m, c in poly_module._settled(
+        *poly_module._raw_sums(((ta, tb),))).items()}
+
+
+def assert_swap_path(ta, tb):
+    got, half = swap_path(ta, tb)
+    assert half == len(next(iter(ta))) // 2
+    assert {m: (c.digits, c.prec) for m, c in got.items()} == full_kernel(
+        ta, tb)
+    assert all(got[mirror(m)] is c for m, c in got.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(swap_invariant_pairs())
+def test_swap_invariant_product_matches_the_full_kernel(pair):
+    # (a + b)(a - b): the products a b and -b a cancel on the monomials
+    # nothing else reaches, which become structural zeros
+    a, b = pair
+    for u, v in [(a, b), (b, a), (a, a), (a + b, a - b)]:
+        if u.terms and v.terms:
+            assert_swap_path(u.terms, v.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(swap_invariant_pairs(), st.data())
+def test_nearly_swap_invariant_products_take_the_full_path(pair, data):
+    # one coefficient off its mirror by one digit, or by its precision
+    # alone: the product is not swap-invariant
+    a, b = pair
+    m = data.draw(st.sampled_from([m for m in a.terms if mirror(m) != m]))
+    c = a.terms[m]
+    R = c.ring
+    digits = list(c.digits)
+    digits[0] = (digits[0] + 1) % R.pM or 1
+    for off in (R.from_digits(digits, c.prec),
+                RingElement(R, c.P, c.prec - 1 if c.prec else 1)):
+        ta = {**a.terms, m: off}
+        for u, v in [(ta, b.terms), (b.terms, ta)]:
+            got, half = swap_path(u, v)
+            assert half == 0
+            assert {k: (x.digits, x.prec) for k, x in got.items()} == (
+                full_kernel(u, v))
+
+
+@pytest.mark.parametrize("p, M", [(3, 2), (5, 8)])
+def test_swap_invariant_products_past_the_raw_bound_and_cancelling(p, M):
+    # (sum_{i<=n} top x^i y^(n-i))^2 with n + 1 > RAW_PRODUCTS: the fixed
+    # point x^n y^n collects n + 1 products, so its sum is reduced early
+    R, n = ring(p, M), RAW_PRODUCTS + 20
+    base = ExactBase(R)
+    top = R.from_digits([R.pM - 1] * R.e)
+    a = Poly(base, 2, {(i, n - i): top for i in range(n + 1)})
+    assert_swap_path(a.terms, a.terms)
+    assert sorted(terms_of(a * a)) == sorted(termwise_poly_mul(a, a))
+    # (1 + c s)(1 - c s) = 1 - c^2 s^2, s = x + y: the products on x and
+    # on y cancel to structural zeros
+    c = R.from_digits(range(1, R.e + 1), R.full_prec - 3)
+    s = Poly.var(base, 2, 0) + Poly.var(base, 2, 1)
+    one = Poly.one(base, 2)
+    u, v = one + s.scale(c), one - s.scale(c)
+    assert_swap_path(u.terms, v.terms)
+    # kept monomials in first-occurrence order, each followed by its mirror
+    assert list((u * v).terms) == [(0, 0), (1, 1), (0, 2), (2, 0)]
+    assert sorted(terms_of(u * v)) == sorted(termwise_poly_mul(u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +1079,32 @@ def test_normal_form_when_a_waiting_monomial_cancels():
     got = normal_form(x1 ** 4, [None, rel])
     assert nf_terms(got, residues=True) == {(3, 1): 1}
     assert list(got.terms) == [(3, 1)]
+
+
+def test_normal_form_returns_a_normal_input_as_it_is(monkeypatch):
+    # below x0^2 and x1^3 (mod x0^2 - 1, x1^3 - x0 x1 + 1) no term is
+    # rewritten, so none is reduced again; x0^2 x1 still is
+    R = ring(5, 8)
+    base = ExactBase(R)
+    x0, x1 = Poly.var(base, 2, 0), Poly.var(base, 2, 1)
+    one = Poly.one(base, 2)
+    rules = TriangularRules(base, 2, [x0 * x0 - one, x1 ** 3 - x0 * x1 + one])
+    c = R.from_digits(range(1, R.e + 1), 7)
+    poly = Poly(base, 2, {(1, 2): c, (0, 0): R.one(), (1, 0): -c})
+    calls, reduce_raw = [], R._reduce_raw
+
+    def spy(x):
+        calls.append(1)
+        return reduce_raw(x)
+
+    monkeypatch.setattr(R, "_reduce_raw", spy)
+    got = rules.reduce(poly)
+    assert terms_of(got) == terms_of(poly) and not calls
+    assert nf_terms(rules.reduce(poly + x0 * x0 * x1)) == nf_terms(
+        poly + x1)
+    assert calls
+    with pytest.raises(ValueError, match="different rings"):
+        rules.reduce(Poly.var(base, 3, 0))
 
 
 def test_normal_form_needs_an_exact_base():

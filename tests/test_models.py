@@ -178,12 +178,14 @@ def test_hom_closed_equals_brute_p5(m, n, count):
 def test_hom_brute_prepares_its_rules_once(monkeypatch):
     # every candidate of cell (3,3) is decided by check_morphism into
     # G_m over R/pi^3, in the square of G_{mu,1}: two rule set-ups (the
-    # unit inverse of build_g and the square) and 1,527 reductions on a
+    # unit inverse of build_g and the square) and 1,029 reductions on a
     # fresh ring, the counit rejecting 8 of every 9 candidates before
-    # the square is read (1,529 before the ring's memo of powers, 2,897
-    # while counit_of evaluated the zero counit by Horner, 15,807 when
-    # F(S)F(T) - F(Delta S) was reduced for every candidate).  The
-    # reduction bound is the count plus 5 %.
+    # the square is read (1,311 while normal forms rewrote polynomials
+    # already in normal form, 1,527 before swap-invariant products
+    # summed half their monomials, 1,529 before the ring's memo of
+    # powers, 2,897 while counit_of evaluated the zero counit by Horner,
+    # 15,807 when F(S)F(T) - F(Delta S) was reduced for every
+    # candidate).  The reduction bound is the count plus 5 %.
     R3 = make_ring(3, 12)
     R3.p_over_pi()  # the ring's cached unit is not part of the count
     built = 0
@@ -199,7 +201,7 @@ def test_hom_brute_prepares_its_rules_once(monkeypatch):
     count = _count_reductions(monkeypatch)
     assert len(hom_brute(R3, 3, 3)) == 9
     assert built <= 2
-    assert count["reductions"] <= 1_603
+    assert count["reductions"] <= 1_080
 
 
 def test_hom_closed_33_shape(R3):
@@ -675,26 +677,29 @@ def test_solve_target_hom_rejects_exactly_the_unsolvable(R3):
 
 
 def _count_products(monkeypatch):
-    """Patch the ring product and the packed sum-of-products kernel to
-    count into a dict: one per RingElement.__mul__ call plus
-    len(ta) * len(tb) coefficient pairs per pair of term dicts summed by
-    poly._raw_sums, which every packed Poly product, every product fed
-    into a normal form and every linear morphism check goes through."""
+    """Patch the ring product and poly._resident to count into a dict: one
+    per RingElement.__mul__ call plus one per product of two resident
+    integers, the coefficient products that poly._raw_sums forms for
+    every packed Poly product, every product fed into a normal form and
+    every linear morphism check.  A product the row bound of a
+    swap-invariant product leaves out is not formed and not counted."""
     count = {"products": 0}
     mul = RingElement.__mul__
-    packed = poly_module._raw_sums
+    resident = poly_module._resident
+
+    class Resident(int):
+        def __mul__(self, other):
+            if isinstance(other, Resident):
+                count["products"] += 1
+            return int.__mul__(self, other)
 
     def counting_mul(x, y):
         count["products"] += 1
         return mul(x, y)
 
-    def counting_packed(pairs):
-        pairs = list(pairs)
-        count["products"] += sum(len(ta) * len(tb) for ta, tb in pairs)
-        return packed(pairs)
-
     monkeypatch.setattr(RingElement, "__mul__", counting_mul)
-    monkeypatch.setattr(poly_module, "_raw_sums", counting_packed)
+    monkeypatch.setattr(poly_module, "_resident",
+                        lambda c, ring: Resident(resident(c, ring)))
     return count
 
 
@@ -705,26 +710,34 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     a = max(els, key=lambda e: e.a.valuation()).a
     d = ModelDescriptor(R5, 3, 3, a, 0)
     count = _count_products(monkeypatch)
+    reductions = _count_reductions(monkeypatch)
     ambient_isogeny(d)
-    # 106,499 products with the largest image nested outermost (106,539
-    # before the ring's memo of powers and divisors, 107,403 before
-    # counit_of read a zero counit off the constant term), 254,150 with
-    # the variables nested in index order; the bound is the count plus
+    # 58,604 products and 13,439 reductions, a swap-invariant product
+    # summing only its monomials with first half <= last half (106,499
+    # and 19,969 summing all of them; 13,460 reductions while normal
+    # forms rewrote polynomials already in normal form).  106,499
+    # products with the largest image nested outermost (106,539 before
+    # the ring's memo of powers and divisors, 107,403 before counit_of
+    # read a zero counit off the constant term), 254,150 with the
+    # variables nested in index order.  The bounds are the counts plus
     # 5 %.  Powering substitution images term by term again would more
     # than double the count.
-    assert count["products"] <= 111_823
+    assert count["products"] <= 61_534
+    assert reductions["reductions"] <= 14_110
 
 
 def test_morphism_checks_product_counts(monkeypatch):
     # On the (3,3) model of a fresh ring: 2,781 products for the nine
     # hom_models_brute candidates of the self-pair, decided by the
-    # linear check, and 2,507 for check_morphism on the ambient isogeny,
-    # between smooth presentations (2,782 before the ring's memo of
-    # powers; 2,917 and 2,526 before the candidates shared their powers
-    # and counit_of read a zero counit off the constant term).
-    # Substituting into the free ring, the self-pair took 3,970 (5,339
-    # with the variables nested in index order; the ambient isogeny then
-    # took 3,061).  The bounds are the counts plus 5 %.
+    # linear check, and 1,783 for check_morphism on the ambient isogeny,
+    # between smooth presentations, its swap-invariant products summing
+    # half their monomials (2,507 summing all of them; 2,782 and 2,507
+    # before the ring's memo of powers; 2,917 and 2,526 before the
+    # candidates shared their powers and counit_of read a zero counit
+    # off the constant term).  Substituting into the free ring, the
+    # self-pair took 3,970 (5,339 with the variables nested in index
+    # order; the ambient isogeny then took 3,061).  The bounds are the
+    # counts plus 5 %.
     d = enumerate_models(make_ring(3, 12), 3)[-1]
     assert (d.m, d.n, d.a.pi_digit_expansion(d.n)) == (3, 3, (0, 1, 1))
     pres = build_extension(d)
@@ -734,7 +747,7 @@ def test_morphism_checks_product_counts(monkeypatch):
     assert count["products"] <= 2_920
     count["products"] = 0
     assert check_morphism(f)
-    assert count["products"] <= 2_632
+    assert count["products"] <= 1_872
 
 
 def _count_reductions(monkeypatch):
@@ -755,9 +768,11 @@ def _count_reductions(monkeypatch):
 def test_hom_models_brute_reduction_counts(monkeypatch):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
-    # On a fresh ring, 1,574 on the (3,3) self-pair and 26,824 on the 49
+    # On a fresh ring, 1,513 on the (3,3) self-pair and 24,997 on the 49
     # ordered p = 3 pairs with the linear check, candidates sharing
-    # their powers and the ring's memo of powers and divisors (1,575 and
+    # their powers, the ring's memo of powers and divisors and normal
+    # forms returning a polynomial already in normal form as it is
+    # (1,574 and 26,824 rewriting it, 1,575 and
     # 26,858 without the memo, 1,690 and 29,839 building each candidate
     # alone), against 2,924
     # and 54,497 substituting into the free ring.  Earlier, with the
@@ -768,12 +783,12 @@ def test_hom_models_brute_reduction_counts(monkeypatch):
     pres = [build_extension(d) for d in models3]
     count = _count_reductions(monkeypatch)
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["reductions"] <= 1_652
+    assert count["reductions"] <= 1_588
     count["reductions"] = 0
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["reductions"] <= 28_165
+    assert count["reductions"] <= 26_246
 
 
 def test_hom_models_brute_prepares_each_presentation_once(models3,
@@ -827,6 +842,29 @@ def test_ambient_isogeny_morphism_check_is_two_sided(R3, models3):
     assert not check_morphism(perturbed(50))
     assert check_morphism(perturbed(52))
     assert check_morphism(perturbed(54))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_ambient_isogeny_check_sees_a_perturbed_coefficient(p):
+    # Delta_src(image 2) substitutes the swap-invariant Delta(S1),
+    # Delta(S2), so its products sum half their monomials: pi^k added to
+    # the S2 coefficient of image 2's numerator, k below its precision
+    # (63 at p = 3, 145 at p = 5), must still fail the check
+    from dataclasses import replace
+
+    from p2models.hopf import LocalizedElement
+    if p == 3:
+        d = enumerate_models(make_ring(3, 12), 3)[-1]
+    else:
+        R5 = make_ring(5, 8)
+        d = ModelDescriptor(R5, 3, 3, QuotElement(R5, 3, (0, 0, 1)), 0)
+    src, _, f = ambient_isogeny(d)
+    im = f.images[1]
+    c = im.num.terms[0, 1]
+    for k in (0, c.prec // 2, c.prec - 4):
+        num = Poly(src.base, 2, {**im.num.terms, (0, 1): c + d.ring.pi(k)})
+        assert not check_morphism(replace(f, images=(
+            f.images[0], LocalizedElement(src, num, im.den))))
 
 
 # -- rad (v(mu) < v(lam)) --------------------------------------------------------
