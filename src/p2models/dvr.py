@@ -22,7 +22,10 @@ SWAR conditional subtract keep every slot canonical, and the product is
 reduced by E with a polynomial Barrett step; no operation loops over the
 digits.  A slot-wise Barrett step with the modulus p^r gives every
 digit's residue mod p^r at once, which decides p^r-divisibility,
-valuations and residue digits.
+valuations and residue digits.  x = 0 mod pi^(qe + r) takes two such
+steps (`RingDescriptor._vanishes`): the slots below r mod p^(q+1), the
+others mod p^q.  `is_zero`, `eq_mod` and the divisibility check of
+exact division decide that way; `valuation` reads the levels one by one.
 
 Each ring keeps one bounded memo of its powers and prepared divisors
 (`RingDescriptor._unary`), the one cache of ring arithmetic in the
@@ -177,6 +180,11 @@ class RingDescriptor:
             ((1 << K) // d, d, d.bit_length(),
              ((1 << d.bit_length()) - d) * ones)
             for d in (self.p ** r for r in range(self.M + 1)))
+        # the two slot runs of a zero test mod pi^(qe + r): slots below r
+        # and slots r..e-1, for r = 0..e-1
+        self._runs = tuple(((1 << W * r) - 1,
+                            self._low_mask ^ ((1 << W * r) - 1))
+                           for r in range(e))
 
     def _pack(self, slots) -> int:
         """The slot values as one integer, value i in slot i of width W."""
@@ -216,6 +224,23 @@ class RingDescriptor:
         m, d, bit, bias = self._mod_consts[r]
         x -= (((x * m) >> self._mod_K) & self._mod_q_mask) * d
         return x - (((x + bias) >> bit) & self._ones) * d
+
+    def _vanishes(self, x: int, t: int) -> bool:
+        """Whether a canonical packed x is 0 mod pi^t, t <= e*M.
+
+        With t = qe + r, 0 <= r < e, digit i needs p-valuation
+        ceil((t - i)/e): q + 1 below slot r and q from slot r on.  So x
+        vanishes exactly when its slots below r vanish mod p^(q+1) and
+        its other slots mod p^q: at most two slot-wise Barrett steps,
+        whatever t is.  An empty run (r = 0, or q = 0 on the high run)
+        is not reduced.  A level t <= 0 is vacuous: every x vanishes.
+        """
+        if t <= 0:
+            return True
+        q, r = divmod(t, self.e)
+        low, high = self._runs[r]
+        return not (r and self._slots_mod(x & low, q + 1)
+                    or q and self._slots_mod(x & high, q))
 
     def _reduce_raw(self, x: int) -> int:
         """The canonical packed element of a sum x of at most RAW_PRODUCTS
@@ -404,8 +429,9 @@ class RingElement:
         return IndeterminateAtPrecision(prec)
 
     def is_zero(self) -> bool:
-        """True when indistinguishable from 0 at the stored precision."""
-        return isinstance(self.valuation(), IndeterminateAtPrecision)
+        """True when indistinguishable from 0 at the stored precision:
+        x = 0 mod pi^prec (RingDescriptor._vanishes)."""
+        return self.ring._vanishes(self.P, self.prec)
 
     # -- ring operations ----------------------------------------------------
     #
@@ -525,12 +551,15 @@ class RingElement:
         return RingElement(r, out.P, prec)
 
     def _check_divisible(self, w: int):
-        """Raise unless v(self) >= w is decided at the stored precision."""
-        vs = self.valuation()
-        if not isinstance(vs, IndeterminateAtPrecision) and vs < w:
-            raise ValuationError(
-                f"dividend valuation {vs} below divisor valuation {w}")
-        if isinstance(vs, IndeterminateAtPrecision) and vs.level < w:
+        """Raise unless v(self) >= w is decided at the stored precision:
+        self = 0 mod pi^w with w <= prec.  A self that is not 0 mod
+        pi^min(w, prec) has a valuation below w, which the error shows;
+        one that is, with w > prec, is indistinguishable from 0 below
+        pi^w."""
+        if not self.ring._vanishes(self.P, min(w, self.prec)):
+            raise ValuationError(f"dividend valuation {self.valuation()} "
+                                 f"below divisor valuation {w}")
+        if w > self.prec:
             raise PrecisionError(
                 "dividend indistinguishable from 0 below divisor valuation")
 
@@ -659,14 +688,17 @@ def ring_element_from_json(ring: RingDescriptor, obj) -> RingElement:
 def eq_mod(x: RingElement, y: RingElement, t: int) -> bool:
     """Equality modulo pi^t: the difference has valuation >= t, or is
     indistinguishable from 0 at a precision >= t.  A difference
-    indistinguishable from 0 below pi^t raises PrecisionError."""
-    d = (x - y).valuation()
-    if isinstance(d, IndeterminateAtPrecision):
-        if d.level >= t:
-            return True
-        raise PrecisionError(
-            f"cannot decide equality mod pi^{t} at precision {d.level}")
-    return d >= t
+    indistinguishable from 0 below pi^t raises PrecisionError.
+
+    Decided by one zero test of the difference mod pi^min(t, prec)
+    (RingDescriptor._vanishes)."""
+    d = x - y
+    if not d.ring._vanishes(d.P, min(t, d.prec)):
+        return False
+    if t <= d.prec:
+        return True
+    raise PrecisionError(
+        f"cannot decide equality mod pi^{t} at precision {d.prec}")
 
 
 class QuotElement:

@@ -27,12 +27,14 @@ Over ExactBase every polynomial product goes through one packed kernel
 list of pairs per output monomial.  A product is its one-pair case, a
 sum of products (`sum_of_products`) reduces each monomial once, and a
 product whose normal form is wanted (`TriangularRules.reduce_product`)
-enters the normal-form pass unreduced.  A product of two operands in 2n
-variables, each invariant under swapping the first and the last n (the
-same digits and precision at m and at its mirror), is invariant too:
-only its monomials m with m[:n] <= m[n:] are summed, and each mirror
-gets the same element (`_packed_product`).  Operands over another base
-or in another number of variables raise ValueError.
+enters the normal-form pass unreduced.  The second operand's residents
+are taken without their zero low slots, which are shifted back onto
+each raw product.  A product of two operands in 2n variables, each
+invariant under swapping the first and the last n (the same digits and
+precision at m and at its mirror), is invariant too: only its monomials
+m with m[:n] <= m[n:] are summed, and each mirror gets the same element
+(`_packed_product`).  Operands over another base or in another number
+of variables raise ValueError.
 
 Over QQBase every product goes through its rational counterpart
 (`_rational_product`): each operand as integer numerators over the lcm
@@ -348,7 +350,11 @@ def _raw_sums(pairs, half: int = 0) -> tuple:
     product, so no sum holds more than RAW_PRODUCTS products and only a
     full sum is reduced early.  Keys come in first-occurrence order, as
     in the generic product loop.  The ring is None when no pair has a
-    term.
+    term.  Each term of b is split once (`_split_terms`) into its
+    resident without its zero low slots and their width s, and each
+    product is formed as (x1 * x2') << s: the same integer, without the
+    zero digits CPython would multiply (the images of the ambient
+    isogeny check are full of c pi^k, c an integer).
 
     With half = n > 0 every pair must be swap-invariant in 2n variables
     (`_swap_half`), and only the monomials m with m[:n] <= m[n:]
@@ -363,28 +369,43 @@ def _raw_sums(pairs, half: int = 0) -> tuple:
             continue
         if ring is None:
             ring = next(iter(ta.values())).ring
-        pb = [(m, _resident(c, ring), c.prec) for m, c in tb.items()]
+        pb = _split_terms(tb, ring)
         if half:
             pb.sort(key=lambda t: _lag(t[0], half))
-            lags = [_lag(m, half) for m, _, _ in pb]
+            lags = [_lag(t[0], half) for t in pb]
         for m1, c1 in ta.items():
             x1, p1 = _resident(c1, ring), c1.prec
             row = pb if not half else pb[:bisect_right(
                 lags, _lag(m1[half:] + m1[:half], half))]
-            for m2, x2, p2 in row:
+            for m2, x2, shift, p2 in row:
                 m = tuple(map(add, m1, m2))
                 prec = p1 if p1 < p2 else p2
                 s = acc.get(m)
                 if s is None:
-                    acc[m] = [x1 * x2, prec, 1]
+                    acc[m] = [x1 * x2 << shift, prec, 1]
                     continue
                 if s[2] == RAW_PRODUCTS:
                     s[0], s[2] = ring._reduce_raw(s[0]), 1
-                s[0] += x1 * x2
+                s[0] += x1 * x2 << shift
                 s[2] += 1
                 if prec < s[1]:
                     s[1] = prec
     return ring, acc
+
+
+def _split_terms(terms: dict, ring) -> list:
+    """[(monomial, x >> s, s, precision)] for the terms of a term dict, x
+    the resident of the coefficient and s = W times the index of its
+    lowest nonzero slot: x * y is (x >> s) * y << s, and the shorter
+    product skips the zero digits that CPython would multiply.  A
+    resident whose slot 0 is nonzero, or that is 0 (s < 0), is kept as
+    it is with s = 0, not copied."""
+    W, out = ring.W, []
+    for m, c in terms.items():
+        x = _resident(c, ring)
+        s = ((x & -x).bit_length() - 1) // W * W
+        out.append((m, x >> s, s, c.prec) if s > 0 else (m, x, 0, c.prec))
+    return out
 
 
 def _lag(m: tuple, n: int) -> tuple:

@@ -464,6 +464,83 @@ def test_linear_check_agrees_on_the_fiber_normalizations(
     assert (len(verdicts), verdicts.count(False)) == (attempts, rejected)
 
 
+def _floor_model(p):
+    """The (3,3) model at p = 3 and the (5,3) model at p = 5, and its
+    presentation."""
+    d = enumerate_models(make_ring(p, {3: 12, 5: 8}[p]), p)[{3: -1, 5: 8}[p]]
+    assert (d.m, d.n) == ((3, 3) if p == 3 else (5, 3))
+    return d, build_extension(d)
+
+
+def _perturbed(poly, m, k):
+    """poly with pi^k added to its coefficient at m."""
+    c = poly.terms[m]
+    return Poly(poly.base, poly.nvars, {**poly.terms, m: c + c.ring.pi(k)})
+
+
+def _first_accepted(verdict, top):
+    """The least k in 0..top the check accepts, after asserting that it
+    rejects every smaller k and accepts every larger one."""
+    verdicts = [verdict(k) for k in range(top + 1)]
+    k = verdicts.index(True)
+    assert not any(verdicts[:k]) and all(verdicts[k:])
+    return k
+
+
+# (p, image, monomial, precision of the coefficient, least k accepted):
+# one coefficient whose precision is a multiple of e and one whose
+# precision is not, the two run shapes of a zero test mod pi^t
+LINEAR_FLOORS = [(3, "identity", (0, 1), 72, 69),
+                 (3, "psi(0,1)", (1, 0), 69, 66),
+                 (5, "identity", (0, 1), 160, 157),
+                 (5, "psi(0,1)", (1, 0), 157, 152)]
+
+
+@pytest.mark.parametrize("p, name, m, prec, floor", LINEAR_FLOORS)
+def test_linear_morphism_check_is_two_sided_at_the_floor(p, name, m, prec,
+                                                         floor):
+    # pi^k added to one coefficient of image 1 of an endomorphism of a
+    # model, checked linearly: every k below the floor is rejected and
+    # every k from it on is accepted
+    d, pres = _floor_model(p)
+    if name == "identity":
+        f = HopfMorphism(source=pres, target=pres,
+                         images=(pres.var(0), pres.var(1)), name=name)
+    else:
+        f = {g.name: g for _, g in _psi_candidates(pres, pres, d, d)
+             if g is not None}[name]
+    assert f.source.is_finite and f.target.is_finite and check_morphism(f)
+    im = f.images[1]
+    assert im.terms[m].prec == prec
+    assert (prec % pres.base.ring.e == 0) == (name == "identity")
+
+    def verdict(k):
+        return check_morphism(dataclasses.replace(
+            f, images=(f.images[0], _perturbed(im, m, k))))
+
+    assert _first_accepted(verdict, pres.base.ring.full_prec) == floor
+
+
+# (p, monomial of Delta(S2), precision of its coefficient, least k
+# accepted)
+AXIOM_FLOORS = [(3, (0, 1, 0, 1), 72, 69), (3, (1, 0, 1, 0), 69, 67),
+                (5, (0, 1, 0, 1), 160, 155), (5, (1, 0, 1, 0), 157, 155)]
+
+
+@pytest.mark.parametrize("p, m, prec, floor", AXIOM_FLOORS)
+def test_hopf_axioms_are_two_sided_at_the_floor(p, m, prec, floor):
+    # pi^k added to one coefficient of the comultiplication of S2
+    _, pres = _floor_model(p)
+    delta = pres.comult[1]
+    assert delta.terms[m].prec == prec
+
+    def verdict(k):
+        return check_hopf_axioms(dataclasses.replace(
+            pres, comult=(pres.comult[0], _perturbed(delta, m, k)))).ok
+
+    assert _first_accepted(verdict, pres.base.ring.full_prec) == floor
+
+
 def test_linear_check_clears_denominators_by_inverse_certificates(R3):
     # images with denominators over a finite source, u the designated
     # unit 1 + pi T of G_{pi,1}: T u / u is the identity; T u^2 / u =

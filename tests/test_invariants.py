@@ -55,9 +55,10 @@ def test_no_assert_statements_in_package():
 
 # RingElement methods that act on the packed integer as a whole
 LOOP_FREE = ("__add__", "__sub__", "__neg__", "__mul__", "scale",
-             "times_p_power", "divide_p_power")
+             "times_p_power", "divide_p_power", "is_zero")
 # RingDescriptor kernel methods that reduce every slot at once
-KERNEL_LOOP_FREE = ("_canon", "_negate", "_reduce_raw", "_slots_mod")
+KERNEL_LOOP_FREE = ("_canon", "_negate", "_reduce_raw", "_slots_mod",
+                    "_vanishes")
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 
@@ -418,7 +419,7 @@ def test_witt_names_quot_element_only_at_its_edge():
 # the private slot layout of RingDescriptor's packed kernel
 SLOT_LAYOUT = {"_slot_mask", "_slots_mod", "_pack", "_unpack", "_canon",
                "_reduce_raw", "_negate", "_pre_shift", "_pre_mask",
-               "_barrett", "_q_shift", "_q_mask"}
+               "_barrett", "_q_shift", "_q_mask", "_runs", "_vanishes"}
 
 
 def test_slot_layout_is_read_only_by_the_kernel_modules():

@@ -7,7 +7,10 @@
 * The Kronecker-packed `RingElement.__mul__` and its polynomial Barrett
   reduction by E against the schoolbook product and row reduction.
 * The packed `Poly` product over ExactBase against the term-by-term
-  product-and-sum of its coefficients.
+  product-and-sum of its coefficients, and its kernel `_raw_sums`, which
+  splits off the zero low slots of the second operand's residents,
+  against the same loop on the whole residents: raw sums, precisions,
+  counts and key order.
 * The rational `Poly` product over QQBase, capped and uncapped, against
   term-by-term Fraction arithmetic, with a kernel that divides by one
   operand's denominator alone as a negative control; and the exponent
@@ -24,6 +27,9 @@
 * The slot residues mod p^r of `RingDescriptor._slots_mod` against `%`
   per digit, and `RingElement.valuation` read from them against a scan
   of the digits' p-valuations.
+* The two-run zero test mod pi^t (`is_zero`, `eq_mod` and the
+  divisibility check of exact division) against the same decisions read
+  off the valuation's level loop, with their errors and messages.
 * Digit-wise division by p^r against `divide_exact`.
 * The block pi-adic digit expansion against the stepwise `_div_pi`
   expansion it replaced, and `RingElement.mod_pi` against the
@@ -36,6 +42,7 @@
   stored on each vector against a fresh vector's.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -57,6 +64,7 @@ from p2models.dvr import (
     QuotElement,
     RingElement,
     enumerate_quotient,
+    eq_mod,
     make_ring,
 )
 from p2models.errors import PrecisionError, ValuationError
@@ -382,6 +390,133 @@ def test_valuation_of_structural_zeros_and_pure_powers():
                 assert x.valuation() == R.e * j + i
                 assert x.with_prec(R.e * j + i).valuation() == \
                     IndeterminateAtPrecision(R.e * j + i)
+
+
+# ---------------------------------------------------------------------------
+# the zero test mod pi^t against the valuation's level loop
+# ---------------------------------------------------------------------------
+
+ZERO_RINGS = [(3, 12), (5, 8), (7, 4), (3, 2)]
+
+
+def level_is_zero(x):
+    """RingElement.is_zero read off the valuation's level loop."""
+    return isinstance(x.valuation(), IndeterminateAtPrecision)
+
+
+def level_eq_mod(x, y, t):
+    """dvr.eq_mod read off the valuation's level loop."""
+    d = (x - y).valuation()
+    if isinstance(d, IndeterminateAtPrecision):
+        if d.level >= t:
+            return True
+        raise PrecisionError(
+            f"cannot decide equality mod pi^{t} at precision {d.level}")
+    return d >= t
+
+
+def level_check_divisible(x, w):
+    """RingElement._check_divisible read off the valuation's level loop."""
+    vs = x.valuation()
+    if not isinstance(vs, IndeterminateAtPrecision) and vs < w:
+        raise ValuationError(
+            f"dividend valuation {vs} below divisor valuation {w}")
+    if isinstance(vs, IndeterminateAtPrecision) and vs.level < w:
+        raise PrecisionError(
+            "dividend indistinguishable from 0 below divisor valuation")
+
+
+def _decision(fn):
+    """(result, None), or (error type, message) when fn raises."""
+    try:
+        return fn(), None
+    except (PrecisionError, ValuationError) as exc:
+        return type(exc), str(exc)
+
+
+def check_zero_decisions(x, precs, levels):
+    """is_zero of x at each of the given precisions, and eq_mod (against
+    a dense y) and _check_divisible at each of the given levels, against
+    the level loop: results, error types and messages."""
+    R = x.ring
+    y = R.from_digits([(7 * i + 1) % R.pM for i in range(R.e)])
+    for prec in precs:
+        z = x.with_prec(prec)
+        assert z.is_zero() == level_is_zero(z), prec
+        zy = z + y
+        for t in levels(prec):
+            assert _decision(lambda: eq_mod(zy, y, t)) == _decision(
+                lambda: level_eq_mod(zy, y, t)), (prec, t)
+            assert _decision(lambda: z._check_divisible(t)) == _decision(
+                lambda: level_check_divisible(z, t)), (prec, t)
+
+
+def _near(x):
+    """Levels around the precision and the valuation of x at full
+    precision, and the ends of the range."""
+    v = x.valuation()
+    v = x.ring.full_prec if isinstance(v, IndeterminateAtPrecision) else v
+    return lambda prec: {-1, 0, 1, prec - 1, prec, prec + 1,
+                         v - 1, v, v + 1, x.ring.full_prec}
+
+
+def _every_prec(R):
+    return range(-2, R.full_prec + 1)
+
+
+@pytest.mark.parametrize("p, M", ZERO_RINGS)
+def test_zero_test_of_unit_times_pi_power(p, M):
+    # u pi^k for every k, u a unit with every digit nonzero and u = 1,
+    # and the structural zero
+    # at the precisions around k and at the ends, and the structural zero
+    # at every precision
+    R = ring(p, M)
+    u = R.from_digits([(3 * i + 1) % R.pM or 1 for i in range(R.e)])
+    for k in range(R.full_prec + 1):
+        precs = {-2, -1, 0, k - 1, k, k + 1, R.full_prec}
+        for x in (u * R.pi(k), R.pi(k)):
+            check_zero_decisions(x, precs, _near(x))
+    check_zero_decisions(R.zero(), _every_prec(R), _near(R.zero()))
+
+
+@pytest.mark.parametrize("p, M", ZERO_RINGS)
+def test_zero_test_at_the_run_boundary(p, M):
+    # For t = qe + r: one nonzero slot at r - 1 or at r holding u p^j,
+    # j = q - 1, q, q + 1, decided at exactly t.  The slot at r - 1 with
+    # j = q has valuation t - 1 (not 0 mod pi^t: the low run is read mod
+    # p^(q+1)), the slot at r with j = q valuation t (0 mod pi^t: the run
+    # boundary is r), and the slot at r with j = q - 1 valuation t - e
+    # (not 0: the high run is read mod p^q).
+    R = ring(p, M)
+    for t in range(1, R.full_prec + 1):
+        q, r = divmod(t, R.e)
+        for i in (r - 1, r):
+            for j in (q - 1, q, q + 1):
+                if 0 <= i < R.e and 0 <= j < M:
+                    slots = [0] * R.e
+                    slots[i] = (2 * p ** j) % R.pM
+                    x = R.from_digits(slots)
+                    check_zero_decisions(x, (t - 1, t, t + 1),
+                                         lambda prec: {t - 1, t, t + 1})
+                    z = x.with_prec(t)
+                    assert z.is_zero() == (R.e * j + i >= t)
+                    assert eq_mod(x, R.zero(), t) == (R.e * j + i >= t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ZERO_RINGS), st.data())
+def test_zero_test_matches_the_level_loop(pm, data):
+    R = ring(*pm)
+    k = data.draw(st.integers(0, R.full_prec))
+    digits = data.draw(valuation_digits(R))
+    x = data.draw(st.sampled_from([
+        R.from_digits(digits), R.from_digits(digits) * R.pi(k),
+        R.from_digits([digits[0] or 1] + digits[1:]) * R.pi(k)]))
+    extra = data.draw(st.lists(st.integers(-3, R.full_prec + 3),
+                               max_size=4))
+    near = _near(x)
+    check_zero_decisions(x, _every_prec(R),
+                         lambda prec: near(prec) | set(extra))
 
 
 @settings(max_examples=150, deadline=None)
@@ -746,6 +881,112 @@ def test_swap_invariant_products_past_the_raw_bound_and_cancelling(p, M):
     # kept monomials in first-occurrence order, each followed by its mirror
     assert list((u * v).terms) == [(0, 0), (1, 1), (0, 2), (2, 0)]
     assert sorted(terms_of(u * v)) == sorted(termwise_poly_mul(u, v))
+
+
+# ---------------------------------------------------------------------------
+# the split multiplier of the packed kernel
+# ---------------------------------------------------------------------------
+
+def unsplit_raw_sums(pairs, half=0):
+    """poly._raw_sums with each product formed from the whole residents,
+    as the kernel did before it split the second operand's terms."""
+    acc, ring_ = {}, None
+    for ta, tb in pairs:
+        if not ta or not tb:
+            continue
+        if ring_ is None:
+            ring_ = next(iter(ta.values())).ring
+        pb = [(m, c.P, c.prec) for m, c in tb.items()]
+        if half:
+            pb.sort(key=lambda t: poly_module._lag(t[0], half))
+            lags = [poly_module._lag(m, half) for m, _, _ in pb]
+        for m1, c1 in ta.items():
+            x1, p1 = c1.P, c1.prec
+            row = pb if not half else pb[:bisect_right(
+                lags, poly_module._lag(m1[half:] + m1[:half], half))]
+            for m2, x2, p2 in row:
+                m = tuple(map(operator.add, m1, m2))
+                s = acc.get(m)
+                if s is None:
+                    acc[m] = [x1 * x2, min(p1, p2), 1]
+                    continue
+                if s[2] == RAW_PRODUCTS:
+                    s[0], s[2] = ring_._reduce_raw(s[0]), 1
+                s[0] += x1 * x2
+                s[2] += 1
+                s[1] = min(s[1], p1, p2)
+    return ring_, acc
+
+
+def assert_same_raw_sums(pairs, half=0):
+    # raw integers, precisions, counts and key order
+    pairs = list(pairs)
+    ring_, got = poly_module._raw_sums(pairs, half)
+    want_ring, want = unsplit_raw_sums(pairs, half)
+    assert ring_ is want_ring
+    assert list(got.items()) == list(want.items())
+
+
+@st.composite
+def pi_power_pairs(draw):
+    """Two term dicts in 2 variables; the second holds u pi^k for every
+    0 <= k < e, u an integer or a dense unit, mixed with dense terms;
+    precisions are mixed."""
+    R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
+    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
+    prec = st.integers(0, R.full_prec)
+
+    def dense():
+        return R.from_digits(draw(st.lists(digit, min_size=R.e,
+                                           max_size=R.e)), draw(prec))
+
+    def unit():
+        digits = draw(st.lists(digit, min_size=R.e, max_size=R.e))
+        return R.from_digits([digits[0] or 1] + digits[1:])
+
+    mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    ta = {draw(mono): dense() for _ in range(draw(st.integers(1, 4)))}
+    tb = {}
+    for k in range(R.e):
+        u = draw(st.one_of(st.integers(1, R.pM - 1).map(R.from_int),
+                           st.builds(unit)))
+        tb[draw(mono)] = (u * R.pi(k)).with_prec(draw(prec))
+    for _ in range(draw(st.integers(0, 3))):
+        tb[draw(mono)] = dense()
+    return ta, tb
+
+
+@settings(max_examples=60, deadline=None)
+@given(pi_power_pairs())
+def test_split_products_match_the_unsplit_kernel(pair):
+    ta, tb = pair
+    assert_same_raw_sums([(ta, tb)])
+    assert_same_raw_sums([(tb, ta)])
+    assert_same_raw_sums([(ta, tb), (tb, tb), (tb, ta)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(swap_invariant_pairs())
+def test_split_swap_invariant_products_match_the_unsplit_kernel(pair):
+    a, b = pair
+    half = a.nvars // 2
+    for u, v in [(a, b), (a, a), (a + b, a - b)]:
+        if u.terms and v.terms:
+            assert_same_raw_sums([(u.terms, v.terms)], half)
+            assert_same_raw_sums([(u.terms, v.terms)])
+
+
+@pytest.mark.parametrize("p, M", [(3, 2), (5, 8)])
+def test_split_products_past_the_raw_bound(p, M):
+    # (sum_{i<=n} c_i x^i)^2, n + 1 > RAW_PRODUCTS, c_i = (p^M - 1) pi^(i
+    # mod e): x^n collects n + 1 products, each second operand shifted
+    # by its own slot, and the sum is reduced early
+    R, n = ring(p, M), RAW_PRODUCTS + 20
+    top = R.from_int(R.pM - 1)
+    ta = {(i,): top * R.pi(i % R.e) for i in range(n + 1)}
+    assert_same_raw_sums([(ta, ta)])
+    assert max(s[2] for s in poly_module._raw_sums([(ta, ta)])[1].values()) \
+        == RAW_PRODUCTS
 
 
 # ---------------------------------------------------------------------------

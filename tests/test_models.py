@@ -693,6 +693,10 @@ def _count_products(monkeypatch):
                 count["products"] += 1
             return int.__mul__(self, other)
 
+        def __rshift__(self, n):
+            # poly._split_terms takes a resident without its zero low slots
+            return Resident(int.__rshift__(self, n))
+
     def counting_mul(x, y):
         count["products"] += 1
         return mul(x, y)
@@ -724,6 +728,37 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     # than double the count.
     assert count["products"] <= 61_534
     assert reductions["reductions"] <= 14_110
+
+
+def test_zero_tests_take_at_most_two_slot_steps(monkeypatch):
+    # On fresh rings: is_zero is decided by at most two slot-wise steps
+    # (RingDescriptor._vanishes) at every precision, where the
+    # valuation's level loop took up to ceil(prec/e); and one p = 5
+    # ambient_isogeny on (3,3,pi^2,0) makes 4,536 _slots_mod calls
+    # (17,127 deciding every zero by the level loop).  The bound is the
+    # count plus 5 %.
+    calls = {"slots": 0}
+    slots_mod = RingDescriptor._slots_mod
+
+    def counting(ring, x, r):
+        calls["slots"] += 1
+        return slots_mod(ring, x, r)
+
+    monkeypatch.setattr(RingDescriptor, "_slots_mod", counting)
+    for p, M in ((3, 12), (5, 8)):
+        R = make_ring(p, M)
+        u = R.from_digits(range(1, R.e + 1))
+        for x in (R.zero(), u, R.pi(R.e - 1), u * R.pi(2 * R.e + 1),
+                  R.from_int(p ** (M - 1))):
+            for prec in range(-1, R.full_prec + 1):
+                calls["slots"] = 0
+                x.with_prec(prec).is_zero()
+                assert calls["slots"] <= 2, (p, prec)
+    R5 = make_ring(5, 8)
+    d = ModelDescriptor(R5, 3, 3, QuotElement(R5, 3, (0, 0, 1)), 0)
+    calls["slots"] = 0
+    ambient_isogeny(d)
+    assert calls["slots"] <= 4_763
 
 
 def test_morphism_checks_product_counts(monkeypatch):
