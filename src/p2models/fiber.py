@@ -15,15 +15,18 @@ v(lam_(1)) = p:
 The cocycle entering the last two families is the integer polynomial
 C_1 = (X^p + Y^p - (X+Y)^p)/p reduced mod p.
 
-verify_fiber rebuilds the claimed presentation from the classification
-and hunts for the normalizing change of coordinates S2 -> S2 + h(S1)
-(h = 0 works in every case except the split v(mu) = p > v(lam) one,
-where the splitting section contributes a genuine polynomial h).
+verify_fiber checks one change of coordinates S2 -> S2 + h(S1) from the
+fiber to the claimed presentation, h read off the relations: over F_p,
+(S2 + h)^p = S2^p + h(S1^p).  At v(mu) = p > v(lam) > 0 the claimed
+relations are S1^p + rho S1 and S2^p and the fiber's second is
+S2^p + sum r_k S1^k, so h = sum c_k S1^k, c_k = r_k (-rho)^(-k), the
+splitting section of the Z/pZ quotient.  Elsewhere h = 0; at v(mu) =
+v(lam) = p every c S1 passes: S1^p - S1, S2^p - S2 - a S1 and the
+additive Delta S2 are invariant under S2 -> S2 + c S1.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,33 +38,26 @@ from .models import (ModelDescriptor, build_extension, kummer_poly,
 from .poly import ExactBase, Poly, normal_form
 
 
+# the JSON keys of each class's parameters
+_PARAM_KEYS = {"MuPExtension": ("i",), "TrivialExtension": (),
+               "AlphaPExtension": ("beta", "gamma"), "ZpByZp": ("a", "b")}
+
+
 @dataclass(frozen=True)
 class FiberClass:
-    tag: str          # MuPExtension | TrivialExtension | AlphaPExtension | ZpByZp
+    tag: str          # a key of _PARAM_KEYS
     params: tuple = ()
 
     def to_json(self):
-        out = {"class": self.tag}
-        if self.tag == "MuPExtension":
-            out["i"] = self.params[0]
-        elif self.tag == "AlphaPExtension":
-            out["beta"], out["gamma"] = self.params
-        elif self.tag == "ZpByZp":
-            out["a"], out["b"] = self.params
-        return out
+        return {"class": self.tag, **dict(zip(_PARAM_KEYS[self.tag],
+                                               self.params))}
 
     @classmethod
     def from_json(cls, obj) -> "FiberClass":
         tag = obj["class"]
-        if tag == "MuPExtension":
-            return cls(tag, (obj["i"],))
-        if tag == "AlphaPExtension":
-            return cls(tag, (obj["beta"], obj["gamma"]))
-        if tag == "ZpByZp":
-            return cls(tag, (obj["a"], obj["b"]))
-        if tag == "TrivialExtension":
-            return cls(tag)
-        raise ValueError(f"unknown fiber class {tag}")
+        if tag not in _PARAM_KEYS:
+            raise ValueError(f"unknown fiber class {tag}")
+        return cls(tag, tuple(obj[k] for k in _PARAM_KEYS[tag]))
 
 
 def wilson_check(p: int) -> bool:
@@ -77,6 +73,11 @@ def eta_power_unit_check(ring: RingDescriptor) -> bool:
     return coeff_mod_pi(q1) == 1 and coeff_mod_pi(q2) == 1
 
 
+def _splits_off_zp(d: ModelDescriptor) -> bool:
+    """v(mu) = p > v(lam) > 0: the trivial extension with a Z/pZ quotient."""
+    return 0 < d.n < d.ring.p <= d.m
+
+
 def classify_fiber(d: ModelDescriptor) -> FiberClass:
     """Dispatch on the valuation cell; j = 0 descriptors allowed."""
     ring = d.ring
@@ -84,7 +85,7 @@ def classify_fiber(d: ModelDescriptor) -> FiberClass:
     m, n = d.m, d.n
     if m == 0 and n == 0:
         return FiberClass("MuPExtension", (d.j,))
-    if n == 0:
+    if n == 0 or _splits_off_zp(d):
         return FiberClass("TrivialExtension")
     if m < p:
         lam = ring.pi(n)
@@ -92,8 +93,6 @@ def classify_fiber(d: ModelDescriptor) -> FiberClass:
         gamma = (d.a.with_prec(ring.full_prec) ** p).divide_exact(lam)
         return FiberClass("AlphaPExtension",
                           (coeff_mod_pi(beta), coeff_mod_pi(gamma)))
-    if n < p:
-        return FiberClass("TrivialExtension")
     return FiberClass("ZpByZp", (0, d.j))
 
 
@@ -183,19 +182,16 @@ def claimed_presentation(ring: RingDescriptor, d: ModelDescriptor,
         name=name))
 
 
-def _try_normalization(fiber: HopfPresentation, claimed: HopfPresentation,
-                       h_coeffs) -> bool:
-    """Does S1 -> S1, S2 -> S2 + h(S1) carry `claimed` to `fiber`?"""
-    base, ring = fiber.base, fiber.base.ring
-    one = ring.one().with_prec(1)
-    S1 = Poly.var(base, 2, 0, one)
-    S2 = Poly.var(base, 2, 1, one)
-    h = Poly.zero(base, 2)
-    for k, c in enumerate(h_coeffs, start=1):
-        if c:
-            h = h + (S1 ** k).scale(ring.from_int(c))
-    f = HopfMorphism(source=fiber, target=claimed, images=(S1, S2 + h))
-    return check_morphism(f)
+def _section(d: ModelDescriptor, fiber: HopfPresentation,
+             claimed: HopfPresentation) -> Poly:
+    """h = sum c_k S1^k with c_k = r_k (-rho)^(-k) in the cell
+    `_splits_off_zp`, and h = 0 everywhere else."""
+    ring, p = d.ring, d.ring.p
+    rho = _residues(claimed.relations[0]).get((1, 0), 0)
+    r = _residues(fiber.relations[1]) if _splits_off_zp(d) and rho else {}
+    return Poly(fiber.base, 2, {
+        (k, 0): ring.from_int(r[k, 0] * pow(-rho, -k, p) % p).with_prec(1)
+        for k in range(1, p) if (k, 0) in r})
 
 
 def _residues(poly: Poly) -> dict:
@@ -206,17 +202,22 @@ def _residues(poly: Poly) -> dict:
 
 def verify_fiber(d: ModelDescriptor, report=None) -> bool:
     """Compare residue_fiber(build_extension(d)) with the claimed
-    presentation, allowing the S2 -> S2 + h(S1) unit-section
-    normalization.  On mismatch, appends a diagnostic to `report` (a
-    list): the first monomial of each fiber relation's nonzero remainder
-    modulo the claimed relations."""
-    ring = d.ring
-    p = ring.p
+    presentation by one check_morphism of S1 -> S1, S2 -> S2 + h(S1).
+
+    h is read off the relations: over F_p, (S2 + h)^p = S2^p + h(S1^p),
+    and at v(mu) = p > v(lam) > 0 the fiber has S1^p = -rho S1 and
+    S2^p = -sum r_k S1^k, so the claimed S2^p dies for c_k =
+    r_k (-rho)^(-k).  Elsewhere h = 0 (at v(mu) = v(lam) = p every c S1
+    passes).  On mismatch, appends a diagnostic to `report` (a list):
+    the first monomial of each fiber relation's nonzero remainder modulo
+    the claimed relations."""
     fc = classify_fiber(d)
     fiber = residue_fiber(build_extension(d))
-    claimed = claimed_presentation(ring, d, fc)
-    if any(_try_normalization(fiber, claimed, h)
-           for h in itertools.product(range(p), repeat=p - 1)):
+    claimed = claimed_presentation(d.ring, d, fc)
+    one = d.ring.one().with_prec(1)
+    S1, S2 = (Poly.var(fiber.base, 2, i, one) for i in range(2))
+    if check_morphism(HopfMorphism(source=fiber, target=claimed, images=(
+            S1, S2 + _section(d, fiber, claimed)))):
         return True
     if report is not None:
         diff = []

@@ -27,7 +27,8 @@ cleared LocalizedElement numerator in a finite presentation and the raw
 numerator in a smooth one, except for morphisms between finite
 presentations: those are checked linearly, in the monomial bases, each
 identity one sum of products of normal forms (`_check_morphism_linear`).
-The only comparisons made in the ring itself are counits.
+The only comparisons made in the ring itself are counits, decided above
+the same floor.
 
 Base change to R/pi^t (`residue_fiber`) stays over the same ExactBase:
 each coefficient becomes its canonical representative mod pi^t at
@@ -322,13 +323,15 @@ class LocalizedElement:
         return f"LocalizedElement({self.num!r} / u^{self.den})"
 
 
-def _is_zero_above_floor(num: Poly) -> bool:
-    """Whether num is zero.  A coefficient known to no digit (precision
-    < 1) makes the test vacuous, so it raises PrecisionError instead."""
-    if any(c.prec < 1 for c in num.terms.values()):
+def _is_zero_above_floor(x) -> bool:
+    """Whether x, a Poly or a ring element, is zero.  A coefficient known
+    to no digit (precision < 1) makes the test vacuous, so it raises
+    PrecisionError instead."""
+    coeffs = x.terms.values() if isinstance(x, Poly) else (x,)
+    if any(c.prec < 1 for c in coeffs):
         raise PrecisionError("cannot decide a zero test on a "
                              "coefficient known to no digit")
-    return num.is_zero()
+    return x.is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +357,18 @@ class AxiomReport:
 def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
     """Verify coassociativity, counit law, antipode law, cocommutativity
     and the designated-unit certificates: every law of `_laws` is one
-    comparison, decided by LocalizedElement.is_zero.  A law whose
-    failure is already reported (the second counit law of a generator)
-    is not decided again."""
+    comparison, decided above the floor of `_is_zero_above_floor`.  A
+    law whose failure is already reported (the second counit law of a
+    generator) is not decided again."""
     flags = dict.fromkeys(("coassoc", "counit_law", "antipode_law",
                            "commutativity", "unit_certificates"), True)
     failures = []
     for flag, failure, lhs, rhs in _laws(pres):
-        if failure not in failures and not (lhs - rhs).is_zero():
+        if failure in failures:
+            continue
+        diff = lhs - rhs
+        if not (diff.is_zero() if isinstance(diff, LocalizedElement)
+                else _is_zero_above_floor(diff)):
             flags[flag] = False
             failures.append(failure)
     return AxiomReport(rank=pres.rank(), failures=failures, **flags)
@@ -496,7 +503,7 @@ def check_morphism(f: HopfMorphism) -> bool:
 def _counits_agree(f: HopfMorphism) -> bool:
     src = f.source
     # group-like units have counit 1, so the denominator drops out
-    return all(src.base.eq(src.counit_of(im.num), e)
+    return all(_is_zero_above_floor(src.counit_of(im.num) - e)
                for im, e in zip(f.localized_images(), f.target.counit))
 
 
@@ -563,29 +570,6 @@ def _check_morphism_linear(f: HopfMorphism) -> bool:
     return True
 
 
-def morphism_matrix(f: HopfMorphism):
-    """Matrix of the algebra map in the monomial bases (finite case)."""
-    src, tgt = f.source, f.target
-    if not (src.is_finite and tgt.is_finite):
-        raise ValueError("morphism matrix needs finite presentations")
-    if src.rank() != tgt.rank():
-        raise ValueError("morphism matrix needs equal ranks")
-    degs_t = [r.degree_in(i) for i, r in enumerate(tgt.relations)]
-    degs_s = [r.degree_in(i) for i, r in enumerate(src.relations)]
-    basis_t = list(itertools.product(*[range(d) for d in degs_t]))
-    basis_s = list(itertools.product(*[range(d) for d in degs_s]))
-    index_s = {m: i for i, m in enumerate(basis_s)}
-    cols = []
-    for m in basis_t:
-        col = [src.base.zero()] * len(basis_s)
-        for mm, c in f.image_memo(m).terms.items():
-            col[index_s[mm]] = c
-        cols.append(col)
-    # rows indexed by source basis, columns by target basis
-    return [[cols[j][i] for j in range(len(basis_t))]
-            for i in range(len(basis_s))]
-
-
 def det_valuation(matrix):
     """Valuation of the determinant over R, by min-valuation pivoting.
 
@@ -618,7 +602,8 @@ def det_valuation(matrix):
 
 
 def _map_det_valuation(f: HopfMorphism):
-    """det_valuation of the basis matrix of f, or None when f is not a
+    """det_valuation of the matrix of f in the monomial bases (rows the
+    source basis, columns the target basis), or None when f is not a
     morphism or the ranks differ.  Raises ValueError unless both
     presentations are finite."""
     if not check_morphism(f):
@@ -627,7 +612,16 @@ def _map_det_valuation(f: HopfMorphism):
         raise ValueError("model-map check needs finite presentations")
     if f.source.rank() != f.target.rank():
         return None
-    return det_valuation(morphism_matrix(f))
+    basis_t, basis_s = (
+        list(itertools.product(*[range(r.degree_in(i))
+                                 for i, r in enumerate(pres.relations)]))
+        for pres in (f.target, f.source))
+    index_s = {m: i for i, m in enumerate(basis_s)}
+    rows = [[f.source.base.zero()] * len(basis_t) for _ in basis_s]
+    for j, m in enumerate(basis_t):
+        for mm, c in f.image_memo(m).terms.items():
+            rows[index_s[mm]][j] = c
+    return det_valuation(rows)
 
 
 def is_model_map(f: HopfMorphism) -> bool:

@@ -442,20 +442,17 @@ def _comult(g1: HopfPresentation, fc, lam) -> tuple:
     variables S1', S2', S1'', S2''.
 
     Delta S1 is g1's comultiplication.  Delta S2 carries the cocycle
-    (F(x) F(y) - F(Delta S1)) / lam.  With g1's relation rel1 the
-    division happens after normal form; otherwise raw coefficient-wise
-    (smooth case, valid when v(mu) >= v(lam)).
+    (F(x) F(y) - F(Delta S1)) / lam, divided coefficient-wise: F has
+    degree p - 1 and Delta S1 is linear in S1' and in S1'', so the
+    numerator is already in normal form modulo g1's relation (in the
+    smooth case the division is valid when v(mu) >= v(lam)).
     """
-    base, rel1 = g1.base, g1.relations[0]
+    base = g1.base
     v = [Poly.var(base, 4, i) for i in range(4)]
     d_s1 = g1.comult[0].subst([v[0], v[2]])
     F = poly_in_var(base, 1, 0, fc)
     F_x, F_y = F.embed(4, 0), F.embed(4, 2)
-    num = F_x * F_y - F.subst([d_s1])
-    if rel1 is not None:
-        num = normal_form(num, [rel1.embed(4, 0), None,
-                                rel1.embed(4, 2), None])
-    coc = num.div_scalar(lam)
+    coc = (F_x * F_y - F.subst([d_s1])).div_scalar(lam)
     d_s2 = v[1] * F_y + F_x * v[3] + (v[1] * v[3]).scale(lam) + coc
     return d_s1, d_s2
 

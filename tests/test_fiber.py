@@ -3,12 +3,17 @@
 import hashlib
 import itertools
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from fiber_hunt import hunt, normalization, presentations
+from p2models import fiber as fiber_module
 from p2models.dvr import QuotElement, make_ring
 from p2models.fiber import (
     FiberClass,
+    _section,
     classify_fiber,
     claimed_presentation,
     cocycle_c1,
@@ -16,8 +21,9 @@ from p2models.fiber import (
     verify_fiber,
     wilson_check,
 )
-from p2models.hopf import coeff_mod_pi
-from p2models.models import ModelDescriptor, enumerate_models
+from p2models.hopf import check_hopf_axioms, check_morphism, coeff_mod_pi
+from p2models.models import (ModelDescriptor, build_extension,
+                             enumerate_models, phi_closed)
 from p2models.poly import Poly
 
 
@@ -111,19 +117,13 @@ def test_beta_gamma_lift_independence():
 
 
 def test_verify_fiber_reports_mismatch(R3, models3, monkeypatch):
-    # force a wrong claim and check the comparator rejects it
-    from p2models import fiber as fiber_module
-    from p2models.fiber import claimed_presentation, _try_normalization
-    from p2models.hopf import residue_fiber
-    from p2models.models import build_extension
-    import itertools
+    # force a wrong claim and check the comparator rejects it: no
+    # normalization of the oracle search carries it to the fiber
     d = models3[-1]  # true class ZpByZp(0, 1)
     wrong = FiberClass("ZpByZp", (0, 2))
-    fiber = residue_fiber(build_extension(d))
-    claimed = claimed_presentation(R3, d, wrong)
-    assert not _try_normalization(fiber, claimed, ())
-    assert not any(_try_normalization(fiber, claimed, h)
-                   for h in itertools.product(range(3), repeat=2))
+    fiber, claimed = presentations(d, wrong)
+    assert not check_morphism(normalization(fiber, claimed, ()))
+    assert not hunt(fiber, claimed)
     monkeypatch.setattr(fiber_module, "classify_fiber", lambda d: wrong)
     report = []
     assert not verify_fiber(d, report)
@@ -134,7 +134,6 @@ def test_verify_fiber_reports_differing_relations(R3, models3, monkeypatch):
     # the mu_p fiber (0,0) has relation S1^3, which leaves the remainder S1
     # modulo the claimed S1^3 - S1; the report once compared each relation
     # with itself and said "relations match"
-    from p2models import fiber as fiber_module
     d = models3[0]
     assert classify_fiber(d) == FiberClass("MuPExtension", (1,))
     monkeypatch.setattr(fiber_module, "classify_fiber",
@@ -200,3 +199,118 @@ def test_claimed_presentation_golden(p, M):
         json.dumps(doc, sort_keys=True).encode()).hexdigest()
         for tag, doc in docs.items()}
     assert digests == {k: v for k, v in CLAIMED.items() if k[0] == p}
+
+
+# -- the normalization read off the relations, against the search -------------
+
+def _outcome(fn):
+    """fn(), or the name of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _phi_descriptors(R):
+    """A descriptor for every Phi element of every cell m <= p."""
+    p = R.p
+    return [ModelDescriptor(R, m, n, el.a, el.j)
+            for m in range(p + 1) for n in range(m + 1)
+            for el in phi_closed(R, m, n)]
+
+
+# (p, M) -> outcomes on every Phi element of every cell m <= p
+PHI_OUTCOMES = {
+    (3, 2): {True: 20, "PrecisionError": 4},
+    (3, 3): {True: 22, "PrecisionError": 2},
+    (3, 4): {True: 24},
+    (3, 12): {True: 24},
+    (5, 2): {True: 65, "PrecisionError": 12},
+    (5, 3): {True: 77},
+    (5, 8): {True: 77},
+}
+
+
+@pytest.mark.parametrize("p, M", PHI_OUTCOMES)
+def test_verify_fiber_gives_the_verdict_of_the_search(p, M):
+    # on every Phi element (24 at p = 3, 77 at p = 5) the one check
+    # answers as the search over all p^(p-1) normalizations does: the
+    # same verdict, or the same exception type where too low an M
+    # leaves a coefficient known to no digit
+    outcomes = Counter()
+    for d in _phi_descriptors(make_ring(p, M)):
+        got = _outcome(lambda: verify_fiber(d))
+        assert got == _outcome(lambda: hunt(*presentations(d))), (d.m, d.n)
+        outcomes[got] += 1
+    assert outcomes == PHI_OUTCOMES[p, M]
+
+
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
+def test_verify_fiber_makes_one_morphism_check(monkeypatch, p, M):
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return check_morphism(f)
+
+    monkeypatch.setattr(fiber_module, "check_morphism", spy)
+    for d in enumerate_models(make_ring(p, M), p):
+        calls.clear()
+        assert verify_fiber(d) and len(calls) == 1, (d.m, d.n)
+    # a rejected claim takes one check too
+    monkeypatch.setattr(fiber_module, "classify_fiber",
+                        lambda d: FiberClass("ZpByZp", (0, 2)))
+    calls.clear()
+    assert not verify_fiber(d) and len(calls) == 1
+
+
+def _check_split_cell(models, p):
+    """On each (p, n), 0 < n < p, the h read off the relations is c S1
+    with c != 0, and no other c S1 passes: c + 1 fails."""
+    split = [d for d in models if 0 < d.n < p]
+    assert [(d.m, d.n) for d in split] == [(p, n) for n in range(1, p)]
+    for d in split:
+        fiber, claimed = presentations(d)
+        h = _section(d, fiber, claimed)
+        assert list(h.terms) == [(1, 0)], (d.n, h)
+        c = coeff_mod_pi(h.terms[1, 0])
+        assert [k for k in range(p) if check_morphism(
+            normalization(fiber, claimed, [k]))] == [c], d.n
+
+
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
+def test_the_section_is_the_only_linear_normalization(p, M):
+    _check_split_cell(enumerate_models(make_ring(p, M), p), p)
+
+
+@pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
+def test_wrong_claims_fail_the_check_and_the_search(monkeypatch, p, M):
+    # negative controls on every model: a wrong tail in either claimed
+    # relation, or a cocycle constant off by one in Delta S2, is
+    # rejected by verify_fiber and by the search over every h
+    R = make_ring(p, M)
+    for d in enumerate_models(R, p):
+        fiber, claimed = presentations(d)
+        S1 = Poly.var(claimed.base, 2, 0, R.one().with_prec(1))
+        r1, r2 = claimed.relations
+        c1 = cocycle_c1(R, 4, 0, 2).map_coeffs(lambda c: c.mod_pi(1))
+        for wrong in (replace(claimed, relations=(r1 + S1, r2)),
+                      replace(claimed, relations=(r1, r2 + S1 ** (p - 1))),
+                      replace(claimed, comult=(claimed.comult[0],
+                                               claimed.comult[1] + c1))):
+            monkeypatch.setattr(fiber_module, "claimed_presentation",
+                                lambda *args: wrong)
+            assert not verify_fiber(d), (d.m, d.n)
+            assert not hunt(fiber, wrong), (d.m, d.n)
+
+
+def test_p7_models_build_and_pass_the_fiber_check():
+    # p = 7, e = 42: all 15 models build, satisfy the axioms and pass
+    # verify_fiber, one check each, where the search would try up to
+    # 7^6 = 117,649 normalizations
+    models = enumerate_models(make_ring(7, 6), 7)
+    assert len(models) == 15
+    for d in models:
+        assert check_hopf_axioms(build_extension(d)).ok, (d.m, d.n)
+        assert verify_fiber(d), (d.m, d.n)
+    _check_split_cell(models, 7)

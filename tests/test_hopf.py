@@ -5,6 +5,7 @@ import itertools
 
 import pytest
 
+from fiber_hunt import hunt, presentations
 from p2models.dvr import QuotElement, RingElement, eq_mod, make_ring
 from p2models.errors import PrecisionError
 from p2models.hopf import (
@@ -25,7 +26,7 @@ from p2models.models import (ModelDescriptor, _psi_candidates, ambient_isogeny,
                              build_extension, build_extension_smooth, build_g,
                              build_g_smooth, enumerate_models, hom_models,
                              hom_models_brute, star_condition)
-from p2models.poly import Poly, horner
+from p2models.poly import ExactBase, Poly, TriangularRules, horner
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +350,51 @@ def test_hopf_layer_rejects_coefficients_known_to_no_digit():
                 assert check()
 
 
+def test_monic_test_needs_a_known_digit(R3):
+    # a leading coefficient 2 known to no digit was accepted as monic,
+    # and the rewrites counted it as an exact 1.  Known to one digit, 2
+    # is not monic and 1 + pi is; a resident 1 is an exact one at any
+    # precision.
+    base = ExactBase(R3)
+
+    def relation(lead):
+        return Poly(base, 1, {(3,): lead, (1,): R3.one()})
+
+    with pytest.raises(PrecisionError, match="known to no digit"):
+        TriangularRules(base, 1, [relation(R3.from_int(2).with_prec(0))])
+    with pytest.raises(ValueError, match="not monic"):
+        TriangularRules(base, 1, [relation(R3.from_int(2).with_prec(1))])
+    for lead in ((R3.one() + R3.pi()).with_prec(1), R3.one().with_prec(0)):
+        TriangularRules(base, 1, [relation(lead)])
+
+
+def test_counits_are_compared_above_the_floor(R3):
+    # the identity into a copy whose counit is 5 known to no digit once
+    # passed: the counits were said to agree with 0.  Linear and
+    # localized paths alike.
+    for pres in (build_g(R3, R3.pi(), 1), build_g_smooth(R3, R3.pi())):
+        def check(counit):
+            target = dataclasses.replace(pres, counit=(counit,))
+            return check_morphism(HopfMorphism(
+                source=pres, target=target, images=(pres.var(0),)))
+
+        with pytest.raises(PrecisionError, match="known to no digit"):
+            check(R3.from_int(5).with_prec(0))
+        assert not check(R3.from_int(5).with_prec(1))
+        assert check(R3.pi().with_prec(1))
+
+
+def test_unit_counit_is_compared_above_the_floor(R3):
+    # a counit value known to no digit gives the designated unit
+    # 1 + pi T the counit 1 known to no digit, which once passed as 1
+    S = build_g_smooth(R3, R3.pi())
+    with pytest.raises(PrecisionError, match="known to no digit"):
+        check_hopf_axioms(dataclasses.replace(
+            S, counit=(R3.zero().with_prec(0),)))
+    assert check_hopf_axioms(dataclasses.replace(
+        S, counit=(R3.zero().with_prec(1),))).ok
+
+
 def test_rank_of_tensor_square(R3):
     G = build_g(R3, R3.pi(), 1)
     assert tensor_power(G, 2).rank() == 9  # rank(H x H) = rank(H)^2
@@ -447,20 +493,19 @@ def test_linear_check_agrees_on_orderp2_pairs_at_p5():
                          [(3, 12, 19, 12), (5, 8, 1761, 1750)],
                          ids=["p3", "p5"])
 def test_linear_check_agrees_on_the_fiber_normalizations(
-        monkeypatch, p, M, attempts, rejected):
-    # every S2 -> S2 + h(S1) attempt verify_fiber makes on the enumerated
-    # models; each rejection comes from the relation branch
-    from p2models import fiber
+        p, M, attempts, rejected):
+    # every S2 -> S2 + h(S1) attempt the oracle search of verify_fiber
+    # (fiber_hunt.hunt) makes on the enumerated models; each rejection
+    # comes from the relation branch
     verdicts = []
 
     def both(f):
         verdicts.append(_same_verdict(f))
         return verdicts[-1]
 
-    monkeypatch.setattr(fiber, "check_morphism", both)
     models = enumerate_models(make_ring(p, M), p)
     assert len(models) == {3: 7, 5: 11}[p]
-    assert all(fiber.verify_fiber(d) for d in models)
+    assert all(hunt(*presentations(d), check=both) for d in models)
     assert (len(verdicts), verdicts.count(False)) == (attempts, rejected)
 
 

@@ -548,6 +548,18 @@ def test_extension_s1_factor_is_g_mu_1(p, M):
             d.sort_key()
 
 
+@pytest.mark.parametrize("p,M", [(3, 12), (5, 8)])
+def test_finite_and_smooth_extensions_share_the_comultiplication(p, M):
+    # F has degree p - 1 and Delta S1 is linear in S1' and in S1'', so the
+    # cocycle numerator is in normal form modulo relation 1 as it stands:
+    # the finite builder divides it by lam as the smooth one does, to the
+    # same digits and precisions
+    for d in enumerate_models(make_ring(p, M), p):
+        assert ([c.to_json() for c in build_extension(d).comult]
+                == [c.to_json() for c in build_extension_smooth(d).comult]
+                ), d.sort_key()
+
+
 def test_ambient_target_s1_factor_is_g_mu_p(R3, models3):
     for d in models3:
         _, tgt, _ = ambient_isogeny(d)
