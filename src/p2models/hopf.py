@@ -395,7 +395,11 @@ def _laws(pres: HopfPresentation):
                LocalizedElement(cube, d.subst(left)),
                LocalizedElement(cube, d.subst(right)))
 
-    # counit laws: (eps x id) Delta = id = (id x eps) Delta
+    # counit laws: (eps x id) Delta = id = (id x eps) Delta.  Poly.const
+    # drops a structural zero whatever its precision, so it is refused here
+    if any(c.prec < 1 for c in pres.counit):
+        raise PrecisionError("cannot decide a counit law on a counit "
+                             "value known to no digit")
     ids = [pres.var(i) for i in range(n)]
     eps = [Poly.const(base, n, c) for c in pres.counit]
     for g, d in enumerate(pres.comult):

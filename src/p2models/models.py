@@ -306,17 +306,21 @@ def phi_congruence(ring: RingDescriptor, m: int, n: int,
     return n == 0 or bool(_phi_js(ring, m, n, a, (j,)))
 
 
-def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
-    """Closed form of the kernel of the projection (a, j) -> j:
-    pairs (a, 0) with p v(a) >= max(p v(lam) + (p-1) v(mu) - v(p), v(lam))."""
+def _ker_vmin(ring: RingDescriptor, m: int, n: int) -> int:
+    """The least v(a) in the kernel: p v(a) >= max(p v(lam) + (p-1) v(mu)
+    - v(p), v(lam))."""
     p = ring.p
-    bound = max(p * n + (p - 1) * m - ring.e, n)
-    vmin = math.ceil(bound / p)
-    out = []
-    for a in enumerate_quotient(ring, n):
-        v = a.valuation()
-        if isinstance(v, IndeterminateAtPrecision) or v >= vmin:
-            out.append(PhiElement(a, 0))
+    return math.ceil(max(p * n + (p - 1) * m - ring.e, n) / p)
+
+
+def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
+    """Closed form of the kernel of the projection (a, j) -> j: the pairs
+    (a, 0) with v(a) >= vmin, that is a = pi^vmin b for the classes b of
+    R/pi^(n - vmin), or a = 0 when vmin >= n."""
+    vmin = _ker_vmin(ring, m, n)
+    shift = ring.pi(vmin)
+    out = [PhiElement((b.with_prec(ring.full_prec) * shift).mod_pi(n), 0)
+           for b in enumerate_quotient(ring, max(n - vmin, 0))]
     return sorted(out, key=PhiElement.sort_key)
 
 

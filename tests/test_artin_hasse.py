@@ -16,7 +16,6 @@ from p2models.artin_hasse import (
     product_form,
     specialize,
 )
-from p2models.dvr import make_ring
 from p2models.errors import CertificationError
 from p2models.poly import ExactBase, Poly, QQBase, normal_form
 from p2models.witt import WittVector, verschiebung
@@ -27,11 +26,6 @@ def poly_from_coeffs(var, coeffs):
     for i, c in enumerate(coeffs[1:], start=1):
         out = out + (var ** i).scale(c)
     return out
-
-
-@pytest.fixture(scope="module")
-def R3():
-    return make_ring(3, 12)
 
 
 def test_ah_series_leading_coeffs():

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +20,7 @@ from p2models.dvr import (
     ring_element_from_json,
 )
 from p2models.errors import EisensteinError, PrecisionError, ValuationError
+from strategies import digit_vectors, ring
 
 
 @pytest.fixture(scope="module")
@@ -134,18 +134,11 @@ def test_invert_unit(R3):
 
 
 @pytest.mark.parametrize("prec", [1, 2, 7, 24, 48])
-def test_invert_exact_one_skips_newton(R3, prec, monkeypatch):
+def test_invert_exact_one_skips_newton(R3, prec, count_calls):
     # An exact one comes back with its own P and precision and no
     # product, as Newton would return it; every other unit, one that is
     # 1 mod pi included, still goes through Newton.
-    products = []
-    mul = RingElement.__mul__
-
-    def counting(x, y):
-        products.append(1)
-        return mul(x, y)
-
-    monkeypatch.setattr(RingElement, "__mul__", counting)
+    products = count_calls(RingElement, "__mul__")
     one = R3.one().with_prec(prec)
     inv = one.invert_unit()
     assert (inv.P, inv.prec) == (1, prec) and not products
@@ -227,21 +220,15 @@ PRIMES = (3, 5, 7)
 PRECISIONS = (2, 3, 8, 12)
 
 
-@lru_cache(maxsize=None)
-def ring(p, M):
-    return make_ring(p, M)
-
-
 @st.composite
 def elements(draw, n, unit=None):
     """A ring over PRIMES x PRECISIONS and n elements of it at full
     precision; digits 0 and p^M - 1 are drawn often.  unit=True makes
     every element a unit."""
     R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
     out = []
     for _ in range(n):
-        digits = draw(st.lists(digit, min_size=R.e, max_size=R.e))
+        digits = draw(digit_vectors(R))
         if unit:
             digits[0] = digits[0] - digits[0] % R.p + draw(
                 st.integers(1, R.p - 1))

@@ -27,16 +27,6 @@ from p2models.models import (ModelDescriptor, build_extension,
 from p2models.poly import Poly
 
 
-@pytest.fixture(scope="module")
-def R3():
-    return make_ring(3, 12)
-
-
-@pytest.fixture(scope="module")
-def models3(R3):
-    return enumerate_models(R3, 3)
-
-
 def test_wilson():
     assert wilson_check(3) and wilson_check(5) and wilson_check(7)
 
@@ -246,22 +236,17 @@ def test_verify_fiber_gives_the_verdict_of_the_search(p, M):
 
 
 @pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
-def test_verify_fiber_makes_one_morphism_check(monkeypatch, p, M):
-    calls = []
-
-    def spy(f):
-        calls.append(f)
-        return check_morphism(f)
-
-    monkeypatch.setattr(fiber_module, "check_morphism", spy)
+def test_verify_fiber_makes_one_morphism_check(monkeypatch, count_calls,
+                                               p, M):
+    calls = count_calls(fiber_module, "check_morphism")
     for d in enumerate_models(make_ring(p, M), p):
         calls.clear()
-        assert verify_fiber(d) and len(calls) == 1, (d.m, d.n)
+        assert verify_fiber(d) and calls["check_morphism"] == 1, (d.m, d.n)
     # a rejected claim takes one check too
     monkeypatch.setattr(fiber_module, "classify_fiber",
                         lambda d: FiberClass("ZpByZp", (0, 2)))
     calls.clear()
-    assert not verify_fiber(d) and len(calls) == 1
+    assert not verify_fiber(d) and calls["check_morphism"] == 1
 
 
 def _check_split_cell(models, p):

@@ -29,11 +29,6 @@ from p2models.models import (ModelDescriptor, _psi_candidates, ambient_isogeny,
 from p2models.poly import ExactBase, Poly, TriangularRules, horner
 
 
-@pytest.fixture(scope="module")
-def R3():
-    return make_ring(3, 12)
-
-
 def residues(poly):
     """{monomial: residue in F_p} of a polynomial over a residue fiber."""
     return {m: coeff_mod_pi(c) for m, c in poly.terms.items()}
@@ -393,6 +388,18 @@ def test_unit_counit_is_compared_above_the_floor(R3):
             S, counit=(R3.zero().with_prec(0),)))
     assert check_hopf_axioms(dataclasses.replace(
         S, counit=(R3.zero().with_prec(1),))).ok
+
+
+def test_counit_laws_are_decided_above_the_floor(R3):
+    # Poly.const drops a structural zero whatever its precision, so a
+    # counit 0 known to no digit once let every law of the finite
+    # G_{pi,1} hold; a nonzero value at precision 0 is refused alike
+    G = build_g(R3, R3.pi(), 1)
+    for value in (R3.zero().with_prec(0), R3.from_int(5).with_prec(0)):
+        with pytest.raises(PrecisionError, match="known to no digit"):
+            check_hopf_axioms(dataclasses.replace(G, counit=(value,)))
+    assert check_hopf_axioms(dataclasses.replace(
+        G, counit=(R3.zero().with_prec(1),))).ok
 
 
 def test_rank_of_tensor_square(R3):

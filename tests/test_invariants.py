@@ -18,6 +18,9 @@
 * Caching stays behind `dvr.py`, the ring's memo of powers and
   divisors: elsewhere only the known tables of `artin_hasse.py` and
   `selftest.py` use `lru_cache` or `cache`.
+* The property tests draw an element's digits only through
+  `tests/strategies.py`: no other test module draws a list of e digits
+  with `st.lists`, one draw per digit.
 """
 
 import ast
@@ -473,3 +476,28 @@ def test_cache_scan_is_found(tmp_path):
         "def e(f):\n    return functools.lru_cache(None)(f)\n")
     assert _scopes_where(tmp_path, _names(CACHES)) == [
         "mod.py:C.c", "mod.py:a", "mod.py:b", "mod.py:e"]
+
+
+def _per_digit_draw(node):
+    """node calls `lists` with min_size some ring's e, one draw a digit."""
+    return (isinstance(node, ast.Call) and _names({"lists"})(node.func)
+            and any(k.arg == "min_size" and isinstance(k.value, ast.Attribute)
+                    and k.value.attr == "e" for k in node.keywords))
+
+
+def test_digits_are_drawn_only_by_the_strategies_module():
+    assert [s for s in _scopes_where(ROOT / "tests", _per_digit_draw)
+            if not s.startswith("strategies.py:")] == []
+
+
+def test_per_digit_draw_is_found(tmp_path):
+    # negative control: a dotted and a bare `lists` with min_size some
+    # ring's e are reported; other sizes and other calls are not
+    (tmp_path / "mod.py").write_text(
+        "def a(R, digit):\n"
+        "    return st.lists(digit, min_size=R.e, max_size=R.e)\n\n\n"
+        "def b(ring, digit):\n"
+        "    return lists(digit, max_size=3, min_size=ring.e)\n\n\n"
+        "def c(R, t, digit):\n"
+        "    return st.lists(digit, min_size=t), st.tuples(min_size=R.e)\n")
+    assert _scopes_where(tmp_path, _per_digit_draw) == ["mod.py:a", "mod.py:b"]

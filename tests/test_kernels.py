@@ -43,6 +43,7 @@
 """
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -75,14 +76,10 @@ from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules,
                            sum_of_products)
 from p2models.witt import (WittVector, _recover, ghost, ghosts,
                            is_frobenius_kernel, witt_add)
+from strategies import digit_vectors, ring, valuation_digits
 
 PRIMES = (3, 5, 7)
 PRECISIONS = (2, 8, 12, 20)
-
-
-@lru_cache(maxsize=None)
-def ring(p, M):
-    return make_ring(p, M)
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +191,7 @@ def index_order_horner(poly, images, const):
 @st.composite
 def element_pairs(draw):
     R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
-    return [R.from_digits(draw(st.lists(digit, min_size=R.e, max_size=R.e)),
+    return [R.from_digits(draw(digit_vectors(R)),
                           draw(st.integers(0, R.full_prec)))
             for _ in range(2)]
 
@@ -330,9 +326,7 @@ def test_slots_mod_matches_digitwise(p, M):
 @given(st.sampled_from(PRIMES), st.sampled_from(PRECISIONS), st.data())
 def test_slots_mod_matches_digitwise_random(p, M, data):
     R = ring(p, M)
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
-    check_slots_mod(R, data.draw(st.lists(digit, min_size=R.e,
-                                          max_size=R.e)))
+    check_slots_mod(R, data.draw(digit_vectors(R)))
 
 
 def _vp(n, p, cap):
@@ -355,18 +349,6 @@ def slot_scan_valuation(x):
             break
         v = min(v, R.e * _vp(c, R.p, R.M) + i)
     return IndeterminateAtPrecision(x.prec) if v >= x.prec else v
-
-
-@st.composite
-def valuation_digits(draw, R):
-    """Digits that are structural zeros, p^M - 1, or multiples of a
-    random power of p."""
-    def multiple(j):
-        return st.integers(0, R.pM - 1).map(lambda q: q * R.p ** j % R.pM)
-
-    digit = st.one_of(st.just(0), st.just(R.pM - 1),
-                      st.integers(0, R.M).flatmap(multiple))
-    return draw(st.lists(digit, min_size=R.e, max_size=R.e))
 
 
 @settings(max_examples=100, deadline=None)
@@ -566,13 +548,11 @@ def test_packed_product_exact_beyond_64_bit_slots():
 def poly_pairs(draw):
     R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
     base, nvars = ExactBase(R), draw(st.integers(1, 4))
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
     full = draw(st.booleans())
 
     def coeff():
         prec = R.full_prec if full else draw(st.integers(0, R.full_prec))
-        return R.from_digits(draw(st.lists(digit, min_size=R.e,
-                                           max_size=R.e)), prec)
+        return R.from_digits(draw(digit_vectors(R)), prec)
 
     def poly():
         monos = draw(st.lists(st.tuples(*[st.integers(0, 3)] * nvars),
@@ -669,7 +649,7 @@ def test_packed_poly_product_reduces_sums_early(monkeypatch):
     assert max(widest) == RAW_PRODUCTS * one
 
 
-def test_packed_product_reduces_only_full_sums(monkeypatch):
+def test_packed_product_reduces_only_full_sums(monkeypatch, count_calls):
     # a 300-term by 3-term product: no monomial collects more than 3
     # products, so each of the 302 sums is reduced once, at the end
     R = ring(3, 2)
@@ -677,17 +657,11 @@ def test_packed_product_reduces_only_full_sums(monkeypatch):
     c = R.from_digits(range(1, R.e + 1))
     a = Poly(base, 1, {(i,): c for i in range(300)})
     b = Poly(base, 1, {(i,): c for i in range(3)})
-    calls, reduce_raw = [], R._reduce_raw
-
-    def spy(x):
-        calls.append(1)
-        return reduce_raw(x)
-
-    monkeypatch.setattr(R, "_reduce_raw", spy)
+    calls = count_calls(R, "_reduce_raw")
     got = a * b
     monkeypatch.undo()
     assert len(got.terms) == 302
-    assert len(calls) == 302
+    assert calls["_reduce_raw"] == 302
     assert terms_of(got) == termwise_poly_mul(a, b)
 
 
@@ -784,11 +758,10 @@ def swap_invariant_pairs(draw):
     half) and a monomial that is not one; precisions are mixed."""
     R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
     nvars = draw(st.sampled_from((2, 4)))
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
     half = st.tuples(*[st.integers(0, 3)] * (nvars // 2))
 
     def coeff():
-        digits = draw(st.lists(digit, min_size=R.e, max_size=R.e))
+        digits = draw(digit_vectors(R))
         return R.from_digits([digits[0] or 1] + digits[1:],
                              draw(st.integers(0, R.full_prec)))
 
@@ -933,15 +906,13 @@ def pi_power_pairs(draw):
     0 <= k < e, u an integer or a dense unit, mixed with dense terms;
     precisions are mixed."""
     R = ring(draw(st.sampled_from(PRIMES)), draw(st.sampled_from(PRECISIONS)))
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
     prec = st.integers(0, R.full_prec)
 
     def dense():
-        return R.from_digits(draw(st.lists(digit, min_size=R.e,
-                                           max_size=R.e)), draw(prec))
+        return R.from_digits(draw(digit_vectors(R)), draw(prec))
 
     def unit():
-        digits = draw(st.lists(digit, min_size=R.e, max_size=R.e))
+        digits = draw(digit_vectors(R))
         return R.from_digits([digits[0] or 1] + digits[1:])
 
     mono = st.tuples(st.integers(0, 3), st.integers(0, 3))
@@ -1221,14 +1192,11 @@ def triangular_systems(draw):
     R = ring(p, draw(st.sampled_from((2, 3, 8, 12))))
     base = ExactBase(R)
     residues = draw(st.integers(0, 4)) == 0
-    digit = st.one_of(st.just(0), st.just(R.pM - 1),
-                      st.integers(0, R.pM - 1))
     precs = (st.just(1) if residues else
              st.one_of(st.just(R.full_prec), st.integers(0, R.full_prec)))
 
     def coeff():
-        return R.from_digits(draw(st.lists(digit, min_size=R.e,
-                                           max_size=R.e)), draw(precs))
+        return R.from_digits(draw(digit_vectors(R)), draw(precs))
 
     def one():
         # one at its precision t: 1, or 1 + pi^t when 0 < t < e.  At t = 0
@@ -1324,7 +1292,7 @@ def test_normal_form_when_a_waiting_monomial_cancels():
     assert list(got.terms) == [(3, 1)]
 
 
-def test_normal_form_returns_a_normal_input_as_it_is(monkeypatch):
+def test_normal_form_returns_a_normal_input_as_it_is(count_calls):
     # below x0^2 and x1^3 (mod x0^2 - 1, x1^3 - x0 x1 + 1) no term is
     # rewritten, so none is reduced again; x0^2 x1 still is
     R = ring(5, 8)
@@ -1334,13 +1302,7 @@ def test_normal_form_returns_a_normal_input_as_it_is(monkeypatch):
     rules = TriangularRules(base, 2, [x0 * x0 - one, x1 ** 3 - x0 * x1 + one])
     c = R.from_digits(range(1, R.e + 1), 7)
     poly = Poly(base, 2, {(1, 2): c, (0, 0): R.one(), (1, 0): -c})
-    calls, reduce_raw = [], R._reduce_raw
-
-    def spy(x):
-        calls.append(1)
-        return reduce_raw(x)
-
-    monkeypatch.setattr(R, "_reduce_raw", spy)
+    calls = count_calls(R, "_reduce_raw")
     got = rules.reduce(poly)
     assert terms_of(got) == terms_of(poly) and not calls
     assert nf_terms(rules.reduce(poly + x0 * x0 * x1)) == nf_terms(
@@ -1390,8 +1352,7 @@ BASE = ExactBase(SUBST_RING)
 
 def _coeff(data, full):
     R = SUBST_RING
-    digits = data.draw(st.lists(st.integers(0, R.pM - 1),
-                                min_size=R.e, max_size=R.e))
+    digits = data.draw(digit_vectors(R))
     prec = R.full_prec if full else data.draw(st.integers(0, R.full_prec))
     return R.from_digits(digits, prec)
 
@@ -1552,8 +1513,7 @@ def test_divide_p_power_against_divide_exact(p, M, data):
     R = ring(p, M)
     r = data.draw(st.integers(0, M))
     # multiples of p^r (divisible), or arbitrary elements (often not)
-    quotient = R.from_digits(data.draw(st.lists(
-        st.integers(0, R.pM - 1), min_size=R.e, max_size=R.e)))
+    quotient = R.from_digits(data.draw(digit_vectors(R)))
     x = data.draw(st.sampled_from([
         quotient.scale(p ** r), quotient, quotient.scale(p ** (r + 1))]))
     x = x.with_prec(data.draw(st.integers(0, R.full_prec)))
@@ -1612,8 +1572,7 @@ def stepwise_digits(x, t):
 @given(st.sampled_from(PRIMES), st.sampled_from((2, 3, 8, 12)), st.data())
 def test_block_digit_expansion_matches_stepwise(p, M, data):
     R = ring(p, M)
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
-    x = R.from_digits(data.draw(st.lists(digit, min_size=R.e, max_size=R.e)),
+    x = R.from_digits(data.draw(digit_vectors(R)),
                       data.draw(st.integers(0, R.full_prec)))
     e = R.e
     for t in (0, 1, e - 1, e, e + 1, 2 * e, x.prec, x.prec + 1):
@@ -1644,8 +1603,7 @@ def test_mod_pi_matches_reduced_lift(p, M, data):
     # the representative mod pi^t, and the PrecisionError below pi^t,
     # are those of the QuotElement round trip on both sides of t = e
     R = ring(p, M)
-    digit = st.one_of(st.just(0), st.just(R.pM - 1), st.integers(0, R.pM - 1))
-    x = R.from_digits(data.draw(st.lists(digit, min_size=R.e, max_size=R.e)),
+    x = R.from_digits(data.draw(digit_vectors(R)),
                       data.draw(st.integers(0, R.full_prec)))
     e = R.e
     for t in (0, 1, 2, e - 1, e, e + 1, 2 * e, x.prec, x.prec + 1):
@@ -1692,8 +1650,7 @@ def memo_operands(draw, R):
     """A structural zero, pi^w times a unit (0 <= w <= e + 2) or random
     digits, at full or at a reduced precision."""
     kind = draw(st.sampled_from(("zero", "pi_unit", "any")))
-    digits = draw(st.lists(st.integers(0, R.pM - 1),
-                           min_size=R.e, max_size=R.e))
+    digits = draw(digit_vectors(R))
     if kind == "zero":
         x = R.zero()
     elif kind == "pi_unit":
@@ -1854,9 +1811,7 @@ def witt_vectors(draw, ring, t, min_len=0):
             c = ring.pi(draw(st.integers(0, ring.e - 1))).scale(
                 draw(st.integers(1, ring.pM - 1)))
         else:
-            c = ring.from_digits(draw(st.lists(
-                st.integers(0, ring.pM - 1),
-                min_size=ring.e, max_size=ring.e)))
+            c = ring.from_digits(draw(digit_vectors(ring)))
         coords.append(c.with_prec(draw(st.one_of(
             st.just(ring.full_prec), st.integers(0, ring.full_prec)))))
     return WittVector(ring, t, coords)
@@ -1959,7 +1914,7 @@ def test_ghosts_returns_a_copy_of_the_stored_prefix():
         assert _digits_prec(ghosts(w, 3)) == want
 
 
-def test_kernel_sweep_product_count(monkeypatch):
+def test_kernel_sweep_product_count(count_calls):
     # The t = 2 kernel sweep of selftest criterion 7: 81 Witt sums over
     # the 9 kernel vectors, whose ghosts is_frobenius_kernel already
     # computed, on a fresh ring (the shared ones hold other tests'
@@ -1978,26 +1933,8 @@ def test_kernel_sweep_product_count(monkeypatch):
                           for coords in product(pool, repeat=2))
               if is_frobenius_kernel(w, R.zero(), 2)]
     assert len(kernel) == 9
-    count = {"powers": 0, "products": 0, "scans": 0}
-    mul, check = RingElement.__mul__, RingElement._check_divisible
-    power = RingElement.__pow__
-
-    def counting_pow(x, n):
-        count["powers"] += 1
-        return power(x, n)
-
-    def counting_mul(x, y):
-        count["products"] += 1
-        return mul(x, y)
-
-    def counting_check(x, w):
-        count["scans"] += 1
-        return check(x, w)
-
-    monkeypatch.setattr(RingElement, "__pow__", counting_pow)
-    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
-    monkeypatch.setattr(RingElement, "_check_divisible", counting_check)
+    count = count_calls(RingElement, "__pow__", "__mul__", "_check_divisible")
     for u in kernel:
         for v in kernel:
             witt_add(u, v)
-    assert count == {"powers": 208, "products": 36, "scans": 0}
+    assert count == Counter(__pow__=208, __mul__=36, _check_divisible=0)

@@ -1,5 +1,7 @@
 """Tests for the model constructors, Hom/Phi machinery and classification."""
 
+from collections import Counter
+
 import pytest
 
 from p2models import models as models_module
@@ -36,7 +38,6 @@ from p2models.models import (
     is_isomorphic,
     isogeny_psi,
     ker_p2,
-    ker_p2_brute,
     kummer_poly,
     neron_blowup_unit,
     normal_form_model,
@@ -51,16 +52,7 @@ from p2models.models import (
     target_hom_closed_form,
 )
 from p2models.poly import ExactBase, Poly
-
-
-@pytest.fixture(scope="module")
-def R3():
-    return make_ring(3, 12)
-
-
-@pytest.fixture(scope="module")
-def models3(R3):
-    return enumerate_models(R3, 3)
+from p2models.selftest import CELLS3, _ker_oracle
 
 
 # -- G_{lam,n} ----------------------------------------------------------------
@@ -175,7 +167,7 @@ def test_hom_closed_equals_brute_p5(m, n, count):
     assert len(hc) == count
 
 
-def test_hom_brute_prepares_its_rules_once(monkeypatch):
+def test_hom_brute_prepares_its_rules_once(count_calls):
     # every candidate of cell (3,3) is decided by check_morphism into
     # G_m over R/pi^3, in the square of G_{mu,1}: two rule set-ups (the
     # unit inverse of build_g and the square) and 1,029 reductions on a
@@ -188,20 +180,11 @@ def test_hom_brute_prepares_its_rules_once(monkeypatch):
     # candidate).  The reduction bound is the count plus 5 %.
     R3 = make_ring(3, 12)
     R3.p_over_pi()  # the ring's cached unit is not part of the count
-    built = 0
-    init = poly_module.TriangularRules.__init__
-
-    def counting_init(self, *args):
-        nonlocal built
-        built += 1
-        init(self, *args)
-
-    monkeypatch.setattr(poly_module.TriangularRules, "__init__",
-                        counting_init)
-    count = _count_reductions(monkeypatch)
+    count_calls(poly_module.TriangularRules, "__init__")
+    count = count_calls(RingDescriptor, "_reduce_raw")
     assert len(hom_brute(R3, 3, 3)) == 9
-    assert built <= 2
-    assert count["reductions"] <= 1_080
+    assert count["__init__"] <= 2
+    assert count["_reduce_raw"] <= 1_080
 
 
 def test_hom_closed_33_shape(R3):
@@ -301,11 +284,25 @@ def test_phi_group_closure(R3):
 
 
 def test_ker_p2_formula(R3):
-    for m in range(4):
-        for n in range(m + 1):
-            kc = ker_p2(R3, m, n)
-            kb = ker_p2_brute(R3, m, n)
-            assert [e.a.digits for e in kc] == [e.a.digits for e in kb]
+    # ker_p2 = ker_p2_brute in digits and precision on every cell
+    _ker_oracle(R3, CELLS3)
+
+
+@pytest.mark.parametrize("p, M, cells, shift", [
+    (3, 12, CELLS3, -1), (5, 8, [(3, 3)], -1), (5, 8, [(3, 3)], 1)],
+    ids=["p3-low", "p5-low", "p5-high"])
+def test_ker_bound_off_by_one_fails_the_oracle(p, M, cells, shift,
+                                               monkeypatch):
+    # negative control: ker_p2 generates its set from vmin alone.  At
+    # p = 3 every kernel is {0} (vmin >= n), which a bound one too high
+    # leaves as it is; the p = 5 cell (3,3), vmin = 2, has 5 elements.
+    R = make_ring(p, M)
+    _ker_oracle(R, cells)
+    vmin = models_module._ker_vmin
+    monkeypatch.setattr(models_module, "_ker_vmin",
+                        lambda *args: max(vmin(*args) + shift, 0))
+    with pytest.raises(AssertionError, match="closed form != brute force"):
+        _ker_oracle(R, cells)
 
 
 def test_p2_surjectivity_spots(R3):
@@ -596,7 +593,7 @@ def test_ambient_isogeny_kernel_containment_can_fail(models3, monkeypatch,
         ambient_isogeny(by_key[key])
 
 
-def test_build_extension_inverts_each_divisor_once(monkeypatch):
+def test_build_extension_inverts_each_divisor_once(count_calls):
     # One Newton inversion per distinct divisor, on a fresh ring: the
     # Kummer coefficients of rel1 (by mu^p) and the relation (by lam^p,
     # the same pi^9) share one, and the counit, cocycle and antipode (by
@@ -606,17 +603,9 @@ def test_build_extension_inverts_each_divisor_once(monkeypatch):
     R3 = make_ring(3, 12)
     R3.p_over_pi()  # the ring's cached unit is not part of the count
     d = ModelDescriptor(R3, 3, 3, QuotElement(R3, 3, (0, 1, 1)), 1)
-    calls = 0
-    invert = RingElement.invert_unit
-
-    def counting_invert(x):
-        nonlocal calls
-        calls += 1
-        return invert(x)
-
-    monkeypatch.setattr(RingElement, "invert_unit", counting_invert)
+    calls = count_calls(RingElement, "invert_unit")
     build_extension(d)
-    assert calls == 2
+    assert calls["invert_unit"] == 2
 
 
 @pytest.mark.parametrize("p, M, m, n, a_digits, j", [
@@ -624,24 +613,16 @@ def test_build_extension_inverts_each_divisor_once(monkeypatch):
     (5, 8, 3, 3, (0, 0, 1), 0),    # the kernel-extreme p = 5 descriptor
 ])
 def test_solve_target_hom_inverts_only_the_kummer_divisor(
-        monkeypatch, p, M, m, n, a_digits, j):
+        count_calls, p, M, m, n, a_digits, j):
     # The P-adic expansion divides by the monic P_{mu,1} and inverts no
     # unit: the one Newton inversion is that of mu^p for the Kummer
     # coefficients of P_{mu,1}.
     ring = make_ring(p, M)
     ring.p_over_pi()  # the ring's cached unit is not part of the count
     d = ModelDescriptor(ring, m, n, QuotElement(ring, n, a_digits), j)
-    calls = 0
-    invert = RingElement.invert_unit
-
-    def counting_invert(x):
-        nonlocal calls
-        calls += 1
-        return invert(x)
-
-    monkeypatch.setattr(RingElement, "invert_unit", counting_invert)
+    calls = count_calls(RingElement, "invert_unit")
     solve_target_hom(d)
-    assert calls == 1
+    assert calls["invert_unit"] == 1
 
 
 @pytest.mark.parametrize("p, M", [(3, 12), (5, 8)])
@@ -688,45 +669,39 @@ def test_solve_target_hom_rejects_exactly_the_unsolvable(R3):
     assert solved == SOLVABLE_P3
 
 
-def _count_products(monkeypatch):
-    """Patch the ring product and poly._resident to count into a dict: one
-    per RingElement.__mul__ call plus one per product of two resident
-    integers, the coefficient products that poly._raw_sums forms for
-    every packed Poly product, every product fed into a normal form and
-    every linear morphism check.  A product the row bound of a
+def _count_products(monkeypatch, count_calls):
+    """Patch the ring product and poly._resident to count into
+    counts["__mul__"]: one per RingElement.__mul__ call plus one per
+    product of two resident integers, the coefficient products that
+    poly._raw_sums forms for every packed Poly product, every product
+    fed into a normal form and every linear morphism check.  A product the row bound of a
     swap-invariant product leaves out is not formed and not counted."""
-    count = {"products": 0}
-    mul = RingElement.__mul__
+    count = count_calls(RingElement, "__mul__")
     resident = poly_module._resident
 
     class Resident(int):
         def __mul__(self, other):
             if isinstance(other, Resident):
-                count["products"] += 1
+                count["__mul__"] += 1
             return int.__mul__(self, other)
 
         def __rshift__(self, n):
             # poly._split_terms takes a resident without its zero low slots
             return Resident(int.__rshift__(self, n))
 
-    def counting_mul(x, y):
-        count["products"] += 1
-        return mul(x, y)
-
-    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
     monkeypatch.setattr(poly_module, "_resident",
                         lambda c, ring: Resident(resident(c, ring)))
     return count
 
 
-def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
+def test_ambient_isogeny_p5_kernel_extreme(monkeypatch, count_calls):
     # a with maximal valuation in ker p2 at p=5
     R5 = make_ring(5, 8)
     els = [e for e in ker_p2(R5, 3, 3) if not e.a.is_zero()]
     a = max(els, key=lambda e: e.a.valuation()).a
     d = ModelDescriptor(R5, 3, 3, a, 0)
-    count = _count_products(monkeypatch)
-    reductions = _count_reductions(monkeypatch)
+    count = _count_products(monkeypatch, count_calls)
+    reductions = count_calls(RingDescriptor, "_reduce_raw")
     ambient_isogeny(d)
     # 58,604 products and 13,439 reductions, a swap-invariant product
     # summing only its monomials with first half <= last half (106,499
@@ -738,42 +713,35 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch):
     # variables nested in index order.  The bounds are the counts plus
     # 5 %.  Powering substitution images term by term again would more
     # than double the count.
-    assert count["products"] <= 61_534
-    assert reductions["reductions"] <= 14_110
+    assert count["__mul__"] <= 61_534
+    assert reductions["_reduce_raw"] <= 14_110
 
 
-def test_zero_tests_take_at_most_two_slot_steps(monkeypatch):
+def test_zero_tests_take_at_most_two_slot_steps(count_calls):
     # On fresh rings: is_zero is decided by at most two slot-wise steps
     # (RingDescriptor._vanishes) at every precision, where the
     # valuation's level loop took up to ceil(prec/e); and one p = 5
     # ambient_isogeny on (3,3,pi^2,0) makes 4,536 _slots_mod calls
     # (17,127 deciding every zero by the level loop).  The bound is the
     # count plus 5 %.
-    calls = {"slots": 0}
-    slots_mod = RingDescriptor._slots_mod
-
-    def counting(ring, x, r):
-        calls["slots"] += 1
-        return slots_mod(ring, x, r)
-
-    monkeypatch.setattr(RingDescriptor, "_slots_mod", counting)
+    calls = count_calls(RingDescriptor, "_slots_mod")
     for p, M in ((3, 12), (5, 8)):
         R = make_ring(p, M)
         u = R.from_digits(range(1, R.e + 1))
         for x in (R.zero(), u, R.pi(R.e - 1), u * R.pi(2 * R.e + 1),
                   R.from_int(p ** (M - 1))):
             for prec in range(-1, R.full_prec + 1):
-                calls["slots"] = 0
+                calls.clear()
                 x.with_prec(prec).is_zero()
-                assert calls["slots"] <= 2, (p, prec)
+                assert calls["_slots_mod"] <= 2, (p, prec)
     R5 = make_ring(5, 8)
     d = ModelDescriptor(R5, 3, 3, QuotElement(R5, 3, (0, 0, 1)), 0)
-    calls["slots"] = 0
+    calls.clear()
     ambient_isogeny(d)
-    assert calls["slots"] <= 4_763
+    assert calls["_slots_mod"] <= 4_763
 
 
-def test_morphism_checks_product_counts(monkeypatch):
+def test_morphism_checks_product_counts(monkeypatch, count_calls):
     # On the (3,3) model of a fresh ring: 2,781 products for the nine
     # hom_models_brute candidates of the self-pair, decided by the
     # linear check, and 1,783 for check_morphism on the ambient isogeny,
@@ -789,30 +757,15 @@ def test_morphism_checks_product_counts(monkeypatch):
     assert (d.m, d.n, d.a.pi_digit_expansion(d.n)) == (3, 3, (0, 1, 1))
     pres = build_extension(d)
     _, _, f = ambient_isogeny(d)
-    count = _count_products(monkeypatch)
+    count = _count_products(monkeypatch, count_calls)
     hom_models_brute(d, d, pres, pres)
-    assert count["products"] <= 2_920
-    count["products"] = 0
+    assert count["__mul__"] <= 2_920
+    count.clear()
     assert check_morphism(f)
-    assert count["products"] <= 1_872
+    assert count["__mul__"] <= 1_872
 
 
-def _count_reductions(monkeypatch):
-    """Patch RingDescriptor._reduce_raw to count into a dict: one per
-    product or sum of raw products reduced, in RingElement.__mul__, the
-    packed Poly product or normal_form."""
-    count = {"reductions": 0}
-    reduce_raw = RingDescriptor._reduce_raw
-
-    def counting(ring, x):
-        count["reductions"] += 1
-        return reduce_raw(ring, x)
-
-    monkeypatch.setattr(RingDescriptor, "_reduce_raw", counting)
-    return count
-
-
-def test_hom_models_brute_reduction_counts(monkeypatch):
+def test_hom_models_brute_reduction_counts(count_calls):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
     # On a fresh ring, 1,513 on the (3,3) self-pair and 24,997 on the 49
@@ -828,45 +781,36 @@ def test_hom_models_brute_reduction_counts(monkeypatch):
     # and 120,702.  The bounds are the counts plus 5 %.
     models3 = enumerate_models(make_ring(3, 12), 3)
     pres = [build_extension(d) for d in models3]
-    count = _count_reductions(monkeypatch)
+    count = count_calls(RingDescriptor, "_reduce_raw")
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["reductions"] <= 1_588
-    count["reductions"] = 0
+    assert count["_reduce_raw"] <= 1_588
+    count.clear()
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["reductions"] <= 26_246
+    assert count["_reduce_raw"] <= 26_246
 
 
 def test_hom_models_brute_prepares_each_presentation_once(models3,
-                                                         monkeypatch):
+                                                         count_calls):
     # the nine candidates share the square of the source and the rules
     # of each presentation
     from p2models import hopf
     pres = build_extension(models3[-1])
-    built = {"square": 0, "rules": 0}
-    tensor_power, rules = hopf.tensor_power, hopf.TriangularRules
-
-    def counting(name, fn):
-        def wrapped(*args):
-            built[name] += 1
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(hopf, "tensor_power", counting("square", tensor_power))
-    monkeypatch.setattr(hopf, "TriangularRules", counting("rules", rules))
+    built = count_calls(hopf, "tensor_power", "TriangularRules")
     hom_models_brute(models3[-1], models3[-1], pres, pres)
-    assert built == {"square": 1, "rules": 2}
+    assert built == Counter(tensor_power=1, TriangularRules=2)
 
 
-def test_normal_form_makes_no_ring_product(models3, monkeypatch):
+def test_normal_form_makes_no_ring_product(models3, monkeypatch,
+                                           count_calls):
     pres = build_extension(models3[-1])
     poly = (pres.var(0) + pres.var(1) + pres.one_poly()) ** 6
-    products = _count_products(monkeypatch)
-    reductions = _count_reductions(monkeypatch)
+    products = _count_products(monkeypatch, count_calls)
+    reductions = count_calls(RingDescriptor, "_reduce_raw")
     nf = pres.nf(poly)
-    assert products["products"] == 0
-    assert reductions["reductions"] > len(nf.terms)
+    assert products["__mul__"] == 0
+    assert reductions["_reduce_raw"] > len(nf.terms)
     assert nf.degree_in(0) < pres.relations[0].degree_in(0)
 
 

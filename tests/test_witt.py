@@ -24,11 +24,6 @@ from p2models.witt import (
 )
 
 
-@pytest.fixture(scope="module")
-def R3():
-    return make_ring(3, 12)
-
-
 def rand_vec(ring, rng, length, small=False):
     coords = []
     for _ in range(length):
@@ -194,21 +189,13 @@ def test_verschiebung_definition(R3):
 
 # -- component-wise addition on the Frobenius kernel ---------------------------
 
-def test_componentwise_sum_on_frobenius_kernel_exhaustive(monkeypatch):
+def test_componentwise_sum_on_frobenius_kernel_exhaustive(count_calls):
     # F(u) = 0 vectors add coordinate-wise: support <= 2, v(lam) <= 3.
     # Counted on a fresh ring, whose memo of powers starts empty.
     from p2models.dvr import RingElement, enumerate_quotient
     from itertools import product
     R3 = make_ring(3, 12)
-    calls = 0
-    mul = RingElement.__mul__
-
-    def counting_mul(x, y):
-        nonlocal calls
-        calls += 1
-        return mul(x, y)
-
-    monkeypatch.setattr(RingElement, "__mul__", counting_mul)
+    calls = count_calls(RingElement, "__mul__")
     for t in (1, 2, 3):
         pool = list(enumerate_quotient(R3, t))
         kernel = []
@@ -228,7 +215,7 @@ def test_componentwise_sum_on_frobenius_kernel_exhaustive(monkeypatch):
     # Frobenius rung computed once; the bound is the count plus 5 %.
     # Without the memo 40,797 (80,137 at the working length with two
     # spare coordinates, 146,945 powering each ghost term from scratch).
-    assert calls <= 2_596
+    assert calls["__mul__"] <= 2_596
 
 
 def test_mult_by_p_teichmuller(R3):
