@@ -5,8 +5,8 @@ from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
                   RingElement, enumerate_quotient, eq_mod, eta,
                   make_custom_ring, make_ring, reduce_mod)
 from .errors import (BudgetError, CertificationError, DivisibilityError,
-                     EisensteinError, LinearSolveError, P2ModelsError,
-                     PrecisionError, ValuationError)
+                     EisensteinError, InputError, LinearSolveError,
+                     P2ModelsError, PrecisionError, ValuationError)
 from .witt import (WittVector, frobenius_w, ghost, ghosts,
                    is_frobenius_kernel, mult_by_p, psi_star_image,
                    scalar_teich, verschiebung, witt_add, witt_mul)

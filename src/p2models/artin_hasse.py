@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .dvr import RingElement, _is_prime, eq_mod
-from .errors import CertificationError
+from .errors import CertificationError, InputError
 from .poly import ExactBase, Poly, QQBase, _rational_product, horner
 from .witt import WittVector
 
@@ -78,9 +78,9 @@ def _certify(series: Poly, p: int) -> None:
 def _check_args(p: int, D: int):
     # E_p is defined for every prime p, 2 included
     if not _is_prime(p):
-        raise ValueError(f"p must be a prime, got {p}")
+        raise InputError(f"p must be a prime, got {p}")
     if D < 1:
-        raise ValueError("degree must be >= 1")
+        raise InputError("degree must be >= 1")
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,12 @@
 """Command-line surface.
 
-Exit codes: 0 success; 2 validation error (bad arguments, non-prime p,
-malformed descriptors, a descriptor M other than --precision, a
-descriptor whose (a, j) is outside Phi, a run of any subcommand with
---precision that needs more precision than it gives, an --out FILE
-that cannot be written); 1 internal verification failure (a failed
-axiom check or acceptance criterion — a bug signal, not a usage error).
+Exit codes: 0 success; 2 bad input, an InputError or BudgetError (bad
+arguments, non-prime p, malformed descriptors, a descriptor M other than
+--precision, a descriptor whose (a, j) is outside Phi, a run of any
+subcommand with --precision that needs more precision than it gives, an
+--out FILE that cannot be written); 1 internal verification failure (a
+failed axiom check or acceptance criterion — a bug signal, not a usage
+error).  Out-of-range values are refused by the library that reads them.
 
 Output is one JSON document on stdout by default; --table renders the
 same data as an aligned table.  --out FILE writes the document to FILE
@@ -23,7 +24,7 @@ import sys
 
 from .artin_hasse import ah_series, deformed_ah
 from .dvr import eta, make_ring
-from .errors import BudgetError, P2ModelsError, PrecisionError
+from .errors import BudgetError, InputError, P2ModelsError, PrecisionError
 from .fiber import classify_fiber, verify_fiber
 from .hopf import check_hopf_axioms
 from .models import (ModelDescriptor, build_extension, digit_string,
@@ -31,10 +32,6 @@ from .models import (ModelDescriptor, build_extension, digit_string,
                      is_isomorphic, phi_brute, phi_closed, phi_congruence,
                      p2_surjective)
 from .selftest import run_selftest
-
-
-class ValidationError(Exception):
-    pass
 
 
 def _render_table(headers, rows) -> str:
@@ -57,25 +54,10 @@ def _emit(args, doc, headers=None, rows=None) -> None:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
         except OSError as exc:
-            raise ValidationError(
+            raise InputError(
                 f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         print(text)
-
-
-def _ring_for(args):
-    try:
-        return make_ring(args.p, args.precision)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
-def _too_low_precision(M: int, exc: PrecisionError) -> ValidationError:
-    """Too low a --precision is bad input, not a failed verification:
-    the command exits 2 and names the M it used."""
-    return ValidationError(
-        f"--precision {M} is too low for this input: at M = {M}, {exc}; "
-        f"rerun with a larger --precision")
 
 
 def _parse_descriptor(ring, blob: str) -> ModelDescriptor:
@@ -84,18 +66,12 @@ def _parse_descriptor(ring, blob: str) -> ModelDescriptor:
     try:
         d = ModelDescriptor.from_json(ring, json.loads(blob))
     except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed descriptor: {exc}") from exc
+        raise InputError(f"malformed descriptor: {exc}") from exc
     if not phi_congruence(ring, d.m, d.n, d.a, d.j):
-        raise ValidationError(
+        raise InputError(
             f"(a, j) = ({digit_string(d.a)}, {d.j}) is not in "
             f"Phi for (m, n) = ({d.m}, {d.n})")
     return d
-
-
-def _check_cell(args):
-    if not (args.p >= args.m >= args.n >= 0):
-        raise ValidationError(
-            f"need p >= m >= n >= 0, got p={args.p}, m={args.m}, n={args.n}")
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +79,7 @@ def _check_cell(args):
 # ---------------------------------------------------------------------------
 
 def cmd_ring_info(args) -> int:
-    ring = _ring_for(args)
+    ring = make_ring(args.p, args.precision)
     doc = {
         "p": ring.p, "M": ring.M, "e": ring.e, "flavor": ring.flavor,
         "v_p": ring.e, "v_lam1": ring.lam1.valuation(),
@@ -111,14 +87,12 @@ def cmd_ring_info(args) -> int:
         "eta_digits_mod_pi^p": list(eta(ring).pi_digit_expansion(ring.p)),
         "eisenstein_coeffs": [int(c) for c in ring.coeffs],
     }
-    rows = [(k, v) for k, v in doc.items()]
-    _emit(args, doc, ["field", "value"], rows)
+    _emit(args, doc, ["field", "value"], list(doc.items()))
     return 0
 
 
 def cmd_phi(args) -> int:
-    ring = _ring_for(args)
-    _check_cell(args)
+    ring = make_ring(args.p, args.precision)
     els = (phi_brute(ring, args.m, args.n, args.budget) if args.brute
            else phi_closed(ring, args.m, args.n))
     els = sorted(els, key=lambda e: (e.j, e.sort_key()))
@@ -131,9 +105,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    ring = _ring_for(args)
-    if not (0 <= args.m_max <= args.p):
-        raise ValidationError("need 0 <= m-max <= p")
+    ring = make_ring(args.p, args.precision)
     models = enumerate_models(ring, args.m_max)
     doc = {"p": args.p, "m_max": args.m_max,
            "models": [d.to_json() for d in models]}
@@ -143,11 +115,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_isomorphic(args) -> int:
-    ring = _ring_for(args)
-    d1 = _parse_descriptor(ring, args.left)
-    d2 = _parse_descriptor(ring, args.right)
-    if d1.j == 0 or d2.j == 0:
-        raise ValidationError("isomorphism criterion needs j != 0")
+    ring = make_ring(args.p, args.precision)
+    d1, d2 = (_parse_descriptor(ring, b) for b in (args.left, args.right))
     result = is_isomorphic(d1, d2)
     doc = {"left": d1.to_json(), "right": d2.to_json(),
            "isomorphic": result}
@@ -156,11 +125,8 @@ def cmd_isomorphic(args) -> int:
 
 
 def cmd_hom(args) -> int:
-    ring = _ring_for(args)
-    d1 = _parse_descriptor(ring, args.left)
-    d2 = _parse_descriptor(ring, args.right)
-    if d1.j == 0 or d2.j == 0:
-        raise ValidationError("hom classification needs j != 0")
+    ring = make_ring(args.p, args.precision)
+    d1, d2 = (_parse_descriptor(ring, b) for b in (args.left, args.right))
     hc = hom_models(d1, d2)
     doc = {"left": d1.to_json(), "right": d2.to_json(),
            "hom": hc.to_json()}
@@ -175,7 +141,7 @@ def cmd_hom(args) -> int:
 
 
 def cmd_fiber(args) -> int:
-    ring = _ring_for(args)
+    ring = make_ring(args.p, args.precision)
     d = _parse_descriptor(ring, args.descriptor)
     fc = classify_fiber(d)
     doc = {"descriptor": d.to_json(), "fiber": fc.to_json()}
@@ -190,7 +156,7 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ring = _ring_for(args)
+    ring = make_ring(args.p, args.precision)
     d = _parse_descriptor(ring, args.descriptor)
     pres = build_extension(d)
     rep = check_hopf_axioms(pres)
@@ -214,10 +180,7 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     criteria = args.criteria.split(",") if args.criteria else None
-    try:
-        results = run_selftest(args.p, criteria)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    results = run_selftest(args.p, criteria)
     doc = [r.to_json() for r in results]
     rows = [(r.cid, "PASS" if r.passed else "FAIL",
              f"{r.seconds:.2f}s", r.description) for r in results]
@@ -226,11 +189,7 @@ def cmd_selftest(args) -> int:
 
 
 def cmd_dump_series(args) -> int:
-    try:
-        series = (deformed_ah if args.deformed else ah_series)(
-            args.p, args.degree)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    series = (deformed_ah if args.deformed else ah_series)(args.p, args.degree)
     # the terms of each T-degree, as (exponents after T, coefficient)
     groups = [[] for _ in range(args.degree + 1)]
     for m, q in sorted(series.terms.items()):
@@ -340,11 +299,15 @@ def main(argv=None) -> int:
         try:
             return args.fn(args)
         except PrecisionError as exc:
-            # selftest and dump-series fix their own precision
+            # too low a --precision is bad input, not a failed
+            # verification; selftest and dump-series fix their own
             if "precision" not in vars(args):
                 raise
-            raise _too_low_precision(args.precision, exc) from exc
-    except (ValidationError, BudgetError) as exc:
+            M = args.precision
+            raise InputError(
+                f"--precision {M} is too low for this input: at M = {M}, "
+                f"{exc}; rerun with a larger --precision") from exc
+    except (InputError, BudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except P2ModelsError as exc:

@@ -40,7 +40,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import EisensteinError, PrecisionError, ValuationError
+from .errors import (EisensteinError, InputError, PrecisionError,
+                     ValuationError)
 
 # Headroom of a slot, in bits: a sum of up to 2**HEADROOM_BITS raw packed
 # products stays inside the range that RingDescriptor._reduce_raw reduces
@@ -375,15 +376,17 @@ def cyclotomic_eisenstein(p: int) -> list[int]:
 def make_ring(p: int, M: int = 12) -> RingDescriptor:
     """Cyclotomic descriptor for R = Z_p[zeta_{p^2}], e = p(p-1)."""
     if not _is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise InputError(f"p must be an odd prime, got {p}")
     if M < 2:
-        raise ValueError("M must be at least 2")
+        raise InputError("M must be at least 2")
     return RingDescriptor(p, M, cyclotomic_eisenstein(p), "cyclotomic_p2")
 
 
 def make_custom_ring(p: int, M: int, eisenstein_coeffs) -> RingDescriptor:
     if not _is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
+        raise InputError(f"p must be an odd prime, got {p}")
+    if M < 2:
+        raise InputError("M must be at least 2")
     return RingDescriptor(p, M, eisenstein_coeffs, "custom")
 
 
@@ -438,10 +441,6 @@ class RingElement:
     # +, -, neg and scale are one big-integer expression and a slot-wise
     # reduction; * is one product reduced by RingDescriptor._reduce_raw.
     # None of them loops over the digits (tests/test_invariants.py).
-
-    def _check_same_ring(self, other: "RingElement"):
-        if self.ring is not other.ring:
-            raise ValueError("operands from different rings")
 
     def __add__(self, other: "RingElement") -> "RingElement":
         r = self.ring
@@ -595,8 +594,8 @@ class RingElement:
         return divide
 
     def divide_exact(self, other: "RingElement") -> "RingElement":
-        """z with z*other = self; requires v(self) >= v(other) determinate."""
-        self._check_same_ring(other)
+        """z with z*other = self; requires v(self) >= v(other) determinate
+        and both in one ring."""
         return other.divisor()(self)
 
     def divide_p_power(self, r: int) -> "RingElement":
@@ -699,6 +698,14 @@ def eq_mod(x: RingElement, y: RingElement, t: int) -> bool:
         return True
     raise PrecisionError(
         f"cannot decide equality mod pi^{t} at precision {d.prec}")
+
+
+def check_floor(coeffs, what: str) -> None:
+    """The one precision floor: deciding `what` on a coefficient known to
+    no digit (precision < 1) would be vacuous, so it raises instead."""
+    if any(c.prec < 1 for c in coeffs):
+        raise PrecisionError(
+            f"cannot decide {what} on a coefficient known to no digit")
 
 
 class QuotElement:

@@ -5,6 +5,11 @@ class P2ModelsError(Exception):
     """Base class for all package errors."""
 
 
+class InputError(P2ModelsError, ValueError):
+    """Out-of-range input, refused where it enters the library (the CLI
+    exits 2 on it).  A ValueError too, but not every ValueError is one."""
+
+
 class EisensteinError(P2ModelsError):
     """A supplied minimal polynomial is not Eisenstein."""
 

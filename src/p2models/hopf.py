@@ -20,8 +20,8 @@ a polynomial.
 
 Every identity of this layer (the axiom laws, morphism checks, and the
 kernel containment of models.ambient_isogeny) is decided as one
-polynomial that must vanish, above one floor (`_is_zero_above_floor`):
-a coefficient known to no digit (precision < 1) raises PrecisionError
+polynomial that must vanish, above one floor (`dvr.check_floor`): a
+coefficient known to no digit (precision < 1) raises PrecisionError
 rather than pass as zero.  The polynomial is the normal form of a
 cleared LocalizedElement numerator in a finite presentation and the raw
 numerator in a smooth one, except for morphisms between finite
@@ -46,7 +46,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .dvr import IndeterminateAtPrecision, RingElement
+from .dvr import IndeterminateAtPrecision, RingElement, check_floor
 from .errors import DivisibilityError, PrecisionError
 from .poly import (Poly, TriangularRules, horner, normal_form,
                    sum_of_products)
@@ -324,13 +324,10 @@ class LocalizedElement:
 
 
 def _is_zero_above_floor(x) -> bool:
-    """Whether x, a Poly or a ring element, is zero.  A coefficient known
-    to no digit (precision < 1) makes the test vacuous, so it raises
-    PrecisionError instead."""
-    coeffs = x.terms.values() if isinstance(x, Poly) else (x,)
-    if any(c.prec < 1 for c in coeffs):
-        raise PrecisionError("cannot decide a zero test on a "
-                             "coefficient known to no digit")
+    """Whether x, a Poly or a ring element, is zero, decided above the
+    floor of `dvr.check_floor`."""
+    check_floor(x.terms.values() if isinstance(x, Poly) else (x,),
+                "a zero test")
     return x.is_zero()
 
 
@@ -397,9 +394,7 @@ def _laws(pres: HopfPresentation):
 
     # counit laws: (eps x id) Delta = id = (id x eps) Delta.  Poly.const
     # drops a structural zero whatever its precision, so it is refused here
-    if any(c.prec < 1 for c in pres.counit):
-        raise PrecisionError("cannot decide a counit law on a counit "
-                             "value known to no digit")
+    check_floor(pres.counit, "a counit law")
     ids = [pres.var(i) for i in range(n)]
     eps = [Poly.const(base, n, c) for c in pres.counit]
     for g, d in enumerate(pres.comult):
@@ -644,9 +639,8 @@ def is_isomorphism(f: HopfMorphism) -> bool:
 # ---------------------------------------------------------------------------
 
 def coeff_mod_pi(c: RingElement) -> int:
-    """The residue of c in F_p; c must be known mod pi."""
-    if c.prec < 1:
-        raise PrecisionError("coefficient indeterminate at precision 0")
+    """The residue of c in F_p; c must be known mod pi (mod_pi raises
+    PrecisionError otherwise)."""
     return c.mod_pi(1).P
 
 

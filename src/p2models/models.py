@@ -30,13 +30,20 @@ from dataclasses import dataclass, replace
 from .artin_hasse import ep_coeffs, ep_poly_special
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
                   RingElement, enumerate_quotient, eq_mod, eta)
-from .errors import (BudgetError, DivisibilityError, LinearSolveError,
-                     P2ModelsError, ValuationError)
+from .errors import (BudgetError, DivisibilityError, InputError,
+                     LinearSolveError, P2ModelsError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
                    UnitSpec, check_morphism, is_model_map, residue_fiber)
 from .poly import ExactBase, Poly, normal_form
 from .witt import (WittVector, is_frobenius_kernel, mult_by_p,
                    psi_star_image)
+
+
+def _check_cell(ring: RingDescriptor, m: int, n: int):
+    """Refuse a cell outside p >= m >= n >= 0."""
+    if not (ring.p >= m >= n >= 0):
+        raise InputError(
+            f"need p >= m >= n >= 0, got p={ring.p}, m={m}, n={n}")
 
 
 def _check_budget(ring: RingDescriptor, count: int, budget: int | None):
@@ -197,7 +204,7 @@ def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
     v(mu) = 0 is the multiplicative case {(1+mu S)^i}; v(lam) = 0 gives
     the one-element group (empty base).  Otherwise the elements are the
     evaluated exponentials with a ranging over the twisted kernel
-    {a : a^p = mu^(p-1) a mod pi^n}.
+    {a : a^p = mu^(p-1) a mod pi^n}, which `_twisted_kernel` generates.
     """
     p = ring.p
     if n == 0:
@@ -209,11 +216,33 @@ def hom_closed(ring: RingDescriptor, m: int, n: int) -> list[tuple]:
     if ring.e < (p - 1) * m or ring.e < n:
         raise ValuationError("closed form needs v(p) >= (p-1)v(mu), v(lam)")
     mu = ring.pi(m)
-    out = []
-    for a in enumerate_quotient(ring, n):
-        if eq_mod(a ** p, mu ** (p - 1) * a, n):
-            out.append(tuple(ep_poly_special(a, mu, n)))
-    return sorted(out, key=_row_key)
+    return sorted((tuple(ep_poly_special(a, mu, n))
+                   for a in _twisted_kernel(ring, m, n)), key=_row_key)
+
+
+def _twisted_kernel(ring: RingDescriptor, m: int, n: int) -> list:
+    """The classes a of R/pi^n with a^p = mu^(p-1) a, mu = pi^m, m >= 1:
+    p v(a) >= n if v(a) < m, (p-1)m + v(a) >= n if v(a) > m, and a = mu u
+    with u = c mod pi^(n-pm), 0 < c < p, if v(a) = m.  That is v(a) >=
+    ceil(n/p) when n <= pm, and `_mu_cosets` when n > pm."""
+    if n <= ring.p * m:
+        return _classes_above(ring, -(-n // ring.p), n)
+    return _mu_cosets(ring, m, n)
+
+
+def _mu_cosets(ring: RingDescriptor, m: int, n: int) -> list:
+    """The classes mu c + x of R/pi^n, 0 <= c < p, v(x) >= n - (p-1)m."""
+    mu = ring.pi(m)
+    high = _classes_above(ring, n - (ring.p - 1) * m, n)
+    return [(mu.scale(c) + x).mod_pi(n) for c in range(ring.p) for x in high]
+
+
+def _classes_above(ring: RingDescriptor, v: int, n: int) -> list:
+    """The classes of R/pi^n with valuation >= v: pi^v times the
+    canonical lifts of the classes of R/pi^(n-v), or {0} when v >= n."""
+    shift = ring.pi(v)
+    return [(b.with_prec(ring.full_prec) * shift).mod_pi(n)
+            for b in enumerate_quotient(ring, max(n - v, 0))]
 
 
 def hom_brute(ring: RingDescriptor, m: int, n: int,
@@ -315,12 +344,9 @@ def _ker_vmin(ring: RingDescriptor, m: int, n: int) -> int:
 
 def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
     """Closed form of the kernel of the projection (a, j) -> j: the pairs
-    (a, 0) with v(a) >= vmin, that is a = pi^vmin b for the classes b of
-    R/pi^(n - vmin), or a = 0 when vmin >= n."""
-    vmin = _ker_vmin(ring, m, n)
-    shift = ring.pi(vmin)
-    out = [PhiElement((b.with_prec(ring.full_prec) * shift).mod_pi(n), 0)
-           for b in enumerate_quotient(ring, max(n - vmin, 0))]
+    (a, 0) with v(a) >= vmin."""
+    out = [PhiElement(a, 0)
+           for a in _classes_above(ring, _ker_vmin(ring, m, n), n)]
     return sorted(out, key=PhiElement.sort_key)
 
 
@@ -331,8 +357,7 @@ def p2_surjective(ring: RingDescriptor, m: int, n: int) -> bool:
 
 def phi_closed(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
     """Phi_{pi^m, pi^n} assembled from the surjectivity trichotomy."""
-    if not (ring.p >= m >= n >= 0):
-        raise ValueError("need p >= m >= n >= 0")
+    _check_cell(ring, m, n)
     p = ring.p
     ker = ker_p2(ring, m, n)
     out = []
@@ -354,6 +379,7 @@ def phi_closed(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
 def phi_brute(ring: RingDescriptor, m: int, n: int,
               budget: int | None = None) -> list[PhiElement]:
     """Direct enumeration of the defining congruence."""
+    _check_cell(ring, m, n)
     p = ring.p
     _check_budget(ring, p ** n * p, budget)
     # a = 0 comes first and passes a^p = 0, so rho is always reached
@@ -389,8 +415,7 @@ class ModelDescriptor:
     def __post_init__(self):
         """Hold a (QuotElement of R/pi^n, or known mod pi^n) as mod_pi(n)."""
         a = self.a
-        if not (self.ring.p >= self.m >= self.n >= 0):
-            raise ValueError("need p >= m >= n >= 0")
+        _check_cell(self.ring, self.m, self.n)
         if a.ring is not self.ring:
             raise ValueError("a must lie in the descriptor's ring")
         if isinstance(a, QuotElement):
@@ -399,7 +424,7 @@ class ModelDescriptor:
             a = a.lift()
         object.__setattr__(self, "a", a.mod_pi(self.n))
         if not (0 <= self.j < self.ring.p):
-            raise ValueError("j must be reduced mod p")
+            raise InputError("j must be reduced mod p")
 
     def sort_key(self):
         return (self.m, self.n, self.a.pi_digit_expansion(self.n), self.j)
@@ -411,24 +436,24 @@ class ModelDescriptor:
     @classmethod
     def from_json(cls, ring: RingDescriptor, obj) -> "ModelDescriptor":
         """Parse outside input: p, M, m, n and j must be integers and a
-        n digits, each an integer in [0, p); ValueError names the first
+        n digits, each an integer in [0, p); InputError names the first
         field that is not."""
         for key in ("p", "M", "m", "n", "j"):
             if not _is_int(obj[key]):
-                raise ValueError(
+                raise InputError(
                     f"field {key!r} must be an integer, got {obj[key]!r}")
         digits = obj["a_digits"]
         if not isinstance(digits, list) or not all(
                 _is_int(d) and 0 <= d < ring.p for d in digits):
-            raise ValueError(f"field 'a_digits' must be a list of integers "
+            raise InputError(f"field 'a_digits' must be a list of integers "
                              f"in [0, {ring.p}), got {digits!r}")
         if obj["p"] != ring.p:
-            raise ValueError("descriptor p does not match ring")
+            raise InputError("descriptor p does not match ring")
         if obj["M"] != ring.M:
-            raise ValueError(
+            raise InputError(
                 f"descriptor M = {obj['M']} does not match precision {ring.M}")
         if len(digits) != obj["n"]:
-            raise ValueError(f"field 'a_digits' must hold n = {obj['n']} "
+            raise InputError(f"field 'a_digits' must hold n = {obj['n']} "
                              f"digits, got {len(digits)}")
         a = ring.from_pi_digits(digits, obj["n"])
         return cls(ring, obj["m"], obj["n"], a, obj["j"])
@@ -636,7 +661,7 @@ def ambient_isogeny(d: ModelDescriptor):
 def normal_form_model(d: ModelDescriptor) -> ModelDescriptor:
     """Replace (m, n, a, j) by the isomorphic (m, n, a/j, 1)."""
     if d.j == 0:
-        raise ValueError("j = 0 is not a model of the cyclic group")
+        raise InputError("j = 0 is not a model of the cyclic group")
     inv = pow(d.j, -1, d.ring.p)
     out = ModelDescriptor(d.ring, d.m, d.n, d.a.scale(inv), 1)
     if not phi_congruence(d.ring, d.m, d.n, out.a, 1):
@@ -653,7 +678,7 @@ def _a_congruent(d1: ModelDescriptor, d2: ModelDescriptor) -> bool:
 
 def is_isomorphic(d1: ModelDescriptor, d2: ModelDescriptor) -> bool:
     if d1.j == 0 or d2.j == 0:
-        raise ValueError("isomorphism criterion applies to models (j != 0)")
+        raise InputError("isomorphism criterion applies to models (j != 0)")
     if d1.m != d2.m or d1.n != d2.n:
         return False
     return _a_congruent(d1, d2)
@@ -671,7 +696,7 @@ class HomClass:
 def hom_models(d1: ModelDescriptor, d2: ModelDescriptor) -> HomClass:
     """The trichotomy for Hom between two models."""
     if d1.j == 0 or d2.j == 0:
-        raise ValueError("hom classification applies to models (j != 0)")
+        raise InputError("hom classification applies to models (j != 0)")
     if d1.m < d2.n:
         return HomClass("Zero")
     if d2.m <= d1.m and d2.n <= d1.n and _a_congruent(d1, d2):
@@ -725,7 +750,7 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
     `src` and `tgt` are build_extension(d1) and build_extension(d2),
     built here when not given."""
     if d1.j == 0 or d2.j == 0:
-        raise ValueError("hom classification applies to models (j != 0)")
+        raise InputError("hom classification applies to models (j != 0)")
     ring = d1.ring
     p = ring.p
     src = build_extension(d1) if src is None else src
@@ -750,8 +775,8 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
 
 def enumerate_models(ring: RingDescriptor, m_max: int) -> list[ModelDescriptor]:
     """All models (m, n, a, 1), m_max >= m >= n >= 0, canonical a."""
-    if m_max > ring.p:
-        raise ValueError("m_max exceeds v(lam_(1))")
+    if not 0 <= m_max <= ring.p:
+        raise InputError("need 0 <= m-max <= p")
     out = []
     for m in range(m_max + 1):
         for n in range(m + 1):
@@ -772,6 +797,9 @@ def rad_brute(ring: RingDescriptor, m: int, n: int,
     j = 0 when v(mu) < v(lam) (no cyclic-p^2 models in this regime)."""
     p, t = ring.p, ring.p * n
     homs = hom_brute(ring, m, n, budget)
+    if n == 0:
+        # over the zero ring every (F, j) survives, as Phi(m, 0) is {(0, j)}
+        return [(row, j) for row in homs for j in range(p)]
     G = residue_fiber(build_g(ring, ring.pi(m), 1), t)
     out = []
     for row in homs:

@@ -58,8 +58,8 @@ from fractions import Fraction
 from math import lcm
 from operator import add, neg, sub
 
-from .dvr import RAW_PRODUCTS, RingDescriptor, RingElement
-from .errors import DivisibilityError, PrecisionError, ValuationError
+from .dvr import RAW_PRODUCTS, RingDescriptor, RingElement, check_floor
+from .errors import DivisibilityError, ValuationError
 
 
 class ExactBase:
@@ -614,9 +614,8 @@ class TriangularRules:
             c = r.terms.get(lead)
             # resident 1 is an exact one; any other lead is compared above
             # the floor of one known digit
-            if c is not None and _resident(c, ring) != 1 and c.prec < 1:
-                raise PrecisionError(f"relation {i}: a leading coefficient "
-                                     "known to no digit is not decided monic")
+            if c is not None and _resident(c, ring) != 1:
+                check_floor((c,), f"whether relation {i} is monic")
             if c is None or _resident(c, ring) != 1 and not base.eq(c, one):
                 raise ValueError(f"relation {i} is not monic in x{i}")
             lower = [(m, _resident(c, ring), c.prec)

@@ -1,5 +1,5 @@
-"""The rings of the property tests and the digit vectors of their
-elements, written once.
+"""The rings of the property tests, the digit vectors of their elements
+and their nonzero scalar digits, written once.
 
 Hypothesis records and replays every choice, so a draw costs about as
 much as its number of choices.  A vector here takes three whatever e is
@@ -50,6 +50,16 @@ def digit_vectors(R):
     """Each digit 0, p^M - 1 or any value: the vectors of e draws of
     one_of(just(0), just(p^M - 1), integers(0, p^M - 1))."""
     return _vectors(R, 3, lambda k, q: (0, R.pM - 1, q)[k])
+
+
+@lru_cache(maxsize=None)
+def nonzero_digits(R):
+    """One digit in [1, p^M - 1]: 1 in one draw of ten, p^M - 1 in one,
+    otherwise any value."""
+    def digit(kind, q):
+        return (1, R.pM - 1, q % (R.pM - 1) + 1)[min(kind, 2)]
+
+    return st.builds(digit, st.integers(0, 9), _below(R.pM - 1))
 
 
 @lru_cache(maxsize=None)

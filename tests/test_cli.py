@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from p2models import cli
 from p2models.cli import main
 from p2models.dvr import make_ring
 from p2models.fiber import FiberClass
@@ -224,6 +225,51 @@ def test_validation_exit_code(capsys):
     code, _, err = run(capsys, "isomorphic", "--left", "{oops",
                        "--right", CANON)
     assert code == 2
+
+
+J0 = json.dumps({"p": 3, "M": 12, "m": 3, "n": 3,
+                 "a_digits": [0, 0, 0], "j": 0})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("phi", "--m", "1", "--n", "2"),
+     "need p >= m >= n >= 0, got p=3, m=1, n=2"),
+    (("phi", "--m", "4", "--n", "4", "--brute"),
+     "need p >= m >= n >= 0, got p=3, m=4, n=4"),
+    (("phi", "--m", "1", "--n", "2", "--brute"),
+     "need p >= m >= n >= 0, got p=3, m=1, n=2"),
+    (("enumerate", "--m-max", "-1"), "need 0 <= m-max <= p"),
+    (("enumerate", "--m-max", "4"), "need 0 <= m-max <= p"),
+    (("isomorphic", "--left", CANON, "--right", J0),
+     "isomorphism criterion applies to models (j != 0)"),
+    (("hom", "--left", J0, "--right", CANON),
+     "hom classification applies to models (j != 0)"),
+    (("selftest", "--p", "7"), "selftest covers p = 3 and p = 5"),
+    (("selftest", "--criteria", "2,99"), "unknown criteria ['99']"),
+    (("dump-series", "--p", "4"), "p must be a prime, got 4"),
+    (("dump-series", "--degree", "0"), "degree must be >= 1"),
+    (("ring-info", "--p", "4"), "p must be an odd prime, got 4"),
+    (("ring-info", "--precision", "1"), "M must be at least 2"),
+    (("verify", "--descriptor", CANON.replace('"m": 3', '"m": 4')),
+     "malformed descriptor: need p >= m >= n >= 0, got p=3, m=4, n=3"),
+    (("phi", "--m", "3", "--n", "3", "--brute", "--budget", "5"),
+     "81 candidates exceed budget 5"),
+])
+def test_bad_input_exits_2_with_the_library_message(capsys, argv, message):
+    # the library refuses each of these where the input enters it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
+def test_an_internal_value_error_is_not_bad_input(capsys, monkeypatch):
+    # dump-series once mapped every ValueError to exit 2
+    def broken(p, degree):
+        raise ValueError("operands from different rings")
+
+    monkeypatch.setattr(cli, "ah_series", broken)
+    with pytest.raises(ValueError, match="different rings"):
+        main(["dump-series", "--p", "3", "--degree", "6"])
 
 
 def test_descriptor_json_roundtrip():

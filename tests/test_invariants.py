@@ -21,6 +21,9 @@
 * The property tests draw an element's digits only through
   `tests/strategies.py`: no other test module draws a list of e digits
   with `st.lists`, one draw per digit.
+* Bad input has one exception, the library's InputError: `cli.py`
+  defines no exception class, and catches ValueError only where it
+  parses a descriptor.
 """
 
 import ast
@@ -501,3 +504,49 @@ def test_per_digit_draw_is_found(tmp_path):
         "def c(R, t, digit):\n"
         "    return st.lists(digit, min_size=t), st.tuples(min_size=R.e)\n")
     assert _scopes_where(tmp_path, _per_digit_draw) == ["mod.py:a", "mod.py:b"]
+
+
+def _catches_value_error(node):
+    """node is an except clause that catches ValueError: by name, as
+    Exception or BaseException, or bare."""
+    return isinstance(node, ast.ExceptHandler) and (
+        node.type is None or any(
+            _names({"ValueError", "Exception", "BaseException"})(n)
+            for n in ast.walk(node.type)))
+
+
+def _exception_classes(path):
+    """Every class the module defines on a base named *Error or
+    *Exception."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and any(
+                (getattr(base, "id", None) or getattr(base, "attr", "")
+                 ).endswith(("Error", "Exception")) for base in node.bases)]
+
+
+def test_cli_has_no_input_error_of_its_own():
+    assert _exception_classes(SRC / "p2models" / "cli.py") == []
+    assert [s for s in _scopes_where(SRC / "p2models", _catches_value_error)
+            if s.startswith("cli.py:")] == ["cli.py:_parse_descriptor"]
+
+
+def test_cli_error_scans_are_found(tmp_path):
+    # negative control: an exception class on a bare and on a dotted
+    # base, and ValueError caught in a tuple, as Exception and bare, are
+    # reported; a plain class and another exception are not
+    (tmp_path / "cli.py").write_text(
+        "class ValidationError(Exception):\n    pass\n\n\n"
+        "class Table:\n    pass\n\n\n"
+        "class Refused(errors.InputError):\n    pass\n\n\n"
+        "def a():\n    try:\n        f()\n"
+        "    except (KeyError, ValueError):\n        pass\n\n\n"
+        "def b():\n    try:\n        f()\n"
+        "    except Exception:\n        pass\n\n\n"
+        "def c():\n    try:\n        f()\n    except:\n        pass\n\n\n"
+        "def d():\n    try:\n        f()\n"
+        "    except OSError:\n        pass\n")
+    assert _exception_classes(tmp_path / "cli.py") == [
+        "ValidationError", "Refused"]
+    assert _scopes_where(tmp_path, _catches_value_error) == [
+        "cli.py:a", "cli.py:b", "cli.py:c"]

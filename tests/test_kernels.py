@@ -76,7 +76,7 @@ from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules,
                            sum_of_products)
 from p2models.witt import (WittVector, _recover, ghost, ghosts,
                            is_frobenius_kernel, witt_add)
-from strategies import digit_vectors, ring, valuation_digits
+from strategies import digit_vectors, nonzero_digits, ring, valuation_digits
 
 PRIMES = (3, 5, 7)
 PRECISIONS = (2, 8, 12, 20)
@@ -516,9 +516,9 @@ def test_packed_product_sparse_operands(p, M, data):
     positions = st.lists(st.integers(0, R.e - 1), max_size=3)
     x = y = R.zero()
     for i in data.draw(positions):
-        x = x + R.pi(i).scale(data.draw(st.integers(1, R.pM - 1)))
+        x = x + R.pi(i).scale(data.draw(nonzero_digits(R)))
     for i in data.draw(positions):
-        y = y + R.pi(i).scale(data.draw(st.integers(1, R.pM - 1)))
+        y = y + R.pi(i).scale(data.draw(nonzero_digits(R)))
     assert ((x * y).digits, (x * y).prec) == schoolbook_mul(x, y)
 
 
@@ -919,7 +919,7 @@ def pi_power_pairs(draw):
     ta = {draw(mono): dense() for _ in range(draw(st.integers(1, 4)))}
     tb = {}
     for k in range(R.e):
-        u = draw(st.one_of(st.integers(1, R.pM - 1).map(R.from_int),
+        u = draw(st.one_of(nonzero_digits(R).map(R.from_int),
                            st.builds(unit)))
         tb[draw(mono)] = (u * R.pi(k)).with_prec(draw(prec))
     for _ in range(draw(st.integers(0, 3))):
@@ -1809,7 +1809,7 @@ def witt_vectors(draw, ring, t, min_len=0):
             c = ring.zero(draw(st.integers(0, ring.e)))
         elif kind == "pi":
             c = ring.pi(draw(st.integers(0, ring.e - 1))).scale(
-                draw(st.integers(1, ring.pM - 1)))
+                draw(nonzero_digits(ring)))
         else:
             c = ring.from_digits(draw(digit_vectors(ring)))
         coords.append(c.with_prec(draw(st.one_of(

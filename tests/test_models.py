@@ -13,10 +13,11 @@ from p2models.dvr import (
     enumerate_quotient,
     eq_mod,
     eta,
+    make_custom_ring,
     make_ring,
 )
-from p2models.artin_hasse import ep_poly_special
-from p2models.errors import (BudgetError, DivisibilityError,
+from p2models.artin_hasse import ah_series, deformed_ah, ep_poly_special
+from p2models.errors import (BudgetError, DivisibilityError, InputError,
                              LinearSolveError, P2ModelsError, PrecisionError,
                              ValuationError)
 from p2models.hopf import check_hopf_axioms, check_morphism, is_model_map
@@ -38,6 +39,7 @@ from p2models.models import (
     is_isomorphic,
     isogeny_psi,
     ker_p2,
+    ker_p2_brute,
     kummer_poly,
     neron_blowup_unit,
     normal_form_model,
@@ -52,7 +54,7 @@ from p2models.models import (
     target_hom_closed_form,
 )
 from p2models.poly import ExactBase, Poly
-from p2models.selftest import CELLS3, _ker_oracle
+from p2models.selftest import CELLS3, _ker_oracle, run_selftest
 
 
 # -- G_{lam,n} ----------------------------------------------------------------
@@ -131,10 +133,13 @@ def test_hom_gln_counts(R3):
 # -- Hom(G_{mu,1}|S_lam, Gm) ---------------------------------------------------
 
 @pytest.mark.parametrize("m,n,count", [(3, 1, 1), (3, 3, 9), (2, 2, 3),
-                                       (1, 1, 1), (0, 1, 3), (0, 2, 3)])
+                                       (1, 1, 1), (0, 1, 3), (0, 2, 3),
+                                       (1, 3, 9), (1, 4, 27), (2, 3, 9)])
 def test_hom_closed_equals_brute(R3, m, n, count):
     # at m = 0 the zero row satisfies F(S)F(T) = F(S+T+ST) but has
-    # counit 0, not 1: it is not a hom and must not be counted
+    # counit 0, not 1: it is not a hom and must not be counted.  (1,4)
+    # is the first cell with n > pm, where the twisted kernel is the
+    # cosets mu c + x
     hc = hom_closed(R3, m, n)
     hb = hom_brute(R3, m, n)
     assert hc == hb
@@ -165,6 +170,57 @@ def test_hom_closed_equals_brute_p5(m, n, count):
     hc = hom_closed(R5, m, n)
     assert hc == hom_brute(R5, m, n)
     assert len(hc) == count
+
+
+def hom_closed_by_filter(ring, m, n):
+    """hom_closed as a filter, for m, n >= 1: every class a of R/pi^n
+    with a^p = mu^(p-1) a mod pi^n, which the closed form generates."""
+    p, mu = ring.p, ring.pi(m)
+    return sorted((tuple(ep_poly_special(a, mu, n))
+                   for a in enumerate_quotient(ring, n)
+                   if eq_mod(a ** p, mu ** (p - 1) * a, n)),
+                  key=models_module._row_key)
+
+
+P5_TWISTED_CELLS = [(m, n) for m in range(1, 6) for n in range(1, m + 1)] \
+    + [(1, 5), (1, 6)]
+
+
+@pytest.mark.parametrize("m, n", P5_TWISTED_CELLS)
+def test_hom_closed_generates_what_the_filter_keeps_p5(m, n):
+    # digits and precisions; (1,5) is n = pm, (1,6) the first n > pm
+    R5 = make_ring(5, 8)
+    assert hom_closed(R5, m, n) == hom_closed_by_filter(R5, m, n)
+
+
+@pytest.mark.parametrize("p, m, n", [(3, 1, 2), (3, 2, 3), (3, 1, 4),
+                                     (5, 1, 3), (5, 2, 4), (5, 1, 6)])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_twisted_kernel_bound_off_by_one_fails(p, m, n, shift,
+                                               monkeypatch):
+    # negative control: ceil(n/p) (cells with n <= pm) and n - (p-1)m
+    # (cells with n > pm) one too low or too high change the twisted
+    # kernel, whose image under hom_closed the tests above compare with
+    # the filter and hom_brute
+    R = make_ring(p, {3: 12, 5: 8}[p])
+    want = models_module._twisted_kernel(R, m, n)
+    above = models_module._classes_above
+    monkeypatch.setattr(models_module, "_classes_above",
+                        lambda ring, v, t: above(ring, v + shift, t))
+    assert models_module._twisted_kernel(R, m, n) != want
+
+
+@pytest.mark.parametrize("p, m", [(3, 1), (5, 1)])
+def test_cosets_at_n_equal_pm_fail(p, m):
+    # negative control: n = pm belongs to the valuation bound; a strict
+    # n < pm would take the cosets, each class p times
+    R = make_ring(p, {3: 12, 5: 8}[p])
+    n = p * m
+    kernel = models_module._twisted_kernel(R, m, n)
+    cosets = models_module._mu_cosets(R, m, n)
+    assert len(cosets) == p * len(kernel)
+    assert sorted(set(cosets), key=lambda a: a.digits) == \
+        sorted(kernel, key=lambda a: a.digits)
 
 
 def test_hom_brute_prepares_its_rules_once(count_calls):
@@ -305,6 +361,55 @@ def test_ker_bound_off_by_one_fails_the_oracle(p, M, cells, shift,
         _ker_oracle(R, cells)
 
 
+def test_criterion_4_sees_a_kernel_bound_one_too_high(monkeypatch):
+    # every p = 3 kernel is {0}; the criterion's p = 5 cell (3,3) is not
+    assert run_selftest(3, ["4"])[0].passed
+    vmin = models_module._ker_vmin
+    monkeypatch.setattr(models_module, "_ker_vmin",
+                        lambda *args: vmin(*args) + 1)
+    [result] = run_selftest(3, ["4"])
+    assert not result.passed and "p=5 cell (3,3)" in result.detail
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (4, 4), (5, 1), (3, -1),
+                                  (-1, -2)])
+def test_every_cell_entry_refuses_a_cell_outside_the_range(R3, m, n):
+    # phi_brute once returned 3 elements at (1,2), raised ValuationError
+    # at (4,4) and (5,1), and an internal ValueError at negative cells;
+    # phi_closed refused them all
+    for entry in (phi_closed, phi_brute, ker_p2_brute):
+        with pytest.raises(InputError, match=(
+                f"need p >= m >= n >= 0, got p=3, m={m}, n={n}")):
+            entry(R3, m, n)
+    with pytest.raises(InputError, match="need p >= m >= n >= 0"):
+        ModelDescriptor(R3, m, n, R3.zero(), 1)
+
+
+def test_every_entry_refuses_outside_input_with_input_error(R3):
+    # make_custom_ring once took M = 1 and failed in the Eisenstein check
+    desc = {"p": 3, "M": 12, "m": 3, "n": 3, "a_digits": [0, 1, 1], "j": 1}
+    calls = [lambda: make_ring(4), lambda: make_ring(3, 1),
+             lambda: make_custom_ring(9, 4, R3.coeffs),
+             lambda: make_custom_ring(3, 1, R3.coeffs),
+             lambda: run_selftest(7), lambda: run_selftest(3, ["99"]),
+             lambda: ah_series(4, 6), lambda: deformed_ah(3, 0),
+             lambda: ModelDescriptor.from_json(R3, {**desc, "j": 1.0}),
+             lambda: ModelDescriptor.from_json(R3, {**desc, "M": 5}),
+             lambda: ModelDescriptor.from_json(R3, {**desc, "j": 3}),
+             lambda: normal_form_model(ModelDescriptor(R3, 3, 3,
+                                                       R3.zero(), 0))]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
+@pytest.mark.parametrize("m_max", [-1, 4])
+def test_enumerate_models_refuses_m_max_outside_0_to_p(R3, m_max):
+    # m_max = -1 once returned []
+    with pytest.raises(InputError, match="need 0 <= m-max <= p"):
+        enumerate_models(R3, m_max)
+
+
 def test_p2_surjectivity_spots(R3):
     assert p2_surjective(R3, 2, 0)
     assert not p2_surjective(R3, 2, 1)
@@ -414,8 +519,8 @@ def test_hom_oracles_refuse_j_zero_in_either_order(R3, models3):
     d33 = models3[-1]
     d0 = ModelDescriptor(R3, 3, 3, R3.zero(), 0)
     for d1, d2 in ((d0, d33), (d33, d0), (d0, d0)):
-        for oracle in (hom_models, hom_models_brute):
-            with pytest.raises(ValueError,
+        for oracle in (hom_models, hom_models_brute, is_isomorphic):
+            with pytest.raises(InputError,
                                match=r"applies to models \(j != 0\)"):
                 oracle(d1, d2)
 
@@ -867,6 +972,16 @@ def test_rad_brute_12(R3):
     one_row = tuple([R3.one().mod_pi(2)] + [R3.zero().mod_pi(2)] * 2)
     assert any(row == one_row for row, _ in surv)
     assert len(surv) == rad_witt_count(R3, 1, 2)
+
+
+def test_rad_brute_is_a_phi_oracle(R3):
+    # survivor count and j-set equal Phi's on every cell with m >= n; at
+    # n = 0 every (row, j) survives, where the base change to R/pi^0
+    # once raised PrecisionError
+    for m, n in CELLS3:
+        surv, phi = rad_brute(R3, m, n), phi_closed(R3, m, n)
+        assert len(surv) == len(phi), (m, n)
+        assert {j for _, j in surv} == {e.j for e in phi}, (m, n)
 
 
 def test_isomorphism_iff_invertible_map(R3, models3):

@@ -1,11 +1,12 @@
 """The digit vectors of `tests/strategies.py` reach their edge values at
 p = 7, M = 2 (e = 42), where a draw per digit would almost never give
-all 0 or all p^M - 1."""
+all 0 or all p^M - 1, and its nonzero digits reach 1 and p^M - 1 at
+p = 5, M = 8, where p^M - 1 has 19 bits."""
 
 from hypothesis import Phase, find, settings
 from hypothesis import strategies as st
 
-from strategies import digit_vectors, ring, valuation_digits
+from strategies import digit_vectors, nonzero_digits, ring, valuation_digits
 
 R = ring(7, 2)
 TOP = R.pM - 1
@@ -31,3 +32,12 @@ def test_valuation_digits_reach_every_inner_valuation():
         find(valuation_digits(R), lambda v, j=j: any(
             d % R.p ** j == 0 and d % R.p ** (j + 1) for d in v),
              settings=FOUND)
+
+
+def test_nonzero_digits_reach_the_edges():
+    R5 = ring(5, 8)
+    for want in (1, R5.pM - 1):
+        assert find(nonzero_digits(R5), lambda d, w=want: d == w,
+                    settings=FOUND) == want
+    find(nonzero_digits(R5), lambda d: 1 < d < R5.pM - 1 and d >> 16,
+         settings=FOUND)
