@@ -15,7 +15,7 @@ from .artin_hasse import (ah_series, deformed_ah, ep_poly_special, ep_witt,
 from .hopf import (AxiomReport, HopfMorphism, HopfPresentation,
                    check_hopf_axioms, check_morphism, is_isomorphism,
                    is_model_map, residue_fiber)
-from .models import (HomClass, ModelDescriptor, PhiElement, ambient_isogeny,
+from .models import (HomClass, ModelDescriptor, ambient_isogeny,
                      build_extension, build_g, build_g_smooth,
                      enumerate_models, hom_brute, hom_closed, hom_gln,
                      hom_models, hom_models_brute, is_isomorphic,

@@ -65,9 +65,9 @@ def _parse_descriptor(ring, blob: str) -> ModelDescriptor:
     (a, j) in Phi for its (m, n)."""
     try:
         d = ModelDescriptor.from_json(ring, json.loads(blob))
-    except (ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:
         raise InputError(f"malformed descriptor: {exc}") from exc
-    if not phi_congruence(ring, d.m, d.n, d.a, d.j):
+    if not phi_congruence(d):
         raise InputError(
             f"(a, j) = ({digit_string(d.a)}, {d.j}) is not in "
             f"Phi for (m, n) = ({d.m}, {d.n})")
@@ -98,7 +98,8 @@ def cmd_phi(args) -> int:
     els = sorted(els, key=lambda e: (e.j, e.sort_key()))
     doc = {"p": args.p, "m": args.m, "n": args.n,
            "surjective": p2_surjective(ring, args.m, args.n),
-           "elements": [e.to_json() for e in els]}
+           "elements": [{"a_digits": e.to_json()["a_digits"], "j": e.j}
+                        for e in els]}
     rows = [(digit_string(e.a), e.j) for e in els]
     _emit(args, doc, ["a", "j"], rows)
     return 0

@@ -89,7 +89,7 @@ def classify_fiber(d: ModelDescriptor) -> FiberClass:
         return FiberClass("TrivialExtension")
     if m < p:
         lam = ring.pi(n)
-        beta = -phi_defect(ring, m, d.a, d.j).divide_exact(lam ** p)
+        beta = -phi_defect(d).divide_exact(lam ** p)
         gamma = (d.a.with_prec(ring.full_prec) ** p).divide_exact(lam)
         return FiberClass("AlphaPExtension",
                           (coeff_mod_pi(beta), coeff_mod_pi(gamma)))

@@ -282,17 +282,11 @@ class LocalizedElement:
         raise TypeError(other)
 
     def mul_unit_power(self, i: int, e: int) -> "LocalizedElement":
-        """Multiply by units[i]^e (e may be negative)."""
-        if e == 0:
-            return self
-        if e > 0:
-            num = self.num
-            for _ in range(e):
-                num = num * self.pres.units[i].poly
-            return LocalizedElement(self.pres, num, self.den)
-        den = list(self.den)
-        den[i] -= e
-        return LocalizedElement(self.pres, self.num, tuple(den))
+        """Multiply by units[i]^e, e >= 0."""
+        num = self.num
+        for _ in range(e):
+            num = num * self.pres.units[i].poly
+        return LocalizedElement(self.pres, num, self.den)
 
     def is_zero(self) -> bool:
         """Decided on the normal form of the numerator in a finite

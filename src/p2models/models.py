@@ -275,129 +275,7 @@ def hom_brute(ring: RingDescriptor, m: int, n: int,
 
 
 # ---------------------------------------------------------------------------
-# the parameter group Phi and the projection to Z/pZ
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhiElement:
-    """(a, j) with a a class of R/pi^n."""
-    a: RingElement
-    j: int
-
-    def sort_key(self):
-        return (self.a.pi_digit_expansion(self.a.prec), self.j)
-
-    def to_json(self):
-        return {"a_digits": list(self.sort_key()[0]), "j": self.j}
-
-
-def rho_scalar(ring: RingDescriptor, m: int) -> RingElement:
-    """p / mu^(p-1) for mu = pi^m (exists for m <= p)."""
-    return ring.from_int(ring.p).divide_exact(ring.pi(m) ** (ring.p - 1))
-
-
-def _defect(ring: RingDescriptor, m: int, al: RingElement,
-            al_p: RingElement, rho: RingElement, j: int) -> RingElement:
-    """p a - j mu - rho a^p from the lift al of a, al_p = al^p and
-    rho = rho_scalar(ring, m)."""
-    return al.scale(ring.p) - ring.pi(m).scale(j) - rho * al_p
-
-
-def phi_defect(ring: RingDescriptor, m: int, a: RingElement,
-               j: int) -> RingElement:
-    """p a - j mu - (p/mu^(p-1)) a^p for mu = pi^m, on the canonical lift
-    of the class a."""
-    al = a.with_prec(ring.full_prec)
-    return _defect(ring, m, al, al ** ring.p, rho_scalar(ring, m), j)
-
-
-def _phi_js(ring: RingDescriptor, m: int, n: int, a: RingElement, js,
-            rho: RingElement | None = None) -> list[int]:
-    """The j in js with (a, j) in Phi, for a class a of R/pi^n, n >= 1.
-
-    a^p is computed once for every j; rho = rho_scalar(ring, m) is
-    computed only once a^p = 0 mod pi^n, unless it is given."""
-    al = a.with_prec(ring.full_prec)
-    al_p = al ** ring.p
-    if not eq_mod(al_p, ring.zero(), n):
-        return []
-    if rho is None:
-        rho = rho_scalar(ring, m)
-    zero, pn = ring.zero(), ring.p * n
-    return [j for j in js
-            if eq_mod(_defect(ring, m, al, al_p, rho, j), zero, pn)]
-
-
-def phi_congruence(ring: RingDescriptor, m: int, n: int,
-                   a: RingElement, j: int) -> bool:
-    """(a, j) in Phi for a class a of R/pi^n: a^p = 0 mod pi^n and
-    phi_defect = 0 mod pi^(pn)."""
-    return n == 0 or bool(_phi_js(ring, m, n, a, (j,)))
-
-
-def _ker_vmin(ring: RingDescriptor, m: int, n: int) -> int:
-    """The least v(a) in the kernel: p v(a) >= max(p v(lam) + (p-1) v(mu)
-    - v(p), v(lam))."""
-    p = ring.p
-    return math.ceil(max(p * n + (p - 1) * m - ring.e, n) / p)
-
-
-def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
-    """Closed form of the kernel of the projection (a, j) -> j: the pairs
-    (a, 0) with v(a) >= vmin."""
-    out = [PhiElement(a, 0)
-           for a in _classes_above(ring, _ker_vmin(ring, m, n), n)]
-    return sorted(out, key=PhiElement.sort_key)
-
-
-def p2_surjective(ring: RingDescriptor, m: int, n: int) -> bool:
-    """Every j is hit iff m >= pn, or m < pn and pm - n >= v(p)."""
-    return m >= ring.p * n or ring.p * m - n >= ring.e
-
-
-def phi_closed(ring: RingDescriptor, m: int, n: int) -> list[PhiElement]:
-    """Phi_{pi^m, pi^n} assembled from the surjectivity trichotomy."""
-    _check_cell(ring, m, n)
-    p = ring.p
-    ker = ker_p2(ring, m, n)
-    out = []
-    if m >= p * n:
-        for j in range(p):
-            for alpha in ker:
-                out.append(PhiElement(alpha.a, j))
-    elif p * m - n >= ring.e:
-        base_sol = (eta(ring) * ring.pi(m)).divide_exact(ring.lam1)
-        for j in range(p):
-            shift = base_sol.scale(j)
-            for alpha in ker:
-                out.append(PhiElement((shift + alpha.a).mod_pi(n), j))
-    else:
-        out = list(ker)
-    return sorted(out, key=PhiElement.sort_key)
-
-
-def phi_brute(ring: RingDescriptor, m: int, n: int,
-              budget: int | None = None) -> list[PhiElement]:
-    """Direct enumeration of the defining congruence."""
-    _check_cell(ring, m, n)
-    p = ring.p
-    _check_budget(ring, p ** n * p, budget)
-    # a = 0 comes first and passes a^p = 0, so rho is always reached
-    rho = rho_scalar(ring, m) if n else None
-    out = []
-    for a in enumerate_quotient(ring, n):
-        js = _phi_js(ring, m, n, a, range(p), rho) if n else range(p)
-        out.extend(PhiElement(a, j) for j in js)
-    return sorted(out, key=PhiElement.sort_key)
-
-
-def ker_p2_brute(ring: RingDescriptor, m: int, n: int,
-                 budget: int | None = None) -> list[PhiElement]:
-    return [el for el in phi_brute(ring, m, n, budget) if el.j == 0]
-
-
-# ---------------------------------------------------------------------------
-# descriptors and the extension presentations
+# descriptors and the parameter group Phi, with its projection to Z/pZ
 # ---------------------------------------------------------------------------
 
 def _is_int(x) -> bool:
@@ -406,6 +284,8 @@ def _is_int(x) -> bool:
 
 @dataclass(frozen=True)
 class ModelDescriptor:
+    """(m, n, a, j): the point (a, j) of Phi_{pi^m, pi^n} when
+    phi_congruence holds, and the extension it names."""
     ring: RingDescriptor
     m: int
     n: int
@@ -434,10 +314,14 @@ class ModelDescriptor:
                 "a_digits": list(self.sort_key()[2]), "j": self.j}
 
     @classmethod
-    def from_json(cls, ring: RingDescriptor, obj) -> "ModelDescriptor":
-        """Parse outside input: p, M, m, n and j must be integers and a
-        n digits, each an integer in [0, p); InputError names the first
-        field that is not."""
+    def from_json(cls, ring: RingDescriptor, obj) -> ModelDescriptor:
+        """Parse outside input: an object with the fields p, M, m, n,
+        a_digits and j, the digits n integers in [0, p) and the others
+        integers; InputError names the first field that is not."""
+        if not isinstance(obj, dict) or not all(
+                key in obj for key in ("p", "M", "m", "n", "a_digits", "j")):
+            raise InputError(
+                "need an object with the fields p, M, m, n, a_digits and j")
         for key in ("p", "M", "m", "n", "j"):
             if not _is_int(obj[key]):
                 raise InputError(
@@ -458,6 +342,110 @@ class ModelDescriptor:
         a = ring.from_pi_digits(digits, obj["n"])
         return cls(ring, obj["m"], obj["n"], a, obj["j"])
 
+
+def rho_scalar(ring: RingDescriptor, m: int) -> RingElement:
+    """p / mu^(p-1) for mu = pi^m (exists for m <= p)."""
+    return ring.from_int(ring.p).divide_exact(ring.pi(m) ** (ring.p - 1))
+
+
+def _defect(ring: RingDescriptor, m: int, al: RingElement,
+            al_p: RingElement, rho: RingElement, j: int) -> RingElement:
+    """p a - j mu - rho a^p from the lift al of a, al_p = al^p and
+    rho = rho_scalar(ring, m)."""
+    return al.scale(ring.p) - ring.pi(m).scale(j) - rho * al_p
+
+
+def phi_defect(d: ModelDescriptor) -> RingElement:
+    """p a - j mu - (p/mu^(p-1)) a^p for mu = pi^m, on the canonical lift
+    of d's class a."""
+    ring = d.ring
+    al = d.a.with_prec(ring.full_prec)
+    return _defect(ring, d.m, al, al ** ring.p, rho_scalar(ring, d.m), d.j)
+
+
+def _phi_js(ring: RingDescriptor, m: int, n: int, a: RingElement, js,
+            rho: RingElement | None = None) -> list[int]:
+    """The j in js with (a, j) in Phi, for a class a of R/pi^n, n >= 1.
+
+    a^p is computed once for every j; rho = rho_scalar(ring, m) is
+    computed only once a^p = 0 mod pi^n, unless it is given."""
+    al = a.with_prec(ring.full_prec)
+    al_p = al ** ring.p
+    if not eq_mod(al_p, ring.zero(), n):
+        return []
+    if rho is None:
+        rho = rho_scalar(ring, m)
+    zero, pn = ring.zero(), ring.p * n
+    return [j for j in js
+            if eq_mod(_defect(ring, m, al, al_p, rho, j), zero, pn)]
+
+
+def phi_congruence(d: ModelDescriptor) -> bool:
+    """(a, j) in Phi_{pi^m, pi^n}: a^p = 0 mod pi^n and phi_defect(d) =
+    0 mod pi^(pn)."""
+    return d.n == 0 or bool(_phi_js(d.ring, d.m, d.n, d.a, (d.j,)))
+
+
+def _ker_vmin(ring: RingDescriptor, m: int, n: int) -> int:
+    """The least v(a) in the kernel: p v(a) >= max(p v(lam) + (p-1) v(mu)
+    - v(p), v(lam))."""
+    p = ring.p
+    return math.ceil(max(p * n + (p - 1) * m - ring.e, n) / p)
+
+
+def ker_p2(ring: RingDescriptor, m: int, n: int) -> list[ModelDescriptor]:
+    """Closed form of the kernel of the projection (a, j) -> j: the
+    descriptors (m, n, a, 0) with v(a) >= vmin."""
+    _check_cell(ring, m, n)
+    return sorted((ModelDescriptor(ring, m, n, a, 0)
+                   for a in _classes_above(ring, _ker_vmin(ring, m, n), n)),
+                  key=ModelDescriptor.sort_key)
+
+
+def p2_surjective(ring: RingDescriptor, m: int, n: int) -> bool:
+    """Every j is hit iff m >= pn, or m < pn and pm - n >= v(p)."""
+    return m >= ring.p * n or ring.p * m - n >= ring.e
+
+
+def phi_closed(ring: RingDescriptor, m: int, n: int) -> list[ModelDescriptor]:
+    """Phi_{pi^m, pi^n} assembled from the surjectivity trichotomy: the
+    kernel (ker_p2 refuses a cell outside the range), shifted by j times
+    a solution for j = 1 when the projection is onto."""
+    ker = ker_p2(ring, m, n)
+    if m >= ring.p * n:
+        base_sol = ring.zero()
+    elif ring.p * m - n >= ring.e:
+        base_sol = (eta(ring) * ring.pi(m)).divide_exact(ring.lam1)
+    else:
+        return ker
+    return sorted((ModelDescriptor(ring, m, n, base_sol.scale(j) + k.a, j)
+                   for j in range(ring.p) for k in ker),
+                  key=ModelDescriptor.sort_key)
+
+
+def phi_brute(ring: RingDescriptor, m: int, n: int,
+              budget: int | None = None) -> list[ModelDescriptor]:
+    """Direct enumeration of the defining congruence."""
+    _check_cell(ring, m, n)
+    p = ring.p
+    _check_budget(ring, p ** n * p, budget)
+    # a = 0 comes first and passes a^p = 0, so rho is always reached
+    rho = rho_scalar(ring, m) if n else None
+    out = []
+    for a in enumerate_quotient(ring, n):
+        js = _phi_js(ring, m, n, a, range(p), rho) if n else range(p)
+        out.extend(ModelDescriptor(ring, m, n, a, j) for j in js)
+    return sorted(out, key=ModelDescriptor.sort_key)
+
+
+def ker_p2_brute(ring: RingDescriptor, m: int, n: int,
+                 budget: int | None = None) -> list[ModelDescriptor]:
+    return [d for d in phi_brute(ring, m, n, budget) if d.j == 0]
+
+
+# ---------------------------------------------------------------------------
+# the extension presentations
+# ---------------------------------------------------------------------------
 
 def canonical_lift_coeffs(d: ModelDescriptor) -> list[RingElement]:
     """F = sum a^i / i! S^i = E_p(a, 0; S) on the canonical digit lift
@@ -664,7 +652,7 @@ def normal_form_model(d: ModelDescriptor) -> ModelDescriptor:
         raise InputError("j = 0 is not a model of the cyclic group")
     inv = pow(d.j, -1, d.ring.p)
     out = ModelDescriptor(d.ring, d.m, d.n, d.a.scale(inv), 1)
-    if not phi_congruence(d.ring, d.m, d.n, out.a, 1):
+    if not phi_congruence(out):
         raise P2ModelsError("normalized parameters left Phi")
     return out
 
@@ -774,16 +762,12 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
 
 
 def enumerate_models(ring: RingDescriptor, m_max: int) -> list[ModelDescriptor]:
-    """All models (m, n, a, 1), m_max >= m >= n >= 0, canonical a."""
+    """All models (m, n, a, 1), m_max >= m >= n >= 0, canonical a, in
+    sort_key order: the cells in order, each sorted by phi_closed."""
     if not 0 <= m_max <= ring.p:
         raise InputError("need 0 <= m-max <= p")
-    out = []
-    for m in range(m_max + 1):
-        for n in range(m + 1):
-            for el in phi_closed(ring, m, n):
-                if el.j == 1:
-                    out.append(ModelDescriptor(ring, m, n, el.a, 1))
-    return sorted(out, key=ModelDescriptor.sort_key)
+    return [d for m in range(m_max + 1) for n in range(m + 1)
+            for d in phi_closed(ring, m, n) if d.j == 1]
 
 
 # ---------------------------------------------------------------------------

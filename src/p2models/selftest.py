@@ -75,9 +75,8 @@ def criterion_2_canonical_model():
     """(3,3,eta,1) solves the defining congruence, builds, and reduces to
     the (0,1) class over Z/pZ; Wilson and eta^p/lam_(1) sub-checks."""
     R = _ring(3)
-    a = eta(R).mod_pi(3)
-    _check(mdl.phi_congruence(R, 3, 3, a, 1), "Phi congruence fails for eta")
-    d = mdl.ModelDescriptor(R, 3, 3, a, 1)
+    d = mdl.ModelDescriptor(R, 3, 3, eta(R), 1)
+    _check(mdl.phi_congruence(d), "Phi congruence fails for eta")
     mdl.build_extension(d)
     _check(fib.classify_fiber(d) == fib.FiberClass("ZpByZp", (0, 1)))
     _check(fib.wilson_check(3))
@@ -116,8 +115,8 @@ def criterion_3_phi_oracle():
     els = mdl.phi_closed(R3, 3, 3)
     _check(len(els) == 3)
     et = eta(R3)
-    expect = sorted((mdl.PhiElement(et.scale(k).mod_pi(3), k)
-                     for k in range(3)), key=mdl.PhiElement.sort_key)
+    expect = sorted((mdl.ModelDescriptor(R3, 3, 3, et.scale(k), k)
+                     for k in range(3)), key=mdl.ModelDescriptor.sort_key)
     _check(els == expect)
 
 

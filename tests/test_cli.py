@@ -158,6 +158,26 @@ def test_verify_rejects_non_integer_descriptor_fields(capsys, field, value):
     assert "malformed descriptor" in err and repr(field) in err
 
 
+CANON_WITHOUT_J = json.dumps({k: v for k, v in json.loads(CANON).items()
+                              if k != "j"})
+
+
+@pytest.mark.parametrize("flag", ["--descriptor", "--right"])
+@pytest.mark.parametrize("blob", ['[1]', '"x"', "null", '{"p": 3}',
+                                  CANON_WITHOUT_J])
+def test_descriptor_of_the_wrong_shape_is_named_by_its_fields(capsys, flag,
+                                                             blob):
+    # a non-object, or an object without a field, once exited 2 naming
+    # Python internals: "list indices must be integers or slices, not
+    # str", "'NoneType' object is not subscriptable", or just "'M'"
+    argv = (("verify", "--descriptor", blob) if flag == "--descriptor"
+            else ("isomorphic", "--left", CANON, "--right", blob))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "fields p, M, m, n, a_digits and j" in err
+    assert not any(s in err for s in ("indices", "subscriptable", "'M'"))
+
+
 def test_verify_descriptor_precision_mismatch(capsys):
     low = json.dumps({"p": 3, "M": 5, "m": 3, "n": 3,
                       "a_digits": [0, 1, 1], "j": 1})

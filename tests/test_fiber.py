@@ -92,7 +92,7 @@ def test_beta_gamma_lift_independence():
     R5 = make_ring(5, 8)
     p, m, n = 5, 3, 3
     a = R5.pi(2).mod_pi(n)  # in ker p2 at (3,3)
-    assert phi_congruence(R5, m, n, a, 0)
+    assert phi_congruence(ModelDescriptor(R5, m, n, a, 0))
     lam = R5.pi(n)
     base_lift = a.with_prec(R5.full_prec)
     vals = set()
@@ -202,11 +202,9 @@ def _outcome(fn):
 
 
 def _phi_descriptors(R):
-    """A descriptor for every Phi element of every cell m <= p."""
-    p = R.p
-    return [ModelDescriptor(R, m, n, el.a, el.j)
-            for m in range(p + 1) for n in range(m + 1)
-            for el in phi_closed(R, m, n)]
+    """Every Phi element of every cell m <= p."""
+    return [d for m in range(R.p + 1) for n in range(m + 1)
+            for d in phi_closed(R, m, n)]
 
 
 # (p, M) -> outcomes on every Phi element of every cell m <= p

@@ -22,8 +22,9 @@
   `tests/strategies.py`: no other test module draws a list of e digits
   with `st.lists`, one draw per digit.
 * Bad input has one exception, the library's InputError: `cli.py`
-  defines no exception class, and catches ValueError only where it
-  parses a descriptor.
+  defines no exception class, catches ValueError only where it parses
+  a descriptor, and catches no KeyError or TypeError, which would name
+  Python internals to the user.
 """
 
 import ast
@@ -515,6 +516,13 @@ def _catches_value_error(node):
             for n in ast.walk(node.type)))
 
 
+def _catches_key_or_type_error(node):
+    """node is an except clause that names KeyError or TypeError."""
+    return isinstance(node, ast.ExceptHandler) and node.type is not None \
+        and any(_names({"KeyError", "TypeError"})(n)
+                for n in ast.walk(node.type))
+
+
 def _exception_classes(path):
     """Every class the module defines on a base named *Error or
     *Exception."""
@@ -529,12 +537,16 @@ def test_cli_has_no_input_error_of_its_own():
     assert _exception_classes(SRC / "p2models" / "cli.py") == []
     assert [s for s in _scopes_where(SRC / "p2models", _catches_value_error)
             if s.startswith("cli.py:")] == ["cli.py:_parse_descriptor"]
+    assert [s for s in _scopes_where(SRC / "p2models",
+                                     _catches_key_or_type_error)
+            if s.startswith("cli.py:")] == []
 
 
 def test_cli_error_scans_are_found(tmp_path):
     # negative control: an exception class on a bare and on a dotted
-    # base, and ValueError caught in a tuple, as Exception and bare, are
-    # reported; a plain class and another exception are not
+    # base, ValueError caught in a tuple, as Exception and bare, and
+    # KeyError caught in a tuple are reported; a plain class and another
+    # exception are not
     (tmp_path / "cli.py").write_text(
         "class ValidationError(Exception):\n    pass\n\n\n"
         "class Table:\n    pass\n\n\n"
@@ -550,3 +562,4 @@ def test_cli_error_scans_are_found(tmp_path):
         "ValidationError", "Refused"]
     assert _scopes_where(tmp_path, _catches_value_error) == [
         "cli.py:a", "cli.py:b", "cli.py:c"]
+    assert _scopes_where(tmp_path, _catches_key_or_type_error) == ["cli.py:a"]

@@ -310,6 +310,12 @@ def test_descriptor_refuses_a_from_another_ring(R3):
 
 # -- Phi ------------------------------------------------------------------------
 
+def _assert_cell_descriptors(els, m, n):
+    # a point of Phi_{pi^m, pi^n} is the descriptor of its extension
+    assert all(isinstance(e, ModelDescriptor) and (e.m, e.n) == (m, n)
+               for e in els), (m, n)
+
+
 def test_phi_closed_equals_brute_all_cells(R3):
     for m in range(4):
         for n in range(m + 1):
@@ -317,6 +323,7 @@ def test_phi_closed_equals_brute_all_cells(R3):
             pb = phi_brute(R3, m, n)
             assert [(e.a.digits, e.j) for e in pc] == \
                 [(e.a.digits, e.j) for e in pb], (m, n)
+            _assert_cell_descriptors(pc + pb + ker_p2(R3, m, n), m, n)
 
 
 def test_phi_lam1_cell_is_k_eta(R3):
@@ -376,8 +383,9 @@ def test_criterion_4_sees_a_kernel_bound_one_too_high(monkeypatch):
 def test_every_cell_entry_refuses_a_cell_outside_the_range(R3, m, n):
     # phi_brute once returned 3 elements at (1,2), raised ValuationError
     # at (4,4) and (5,1), and an internal ValueError at negative cells;
-    # phi_closed refused them all
-    for entry in (phi_closed, phi_brute, ker_p2_brute):
+    # ker_p2 returned elements at (1,2) and (5,1) and raised an internal
+    # ValueError at (3,-1); phi_closed refused them all
+    for entry in (phi_closed, phi_brute, ker_p2, ker_p2_brute):
         with pytest.raises(InputError, match=(
                 f"need p >= m >= n >= 0, got p=3, m={m}, n={n}")):
             entry(R3, m, n)
@@ -427,6 +435,7 @@ def test_phi_p5_cells():
         pb = phi_brute(R5, m, n)
         assert [(e.a.digits, e.j) for e in pc] == \
             [(e.a.digits, e.j) for e in pb]
+        _assert_cell_descriptors(pc + pb + ker_p2(R5, m, n), m, n)
     k = ker_p2(R5, 3, 3)
     assert len(k) == 5
     assert all(e.a.is_zero() or e.a.valuation() >= 2 for e in k)
@@ -435,9 +444,8 @@ def test_phi_p5_cells():
 # -- extensions -----------------------------------------------------------------
 
 def test_canonical_model_congruence(R3):
-    a = eta(R3).mod_pi(3)
-    assert phi_congruence(R3, 3, 3, a, 1)
-    d = ModelDescriptor(R3, 3, 3, a, 1)
+    d = ModelDescriptor(R3, 3, 3, eta(R3), 1)
+    assert phi_congruence(d)
     E = build_extension(d)
     rep = check_hopf_axioms(E)
     assert rep.ok and rep.rank == 9 and rep.commutativity
@@ -460,7 +468,7 @@ def test_extension_g2_type(R3):
 def test_extension_rejects_non_phi(R3):
     # (a, j) = (0, 1) at (m, n) = (2, 2) is not in Phi
     d = ModelDescriptor(R3, 2, 2, QuotElement(R3, 2, (0, 0)), 1)
-    assert not phi_congruence(R3, 2, 2, d.a, 1)
+    assert not phi_congruence(d)
     with pytest.raises(DivisibilityError):
         build_extension(d)
 
@@ -737,8 +745,7 @@ def test_solve_target_hom_matches_closed_form_on_phi(p, M):
     count = 0
     for m in range(p + 1):
         for n in range(m + 1):
-            for el in phi_closed(ring, m, n):
-                d = ModelDescriptor(ring, m, n, el.a, el.j)
+            for d in phi_closed(ring, m, n):
                 g, gc = solve_target_hom(d), target_hom_closed_form(d)
                 assert len(g) == p
                 for x, y in zip(g, gc):
@@ -803,8 +810,7 @@ def test_ambient_isogeny_p5_kernel_extreme(monkeypatch, count_calls):
     # a with maximal valuation in ker p2 at p=5
     R5 = make_ring(5, 8)
     els = [e for e in ker_p2(R5, 3, 3) if not e.a.is_zero()]
-    a = max(els, key=lambda e: e.a.valuation()).a
-    d = ModelDescriptor(R5, 3, 3, a, 0)
+    d = max(els, key=lambda e: e.a.valuation())
     count = _count_products(monkeypatch, count_calls)
     reductions = count_calls(RingDescriptor, "_reduce_raw")
     ambient_isogeny(d)
