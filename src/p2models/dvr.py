@@ -174,13 +174,11 @@ class RingDescriptor:
         self._neg_e = self._pack([(-a) % pM for a in self.coeffs])
         # slot residues mod p^r, r = 0..M, for canonical slots (below
         # p^M): with K = W - bits(p^M) and m_r = floor(2^K/p^r), a slot X
-        # gives X*m_r < 2^W, so one Barrett step stays inside the slot
-        self._mod_K = K = W - h
+        # gives X*m_r < 2^W, so one Barrett step stays inside the slot.
+        # Built at first use: M + 1 biases of e*W bits grow with M^2
+        self._mod_K = W - h
         self._mod_q_mask = ((1 << h) - 1) * ones
-        self._mod_consts = tuple(
-            ((1 << K) // d, d, d.bit_length(),
-             ((1 << d.bit_length()) - d) * ones)
-            for d in (self.p ** r for r in range(self.M + 1)))
+        self._mod_consts = [None] * (self.M + 1)
         # the two slot runs of a zero test mod pi^(qe + r): slots below r
         # and slots r..e-1, for r = 0..e-1
         self._runs = tuple(((1 << W * r) - 1,
@@ -222,7 +220,13 @@ class RingDescriptor:
         floor(X / p^r) or one less, as X < 2^K; then one SWAR
         conditional subtract of p^r.
         """
-        m, d, bit, bias = self._mod_consts[r]
+        c = self._mod_consts[r]
+        if c is None:
+            d = self.p ** r
+            b = d.bit_length()
+            c = self._mod_consts[r] = ((1 << self._mod_K) // d, d, b,
+                                       ((1 << b) - d) * self._ones)
+        m, d, bit, bias = c
         x -= (((x * m) >> self._mod_K) & self._mod_q_mask) * d
         return x - (((x + bias) >> bit) & self._ones) * d
 

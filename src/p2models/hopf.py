@@ -26,7 +26,7 @@ rather than pass as zero.  The polynomial is the normal form of a
 cleared LocalizedElement numerator in a finite presentation and the raw
 numerator in a smooth one, except for morphisms between finite
 presentations: those are checked linearly, in the monomial bases, each
-identity one sum of products of normal forms (`_check_morphism_linear`).
+identity one sum of products of normal forms (`check_morphism_family`).
 The only comparisons made in the ring itself are counits, decided above
 the same floor.
 
@@ -105,6 +105,15 @@ class HopfPresentation:
         sq = self.square
         return MonomialMemo(sq.one_poly(), [sq.nf(c) for c in self.comult],
                             sq.rules)
+
+    def head_depth(self, most: int) -> int:
+        """The largest k <= most for which the relations and Delta (in each
+        tensor factor) of x_0..x_{k-1} involve only them, in a finite
+        presentation: what `check_morphism_family` decides once."""
+        n = self.ngens
+        return max(k for k in range(most + 1) if not any(
+            e for g in range(k) for poly in (self.relations[g], self.comult[g])
+            for m in poly.terms for i, e in enumerate(m) if i % n >= k))
 
     def nf(self, poly: Poly) -> Poly:
         return normal_form(poly, self.rules)
@@ -215,12 +224,13 @@ class MonomialMemo:
         return out
 
     def pairs(self, poly: Poly):
-        """(c_m, value(m)) over the terms c_m m of poly, c_m as a constant
-        of the codomain: their products sum to the value on poly."""
+        """(value(m), c_m) over the terms c_m m of poly, c_m as a constant
+        of the codomain: their products sum to the value on poly.
+        `poly._raw_sums` splits the second, one-term factor."""
         base, nv = self.one.base, self.one.nvars
         zero = (0,) * nv
         for m, c in poly.terms.items():
-            yield Poly.from_nonzero(base, nv, {zero: c}), self(m)
+            yield self(m), Poly.from_nonzero(base, nv, {zero: c})
 
     def image(self, poly: Poly) -> Poly:
         """The value on poly, in normal form, in one accumulation."""
@@ -483,14 +493,37 @@ def check_morphism(f: HopfMorphism) -> bool:
     Delta_src o f = (f (x) f) o Delta_tgt on every target generator.
 
     Between finite presentations the check is linear in the monomial
-    bases (`_check_morphism_linear`); it reads Delta_src on the source
-    basis, so it rests on the source's comultiplication being well
-    defined: Delta(r) = 0 in the square and eps(r) = 0 for every source
-    relation r.  Otherwise the identities are compared as
-    LocalizedElement values (`_check_morphism_localized`)."""
+    bases, a family of one map (`check_morphism_family`); it reads
+    Delta_src on the source basis, so it rests on the source's
+    comultiplication being well defined: Delta(r) = 0 in the square and
+    eps(r) = 0 for every source relation r.  Otherwise the identities are
+    compared as LocalizedElement values (`_check_morphism_localized`)."""
     if f.source.is_finite and f.target.is_finite:
-        return _check_morphism_linear(f)
+        return next(check_morphism_family(f.source, f.target, f.images, [()]))
     return _check_morphism_localized(f)
+
+
+def check_morphism_family(source: HopfPresentation, target: HopfPresentation,
+                          head, tails):
+    """check_morphism of the map with images head + tail for each tail (a
+    tuple of the last images), between finite presentations, yielded in
+    order.  The linear check decides generator by generator, so the
+    first k = target.head_depth(len(head)) generators, and their
+    memo values (the target monomials in x_0..x_{k-1}), are decided once;
+    each tail decides the rest.  A verdict is that of the map checked
+    alone, and where that check raises, the family raises there."""
+    if not (source.is_finite and target.is_finite):
+        raise ValueError("a family of morphisms needs finite presentations")
+    k, known = target.head_depth(len(head)), None
+    for tail in tails:
+        f = HopfMorphism(source, target, (*head, *tail))
+        F = f.image_memo
+        if known is None:
+            head_holds = all(_generator_holds(f, g) for g in range(k))
+            known = {m: v for m, v in F.values.items() if not any(m[k:])}
+        F.values.update(known)
+        yield head_holds and all(_generator_holds(f, g)
+                                 for g in range(k, target.ngens))
 
 
 def _counits_agree(f: HopfMorphism) -> bool:
@@ -524,17 +557,17 @@ def _check_morphism_localized(f: HopfMorphism) -> bool:
     return True
 
 
-def _check_morphism_linear(f: HopfMorphism) -> bool:
-    """check_morphism between finite presentations, in the monomial
-    bases.  With F the image of a target monomial in normal form
-    (`HopfMorphism.image_memo`) and Delta of a source monomial in normal
-    form in the square (`HopfPresentation.comult_memo`):
+def _generator_holds(f: HopfMorphism, g: int) -> bool:
+    """The identities of target generator g under f, in the monomial bases
+    of finite presentations.  With F the image of a target monomial in
+    normal form (`HopfMorphism.image_memo`) and Delta of a source monomial
+    in normal form in the square (`HopfPresentation.comult_memo`):
 
-    * a relation r = sum c_m m dies when sum c_m F(m) = 0;
-    * Delta_src(f(g)) = sum c_m Delta(m) over the terms of F(g), and
-      (f (x) f)(Delta_tgt g) = sum_a F(a) (x) (sum_b c_ab F(b)), grouped
-      by the left exponent a: an outer product of normal forms is
-      normal.
+    * relation g, r = sum c_m m, dies when sum c_m F(m) = 0;
+    * the counits of image g and of x_g agree;
+    * Delta_src(f(x_g)) = sum c_m Delta(m) over the terms of F(x_g), and
+      (f (x) f)(Delta_tgt x_g) = sum_a F(a) (x) (sum_b c_ab F(b)), grouped
+      by the left exponent a: an outer product of normal forms is normal.
 
     Each identity is one accumulation of raw products (`sum_of_products`),
     so both sides are normal forms and the difference is compared
@@ -543,24 +576,22 @@ def _check_morphism_linear(f: HopfMorphism) -> bool:
     src, tgt = f.source, f.target
     F, n, nt = f.image_memo, src.ngens, tgt.ngens
     base = src.base
-    if any(not _is_zero_above_floor(F.image(r)) for r in tgt.relations):
+    if not _is_zero_above_floor(F.image(tgt.relations[g])):
         return False
-    if not _counits_agree(f):
+    # the counit, read off the numerator as in _counits_agree
+    if not _is_zero_above_floor(src.counit_of(
+            f.localized_images()[g].num) - tgt.counit[g]):
         return False
-    delta = src.comult_memo
-    for g, d in enumerate(tgt.comult):
-        # rows hold -c_ab, so that one sum is lhs - rhs
-        rows = {}
-        for m, c in d.terms.items():
-            rows.setdefault(m[:nt], {})[m[nt:]] = -c
-        rhs = ((F(a).embed(2 * n, 0),
-                F.image(Poly.from_nonzero(base, nt, row)).embed(2 * n, n))
-               for a, row in rows.items())
-        lhs = delta.pairs(F.gens[g])
-        if not _is_zero_above_floor(sum_of_products(
-                itertools.chain(lhs, rhs), base, 2 * n)):
-            return False
-    return True
+    # rows hold -c_ab, so that one sum is lhs - rhs
+    rows = {}
+    for m, c in tgt.comult[g].terms.items():
+        rows.setdefault(m[:nt], {})[m[nt:]] = -c
+    rhs = ((F(a).embed(2 * n, 0),
+            F.image(Poly.from_nonzero(base, nt, row)).embed(2 * n, n))
+           for a, row in rows.items())
+    lhs = src.comult_memo.pairs(F.gens[g])
+    return _is_zero_above_floor(sum_of_products(
+        itertools.chain(lhs, rhs), base, 2 * n))
 
 
 def det_valuation(matrix):

@@ -33,7 +33,8 @@ from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
 from .errors import (BudgetError, DivisibilityError, InputError,
                      LinearSolveError, P2ModelsError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
-                   UnitSpec, check_morphism, is_model_map, residue_fiber)
+                   UnitSpec, check_morphism, check_morphism_family,
+                   is_model_map, residue_fiber)
 from .poly import ExactBase, Poly, normal_form
 from .witt import (WittVector, is_frobenius_kernel, mult_by_p,
                    psi_star_image)
@@ -745,10 +746,17 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
     tgt = build_extension(d2) if tgt is None else tgt
     survivors = []
     maps = []
-    for rs, f in _psi_candidates(src, tgt, d1, d2):
-        if f is not None and check_morphism(f):
-            survivors.append(rs)
-            maps.append(f)
+    # the candidates of one r share the image of S1': one family over s
+    for _, group in itertools.groupby(_psi_candidates(src, tgt, d1, d2),
+                                      key=lambda c: c[0][0]):
+        cands = [(rs, f) for rs, f in group if f is not None]
+        verdicts = check_morphism_family(
+            src, tgt, cands[0][1].images[:1] if cands else (),
+            [f.images[1:] for _, f in cands])
+        for (rs, f), ok in zip(cands, verdicts):
+            if ok:
+                survivors.append(rs)
+                maps.append(f)
     if len(survivors) == p * p:
         tag = "OrderP2"
     elif len(survivors) == p and all(r == 0 for r, _ in survivors):

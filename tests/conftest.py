@@ -23,13 +23,14 @@ def models3(R3):
 @pytest.fixture
 def count_calls(monkeypatch):
     """count_calls(owner, *names) makes each call of owner.name add one to
-    counts[name] and returns counts, one Counter for the test."""
+    counts[name] and returns counts, one Counter for the test.  With
+    key=fn, a call adds one to counts[name, fn(*args)] instead."""
     counts = Counter()
 
-    def wrap(owner, *names):
+    def wrap(owner, *names, key=None):
         for name in names:
             def counted(*args, fn=getattr(owner, name), name=name):
-                counts[name] += 1
+                counts[name if key is None else (name, key(*args))] += 1
                 return fn(*args)
             monkeypatch.setattr(owner, name, counted)
         return counts

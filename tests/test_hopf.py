@@ -5,9 +5,11 @@ import itertools
 
 import pytest
 
-from fiber_hunt import hunt, presentations
+from fiber_hunt import (every_h, hunt, hunt_verdicts, normalization,
+                        presentations)
 from p2models.dvr import QuotElement, RingElement, eq_mod, make_ring
 from p2models.errors import PrecisionError
+from p2models.fiber import FiberClass
 from p2models.hopf import (
     HopfMorphism,
     LocalizedElement,
@@ -15,6 +17,7 @@ from p2models.hopf import (
     _is_zero_above_floor,
     check_hopf_axioms,
     check_morphism,
+    check_morphism_family,
     coeff_mod_pi,
     det_valuation,
     is_isomorphism,
@@ -467,25 +470,69 @@ def _same_verdict(f):
     return got
 
 
+def _outcome(fn):
+    """fn(), or the name of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc).__name__
+
+
+def _family_outcomes(src, tgt, head, tails):
+    """The verdict of check_morphism_family for each tail, in order, and
+    the name of the exception where it raises; the list ends there."""
+    out, verdicts = [], check_morphism_family(src, tgt, head, tails)
+    while True:
+        try:
+            out.append(next(verdicts))
+        except StopIteration:
+            return out
+        except Exception as exc:
+            return out + [type(exc).__name__]
+
+
+def _family_verdicts(fs):
+    """The maps fs, which share their first image, checked as one family,
+    after asserting that each verdict is that of check_morphism on the
+    map built alone and of the localized check, or the same exception
+    type, where the family ends."""
+    got = _family_outcomes(fs[0].source, fs[0].target, fs[0].images[:1],
+                           [f.images[1:] for f in fs])
+    alone = [_outcome(lambda f=f: _same_verdict(f)) for f in fs]
+    assert got == alone[:len(got)]
+    assert len(got) == len(fs) or isinstance(got[-1], str)
+    return got
+
+
+def _psi_families(cands, p):
+    """The well-defined candidates psi(r, s) of a list of
+    _psi_candidates, one list per r."""
+    return [[f for (r, _), f in cands if r == k and f is not None]
+            for k in range(p)]
+
+
 def test_linear_check_agrees_on_the_hom_candidates_at_p3(R3):
-    # all 441 candidates of the 49 ordered pairs of criterion 9; the 303
+    # all 441 candidates of the 49 ordered pairs of criterion 9, checked
+    # as hom_models_brute checks them, one family over s per r; the 303
     # that are well defined over R are morphisms
     models = enumerate_models(R3, 3)
     built = [build_extension(d) for d in models]
-    assert all(pres.is_finite for pres in built)
+    assert all(pres.is_finite and pres.head_depth(1) == 1 for pres in built)
     total, verdicts = 0, []
     for d1, src in zip(models, built):
         for d2, tgt in zip(models, built):
-            for _, f in _psi_candidates(src, tgt, d1, d2):
-                total += 1
-                if f is not None:
-                    verdicts.append(_same_verdict(f))
-    assert (total, len(verdicts)) == (441, 303) and all(verdicts)
+            cands = list(_psi_candidates(src, tgt, d1, d2))
+            total += len(cands)
+            for fs in _psi_families(cands, 3):
+                verdicts += _family_verdicts(fs) if fs else []
+    assert (total, len(verdicts)) == (441, 303)
+    assert all(v is True for v in verdicts)
 
 
 def test_linear_check_agrees_on_orderp2_pairs_at_p5():
     R5 = make_ring(5, 8)
     models = {(d.m, d.n): d for d in enumerate_models(R5, 5)}
+    assert all(build_extension(d).head_depth(1) == 1 for d in models.values())
     for left, right in (((2, 0), (0, 0)), ((4, 0), (2, 0)), ((5, 1), (5, 1))):
         d1, d2 = models[left], models[right]
         assert hom_models(d1, d2).tag == "OrderP2"
@@ -493,7 +540,10 @@ def test_linear_check_agrees_on_orderp2_pairs_at_p5():
         cands = list(_psi_candidates(src, tgt, d1, d2))
         assert [rs for rs, _ in cands] == list(
             itertools.product(range(5), repeat=2))
-        assert all(f is not None and _same_verdict(f) for _, f in cands)
+        families = _psi_families(cands, 5)
+        assert [len(fs) for fs in families] == [5] * 5
+        assert all(v is True for fs in families
+                   for v in _family_verdicts(fs))
 
 
 @pytest.mark.parametrize("p, M, attempts, rejected",
@@ -502,17 +552,21 @@ def test_linear_check_agrees_on_orderp2_pairs_at_p5():
 def test_linear_check_agrees_on_the_fiber_normalizations(
         p, M, attempts, rejected):
     # every S2 -> S2 + h(S1) attempt the oracle search of verify_fiber
-    # (fiber_hunt.hunt) makes on the enumerated models; each rejection
-    # comes from the relation branch
+    # (fiber_hunt.hunt) makes on the enumerated models, up to the first
+    # that passes: the family's verdict is that of the map checked
+    # alone, linearly and localized; each rejection comes from the
+    # relation branch
     verdicts = []
-
-    def both(f):
-        verdicts.append(_same_verdict(f))
-        return verdicts[-1]
-
     models = enumerate_models(make_ring(p, M), p)
     assert len(models) == {3: 7, 5: 11}[p]
-    assert all(hunt(*presentations(d), check=both) for d in models)
+    for d in models:
+        fiber, claimed = presentations(d)
+        for h, got in zip(every_h(p), hunt_verdicts(fiber, claimed)):
+            assert got == _same_verdict(normalization(fiber, claimed, h))
+            verdicts.append(got)
+            if got:
+                break
+        assert verdicts[-1], (d.m, d.n)
     assert (len(verdicts), verdicts.count(False)) == (attempts, rejected)
 
 
@@ -571,6 +625,95 @@ def test_linear_morphism_check_is_two_sided_at_the_floor(p, name, m, prec,
             f, images=(f.images[0], _perturbed(im, m, k))))
 
     assert _first_accepted(verdict, pres.base.ring.full_prec) == floor
+
+
+# (p, r, monomial of the image of S1', precision of its coefficient,
+# least k accepted)
+HEAD_FLOORS = [(3, 2, (1, 0), 69, 63), (5, 2, (1, 0), 155, 150)]
+
+
+@pytest.mark.parametrize("p, r, m, prec, floor", HEAD_FLOORS)
+def test_a_perturbed_head_fails_every_tail(p, r, m, prec, floor):
+    # pi^k added to one coefficient of the image of S1' shared by the p
+    # candidates psi(r, s) of the floor model's self-pair: at k = 0 and
+    # just below the floor the family rejects every tail, at the floor
+    # and at the coefficient's precision it accepts every tail, each as
+    # the map checked alone
+    d, pres = _floor_model(p)
+    fs = _psi_families(list(_psi_candidates(pres, pres, d, d)), p)[r]
+    head = fs[0].images[0]
+    assert len(fs) == p and head.terms[m].prec == prec
+    for k, want in ((0, False), (floor - 1, False), (floor, True),
+                    (prec, True)):
+        perturbed = _perturbed(head, m, k)
+        assert _family_verdicts([dataclasses.replace(
+            f, images=(perturbed, *f.images[1:])) for f in fs]) \
+            == [want] * p, k
+
+
+@pytest.mark.parametrize("p, name, m, prec, floor",
+                         [row for row in LINEAR_FLOORS
+                          if row[1].startswith("psi")])
+def test_a_perturbed_tail_fails_only_itself(p, name, m, prec, floor):
+    # the psi(0, 1) row of LINEAR_FLOORS in its family psi(0, s): just
+    # below the floor only psi(0, 1) fails; at the floor all pass
+    d, pres = _floor_model(p)
+    fs = _psi_families(list(_psi_candidates(pres, pres, d, d)), p)[0]
+    assert [f.name for f in fs] == [f"psi(0,{s})" for s in range(p)]
+    im = fs[1].images[1]
+    assert im.terms[m].prec == prec
+    for k, want in ((floor - 1, [s != 1 for s in range(p)]),
+                    (floor, [True] * p)):
+        bad = dataclasses.replace(fs[1], images=(
+            fs[1].images[0], _perturbed(im, m, k)))
+        assert _family_verdicts([fs[0], bad, *fs[2:]]) == want
+
+
+def test_a_head_that_is_not_closed_is_decided_per_tail(count_calls):
+    # negative control for the head: Delta(S1) of the (3,3) model with
+    # S2' S2'' added involves S2, so head_depth is 0 and every tail
+    # decides S1 itself.  Into that presentation, S1 -> S1, S2 -> S2 +
+    # c S1 passes at c = 0 only, and every verdict is that of the map
+    # checked alone
+    from p2models import hopf as hopf_module
+    _, pres = _floor_model(3)
+    ring = pres.base.ring
+    assert pres.head_depth(1) == 1
+    S1, S2 = pres.var(0), pres.var(1)
+    cross = (Poly.var(pres.base, 4, 1) * Poly.var(pres.base, 4, 3))
+    bent = dataclasses.replace(pres, comult=(pres.comult[0] + cross,
+                                             pres.comult[1]))
+    assert bent.head_depth(1) == 0
+    fs = [HopfMorphism(source=bent, target=bent,
+                       images=(S1, S2 + S1.scale(ring.from_int(c))))
+          for c in range(3)]
+    counts = count_calls(hopf_module, "_generator_holds",
+                         key=lambda f, g: g)
+    assert _family_outcomes(bent, bent, (S1,), [f.images[1:] for f in fs]) \
+        == [True, False, False]
+    assert counts == {("_generator_holds", 0): 3,
+                      ("_generator_holds", 1): 1}
+    assert [_same_verdict(f) for f in fs] == [True, False, False]
+
+
+def test_families_decide_their_head_once(models3, count_calls):
+    # hom_models_brute on an OrderP2 pair decides S1' once per r and S2'
+    # once per candidate, p and p^2 times; the fiber search decides
+    # S1 -> S1 once per claim, a wrong claim's S2 for every h
+    from p2models import hopf as hopf_module
+    d = models3[-1]
+    pres = build_extension(d)
+    counts = count_calls(hopf_module, "_generator_holds",
+                         key=lambda f, g: g)
+    hc, _ = hom_models_brute(d, d, pres, pres)
+    assert hc.tag == "OrderP2"
+    assert counts == {("_generator_holds", 0): 3,
+                      ("_generator_holds", 1): 9}
+    for fc, tried in ((None, 1), (FiberClass("ZpByZp", (0, 2)), 9)):
+        counts.clear()
+        assert hunt(*presentations(d, fc)) == (fc is None)
+        assert counts == {("_generator_holds", 0): 1,
+                          ("_generator_holds", 1): tried}
 
 
 # (p, monomial of Delta(S2), precision of its coefficient, least k

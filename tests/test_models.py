@@ -853,11 +853,13 @@ def test_zero_tests_take_at_most_two_slot_steps(count_calls):
 
 
 def test_morphism_checks_product_counts(monkeypatch, count_calls):
-    # On the (3,3) model of a fresh ring: 2,781 products for the nine
+    # On the (3,3) model of a fresh ring: 2,677 products for the nine
     # hom_models_brute candidates of the self-pair, decided by the
-    # linear check, and 1,783 for check_morphism on the ambient isogeny,
-    # between smooth presentations, its swap-invariant products summing
-    # half their monomials (2,507 summing all of them; 2,782 and 2,507
+    # linear check in three families, one per image of S1' (2,781 with
+    # each candidate decided alone), and 1,783 for check_morphism on the
+    # ambient isogeny, between smooth presentations, its swap-invariant
+    # products summing half their monomials (2,507 summing all of them;
+    # 2,782 and 2,507
     # before the ring's memo of powers; 2,917 and 2,526 before the
     # candidates shared their powers and counit_of read a zero counit
     # off the constant term).  Substituting into the free ring, the
@@ -870,7 +872,7 @@ def test_morphism_checks_product_counts(monkeypatch, count_calls):
     _, _, f = ambient_isogeny(d)
     count = _count_products(monkeypatch, count_calls)
     hom_models_brute(d, d, pres, pres)
-    assert count["__mul__"] <= 2_920
+    assert count["__mul__"] <= 2_811
     count.clear()
     assert check_morphism(f)
     assert count["__mul__"] <= 1_872
@@ -879,11 +881,12 @@ def test_morphism_checks_product_counts(monkeypatch, count_calls):
 def test_hom_models_brute_reduction_counts(count_calls):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
-    # On a fresh ring, 1,513 on the (3,3) self-pair and 24,997 on the 49
-    # ordered p = 3 pairs with the linear check, candidates sharing
-    # their powers, the ring's memo of powers and divisors and normal
-    # forms returning a polynomial already in normal form as it is
-    # (1,574 and 26,824 rewriting it, 1,575 and
+    # On a fresh ring, 1,441 on the (3,3) self-pair and 22,951 on the 49
+    # ordered p = 3 pairs with the linear check, the candidates of one
+    # r checked as one family, candidates sharing their powers, the
+    # ring's memo of powers and divisors and normal forms returning a
+    # polynomial already in normal form as it is (1,513 and 24,997 with
+    # each candidate decided alone, 1,574 and 26,824 rewriting it, 1,575 and
     # 26,858 without the memo, 1,690 and 29,839 building each candidate
     # alone), against 2,924
     # and 54,497 substituting into the free ring.  Earlier, with the
@@ -894,12 +897,12 @@ def test_hom_models_brute_reduction_counts(count_calls):
     pres = [build_extension(d) for d in models3]
     count = count_calls(RingDescriptor, "_reduce_raw")
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["_reduce_raw"] <= 1_588
+    assert count["_reduce_raw"] <= 1_513
     count.clear()
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["_reduce_raw"] <= 26_246
+    assert count["_reduce_raw"] <= 24_099
 
 
 def test_hom_models_brute_prepares_each_presentation_once(models3,
