@@ -273,6 +273,52 @@ class RingDescriptor:
         x = self._pM_slots - x  # slots in (0, p^M]
         return x - ((x + self._ge_bias) >> self._ge_bit & self._ones) * self.pM
 
+    # -- packed operations on residents (packed x, precision prec) ----------
+
+    def _add(self, x: int, y: int) -> int:
+        """The canonical packed sum of canonical packed x and y."""
+        x += y  # slots below 2 p^M: one conditional subtract
+        return x - ((x + self._ge_bias) >> self._ge_bit & self._ones) * self.pM
+
+    def _sub(self, x: int, y: int) -> int:
+        """The canonical packed difference x - y."""
+        x += self._pM_slots - y  # slots in (0, 2 p^M)
+        return x - ((x + self._ge_bias) >> self._ge_bit & self._ones) * self.pM
+
+    def _times_p_power(self, x: int, prec: int, k: int) -> tuple:
+        """(p^k x, its precision): known k*e digits further than x (up to
+        full precision), as p^k kills the unknown part below pi^prec."""
+        prec += k * self.e
+        return (self._canon(x * (self.p ** k % self.pM)),
+                prec if prec < self.full_prec else self.full_prec)
+
+    def _divide_p_power(self, x: int, prec: int, r: int) -> tuple:
+        """(z, prec - r*e) with z*p^r = x, slot by slot: v(x) >= r*e
+        exactly when p^r divides every digit (the digit valuations are
+        distinct mod e).  Decided when r*e <= prec and every slot residue
+        mod p^r is 0; otherwise RingElement._check_divisible raises as
+        divide_exact(from_int(p^r)) would."""
+        if r < 0:
+            raise ValueError(f"negative power p^{r}")
+        if r >= self.M:  # p^r = 0 at precision p^M
+            raise ValuationError("divisor valuation indeterminate")
+        w = r * self.e
+        if w > prec or self._slots_mod(x, r):
+            RingElement(self, x, prec)._check_divisible(w)
+        return x // self.p ** r, prec - w
+
+    def _mod_pi(self, x: int, prec: int, t: int) -> int:
+        """The packed canonical representative of x mod pi^t (pi-adic
+        digits in {0..p-1}).  For t <= min(e, prec) its digits are the
+        first t slot residues mod p, in place; otherwise
+        pi_digit_expansion(t) reads them, and raises above prec."""
+        if t < 0:
+            raise ValueError(f"negative level pi^{t}")
+        if t > self.e or t > prec:
+            return self.from_pi_digits(
+                RingElement(self, x, prec).pi_digit_expansion(t)).P
+        return self._slots_mod(x, 1) & ((1 << self.W * t) - 1)
+
     # -- basic constructors ------------------------------------------------
 
     def zero(self, prec: int | None = None) -> "RingElement":
@@ -450,18 +496,16 @@ class RingElement:
         r = self.ring
         if other.ring is not r:
             raise ValueError("operands from different rings")
-        x = self.P + other.P  # slots below 2 p^M: one conditional subtract
-        x -= ((x + r._ge_bias) >> r._ge_bit & r._ones) * r.pM
-        return RingElement(r, x, self.prec if self.prec < other.prec
+        return RingElement(r, r._add(self.P, other.P),
+                           self.prec if self.prec < other.prec
                            else other.prec)
 
     def __sub__(self, other: "RingElement") -> "RingElement":
         r = self.ring
         if other.ring is not r:
             raise ValueError("operands from different rings")
-        x = self.P + r._pM_slots - other.P  # slots in (0, 2 p^M)
-        x -= ((x + r._ge_bias) >> r._ge_bit & r._ones) * r.pM
-        return RingElement(r, x, self.prec if self.prec < other.prec
+        return RingElement(r, r._sub(self.P, other.P),
+                           self.prec if self.prec < other.prec
                            else other.prec)
 
     def __neg__(self) -> "RingElement":
@@ -486,9 +530,8 @@ class RingElement:
     def times_p_power(self, k: int) -> "RingElement":
         """p^k * self, known k*e digits further than self (up to full
         precision): p^k kills the unknown part below pi^prec."""
-        r = self.ring
-        return RingElement(r, r._canon(self.P * (r.p ** k % r.pM)),
-                           self.prec + k * r.e)
+        return RingElement(self.ring, *self.ring._times_p_power(
+            self.P, self.prec, k))
 
     def scale_unit_fraction(self, q: Fraction) -> "RingElement":
         """Multiplication by a rational with denominator prime to p."""
@@ -603,24 +646,10 @@ class RingElement:
         return other.divisor()(self)
 
     def divide_p_power(self, r: int) -> "RingElement":
-        """z with z*p^r = self, slot by slot; precision drops by r*e.
-
-        Valid because v(self) >= r*e exactly when p^r divides every
-        digit (the digit valuations e*v_p(c_i) + i are distinct mod e),
-        and then P // p^r divides every slot exactly.  When r*e <= prec
-        and every slot residue mod p^r is 0 the division is decided;
-        otherwise _check_divisible raises in the same cases as
-        divide_exact(from_int(p^r)).
-        """
-        ring = self.ring
-        if r < 0:
-            raise ValueError(f"negative power p^{r}")
-        if r >= ring.M:  # p^r = 0 at precision p^M
-            raise ValuationError("divisor valuation indeterminate")
-        w = r * ring.e
-        if w > self.prec or ring._slots_mod(self.P, r):
-            self._check_divisible(w)
-        return RingElement(ring, self.P // ring.p ** r, self.prec - w)
+        """z with z*p^r = self, slot by slot; precision drops by r*e
+        (RingDescriptor._divide_p_power)."""
+        return RingElement(self.ring, *self.ring._divide_p_power(
+            self.P, self.prec, r))
 
     # -- precision and quotient handling -------------------------------------
 
@@ -653,16 +682,9 @@ class RingElement:
 
     def mod_pi(self, t: int) -> "RingElement":
         """The canonical representative of self mod pi^t (pi-adic digits
-        in {0..p-1}) at precision t.  For t <= e its digits are the first
-        t slot residues mod p, in place; otherwise pi_digit_expansion(t)
-        reads them, and raises above the precision."""
-        r = self.ring
-        if t < 0:
-            raise ValueError(f"negative level pi^{t}")
-        if t > min(r.e, self.prec):
-            return r.from_pi_digits(self.pi_digit_expansion(t), t)
-        return RingElement(r, r._slots_mod(self.P, 1)
-                           & ((1 << r.W * t) - 1), t)
+        in {0..p-1}) at precision t (RingDescriptor._mod_pi)."""
+        return RingElement(self.ring, self.ring._mod_pi(self.P, self.prec, t),
+                           t)
 
     # -- structural equality (same digits and precision) ---------------------
 

@@ -493,13 +493,13 @@ def check_morphism(f: HopfMorphism) -> bool:
     Delta_src o f = (f (x) f) o Delta_tgt on every target generator.
 
     Between finite presentations the check is linear in the monomial
-    bases, a family of one map (`check_morphism_family`); it reads
-    Delta_src on the source basis, so it rests on the source's
+    bases, generator by generator on f's own memo (`_generator_holds`);
+    it reads Delta_src on the source basis, so it rests on the source's
     comultiplication being well defined: Delta(r) = 0 in the square and
     eps(r) = 0 for every source relation r.  Otherwise the identities are
     compared as LocalizedElement values (`_check_morphism_localized`)."""
     if f.source.is_finite and f.target.is_finite:
-        return next(check_morphism_family(f.source, f.target, f.images, [()]))
+        return all(_generator_holds(f, g) for g in range(f.target.ngens))
     return _check_morphism_localized(f)
 
 

@@ -14,6 +14,11 @@ a full-precision element of R whose pi-adic digits lie in {0..p-1} below
 pi^t and vanish from pi^t on, so the Witt layer computes on RingElements
 alone; `WittVector.coord` returns the class as a QuotElement.
 
+The ghosts, their combination and the inverse recursion run on
+residents (packed integer, precision) through the ring's packed
+operations, which RingElement's operators call too, and build one
+RingElement per result; every ghost operation goes through `_recover`.
+
 Over R/pi^t coordinate r of a sum, Frobenius or p-multiple of vectors of
 support <= K is isobaric of weight p^r (p^(r+1) for F) in coordinates of
 weight p^i, i < K; a product is so in each operand.  Nilpotent operands
@@ -55,7 +60,8 @@ class WittVector:
         coords = list(coords)
         for i, c in enumerate(coords if t else ()):
             if not isinstance(c, QuotElement):
-                coords[i] = c.mod_pi(t).with_prec(ring.full_prec)
+                coords[i] = RingElement(ring, ring._mod_pi(c.P, c.prec, t),
+                                        ring.full_prec)
             elif c.t == t:
                 coords[i] = c.lift()
             else:
@@ -91,6 +97,10 @@ class WittVector:
                 + [self.ring.zero()] * (length - len(self.coords)))
 
     def reduce(self, t: int) -> "WittVector":
+        """Over R/pi^t; one over R/pi^s, 0 < s < t, has no single lift."""
+        if 0 < self.t < t:
+            raise ValueError(f"a vector over R/pi^{self.t} has no single "
+                             f"lift to R/pi^{t}")
         return WittVector(self.ring, t, self.coords)
 
     def __eq__(self, other):
@@ -123,18 +133,13 @@ class WittVector:
         return True
 
 
-def _rung(c: RingElement, p: int) -> RingElement:
-    """The next rung c^p of a Frobenius power ladder c, c^p, c^(p^2), ...;
-    a structurally zero rung is its own successor (same digits and
-    precision as 0^p)."""
-    return c ** p if c.P else c
-
-
-def _contributes(x: RingElement, acc: RingElement) -> bool:
-    """Whether acc +- (a multiple of x) can differ from acc: x has a
-    nonzero digit, or x is a structural zero whose precision is below
-    acc's and so still lowers the precision of the sum."""
-    return x.P or x.prec < acc.prec
+def _climb(ring: RingDescriptor, rungs: list[tuple]) -> list[tuple]:
+    """The next rung c^p of each Frobenius power ladder c, c^p, ..., as
+    residents (packed integer, precision) from the ring's memo of powers;
+    a structurally zero rung is its own successor (digits of 0^p)."""
+    memo, p = ring._memo, ring.p
+    return [((y := memo(x, xp, p)).P, y.prec) if x else (x, xp)
+            for x, xp in rungs]
 
 
 def ghosts(w: WittVector, length: int) -> list[RingElement]:
@@ -142,21 +147,22 @@ def ghosts(w: WittVector, length: int) -> list[RingElement]:
 
     Phi_r = sum_i p^i c_i^(p^(r-i)); each c_i^(p^k) is one p-th power of
     the rung before it on the ladder of c_i.  A structurally zero rung
-    is skipped unless its precision is below the running sum's.  Phi_r
-    depends on c_0..c_r alone, so a stored longer prefix answers a
-    shorter request with the same digits and precision.
+    is skipped unless its precision is below the running sum's, which it
+    still lowers.  Phi_r depends on c_0..c_r alone, so a stored longer
+    prefix answers a shorter request with the same digits and precision.
     """
     if len(w._ghosts) >= length:
         return list(w._ghosts[:length])
-    ring, p = w.ring, w.ring.p
-    out, rungs = [], []  # rungs[i] = c_i^(p^(r-i))
+    ring = w.ring
+    out, rungs = [], []  # rungs[i] = c_i^(p^(r-i)), as residents
     for c in w.lift_coords(length):
-        rungs = [_rung(x, p) for x in rungs] + [c]
-        acc = ring.zero()
-        for i, x in enumerate(rungs):
-            if _contributes(x, acc):
-                acc = acc + x.scale(p ** i)
-        out.append(acc)
+        rungs = _climb(ring, rungs) + [(c.P, c.prec)]
+        acc, prec = 0, ring.full_prec
+        for i, (x, xp) in enumerate(rungs):
+            if x or xp < prec:  # p^i x at x's precision, as scale(p^i)
+                acc = ring._add(acc, ring._times_p_power(x, xp, i)[0])
+                prec = xp if xp < prec else prec
+        out.append(RingElement(ring, acc, prec))
     w._ghosts = tuple(out)
     return out
 
@@ -166,26 +172,35 @@ def ghost(w: WittVector, r: int) -> RingElement:
     return ghosts(w, r + 1)[r]
 
 
-def _recover(ring: RingDescriptor, gh: list[RingElement]) -> list[RingElement]:
-    """Coordinates from ghost components (divisions by p^r are exact).
+def _resident(x: RingElement) -> tuple:
+    """x as a resident: its packed integer and its precision."""
+    return x.P, x.prec
+
+
+def _recover(ring: RingDescriptor, gh: list[tuple]) -> list[RingElement]:
+    """Coordinates from ghost components given as residents (divisions by
+    p^r are exact), one RingElement each.
 
     The term p^k c_k^(p^(r-k)) is known to k e digits more than the rung
-    (`RingElement.times_p_power`), so coordinate r loses the r e digits
-    of its own division, not those of the earlier ones again.
+    (`RingDescriptor._times_p_power`), so coordinate r loses the r e
+    digits of its own division, not those of the earlier ones again.
     Coordinate 0 is Phi_0 itself."""
-    p = ring.p
-    coords, rungs = [], []  # rungs[k] = c_k^(p^(r-k))
-    for r, g in enumerate(gh):
-        rungs = [_rung(x, p) for x in rungs]
-        acc = g
-        for k, x in enumerate(rungs):
+    sub, times_p_power = ring._sub, ring._times_p_power
+    divide_p_power = ring._divide_p_power
+    coords, rungs = [], []  # rungs[k] = c_k^(p^(r-k)), as residents
+    for r, (acc, prec) in enumerate(gh):
+        rungs = _climb(ring, rungs)
+        for k, (x, xp) in enumerate(rungs):
             if k:
-                x = x.times_p_power(k)
-            if _contributes(x, acc):
-                acc = acc - x
-        coords.append(acc.divide_p_power(r) if r else acc)
-        rungs.append(coords[-1])
-    return coords
+                x, xp = times_p_power(x, xp, k)
+            if x or xp < prec:  # a zero rung can lower the precision
+                acc = sub(acc, x)
+                prec = xp if xp < prec else prec
+        if r:
+            acc, prec = divide_p_power(acc, prec, r)
+        coords.append((acc, prec))
+        rungs.append((acc, prec))
+    return [RingElement(ring, x, prec) for x, prec in coords]
 
 
 def _extra_length(p: int, t: int) -> int:
@@ -220,11 +235,13 @@ def _binary_ghost_op(u: WittVector, v: WittVector, combine):
 
 
 def witt_add(u: WittVector, v: WittVector) -> WittVector:
-    return _binary_ghost_op(u, v, lambda a, b: a + b)
+    add = u.ring._add
+    return _binary_ghost_op(u, v, lambda a, b: (
+        add(a.P, b.P), a.prec if a.prec < b.prec else b.prec))
 
 
 def witt_mul(u: WittVector, v: WittVector) -> WittVector:
-    return _binary_ghost_op(u, v, lambda a, b: a * b)
+    return _binary_ghost_op(u, v, lambda a, b: _resident(a * b))
 
 
 def witt_neg(u: WittVector) -> WittVector:
@@ -252,7 +269,8 @@ def frobenius_w(u: WittVector) -> WittVector:
     coordinate-wise p-power map."""
     ring = u.ring
     length = len(u) + (_extra_length(ring.p, u.t) if u.t else 0)
-    return _settle(ring, u.t, _recover(ring, ghosts(u, length + 1)[1:]))
+    gh = [_resident(g) for g in ghosts(u, length + 1)[1:]]
+    return _settle(ring, u.t, _recover(ring, gh))
 
 
 def is_frobenius_kernel(u: WittVector, mu: RingElement, t: int) -> bool:
@@ -277,7 +295,7 @@ def mult_by_p(u: WittVector, target_t: int) -> WittVector:
     if u.t == 0:
         raise ValueError("mult_by_p expects a quotient-level vector")
     length = len(u) + _extra_length(ring.p, target_t)
-    gh = [g.scale(ring.p) for g in ghosts(u, length)]
+    gh = [_resident(g.scale(ring.p)) for g in ghosts(u, length)]
     return _settle(ring, target_t, _recover(ring, gh))
 
 
@@ -285,7 +303,7 @@ def witt_int_multiple(u: WittVector, n: int, length: int) -> WittVector:
     """n * u in W_length(R) for an integral vector (exact)."""
     if u.t != 0:
         raise ValueError("integral vectors only")
-    gh = [g.scale(n) for g in ghosts(u, length)]
+    gh = [_resident(g.scale(n)) for g in ghosts(u, length)]
     return WittVector(u.ring, 0, _recover(u.ring, gh))
 
 

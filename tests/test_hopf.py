@@ -180,6 +180,21 @@ def test_identity_morphism(R3):
     assert is_isomorphism(f)
 
 
+def test_model_map_builds_the_image_memo_once(R3, count_calls):
+    # the morphism check and the determinant read one memo of f, so each
+    # is_model_map or is_isomorphism call on a fresh map builds one
+    from collections import Counter
+
+    from p2models.hopf import MonomialMemo
+    G = build_g(R3, R3.pi(), 1)
+    G.comult_memo  # the source's memo of Delta, built once for G
+    count = count_calls(MonomialMemo, "__init__")
+    for check in (is_model_map, is_isomorphism):
+        f = HopfMorphism(source=G, target=G, images=(G.var(0),))
+        assert check(f)
+    assert count == Counter(__init__=2)
+
+
 def test_model_map_checks_need_finite_presentations(R3):
     S = build_g_smooth(R3, R3.pi())
     f = HopfMorphism(source=S, target=S, images=(S.var(0),))

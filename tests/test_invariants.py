@@ -15,6 +15,9 @@
   shows its coordinates and where a descriptor takes a.
 * The slot layout of the packed kernel is read only by `dvr.py` and
   `poly.py`.
+* The constants of the SWAR conditional subtract are read only inside
+  `RingDescriptor` methods, so each packed operation is written once,
+  on the descriptor, and `RingElement` and the Witt layer call it.
 * Caching stays behind `dvr.py`, the ring's memo of powers and
   divisors: elsewhere only the known tables of `artin_hasse.py` and
   `selftest.py` use `lru_cache` or `cache`.
@@ -65,7 +68,8 @@ LOOP_FREE = ("__add__", "__sub__", "__neg__", "__mul__", "scale",
              "times_p_power", "divide_p_power", "is_zero")
 # RingDescriptor kernel methods that reduce every slot at once
 KERNEL_LOOP_FREE = ("_canon", "_negate", "_reduce_raw", "_slots_mod",
-                    "_vanishes")
+                    "_vanishes", "_add", "_sub", "_times_p_power",
+                    "_divide_p_power", "_mod_pi")
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 
@@ -432,6 +436,39 @@ SLOT_LAYOUT = {"_slot_mask", "_slots_mod", "_pack", "_unpack", "_canon",
 def test_slot_layout_is_read_only_by_the_kernel_modules():
     scopes = _scopes_where(SRC / "p2models", _names(SLOT_LAYOUT))
     assert {s.partition(":")[0] for s in scopes} == {"dvr.py", "poly.py"}
+
+
+# the constants of the SWAR conditional subtract of p^M
+SWAR_CONSTANTS = {"_ge_bias", "_ge_bit", "_ones", "_pM_slots"}
+
+
+def _swar_outside_the_descriptor(package):
+    """Every scope that reads a SWAR constant outside RingDescriptor's
+    methods."""
+    return [s for s in _scopes_where(package, _names(SWAR_CONSTANTS))
+            if not s.startswith("dvr.py:RingDescriptor.")]
+
+
+def test_swar_constants_are_read_only_by_the_descriptor():
+    assert _swar_outside_the_descriptor(SRC / "p2models") == []
+
+
+def test_swar_constant_outside_the_descriptor_is_found(tmp_path):
+    # negative control: a conditional subtract in a RingElement method
+    # and one in a Witt function are reported; the descriptor's own is not
+    (tmp_path / "dvr.py").write_text(
+        "class RingDescriptor:\n    def _add(self, x, y):\n"
+        "        x += y\n"
+        "        return x - ((x + self._ge_bias) >> self._ge_bit\n"
+        "                    & self._ones) * self.pM\n\n\n"
+        "class RingElement:\n    def __sub__(self, other):\n"
+        "        r = self.ring\n"
+        "        return self.P + r._pM_slots - other.P\n")
+    (tmp_path / "witt.py").write_text(
+        "def _recover(ring, x):\n"
+        "    return ((x + ring._ge_bias) >> ring._ge_bit) & ring._ones\n")
+    assert _swar_outside_the_descriptor(tmp_path) == [
+        "dvr.py:RingElement.__sub__", "witt.py:_recover"]
 
 
 def test_name_scan_is_found(tmp_path):

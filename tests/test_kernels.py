@@ -74,7 +74,7 @@ from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
 from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules,
                            _rational_product, horner, normal_form,
                            sum_of_products)
-from p2models.witt import (WittVector, _recover, ghost, ghosts,
+from p2models.witt import (WittVector, _recover, _resident, ghost, ghosts,
                            is_frobenius_kernel, witt_add)
 from strategies import digit_vectors, nonzero_digits, ring, valuation_digits
 
@@ -1845,7 +1845,7 @@ def test_recover_matches_direct_recovery(pm, data):
     for combine in (lambda a, b: a + b, lambda a, b: a * b):
         ghs = [combine(a, b)
                for a, b in zip(ghosts(u, length), ghosts(v, length))]
-        got = _outcome(lambda: _recover(R, ghs))
+        got = _outcome(lambda: _recover(R, [_resident(g) for g in ghs]))
         want = _outcome(lambda: direct_recover(R, ghs))
         if isinstance(want, type):
             assert got is want
@@ -1863,8 +1863,8 @@ def test_zero_rungs_below_the_sum_precision_still_count():
         assert [g.prec for g in got] == [R.full_prec, prec, prec]
         assert _digits_prec(got) == _digits_prec(
             [direct_ghost(w.lift_coords(3), r) for r in range(3)])
-        assert _digits_prec(_recover(R, got)) == _digits_prec(
-            direct_recover(R, got))
+        assert _digits_prec(_recover(R, [_resident(g) for g in got])) == \
+            _digits_prec(direct_recover(R, got))
 
 
 def _memo_cases(R):
@@ -1919,12 +1919,13 @@ def test_kernel_sweep_product_count(count_calls):
     # the 9 kernel vectors, whose ghosts is_frobenius_kernel already
     # computed, on a fresh ring (the shared ones hold other tests'
     # powers).  At the working length K + 1 of t = 2 (one spare
-    # coordinate), 208 powers and 416 RingElement products read the
+    # coordinate), 208 rungs and 416 RingElement products read the
     # stored ghosts; 1,008 products recompute both operands' ghosts in
-    # every sum, and 816 work at K + 2.  The ring's memo of powers
-    # already holds most rungs from the kernel test, so 36 of the 416
-    # products remain.  Every division by p^r in the recovery is decided
-    # from the slot residues mod p^r, so none falls back to the
+    # every sum, and 816 work at K + 2.  The recovery reads each rung
+    # from the ring's memo of powers, not through RingElement.__pow__;
+    # the memo already holds most rungs from the kernel test, so 36 of
+    # the 416 products remain.  Every division by p^r in the recovery is
+    # decided from the slot residues mod p^r, so none falls back to the
     # valuation scan of _check_divisible (233 calls when every division
     # scanned).
     R = make_ring(3, 12)
@@ -1934,7 +1935,9 @@ def test_kernel_sweep_product_count(count_calls):
               if is_frobenius_kernel(w, R.zero(), 2)]
     assert len(kernel) == 9
     count = count_calls(RingElement, "__pow__", "__mul__", "_check_divisible")
+    count_calls(R, "_memo")
     for u in kernel:
         for v in kernel:
             witt_add(u, v)
-    assert count == Counter(__pow__=208, __mul__=36, _check_divisible=0)
+    assert count == Counter(_memo=208, __mul__=36, __pow__=0,
+                            _check_divisible=0)

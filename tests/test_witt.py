@@ -3,12 +3,16 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from p2models.dvr import make_ring
+from p2models.errors import P2ModelsError, PrecisionError, ValuationError
 from p2models.witt import (
     WittVector,
     _extra_length,
     _recover,
+    _resident,
     frobenius_w,
     ghost,
     ghosts,
@@ -22,6 +26,7 @@ from p2models.witt import (
     witt_mul,
     witt_neg,
 )
+from strategies import digit_vectors, ring
 
 
 def rand_vec(ring, rng, length, small=False):
@@ -409,7 +414,7 @@ def test_recovery_loses_precision_linearly():
     R = make_ring(3, 12)
     u = _vec(R, 9, [[0, 1, 2, 0, 1, 2, 0, 1, 2], [0, 2, 1, 1, 0, 0, 2, 1, 0],
                     [0, 1, 1, 1, 2, 2, 0, 0, 1]])
-    gh = [a + b for a, b in zip(ghosts(u, 5), ghosts(u, 5))]
+    gh = [_resident(a + b) for a, b in zip(ghosts(u, 5), ghosts(u, 5))]
     assert [c.prec for c in _recover(R, gh)] == [72, 66, 60, 54, 48]
 
 
@@ -535,3 +540,150 @@ def test_non_nilpotent_sum_does_not_settle(R3):
     one = WittVector.teichmuller(R3, R3.one(), 1)
     with pytest.raises(P2ModelsError, match="did not settle"):
         witt_add(one, one)
+
+
+# -- a quotient vector has no single lift to a finer level --------------------
+
+def test_quotient_vector_is_not_lifted_to_a_finer_level(R3):
+    # a class mod pi has no single lift mod pi^3, so neither reduce nor
+    # the kernel predicate may pick one; integral vectors reduce to any
+    # level, and quotient vectors to their own level or a coarser one
+    with pytest.raises(ValueError, match="no single lift"):
+        WittVector(R3, 1, [R3.one()]).reduce(3)
+    with pytest.raises(ValueError, match="no single lift"):
+        is_frobenius_kernel(WittVector(R3, 2, [R3.pi()]), R3.zero(), 3)
+    w = WittVector(R3, 3, [R3.one() + R3.pi()])
+    assert w.reduce(3) == w
+    assert w.reduce(2) == WittVector(R3, 2, [R3.one() + R3.pi()])
+    assert w.reduce(1) == WittVector(R3, 1, [R3.one()])
+    integral = WittVector.integral(R3, [R3.pi(), R3.pi(4)])
+    assert integral.reduce(3) == WittVector(R3, 3, [R3.pi()])
+    assert is_frobenius_kernel(integral, R3.zero(), 3)
+    assert is_frobenius_kernel(WittVector(R3, 3, [R3.pi()]), R3.zero(), 2)
+
+
+# -- the recursion on residents against the RingElement-level oracle ----------
+
+def _oracle_recover(ring, gh):
+    """The ghost recursion on RingElements, step by step: each rung a
+    RingElement power, each term and partial sum a RingElement.  The
+    oracle of `_recover`, which runs it on residents."""
+    p = ring.p
+    coords, rungs = [], []  # rungs[k] = c_k^(p^(r-k))
+    for r, g in enumerate(gh):
+        rungs = [x ** p if x.P else x for x in rungs]
+        acc = g
+        for k, x in enumerate(rungs):
+            if k:
+                x = x.times_p_power(k)
+            if x.P or x.prec < acc.prec:
+                acc = acc - x
+        coords.append(acc.divide_p_power(r) if r else acc)
+        rungs.append(coords[-1])
+    return coords
+
+
+def _oracle_settle(ring, t, coords):
+    w = WittVector(ring, t, coords)
+    if t and len(w) == len(coords):
+        raise P2ModelsError("Witt vector did not settle")
+    return w
+
+
+def _oracle(name, u, v, n):
+    """The operation `name` through the oracle recursion, with the ghost
+    combination on RingElements."""
+    ring, t = u.ring, u.t
+    extra = _extra_length(ring.p, t) if t else 0
+    if name in ("add", "mul"):
+        length = max(len(u), len(v)) + extra
+        gh = [a + b if name == "add" else a * b
+              for a, b in zip(ghosts(u, length), ghosts(v, length))]
+        return _oracle_settle(ring, t, _oracle_recover(ring, gh))
+    if name == "frobenius":
+        gh = ghosts(u, len(u) + extra + 1)[1:]
+        return _oracle_settle(ring, t, _oracle_recover(ring, gh))
+    if name == "mult_by_p":
+        gh = [g.scale(ring.p)
+              for g in ghosts(u, len(u) + _extra_length(ring.p, n))]
+        return _oracle_settle(ring, n, _oracle_recover(ring, gh))
+    gh = [g.scale(n) for g in ghosts(u, v)]
+    return WittVector(ring, 0, _oracle_recover(ring, gh))
+
+
+LIBRARY = {"add": lambda u, v, n: witt_add(u, v),
+           "mul": lambda u, v, n: witt_mul(u, v),
+           "frobenius": lambda u, v, n: frobenius_w(u),
+           "mult_by_p": lambda u, v, n: mult_by_p(u, n),
+           # v is the length here
+           "int_multiple": lambda u, v, n: witt_int_multiple(u, n, v)}
+
+
+def _result(fn):
+    """(level, [(digits, precision)] of the coordinates), or the type of
+    the error raised, with the settle error told apart."""
+    try:
+        w = fn()
+    except P2ModelsError as exc:
+        return type(exc), "did not settle" in str(exc)
+    return w.t, [(c.digits, c.prec) for c in w.coords]
+
+
+@st.composite
+def _vectors(draw, R, t):
+    """Support 0..3.  Over R (t = 0) each coordinate is a digit vector,
+    or a structural zero in one draw of four, at a precision drawn down
+    to 0, so that the divisions by p^r can run out of it and a zero rung
+    can lower a sum's precision.  Over R/pi^t each is a digit vector,
+    times pi (so nilpotent) in three draws of four."""
+    coords = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.integers(0, 3))
+        c = R.from_digits(draw(digit_vectors(R)))
+        if t == 0:
+            c = (c if kind else R.zero()).with_prec(draw(st.one_of(
+                st.just(R.full_prec), st.integers(0, R.full_prec))))
+        elif kind:
+            c = c * R.pi()
+        coords.append(c)
+    return WittVector(R, t, coords)
+
+
+@pytest.mark.parametrize("name", sorted(LIBRARY))
+@pytest.mark.parametrize("pm", [(3, 12), (5, 8), (3, 3)])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_recursion_matches_the_ring_element_oracle(pm, name, data):
+    # digits, precision and error type of every ghost operation, on
+    # integral vectors at reduced precision and quotient vectors over
+    # R/pi^t, t = 1..4
+    R = ring(*pm)
+    integral = name == "int_multiple"
+    # integral in one draw of three where the operation takes it
+    t = 0 if integral else data.draw(st.sampled_from(
+        (1, 2, 3, 4) if name == "mult_by_p" else (0, 0, 1, 2, 3, 4)),
+        label="t")
+    u = data.draw(_vectors(R, t), label="u")
+    if integral:
+        v = data.draw(st.integers(1, 4), label="length")
+        n = data.draw(st.sampled_from([0, 1, 2, R.p, R.p + 1, R.p ** 2, -1]))
+    else:
+        v, n = data.draw(_vectors(R, t), label="v"), R.p * t
+    assert _result(lambda: LIBRARY[name](u, v, n)) == \
+        _result(lambda: _oracle(name, u, v, n))
+
+
+@pytest.mark.parametrize("pm", [(3, 12), (5, 8), (3, 3)])
+def test_oracle_comparison_sees_both_errors(pm):
+    # the cases the oracle test must cover: a unit coordinate over R/pi
+    # does not settle, and an integral coordinate known to one digit
+    # cannot be divided by p
+    R = ring(*pm)
+    one = WittVector.teichmuller(R, R.one(), 1)
+    for fn in (lambda: witt_add(one, one), lambda: _oracle("add", one, one, 0)):
+        assert _result(fn) == (P2ModelsError, True)
+    starved = WittVector.integral(R, [R.pi().with_prec(1), R.one()])
+    for name in ("add", "mul"):
+        got = _result(lambda: LIBRARY[name](starved, starved, 0))
+        assert got == _result(lambda: _oracle(name, starved, starved, 0))
+        assert got[0] in (ValuationError, PrecisionError)
