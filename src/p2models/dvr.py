@@ -527,12 +527,6 @@ class RingElement:
         r = self.ring
         return RingElement(r, r._canon(self.P * (n % r.pM)), self.prec)
 
-    def times_p_power(self, k: int) -> "RingElement":
-        """p^k * self, known k*e digits further than self (up to full
-        precision): p^k kills the unknown part below pi^prec."""
-        return RingElement(self.ring, *self.ring._times_p_power(
-            self.P, self.prec, k))
-
     def scale_unit_fraction(self, q: Fraction) -> "RingElement":
         """Multiplication by a rational with denominator prime to p."""
         p, pM = self.ring.p, self.ring.pM
@@ -644,12 +638,6 @@ class RingElement:
         """z with z*other = self; requires v(self) >= v(other) determinate
         and both in one ring."""
         return other.divisor()(self)
-
-    def divide_p_power(self, r: int) -> "RingElement":
-        """z with z*p^r = self, slot by slot; precision drops by r*e
-        (RingDescriptor._divide_p_power)."""
-        return RingElement(self.ring, *self.ring._divide_p_power(
-            self.P, self.prec, r))
 
     # -- precision and quotient handling -------------------------------------
 

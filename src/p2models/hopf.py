@@ -25,10 +25,13 @@ coefficient known to no digit (precision < 1) raises PrecisionError
 rather than pass as zero.  The polynomial is the normal form of a
 cleared LocalizedElement numerator in a finite presentation and the raw
 numerator in a smooth one, except for morphisms between finite
-presentations: those are checked linearly, in the monomial bases, each
-identity one sum of products of normal forms (`check_morphism_family`).
+presentations: those are checked linearly, generator by generator in the
+monomial bases, each identity one sum of products of normal forms
+(`_generator_holds`).
 The only comparisons made in the ring itself are counits, decided above
-the same floor.
+the same floor.  The Hom oracle (`models.hom_models_brute`) makes no
+morphism check: its candidates are morphisms exactly when their images
+are integral.
 
 Base change to R/pi^t (`residue_fiber`) stays over the same ExactBase:
 each coefficient becomes its canonical representative mod pi^t at
@@ -105,15 +108,6 @@ class HopfPresentation:
         sq = self.square
         return MonomialMemo(sq.one_poly(), [sq.nf(c) for c in self.comult],
                             sq.rules)
-
-    def head_depth(self, most: int) -> int:
-        """The largest k <= most for which the relations and Delta (in each
-        tensor factor) of x_0..x_{k-1} involve only them, in a finite
-        presentation: what `check_morphism_family` decides once."""
-        n = self.ngens
-        return max(k for k in range(most + 1) if not any(
-            e for g in range(k) for poly in (self.relations[g], self.comult[g])
-            for m in poly.terms for i, e in enumerate(m) if i % n >= k))
 
     def nf(self, poly: Poly) -> Poly:
         return normal_form(poly, self.rules)
@@ -501,29 +495,6 @@ def check_morphism(f: HopfMorphism) -> bool:
     if f.source.is_finite and f.target.is_finite:
         return all(_generator_holds(f, g) for g in range(f.target.ngens))
     return _check_morphism_localized(f)
-
-
-def check_morphism_family(source: HopfPresentation, target: HopfPresentation,
-                          head, tails):
-    """check_morphism of the map with images head + tail for each tail (a
-    tuple of the last images), between finite presentations, yielded in
-    order.  The linear check decides generator by generator, so the
-    first k = target.head_depth(len(head)) generators, and their
-    memo values (the target monomials in x_0..x_{k-1}), are decided once;
-    each tail decides the rest.  A verdict is that of the map checked
-    alone, and where that check raises, the family raises there."""
-    if not (source.is_finite and target.is_finite):
-        raise ValueError("a family of morphisms needs finite presentations")
-    k, known = target.head_depth(len(head)), None
-    for tail in tails:
-        f = HopfMorphism(source, target, (*head, *tail))
-        F = f.image_memo
-        if known is None:
-            head_holds = all(_generator_holds(f, g) for g in range(k))
-            known = {m: v for m, v in F.values.items() if not any(m[k:])}
-        F.values.update(known)
-        yield head_holds and all(_generator_holds(f, g)
-                                 for g in range(k, target.ngens))
 
 
 def _counits_agree(f: HopfMorphism) -> bool:

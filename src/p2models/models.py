@@ -29,12 +29,11 @@ from dataclasses import dataclass, replace
 
 from .artin_hasse import ep_coeffs, ep_poly_special
 from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
-                  RingElement, enumerate_quotient, eq_mod, eta)
+                  RingElement, check_floor, enumerate_quotient, eq_mod, eta)
 from .errors import (BudgetError, DivisibilityError, InputError,
                      LinearSolveError, P2ModelsError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
-                   UnitSpec, check_morphism, check_morphism_family,
-                   is_model_map, residue_fiber)
+                   UnitSpec, check_morphism, is_model_map, residue_fiber)
 from .poly import ExactBase, Poly, normal_form
 from .witt import (WittVector, is_frobenius_kernel, mult_by_p,
                    psi_star_image)
@@ -734,29 +733,36 @@ def _psi_candidates(src, tgt, d1, d2):
 def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
                      src: HopfPresentation | None = None,
                      tgt: HopfPresentation | None = None):
-    """Test all p^2 candidate maps; return (HomClass, morphisms).
+    """Decide all p^2 candidate maps psi(r, s) of `_psi_candidates` by
+    their exact divisions; return (HomClass, morphisms).
+
+    A candidate that is well defined over R is a morphism, so none is
+    checked.  The designated units u1 = 1 + mu1 S1 and u2 = F1(S1) +
+    lam1 S2 of A = src are group-like, with u1^p = 1 and u2^p = u1^j1 in
+    A.  psi(r, s) sends the target's units to u1' -> u1^x and u2' ->
+    u2^r u1^s, where x j2 = r j1 (mod p): products of group-like units
+    are group-like, and (u2^r u1^s)^p = u1^(r j1) = (u1^x)^j2.  A is
+    torsion-free and mu2, lam2 are nonzerodivisors, so the target's
+    relations, counits and Delta hold under psi(r, s) exactly when its
+    images (u1^x - 1)/mu2 and (u2^r u1^s - F2(S1'))/lam2 lie in A, that
+    is when both divisions are exact.
+
+    The argument needs the source relations to hold in A: a coefficient
+    of one known to no digit raises PrecisionError (`dvr.check_floor`)
+    before any candidate, as does a division that cannot be decided.
 
     `src` and `tgt` are build_extension(d1) and build_extension(d2),
     built here when not given."""
     if d1.j == 0 or d2.j == 0:
         raise InputError("hom classification applies to models (j != 0)")
-    ring = d1.ring
-    p = ring.p
+    p = d1.ring.p
     src = build_extension(d1) if src is None else src
     tgt = build_extension(d2) if tgt is None else tgt
-    survivors = []
-    maps = []
-    # the candidates of one r share the image of S1': one family over s
-    for _, group in itertools.groupby(_psi_candidates(src, tgt, d1, d2),
-                                      key=lambda c: c[0][0]):
-        cands = [(rs, f) for rs, f in group if f is not None]
-        verdicts = check_morphism_family(
-            src, tgt, cands[0][1].images[:1] if cands else (),
-            [f.images[1:] for _, f in cands])
-        for (rs, f), ok in zip(cands, verdicts):
-            if ok:
-                survivors.append(rs)
-                maps.append(f)
+    check_floor((c for rel in src.relations for c in rel.terms.values()),
+                "a Hom by integrality")
+    found = [(rs, f) for rs, f in _psi_candidates(src, tgt, d1, d2)
+             if f is not None]
+    survivors = [rs for rs, _ in found]
     if len(survivors) == p * p:
         tag = "OrderP2"
     elif len(survivors) == p and all(r == 0 for r, _ in survivors):
@@ -766,7 +772,7 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
     else:
         raise P2ModelsError(
             f"unexpected hom survivor pattern {survivors}")
-    return HomClass(tag, tuple(survivors)), maps
+    return HomClass(tag, tuple(survivors)), [f for _, f in found]
 
 
 def enumerate_models(ring: RingDescriptor, m_max: int) -> list[ModelDescriptor]:

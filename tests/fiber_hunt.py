@@ -8,15 +8,50 @@ check; the search stays here, built as it was, to test that reading.
 The candidates share S1 -> S1, so the search checks them as one family
 (`check_morphism_family`): relation 0, the counit of S1 and Delta(S1)
 are decided once per claim, and every h still gets its own check of S2.
+The family is the linear morphism check of `p2models.hopf`
+(`_generator_holds`) with the decisions on a shared head kept; the
+search is its only user.
 """
 
 from itertools import product
 
+from p2models import hopf
 from p2models.fiber import claimed_presentation, classify_fiber
-from p2models.hopf import (HopfMorphism, check_morphism_family,
-                           residue_fiber)
+from p2models.hopf import HopfMorphism, residue_fiber
 from p2models.models import build_extension
 from p2models.poly import Poly
+
+
+def head_depth(pres, most):
+    """The largest k <= most for which the relations and Delta (in each
+    tensor factor) of x_0..x_{k-1} involve only them, in a finite
+    presentation: what `check_morphism_family` decides once."""
+    n = pres.ngens
+    return max(k for k in range(most + 1) if not any(
+        e for g in range(k) for poly in (pres.relations[g], pres.comult[g])
+        for m in poly.terms for i, e in enumerate(m) if i % n >= k))
+
+
+def check_morphism_family(source, target, head, tails):
+    """check_morphism of the map with images head + tail for each tail (a
+    tuple of the last images), between finite presentations, yielded in
+    order.  The linear check decides generator by generator, so the
+    first k = head_depth(target, len(head)) generators, and their
+    memo values (the target monomials in x_0..x_{k-1}), are decided once;
+    each tail decides the rest.  A verdict is that of the map checked
+    alone, and where that check raises, the family raises there."""
+    if not (source.is_finite and target.is_finite):
+        raise ValueError("a family of morphisms needs finite presentations")
+    k, known = head_depth(target, len(head)), None
+    for tail in tails:
+        f = HopfMorphism(source, target, (*head, *tail))
+        F = f.image_memo
+        if known is None:
+            head_holds = all(hopf._generator_holds(f, g) for g in range(k))
+            known = {m: v for m, v in F.values.items() if not any(m[k:])}
+        F.values.update(known)
+        yield head_holds and all(hopf._generator_holds(f, g)
+                                 for g in range(k, target.ngens))
 
 
 def presentations(d, fc=None):

@@ -5,8 +5,8 @@ import itertools
 
 import pytest
 
-from fiber_hunt import (every_h, hunt, hunt_verdicts, normalization,
-                        presentations)
+from fiber_hunt import (check_morphism_family, every_h, head_depth, hunt,
+                        hunt_verdicts, normalization, presentations)
 from p2models.dvr import QuotElement, RingElement, eq_mod, make_ring
 from p2models.errors import PrecisionError
 from p2models.fiber import FiberClass
@@ -17,7 +17,6 @@ from p2models.hopf import (
     _is_zero_above_floor,
     check_hopf_axioms,
     check_morphism,
-    check_morphism_family,
     coeff_mod_pi,
     det_valuation,
     is_isomorphism,
@@ -527,19 +526,25 @@ def _psi_families(cands, p):
 
 
 def test_linear_check_agrees_on_the_hom_candidates_at_p3(R3):
-    # all 441 candidates of the 49 ordered pairs of criterion 9, checked
-    # as hom_models_brute checks them, one family over s per r; the 303
-    # that are well defined over R are morphisms
+    # all 441 candidates of the 49 ordered pairs of criterion 9, each
+    # checked alone: the 303 that are well defined over R are morphisms,
+    # and they are exactly the survivors of hom_models_brute, which
+    # decides by the divisions and counts no candidate whose division
+    # fails
     models = enumerate_models(R3, 3)
     built = [build_extension(d) for d in models]
-    assert all(pres.is_finite and pres.head_depth(1) == 1 for pres in built)
     total, verdicts = 0, []
     for d1, src in zip(models, built):
         for d2, tgt in zip(models, built):
             cands = list(_psi_candidates(src, tgt, d1, d2))
             total += len(cands)
-            for fs in _psi_families(cands, 3):
-                verdicts += _family_verdicts(fs) if fs else []
+            defined = [rs for rs, f in cands if f is not None]
+            verdicts += [_same_verdict(f) for _, f in cands
+                         if f is not None]
+            hc, maps = hom_models_brute(d1, d2, src, tgt)
+            assert list(hc.maps) == defined
+            assert [f.name for f in maps] == [f"psi({r},{s})"
+                                               for r, s in defined]
     assert (total, len(verdicts)) == (441, 303)
     assert all(v is True for v in verdicts)
 
@@ -547,14 +552,17 @@ def test_linear_check_agrees_on_the_hom_candidates_at_p3(R3):
 def test_linear_check_agrees_on_orderp2_pairs_at_p5():
     R5 = make_ring(5, 8)
     models = {(d.m, d.n): d for d in enumerate_models(R5, 5)}
-    assert all(build_extension(d).head_depth(1) == 1 for d in models.values())
+    built = {key: build_extension(d) for key, d in models.items()}
+    assert all(head_depth(pres, 1) == 1 for pres in built.values())
     for left, right in (((2, 0), (0, 0)), ((4, 0), (2, 0)), ((5, 1), (5, 1))):
         d1, d2 = models[left], models[right]
         assert hom_models(d1, d2).tag == "OrderP2"
-        src, tgt = build_extension(d1), build_extension(d2)
+        src, tgt = built[left], built[right]
         cands = list(_psi_candidates(src, tgt, d1, d2))
         assert [rs for rs, _ in cands] == list(
             itertools.product(range(5), repeat=2))
+        assert hom_models_brute(d1, d2, src, tgt)[0].maps == tuple(
+            rs for rs, _ in cands)
         families = _psi_families(cands, 5)
         assert [len(fs) for fs in families] == [5] * 5
         assert all(v is True for fs in families
@@ -693,12 +701,12 @@ def test_a_head_that_is_not_closed_is_decided_per_tail(count_calls):
     from p2models import hopf as hopf_module
     _, pres = _floor_model(3)
     ring = pres.base.ring
-    assert pres.head_depth(1) == 1
+    assert head_depth(pres, 1) == 1
     S1, S2 = pres.var(0), pres.var(1)
     cross = (Poly.var(pres.base, 4, 1) * Poly.var(pres.base, 4, 3))
     bent = dataclasses.replace(pres, comult=(pres.comult[0] + cross,
                                              pres.comult[1]))
-    assert bent.head_depth(1) == 0
+    assert head_depth(bent, 1) == 0
     fs = [HopfMorphism(source=bent, target=bent,
                        images=(S1, S2 + S1.scale(ring.from_int(c))))
           for c in range(3)]
@@ -712,22 +720,23 @@ def test_a_head_that_is_not_closed_is_decided_per_tail(count_calls):
 
 
 def test_families_decide_their_head_once(models3, count_calls):
-    # hom_models_brute on an OrderP2 pair decides S1' once per r and S2'
-    # once per candidate, p and p^2 times; the fiber search decides
-    # S1 -> S1 once per claim, a wrong claim's S2 for every h
+    # hom_models_brute on an OrderP2 pair decides by integrality: no
+    # generator check and no square.  The fiber search builds the
+    # fiber's square and decides S1 -> S1 once per claim, a wrong
+    # claim's S2 for every h
     from p2models import hopf as hopf_module
     d = models3[-1]
     pres = build_extension(d)
     counts = count_calls(hopf_module, "_generator_holds",
                          key=lambda f, g: g)
+    count_calls(hopf_module, "tensor_power")
     hc, _ = hom_models_brute(d, d, pres, pres)
     assert hc.tag == "OrderP2"
-    assert counts == {("_generator_holds", 0): 3,
-                      ("_generator_holds", 1): 9}
+    assert counts == {}
     for fc, tried in ((None, 1), (FiberClass("ZpByZp", (0, 2)), 9)):
         counts.clear()
         assert hunt(*presentations(d, fc)) == (fc is None)
-        assert counts == {("_generator_holds", 0): 1,
+        assert counts == {"tensor_power": 1, ("_generator_holds", 0): 1,
                           ("_generator_holds", 1): tried}
 
 

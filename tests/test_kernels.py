@@ -1507,6 +1507,16 @@ def _outcome(fn):
         return type(exc)
 
 
+def times_p_power(x, k):
+    """p^k x by RingDescriptor._times_p_power."""
+    return RingElement(x.ring, *x.ring._times_p_power(x.P, x.prec, k))
+
+
+def divide_p_power(x, r):
+    """x / p^r by RingDescriptor._divide_p_power."""
+    return RingElement(x.ring, *x.ring._divide_p_power(x.P, x.prec, r))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(PRIMES), st.sampled_from(PRECISIONS), st.data())
 def test_divide_p_power_against_divide_exact(p, M, data):
@@ -1517,7 +1527,7 @@ def test_divide_p_power_against_divide_exact(p, M, data):
     x = data.draw(st.sampled_from([
         quotient.scale(p ** r), quotient, quotient.scale(p ** (r + 1))]))
     x = x.with_prec(data.draw(st.integers(0, R.full_prec)))
-    got = _outcome(lambda: x.divide_p_power(r))
+    got = _outcome(lambda: divide_p_power(x, r))
     want = _outcome(lambda: x.divide_exact(R.from_int(p ** r)))
     if isinstance(want, type):
         assert got is want
@@ -1537,7 +1547,7 @@ def test_times_p_power_gains_k_e_digits(p, M):
     for k, prec in ((1, R.e + 1), (2, 3), (M - 1, R.full_prec - 1)):
         x = R.from_digits([(7919 * i + k) % R.pM
                            for i in range(R.e)]).with_prec(prec)
-        got = x.times_p_power(k)
+        got = times_p_power(x, k)
         assert got.digits == x.scale(p ** k).digits
         assert got.prec == min(R.full_prec, prec + k * R.e)
 
@@ -1545,11 +1555,11 @@ def test_times_p_power_gains_k_e_digits(p, M):
 def test_divide_p_power_errors():
     R = ring(3, 12)
     with pytest.raises(ValuationError):
-        R.pi().divide_p_power(1)
+        divide_p_power(R.pi(), 1)
     with pytest.raises(PrecisionError):
-        R.from_int(3).with_prec(R.e).divide_p_power(2)
+        divide_p_power(R.from_int(3).with_prec(R.e), 2)
     with pytest.raises(ValuationError):
-        R.zero().divide_p_power(R.M)
+        divide_p_power(R.zero(), R.M)
 
 
 # ---------------------------------------------------------------------------
@@ -1786,7 +1796,7 @@ def direct_recover(ring, ghs):
         for k, c in enumerate(coords):
             x = c ** (p ** (r - k))
             acc = acc - x.scale(p ** k).with_prec(x.prec + k * ring.e)
-        coords.append(acc.divide_p_power(r))
+        coords.append(divide_p_power(acc, r))
     return coords
 
 

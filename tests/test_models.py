@@ -554,6 +554,56 @@ def test_hom_models_brute_prebuilt_presentations(R3, models3):
             assert reused == fresh, (d1.sort_key(), d2.sort_key())
 
 
+def test_hom_models_brute_agrees_on_every_pair_at_p5():
+    # all 121 ordered pairs of the 11 models at p = 5, M = 8
+    models = enumerate_models(make_ring(5, 8), 5)
+    built = [build_extension(d) for d in models]
+    assert len(models) == 11
+    for d1, src in zip(models, built):
+        for d2, tgt in zip(models, built):
+            hb, _ = hom_models_brute(d1, d2, src, tgt)
+            assert hb.tag == hom_models(d1, d2).tag, (d1.sort_key(),
+                                                      d2.sort_key())
+
+
+# (p, M, pairs decided): the other pairs raise PrecisionError
+HOM_PRECISION_SWEEP = ([(3, 2, 25), (3, 3, 42)]
+                       + [(3, M, 49) for M in range(4, 13)] + [(5, 2, 72)])
+
+
+@pytest.mark.parametrize("p, M, decided", HOM_PRECISION_SWEEP)
+def test_hom_models_brute_is_right_or_refuses_at_every_precision(p, M,
+                                                                 decided):
+    # hom_models_brute decides by integrality, which needs the source
+    # relations to hold: at every M each ordered pair of the models
+    # enumerated at the default M (12 at p = 3, 8 at p = 5) gets their
+    # class or raises PrecisionError, never another class.  A
+    # presentation that cannot be built refuses every pair it is in
+    full = enumerate_models(make_ring(p, {3: 12, 5: 8}[p]), p)
+    R = make_ring(p, M)
+    models = [ModelDescriptor(R, d.m, d.n, QuotElement(
+        R, d.n, d.a.pi_digit_expansion(d.n)), d.j) for d in full]
+    built = []
+    for d in models:
+        try:
+            built.append(build_extension(d))
+        except PrecisionError:
+            built.append(None)
+    got = 0
+    for d1, f1, src in zip(models, full, built):
+        for d2, f2, tgt in zip(models, full, built):
+            if src is None or tgt is None:
+                continue
+            try:
+                hb, _ = hom_models_brute(d1, d2, src, tgt)
+            except PrecisionError:
+                continue
+            assert hb.tag == hom_models(f1, f2).tag, (d1.sort_key(),
+                                                      d2.sort_key())
+            got += 1
+    assert got == decided
+
+
 def _psi_reference(src, d1, d2, r, s):
     """The images of candidate psi(r, s), each built from scratch; None
     when an exact division fails."""
@@ -853,26 +903,20 @@ def test_zero_tests_take_at_most_two_slot_steps(count_calls):
 
 
 def test_morphism_checks_product_counts(monkeypatch, count_calls):
-    # On the (3,3) model of a fresh ring: 2,677 products for the nine
-    # hom_models_brute candidates of the self-pair, decided by the
-    # linear check in three families, one per image of S1' (2,781 with
-    # each candidate decided alone), and 1,783 for check_morphism on the
-    # ambient isogeny, between smooth presentations, its swap-invariant
-    # products summing half their monomials (2,507 summing all of them;
-    # 2,782 and 2,507
-    # before the ring's memo of powers; 2,917 and 2,526 before the
-    # candidates shared their powers and counit_of read a zero counit
-    # off the constant term).  Substituting into the free ring, the
-    # self-pair took 3,970 (5,339 with the variables nested in index
-    # order; the ambient isogeny then took 3,061).  The bounds are the
-    # counts plus 5 %.
+    # On the (3,3) model of a fresh ring: 157 products for the nine
+    # hom_models_brute candidates of the self-pair, decided by their
+    # divisions (2,677 when each well-defined candidate was also checked
+    # as a morphism), and 1,783 for check_morphism on the ambient
+    # isogeny, between smooth presentations, its swap-invariant products
+    # summing half their monomials (2,507 summing all of them).  The
+    # bounds are the counts plus 5 %.
     d = enumerate_models(make_ring(3, 12), 3)[-1]
     assert (d.m, d.n, d.a.pi_digit_expansion(d.n)) == (3, 3, (0, 1, 1))
     pres = build_extension(d)
     _, _, f = ambient_isogeny(d)
     count = _count_products(monkeypatch, count_calls)
     hom_models_brute(d, d, pres, pres)
-    assert count["__mul__"] <= 2_811
+    assert count["__mul__"] <= 165
     count.clear()
     assert check_morphism(f)
     assert count["__mul__"] <= 1_872
@@ -881,39 +925,35 @@ def test_morphism_checks_product_counts(monkeypatch, count_calls):
 def test_hom_models_brute_reduction_counts(count_calls):
     # normal_form sums raw products per monomial and reduces each sum
     # once, out of sight of _count_products; the reductions count it.
-    # On a fresh ring, 1,441 on the (3,3) self-pair and 22,951 on the 49
-    # ordered p = 3 pairs with the linear check, the candidates of one
-    # r checked as one family, candidates sharing their powers, the
-    # ring's memo of powers and divisors and normal forms returning a
-    # polynomial already in normal form as it is (1,513 and 24,997 with
-    # each candidate decided alone, 1,574 and 26,824 rewriting it, 1,575 and
-    # 26,858 without the memo, 1,690 and 29,839 building each candidate
-    # alone), against 2,924
-    # and 54,497 substituting into the free ring.  Earlier, with the
-    # variables of a substitution nested in index order, they were 4,093
-    # and 72,888, and reducing every product in normal_form made 7,294
-    # and 120,702.  The bounds are the counts plus 5 %.
+    # On a fresh ring, 168 on the (3,3) self-pair and 4,078 on the 49
+    # ordered p = 3 pairs, each candidate decided by its divisions
+    # (1,441 and 22,951 when each well-defined candidate was also checked
+    # as a morphism).  The bounds are the counts plus 5 %.
     models3 = enumerate_models(make_ring(3, 12), 3)
     pres = [build_extension(d) for d in models3]
     count = count_calls(RingDescriptor, "_reduce_raw")
     hom_models_brute(models3[-1], models3[-1], pres[-1], pres[-1])
-    assert count["_reduce_raw"] <= 1_513
+    assert count["_reduce_raw"] <= 176
     count.clear()
     for d1, pres1 in zip(models3, pres):
         for d2, pres2 in zip(models3, pres):
             hom_models_brute(d1, d2, pres1, pres2)
-    assert count["_reduce_raw"] <= 24_099
+    assert count["_reduce_raw"] <= 4_282
 
 
 def test_hom_models_brute_prepares_each_presentation_once(models3,
                                                          count_calls):
-    # the nine candidates share the square of the source and the rules
-    # of each presentation
+    # the nine candidates share the rules of the source; nothing builds
+    # the target's rules or the square, which only a morphism check reads
     from p2models import hopf
     pres = build_extension(models3[-1])
     built = count_calls(hopf, "tensor_power", "TriangularRules")
     hom_models_brute(models3[-1], models3[-1], pres, pres)
-    assert built == Counter(tensor_power=1, TriangularRules=2)
+    assert built == Counter(TriangularRules=1)
+    built.clear()
+    src, tgt = (build_extension(d) for d in (models3[-2], models3[0]))
+    hom_models_brute(models3[-2], models3[0], src, tgt)
+    assert built == Counter(TriangularRules=1)
 
 
 def test_normal_form_makes_no_ring_product(models3, monkeypatch,
