@@ -167,7 +167,7 @@ def cmd_verify(args) -> int:
            "axioms": {"coassoc": rep.coassoc, "counit": rep.counit_law,
                       "antipode": rep.antipode_law,
                       "commutative": rep.commutativity,
-                      "units": rep.unit_certificates, "rank": rep.rank},
+                      "units": rep.group_like_units, "rank": rep.rank},
            "fiber_verified": fiber_ok,
            "failures": rep.failures + report}
     if args.emit_presentation:

@@ -8,13 +8,15 @@ index n+i), the counit constants, the antipode, and designated units.
 
 Finite presentations (every relation present) are free modules on the
 monomials below the relation degrees; rank = product of the degrees.
-Smooth presentations omit relations; their designated units carry no
-polynomial inverse, so identities involving 1/u are verified on
-LocalizedElement values by clearing denominators.  All designated units
-are required to be group-like (Delta u = u (x) u, eps u = 1), which is
-what makes denominators compose through comultiplications and morphisms.
-The antipode of a smooth presentation is then a pair (num, den): num
-divided by prod_i units[i]^den[i].  `to_json` writes such a pair as
+Smooth presentations omit relations.  A designated unit is a polynomial
+u, and every presentation has one law for it: u is group-like (Delta u =
+u (x) u in the square) with eps u = 1.  That makes u a unit with inverse
+sigma(u), and it is what makes denominators compose through
+comultiplications and morphisms.  Identities involving 1/u are verified
+on LocalizedElement values by clearing denominators; in a finite
+quotient 1/u is the normal form of sigma(u).  The antipode of a smooth
+presentation is a pair (num, den): num / prod_i units[i]^den[i].
+`to_json` writes such a pair as
 {"num": <num as a polynomial>, "den": [...]}, a polynomial antipode as
 a polynomial.
 
@@ -50,18 +52,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .dvr import IndeterminateAtPrecision, RingElement, check_floor
-from .errors import DivisibilityError, PrecisionError
+from .errors import PrecisionError
 from .poly import (Poly, TriangularRules, horner, normal_form,
                    sum_of_products)
-
-
-@dataclass(frozen=True)
-class UnitSpec:
-    """A designated unit: its polynomial and, when the quotient is
-    finite, an explicit polynomial inverse certificate."""
-
-    poly: Poly
-    inverse: Poly | None = None
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class HopfPresentation:
     comult: tuple             # Poly in 2n variables per generator
     counit: tuple             # base element per generator
     antipode: tuple           # Poly | (num, den) pair per generator
-    units: tuple = ()         # UnitSpec
+    units: tuple = ()         # Poly per designated unit
     name: str = ""
 
     @property
@@ -149,7 +142,7 @@ class HopfPresentation:
             "antipode": [a.to_json() if isinstance(a, Poly)
                          else {"num": a[0].to_json(), "den": list(a[1])}
                          for a in self.antipode],
-            "units": [u.poly.to_json() for u in self.units],
+            "units": [u.to_json() for u in self.units],
         }
 
 
@@ -161,8 +154,7 @@ def tensor_power(pres: HopfPresentation, k: int) -> HopfPresentation:
     """The k-fold tensor power as a bare presentation in kn variables.
 
     Factor f holds generators f*n .. f*n + n - 1; the relations and the
-    designated units (inverse certificates included) of each factor are
-    those of `pres`, embedded.
+    designated units of each factor are those of `pres`, embedded.
     """
     n = pres.ngens
 
@@ -176,8 +168,7 @@ def tensor_power(pres: HopfPresentation, k: int) -> HopfPresentation:
         comult=(),
         counit=pres.counit * k,
         antipode=(),
-        units=tuple(UnitSpec(emb(u.poly, f), emb(u.inverse, f))
-                    for f in range(k) for u in pres.units),
+        units=tuple(emb(u, f) for f in range(k) for u in pres.units),
         name=" (x) ".join([pres.name] * k),
     )
 
@@ -289,7 +280,7 @@ class LocalizedElement:
         """Multiply by units[i]^e, e >= 0."""
         num = self.num
         for _ in range(e):
-            num = num * self.pres.units[i].poly
+            num = num * self.pres.units[i]
         return LocalizedElement(self.pres, num, self.den)
 
     def is_zero(self) -> bool:
@@ -303,18 +294,18 @@ class LocalizedElement:
         return (self - self._coerce(other)).is_zero()
 
     def clear_in_finite(self, pres_fin: HopfPresentation) -> Poly:
-        """Image in a finite quotient, using the inverse certificates.
+        """Image in a finite quotient: u^e is cleared by sigma(u)^e, the
+        inverse of a group-like unit u with counit 1.
 
         The finite presentation must share the generator layout and
-        declare the same units with polynomial inverses.
+        declare the same units, with a polynomial antipode.
         """
         out = pres_fin.nf(self.num)
-        for i, e in enumerate(self.den):
-            inv = pres_fin.units[i].inverse
-            if e and inv is None:
-                raise DivisibilityError("no inverse certificate for unit")
-            for _ in range(e):
-                out = pres_fin.rules.reduce_product(out, inv)
+        for u, e in zip(pres_fin.units, self.den):
+            if e:
+                inv = pres_fin.nf(u.subst(list(pres_fin.antipode)))
+                for _ in range(e):
+                    out = pres_fin.rules.reduce_product(out, inv)
         return out
 
     def __repr__(self):
@@ -340,23 +331,23 @@ class AxiomReport:
     antipode_law: bool
     commutativity: bool
     rank: int | None
-    unit_certificates: bool
+    group_like_units: bool
     failures: list = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
         return (self.coassoc and self.counit_law and self.antipode_law
-                and self.unit_certificates)
+                and self.group_like_units)
 
 
 def check_hopf_axioms(pres: HopfPresentation) -> AxiomReport:
     """Verify coassociativity, counit law, antipode law, cocommutativity
-    and the designated-unit certificates: every law of `_laws` is one
-    comparison, decided above the floor of `_is_zero_above_floor`.  A
-    law whose failure is already reported (the second counit law of a
-    generator) is not decided again."""
+    and that every designated unit is group-like with counit 1: every
+    law of `_laws` is one comparison, decided above the floor of
+    `_is_zero_above_floor`.  A law whose failure is already reported
+    (the second counit law of a generator) is not decided again."""
     flags = dict.fromkeys(("coassoc", "counit_law", "antipode_law",
-                           "commutativity", "unit_certificates"), True)
+                           "commutativity", "group_like_units"), True)
     failures = []
     for flag, failure, lhs, rhs in _laws(pres):
         if failure in failures:
@@ -417,22 +408,15 @@ def _laws(pres: HopfPresentation):
         yield ("commutativity", f"comultiplication not cocommutative at {g}",
                LocalizedElement(sq, d.subst(swap)), LocalizedElement(sq, d))
 
-    # designated units: the inverse certificate in pres; without one,
-    # group-likeness in the square (it makes the unit usable in
-    # localized arithmetic) and counit 1
+    # designated units: group-like in the square, with counit 1 (so a
+    # unit, with inverse sigma(u), usable in localized arithmetic)
     k_units = len(pres.units)
     for k, u in enumerate(pres.units):
-        if u.inverse is not None:
-            yield ("unit_certificates", f"unit certificate {k} fails",
-                   LocalizedElement(pres, u.poly * u.inverse),
-                   LocalizedElement(pres, pres.one_poly()))
-            continue
-        yield ("unit_certificates", f"designated unit {k} not group-like",
-               LocalizedElement(sq, u.poly.subst(list(pres.comult))),
-               LocalizedElement(sq, sq.units[k].poly
-                                * sq.units[k_units + k].poly))
-        yield ("unit_certificates", f"designated unit {k} has counit != 1",
-               pres.counit_of(u.poly), base.one())
+        yield ("group_like_units", f"designated unit {k} not group-like",
+               LocalizedElement(sq, u.subst(list(pres.comult))),
+               LocalizedElement(sq, sq.units[k] * sq.units[k_units + k]))
+        yield ("group_like_units", f"designated unit {k} has counit != 1",
+               pres.counit_of(u), base.one())
 
 
 def _subst_localized(poly: Poly, images: list, pres: HopfPresentation
@@ -664,7 +648,6 @@ def residue_fiber(pres: HopfPresentation, t: int = 1) -> HopfPresentation:
         counit=tuple(res(c) for c in pres.counit),
         antipode=tuple(red(a) if isinstance(a, Poly) else (red(a[0]), a[1])
                        for a in pres.antipode),
-        units=tuple(UnitSpec(red(u.poly), red(u.inverse))
-                    for u in pres.units),
+        units=tuple(red(u) for u in pres.units),
         name=pres.name + (" (special fiber)" if t == 1 else f" mod pi^{t}"),
     )

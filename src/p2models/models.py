@@ -33,7 +33,7 @@ from .dvr import (IndeterminateAtPrecision, QuotElement, RingDescriptor,
 from .errors import (BudgetError, DivisibilityError, InputError,
                      LinearSolveError, P2ModelsError, ValuationError)
 from .hopf import (HopfMorphism, HopfPresentation, LocalizedElement,
-                   UnitSpec, check_morphism, is_model_map, residue_fiber)
+                   check_morphism, is_model_map, residue_fiber)
 from .poly import ExactBase, Poly, normal_form
 from .witt import (WittVector, is_frobenius_kernel, mult_by_p,
                    psi_star_image)
@@ -103,7 +103,9 @@ def star_condition(ring: RingDescriptor, lam: RingElement, n: int) -> bool:
 
 def build_g(ring: RingDescriptor, lam: RingElement, n: int) -> HopfPresentation:
     """Finite kernel group of the degree-p^n isogeny: R[T]/P_{lam,n}(T),
-    build_g_smooth(ring, lam) with the relation and polynomial inverses."""
+    build_g_smooth(ring, lam) with the relation and a polynomial antipode.
+    The unit 1 + lam T is that of build_g_smooth; its inverse is
+    sigma(1 + lam T) = (1 + lam T)^(p^n - 1)."""
     if not star_condition(ring, lam, n):
         raise ValuationError(
             "condition (*) fails: v(p) < p^(n-1)(p-1) v(lam)")
@@ -115,11 +117,9 @@ def build_g(ring: RingDescriptor, lam: RingElement, n: int) -> HopfPresentation:
     for k in range(1, N):
         anti_coeffs.append(
             ring.from_int(math.comb(N - 1, k)) * lam ** (k - 1))
-    unit_poly = smooth.units[0].poly
     return replace(
         smooth, relations=(rel,),
         antipode=(poly_in_var(smooth.base, 1, 0, anti_coeffs),),
-        units=(UnitSpec(unit_poly, normal_form(unit_poly ** (N - 1), [rel])),),
         name=f"G(v(lam)={lam.valuation()}, n={n})")
 
 
@@ -134,7 +134,7 @@ def build_g_smooth(ring: RingDescriptor, lam: RingElement) -> HopfPresentation:
     return HopfPresentation(
         base=base, gens=("T",), relations=(None,), comult=(comult,),
         counit=(ring.zero(),), antipode=(antipode,),
-        units=(UnitSpec(unit_poly, None),),
+        units=(unit_poly,),
         name=f"G_smooth(v(lam)={lam.valuation()})")
 
 
@@ -477,20 +477,21 @@ def _comult(g1: HopfPresentation, fc, lam) -> tuple:
 def build_extension(d: ModelDescriptor) -> HopfPresentation:
     """The finite rank-p^2 presentation attached to a descriptor.
 
-    Variables: S1 = 0, S2 = 1.  Divisibility failures (relation by
-    lam^p, cocycle by lam) raise DivisibilityError and signal (a, j) not
-    in Phi or precision loss.
+    Variables: S1 = 0, S2 = 1; designated units u1 = 1 + mu S1 and
+    u2 = F(S1) + lam S2, group-like, with inverses sigma(u1) and
+    sigma(u2).  Divisibility failures (relation by lam^p, cocycle by lam)
+    raise DivisibilityError and signal (a, j) not in Phi or precision
+    loss.
     """
     ring = d.ring
     p = ring.p
     mu, lam = ring.pi(d.m), ring.pi(d.n)
     fc = canonical_lift_coeffs(d)
-    # the S1 factor is G_{mu,1}: relation, antipode, unit and inverse
+    # the S1 factor is G_{mu,1}: relation, antipode and unit
     g1 = build_g(ring, mu, 1)
     base = g1.base
-    rel1, anti1, u1, inv1 = (x.embed(2, 0) for x in (
-        g1.relations[0], g1.antipode[0], g1.units[0].poly,
-        g1.units[0].inverse))
+    rel1, anti1, u1 = (x.embed(2, 0) for x in (
+        g1.relations[0], g1.antipode[0], g1.units[0]))
     F = poly_in_var(base, 1, 0, fc)
     u2 = F.embed(2, 0) + Poly.var(base, 2, 1).scale(lam)
     rel2 = normal_form(u2 ** p - u1 ** d.j, [rel1, None])
@@ -500,19 +501,17 @@ def build_extension(d: ModelDescriptor) -> HopfPresentation:
     # known mod pi^(eM - n), and that precision is part of the output
     eps2 = (ring.one() - fc[0]).divide_exact(lam) if d.n else ring.zero()
 
-    # u2^(p-1) u1^(p-j) is 1/u2 modulo both relations: sigma(S2) =
-    # (1/u2 - F(sigma(S1)))/lam, and the inverse certificate of u2
+    # u2^(p-1) u1^(p-j) is 1/u2 modulo both relations, so sigma(S2) =
+    # (1/u2 - F(sigma(S1)))/lam and sigma(u2) = 1/u2
     u2_inv = u2 ** (p - 1) * u1 ** (p - d.j)
     anti2 = normal_form(u2_inv - F.subst([anti1]), [rel1, None])
     anti2 = anti2.div_scalar(lam)
 
-    rel_system = (rel1, rel2)
-    inv2 = normal_form(u2_inv, list(rel_system))
     return HopfPresentation(
         base=base, gens=("S1", "S2"),
-        relations=rel_system, comult=_comult(g1, fc, lam),
+        relations=(rel1, rel2), comult=_comult(g1, fc, lam),
         counit=(ring.zero(), eps2), antipode=(anti1, anti2),
-        units=(UnitSpec(u1, inv1), UnitSpec(u2, inv2)),
+        units=(u1, u2),
         name=f"E(m={d.m}, n={d.n}, a={digit_string(d.a)}, j={d.j})")
 
 
@@ -522,7 +521,7 @@ def _smooth_extension(g1, lam, fc, name) -> HopfPresentation:
     units (1+mu S1) and (F+lam S2), no finiteness relations."""
     base, ring = g1.base, g1.base.ring
     p = ring.p
-    u1 = g1.units[0].poly.embed(2, 0)
+    u1 = g1.units[0].embed(2, 0)
     anti1 = g1.antipode[0][0].embed(2, 0)     # sigma(S1) = anti1 / u1
     u2 = poly_in_var(base, 2, 0, fc) + Poly.var(base, 2, 1).scale(lam)
     eps2 = ring.one() - fc[0]
@@ -539,7 +538,7 @@ def _smooth_extension(g1, lam, fc, name) -> HopfPresentation:
         base=base, gens=("S1", "S2"), relations=(None, None),
         comult=_comult(g1, fc, lam), counit=(ring.zero(), eps2),
         antipode=((anti1, (1, 0)), (anti2_num, (p - 1, 1))),
-        units=(UnitSpec(u1, None), UnitSpec(u2, None)), name=name)
+        units=(u1, u2), name=name)
 
 
 def build_extension_smooth(d: ModelDescriptor) -> HopfPresentation:
@@ -572,7 +571,7 @@ def solve_target_hom(d: ModelDescriptor) -> list[RingElement]:
         return [ring.one()] + [ring.zero()] * (p - 1)
     t = p * d.n
     mu = ring.pi(d.m)
-    u1 = build_g_smooth(ring, mu).units[0].poly
+    u1 = build_g_smooth(ring, mu).units[0]
     F = poly_in_var(u1.base, 1, 0, canonical_lift_coeffs(d))
     H = F ** p * u1 ** ((-d.j) % p)
     h = [H.coefficient((i,)) for i in range(H.degree_in(0) + 1)]
@@ -621,7 +620,7 @@ def ambient_isogeny(d: ModelDescriptor):
                             "E_smooth target")
 
     Pmu = kummer_poly(ring, mu, p, 2, 0)
-    u1, u2 = (u.poly for u in src.units)
+    u1, u2 = src.units
     bracket = u2 ** p - poly_in_var(base, 1, 0, g).subst([Pmu]) * u1 ** d.j
     img2_num = bracket.div_scalar(lam ** p)
     img2 = LocalizedElement(src, img2_num, (d.j, 0))
@@ -692,11 +691,12 @@ def hom_models(d1: ModelDescriptor, d2: ModelDescriptor) -> HomClass:
     return HomClass("OrderP")
 
 
-def _psi_candidates(src, tgt, d1, d2):
-    """The p^2 candidate maps psi(r, s) between the extensions src =
-    build_extension(d1) and tgt = build_extension(d2), yielded as
-    ((r, s), f) for r, then s, in range(p); f is None when a required
-    exact division fails (the candidate is not well defined over R).
+def _psi_candidates(src, d1, d2):
+    """The p^2 candidate maps psi(r, s) from the extension src =
+    build_extension(d1) to build_extension(d2), yielded as ((r, s),
+    images) for r, then s, in range(p): images is the pair (image of S1',
+    image of S2') over src, or None when a required exact division fails
+    (the candidate is not well defined over R).
 
     S1' -> ((1+mu1 S1)^x - 1)/mu2 with x = r j1/j2, and S2' ->
     ((F1+lam1 S2)^r (1+mu1 S1)^s - F2(S1'))/lam2, with u2 = F1 + lam1 S2
@@ -707,7 +707,7 @@ def _psi_candidates(src, tgt, d1, d2):
     ring = d1.ring
     p = ring.p
     mu1, mu2, lam2 = ring.pi(d1.m), ring.pi(d2.m), ring.pi(d2.n)
-    u1, u2 = (u.poly for u in src.units)
+    u1, u2 = src.units
     u1_pow = [u1 ** s for s in range(p)]
     u2_pow = [u2 ** r for r in range(p)]
     F2 = poly_in_var(src.base, 1, 0, canonical_lift_coeffs(d2))
@@ -725,43 +725,42 @@ def _psi_candidates(src, tgt, d1, d2):
             except (DivisibilityError, ValuationError):
                 yield (r, s), None
                 continue
-            yield (r, s), HopfMorphism(source=src, target=tgt,
-                                       images=(img1, img2),
-                                       name=f"psi({r},{s})")
+            yield (r, s), (img1, img2)
 
 
 def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
-                     src: HopfPresentation | None = None,
-                     tgt: HopfPresentation | None = None):
+                     src: HopfPresentation | None = None):
     """Decide all p^2 candidate maps psi(r, s) of `_psi_candidates` by
-    their exact divisions; return (HomClass, morphisms).
+    their exact divisions; return (HomClass, images), the images of S1'
+    and S2' of each well-defined candidate, in the order of the maps.
 
     A candidate that is well defined over R is a morphism, so none is
     checked.  The designated units u1 = 1 + mu1 S1 and u2 = F1(S1) +
     lam1 S2 of A = src are group-like, with u1^p = 1 and u2^p = u1^j1 in
-    A.  psi(r, s) sends the target's units to u1' -> u1^x and u2' ->
-    u2^r u1^s, where x j2 = r j1 (mod p): products of group-like units
-    are group-like, and (u2^r u1^s)^p = u1^(r j1) = (u1^x)^j2.  A is
-    torsion-free and mu2, lam2 are nonzerodivisors, so the target's
-    relations, counits and Delta hold under psi(r, s) exactly when its
-    images (u1^x - 1)/mu2 and (u2^r u1^s - F2(S1'))/lam2 lie in A, that
-    is when both divisions are exact.
+    A; that they are group-like is checked by `check_hopf_axioms`
+    (acceptance criterion 1 runs it on every p = 3 model).  psi(r, s)
+    sends the target's units to u1' -> u1^x and u2' -> u2^r u1^s, where
+    x j2 = r j1 (mod p): products of group-like units are group-like,
+    and (u2^r u1^s)^p = u1^(r j1) = (u1^x)^j2.  A is torsion-free and
+    mu2, lam2 are nonzerodivisors, so the target's relations, counits and
+    Delta hold under psi(r, s) exactly when its images (u1^x - 1)/mu2
+    and (u2^r u1^s - F2(S1'))/lam2 lie in A, that is when both divisions
+    are exact.
 
     The argument needs the source relations to hold in A: a coefficient
     of one known to no digit raises PrecisionError (`dvr.check_floor`)
     before any candidate, as does a division that cannot be decided.
 
-    `src` and `tgt` are build_extension(d1) and build_extension(d2),
-    built here when not given."""
+    `src` is build_extension(d1), built here when not given; the target
+    presentation is never built."""
     if d1.j == 0 or d2.j == 0:
         raise InputError("hom classification applies to models (j != 0)")
     p = d1.ring.p
     src = build_extension(d1) if src is None else src
-    tgt = build_extension(d2) if tgt is None else tgt
     check_floor((c for rel in src.relations for c in rel.terms.values()),
                 "a Hom by integrality")
-    found = [(rs, f) for rs, f in _psi_candidates(src, tgt, d1, d2)
-             if f is not None]
+    found = [(rs, images) for rs, images in _psi_candidates(src, d1, d2)
+             if images is not None]
     survivors = [rs for rs, _ in found]
     if len(survivors) == p * p:
         tag = "OrderP2"
@@ -772,7 +771,7 @@ def hom_models_brute(d1: ModelDescriptor, d2: ModelDescriptor,
     else:
         raise P2ModelsError(
             f"unexpected hom survivor pattern {survivors}")
-    return HomClass(tag, tuple(survivors)), [f for _, f in found]
+    return HomClass(tag, tuple(survivors)), [images for _, images in found]
 
 
 def enumerate_models(ring: RingDescriptor, m_max: int) -> list[ModelDescriptor]:

@@ -184,7 +184,15 @@ def _recover(ring: RingDescriptor, gh: list[tuple]) -> list[RingElement]:
     The term p^k c_k^(p^(r-k)) is known to k e digits more than the rung
     (`RingDescriptor._times_p_power`), so coordinate r loses the r e
     digits of its own division, not those of the earlier ones again.
-    Coordinate 0 is Phi_0 itself."""
+    Coordinate 0 is Phi_0 itself.
+
+    A structurally zero rung is skipped: it cannot lower the precision.
+    Every caller passes ghost precisions that do not rise with r: each
+    Phi_r is a minimum over a growing set of terms (`ghosts`), and
+    witt_add, witt_mul, frobenius_w, mult_by_p and witt_int_multiple
+    combine ghosts by a minimum, a shift or a scale, which keep that
+    order.  So the term of a recovered rung k < r is known at least to
+    Phi_k's precision, hence to Phi_r's."""
     sub, times_p_power = ring._sub, ring._times_p_power
     divide_p_power = ring._divide_p_power
     coords, rungs = [], []  # rungs[k] = c_k^(p^(r-k)), as residents
@@ -193,7 +201,7 @@ def _recover(ring: RingDescriptor, gh: list[tuple]) -> list[RingElement]:
         for k, (x, xp) in enumerate(rungs):
             if k:
                 x, xp = times_p_power(x, xp, k)
-            if x or xp < prec:  # a zero rung can lower the precision
+            if x:
                 acc = sub(acc, x)
                 prec = xp if xp < prec else prec
         if r:

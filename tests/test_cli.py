@@ -65,13 +65,20 @@ def test_isomorphic_example(capsys):
     assert json.loads(out)["isomorphic"] is True
 
 
-def test_hom_with_brute(capsys):
-    code, out, _ = run(capsys, "hom", "--left", CANON, "--right", TWIST,
-                       "--brute")
-    doc = json.loads(out)
-    assert code == 0
-    assert doc["hom"]["class"] == "OrderP2"
-    assert doc["brute"]["class"] == "OrderP2"
+def test_hom_with_brute(capsys, count_calls):
+    # the brute-force oracle builds one presentation, the source's, also
+    # on a self-pair
+    from p2models import models
+    built = count_calls(models, "build_extension")
+    for right in (TWIST, CANON):
+        built.clear()
+        code, out, _ = run(capsys, "hom", "--left", CANON, "--right", right,
+                           "--brute")
+        doc = json.loads(out)
+        assert code == 0
+        assert doc["hom"]["class"] == "OrderP2"
+        assert doc["brute"]["class"] == "OrderP2"
+        assert built == {"build_extension": 1}
 
 
 def test_fiber_verify(capsys):

@@ -69,8 +69,7 @@ from p2models.dvr import (
     make_ring,
 )
 from p2models.errors import PrecisionError, ValuationError
-from p2models.hopf import (HopfPresentation, LocalizedElement, UnitSpec,
-                           coeff_mod_pi)
+from p2models.hopf import HopfPresentation, LocalizedElement, coeff_mod_pi
 from p2models.poly import (ExactBase, Poly, QQBase, TriangularRules,
                            _rational_product, horner, normal_form,
                            sum_of_products)
@@ -1475,7 +1474,7 @@ def _localized_pres():
     u2 = Poly.one(BASE, 2) + y.scale(R.pi(2)) + (x * y).scale(R.pi())
     return HopfPresentation(base=BASE, gens=("x", "y"),
                             relations=(None, None), comult=(), counit=(),
-                            antipode=(), units=(UnitSpec(u1), UnitSpec(u2)))
+                            antipode=(), units=(u1, u2))
 
 
 @settings(max_examples=60, deadline=None)
